@@ -262,6 +262,13 @@ def make_instruction(mnemonic: str, **kwargs) -> Instruction:
     return Instruction(mnemonic=mnemonic, **kwargs)
 
 
+_NOP = Instruction("addi", rd=0, rs1=0, imm=0)
+
+
 def nop() -> Instruction:
-    """The canonical ``nop`` (``addi x0, x0, 0``)."""
-    return Instruction("addi", rd=0, rs1=0, imm=0)
+    """The canonical ``nop`` (``addi x0, x0, 0``).
+
+    Every call returns the same instance: instructions are immutable (tagging
+    builds a new one), and generated stimuli hold tens of thousands of nops.
+    """
+    return _NOP

@@ -35,6 +35,9 @@ class SetAssociativeCache:
         self.config = config
         # Per set: ordered list of line addresses, most recently used first.
         self.sets: List[List[int]] = [[] for _ in range(config.sets)]
+        # Indices of the sets filled since the last flush (a set only turns
+        # non-empty through a fill), so a flush clears only those.
+        self._filled_sets: List[int] = []
         self.tainted_lines: Set[int] = set()
         self.accesses = 0
         self.misses = 0
@@ -94,6 +97,8 @@ class SetAssociativeCache:
         self.misses += 1
         evicted = None
         if fill_on_miss:
+            if not ways:
+                self._filled_sets.append(set_index)
             if len(ways) >= self.config.ways:
                 evicted = ways.pop()
                 if evicted in self.tainted_lines:
@@ -111,11 +116,42 @@ class SetAssociativeCache:
             filled=fill_on_miss,
         )
 
+    def fetch_access(self, address: int) -> int:
+        """An untainted, filling access that returns 0 on a hit, else the miss latency.
+
+        Counters and LRU order change exactly as under ``access(address)``;
+        the fetch stage only needs the stall, not a result object.
+        """
+        self.accesses += 1
+        line = self._line_address(address)
+        set_index = self._set_index_of_line(line)
+        ways = self.sets[set_index]
+        if ways:
+            if ways[0] == line:
+                return 0
+            if line in ways:
+                ways.remove(line)
+                ways.insert(0, line)
+                return 0
+            if len(ways) >= self.config.ways:
+                evicted = ways.pop()
+                if evicted in self.tainted_lines:
+                    self.tainted_lines.discard(evicted)
+                    self.taint_version += 1
+        else:
+            self._filled_sets.append(set_index)
+        self.misses += 1
+        ways.insert(0, line)
+        return self.config.miss_latency
+
     def fill(self, address: int, tainted: bool = False) -> None:
         self.access(address, fill_on_miss=True, tainted=tainted)
 
     def flush(self) -> None:
-        self.sets = [[] for _ in range(self.config.sets)]
+        sets = self.sets
+        for set_index in self._filled_sets:
+            sets[set_index].clear()
+        self._filled_sets.clear()
         if self.tainted_lines:
             self.taint_version += 1
         self.tainted_lines = set()

@@ -25,6 +25,11 @@ class CacheConfig:
     hit_latency: int = 2
     miss_latency: int = 20
 
+    def __post_init__(self) -> None:
+        # The fetch stage reads a zero miss latency as a hit.
+        if self.miss_latency < 1:
+            raise ValueError(f"miss_latency must be at least 1, got {self.miss_latency}")
+
     @property
     def capacity_bytes(self) -> int:
         return self.sets * self.ways * self.line_bytes

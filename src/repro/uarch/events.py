@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class SquashReason(enum.Enum):
@@ -26,8 +26,12 @@ class SquashReason(enum.Enum):
     FENCE = "fence"
 
 
-@dataclass(frozen=True, slots=True)
-class RobEnqueueEvent:
+# The two per-instruction events are named tuples rather than frozen
+# dataclasses: one of each is built for nearly every simulated instruction,
+# and a tuple is about a third of the construction cost.  Field names,
+# attribute access, hashing and repr match the dataclass form; equality is
+# tuple equality.
+class RobEnqueueEvent(NamedTuple):
     cycle: int
     rob_index: int
     sequence: int
@@ -35,8 +39,7 @@ class RobEnqueueEvent:
     mnemonic: str
 
 
-@dataclass(frozen=True, slots=True)
-class RobCommitEvent:
+class RobCommitEvent(NamedTuple):
     cycle: int
     rob_index: int
     sequence: int

@@ -27,6 +27,7 @@ LFB, ports) live in their own modules and are updated speculatively.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -67,6 +68,10 @@ TRUNCATED_ADDRESS_BITS = 32
 
 # Instructions that serialize the frontend at dispatch.
 _SERIALIZING_MNEMONICS = frozenset(("ecall", "ebreak", "mret", "fence", "fence.i"))
+
+# Trace events are named tuples; building them through ``tuple.__new__``
+# skips the keyword-argument constructor on the per-instruction path.
+_new_event = tuple.__new__
 
 FetchSource = Callable[[int], Optional[Instruction]]
 TrapHook = Callable[[TrapCause, int, int], Optional[int]]
@@ -168,6 +173,16 @@ class Processor:
         # Phantom-BTB (B3) race bookkeeping: the cycle and corrected target of
         # the most recent indirect-jump misprediction resolution.
         self._indirect_correction: Optional[Tuple[int, int, bool]] = None
+        # Worklists over the RoB, kept current at dispatch, execute and
+        # squash so no stage rescans the whole RoB each cycle:
+        # * ``_unexecuted``: entries not yet executed, in program order;
+        # * ``_unresolved``: control-flow entries not yet resolved, in
+        #   program order;
+        # * ``_executing``: a heap of ``(complete_cycle, sequence, entry)``
+        #   for executed entries, popped once they complete or are squashed.
+        self._unexecuted: List[RobEntry] = []
+        self._unresolved: List[RobEntry] = []
+        self._executing: List[Tuple[int, int, RobEntry]] = []
 
     # -- in-place reuse -----------------------------------------------------------------
 
@@ -210,6 +225,7 @@ class Processor:
         self._fetch_returned_none = False
         self._port_denied = False
         self._indirect_correction = None
+        self._clear_worklists()
 
     # -- program / memory setup ---------------------------------------------------------
 
@@ -334,16 +350,16 @@ class Processor:
         head = self.rob.head()
         if head is not None and head.head_arrival_cycle is None:
             return  # the head's arrival cycle is assigned next cycle
-        for entry in self.rob.entries:
-            if entry.executed:
-                complete = entry.complete_cycle
-                if complete is None:
-                    return
-                if complete > cycle and (wake is None or complete < wake):
-                    wake = complete
-            # Unexecuted entries wait on a producer's completion (covered by
-            # the producer's complete_cycle) or on an issue-port retry
-            # (excluded by the _port_denied guard above).
+        # Unexecuted entries wait on a producer's completion (covered by the
+        # producer's complete_cycle) or on an issue-port retry (excluded by
+        # the _port_denied guard above), so only executing entries wake.
+        executing = self._executing
+        while executing and (executing[0][0] <= cycle or executing[0][2].squashed):
+            heapq.heappop(executing)
+        if executing:
+            complete = executing[0][0]
+            if wake is None or complete < wake:
+                wake = complete
         if head is not None and head.executed and head.exception is not None:
             ready = max(
                 head.complete_cycle,
@@ -385,12 +401,8 @@ class Processor:
         self.rob.pop_head()
         entry.committed = True
         self.trace.commits.append(
-            RobCommitEvent(
-                cycle=self.cycle,
-                rob_index=0,
-                sequence=entry.sequence,
-                pc=entry.pc,
-                mnemonic=instruction.mnemonic,
+            _new_event(
+                RobCommitEvent, (self.cycle, 0, entry.sequence, entry.pc, instruction.mnemonic)
             )
         )
         self.commit_cycles.append((self.cycle, entry.pc))
@@ -432,7 +444,7 @@ class Processor:
             if correction_cycle == self.cycle:
                 self.predictors.btb.install(entry.pc, corrected_target, tainted=corrected_tainted)
 
-        squashed = self.rob.remove_all()
+        squashed = self._squash_all()
         self._record_squash(SquashReason.EXCEPTION, entry, squashed)
         self._apply_squash_control_taint(squashed, extra_tainted=False)
         self.lsu.squash_all()
@@ -464,29 +476,28 @@ class Processor:
     # -- resolve stage -----------------------------------------------------------------------
 
     def _resolve_stage(self) -> None:
-        # Resolution is rare relative to cycles: collect the (usually empty)
-        # set of completing control-flow entries first, then resolve them in
-        # order against the same snapshot semantics as before.
-        cycle = self.cycle
-        candidates = None
-        for entry in self.rob.entries:
-            if (
-                entry.executed
-                and entry.complete_cycle is not None
-                and entry.complete_cycle <= cycle
-                and not entry.mispredicted
-                and entry.instruction.is_control_flow
-            ):
-                if candidates is None:
-                    candidates = [entry]
-                else:
-                    candidates.append(entry)
-        if candidates is None:
+        # An entry resolves once, in the first cycle its result is complete:
+        # its actual and predicted next PC never change afterwards, so a
+        # correct prediction needs no further look.  Entries completing in
+        # the same cycle resolve in program order.
+        unresolved = self._unresolved
+        if not unresolved:
             return
-        for entry in candidates:
+        cycle = self.cycle
+        ready = [
+            entry
+            for entry in unresolved
+            if entry.executed and entry.complete_cycle <= cycle
+        ]
+        if not ready:
+            return
+        unresolved[:] = [
+            entry
+            for entry in unresolved
+            if not (entry.executed and entry.complete_cycle <= cycle)
+        ]
+        for entry in ready:
             self._resolve_control_flow(entry)
-            if self._halt_reason is not None:
-                return
 
     def _resolve_control_flow(self, entry: RobEntry) -> None:
         if entry.actual_next_pc is None or entry.exception is not None:
@@ -510,7 +521,7 @@ class Processor:
             tainted=tainted,
             cycle=self.cycle,
         )
-        squashed = self.rob.remove_younger_than(entry.sequence)
+        squashed = self._squash_younger_than(entry.sequence)
         self._record_squash(reason, entry, squashed)
         self._apply_squash_control_taint(squashed, extra_tainted=propagate)
         self.lsu.squash_younger_than(entry.sequence)
@@ -589,24 +600,28 @@ class Processor:
 
     def _execute_stage(self) -> None:
         self._port_denied = False
-        entries = self.rob.entries
-        if not entries:
+        pending = self._unexecuted
+        if not pending:
             return
+        # The entries left unexecuted this cycle, in program order; a
+        # memory-disambiguation squash during the loop truncates it in place.
+        waiting: List[RobEntry] = []
+        self._unexecuted = waiting
         cycle = self.cycle
         try_claim = self.ports.try_claim
-        # Execution never adds or removes RoB entries (squashes happen at
-        # resolve/commit), so the list is iterated without a defensive copy.
-        for entry in entries:
-            if entry.executed:
-                continue
-            if not self._operands_ready(entry):
+        operands_ready = self._operands_ready
+        for entry in pending:
+            if not operands_ready(entry):
+                if not entry.squashed:
+                    waiting.append(entry)
                 continue
             if not try_claim(entry.instruction, cycle):
                 self._port_denied = True
+                if not entry.squashed:
+                    waiting.append(entry)
                 continue
             self._execute_entry(entry)
-            if self._halt_reason is not None:
-                return
+            heapq.heappush(self._executing, (entry.complete_cycle, entry.sequence, entry))
 
     def _operands_ready(self, entry: RobEntry) -> bool:
         producers = entry._producers
@@ -861,7 +876,7 @@ class Processor:
             tainted=store_entry.result_tainted or violating_entry.result_tainted,
             cycle=self.cycle,
         )
-        squashed = self.rob.remove_younger_than(violating_sequence - 1)
+        squashed = self._squash_younger_than(violating_sequence - 1)
         self._record_squash(SquashReason.MEMORY_DISAMBIGUATION, store_entry, squashed)
         self._apply_squash_control_taint(squashed, extra_tainted=propagate)
         self.lsu.squash_younger_than(violating_sequence - 1)
@@ -880,7 +895,7 @@ class Processor:
         fetched = 0
         fetch_width = self.config.fetch_width
         fetch_source = self._fetch_source
-        icache_access = self.hierarchy.icache.access
+        icache_fetch = self.hierarchy.icache.fetch_access
         rob_entries = self.rob.entries
         rob_capacity = self.rob.capacity
         while fetched < fetch_width and len(rob_entries) < rob_capacity:
@@ -890,14 +905,14 @@ class Processor:
                     self._fetch_returned_none = True
                 return
             self._fetch_returned_none = False
-            icache_result = icache_access(self.fetch_pc)
-            if not icache_result.hit:
-                self.fetch_stall_until = self.cycle + icache_result.latency
+            miss_latency = icache_fetch(self.fetch_pc)
+            if miss_latency:
+                self.fetch_stall_until = self.cycle + miss_latency
             entry = self._dispatch(instruction)
             fetched += 1
             if self.fetch_serialized:
                 break
-            if not icache_result.hit:
+            if miss_latency:
                 break
             if entry.exception is not None and entry.instruction.is_illegal:
                 break
@@ -927,24 +942,26 @@ class Processor:
         entry._producers = producers
         self.rob.enqueue(entry)
         self.trace.enqueues.append(
-            RobEnqueueEvent(
-                cycle=self.cycle,
-                rob_index=len(self.rob.entries) - 1,
-                sequence=sequence,
-                pc=self.fetch_pc,
-                mnemonic=instruction.mnemonic,
+            _new_event(
+                RobEnqueueEvent,
+                (self.cycle, len(self.rob.entries) - 1, sequence, self.fetch_pc, instruction.mnemonic),
             )
         )
         destination = instruction._writes
         if destination is not None:
             self._last_writer[destination] = sequence
+        if instruction.is_control_flow:
+            self._unresolved.append(entry)
         if instruction.is_illegal and not self.config.illegal_instruction_opens_window:
             # The frontend refuses to speculate past an illegal instruction
             # (BOOM behaviour): no transient window opens.
             entry.exception = TrapCause.ILLEGAL_INSTRUCTION
             entry.executed = True
             entry.complete_cycle = self.cycle + 1
+            heapq.heappush(self._executing, (entry.complete_cycle, sequence, entry))
             self.fetch_serialized = True
+        else:
+            self._unexecuted.append(entry)
         if instruction.mnemonic in _SERIALIZING_MNEMONICS:
             # System instructions serialize the frontend: fetch does not run
             # past them until they resolve (redirect or trap).
@@ -987,6 +1004,27 @@ class Processor:
         return pc + 4, snapshot
 
     # -- bookkeeping --------------------------------------------------------------------------------
+
+    def _squash_younger_than(self, sequence: int) -> List[RobEntry]:
+        """Squash RoB entries younger than ``sequence`` and drop them from the worklists.
+
+        The executing heap drops squashed entries lazily, when they surface.
+        """
+        squashed = self.rob.remove_younger_than(sequence)
+        for worklist in (self._unexecuted, self._unresolved):
+            while worklist and worklist[-1].sequence > sequence:
+                worklist.pop()
+        return squashed
+
+    def _squash_all(self) -> List[RobEntry]:
+        squashed = self.rob.remove_all()
+        self._clear_worklists()
+        return squashed
+
+    def _clear_worklists(self) -> None:
+        self._unexecuted.clear()
+        self._unresolved.clear()
+        self._executing.clear()
 
     def _rebuild_last_writers(self) -> None:
         self._last_writer = {}
@@ -1055,7 +1093,7 @@ class Processor:
 
     def flush_transient_state(self) -> None:
         """Drop all in-flight state (used by the swap scheduler between packets)."""
-        self.rob.remove_all()
+        self._squash_all()
         self.lsu.squash_all()
         self._last_writer = {}
         self._results = {}

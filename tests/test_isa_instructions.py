@@ -95,6 +95,16 @@ class TestInstructionProperties:
         double = tagged.with_tag("encode")
         assert double.has_tag("window") and double.has_tag("encode")
 
+    def test_nop_is_one_shared_instance(self):
+        assert nop() is nop()
+
+    def test_tagging_the_shared_nop_leaves_it_untagged(self):
+        tagged = nop().with_tag("window")
+        assert tagged is not nop()
+        assert tagged.has_tag("window") and tagged.is_nop
+        assert nop().tags == frozenset()
+        assert nop() == Instruction("addi", rd=0, rs1=0, imm=0)
+
     def test_with_imm(self):
         assert Instruction("addi", rd=1, rs1=0, imm=1).with_imm(7).imm == 7
 

@@ -206,6 +206,63 @@ class TestCaches:
         assert not hierarchy.icache.resident_lines()
         assert not hierarchy.dcache.resident_lines()
 
+    @staticmethod
+    def _mixed_stream(config, count=400):
+        # Repeats (MRU hits), revisits (non-MRU hits) and conflicting lines
+        # (evictions) in every set, deterministic from the geometry alone.
+        span = config.sets * config.line_bytes
+        stream = []
+        for index in range(count):
+            way = (index * 7) % (config.ways + 2)
+            set_offset = ((index * 5) % config.sets) * config.line_bytes
+            stream.append(way * span + set_offset + (index % 3) * 8)
+            if index % 4 == 0:
+                stream.append(stream[-1])
+        return stream
+
+    @pytest.mark.parametrize("core", ["boom", "boom-large", "xiangshan"])
+    @pytest.mark.parametrize("clear", ["flush", "reset"])
+    def test_cleared_caches_match_fresh_ones(self, core, clear):
+        from repro.core.engine import resolve_core
+
+        config = resolve_core(core)
+        hierarchy = MemoryHierarchy.from_config(config)
+        fresh = MemoryHierarchy.from_config(config)
+        caches = [hierarchy.icache, hierarchy.dcache, hierarchy.l2]
+        fresh_caches = [fresh.icache, fresh.dcache, fresh.l2]
+        assert hierarchy.l2 is not None
+        for cache, clean in zip(caches, fresh_caches):
+            for _ in range(2):  # the second round starts from a cleared cache
+                for address in self._mixed_stream(cache.config):
+                    cache.access(address, tainted=address % 3 == 0)
+                assert cache.resident_lines()
+                getattr(cache, clear)()
+                assert cache.state_fingerprint() == clean.state_fingerprint()
+                assert cache.resident_lines() == clean.resident_lines()
+                assert cache.tainted_entry_count() == 0
+            if clear == "reset":
+                assert (cache.accesses, cache.misses) == (0, 0)
+
+    def test_fetch_access_matches_access(self):
+        config = CacheConfig(sets=4, ways=2, line_bytes=64, hit_latency=1, miss_latency=22)
+        by_access = SetAssociativeCache("i", config)
+        by_fetch = SetAssociativeCache("i", config)
+        stream = self._mixed_stream(config, count=200)
+        for address in stream:
+            result = by_access.access(address)
+            stall = by_fetch.fetch_access(address)
+            assert stall == (0 if result.hit else result.latency)
+            assert by_fetch.state_fingerprint() == by_access.state_fingerprint()
+        assert 0 < by_fetch.misses < by_fetch.accesses == len(stream)
+        assert (by_fetch.accesses, by_fetch.misses) == (by_access.accesses, by_access.misses)
+        by_access.flush()
+        by_fetch.flush()
+        assert by_fetch.state_fingerprint() == by_access.state_fingerprint()
+
+    def test_zero_miss_latency_is_rejected(self):
+        with pytest.raises(ValueError):
+            CacheConfig(miss_latency=0)
+
 
 class TestLineFillBuffer:
     def test_allocation_and_completion(self):

@@ -280,6 +280,73 @@ class TestSpeculationAndSquashes:
         assert len(calls) == 2
 
 
+class TestWorklists:
+    SOURCE = """
+      li a0, 0xA000
+      li a1, 0
+      li a2, 4
+      li a4, 900
+      li a5, 3
+    loop:
+      addi a1, a1, 1
+      sd a1, 0(a0)
+      div a3, a4, a5
+      andi a3, a3, 0
+      add a3, a3, a0
+      sd zero, 0(a3)
+      ld t4, 0(a0)
+      blt a1, a2, loop
+      call helper
+      ecall
+    helper:
+      li t5, 9
+      ret
+    """
+
+    @staticmethod
+    def _check_against_rob(processor):
+        cycle = processor.cycle
+        entries = processor.rob.entries
+        assert processor._unexecuted == [entry for entry in entries if not entry.executed]
+        assert processor._unresolved == [
+            entry
+            for entry in entries
+            if entry.instruction.is_control_flow
+            and not (entry.executed and entry.complete_cycle <= cycle)
+        ]
+        live = sorted(
+            (complete, sequence)
+            for complete, sequence, entry in processor._executing
+            if complete > cycle and not entry.squashed
+        )
+        assert live == sorted(
+            (entry.complete_cycle, entry.sequence)
+            for entry in entries
+            if entry.executed and entry.complete_cycle > cycle
+        )
+
+    def test_worklists_mirror_the_rob_every_cycle(self):
+        memory = make_memory((0x1000, 0x2000), (PROBE, 0x1000))
+        processor, _ = build_processor(self.SOURCE, memory=memory)
+        reasons = set()
+        while processor._halt_reason is None and processor.cycle < 2000:
+            processor.step_cycle()
+            self._check_against_rob(processor)
+            processor._fast_forward(2000)
+            reasons.update(processor.trace.squash_reasons())
+        assert processor._halt_reason == "trap:ecall"
+        assert {SquashReason.BRANCH_MISPREDICTION, SquashReason.MEMORY_DISAMBIGUATION} <= reasons
+        processor.flush_transient_state()
+        assert not (processor._unexecuted or processor._unresolved or processor._executing)
+
+    def test_reset_clears_worklists(self):
+        processor, _ = build_processor(self.SOURCE, memory=make_memory((0x1000, 0x2000), (PROBE, 0x1000)))
+        processor.run(max_cycles=30)
+        assert processor._unexecuted or processor._unresolved or processor._executing
+        processor.reset()
+        assert not (processor._unexecuted or processor._unresolved or processor._executing)
+
+
 class TestSideChannelState:
     def test_dcache_state_persists_across_squash(self):
         """The core Spectre property: squashed loads leave cache lines resident."""
