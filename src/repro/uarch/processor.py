@@ -479,7 +479,8 @@ class Processor:
         # An entry resolves once, in the first cycle its result is complete:
         # its actual and predicted next PC never change afterwards, so a
         # correct prediction needs no further look.  Entries completing in
-        # the same cycle resolve in program order.
+        # the same cycle resolve in program order, and one squashed by an
+        # older entry's misprediction earlier in the loop does not resolve.
         unresolved = self._unresolved
         if not unresolved:
             return
@@ -497,7 +498,8 @@ class Processor:
             if not (entry.executed and entry.complete_cycle <= cycle)
         ]
         for entry in ready:
-            self._resolve_control_flow(entry)
+            if not entry.squashed:
+                self._resolve_control_flow(entry)
 
     def _resolve_control_flow(self, entry: RobEntry) -> None:
         if entry.actual_next_pc is None or entry.exception is not None:
@@ -604,21 +606,22 @@ class Processor:
         if not pending:
             return
         # The entries left unexecuted this cycle, in program order; a
-        # memory-disambiguation squash during the loop truncates it in place.
+        # memory-disambiguation squash during the loop truncates it in place,
+        # and the entries it squashed are skipped for the rest of the loop.
         waiting: List[RobEntry] = []
         self._unexecuted = waiting
         cycle = self.cycle
         try_claim = self.ports.try_claim
         operands_ready = self._operands_ready
         for entry in pending:
+            if entry.squashed:
+                continue
             if not operands_ready(entry):
-                if not entry.squashed:
-                    waiting.append(entry)
+                waiting.append(entry)
                 continue
             if not try_claim(entry.instruction, cycle):
                 self._port_denied = True
-                if not entry.squashed:
-                    waiting.append(entry)
+                waiting.append(entry)
                 continue
             self._execute_entry(entry)
             heapq.heappush(self._executing, (entry.complete_cycle, entry.sequence, entry))

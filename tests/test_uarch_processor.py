@@ -280,6 +280,84 @@ class TestSpeculationAndSquashes:
         assert len(calls) == 2
 
 
+class TestSameCycleSquashes:
+    def test_branch_squashed_by_older_branch_does_not_resolve(self):
+        # Both branches are predicted not taken and resolve in the same
+        # cycle.  The older one squashes the younger, which must then not
+        # redirect fetch to its own target.
+        source = """
+          li a0, 1
+          li a1, 1
+          beq a0, a1, first
+          beq a0, a1, second
+          li a2, 99
+          ecall
+        first:
+          li a2, 1
+          ecall
+        second:
+          li a2, 2
+          ecall
+        """
+        memory = make_memory((0x1000, 0x2000))
+        processor, program = build_processor(source, memory=memory)
+        outcome = processor.run(max_cycles=400)
+        reference = IsaSimulator(program, memory=make_memory((0x1000, 0x2000)))
+        reference.run()
+        assert outcome.halted_on == "trap:ecall"
+        assert processor.read_register(12) == reference.read_register(12) == 1
+        mispredictions = [
+            squash
+            for squash in outcome.trace.squashes
+            if squash.reason is SquashReason.BRANCH_MISPREDICTION
+        ]
+        assert len(mispredictions) == 1
+
+    def test_entries_squashed_by_memory_disambiguation_do_not_execute(self):
+        # The dependents of the violating load become ready in the cycle the
+        # older store executes and squashes them; they must not execute.
+        source = """
+          li a0, 0xA000
+          li a4, 900
+          li a5, 3
+          li t3, 55
+          sd t3, 0(a0)
+          div a3, a4, a5
+          andi a3, a3, 0
+          add a3, a3, a0
+          sd zero, 0(a3)
+          ld t4, 0(a0)
+          add t5, t4, t4
+          add t6, t4, t4
+          ecall
+        """
+        memory = make_memory((0x1000, 0x2000), (PROBE, 0x1000))
+        processor, program = build_processor(source, memory=memory)
+        squashes = []
+        remove_younger_than = processor.rob.remove_younger_than
+
+        def recording_remove(sequence):
+            squashed = remove_younger_than(sequence)
+            squashes.append((processor.cycle, squashed))
+            return squashed
+
+        processor.rob.remove_younger_than = recording_remove
+        outcome = processor.run(max_cycles=600)
+        assert SquashReason.MEMORY_DISAMBIGUATION in outcome.trace.squash_reasons()
+        assert squashes and all(squashed for _, squashed in squashes)
+        executed_after_squash = [
+            (cycle, entry.sequence)
+            for cycle, squashed in squashes
+            for entry in squashed
+            if entry.dispatch_cycle >= cycle
+        ]
+        assert executed_after_squash == []
+        reference = IsaSimulator(program, memory=make_memory((0x1000, 0x2000), (PROBE, 0x1000)))
+        reference.run()
+        for register in (29, 30, 31):
+            assert processor.read_register(register) == reference.read_register(register)
+
+
 class TestWorklists:
     SOURCE = """
       li a0, 0xA000
