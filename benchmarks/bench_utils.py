@@ -1,8 +1,11 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-section, prints it, and archives the text under ``benchmarks/results/`` so the
-measured-vs-paper comparison in ``EXPERIMENTS.md`` can be refreshed easily.
+section and prints it.  Deterministic tables are archived under
+``benchmarks/results/`` and committed, so a change that moves them shows in
+review.  Tables of wall-clock measurements differ on every run; they go to
+the untracked ``benchmarks/results/timing/`` instead, so running the suite
+leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -11,17 +14,27 @@ import os
 from typing import Iterable, List, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
+TIMING_DIR = os.path.join(RESULTS_DIR, "timing")
 
 
-def save_results(name: str, text: str) -> str:
-    """Write a result artefact and echo it to stdout; returns the path."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+def _write_artefact(directory: str, name: str, text: str) -> str:
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text if text.endswith("\n") else text + "\n")
     print(f"\n===== {name} =====")
     print(text)
     return path
+
+
+def save_results(name: str, text: str) -> str:
+    """Write a deterministic result artefact and echo it to stdout; returns the path."""
+    return _write_artefact(RESULTS_DIR, name, text)
+
+
+def save_timing_results(name: str, text: str) -> str:
+    """Write a wall-clock result artefact (untracked) and echo it; returns the path."""
+    return _write_artefact(TIMING_DIR, name, text)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -31,7 +31,7 @@ the asserted speedup — is reproduced on fast and slow hosts alike.
 
 import time
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, save_timing_results
 
 from repro.core import run_parallel_campaign
 from repro.uarch import small_boom_config
@@ -104,7 +104,7 @@ def test_async_interleaving(benchmark):
         for other in (interleaved, pooled)
     )
     table += f"\nall backends byte-identical (timing aside): {identical}"
-    save_results("async_interleaving", table)
+    save_timing_results("async_interleaving", table)
 
     # Backend identity: execution strategy must never leak into results.
     assert identical

@@ -26,7 +26,7 @@ import json
 import shutil
 import time
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, save_timing_results
 
 from repro.core import (
     EngineConfiguration,
@@ -149,7 +149,7 @@ def test_elastic_resume(benchmark, tmp_path):
         f"({latency}s/simulation, async backend):\n\n"
         + latency_table
     )
-    save_results("elastic_resume", text)
+    save_timing_results("elastic_resume", text)
 
     # The injected-latency resumes are still the same campaign.
     assert deterministic_wire(doubled) == reference

@@ -18,9 +18,10 @@ one fixed harness.  This file is that harness.  It measures:
 
 ``BASELINE`` holds the numbers measured on the pre-optimization tree by this
 same file (same machine, same parameters).  The test recomputes the "after"
-column live and archives both to ``benchmarks/results/hot_path.txt``.  The
-wall-clock assertions are deliberately loose (CI machines vary); the hard
-regression oracle for the optimizations is byte-identical
+column live and archives both to the untracked
+``benchmarks/results/timing/hot_path.txt``.  The wall-clock assertions are
+deliberately loose (CI machines vary); the hard regression oracle for the
+optimizations is byte-identical
 ``campaign_deterministic`` output, asserted by the engine/cache tests.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import time
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, save_timing_results
 
 from repro.core.fuzzer import run_quick_campaign
 from repro.core.phase1 import TransientWindowTriggering
@@ -241,7 +242,7 @@ def test_hot_path_scoreboard():
         "pre-optimization tree.\n\n"
         + table
     )
-    save_results("hot_path", text)
+    save_timing_results("hot_path", text)
 
     # Sanity floors only — wall-clock speedup claims live in the committed
     # artifact; determinism (byte-identical campaign_deterministic) is the

@@ -19,7 +19,7 @@ process pool.  The benchmark demonstrates
 import os
 import time
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, save_timing_results
 
 from repro.core import DejaVuzzFuzzer, FuzzerConfiguration, run_parallel_campaign
 from repro.uarch import small_boom_config
@@ -81,7 +81,7 @@ def test_parallel_scaling(benchmark):
     )
     table += f"\n\nhost CPUs: {cpus}; sync epochs: {SYNC_EPOCHS}; root entropy: {ENTROPY}"
     table += f"\nredistributed seeds: {sharded.redistributed_seeds}"
-    save_results("parallel_scaling", table)
+    save_timing_results("parallel_scaling", table)
 
     # Budget parity: the sharded engine runs the exact same iteration count.
     assert sharded.campaign.iterations_run == TOTAL_ITERATIONS == serial.iterations_run

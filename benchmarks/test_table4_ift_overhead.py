@@ -19,7 +19,7 @@ Base <= diffIFT for simulation with bounded overhead.
 
 import time
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, save_timing_results
 
 from repro.ift import CellIFTPass, DiffIFTPass
 from repro.rtl.builder import CircuitBuilder
@@ -113,7 +113,7 @@ def measure_simulation_times(core, attacks=ATTACKS):
 
 def test_table4_compile_overhead(benchmark):
     table, results = benchmark.pedantic(measure_compile_times, rounds=1, iterations=1)
-    save_results("table4_compile", table)
+    save_timing_results("table4_compile", table)
     for core_label, (cellift_stats, diffift_stats) in results.items():
         # CellIFT flattens memories: far more cells and a slower pass.
         assert cellift_stats.instrumented_cells > 5 * diffift_stats.instrumented_cells
@@ -128,7 +128,7 @@ def test_table4_simulation_overhead(benchmark):
     table, timings = benchmark.pedantic(
         measure_simulation_times, args=(core,), rounds=1, iterations=1
     )
-    save_results("table4_simulation_boom", table)
+    save_timing_results("table4_simulation_boom", table)
     for attack, per_mode in timings.items():
         # The differential testbench instantiates two DUTs: bounded overhead
         # relative to the un-instrumented baseline (the paper reports ~2.4x).
@@ -137,4 +137,4 @@ def test_table4_simulation_overhead(benchmark):
     table_xiangshan, _ = measure_simulation_times(
         xiangshan_minimal_config(), attacks=["spectre-v1", "meltdown"]
     )
-    save_results("table4_simulation_xiangshan", table_xiangshan)
+    save_timing_results("table4_simulation_xiangshan", table_xiangshan)

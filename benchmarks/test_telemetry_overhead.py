@@ -9,8 +9,8 @@ with a real :class:`~repro.telemetry.MetricsRegistry` against the
 
 Each arm takes the best of three runs (the benchmark convention for shaking
 off scheduler noise on shared CI machines), alternating arms so neither
-systematically benefits from warmer caches.  Results are archived to
-``benchmarks/results/telemetry_overhead.txt``; byte-identical
+systematically benefits from warmer caches.  Results are archived to the
+untracked ``benchmarks/results/timing/telemetry_overhead.txt``; byte-identical
 ``campaign_deterministic`` output with telemetry on/off is asserted by
 ``tests/test_telemetry.py``, so this file only polices the wall clock.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, save_timing_results
 
 from repro.core.fuzzer import DejaVuzzFuzzer, FuzzerConfiguration
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
@@ -71,7 +71,7 @@ def test_telemetry_overhead_under_five_percent():
         f"Acceptance bar: on-throughput within {MAX_OVERHEAD:.0%} of off.\n\n"
         + table
     )
-    save_results("telemetry_overhead", text)
+    save_timing_results("telemetry_overhead", text)
     assert rates["on"] >= (1.0 - MAX_OVERHEAD) * rates["off"], (
         f"telemetry costs {overhead:.1%} of throughput "
         f"(on {rates['on']:.2f} vs off {rates['off']:.2f} iter/s); "
