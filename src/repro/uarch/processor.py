@@ -506,7 +506,6 @@ class Processor:
             return
         if entry.actual_next_pc == entry.predicted_next_pc:
             return
-        entry.mispredicted = True
         instruction = entry.instruction
         if instruction.is_return:
             reason = SquashReason.RETURN_MISPREDICTION

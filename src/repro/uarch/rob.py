@@ -42,7 +42,6 @@ class RobEntry:
 
     # Control-flow metadata.
     ras_snapshot: Optional[object] = None
-    mispredicted: bool = False
 
     squashed: bool = False
     committed: bool = False
