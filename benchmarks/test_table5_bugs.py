@@ -3,10 +3,12 @@
 Runs a DejaVuzz campaign on each core (with the paper's five defects injected)
 and regenerates the Table-5-style summary: attack type x transient-window
 category x encoded timing components, plus which of the known CVE-assigned
-defects (B1-B5) were matched and the time/iteration of the first finding.
+defects (B1-B5) were matched and the iteration of the first finding.  The
+wall-clock time of the first finding varies from run to run, so it goes to a
+separate, untracked timing table.
 """
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, save_results, save_timing_results
 
 from repro.core import DejaVuzzFuzzer, FuzzerConfiguration
 from repro.uarch import BUG_REGISTRY, small_boom_config, xiangshan_minimal_config
@@ -47,15 +49,22 @@ def render_table5(campaigns):
             f"{label}: {len(campaign.reports)} reports, "
             f"{len(campaign.unique_bug_signatures())} unique signatures, "
             f"known defects matched: {matched}, "
-            f"first finding at iteration {campaign.first_bug_iteration} "
-            f"({campaign.first_bug_seconds:.1f}s)"
+            f"first finding at iteration {campaign.first_bug_iteration}"
         )
     return table + "\n\n" + "\n".join(extra_lines)
+
+
+def render_first_finding_times(campaigns):
+    return "\n".join(
+        f"{label}: first finding after {campaign.first_bug_seconds:.1f}s"
+        for label, campaign in campaigns.items()
+    )
 
 
 def test_table5_discovered_bugs(benchmark):
     campaigns = benchmark.pedantic(run_table5_campaigns, rounds=1, iterations=1)
     save_results("table5_bugs", render_table5(campaigns))
+    save_timing_results("table5_first_finding", render_first_finding_times(campaigns))
 
     for label, campaign in campaigns.items():
         assert campaign.reports, f"no leakages reported on {label}"
