@@ -272,17 +272,14 @@ def simulator_process_table(
 
     ``sim_log`` also carries the batch-evaluation rows every run reports
     (see :func:`window_batch_table`); rows declare their shape via ``kind``
-    (``"sim_process"`` here), and rows from pre-``kind`` coordinators fall
-    back to the ``spawns``-key sniff.  Note a subprocess-simulator run's
+    (``"sim_process"`` here).  Note a subprocess-simulator run's
     merged rows carry *both* shapes (batch counters and process counters in
     one row) under ``kind="sim_process"`` — which is why
     :func:`window_batch_table` selects by key presence, not by kind.
     """
     rows: Dict[int, Dict[str, object]] = {}
     for entry in sim_log:
-        if entry.get("kind", "sim_process") != "sim_process":
-            continue
-        if "spawns" not in entry:
+        if entry.get("kind") != "sim_process":
             continue
         index = int(entry["slice_index"])
         row = rows.setdefault(

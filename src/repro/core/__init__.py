@@ -48,7 +48,6 @@ _ENGINE_EXPORTS = frozenset(
     {
         "CORES",
         "CORE_ALIASES",
-        "CORE_FACTORIES",
         "CampaignScheduler",
         "EngineConfiguration",
         "EngineResult",

@@ -208,8 +208,6 @@ def fuzzer_configuration_to_wire(
         "max_cycles_per_packet": configuration.max_cycles_per_packet,
         "window_mutations_per_trigger": configuration.window_mutations_per_trigger,
         "low_gain_limit": configuration.low_gain_limit,
-        "sim_cache": configuration.sim_cache,
-        "dut_pool": configuration.dut_pool,
         "window_lookahead": configuration.window_lookahead,
         "seed_id_base": configuration.seed_id_base,
         "name": configuration.name,
@@ -224,12 +222,6 @@ def fuzzer_configuration_from_wire(
     data["layout"] = MemoryLayout(**data["layout"])
     data["taint_mode"] = TaintTrackingMode(data["taint_mode"])
     data["training_mode"] = TrainingMode(data["training_mode"])
-    # Older coordinators do not send the cache flag; caching is the default.
-    data.setdefault("sim_cache", True)
-    # Likewise DUT pooling (default on) and lookahead (default 1 = off); both
-    # are byte-transparent, so a mixed fleet still merges identical payloads.
-    data.setdefault("dut_pool", True)
-    data.setdefault("window_lookahead", 1)
     return FuzzerConfiguration(**data)
 
 

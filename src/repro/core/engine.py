@@ -127,7 +127,6 @@ from repro.utils.rng import DeterministicRng
 __all__ = [
     "CORES",
     "CORE_ALIASES",
-    "CORE_FACTORIES",
     "CampaignScheduler",
     "EngineConfiguration",
     "EngineResult",
@@ -152,11 +151,6 @@ CORE_ALIASES: Dict[str, str] = {
     "small-boom": "boom",
     "large-boom": "boom-large",
     "xiangshan-minimal": "xiangshan",
-}
-# Flat name -> factory view kept for backward compatibility.
-CORE_FACTORIES: Dict[str, Callable[[], CoreConfig]] = {
-    **CORES,
-    **{alias: CORES[target] for alias, target in CORE_ALIASES.items()},
 }
 
 
@@ -285,20 +279,6 @@ class EngineConfiguration:
     # forms; honored by the serial drivers (inline/process/distributed
     # workers), ignored under the async driver and subprocess simulator.
     profile: int = 0
-    # Phase-1 simulation memoization for every slice; results are identical
-    # either way (the cache is keyed on full schedule content + secret), so
-    # this exists for A/B determinism diffing and worst-case-memory runs.
-    sim_cache: bool = True
-    # Phase-1 DUT reuse for every slice: warm Processor/SwapMemory pairs are
-    # reset and rearmed between simulations instead of reconstructed.  Byte-
-    # transparent (reset restores the constructed state exactly), so — like
-    # sim_cache — it exists for A/B diffing and never enters checkpoints.
-    dut_pool: bool = True
-    # Speculative trigger lookahead: on a window miss, the next K-1 mutated
-    # candidates are evaluated in the same simulator batch and replayed from
-    # the simulation cache when the committed loop reaches them.  1 = off.
-    # Byte-transparent: campaign results are identical for any value.
-    window_lookahead: int = 1
     # Live campaign telemetry: always on by default (the counters are cheap
     # enough to keep lit).  All three knobs are pure observation — they never
     # enter the checkpoint fingerprint or the deterministic wire forms, and
@@ -366,10 +346,6 @@ class EngineConfiguration:
             )
         if self.profile < 0:
             raise ValueError(f"profile must be non-negative, got {self.profile}")
-        if self.window_lookahead < 1:
-            raise ValueError(
-                f"window_lookahead must be at least 1, got {self.window_lookahead}"
-            )
         if self.telemetry_cadence < 0:
             raise ValueError(
                 f"telemetry_cadence must be non-negative, got {self.telemetry_cadence}"
@@ -576,14 +552,8 @@ class EngineResult:
         )
         # Rows declare their shape via "kind" ("sim_process" for subprocess-
         # simulator accounting, "window_batch" for the per-slice batching
-        # counters every run reports).  Rows recorded by pre-kind
-        # coordinators are classified by the old key sniff as a fallback.
-        process_rows = [
-            row
-            for row in self.sim_log
-            if row.get("kind") == "sim_process"
-            or ("kind" not in row and "spawns" in row)
-        ]
+        # counters every run reports).
+        process_rows = [row for row in self.sim_log if row.get("kind") == "sim_process"]
         if process_rows:
             summary["simulator_processes"] = {
                 "spawns": sum(int(row.get("spawns", 0)) for row in process_rows),
@@ -950,6 +920,10 @@ class CampaignScheduler:
         staging = f"{path}.tmp"
         with open(staging, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
+            # Durable before the rename: a crash after os.replace must not
+            # leave a truncated checkpoint behind the final name.
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(staging, path)  # a killed writer never corrupts the checkpoint
         return path
 
@@ -1109,14 +1083,6 @@ class CampaignScheduler:
             prototype,
             entropy=self.slice_entropy(slice_index, epoch),
             seed_id_base=self.slice_seed_id_base(slice_index, epoch),
-            # The engine-level flag can only disable caching: a per-core
-            # prototype that already opted out stays opted out.
-            sim_cache=prototype.sim_cache and self.configuration.sim_cache,
-            dut_pool=prototype.dut_pool and self.configuration.dut_pool,
-            # Lookahead widens, never narrows: either level can raise it.
-            window_lookahead=max(
-                prototype.window_lookahead, self.configuration.window_lookahead
-            ),
         )
         return ShardTask(
             slice_index=slice_index,
@@ -1324,50 +1290,6 @@ class ParallelCampaignEngine:
         self.configuration = configuration
         self.scheduler = CampaignScheduler(configuration)
 
-    # -- scheduler delegation (compatibility surface) ----------------------------------------
-
-    @property
-    def corpus(self) -> SharedCorpus:
-        return self.scheduler.corpus
-
-    @property
-    def _next_epoch(self) -> int:
-        return self.scheduler.next_epoch
-
-    @property
-    def _core_triggered(self) -> Dict[str, Set[str]]:
-        return self.scheduler._core_triggered
-
-    @_core_triggered.setter
-    def _core_triggered(self, value: Dict[str, Set[str]]) -> None:
-        self.scheduler._core_triggered = value
-
-    def slice_entropy(self, slice_index: int, epoch: int) -> int:
-        return self.scheduler.slice_entropy(slice_index, epoch)
-
-    slice_seed_id_base = staticmethod(CampaignScheduler.slice_seed_id_base)
-
-    def slice_core(self, slice_index: int) -> CoreConfig:
-        return self.scheduler.slice_core(slice_index)
-
-    def epoch_budgets(self) -> List[List[int]]:
-        return self.scheduler.epoch_budgets()
-
-    def _should_redistribute(self, epoch_gains: Dict[int, int]) -> bool:
-        return self.scheduler._should_redistribute(epoch_gains)
-
-    def _redistribute(self, *args, **kwargs):
-        return self.scheduler._redistribute(*args, **kwargs)
-
-    def configuration_fingerprint(self) -> Dict[str, object]:
-        return self.scheduler.configuration_fingerprint()
-
-    def checkpoint_state(self) -> Dict[str, object]:
-        return self.scheduler.checkpoint_state()
-
-    def save_checkpoint(self, path: str) -> str:
-        return self.scheduler.save_checkpoint(path)
-
     # -- campaign --------------------------------------------------------------------------
 
     def run(
@@ -1573,7 +1495,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--core",
-        choices=sorted(CORE_FACTORIES),
+        choices=sorted(CORES) + sorted(CORE_ALIASES),
         default="boom",
         help="simulated core for every slice (default: boom; see --list-cores)",
     )
@@ -1735,19 +1657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "honor it, the async driver and subprocess simulator ignore it)",
     )
     parser.add_argument(
-        "--no-sim-cache",
-        action="store_true",
-        help="disable the Phase-1 simulation memo on every slice (results "
-        "are byte-identical either way; use for A/B determinism diffing)",
-    )
-    parser.add_argument(
-        "--no-dut-pool",
-        action="store_true",
-        help="construct a fresh Processor/SwapMemory per simulation instead "
-        "of resetting pooled ones (results are byte-identical either way; "
-        "use for A/B determinism diffing)",
-    )
-    parser.add_argument(
         "--window-lookahead",
         type=int,
         default=1,
@@ -1809,6 +1718,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             training_mode=TrainingMode.RANDOM if args.random_training else TrainingMode.DERIVED,
             coverage_feedback=not args.no_coverage_feedback,
             low_gain_limit=args.low_gain_limit,
+            window_lookahead=args.window_lookahead,
         )
         configuration = EngineConfiguration(
             fuzzer=fuzzer_configuration,
@@ -1832,9 +1742,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             listen=args.listen,
             cores=core_names,
             profile=args.profile,
-            sim_cache=not args.no_sim_cache,
-            dut_pool=not args.no_dut_pool,
-            window_lookahead=args.window_lookahead,
             telemetry=not args.no_telemetry,
             telemetry_dir=args.telemetry_dir,
             telemetry_cadence=args.telemetry_cadence,
@@ -1872,7 +1779,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not result.complete:
         where = configuration.checkpoint_path or "<no --checkpoint given>"
         print(
-            f"\nhalted after epoch {engine._next_epoch}/{total_epochs}; "
+            f"\nhalted after epoch {engine.scheduler.next_epoch}/{total_epochs}; "
             f"checkpoint: {where}"
         )
         print("resume with the same campaign flags plus --resume PATH")

@@ -48,13 +48,6 @@ class FuzzerConfiguration:
     max_cycles_per_packet: int = 600
     window_mutations_per_trigger: int = 6
     low_gain_limit: int = 3
-    # Phase-1 simulation memoization ((schedule content, secret) -> run result);
-    # transparent to results — disable only for A/B determinism diffing.
-    sim_cache: bool = True
-    # Reuse one warm DUT (Processor.reset + SwapMemory.rearm) across Phase-1
-    # simulations instead of constructing a fresh pair per run; byte-equivalent
-    # to fresh construction — disable only for A/B determinism diffing.
-    dut_pool: bool = True
     # Speculative trigger lookahead: on a Phase-1 window miss, the next K-1
     # mutate_trigger candidates are precomputed and evaluated in the same
     # simulator batch, so the retry loop replays from memoized results — one
@@ -73,6 +66,10 @@ class FuzzerConfiguration:
         if not self.coverage_feedback:
             return "dejavuzz-"
         return self.name
+
+    def __post_init__(self) -> None:
+        if self.window_lookahead < 1:
+            raise ValueError(f"window_lookahead must be >= 1, got {self.window_lookahead}")
 
 
 @dataclass
@@ -103,10 +100,6 @@ class DejaVuzzFuzzer:
         configuration: FuzzerConfiguration,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if configuration.window_lookahead < 1:
-            raise ValueError(
-                f"window_lookahead must be >= 1, got {configuration.window_lookahead}"
-            )
         self.configuration = configuration
         # Telemetry is always on by default (the instruments are one int add
         # per event); pass ``NULL_REGISTRY`` to run with no-op instruments.
@@ -124,8 +117,6 @@ class DejaVuzzFuzzer:
             training_mode=configuration.training_mode,
             training_candidates=configuration.training_candidates,
             max_cycles_per_packet=configuration.max_cycles_per_packet,
-            sim_cache=configuration.sim_cache,
-            dut_pool=configuration.dut_pool,
             metrics=self.metrics.scope("phase1"),
         )
         self.phase2 = TransientExecutionExploration(
@@ -420,10 +411,7 @@ class DejaVuzzFuzzer:
         stats = dict(self.phase1.batch_evaluator.stats())
         stats["lookahead_hits"] = self.lookahead_hits
         pool = self.phase1.dut_pool
-        if pool is not None:
-            stats.update(
-                dut_constructions=pool.constructions, dut_reuses=pool.reuses
-            )
+        stats.update(dut_constructions=pool.constructions, dut_reuses=pool.reuses)
         return stats
 
     def export_metrics(self) -> None:
@@ -434,13 +422,10 @@ class DejaVuzzFuzzer:
         Call once per campaign (the shard runner does, at payload build).
         """
         phase1 = self.metrics.scope("phase1")
-        cache = self.phase1.simulation_cache
-        if cache is not None:
-            phase1.counter("sim_cache_evictions").add(cache.evictions)
+        phase1.counter("sim_cache_evictions").add(self.phase1.simulation_cache.evictions)
         pool = self.phase1.dut_pool
-        if pool is not None:
-            phase1.counter("dut_constructions").add(pool.constructions)
-            phase1.counter("dut_reuses").add(pool.reuses)
+        phase1.counter("dut_constructions").add(pool.constructions)
+        phase1.counter("dut_reuses").add(pool.reuses)
         batch = self.phase1.batch_evaluator
         phase1.counter("window_batches").add(batch.batches)
         phase1.counter("batch_simulations").add(batch.simulations)

@@ -275,19 +275,13 @@ class WindowBatchEvaluator:
         loop takes over from there, replaying its cached reduction).  The
         batch charges only the head and the *missed* speculative candidates:
         a triggered speculative candidate is charged by its own later
-        committed round.  Speculation is skipped when the simulation cache is
-        unavailable — without the memo the replayed rounds could not reuse
-        the speculative results.
+        committed round.
         """
         phase1 = self.phase1
         head = phase1.run(seed, secret=secret)
         batch = head.simulations_used
         missed_candidates = 0
-        cache_usable = (
-            phase1.simulation_cache is not None
-            and not TransientWindowTriggering.force_disable_sim_cache
-        )
-        if not head.triggered and cache_usable:
+        if not head.triggered:
             for candidate in lookahead:
                 speculative = phase1.run(candidate, secret=secret)
                 self.speculated += 1
@@ -312,14 +306,6 @@ class WindowBatchEvaluator:
 class TransientWindowTriggering:
     """Phase 1 of the DejaVuzz workflow."""
 
-    # A/B escape hatch: forces every simulation through the uncached path
-    # without touching instance configuration (the CI determinism diff and
-    # the byte-identity tests flip this).
-    force_disable_sim_cache = False
-    # Same A/B escape hatch for the warm-DUT pool: every simulation builds a
-    # fresh SwapMemory/Processor pair, as the pre-pool code did.
-    force_disable_dut_pool = False
-
     def __init__(
         self,
         config: CoreConfig,
@@ -327,9 +313,6 @@ class TransientWindowTriggering:
         training_mode: TrainingMode = TrainingMode.DERIVED,
         training_candidates: int = 3,
         max_cycles_per_packet: int = 600,
-        sim_cache: bool = True,
-        sim_cache_capacity: int = 128,
-        dut_pool: bool = True,
         metrics=None,
     ) -> None:
         self.config = config
@@ -338,12 +321,10 @@ class TransientWindowTriggering:
         self.training_deriver = TrainingDeriver(layout, mode=training_mode)
         self.training_candidates = training_candidates
         self.max_cycles_per_packet = max_cycles_per_packet
-        self.simulation_cache: Optional[SimulationCache] = (
-            SimulationCache(capacity=sim_cache_capacity) if sim_cache else None
-        )
+        self.simulation_cache = SimulationCache()
         # Instance-local (never module-global): shard campaign runners promise
         # that no module-global state is read or mutated.
-        self.dut_pool: Optional[DutPool] = DutPool(config, layout) if dut_pool else None
+        self.dut_pool = DutPool(config, layout)
         self.batch_evaluator = WindowBatchEvaluator(self)
         # Telemetry instruments, resolved once so the hot path holds direct
         # references; ``metrics`` is a MetricsRegistry/MetricsScope (or None
@@ -446,10 +427,8 @@ class TransientWindowTriggering:
     # -- simulation helper ----------------------------------------------------------------
 
     def _simulate(self, schedule: SwapSchedule, secret: int) -> SwapRunResult:
-        """One simulation of a schedule, memoized on (content, secret) when enabled."""
+        """One simulation of a schedule, memoized on (content, secret)."""
         cache = self.simulation_cache
-        if cache is None or TransientWindowTriggering.force_disable_sim_cache:
-            return self._simulate_uncached(schedule, secret)
         key = (schedule_fingerprint(schedule), secret)
         cached = cache.get(key)
         if cached is not None:
@@ -461,19 +440,10 @@ class TransientWindowTriggering:
         return result
 
     def _simulate_uncached(self, schedule: SwapSchedule, secret: int) -> SwapRunResult:
-        """One un-instrumented RTL simulation of a schedule (warm or fresh DUT)."""
+        """One un-instrumented RTL simulation of a schedule on the pooled DUT."""
         started = time.perf_counter()
         try:
             pool = self.dut_pool
-            if pool is None or TransientWindowTriggering.force_disable_dut_pool:
-                swap_memory = SwapMemory(self.layout, secret=secret)
-                processor = Processor(
-                    self.config, memory=swap_memory.data, taint_mode=TaintTrackingMode.NONE
-                )
-                runner = SwapRunner(
-                    processor, swap_memory, schedule, max_cycles_per_packet=self.max_cycles_per_packet
-                )
-                return runner.run()
             swap_memory, processor = pool.checkout(secret)
             try:
                 runner = SwapRunner(

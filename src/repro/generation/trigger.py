@@ -80,11 +80,6 @@ class TriggerSpec:
 class TriggerGenerator:
     """Generates transient packets with dummy windows for every window type."""
 
-    # A/B force-disable for the golden-model caches (assembled program +
-    # verification verdict); verification consumes no rng, so the caches are
-    # transparent to campaign determinism either way.
-    force_disable_verify_cache = False
-
     def __init__(self, layout: MemoryLayout = DEFAULT_LAYOUT) -> None:
         self.layout = layout
         self.assembly_cache = AssemblyCache()
@@ -334,34 +329,28 @@ class TriggerGenerator:
         the assembled program is cached by genotype so an unchanged prefix is
         never re-assembled.
         """
-        use_cache = not TriggerGenerator.force_disable_verify_cache
-        memo_key = None
-        if use_cache:
-            operand_writes = spec.packet.metadata.get("operand_writes", {})
-            memo_key = (
-                spec.window_type,
-                spec.protect_secret,
-                spec.packet.entry_offset,
-                tuple(spec.packet.instructions),
-                tuple(sorted(operand_writes.items())),
-                tuple(spec.window_offsets),
-                max_instructions,
-            )
-            cached = self._verify_memo.get(memo_key)
-            if cached is not None:
-                self.verify_hits += 1
-                return cached
-            self.verify_misses += 1
-        result = self._verify_uncached(spec, max_instructions, use_cache)
-        if memo_key is not None:
-            if len(self._verify_memo) >= self._verify_memo_capacity:
-                self._verify_memo.pop(next(iter(self._verify_memo)))
-            self._verify_memo[memo_key] = result
+        operand_writes = spec.packet.metadata.get("operand_writes", {})
+        memo_key = (
+            spec.window_type,
+            spec.protect_secret,
+            spec.packet.entry_offset,
+            tuple(spec.packet.instructions),
+            tuple(sorted(operand_writes.items())),
+            tuple(spec.window_offsets),
+            max_instructions,
+        )
+        cached = self._verify_memo.get(memo_key)
+        if cached is not None:
+            self.verify_hits += 1
+            return cached
+        self.verify_misses += 1
+        result = self._verify_uncached(spec, max_instructions)
+        if len(self._verify_memo) >= self._verify_memo_capacity:
+            self._verify_memo.pop(next(iter(self._verify_memo)))
+        self._verify_memo[memo_key] = result
         return result
 
-    def _verify_uncached(
-        self, spec: TriggerSpec, max_instructions: int, use_assembly_cache: bool = True
-    ) -> bool:
+    def _verify_uncached(self, spec: TriggerSpec, max_instructions: int) -> bool:
         memory = SimMemory()
         layout = self.layout
         memory.map_range(layout.shared_base, layout.shared_size)
@@ -373,10 +362,7 @@ class TriggerGenerator:
         if spec.protect_secret:
             memory.set_permission(layout.secret_address, Permission.EXECUTE)
 
-        assembler = Assembler(
-            base=layout.swappable_base,
-            cache=self.assembly_cache if use_assembly_cache else None,
-        )
+        assembler = Assembler(base=layout.swappable_base, cache=self.assembly_cache)
         program = assembler.assemble_instructions(
             spec.packet.instructions, base=layout.swappable_base
         )

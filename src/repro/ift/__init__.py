@@ -31,7 +31,7 @@ from repro.ift.policies import (
     memory_read_taint,
     memory_write_taint,
 )
-from repro.ift.shadow import ShadowState, TaintSimulator
+from repro.ift.shadow import TaintSimulator
 from repro.ift.cellift import CellIFTPass, CellIFTTestbench, flatten_memories
 from repro.ift.diffift import DiffIFTPass, DifferentialTestbench
 from repro.ift.liveness import LivenessAnnotation, LivenessChecker, collect_annotations
@@ -49,7 +49,6 @@ __all__ = [
     "register_enable_taint",
     "memory_read_taint",
     "memory_write_taint",
-    "ShadowState",
     "TaintSimulator",
     "CellIFTPass",
     "CellIFTTestbench",

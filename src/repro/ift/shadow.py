@@ -10,7 +10,6 @@ values, and the shadow circuit is evaluated for taints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ift import policies
@@ -19,22 +18,6 @@ from repro.rtl.cells import Cell, CellType
 from repro.rtl.netlist import Module
 from repro.rtl.simulator import NetlistSimulator
 from repro.utils.bitops import mask, popcount, to_unsigned
-
-
-@dataclass
-class ShadowState:
-    """Taint values for every signal and memory entry of one design.
-
-    Retained as the free-standing dict-backed representation for callers that
-    build shadow state by hand; the simulator itself uses the packed
-    :class:`PackedShadowState` (same ``taint_of``/``memory_taints`` surface).
-    """
-
-    signal_taints: Dict[str, int] = field(default_factory=dict)
-    memory_taints: Dict[str, List[int]] = field(default_factory=dict)
-
-    def taint_of(self, signal: str) -> int:
-        return self.signal_taints.get(signal, 0)
 
 
 class PackedShadowState:

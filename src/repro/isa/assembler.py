@@ -38,14 +38,13 @@ class AssemblyCache:
     labels, so repeated assemblies of an unchanged genotype prefix (golden
     model re-verification, repeated packet rendering) can reuse the prior
     :class:`Program`.  Cached programs are shared by reference — callers must
-    treat them as read-only.  ``enabled`` is the A/B force-disable flag.
+    treat them as read-only.
     """
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
             raise ValueError("assembly cache capacity must be positive")
         self.capacity = capacity
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -129,7 +128,7 @@ class Assembler:
         """
         cache = self._cache
         key = None
-        if cache is not None and cache.enabled:
+        if cache is not None:
             key = AssemblyCache.key_for(
                 instructions,
                 base if base is not None else self._base,

@@ -112,11 +112,6 @@ class SimulationOutcome:
 class Processor:
     """One simulated out-of-order core instance."""
 
-    # A/B knob for the census dirty-flag fast path: when True every cycle
-    # recomputes the full census even if no taint_version counter moved, so
-    # tests can diff the fast path against the ground truth.
-    force_census_recompute = False
-
     def __init__(
         self,
         config: CoreConfig,
@@ -1059,11 +1054,7 @@ class Processor:
         )
         if hierarchy.l2 is not None:
             version += hierarchy.l2.taint_version
-        if (
-            version == self._census_version
-            and taint.census_log
-            and not Processor.force_census_recompute
-        ):
+        if version == self._census_version and taint.census_log:
             taint.record_census_repeat(self.cycle)
             return
         counts: Dict[str, int] = {"rob": self.rob.tainted_entry_count()}

@@ -17,7 +17,9 @@ from repro.core import (
 )
 from repro.core.engine import (
     TRANSFER_SEED_ID_BASE,
+    CampaignScheduler,
     ShardTask,
+    build_parser,
     core_registry_lines,
     main as engine_main,
     resolve_core,
@@ -270,7 +272,7 @@ class TestParallelCampaignEngine:
                 sync_epochs=2,
             )
         )
-        budgets = engine.epoch_budgets()
+        budgets = engine.scheduler.epoch_budgets()
         assert sum(sum(epoch) for epoch in budgets) == 17
         # One budget entry per *logical slice* (default max(shards, 16)),
         # not per physical shard.
@@ -331,8 +333,8 @@ class TestParallelCampaignEngine:
                 redistribute_top=2,
             )
         )
-        engine.corpus.add(make_seed(seed_id=100), gain=9, slice_index=2, epoch=0)
-        engine.corpus.add(make_seed(seed_id=200), gain=5, slice_index=2, epoch=0)
+        engine.scheduler.corpus.add(make_seed(seed_id=100), gain=9, slice_index=2, epoch=0)
+        engine.scheduler.corpus.add(make_seed(seed_id=200), gain=5, slice_index=2, epoch=0)
         from repro.core.engine import EngineResult
         from repro.core.coverage import TaintCoverageMatrix
         from repro.core.report import CampaignResult
@@ -343,7 +345,7 @@ class TestParallelCampaignEngine:
             shards=3,
             epochs=1,
         )
-        assignments = engine._redistribute({0: 0, 1: 1, 2: 10}, result)
+        assignments = engine.scheduler._redistribute({0: 0, 1: 1, 2: 10}, result)
         # Shards 0 and 1 lag; they must receive two *different* donor seeds.
         assert assignments[0] is not None and assignments[1] is not None
         assert assignments[0]["seed_id"] != assignments[1]["seed_id"]
@@ -354,7 +356,7 @@ class TestParallelCampaignEngine:
         # next-lagging shard instead (shard 2 donated both corpus seeds, so it
         # is excluded from receiving them back).
         result.redistributed_seeds = 0
-        assignments = engine._redistribute(
+        assignments = engine.scheduler._redistribute(
             {0: 0, 1: 1, 2: 10}, result, next_budgets=[0, 1, 1]
         )
         assert assignments[0] is None
@@ -379,7 +381,7 @@ class TestParallelCampaignEngine:
 
     def test_slice_seed_ids_never_collide(self):
         bases = {
-            ParallelCampaignEngine.slice_seed_id_base(index, epoch)
+            CampaignScheduler.slice_seed_id_base(index, epoch)
             for index in range(8)
             for epoch in range(4)
         }
@@ -614,6 +616,15 @@ class TestEngineCli:
         assert engine_main(["--cores", "rocket", "--inline"]) == 2
         assert "unknown core" in capsys.readouterr().out
 
+    def test_core_flag_accepts_canonical_names_and_aliases(self):
+        parser = build_parser()
+        for name in ("boom", "boom-large", "xiangshan", "small-boom", "large-boom"):
+            assert parser.parse_args(["--core", name]).core == name
+
+    def test_zero_window_lookahead_is_reported(self, capsys):
+        assert engine_main(["--window-lookahead", "0", "--inline"]) == 2
+        assert "window_lookahead" in capsys.readouterr().out
+
 
 class TestSeedIdReproducibility:
     def test_identical_campaigns_allocate_identical_seed_ids(self):
@@ -680,13 +691,13 @@ class TestSyncPolicy:
         )
         # A productive round (above the stall threshold) keeps shards on
         # their own trajectory; a flatlined round triggers the corpus sync.
-        assert not engine._should_redistribute({0: 3, 1: 2})
-        assert engine._should_redistribute({0: 1, 1: 0})
-        assert engine._should_redistribute({0: 0, 1: 0})
+        assert not engine.scheduler._should_redistribute({0: 3, 1: 2})
+        assert engine.scheduler._should_redistribute({0: 1, 1: 0})
+        assert engine.scheduler._should_redistribute({0: 0, 1: 0})
 
     def test_fixed_policy_always_redistributes(self):
         engine = ParallelCampaignEngine(self.cfg())
-        assert engine._should_redistribute({0: 100, 1: 100})
+        assert engine.scheduler._should_redistribute({0: 100, 1: 100})
 
     def test_window_rounds_validation(self):
         with pytest.raises(ValueError, match="window_rounds"):
@@ -706,10 +717,10 @@ class TestSyncPolicy:
         # One productive prior round on record: its gain is averaged with the
         # current one, so a single flat round no longer triggers...
         scheduler._round_gains = [5]
-        assert not engine._should_redistribute({0: 0, 1: 0})  # mean (5+0)/2 > 1
+        assert not engine.scheduler._should_redistribute({0: 0, 1: 0})  # mean (5+0)/2 > 1
         # ...but two consecutive flat rounds do.
         scheduler._round_gains = [5, 1]
-        assert engine._should_redistribute({0: 1, 1: 0})  # mean (1+1)/2 <= 1
+        assert engine.scheduler._should_redistribute({0: 1, 1: 0})  # mean (1+1)/2 <= 1
 
     def test_window_rounds_default_is_the_single_round_threshold(self):
         # K=1 must reproduce the legacy behaviour exactly, history or not.
@@ -717,8 +728,8 @@ class TestSyncPolicy:
             self.cfg(sync_policy=SyncPolicy(kind="stall", epoch_iterations=4, stall_gain=1))
         )
         engine.scheduler._round_gains = [50, 40, 30]
-        assert engine._should_redistribute({0: 1, 1: 0})
-        assert not engine._should_redistribute({0: 3, 1: 2})
+        assert engine.scheduler._should_redistribute({0: 1, 1: 0})
+        assert not engine.scheduler._should_redistribute({0: 3, 1: 2})
 
     def test_windowed_stall_campaign_is_deterministic_and_checkpointable(self, tmp_path):
         def cfg(checkpoint=None):
@@ -891,7 +902,7 @@ class TestCheckpointResume:
     def test_checkpoint_state_requires_a_started_run(self):
         engine = ParallelCampaignEngine(self.cfg())
         with pytest.raises(ValueError, match="run\\(\\) has not started"):
-            engine.checkpoint_state()
+            engine.scheduler.checkpoint_state()
 
     def test_checkpoint_file_is_json_and_atomic(self, tmp_path):
         import json
@@ -903,6 +914,33 @@ class TestCheckpointResume:
         assert payload["format"] == 2
         assert payload["next_epoch"] == 1
         assert not (tmp_path / "checkpoint.json.tmp").exists()
+
+    def test_checkpoint_is_synced_before_the_rename(self, tmp_path, monkeypatch):
+        import json
+        import os
+
+        staging = str(tmp_path / "checkpoint.json.tmp")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            # The synced descriptor is the staging file, already complete.
+            assert os.fstat(fd).st_ino == os.stat(staging).st_ino
+            json.loads(open(staging, encoding="utf-8").read())
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", source, target))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
+        assert events == [
+            "fsync",
+            ("replace", staging, str(tmp_path / "checkpoint.json")),
+        ]
 
 
 class TestTransferAwareRedistribution:
@@ -925,16 +963,16 @@ class TestTransferAwareRedistribution:
         fresh_group = Seed.fresh(
             seed_id=200, entropy=2, window_type=TransientWindowType.BRANCH_MISPREDICTION
         )
-        engine.corpus.add(high_gain, gain=9, slice_index=1, epoch=0)
-        engine.corpus.add(fresh_group, gain=5, slice_index=1, epoch=0)
-        engine._core_triggered = {BOOM.name: {group_of(high_gain.window_type)}}
+        engine.scheduler.corpus.add(high_gain, gain=9, slice_index=1, epoch=0)
+        engine.scheduler.corpus.add(fresh_group, gain=5, slice_index=1, epoch=0)
+        engine.scheduler._core_triggered = {BOOM.name: {group_of(high_gain.window_type)}}
         result = EngineResult(
             campaign=CampaignResult(fuzzer_name="dejavuzz", core=BOOM.name),
             core_coverage={BOOM.name: TaintCoverageMatrix()},
             shards=2,
             epochs=1,
         )
-        assignments = engine._redistribute({0: 0, 1: 10}, result)
+        assignments = engine.scheduler._redistribute({0: 0, 1: 10}, result)
         assert assignments[0]["seed_id"] == 200
 
     def test_gain_order_decides_within_a_tier(self):
@@ -950,11 +988,11 @@ class TestTransferAwareRedistribution:
         )
         # No group triggered yet: both donors sit in the same (untriggered)
         # tier, so plain gain order decides.
-        engine.corpus.add(
+        engine.scheduler.corpus.add(
             Seed.fresh(seed_id=100, entropy=1, window_type=TransientWindowType.LOAD_PAGE_FAULT),
             gain=9, slice_index=1, epoch=0,
         )
-        engine.corpus.add(
+        engine.scheduler.corpus.add(
             Seed.fresh(seed_id=200, entropy=2, window_type=TransientWindowType.BRANCH_MISPREDICTION),
             gain=5, slice_index=1, epoch=0,
         )
@@ -964,7 +1002,7 @@ class TestTransferAwareRedistribution:
             shards=2,
             epochs=1,
         )
-        assignments = engine._redistribute({0: 0, 1: 10}, result)
+        assignments = engine.scheduler._redistribute({0: 0, 1: 10}, result)
         assert assignments[0]["seed_id"] == 100
 
 

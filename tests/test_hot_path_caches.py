@@ -2,8 +2,9 @@
 golden-model verify memo, census dirty-flagging and the profile plumbing.
 
 The shared contract under test: every cache is *transparent* — the same
-campaign run with every cache force-disabled produces byte-identical
-deterministic wire forms.
+campaign run through the reference paths of ``reference_paths`` (no memo,
+cold caches, full census every cycle) produces byte-identical deterministic
+wire forms.
 """
 
 import pytest
@@ -33,7 +34,15 @@ from repro.isa.assembler import Assembler, AssemblyCache
 from repro.isa.instructions import make_instruction, nop
 from repro.swapmem.packets import SwapSchedule
 from repro.uarch.boom import small_boom_config
-from repro.uarch.processor import Processor
+from repro.uarch.taint import TaintState
+
+from reference_paths import (
+    census_recompute,
+    cold_verification,
+    fresh_duts,
+    reference_paths,
+    uncached_simulation,
+)
 
 BOOM = small_boom_config()
 
@@ -52,19 +61,17 @@ def make_seed(seed_id=7, entropy=13):
 
 
 class TestSimulationCacheTransparency:
-    def test_cache_on_off_campaigns_are_byte_identical(self):
+    def test_cache_on_off_campaigns_are_byte_identical(self, monkeypatch):
         cached = deterministic_dict()
-        uncached = deterministic_dict(sim_cache=False)
+        uncached_simulation(monkeypatch)
+        uncached = deterministic_dict()
         assert cached == uncached
 
-    def test_force_disable_flag_is_byte_identical(self):
-        cached = deterministic_dict()
-        TransientWindowTriggering.force_disable_sim_cache = True
-        try:
-            forced = deterministic_dict()
-        finally:
-            TransientWindowTriggering.force_disable_sim_cache = False
-        assert cached == forced
+    def test_all_reference_paths_are_byte_identical(self, monkeypatch):
+        fast = deterministic_dict(iterations=4, entropy=5)
+        reference_paths(monkeypatch)
+        reference = deterministic_dict(iterations=4, entropy=5)
+        assert fast == reference
 
     def test_identical_schedules_hit_the_cache(self):
         phase1 = TransientWindowTriggering(BOOM)
@@ -88,6 +95,50 @@ class TestSimulationCacheTransparency:
             name="other-name",
         )
         assert schedule_fingerprint(schedule) == schedule_fingerprint(renamed)
+
+
+class TestReferencePaths:
+    """Each fake really takes its accelerator out of the path."""
+
+    def test_uncached_simulation_never_replays(self, monkeypatch):
+        uncached_simulation(monkeypatch)
+        phase1 = TransientWindowTriggering(BOOM)
+        phase1.run(make_seed())
+        phase1.run(make_seed())
+        assert phase1.simulation_cache.hits == 0
+        assert len(phase1.simulation_cache) == 0
+
+    def test_fresh_duts_build_one_pair_per_simulation(self, monkeypatch):
+        fresh_duts(monkeypatch)
+        phase1 = TransientWindowTriggering(BOOM)
+        result = phase1.run(make_seed())
+        assert phase1.dut_pool.reuses == 0
+        assert phase1.dut_pool.constructions == result.simulations_used
+
+    def test_cold_verification_never_hits_the_memo(self, monkeypatch):
+        cold_verification(monkeypatch)
+        generator = TriggerGenerator()
+        spec = generator.generate(make_seed())
+        generator.verify_with_golden_model(spec)
+        generator.verify_with_golden_model(spec)
+        assert generator.verify_hits == generator.verify_misses == 0
+        assert len(generator.assembly_cache) == 0
+
+    def test_census_recompute_never_repeats(self, monkeypatch):
+        repeats = []
+        real_repeat = TaintState.record_census_repeat
+
+        def record_census_repeat(self, cycle):
+            repeats.append(cycle)
+            return real_repeat(self, cycle)
+
+        monkeypatch.setattr(TaintState, "record_census_repeat", record_census_repeat)
+        deterministic_dict(iterations=2, entropy=5)
+        assert repeats  # the dirty flag does skip unchanged cycles
+        repeats.clear()
+        census_recompute(monkeypatch)
+        deterministic_dict(iterations=2, entropy=5)
+        assert not repeats
 
 
 class TestSimulationCacheBounds:
@@ -154,24 +205,13 @@ class TestAssemblyCache:
             list(s.instructions) for s in programs[0].sections
         ]
 
-    def test_enabled_flag_bypasses_lookup(self):
-        cache = AssemblyCache()
-        assembler = Assembler(base=0x8000_0000, cache=cache)
-        assembler.assemble_instructions([nop()])
-        cache.enabled = False
-        try:
-            hits_before = cache.hits
-            assembler.assemble_instructions([nop()])
-            assert cache.hits == hits_before
-        finally:
-            cache.enabled = True
-
 
 class TestTrainingReduction:
-    def test_reduction_matches_without_packet_reference(self):
+    def test_reduction_matches_without_packet_reference(self, monkeypatch):
         """The in-place surviving-list reduction equals the naive chained
         ``without_packet`` reference, run by run."""
-        phase1 = TransientWindowTriggering(BOOM, sim_cache=False)
+        uncached_simulation(monkeypatch)
+        phase1 = TransientWindowTriggering(BOOM)
         for seed_id in (3, 7, 21):
             seed = make_seed(seed_id=seed_id)
             spec, schedule = phase1.generate_schedule(seed)
@@ -195,7 +235,7 @@ class TestTrainingReduction:
             ]
             assert simulations == reference_simulations
 
-    def test_verify_memo_matches_uncached_verdicts(self):
+    def test_verify_memo_matches_uncached_verdicts(self, monkeypatch):
         generator = TriggerGenerator()
         specs = [generator.generate(make_seed(seed_id=i)) for i in range(4)]
         cached = [generator.verify_with_golden_model(spec) for spec in specs]
@@ -203,22 +243,16 @@ class TestTrainingReduction:
         hits_before = generator.verify_hits
         repeat = [generator.verify_with_golden_model(spec) for spec in specs]
         assert generator.verify_hits >= hits_before + len(specs)
-        TriggerGenerator.force_disable_verify_cache = True
-        try:
-            uncached = [generator.verify_with_golden_model(spec) for spec in specs]
-        finally:
-            TriggerGenerator.force_disable_verify_cache = False
+        cold_verification(monkeypatch)
+        uncached = [generator.verify_with_golden_model(spec) for spec in specs]
         assert cached == repeat == uncached
 
 
 class TestCensusDirtyFlag:
-    def test_force_recompute_is_byte_identical(self):
+    def test_force_recompute_is_byte_identical(self, monkeypatch):
         baseline = deterministic_dict(iterations=4, entropy=5)
-        Processor.force_census_recompute = True
-        try:
-            recomputed = deterministic_dict(iterations=4, entropy=5)
-        finally:
-            Processor.force_census_recompute = False
+        census_recompute(monkeypatch)
+        recomputed = deterministic_dict(iterations=4, entropy=5)
         assert baseline == recomputed
 
 
@@ -240,7 +274,8 @@ class TestBackendsCacheEquivalence:
             report["wall_clock_seconds"] = 0.0
         return entry
 
-    def _tasks(self, sim_cache):
+    @staticmethod
+    def _tasks():
         return [
             ShardTask(
                 slice_index=index,
@@ -250,23 +285,24 @@ class TestBackendsCacheEquivalence:
                     core=BOOM,
                     entropy=41 + index,
                     seed_id_base=100 * index,
-                    sim_cache=sim_cache,
                 ),
             )
             for index in range(2)
         ]
 
-    def test_cache_on_off_identical_across_backends(self):
-        reference = [
-            self._normalize(p) for p in InlineBackend().run_epoch(self._tasks(True))
-        ]
+    def test_cache_on_off_identical_across_backends(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            uncached_simulation(patch)
+            reference = [
+                self._normalize(p) for p in InlineBackend().run_epoch(self._tasks())
+            ]
         for backend in (
             InlineBackend(),
             ProcessPoolBackend(max_workers=2),
             AsyncBackend(concurrency=2),
         ):
             try:
-                payloads = backend.run_epoch(self._tasks(False))
+                payloads = backend.run_epoch(self._tasks())
             finally:
                 backend.close()
             assert [self._normalize(p) for p in payloads] == reference
@@ -331,16 +367,13 @@ class TestProfilePlumbing:
             slice_index=1,
             epoch=2,
             iterations=3,
-            configuration=FuzzerConfiguration(core=BOOM, sim_cache=False),
+            configuration=FuzzerConfiguration(core=BOOM, window_lookahead=3),
             profile=7,
         )
         wire = shard_task_to_wire(task)
         back = shard_task_from_wire(wire)
         assert back.profile == 7
-        assert back.configuration.sim_cache is False
-        # Payloads from an older coordinator lack the new keys entirely.
+        assert back.configuration == task.configuration
+        # A payload without the profile key runs unprofiled.
         del wire["profile"]
-        del wire["configuration"]["sim_cache"]
-        legacy = shard_task_from_wire(wire)
-        assert legacy.profile == 0
-        assert legacy.configuration.sim_cache is True
+        assert shard_task_from_wire(wire).profile == 0

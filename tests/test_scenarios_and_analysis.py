@@ -184,11 +184,11 @@ class TestAnalysisHelpers:
         from repro.analysis import simulator_process_table
 
         log = [
-            {"slice_index": 1, "epoch": 0, "spawns": 1, "restarts": 0,
+            {"kind": "sim_process", "slice_index": 1, "epoch": 0, "spawns": 1, "restarts": 0,
              "steps": 10, "step_seconds_total": 0.5, "mean_step_seconds": 0.05},
-            {"slice_index": 0, "epoch": 0, "spawns": 1, "restarts": 0,
+            {"kind": "sim_process", "slice_index": 0, "epoch": 0, "spawns": 1, "restarts": 0,
              "steps": 8, "step_seconds_total": 0.4, "mean_step_seconds": 0.05},
-            {"slice_index": 0, "epoch": 1, "spawns": 1, "restarts": 1,
+            {"kind": "sim_process", "slice_index": 0, "epoch": 1, "spawns": 1, "restarts": 1,
              "steps": 12, "step_seconds_total": 0.2, "mean_step_seconds": 0.0167},
         ]
         rows = simulator_process_table(log)

@@ -288,8 +288,8 @@ class TestConfiguration:
         )
         without = ParallelCampaignEngine(configuration(telemetry=False))
         assert (
-            with_telemetry.configuration_fingerprint()
-            == without.configuration_fingerprint()
+            with_telemetry.scheduler.configuration_fingerprint()
+            == without.scheduler.configuration_fingerprint()
         )
 
     def test_shard_task_wire_round_trip(self):
@@ -324,7 +324,7 @@ class TestConfiguration:
 
 
 class TestSummaryKinds:
-    def test_summary_filters_by_kind_with_legacy_fallback(self):
+    def test_summary_filters_by_kind(self):
         result = EngineResult(
             campaign=CampaignResult(fuzzer_name="DejaVuzz", core="boom"),
             core_coverage={},
@@ -336,11 +336,11 @@ class TestSummaryKinds:
             {"kind": "sim_process", "spawns": 2, "restarts": 1, "window_batches": 3},
             # A batch-only row must NOT be counted as a process row.
             {"kind": "window_batch", "window_batches": 5},
-            # A row from a pre-kind coordinator: classified by the old sniff.
+            # A kindless row is not a process row, whatever keys it carries.
             {"spawns": 1, "restarts": 0},
         ]
         processes = result.summary()["simulator_processes"]
-        assert processes == {"spawns": 3, "restarts": 1}
+        assert processes == {"spawns": 2, "restarts": 1}
 
     def test_batch_only_runs_report_no_process_summary(self):
         result = EngineResult(

@@ -3,12 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import resolve_core
+from repro.core.phase1 import TransientWindowTriggering
+from repro.core.phase2 import TransientExecutionExploration
 from repro.core.report import BugReport, CampaignResult, classify_report
 from repro.core.phase3 import LeakageVerdict
 from repro.generation import TransientWindowType
 from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
 from repro.isa import Assembler, IsaSimulator, SimMemory
 from repro.isa.instructions import Instruction
+from repro.swapmem.harness import DualCoreHarness
+from repro.swapmem.layout import DEFAULT_LAYOUT
+from repro.swapmem.memory import SwapMemory
+from repro.swapmem.scheduler import SwapRunner
 from repro.uarch import (
     Processor,
     RobCommitEvent,
@@ -22,6 +29,8 @@ from repro.uarch import (
 from repro.uarch.config import TaintTrackingMode as Mode
 from repro.uarch.taint import BIT_WEIGHTS, TaintCensus, TaintState, make_peer_diff_oracle
 from repro.utils.rng import DeterministicRng
+
+from test_processor_golden import CORES, _run_digests, _seed
 
 
 class TestTaintState:
@@ -231,3 +240,57 @@ class TestCoSimulation:
             assert processor.read_register(register) == reference.read_register(register), (
                 f"register x{register} diverged for entropy {entropy}"
             )
+
+
+WINDOW_TYPES = list(TransientWindowType)
+TAINT_ENTROPY_BASE = 7_600_000
+
+
+class TestTaintModeInvariance:
+    """Taint tracking observes the pipeline; it never changes what it runs."""
+
+    @staticmethod
+    def _digests_per_mode(config, schedule, secret):
+        def single(mode):
+            swap_memory = SwapMemory(DEFAULT_LAYOUT, secret=secret)
+            processor = Processor(config, memory=swap_memory.data, taint_mode=mode)
+            if mode is not Mode.NONE:
+                processor.mark_secret(DEFAULT_LAYOUT.secret_address, DEFAULT_LAYOUT.secret_size)
+            return SwapRunner(processor, swap_memory, schedule).run()
+
+        cellift = single(Mode.CELLIFT)
+        # diffIFT runs as the fuzzer runs it: a primary DUT whose diff oracle
+        # is a variant DUT holding the flipped secret.
+        diffift = DualCoreHarness(config, schedule, secret, taint_mode=Mode.DIFFIFT).run()
+        digests = {
+            mode: _run_digests(run, census=False)
+            for mode, run in (
+                (Mode.NONE, single(Mode.NONE)),
+                (Mode.CELLIFT, cellift),
+                (Mode.DIFFIFT, diffift.primary),
+            )
+        }
+        census = cellift.processor.taint.census_log
+        reached = any(sum(entry.element_counts.values()) for entry in census)
+        return digests, reached
+
+    @pytest.mark.parametrize("window_type", WINDOW_TYPES, ids=lambda w: w.value)
+    @pytest.mark.parametrize("core", CORES)
+    def test_architectural_state_does_not_depend_on_taint_mode(self, core, window_type):
+        """The Phase-1 schedule, and the Phase-2 completion of its window
+        (which reads the secret), retire identically untainted, under CellIFT
+        and under diffIFT: every digest but the census matches."""
+        config = resolve_core(core)
+        seed = _seed(core, window_type, TAINT_ENTROPY_BASE + WINDOW_TYPES.index(window_type))
+        phase1 = TransientWindowTriggering(config)
+        _, schedule = phase1.generate_schedule(seed)
+        schedules = [schedule]
+        result = phase1.run(seed)
+        if result.triggered:
+            schedules.append(TransientExecutionExploration(config).complete_window(result, seed))
+        for index, schedule in enumerate(schedules):
+            digests, reached = self._digests_per_mode(config, schedule, seed.secret_value)
+            assert digests[Mode.CELLIFT] == digests[Mode.NONE]
+            assert digests[Mode.DIFFIFT] == digests[Mode.NONE]
+            if index == 1:
+                assert reached, "the completed window never tainted anything"

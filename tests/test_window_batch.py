@@ -2,8 +2,9 @@
 SwapMemory.rearm(), speculative trigger lookahead, and the batch accounting.
 
 The shared contract under test: batching is *byte-transparent* — the same
-campaign run with any ``window_lookahead``, with the DUT pool on or off, and
-on any execution path produces byte-identical deterministic wire forms.
+campaign run with any ``window_lookahead``, on warm or fresh DUTs (the
+``reference_paths.fresh_duts`` fake), and on any execution path produces
+byte-identical deterministic wire forms.
 """
 
 import json
@@ -25,6 +26,7 @@ from repro.core.distributed import (
 from repro.core.engine import (
     EngineConfiguration,
     ParallelCampaignEngine,
+    resolve_core,
     run_parallel_campaign,
 )
 from repro.core.fuzzer import DejaVuzzFuzzer, FuzzerConfiguration, run_quick_campaign
@@ -34,8 +36,13 @@ from repro.core.worker import run_worker
 from repro.generation.mutation import Mutator
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
-from repro.uarch import small_boom_config
+from repro.swapmem.memory import SwapMemory
+from repro.swapmem.scheduler import SwapRunner
+from repro.uarch import Processor, small_boom_config
 from repro.utils.rng import DeterministicRng
+
+from reference_paths import fresh_duts, uncached_simulation
+from test_processor_golden import CORES, _run_digests, _seed
 
 BOOM = small_boom_config()
 
@@ -90,13 +97,13 @@ class TestSpeculativeLookahead:
             assert stats["speculated"] >= stats["lookahead_hits"]
         assert engaged > 0
 
-    def test_lookahead_without_sim_cache_is_byte_identical(self):
-        # Speculation replays through the simulation memo; with the memo off
-        # it is skipped entirely, and the campaign must not notice.
+    def test_lookahead_without_sim_cache_is_byte_identical(self, monkeypatch):
+        # With the memo bypassed, the committed loop simulates speculated
+        # candidates again instead of replaying them; the campaign must not
+        # notice.
         legacy = deterministic_dict(iterations=12, entropy=6)
-        uncached = deterministic_dict(
-            iterations=12, entropy=6, window_lookahead=4, sim_cache=False
-        )
+        uncached_simulation(monkeypatch)
+        uncached = deterministic_dict(iterations=12, entropy=6, window_lookahead=4)
         assert uncached == legacy
 
     def test_simulation_totals_are_conserved_with_fewer_boundaries(self):
@@ -126,21 +133,51 @@ class TestSpeculativeLookahead:
 
     def test_rejects_bad_lookahead(self):
         with pytest.raises(ValueError, match="window_lookahead"):
-            DejaVuzzFuzzer(
-                FuzzerConfiguration(core=BOOM, entropy=3, window_lookahead=0)
-            )
+            FuzzerConfiguration(core=BOOM, entropy=3, window_lookahead=0)
+        wire = fuzzer_configuration_to_wire(FuzzerConfiguration(core=BOOM, entropy=3))
+        wire["window_lookahead"] = 0
         with pytest.raises(ValueError, match="window_lookahead"):
-            EngineConfiguration(
-                fuzzer=FuzzerConfiguration(core=BOOM, entropy=3),
-                iterations=4,
-                window_lookahead=0,
-            )
+            fuzzer_configuration_from_wire(wire)
+
+
+WINDOW_TYPES = list(TransientWindowType)
+POOL_ENTROPY_BASE = 7_500_000
 
 
 class TestDutPool:
-    def test_pooled_and_fresh_runs_are_identical_interleaved(self):
-        pooled = TransientWindowTriggering(BOOM, dut_pool=True)
-        fresh = TransientWindowTriggering(BOOM, dut_pool=False)
+    @pytest.mark.parametrize("window_type", WINDOW_TYPES, ids=lambda w: w.value)
+    @pytest.mark.parametrize("core", CORES)
+    def test_pooled_dut_equals_a_fresh_one(self, core, window_type):
+        """A warm DUT, reset after a different schedule, matches a fresh build
+        on every trace event, register, side-channel bit and cycle count."""
+        config = resolve_core(core)
+        phase1 = TransientWindowTriggering(config)
+        index = WINDOW_TYPES.index(window_type)
+        seed = _seed(core, window_type, POOL_ENTROPY_BASE + index)
+        _, schedule = phase1.generate_schedule(seed)
+        previous_type = WINDOW_TYPES[index - 1]
+        previous = _seed(core, previous_type, POOL_ENTROPY_BASE + index - 1)
+        _, dirtying_schedule = phase1.generate_schedule(previous)
+
+        pool = DutPool(config, DEFAULT_LAYOUT)
+        for run_seed, run_schedule in ((previous, dirtying_schedule), (seed, schedule)):
+            swap_memory, processor = pool.checkout(run_seed.secret_value)
+            try:
+                pooled = _run_digests(
+                    SwapRunner(processor, swap_memory, run_schedule).run(), census=False
+                )
+            finally:
+                pool.checkin(processor)
+        assert pool.reuses == 1
+
+        swap_memory = SwapMemory(DEFAULT_LAYOUT, secret=seed.secret_value)
+        processor = Processor(config, memory=swap_memory.data)
+        fresh = _run_digests(SwapRunner(processor, swap_memory, schedule).run(), census=False)
+        assert pooled == fresh
+
+    def test_pooled_and_fresh_runs_are_identical_interleaved(self, monkeypatch):
+        pooled = TransientWindowTriggering(BOOM)
+        fresh = TransientWindowTriggering(BOOM)
         rng = DeterministicRng(99, "dut-pool-test")
         for index in range(10):
             seed = make_seed(
@@ -149,22 +186,17 @@ class TestDutPool:
                 window_type=rng.choice(list(TransientWindowType)),
             )
             a = pooled.run(seed)
-            b = fresh.run(seed)
+            with monkeypatch.context() as patch:
+                fresh_duts(patch)
+                b = fresh.run(seed)
             assert a.to_dict() == b.to_dict()
         assert pooled.dut_pool.reuses > 0
-        assert fresh.dut_pool is None
+        assert fresh.dut_pool.reuses == 0
 
-    def test_force_disable_flag_is_byte_identical(self):
-        baseline = deterministic_dict()
-        TransientWindowTriggering.force_disable_dut_pool = True
-        try:
-            disabled = deterministic_dict()
-        finally:
-            TransientWindowTriggering.force_disable_dut_pool = False
-        assert baseline == disabled
-
-    def test_pool_knob_is_byte_identical(self):
-        assert deterministic_dict(dut_pool=False) == deterministic_dict()
+    def test_pool_knob_is_byte_identical(self, monkeypatch):
+        pooled = deterministic_dict()
+        fresh_duts(monkeypatch)
+        assert deterministic_dict() == pooled
 
     def test_pool_reuses_one_dut_across_a_campaign(self):
         fuzzer = DejaVuzzFuzzer(FuzzerConfiguration(core=BOOM, entropy=11))
@@ -199,10 +231,10 @@ class TestBatchingAcrossExecutionPaths:
         )
         return engine_wire(result)
 
-    def test_inline_lookahead_matches_reference(self, inline_reference):
+    def test_inline_lookahead_matches_reference(self, inline_reference, monkeypatch):
+        fresh_duts(monkeypatch)
         batched = run_parallel_campaign(
-            BOOM, executor="inline", window_lookahead=3, dut_pool=False,
-            **self.ENGINE_KWARGS,
+            BOOM, executor="inline", window_lookahead=3, **self.ENGINE_KWARGS
         )
         assert engine_wire(batched) == inline_reference
         # Every run reports batch rows; the analysis table picks them up.
@@ -301,29 +333,28 @@ class TestCheckpointResume:
         ).run()
         assert engine_wire(resumed) == engine_wire(uninterrupted)
 
-    def test_lookahead_is_not_part_of_the_campaign_identity(self, tmp_path):
-        # Batching knobs are transparent, so a checkpoint written with K=1
-        # resumes under K>1 (and vice versa) with identical results.
-        def configuration(lookahead, dut_pool, checkpoint):
+    def test_lookahead_is_not_part_of_the_campaign_identity(self, tmp_path, monkeypatch):
+        # Batching is transparent, so a checkpoint written with K=1 on a warm
+        # DUT resumes under K>1 on fresh DUTs with identical results.
+        def configuration(lookahead, checkpoint):
             return EngineConfiguration(
-                fuzzer=FuzzerConfiguration(core=BOOM, entropy=6),
+                fuzzer=FuzzerConfiguration(
+                    core=BOOM, entropy=6, window_lookahead=lookahead
+                ),
                 shards=2,
                 slices=2,
                 iterations=12,
                 sync_epochs=3,
                 executor="inline",
                 checkpoint_path=checkpoint,
-                window_lookahead=lookahead,
-                dut_pool=dut_pool,
             )
 
-        uninterrupted = ParallelCampaignEngine(
-            configuration(1, True, None)
-        ).run()
+        uninterrupted = ParallelCampaignEngine(configuration(1, None)).run()
         checkpoint = str(tmp_path / "identity.json")
-        ParallelCampaignEngine(configuration(1, True, checkpoint)).run(max_epochs=1)
+        ParallelCampaignEngine(configuration(1, checkpoint)).run(max_epochs=1)
+        fresh_duts(monkeypatch)
         resumed = ParallelCampaignEngine.resume_from(
-            checkpoint, configuration(4, False, checkpoint)
+            checkpoint, configuration(4, checkpoint)
         ).run()
         assert engine_wire(resumed) == engine_wire(uninterrupted)
 
@@ -334,17 +365,12 @@ class TestWireDefaults:
             FuzzerConfiguration(core=BOOM, entropy=5)
         )
         assert wire["window_lookahead"] == 1
-        assert wire["dut_pool"] is True
         del wire["window_lookahead"]
-        del wire["dut_pool"]
         decoded = fuzzer_configuration_from_wire(wire)
         assert decoded.window_lookahead == 1
-        assert decoded.dut_pool is True
 
     def test_batch_knobs_round_trip(self):
-        configuration = FuzzerConfiguration(
-            core=BOOM, entropy=5, window_lookahead=6, dut_pool=False
-        )
+        configuration = FuzzerConfiguration(core=BOOM, entropy=5, window_lookahead=6)
         decoded = fuzzer_configuration_from_wire(
             fuzzer_configuration_to_wire(configuration)
         )
