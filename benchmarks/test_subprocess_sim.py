@@ -23,7 +23,7 @@ Asserts
   ``CampaignResult.to_dict(include_timing=False)`` wire forms versus the
   in-process reference: where the simulator executes is a transport detail
   and must never leak into results,
-* **crash-free accounting** — the campaign's ``sim_log`` reports one row per
+* **crash-free accounting** — the campaign's ``task_log`` reports one row per
   executed slice-epoch task with zero restarts,
 * **interleaving speedup** — on hosts with at least 4 CPUs (and outside CI),
   the async backend finishes the subprocess-simulated campaign at least 2x
@@ -100,14 +100,14 @@ def test_subprocess_sim(benchmark):
         "inline+subprocess": deterministic_wire(serial) == deterministic_wire(reference),
         "async+subprocess": deterministic_wire(interleaved) == deterministic_wire(reference),
     }
-    serial_restarts = sum(row["restarts"] for row in serial.sim_log)
-    async_restarts = sum(row["restarts"] for row in interleaved.sim_log)
+    serial_restarts = sum(row["restarts"] for row in serial.task_log)
+    async_restarts = sum(row["restarts"] for row in interleaved.task_log)
 
     print(
         f"\nmeasured: serial {serial_seconds:.2f}s, async {async_seconds:.2f}s "
         f"({speedup:.2f}x) on {cpus} CPU(s); "
         f"mean step: "
-        f"{1000 * sum(r['step_seconds_total'] for r in serial.sim_log) / max(1, sum(r['steps'] for r in serial.sim_log)):.1f}ms"
+        f"{1000 * sum(r['step_seconds_total'] for r in serial.task_log) / max(1, sum(r['steps'] for r in serial.task_log)):.1f}ms"
     )
 
     # Simulator identity: out-of-process execution never leaks into results.
@@ -115,8 +115,8 @@ def test_subprocess_sim(benchmark):
     assert serial.coverage.points == reference.coverage.points
     # Crash-free accounting: one row per executed slice-epoch task, no
     # recoveries needed.
-    assert len(serial.sim_log) == len(serial.slice_summaries)
-    assert len(interleaved.sim_log) == len(interleaved.slice_summaries)
+    assert len(serial.task_log) == len(serial.slice_summaries)
+    assert len(interleaved.task_log) == len(interleaved.slice_summaries)
     assert serial_restarts == 0 and async_restarts == 0
     assert len(warm_servers) == SHARDS
 

@@ -115,7 +115,7 @@ def main() -> int:
     print(f"\ndistributed campaign finished in {elapsed:.2f}s "
           f"({backend.reassigned_tasks} task(s) reassigned after worker loss)")
     print("\nper-worker utilization:")
-    for row in worker_utilization_table(distributed.worker_log):
+    for row in worker_utilization_table(distributed.task_log):
         print(
             f"  {row['worker']} ({row['name']}): {row['tasks']} tasks over "
             f"{row['epochs']} epoch(s), {row['task_seconds']:.2f} task-seconds, "

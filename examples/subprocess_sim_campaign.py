@@ -84,15 +84,15 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     close_default_pool()
 
-    restarts = sum(row["restarts"] for row in campaign.sim_log)
-    spawns = sum(row["spawns"] for row in campaign.sim_log)
+    restarts = sum(row["restarts"] for row in campaign.task_log)
+    spawns = sum(row["spawns"] for row in campaign.task_log)
     print(
         f"\nsubprocess campaign finished in {elapsed:.2f}s "
         f"({spawns} server process(es) spawned, {restarts} restart(s) "
         f"after crashes)"
     )
     print("\nper-slice simulator processes:")
-    for row in simulator_process_table(campaign.sim_log):
+    for row in simulator_process_table(campaign.task_log):
         print(
             f"  slice {row['slice']}: {row['tasks']} tasks, "
             f"{row['spawns']} spawns, {row['restarts']} restarts, "

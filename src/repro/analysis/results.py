@@ -214,21 +214,25 @@ def checkpoint_summary(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 def worker_utilization_table(
-    worker_log: Iterable[Dict[str, object]]
+    task_log: Iterable[Dict[str, object]]
 ) -> List[Dict[str, object]]:
-    """Aggregate a distributed run's task-delivery log into one row per worker.
+    """Aggregate a distributed run's task deliveries into one row per worker.
 
-    ``worker_log`` is :attr:`repro.core.engine.EngineResult.worker_log` (or
-    ``DistributedBackend.utilization_log`` directly): one entry per delivered
-    task.  Each output row sums a worker's contribution — tasks delivered,
-    distinct epochs served, total task wall seconds executed, and how many
-    of its deliveries were *reassignments* (tasks inherited from a worker
-    that died mid-epoch).  Workers that joined but never delivered a task do
-    not appear; the log is timing-adjacent diagnostics, never part of the
-    deterministic campaign wire forms.
+    ``task_log`` is :attr:`repro.core.engine.EngineResult.task_log` (or the
+    ``rows`` of a telemetry stream's ``tasks`` records): one entry per merged
+    slice task, where the tasks a worker daemon delivered carry its
+    ``worker`` id, ``name`` and ``reassigned`` flag.  Each output row sums a
+    worker's contribution — tasks delivered, distinct epochs served, total
+    task wall seconds executed, and how many of its deliveries were
+    *reassignments* (tasks inherited from a worker that died mid-epoch).
+    Tasks run without a worker daemon, and workers that joined but never
+    delivered a task, do not appear; the log is timing-adjacent diagnostics,
+    never part of the deterministic campaign wire forms.
     """
     rows: Dict[str, Dict[str, object]] = {}
-    for entry in worker_log:
+    for entry in task_log:
+        if "worker" not in entry:
+            continue  # run by an in-process backend
         worker = str(entry["worker"])
         row = rows.setdefault(
             worker,
@@ -257,31 +261,25 @@ def worker_utilization_table(
 
 
 def simulator_process_table(
-    sim_log: Iterable[Dict[str, object]]
+    task_log: Iterable[Dict[str, object]]
 ) -> List[Dict[str, object]]:
     """Aggregate a subprocess-simulator run's accounting into one row per slice.
 
-    ``sim_log`` is :attr:`repro.core.engine.EngineResult.sim_log`: one entry
-    per slice-epoch task executed against an out-of-process simulator server
-    (``{slice_index, epoch, spawns, restarts, steps, step_seconds_total,
-    mean_step_seconds}``).  Each output row sums a slice's server-process
+    ``task_log`` is :attr:`repro.core.engine.EngineResult.task_log`: the
+    tasks executed against an out-of-process simulator server carry its
+    process counters (``spawns, restarts, steps, step_seconds_total,
+    mean_step_seconds``).  Each output row sums a slice's server-process
     story across the campaign — tasks served, server processes spawned,
     crash/hang recoveries, protocol steps, and the mean per-step wall clock.
-    Like the worker log, this is timing-adjacent diagnostics and never part
-    of the deterministic campaign wire forms.
-
-    ``sim_log`` also carries the batch-evaluation rows every run reports
-    (see :func:`window_batch_table`); rows declare their shape via ``kind``
-    (``"sim_process"`` here).  Note a subprocess-simulator run's
-    merged rows carry *both* shapes (batch counters and process counters in
-    one row) under ``kind="sim_process"`` — which is why
-    :func:`window_batch_table` selects by key presence, not by kind.
+    Tasks simulated in-process do not appear.  Like the rest of the task
+    log, this is timing-adjacent diagnostics and never part of the
+    deterministic campaign wire forms.
     """
     rows: Dict[int, Dict[str, object]] = {}
-    for entry in sim_log:
-        if entry.get("kind") != "sim_process":
-            continue
-        index = int(entry["slice_index"])
+    for entry in task_log:
+        if "spawns" not in entry:
+            continue  # simulated in-process
+        index = int(entry["slice"])
         row = rows.setdefault(
             index,
             {
@@ -294,11 +292,11 @@ def simulator_process_table(
             },
         )
         row["tasks"] += 1
-        row["spawns"] += int(entry.get("spawns", 0))
-        row["restarts"] += int(entry.get("restarts", 0))
-        row["steps"] += int(entry.get("steps", 0))
+        row["spawns"] += int(entry["spawns"])
+        row["restarts"] += int(entry["restarts"])
+        row["steps"] += int(entry["steps"])
         row["step_seconds_total"] = round(
-            row["step_seconds_total"] + float(entry.get("step_seconds_total", 0.0)), 6
+            row["step_seconds_total"] + float(entry["step_seconds_total"]), 6
         )
     finished = []
     for index in sorted(rows):
@@ -311,30 +309,24 @@ def simulator_process_table(
 
 
 def window_batch_table(
-    sim_log: Iterable[Dict[str, object]]
+    task_log: Iterable[Dict[str, object]]
 ) -> List[Dict[str, object]]:
     """Aggregate the batch-evaluation counters into one row per slice.
 
-    ``sim_log`` is :attr:`repro.core.engine.EngineResult.sim_log`: every
-    slice-epoch task reports one row of window-batching diagnostics
-    (``{slice_index, epoch, window_batches, batch_simulations, max_batch,
-    speculated, lookahead_hits}`` plus ``dut_constructions``/``dut_reuses``
-    when the DUT pool is enabled).  Each output row sums a slice's story
-    across the campaign: how many window batches ran, the physical
-    simulations they performed, the widest batch, how many candidates were
-    evaluated speculatively, and how many committed rounds were absorbed by
-    an earlier batch (``lookahead_hits``).  The companion of
+    ``task_log`` is :attr:`repro.core.engine.EngineResult.task_log`: every
+    slice-epoch task's row carries the window-batching counters
+    (``window_batches, batch_simulations, max_batch, speculated,
+    lookahead_hits, dut_constructions, dut_reuses``).  Each output row sums a
+    slice's story across the campaign: how many window batches ran, the
+    physical simulations they performed, the widest batch, how many
+    candidates were evaluated speculatively, and how many committed rounds
+    were absorbed by an earlier batch (``lookahead_hits``).  The companion of
     :func:`profile_hotspot_table` for the batching layer — diagnostics only,
     never part of the deterministic campaign wire forms.
-
-    Entries that carry no batching counters (possible for logs recorded by
-    older engines) are skipped.
     """
     rows: Dict[int, Dict[str, object]] = {}
-    for entry in sim_log:
-        if "window_batches" not in entry:
-            continue
-        index = int(entry["slice_index"])
+    for entry in task_log:
+        index = int(entry["slice"])
         row = rows.setdefault(
             index,
             {
@@ -350,36 +342,36 @@ def window_batch_table(
             },
         )
         row["tasks"] += 1
-        row["batches"] += int(entry.get("window_batches", 0))
-        row["batch_simulations"] += int(entry.get("batch_simulations", 0))
-        row["max_batch"] = max(row["max_batch"], int(entry.get("max_batch", 0)))
-        row["speculated"] += int(entry.get("speculated", 0))
-        row["lookahead_hits"] += int(entry.get("lookahead_hits", 0))
-        row["dut_constructions"] += int(entry.get("dut_constructions", 0))
-        row["dut_reuses"] += int(entry.get("dut_reuses", 0))
+        row["batches"] += int(entry["window_batches"])
+        row["batch_simulations"] += int(entry["batch_simulations"])
+        row["max_batch"] = max(row["max_batch"], int(entry["max_batch"]))
+        row["speculated"] += int(entry["speculated"])
+        row["lookahead_hits"] += int(entry["lookahead_hits"])
+        row["dut_constructions"] += int(entry["dut_constructions"])
+        row["dut_reuses"] += int(entry["dut_reuses"])
     return [dict(rows[index]) for index in sorted(rows)]
 
 
 def profile_hotspot_table(
-    profile_log: Iterable[Dict[str, object]],
+    task_log: Iterable[Dict[str, object]],
     top: int = 10,
 ) -> List[Dict[str, object]]:
     """Merge per-slice cProfile reports into one campaign-wide hotspot table.
 
-    ``profile_log`` is :attr:`repro.core.engine.EngineResult.profile_log`:
-    one entry per profiled slice-epoch task (``{slice_index, epoch, top:
-    [{function, calls, tottime, cumtime}]}``).  Rows are summed by function
-    across all profiled tasks and returned sorted by cumulative time, largest
-    first.  Like the other timing logs this is diagnostics only — it never
-    appears in deterministic wire forms or checkpoints.
+    ``task_log`` is :attr:`repro.core.engine.EngineResult.task_log`: each
+    profiled slice-epoch task's row carries ``profile: [{function, calls,
+    tottime, cumtime}]``.  Rows are summed by function across all profiled
+    tasks and returned sorted by cumulative time, largest first.  Like the
+    rest of the task log this is diagnostics only — it never appears in
+    deterministic wire forms or checkpoints.
 
     A caveat inherent to merging top-N truncations: a function just below
     every task's cut-off is absent here too, so treat the table as "where the
     hot tasks spent their time", not an exact whole-campaign profile.
     """
     merged: Dict[str, Dict[str, object]] = {}
-    for entry in profile_log:
-        for row in entry.get("top", []):
+    for entry in task_log:
+        for row in entry.get("profile", []):
             name = str(row["function"])
             bucket = merged.setdefault(
                 name,
@@ -406,19 +398,19 @@ def telemetry_table(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
     back from a ``--telemetry-dir`` sink (``repro.analysis.watch`` uses this
     for both the live view and ``--once``).  The summary carries the latest
     round's coverage/iteration figures, an iterations-per-second estimate
-    from the round timestamps, the per-worker utilization rollup, and the
-    final campaign record when the run has ended.
+    from the round timestamps, the per-worker utilization rollup over the
+    streamed task rows, and the final campaign record when the run has ended.
     """
     rounds: List[Dict[str, object]] = []
-    deliveries: List[Dict[str, object]] = []
+    task_rows: List[Dict[str, object]] = []
     campaign: Optional[Dict[str, object]] = None
     metrics: Optional[Dict[str, object]] = None
     for record in records:
         kind = record.get("type")
         if kind == "round":
             rounds.append(record)
-        elif kind == "worker":
-            deliveries.extend(record.get("deliveries", []))
+        elif kind == "tasks":
+            task_rows.extend(record["rows"])
         elif kind == "campaign":
             campaign = record
         elif kind == "metrics":
@@ -446,7 +438,7 @@ def telemetry_table(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
         "reports": latest.get("reports"),
         "iterations_per_second": throughput,
         "last_round": last_round,
-        "workers": worker_utilization_table(deliveries),
+        "workers": worker_utilization_table(task_rows),
         "campaign": campaign,
         "metrics": metrics,
     }

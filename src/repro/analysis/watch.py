@@ -48,7 +48,7 @@ REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
         "reports",
     ),
     "metrics": ("ts", "counters", "gauges", "histograms"),
-    "worker": ("ts", "epoch", "deliveries"),
+    "tasks": ("ts", "epoch", "rows"),
     "campaign": ("ts", "complete", "coverage", "coverage_total", "iterations", "reports"),
 }
 

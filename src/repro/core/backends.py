@@ -100,21 +100,19 @@ class ShardTask:
     # latency, crash/hang recovery via restart-and-replay).
     simulator: str = "inproc"
     # When positive, the serial drivers wrap the slice-epoch in cProfile and
-    # attach the top-N functions by cumulative time to the result payload
-    # (``payload["profile"]``).  Diagnostics only — like sim_log/worker_log
-    # it never enters the deterministic wire forms or checkpoints.  Ignored
-    # by the async driver (per-task profilers cannot nest on one thread) and
-    # by the subprocess simulator (the work runs out of process).
+    # add the top-N functions by cumulative time to the task's diagnostics
+    # (``payload["diagnostics"]["profile"]``).  Like the rest of the
+    # diagnostics it never enters the deterministic wire forms or
+    # checkpoints.  Ignored by the async driver (per-task profilers cannot
+    # nest on one thread) and by the subprocess simulator (the work runs out
+    # of process).
     profile: int = 0
     # Per-slice telemetry: when on, the runner keeps a per-task metrics
     # registry (latency histograms, cache/DUT-pool counters) and attaches
-    # its snapshot to the result payload (``payload["metrics"]``).  Like
-    # sim_stats it is diagnostics only — never in deterministic wire forms
-    # or checkpoints, so results are byte-identical on or off.  The cadence
-    # (seconds between emitted round records, 0 = every round) rides along
-    # so it reaches wire forms with a back-compat default.
+    # its snapshot to the result payload (``payload["metrics"]``).  Like the
+    # diagnostics it never enters deterministic wire forms or checkpoints,
+    # so results are byte-identical on or off.
     telemetry: bool = True
-    telemetry_cadence: float = 0.0
 
 
 class ShardCampaignRunner:
@@ -204,20 +202,17 @@ class ShardCampaignRunner:
                 for seed, gain in self.fuzzer.top_seeds(task.report_top_seeds)
             ],
             "wall_seconds": time.perf_counter() - self.started,
-            # Diagnostics only (window batching / DUT pool counters); the
-            # subprocess simulator client merges its process counters into the
-            # same row.  Never enters deterministic wire forms or checkpoints.
-            "sim_stats": dict(
-                self.fuzzer.batch_stats(),
-                slice_index=task.slice_index,
-                epoch=task.epoch,
-                kind="window_batch",
-            ),
+            # The task's one diagnostics dict, starting with the window-batch
+            # and DUT-pool counters.  The profiler, the subprocess simulator
+            # client and the distributed coordinator add their own keys; the
+            # scheduler turns it into this task's EngineResult.task_log row.
+            # Never enters deterministic wire forms or checkpoints.
+            "diagnostics": self.fuzzer.batch_stats(),
         }
         if self.task.telemetry:
             # Fold the end-of-task cache/pool tallies in, then snapshot —
-            # metrics ride the payload like sim_stats: diagnostics only,
-            # merged at epoch boundaries, never checkpointed.
+            # metrics ride the payload like the diagnostics: never
+            # deterministic, merged at epoch boundaries, never checkpointed.
             self.fuzzer.export_metrics()
             payload["metrics"] = {
                 "slice_index": task.slice_index,
@@ -279,7 +274,7 @@ def run_shard_task(task: ShardTask) -> Dict[str, object]:
     ``task.simulator == "subprocess"`` the steps run against a per-slice
     simulator server process instead, and the blocking waits are the real
     protocol round trips.  ``task.profile > 0`` wraps the drive loop in
-    cProfile and attaches the hottest functions to the payload (injected
+    cProfile and adds the hottest functions to the diagnostics (injected
     latency shows up as ``time.sleep`` rows — profile at zero latency for
     clean compute numbers).
     """
@@ -307,11 +302,7 @@ def run_shard_task(task: ShardTask) -> Dict[str, object]:
         if profiler is not None:
             profiler.disable()
     if profiler is not None:
-        payload["profile"] = {
-            "slice_index": task.slice_index,
-            "epoch": task.epoch,
-            "top": profile_rows(profiler, task.profile),
-        }
+        payload["diagnostics"]["profile"] = profile_rows(profiler, task.profile)
     return payload
 
 

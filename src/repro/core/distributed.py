@@ -25,8 +25,8 @@ RESULT      worker -> coordinator   ``task_id``, ``payload`` (the shard's
 HEARTBEAT   worker -> coordinator   none — liveness only, sent from a side
                                     thread even while a batch is running
 BYE         either direction        optional ``reason`` (human-readable) and
-                                    ``code`` (machine-readable, e.g. ``auth``
-                                    on an authentication rejection); an
+                                    ``code`` (machine-readable: ``auth`` or
+                                    ``version`` on a rejected HELLO); an
                                     orderly goodbye
 ==========  ======================  ==========================================
 
@@ -35,7 +35,10 @@ every HELLO must carry the same token in its ``auth`` field; a mismatched
 (or missing) token is rejected with a ``BYE reason="auth token mismatch"``
 and a coordinator-side warning log line, and the worker is never admitted to
 the fleet.  This is a shared-secret gate for semi-trusted networks — the
-stream itself is not encrypted (TLS remains a follow-up).
+stream itself is not encrypted (TLS remains a follow-up).  A HELLO whose
+``version`` is not :data:`PROTOCOL_VERSION` is rejected the same way
+(``code="version"``): the wire forms carry no defaults, so coordinator and
+workers must run the same revision.
 
 Fault tolerance: a worker that closes its socket, says BYE, or misses
 heartbeats for longer than ``heartbeat_timeout`` is declared dead and its
@@ -66,7 +69,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.backends import ExecutionBackend, ShardTask
@@ -77,6 +80,7 @@ from repro.swapmem.layout import MemoryLayout
 from repro.uarch.config import CacheConfig, CoreConfig, PredictorConfig, TaintTrackingMode
 
 __all__ = [
+    "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "DistributedBackend",
     "parse_address",
@@ -90,7 +94,11 @@ __all__ = [
     "core_config_to_wire",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+# Upper bound on one JSON-lines frame, newline included, for every reader of
+# the worker fabric and the simulator-server protocol; longer is malformed.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 logger = logging.getLogger(__name__)
 
@@ -156,14 +164,24 @@ def send_frame(
 
 
 def recv_frame(reader) -> Optional[Dict[str, object]]:
-    """Read one frame from a ``makefile("rb")`` reader; None on EOF."""
+    """Read one frame from a ``makefile("rb")`` reader; None on EOF.
+
+    Raises :class:`ValueError` on an oversized, truncated or non-JSON frame.
+    """
     try:
-        line = reader.readline()
+        line = reader.readline(MAX_FRAME_BYTES + 1)
     except (OSError, ValueError):
         return None
     if not line:
         return None
-    frame = json.loads(line.decode("utf-8"))
+    if len(line) > MAX_FRAME_BYTES:
+        raise ValueError(f"malformed frame: longer than {MAX_FRAME_BYTES} bytes")
+    if not line.endswith(b"\n"):
+        raise ValueError("malformed frame: truncated by end of stream")
+    try:
+        frame = json.loads(line.decode("utf-8"))
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"malformed frame: {error}") from None
     if not isinstance(frame, dict) or "type" not in frame:
         raise ValueError(f"malformed frame: {frame!r}")
     return frame
@@ -238,26 +256,27 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
         "simulator": task.simulator,
         "profile": task.profile,
         "telemetry": task.telemetry,
-        "telemetry_cadence": task.telemetry_cadence,
     }
 
 
 def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
+    """Decode a task wire form; raises :class:`ValueError` naming any
+    missing key (every :class:`ShardTask` field is required on the wire)."""
+    missing = [spec.name for spec in fields(ShardTask) if spec.name not in payload]
+    if missing:
+        raise ValueError(f"shard task wire form lacks {', '.join(missing)}")
     return ShardTask(
         slice_index=int(payload["slice_index"]),
         epoch=int(payload["epoch"]),
         iterations=int(payload["iterations"]),
         configuration=fuzzer_configuration_from_wire(payload["configuration"]),
-        initial_seed=payload.get("initial_seed"),
-        baseline_points=list(payload.get("baseline_points") or []),
-        report_top_seeds=int(payload.get("report_top_seeds", 4)),
-        step_latency=float(payload.get("step_latency", 0.0)),
-        simulator=str(payload.get("simulator", "inproc")),
-        profile=int(payload.get("profile", 0)),
-        # Older coordinators do not send the telemetry knobs; telemetry
-        # defaults on and is byte-transparent, so mixed fleets interoperate.
-        telemetry=bool(payload.get("telemetry", True)),
-        telemetry_cadence=float(payload.get("telemetry_cadence", 0.0)),
+        initial_seed=payload["initial_seed"],
+        baseline_points=list(payload["baseline_points"]),
+        report_top_seeds=int(payload["report_top_seeds"]),
+        step_latency=float(payload["step_latency"]),
+        simulator=str(payload["simulator"]),
+        profile=int(payload["profile"]),
+        telemetry=bool(payload["telemetry"]),
     )
 
 
@@ -310,10 +329,11 @@ class DistributedBackend(ExecutionBackend):
     inspects nor reorders payload contents.  All scheduling decisions stay in
     the transport-agnostic :class:`~repro.core.engine.CampaignScheduler`,
     which is what makes distributed results byte-identical to inline ones.
-
-    ``utilization_log`` records one row per delivered task
-    (``{worker, name, epoch, slice, wall_seconds, reassigned}``); feed it to
-    :func:`repro.analysis.worker_utilization_table`.
+    The one exception is diagnostics: each delivered payload's
+    ``diagnostics`` dict gains the delivering ``worker``, its ``name`` and
+    whether the task was ``reassigned``, which
+    :func:`repro.analysis.worker_utilization_table` reads back from
+    ``EngineResult.task_log``.
     """
 
     name = "distributed"
@@ -345,7 +365,6 @@ class DistributedBackend(ExecutionBackend):
         self._next_worker_number = 0
         self._started = False  # min_workers gates only the first epoch
         self._closing = False
-        self.utilization_log: List[Dict[str, object]] = []
         self.reassigned_tasks = 0
         # Fabric telemetry (diagnostics only; the engine snapshots this
         # registry and attributes its growth to the finished run): dispatch
@@ -413,6 +432,16 @@ class DistributedBackend(ExecutionBackend):
                 daemon=True,
             ).start()
 
+    def _reject(self, conn: socket.socket, code: str, reason: str) -> None:
+        """Refuse a HELLO: BYE with a machine-readable ``code`` (the worker
+        keys its give-up-or-retry decision on it) and a human ``reason``."""
+        self.rejected_workers += 1
+        try:
+            send_frame(conn, {"type": "BYE", "code": code, "reason": reason})
+        except OSError:
+            pass
+        conn.close()
+
     def _serve_worker(self, conn: socket.socket) -> None:
         reader = conn.makefile("rb")
         try:
@@ -422,27 +451,23 @@ class DistributedBackend(ExecutionBackend):
         if not hello or hello.get("type") != "HELLO":
             conn.close()
             return
+        if hello.get("version") != PROTOCOL_VERSION:
+            logger.warning(
+                "rejected worker %s: protocol version %r, coordinator speaks "
+                "%d (run coordinator and workers from the same revision)",
+                hello.get("worker", "?"),
+                hello.get("version"),
+                PROTOCOL_VERSION,
+            )
+            self._reject(conn, "version", "protocol version mismatch")
+            return
         if self.auth_token is not None and hello.get("auth") != self.auth_token:
             logger.warning(
                 "rejected worker %s: auth token mismatch (fleet runs with "
                 "--auth-token; start workers with the same token)",
                 hello.get("worker", "?"),
             )
-            self.rejected_workers += 1
-            try:
-                # code is the machine-readable field the worker keys its
-                # give-up-or-retry decision on; reason is for humans.
-                send_frame(
-                    conn,
-                    {
-                        "type": "BYE",
-                        "code": "auth",
-                        "reason": "auth token mismatch",
-                    },
-                )
-            except OSError:
-                pass
-            conn.close()
+            self._reject(conn, "auth", "auth token mismatch")
             return
         with self._condition:
             worker = _WorkerConnection(
@@ -472,8 +497,13 @@ class DistributedBackend(ExecutionBackend):
                     worker.last_heartbeat = now
                 elif kind == "RESULT":
                     self._record_result(worker, frame)
-        except ValueError:
-            return  # malformed stream: treat like a disconnect
+        except ValueError as error:
+            # Malformed stream: drop the worker like a disconnect; its
+            # in-flight tasks are reassigned.
+            logger.warning(
+                "dropped worker %s (%s): %s", worker.worker_id, worker.name, error
+            )
+            return
         finally:
             with self._condition:
                 worker.alive = False
@@ -483,6 +513,11 @@ class DistributedBackend(ExecutionBackend):
     def _record_result(
         self, worker: _WorkerConnection, frame: Dict[str, object]
     ) -> None:
+        payload = frame.get("payload")
+        if not isinstance(payload, dict) or "diagnostics" not in payload:
+            # Before any bookkeeping: the task stays in flight and is
+            # reassigned once the reader drops this worker.
+            raise ValueError("malformed RESULT frame: no task payload")
         task_id = str(frame.get("task_id"))
         with self._condition:
             worker.last_heartbeat = time.monotonic()
@@ -498,19 +533,12 @@ class DistributedBackend(ExecutionBackend):
                 # by construction; the first delivery won.
                 self._condition.notify_all()
                 return
-            self._results[task_id] = frame["payload"]
-            self.utilization_log.append(
-                {
-                    "worker": worker.worker_id,
-                    "name": worker.name,
-                    "epoch": frame["payload"].get("epoch"),
-                    "slice": frame["payload"].get("slice_index"),
-                    "wall_seconds": round(
-                        float(frame["payload"].get("wall_seconds", 0.0)), 3
-                    ),
-                    "reassigned": self._task_attempts.get(task_id, 1) > 1,
-                }
+            payload["diagnostics"].update(
+                worker=worker.worker_id,
+                name=worker.name,
+                reassigned=self._task_attempts.get(task_id, 1) > 1,
             )
+            self._results[task_id] = payload
             self._condition.notify_all()
 
     # -- epoch execution --------------------------------------------------------------------

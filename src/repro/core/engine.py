@@ -178,9 +178,6 @@ EPOCH_ID_STRIDE = 100_000
 # their own namespace far above any slice/epoch base (slice bases stay below
 # this for fewer than ~100 slices).
 TRANSFER_SEED_ID_BASE = 1_000_000_000
-# Pre-slice name of the stride, kept for callers written against the
-# shard-indexed engine.
-SHARD_ID_STRIDE = SLICE_ID_STRIDE
 # Default logical partition count: generous relative to typical shard counts
 # so a campaign started small can later fan out onto a bigger fleet.
 DEFAULT_MIN_SLICES = 16
@@ -274,7 +271,7 @@ class EngineConfiguration:
     # checkpoint fingerprint — authentication is transport, not campaign.
     auth_token: Optional[str] = None
     # When positive, every slice task profiles itself with cProfile and
-    # reports its top-N hottest functions (EngineResult.profile_log).
+    # reports its top-N hottest functions (in its EngineResult.task_log row).
     # Diagnostics only — never checkpointed, never in deterministic wire
     # forms; honored by the serial drivers (inline/process/distributed
     # workers), ignored under the async driver and subprocess simulator.
@@ -472,30 +469,17 @@ class EngineResult:
     redistributed_seeds: int = 0
     transferred_seeds: int = 0
     wall_clock_seconds: float = 0.0
-    # Distributed backend only: one row per completed task delivery
-    # ({worker, epoch, slice, wall_seconds, reassigned}); feed it to
-    # repro.analysis.worker_utilization_table.  Timing-adjacent diagnostics —
-    # never part of the deterministic wire forms, never checkpointed.
-    worker_log: List[Dict[str, object]] = field(default_factory=list)
-    # One row per slice-epoch of simulation diagnostics.  Every run reports
-    # the batch-evaluation counters ({slice_index, epoch, window_batches,
-    # batch_simulations, max_batch, speculated, lookahead_hits, and — when
-    # the DUT pool is on — dut_constructions/dut_reuses}); runs under the
-    # subprocess simulator additionally merge in the process counters
-    # ({spawns, restarts, steps, step_seconds_total, mean_step_seconds}).
-    # Feed it to repro.analysis.window_batch_table and (for the process
-    # rows) repro.analysis.simulator_process_table.  Like worker_log,
-    # timing-adjacent diagnostics outside the deterministic wire forms.
-    sim_log: List[Dict[str, object]] = field(default_factory=list)
-    # EngineConfiguration.profile > 0 only: one row per profiled slice-epoch
-    # ({slice_index, epoch, top: [{function, calls, tottime, cumtime}]});
-    # feed it to repro.analysis.profile_hotspot_table.  Timing diagnostics —
-    # never checkpointed, never in the deterministic wire forms.
-    profile_log: List[Dict[str, object]] = field(default_factory=list)
-    # The campaign's telemetry record ring (round/metrics/worker/campaign
+    # One row per merged slice task, {slice, epoch, wall_seconds,
+    # **payload["diagnostics"]}: the window-batch counters, plus `profile`
+    # rows, subprocess-simulator process counters and the delivering
+    # `worker`/`name`/`reassigned` where they apply.  The repro.analysis
+    # tables read these rows; the same rows stream as `tasks` telemetry
+    # records.  Diagnostics — never checkpointed, never deterministic.
+    task_log: List[Dict[str, object]] = field(default_factory=list)
+    # The campaign's telemetry record ring (round/tasks/metrics/campaign
     # records, newest last; see repro.telemetry).  The scheduler shares its
     # live ring here, so the same records a JSONL sink streamed are readable
-    # off the result.  Like the logs above: diagnostics only — never
+    # off the result.  Like the task log: diagnostics only — never
     # checkpointed, never in the deterministic wire forms.
     telemetry: TelemetryRing = field(default_factory=TelemetryRing)
     # False when run(max_epochs=...) halted mid-campaign; the checkpoint holds
@@ -550,14 +534,13 @@ class EngineResult:
                 "wall_clock_seconds": round(self.wall_clock_seconds, 2),
             }
         )
-        # Rows declare their shape via "kind" ("sim_process" for subprocess-
-        # simulator accounting, "window_batch" for the per-slice batching
-        # counters every run reports).
-        process_rows = [row for row in self.sim_log if row.get("kind") == "sim_process"]
+        from repro.analysis import simulator_process_table
+
+        process_rows = simulator_process_table(self.task_log)
         if process_rows:
             summary["simulator_processes"] = {
-                "spawns": sum(int(row.get("spawns", 0)) for row in process_rows),
-                "restarts": sum(int(row.get("restarts", 0)) for row in process_rows),
+                "spawns": sum(row["spawns"] for row in process_rows),
+                "restarts": sum(row["restarts"] for row in process_rows),
             }
         return summary
 
@@ -1096,7 +1079,6 @@ class CampaignScheduler:
             simulator=self.configuration.simulator,
             profile=self.configuration.profile,
             telemetry=self.configuration.telemetry,
-            telemetry_cadence=self.configuration.telemetry_cadence,
         )
 
     def _merge_epoch(
@@ -1108,6 +1090,7 @@ class CampaignScheduler:
     ) -> Dict[int, int]:
         """Fold one epoch's slice payloads into the global per-core state."""
         epoch_gains: Dict[int, int] = {}
+        rows: List[Dict[str, object]] = []
         for payload in payloads:
             slice_index = payload["slice_index"]
             core_name = payload["core"]
@@ -1156,11 +1139,16 @@ class CampaignScheduler:
             if pending is not None:
                 pending["new_global_points"] = newly_added
                 pending["reports"] = len(slice_result.reports)
-            sim_stats = payload.get("sim_stats")
-            if sim_stats:
-                # Subprocess-simulator accounting rides along in the payload;
-                # diagnostics only, so it never feeds the deterministic state.
-                result.sim_log.append(dict(sim_stats))
+            # Diagnostics ride along in the payload; they never feed the
+            # deterministic state.
+            rows.append(
+                {
+                    "slice": slice_index,
+                    "epoch": payload["epoch"],
+                    "wall_seconds": round(payload["wall_seconds"], 3),
+                    **payload["diagnostics"],
+                }
+            )
             metrics = payload.get("metrics")
             if metrics:
                 # Per-task metric snapshots (latency histograms, cache
@@ -1169,10 +1157,6 @@ class CampaignScheduler:
                 # and the merge is plain integer addition — deterministic in
                 # any arrival order, and never part of campaign state.
                 self.telemetry.merge_metrics(metrics)
-            profile = payload.get("profile")
-            if profile:
-                # cProfile hotspots ride along the same way (profile > 0).
-                result.profile_log.append(dict(profile))
             result.slice_summaries.append(
                 {
                     "slice": slice_index,
@@ -1187,6 +1171,16 @@ class CampaignScheduler:
         self._baseline_points = {
             core: matrix.to_dicts() for core, matrix in result.core_coverage.items()
         }
+        result.task_log.extend(rows)
+        # The epoch's rows always flow (no cadence gate), so a stream holds
+        # every task row exactly once.
+        self.telemetry.emit(
+            {
+                "type": "tasks",
+                "epoch": self._next_epoch,
+                "rows": [dict(row) for row in rows],
+            }
+        )
         return epoch_gains
 
     def _redistribute(
@@ -1315,13 +1309,10 @@ class ParallelCampaignEngine:
         owns_backend = backend is None
         if backend is None:
             backend = self._create_backend()
-        # A shared backend keeps one cumulative delivery log across
-        # campaigns; only the rows this run produced belong to this result.
-        log_start = len(getattr(backend, "utilization_log", ()))
-        log_cursor = log_start
-        # Same for the distributed backend's fabric metrics (roundtrip
-        # histograms, reassignment counters): snapshot now, attribute the
-        # delta to this run at the end.
+        # A shared distributed backend's fabric metrics (roundtrip
+        # histograms, reassignment counters) are cumulative across
+        # campaigns: snapshot now, attribute the delta to this run at the
+        # end.
         backend_metrics = getattr(backend, "metrics", None)
         fabric_start = (
             backend_metrics.snapshot() if backend_metrics is not None else None
@@ -1337,29 +1328,9 @@ class ParallelCampaignEngine:
                 payloads = backend.run_epoch(tasks) if tasks else []
                 scheduler.complete_epoch(payloads)
                 epochs_this_call += 1
-                if telemetry.enabled:
-                    log = getattr(backend, "utilization_log", None)
-                    if log is not None and len(log) > log_cursor:
-                        # One worker record per epoch: the task deliveries
-                        # the fleet completed since the last record.
-                        telemetry.emit(
-                            {
-                                "type": "worker",
-                                "epoch": epoch,
-                                "deliveries": [
-                                    dict(row) for row in log[log_cursor:]
-                                ],
-                            }
-                        )
-                        log_cursor = len(log)
                 if tasks and progress_callback is not None:
                     progress_callback(epoch, scheduler.result)
         finally:
-            log = getattr(backend, "utilization_log", None)
-            if log and scheduler.result is not None:
-                scheduler.result.worker_log = [
-                    dict(row) for row in log[log_start:]
-                ]
             if backend_metrics is not None:
                 # Fold this run's share of the fabric metrics into the
                 # campaign registry before end_run() snapshots it.
@@ -1811,47 +1782,44 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"slice {row['target_slice']} [{row['target_core']}] "
                 f"epoch {row['epoch']}: {outcome}"
             )
-    if result.worker_log:
-        from repro.analysis import worker_utilization_table
+    from repro import analysis
 
+    worker_rows = analysis.worker_utilization_table(result.task_log)
+    if worker_rows:
         print("\nper-worker utilization:")
-        for row in worker_utilization_table(result.worker_log):
+        for row in worker_rows:
             print(
                 f"  {row['worker']:8s} tasks={row['tasks']:3d} "
                 f"epochs={row['epochs']:2d} "
                 f"task-seconds={row['task_seconds']:.2f} "
                 f"reassigned-in={row['reassigned_tasks']}"
             )
-    if result.sim_log:
-        from repro.analysis import simulator_process_table, window_batch_table
-
-        batch_rows = window_batch_table(result.sim_log)
-        if batch_rows:
-            print("\nper-slice window batching:")
-            for row in batch_rows:
-                print(
-                    f"  slice {row['slice']} batches={row['batches']:4d} "
-                    f"sims={row['batch_simulations']:4d} "
-                    f"max-batch={row['max_batch']:2d} "
-                    f"speculated={row['speculated']:3d} "
-                    f"lookahead-hits={row['lookahead_hits']:3d} "
-                    f"dut-reuses={row['dut_reuses']}/{row['dut_constructions'] + row['dut_reuses']}"
-                )
-        process_rows = simulator_process_table(result.sim_log)
-        if process_rows:
-            print("\nper-slice simulator processes:")
-            for row in process_rows:
-                print(
-                    f"  slice {row['slice']} tasks={row['tasks']:3d} "
-                    f"spawns={row['spawns']:2d} restarts={row['restarts']:2d} "
-                    f"steps={row['steps']:4d} "
-                    f"mean-step={row['mean_step_seconds']*1000:.1f}ms"
-                )
-    if result.profile_log:
-        from repro.analysis import profile_hotspot_table
-
-        print(f"\nhot functions across {len(result.profile_log)} profiled slice task(s):")
-        for row in profile_hotspot_table(result.profile_log, top=args.profile):
+    batch_rows = analysis.window_batch_table(result.task_log)
+    if batch_rows:
+        print("\nper-slice window batching:")
+        for row in batch_rows:
+            print(
+                f"  slice {row['slice']} batches={row['batches']:4d} "
+                f"sims={row['batch_simulations']:4d} "
+                f"max-batch={row['max_batch']:2d} "
+                f"speculated={row['speculated']:3d} "
+                f"lookahead-hits={row['lookahead_hits']:3d} "
+                f"dut-reuses={row['dut_reuses']}/{row['dut_constructions'] + row['dut_reuses']}"
+            )
+    process_rows = analysis.simulator_process_table(result.task_log)
+    if process_rows:
+        print("\nper-slice simulator processes:")
+        for row in process_rows:
+            print(
+                f"  slice {row['slice']} tasks={row['tasks']:3d} "
+                f"spawns={row['spawns']:2d} restarts={row['restarts']:2d} "
+                f"steps={row['steps']:4d} "
+                f"mean-step={row['mean_step_seconds']*1000:.1f}ms"
+            )
+    profiled = sum(1 for row in result.task_log if "profile" in row)
+    if profiled:
+        print(f"\nhot functions across {profiled} profiled slice task(s):")
+        for row in analysis.profile_hotspot_table(result.task_log, top=args.profile):
             print(
                 f"  {row['cumtime']:8.3f}s cum  {row['tottime']:8.3f}s self  "
                 f"{row['calls']:9d} calls  {row['function']}"

@@ -403,10 +403,12 @@ class DejaVuzzFuzzer:
         return phase1_result, batch_simulations, missed_candidates
 
     def batch_stats(self) -> Dict[str, int]:
-        """Diagnostics-only window-batching counters for ``sim_stats`` rows.
+        """The window-batching and DUT-pool tallies, listed in one place.
 
-        Never part of deterministic wire forms or checkpoints — purely
-        observability (the ``analysis.window_batch_table`` input).
+        They open each slice task's diagnostics dict (the
+        ``analysis.window_batch_table`` input) and feed
+        :meth:`export_metrics`.  Never part of deterministic wire forms or
+        checkpoints — purely observability.
         """
         stats = dict(self.phase1.batch_evaluator.stats())
         stats["lookahead_hits"] = self.lookahead_hits
@@ -423,16 +425,14 @@ class DejaVuzzFuzzer:
         """
         phase1 = self.metrics.scope("phase1")
         phase1.counter("sim_cache_evictions").add(self.phase1.simulation_cache.evictions)
-        pool = self.phase1.dut_pool
-        phase1.counter("dut_constructions").add(pool.constructions)
-        phase1.counter("dut_reuses").add(pool.reuses)
-        batch = self.phase1.batch_evaluator
-        phase1.counter("window_batches").add(batch.batches)
-        phase1.counter("batch_simulations").add(batch.simulations)
-        phase1.counter("speculated").add(batch.speculated)
+        stats = self.batch_stats()
+        # The widest batch is a maximum, not a tally: counters would sum it.
+        del stats["max_batch"]
         self.metrics.scope("fuzzer").counter("lookahead_hits").add(
-            self.lookahead_hits
+            stats.pop("lookahead_hits")
         )
+        for name, value in stats.items():
+            phase1.counter(name).add(value)
 
     def _average_gain(self) -> float:
         if not self._gain_history:

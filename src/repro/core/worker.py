@@ -22,12 +22,13 @@ Run it::
 
 ``--retry`` is the daemon's outage budget (default 10s): it bounds how long
 the *initial* connection is retried, and how long the daemon keeps
-reconnecting after a lost connection or a local backend failure.  A backend
-exception mid-batch does not kill the daemon — the connection is dropped (so
-the coordinator immediately reassigns the batch), a fresh backend is built,
-and the daemon re-joins the fleet; because tasks are pure functions of their
-payloads the campaign's results are unaffected.  An authentication rejection
-is terminal: retrying cannot fix a wrong ``--auth-token``.
+reconnecting after a lost connection, a malformed frame or a local backend
+failure.  A backend exception mid-batch does not kill the daemon — the
+connection is dropped (so the coordinator immediately reassigns the batch), a
+fresh backend is built, and the daemon re-joins the fleet; because tasks are
+pure functions of their payloads the campaign's results are unaffected.  An
+authentication or protocol-version rejection is terminal: retrying cannot
+fix a wrong ``--auth-token`` or a coordinator from another revision.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ def _serve_connection(
     """Serve one coordinator connection; returns why it ended.
 
     ``"bye"`` — orderly goodbye; ``"rejected"`` — the coordinator refused our
-    auth token; ``"hangup"`` — EOF without a BYE (coordinator gone);
-    ``"io-error"`` — the socket broke mid-batch; ``"backend-error"`` — the
-    local backend raised while running a batch (the connection is dropped so
-    the coordinator reassigns the batch immediately).
+    auth token or protocol version; ``"hangup"`` — EOF without a BYE (coordinator gone);
+    ``"io-error"`` — the socket broke mid-batch; ``"protocol-error"`` — the
+    coordinator sent a malformed frame (oversized, truncated, not JSON, or a
+    TASK whose wire form lacks a key); ``"backend-error"`` — the local
+    backend raised while running a batch.  The last three drop the
+    connection so the coordinator reassigns the batch immediately.
     """
     write_lock = threading.Lock()
     stop_beating = threading.Event()
@@ -129,13 +132,17 @@ def _serve_connection(
             if kind == "BYE":
                 reason = frame.get("reason", "no reason")
                 log(f"coordinator said goodbye ({reason})")
-                if frame.get("code") == "auth":
+                if frame.get("code") in ("auth", "version"):
                     return "rejected"
                 return "bye"
             if kind != "TASK":
                 continue
-            entries: List[dict] = frame["tasks"]
-            tasks = [shard_task_from_wire(entry["task"]) for entry in entries]
+            try:
+                entries: List[dict] = frame["tasks"]
+                task_ids = [entry["task_id"] for entry in entries]
+                tasks = [shard_task_from_wire(entry["task"]) for entry in entries]
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValueError(f"malformed TASK frame: {error!r}") from None
             log(
                 f"running batch of {len(tasks)}: "
                 + ", ".join(
@@ -150,19 +157,18 @@ def _serve_connection(
                 return "backend-error"
             batch_seconds.record(time.perf_counter() - batch_started)
             tasks_served += len(tasks)
-            for entry, payload in zip(entries, payloads):
+            for task_id, payload in zip(task_ids, payloads):
                 send_frame(
                     sock,
-                    {
-                        "type": "RESULT",
-                        "task_id": entry["task_id"],
-                        "payload": payload,
-                    },
+                    {"type": "RESULT", "task_id": task_id, "payload": payload},
                     write_lock,
                 )
     except OSError as error:
         log(f"connection lost: {error}")
         return "io-error"
+    except ValueError as error:
+        log(f"protocol error: {error}")
+        return "protocol-error"
     finally:
         stop_beating.set()
         if batch_seconds.count:
@@ -197,9 +203,9 @@ def run_worker(
     whole life — callers that want a worker *and* a coordinator in one
     process run it on a thread, exactly like the tests do.
 
-    The daemon survives outages: after a lost connection or a local backend
-    failure it rebuilds its backend and reconnects, retrying each outage for
-    up to ``retry_seconds`` before giving up.
+    The daemon survives outages: after a lost connection, a malformed frame
+    or a local backend failure it rebuilds its backend and reconnects,
+    retrying each outage for up to ``retry_seconds`` before giving up.
     """
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
@@ -236,8 +242,9 @@ def run_worker(
             return 0
         if outcome == "rejected":
             return 1
-        # io-error / backend-error: drop back into the reconnect loop so the
-        # coordinator reassigns the batch and this daemon re-joins the fleet.
+        # io-error / protocol-error / backend-error: drop back into the
+        # reconnect loop so the coordinator reassigns the batch and this
+        # daemon re-joins the fleet.
         log(f"reconnecting after {outcome} (retry budget {retry_seconds:.0f}s)")
 
 
@@ -284,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         metavar="SECONDS",
         help="per-outage budget for (re)connecting to the coordinator: "
-        "initial connection, lost connections, and local backend failures "
-        "all retry this long (default: 10)",
+        "initial connection, lost connections, malformed frames and local "
+        "backend failures all retry this long (default: 10)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-batch logging"

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.backends import ShardTask
-from repro.core.distributed import shard_task_to_wire
+from repro.core.distributed import MAX_FRAME_BYTES, shard_task_to_wire
 from repro.telemetry.metrics import LatencyHistogram
 
 __all__ = [
@@ -160,10 +160,18 @@ class SimServerProcess:
         stdout = self._process.stdout
         while True:
             newline = self._buffer.find(b"\n")
-            if newline >= 0:
+            if 0 <= newline < MAX_FRAME_BYTES:
                 line = bytes(self._buffer[: newline + 1])
                 del self._buffer[: newline + 1]
                 return line
+            if newline >= 0 or len(self._buffer) >= MAX_FRAME_BYTES:
+                # The stream can no longer be framed: a deterministic
+                # protocol failure, not a crash to restart and replay.
+                self.kill()
+                raise SimProtocolError(
+                    f"malformed server response: longer than "
+                    f"{MAX_FRAME_BYTES} bytes"
+                )
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.kill()
@@ -230,7 +238,8 @@ def parse_response(line: bytes) -> Dict[str, object]:
 
 @dataclass
 class SimTaskStats:
-    """Per-task simulator-process accounting, reported in the slice payload.
+    """Per-task simulator-process accounting, merged into the task's
+    diagnostics.
 
     ``steps`` counts the timed STEP round trips (the workload-finishing one
     included) and ``step_seconds_total`` sums only their successful server
@@ -239,8 +248,6 @@ class SimTaskStats:
     per-step speed even on a task that needed restarts.
     """
 
-    slice_index: int
-    epoch: int
     spawns: int = 0     # server processes started while serving this task
     restarts: int = 0   # crash/hang recoveries (a subset of spawns)
     steps: int = 0
@@ -252,9 +259,6 @@ class SimTaskStats:
 
     def to_row(self) -> Dict[str, object]:
         return {
-            "kind": "sim_process",
-            "slice_index": self.slice_index,
-            "epoch": self.epoch,
             "spawns": self.spawns,
             "restarts": self.restarts,
             "steps": self.steps,
@@ -334,7 +338,7 @@ class SubprocessSimulator:
 
     def run_task(self, task: ShardTask) -> Dict[str, object]:
         """LOAD + STEP a slice task to completion; returns its result payload
-        (with a ``sim_stats`` row attached)."""
+        (with the process counters in its diagnostics)."""
         self.begin_task(task)
         while self.advance() is not None:
             pass
@@ -343,7 +347,7 @@ class SubprocessSimulator:
     def begin_task(self, task: ShardTask) -> None:
         """LOAD a task onto the server (spawning one if needed)."""
         self._wire = shard_task_to_wire(task)
-        self._stats = SimTaskStats(slice_index=task.slice_index, epoch=task.epoch)
+        self._stats = SimTaskStats()
         self._loaded = False
         self._steps_done = 0
         self._snapshot = None
@@ -379,18 +383,13 @@ class SubprocessSimulator:
         return response["step"]
 
     def finish_task(self) -> Dict[str, object]:
-        """The finished task's result payload, with ``sim_stats`` attached."""
+        """The finished task's result payload, with the process counters
+        merged into its diagnostics."""
         if self._payload is None:
             raise SimServerError("no finished workload: run advance() to completion")
-        payload = dict(self._payload)
-        # The server-side runner already attached its batch-evaluation
-        # counters; merge the client's process accounting into the same row
-        # rather than clobbering it.
-        row = dict(payload.get("sim_stats") or {})
-        row.update(self._stats.to_row())
-        payload["sim_stats"] = row
+        self._payload["diagnostics"].update(self._stats.to_row())
         self._task_active = False
-        return payload
+        return self._payload
 
     def close(self) -> None:
         """Shut the server process down; the simulator stays reusable."""

@@ -151,7 +151,8 @@ def serve(
     crash_after: Optional[int] = None,
     hang_after: Optional[int] = None,
 ) -> int:
-    """Answer protocol requests until QUIT or EOF; returns an exit code."""
+    """Answer requests from the binary ``input_stream`` on the text
+    ``output_stream`` until QUIT or EOF; returns an exit code."""
     session = SimulatorSession()
     steps_served = 0
     while True:
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     return serve(
-        sys.stdin,
+        sys.stdin.buffer,
         sys.stdout,
         crash_after=args.crash_after,
         hang_after=args.hang_after,

@@ -145,7 +145,7 @@ class CampaignTelemetry:
     Owns the campaign-lifetime :class:`MetricsRegistry` (per-slice payload
     snapshots merge into it at epoch boundaries), the in-memory ring, and
     the optional rotating file sink.  ``cadence`` (seconds) rate-limits
-    *round*-class records only — worker and campaign records always flow,
+    *round*-class records only — tasks and campaign records always flow,
     and the final round of a run is always emitted so a scraper's last
     coverage figure matches the finished ``EngineResult``.
     """

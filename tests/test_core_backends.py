@@ -276,7 +276,3 @@ class TestShardCampaignRunner:
 
         task = make_task(simulator="subprocess")
         assert shard_task_from_wire(shard_task_to_wire(task)) == task
-        # Pre-upgrade frames without the field default to inproc.
-        wire = shard_task_to_wire(make_task())
-        del wire["simulator"]
-        assert shard_task_from_wire(wire).simulator == "inproc"

@@ -16,6 +16,8 @@ import pytest
 from repro.core import FuzzerConfiguration, ShardTask, run_parallel_campaign
 from repro.core.backends import run_shard_task
 from repro.core.distributed import (
+    MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     DistributedBackend,
     core_config_from_wire,
     core_config_to_wire,
@@ -92,6 +94,14 @@ class TestWireForms:
         rebuilt = shard_task_from_wire(json.loads(json.dumps(wire)))
         assert rebuilt == task
 
+    def test_every_shard_task_key_is_required(self):
+        wire = shard_task_to_wire(make_task())
+        for key in list(wire):
+            partial = dict(wire)
+            del partial[key]
+            with pytest.raises(ValueError, match=f"lacks {key}"):
+                shard_task_from_wire(partial)
+
     def test_round_tripped_task_runs_identically(self):
         task = make_task()
         direct = run_shard_task(make_task())
@@ -123,16 +133,35 @@ class TestFraming:
         finally:
             right.close()
 
-    def test_malformed_frame_is_rejected(self):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"no_type": 1}\n',
+            b"this is not json\n",
+            b'{"type":"HELLO","pad":"' + b"x" * MAX_FRAME_BYTES + b'"}\n',
+            b'{"type": "HEARTBEAT"}',  # EOF before the newline
+        ],
+        ids=["no-type", "non-json", "oversized", "truncated"],
+    )
+    def test_malformed_frame_is_rejected(self, data):
         left, right = socket.socketpair()
+        reader = right.makefile("rb")
+
+        def send_then_close():
+            # On a thread: an oversized frame outgrows the socket buffer.
+            try:
+                left.sendall(data)
+            finally:
+                left.close()
+
+        sender = threading.Thread(target=send_then_close, daemon=True)
+        sender.start()
         try:
-            reader = right.makefile("rb")
-            left.sendall(b'{"no_type": 1}\n')
             with pytest.raises(ValueError, match="malformed frame"):
                 recv_frame(reader)
         finally:
-            left.close()
             right.close()
+            sender.join(timeout=30)
 
     def test_backend_rejects_bad_sizing(self):
         with pytest.raises(ValueError, match="min_workers"):
@@ -224,18 +253,17 @@ class TestDistributedBackend:
             backend.close()
         assert deterministic_wire(distributed) == deterministic_wire(inline)
         assert distributed.coverage.points == inline.coverage.points
-        # The delivery log feeds the analysis-layer utilization table.
-        assert distributed.worker_log
+        # The task log feeds the analysis-layer utilization table.
         from repro.analysis import worker_utilization_table
 
-        rows = worker_utilization_table(distributed.worker_log)
+        rows = worker_utilization_table(distributed.task_log)
         # One delivery per executed slice-epoch task (4 active slices x 2 epochs).
         assert sum(row["tasks"] for row in rows) == 8
+        assert all("worker" in row for row in distributed.task_log)
 
-    def test_shared_backend_scopes_worker_log_per_campaign(self):
+    def test_shared_backend_scopes_task_log_per_campaign(self):
         # One connected fleet may serve several campaigns in a row; each
-        # result must only carry its own deliveries, not the fleet's
-        # cumulative log.
+        # result must only carry its own deliveries, not the fleet's.
         backend = DistributedBackend(listen="127.0.0.1:0")
         try:
             start_worker_thread(backend.address)
@@ -249,9 +277,15 @@ class TestDistributedBackend:
             )
         finally:
             backend.close()
-        assert len(first.worker_log) == 4  # one row per executed slice task
-        assert len(second.worker_log) == 4
-        assert len(backend.utilization_log) == 8  # the fleet log stays cumulative
+        from repro.analysis import worker_utilization_table
+
+        for campaign in (first, second):
+            assert len(campaign.task_log) == 4  # one row per executed slice task
+            assert [
+                (row["epoch"], row["slice"]) for row in campaign.task_log
+            ] == [(0, index) for index in range(4)]
+            rows = worker_utilization_table(campaign.task_log)
+            assert sum(row["tasks"] for row in rows) == 4
 
     def test_heterogeneous_distributed_matches_inline(self):
         cores = ["boom", "xiangshan"]
@@ -271,6 +305,10 @@ class TestDistributedBackend:
             backend.close()
         assert deterministic_wire(distributed) == deterministic_wire(inline)
         assert set(distributed.core_coverage) == {"small-boom", "xiangshan-minimal"}
+
+
+def received(backend):
+    return backend.metrics.snapshot()["counters"].get("distributed/results_received", 0)
 
 
 class TestFaultTolerance:
@@ -320,7 +358,7 @@ class TestFaultTolerance:
                 victim.wait(timeout=30)
         # The victim died holding work: the coordinator must have reassigned.
         assert backend.reassigned_tasks >= 1
-        assert any(row["reassigned"] for row in distributed.worker_log)
+        assert any(row["reassigned"] for row in distributed.task_log)
         # Identity despite the loss: latency and worker death never feed back
         # into campaign results.
         assert deterministic_wire(distributed) == deterministic_wire(inline)
@@ -330,7 +368,15 @@ class TestFaultTolerance:
         try:
             client = socket.create_connection(backend.address, timeout=5)
             reader = client.makefile("rb")
-            send_frame(client, {"type": "HELLO", "worker": "fake:1", "capacity": 1})
+            send_frame(
+                client,
+                {
+                    "type": "HELLO",
+                    "version": PROTOCOL_VERSION,
+                    "worker": "fake:1",
+                    "capacity": 1,
+                },
+            )
             # Run an epoch on a thread; serve its TASK frame by hand.
             tasks = [make_task()]
             collected = {}
@@ -350,7 +396,14 @@ class TestFaultTolerance:
             runner.join(timeout=30)
             assert not runner.is_alive()
             assert [p["slice_index"] for p in collected["payloads"]] == [0]
-            assert len(backend.utilization_log) == 1
+            # Both deliveries arrived; only the first reached the epoch.
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and received(backend) < 2:
+                time.sleep(0.02)
+            assert received(backend) == 2
+            diagnostics = collected["payloads"][0]["diagnostics"]
+            assert diagnostics["worker"] == "w000"
+            assert diagnostics["reassigned"] is False
             client.close()
         finally:
             backend.close()
@@ -482,7 +535,188 @@ class TestWorkerCrashRecovery:
         finally:
             backend.close()
         assert deterministic_wire(campaign) == deterministic_wire(inline)
-        assert campaign.worker_log  # the reconnected daemon delivered the work
+        # The reconnected daemon delivered the work.
+        assert all("worker" in row for row in campaign.task_log)
+
+
+class TestWorkerProtocolErrors:
+    """A malformed frame from the coordinator is a protocol error: the daemon
+    drops the connection and reconnects within its retry budget, exactly as
+    after a lost connection, instead of dying."""
+
+    def serve_fake_coordinator(self, first_reply, close_after_reply=False):
+        """Answer the first HELLO with ``first_reply`` (raw bytes), then say
+        BYE to the reconnect; returns the worker's exit code and the number
+        of HELLOs the fake saw."""
+        server = socket.create_server(("127.0.0.1", 0))
+        hellos = []
+
+        def serve():
+            for reply in (first_reply, None):
+                conn, _ = server.accept()
+                with conn:
+                    hello = recv_frame(conn.makefile("rb"))
+                    hellos.append(hello["type"])
+                    if reply is None:
+                        send_frame(conn, {"type": "BYE", "reason": "done"})
+                        continue
+                    conn.sendall(reply)
+                    if not close_after_reply:
+                        # Hold the socket open until the worker hangs up.
+                        conn.settimeout(30)
+                        try:
+                            while conn.recv(65536):
+                                pass
+                        except OSError:
+                            pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            host, port = server.getsockname()[:2]
+            code = run_worker(f"{host}:{port}", retry_seconds=10.0, quiet=True)
+            thread.join(timeout=30)
+        finally:
+            server.close()
+        return code, hellos
+
+    @pytest.mark.parametrize(
+        "reply, close_after_reply",
+        [
+            (b"this is not json\n", False),
+            (b'{"type": "TASK"}\n', False),
+            (b'{"type":"TASK","pad":"' + b"x" * MAX_FRAME_BYTES + b'"}\n', False),
+            (b'{"type": "TASK", "tas', True),
+        ],
+        ids=["non-json", "task-without-tasks", "oversized", "truncated"],
+    )
+    def test_malformed_frame_reconnects(self, reply, close_after_reply):
+        code, hellos = self.serve_fake_coordinator(reply, close_after_reply)
+        assert code == 0
+        assert hellos == ["HELLO", "HELLO"]
+
+    def test_task_missing_a_wire_key_reconnects(self):
+        wire = shard_task_to_wire(make_task())
+        del wire["telemetry"]
+        frame = {"type": "TASK", "tasks": [{"task_id": "e0-s0", "task": wire}]}
+        code, hellos = self.serve_fake_coordinator(
+            (json.dumps(frame) + "\n").encode("utf-8")
+        )
+        assert code == 0
+        assert hellos == ["HELLO", "HELLO"]
+
+
+class TestProtocolVersion:
+    """Coordinator and workers must run the same revision: a HELLO with
+    another protocol version is refused, and the refusal is terminal."""
+
+    def test_coordinator_rejects_another_version_with_a_log_line(self, caplog):
+        import logging
+
+        backend = DistributedBackend(listen="127.0.0.1:0")
+        try:
+            client = socket.create_connection(backend.address, timeout=30)
+            with caplog.at_level(logging.WARNING, logger="repro.core.distributed"):
+                send_frame(
+                    client,
+                    {"type": "HELLO", "version": PROTOCOL_VERSION - 1, "worker": "old:1"},
+                )
+                frame = recv_frame(client.makefile("rb"))
+            client.close()
+            assert frame["type"] == "BYE"
+            assert frame["code"] == "version"
+            assert backend.rejected_workers == 1
+            assert backend.workers() == []
+            assert any(
+                "protocol version" in record.getMessage() for record in caplog.records
+            )
+        finally:
+            backend.close()
+
+    def test_worker_gives_up_on_a_version_rejection(self):
+        server = socket.create_server(("127.0.0.1", 0))
+        hellos = []
+
+        def serve():
+            conn, _ = server.accept()
+            with conn:
+                hellos.append(recv_frame(conn.makefile("rb")))
+                send_frame(conn, {"type": "BYE", "code": "version", "reason": "old"})
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            host, port = server.getsockname()[:2]
+            code = run_worker(f"{host}:{port}", retry_seconds=10.0, quiet=True)
+            thread.join(timeout=30)
+        finally:
+            server.close()
+        assert code == 1
+        assert [hello["version"] for hello in hellos] == [PROTOCOL_VERSION]
+
+
+class TestCoordinatorProtocolErrors:
+    """Malformed frames from a worker drop that worker; its in-flight task is
+    reassigned and the epoch still completes."""
+
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [
+            b"this is not json\n",
+            b'{"type":"RESULT","pad":"' + b"x" * MAX_FRAME_BYTES + b'"}\n',
+            b'{"type": "RESULT", "task_id": "e0-s0"}\n',
+            b'{"type": "RESULT", "task_id": "e0-s0", "pay',
+        ],
+        ids=["non-json", "oversized", "no-payload", "truncated"],
+    )
+    def test_bad_worker_is_dropped_and_its_task_reassigned(self, bad_frame, caplog):
+        import logging
+
+        caplog.set_level(logging.WARNING, logger="repro.core.distributed")
+        backend = DistributedBackend(listen="127.0.0.1:0")
+        try:
+            client = socket.create_connection(backend.address, timeout=30)
+            reader = client.makefile("rb")
+            send_frame(
+                client,
+                {
+                    "type": "HELLO",
+                    "version": PROTOCOL_VERSION,
+                    "worker": "fake:1",
+                    "capacity": 1,
+                },
+            )
+            tasks = [make_task()]
+            collected = {}
+
+            def run():
+                collected["payloads"] = backend.run_epoch(tasks)
+
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            frame = recv_frame(reader)
+            assert frame["type"] == "TASK"
+            client.sendall(bad_frame)
+            client.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and backend.workers()[0]["alive"]:
+                time.sleep(0.02)
+            assert not backend.workers()[0]["alive"]
+            assert any(
+                "dropped worker w000 (fake:1): malformed" in record.getMessage()
+                for record in caplog.records
+            )
+            # A healthy worker picks the task back up.
+            start_worker_thread(backend.address)
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            assert backend.reassigned_tasks == 1
+            diagnostics = collected["payloads"][0]["diagnostics"]
+            assert diagnostics["worker"] == "w001"
+            assert diagnostics["reassigned"] is True
+            client.close()
+        finally:
+            backend.close()
 
 
 class TestElasticDistributedResume:
@@ -537,4 +771,6 @@ class TestElasticDistributedResume:
         assert resumed.complete
         assert resumed.shards == 4
         assert deterministic_wire(resumed) == deterministic_wire(uninterrupted)
-        assert resumed.worker_log  # the new fleet actually ran the tasks
+        # The new fleet actually ran the tasks.
+        assert resumed.task_log
+        assert all("worker" in row for row in resumed.task_log)

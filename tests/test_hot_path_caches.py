@@ -259,13 +259,13 @@ class TestCensusDirtyFlag:
 class TestBackendsCacheEquivalence:
     @staticmethod
     def _normalize(payload):
-        # sim_stats and the metrics snapshot count physical simulations, DUT
-        # reuses, and cache hits/misses, which differ cache-on vs cache-off by
-        # design; the deterministic payload must not.
+        # The diagnostics and the metrics snapshot count physical
+        # simulations, DUT reuses, and cache hits/misses, which differ
+        # cache-on vs cache-off by design; the deterministic payload must not.
         entry = {
             k: v
             for k, v in payload.items()
-            if k not in ("wall_seconds", "sim_stats", "metrics")
+            if k not in ("wall_seconds", "diagnostics", "metrics")
         }
         entry["result"] = dict(
             entry["result"], elapsed_seconds=0.0, first_bug_seconds=None
@@ -318,10 +318,9 @@ class TestProfilePlumbing:
             profile=5,
         )
         payload = run_shard_task(task)
-        profile = payload["profile"]
-        assert profile["slice_index"] == 0
-        assert 0 < len(profile["top"]) <= 5
-        for row in profile["top"]:
+        profile = payload["diagnostics"]["profile"]
+        assert 0 < len(profile) <= 5
+        for row in profile:
             assert set(row) == {"function", "calls", "tottime", "cumtime"}
 
     def test_profile_never_changes_results(self):
@@ -334,7 +333,7 @@ class TestProfilePlumbing:
                 profile=profile,
             )
             payload = run_shard_task(task)
-            payload.pop("profile", None)
+            payload["diagnostics"].pop("profile", None)
             payload.pop("wall_seconds", None)
             # latency histograms in the metrics snapshot are wall clock
             payload.pop("metrics", None)
@@ -347,7 +346,7 @@ class TestProfilePlumbing:
 
         assert run(0) == run(3)
 
-    def test_engine_collects_profile_log(self):
+    def test_engine_collects_profiles_in_the_task_log(self):
         configuration = EngineConfiguration(
             fuzzer=FuzzerConfiguration(core=BOOM),
             shards=2,
@@ -357,12 +356,13 @@ class TestProfilePlumbing:
             profile=4,
         )
         result = ParallelCampaignEngine(configuration).run()
-        assert result.profile_log
-        rows = profile_hotspot_table(result.profile_log, top=4)
+        assert result.task_log
+        assert all(row["profile"] for row in result.task_log)
+        rows = profile_hotspot_table(result.task_log, top=4)
         assert rows
         assert rows == sorted(rows, key=lambda row: -row["cumtime"])
 
-    def test_wire_roundtrip_defaults(self):
+    def test_wire_roundtrip_carries_profile(self):
         task = ShardTask(
             slice_index=1,
             epoch=2,
@@ -374,6 +374,3 @@ class TestProfilePlumbing:
         back = shard_task_from_wire(wire)
         assert back.profile == 7
         assert back.configuration == task.configuration
-        # A payload without the profile key runs unprofiled.
-        del wire["profile"]
-        assert shard_task_from_wire(wire).profile == 0

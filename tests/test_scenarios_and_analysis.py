@@ -166,6 +166,8 @@ class TestAnalysisHelpers:
              "wall_seconds": 0.25, "reassigned": True},
             {"worker": "w000", "name": "hostA:7", "epoch": 1, "slice": 0,
              "wall_seconds": 0.25, "reassigned": False},
+            # A task run in-process has no delivering worker.
+            {"epoch": 1, "slice": 2, "wall_seconds": 0.3},
         ]
         rows = worker_utilization_table(log)
         assert [row["worker"] for row in rows] == ["w000", "w001"]
@@ -184,12 +186,14 @@ class TestAnalysisHelpers:
         from repro.analysis import simulator_process_table
 
         log = [
-            {"kind": "sim_process", "slice_index": 1, "epoch": 0, "spawns": 1, "restarts": 0,
+            {"slice": 1, "epoch": 0, "spawns": 1, "restarts": 0,
              "steps": 10, "step_seconds_total": 0.5, "mean_step_seconds": 0.05},
-            {"kind": "sim_process", "slice_index": 0, "epoch": 0, "spawns": 1, "restarts": 0,
+            {"slice": 0, "epoch": 0, "spawns": 1, "restarts": 0,
              "steps": 8, "step_seconds_total": 0.4, "mean_step_seconds": 0.05},
-            {"kind": "sim_process", "slice_index": 0, "epoch": 1, "spawns": 1, "restarts": 1,
+            {"slice": 0, "epoch": 1, "spawns": 1, "restarts": 1,
              "steps": 12, "step_seconds_total": 0.2, "mean_step_seconds": 0.0167},
+            # A task simulated in-process carries no process counters.
+            {"slice": 2, "epoch": 1, "window_batches": 3},
         ]
         rows = simulator_process_table(log)
         assert [row["slice"] for row in rows] == [0, 1]

@@ -3,21 +3,25 @@
 (malformed frame, READ before LOAD, double QUIT), and snapshot/restore
 round-trip byte-identity."""
 
+import io
 import json
 import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.core import FuzzerConfiguration, ShardTask
 from repro.core.backends import run_shard_task
-from repro.core.distributed import shard_task_to_wire
+from repro.core.distributed import MAX_FRAME_BYTES, shard_task_to_wire
 from repro.sim.client import (
     SimProtocolError,
+    SimServerCrash,
     SimServerProcess,
     default_server_command,
     server_environment,
 )
+from repro.sim.protocol import read_frame
 from repro.uarch import small_boom_config
 
 BOOM = small_boom_config()
@@ -134,6 +138,36 @@ class TestEdgeCases:
         )
         assert follow_up["type"] == "LOADED"
 
+    def test_oversized_frame_survives(self, server):
+        # An over-long request is answered with exactly one ERROR frame and
+        # consumed to its end, so the next request is answered in sync.
+        server._process.stdin.write(
+            b'{"type":"LOAD","pad":"' + b"x" * MAX_FRAME_BYTES + b'"}\n'
+        )
+        server._process.stdin.flush()
+        response = json.loads(server._read_line(time.monotonic() + 60))
+        assert response["type"] == "ERROR"
+        assert "longer than" in response["error"]
+        follow_up = server.request(
+            {"type": "LOAD", "task": shard_task_to_wire(make_task())}
+        )
+        assert follow_up["type"] == "LOADED"
+
+    def test_truncated_frame_is_an_error(self):
+        # A request cut off by EOF is malformed: one ERROR, then a clean exit.
+        process = subprocess.Popen(
+            default_server_command(),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=server_environment(),
+            text=True,
+        )
+        out, _ = process.communicate(input='{"type": "LO', timeout=60)
+        assert process.returncode == 0
+        frames = [json.loads(line) for line in out.splitlines() if line.strip()]
+        assert [frame["type"] for frame in frames] == ["ERROR"]
+        assert "malformed" in frames[0]["error"]
+
     def test_read_before_load(self):
         process = SimServerProcess(request_timeout=60.0)
         try:
@@ -195,6 +229,64 @@ class TestEdgeCases:
         # Fast-forwarding past the end of the workload is refused loudly.
         with pytest.raises(SimProtocolError, match="cannot fast-forward"):
             server.request({"type": "RESTORE", "task": wire, "steps": 10_000})
+
+
+def test_server_frame_bound_counts_bytes():
+    # Two-byte characters: fewer than MAX_FRAME_BYTES characters, more bytes.
+    pad = "\u00e9" * (MAX_FRAME_BYTES // 2)
+    stream = io.BytesIO(
+        ('{"type":"LOAD","pad":"' + pad + '"}\n{"type":"READ"}\n').encode("utf-8")
+    )
+    with pytest.raises(ValueError, match="longer than"):
+        read_frame(stream)
+    assert read_frame(stream) == {"type": "READ"}
+
+
+def fake_server(reply: str):
+    """A stand-in server that answers its first request with the bytes the
+    Python expression ``reply`` evaluates to."""
+    script = (
+        "import sys; sys.stdin.buffer.readline(); "
+        f"sys.stdout.buffer.write({reply}); sys.stdout.flush(); "
+        "sys.stdin.buffer.read()"
+    )
+    return SimServerProcess([sys.executable, "-c", script], request_timeout=60.0)
+
+
+class TestClientFraming:
+    """Malformed server responses against the client's bounded reader."""
+
+    def test_non_json_response_is_a_protocol_error(self):
+        process = fake_server(repr(b"this is not json\n"))
+        try:
+            with pytest.raises(SimProtocolError, match="unparseable"):
+                process.request({"type": "READ"})
+        finally:
+            process.kill()
+
+    def test_oversized_response_is_a_protocol_error(self):
+        # One line of MAX_FRAME_BYTES + 1 bytes, newline included.
+        process = fake_server(f'b"x" * {MAX_FRAME_BYTES} + b"\\n"')
+        try:
+            with pytest.raises(SimProtocolError, match="longer than"):
+                process.request({"type": "READ"})
+            assert not process.alive  # the unframeable stream is shut down
+        finally:
+            process.kill()
+
+    def test_truncated_response_is_a_crash(self):
+        # EOF mid-line means the server died mid-request: recoverable by
+        # restart-and-replay, unlike a malformed answer.
+        script = (
+            "import sys; sys.stdin.buffer.readline(); "
+            "sys.stdout.buffer.write(b'{\"type\": \"STA'); sys.stdout.flush()"
+        )
+        process = SimServerProcess([sys.executable, "-c", script], request_timeout=60.0)
+        try:
+            with pytest.raises(SimServerCrash, match="died mid-request"):
+                process.request({"type": "READ"})
+        finally:
+            process.kill()
 
 
 class TestSnapshotRestore:

@@ -74,7 +74,7 @@ class TestSubprocessSimulator:
         finally:
             simulator.close()
         assert deterministic_payload(payload) == inproc_reference
-        stats = payload["sim_stats"]
+        stats = payload["diagnostics"]
         assert stats["spawns"] == 1
         assert stats["restarts"] == 0
         assert stats["steps"] > 0
@@ -89,8 +89,8 @@ class TestSubprocessSimulator:
             assert simulator.pid == pid
         finally:
             simulator.close()
-        assert first["sim_stats"]["spawns"] == 1
-        assert second["sim_stats"]["spawns"] == 0  # reused, not respawned
+        assert first["diagnostics"]["spawns"] == 1
+        assert second["diagnostics"]["spawns"] == 0  # reused, not respawned
         assert deterministic_payload(first) == deterministic_payload(second)
 
     def test_sigkill_mid_task_restarts_and_replays(self, inproc_reference):
@@ -106,8 +106,8 @@ class TestSubprocessSimulator:
         finally:
             simulator.close()
         assert deterministic_payload(payload) == inproc_reference
-        assert payload["sim_stats"]["restarts"] >= 1
-        assert payload["sim_stats"]["spawns"] >= 2
+        assert payload["diagnostics"]["restarts"] >= 1
+        assert payload["diagnostics"]["spawns"] >= 2
 
     def test_crashing_server_restarts_and_replays(self, inproc_reference):
         def factory(spawn_index):
@@ -122,7 +122,7 @@ class TestSubprocessSimulator:
         finally:
             simulator.close()
         assert deterministic_payload(payload) == inproc_reference
-        assert payload["sim_stats"]["restarts"] == 1
+        assert payload["diagnostics"]["restarts"] == 1
 
     def test_hung_server_is_killed_and_replayed(self, inproc_reference):
         def factory(spawn_index):
@@ -139,7 +139,7 @@ class TestSubprocessSimulator:
         finally:
             simulator.close()
         assert deterministic_payload(payload) == inproc_reference
-        assert payload["sim_stats"]["restarts"] == 1
+        assert payload["diagnostics"]["restarts"] == 1
 
     def test_restart_budget_exhaustion_raises(self):
         def factory(spawn_index):
@@ -173,9 +173,9 @@ class TestSimProcessPool:
             pool.close()
         assert [row["slot"] for row in rows] == [0, 1]
         assert all(row["spawns"] == 1 for row in rows)
-        assert first["sim_stats"]["spawns"] == 1
-        assert second["sim_stats"]["spawns"] == 1
-        assert again["sim_stats"]["spawns"] == 0
+        assert first["diagnostics"]["spawns"] == 1
+        assert second["diagnostics"]["spawns"] == 1
+        assert again["diagnostics"]["spawns"] == 0
         assert len({row["pid"] for row in rows}) == 2
 
     def test_pool_caps_live_servers_with_lru_eviction(self):
@@ -193,7 +193,7 @@ class TestSimProcessPool:
             rows = {row["slot"]: row for row in pool.processes()}
             assert rows[0]["alive"] and rows[0]["spawns"] == 2
             assert sum(1 for row in rows.values() if row["alive"]) <= 2
-            assert payload["sim_stats"]["spawns"] == 1
+            assert payload["diagnostics"]["spawns"] == 1
         finally:
             pool.close()
 
@@ -259,8 +259,8 @@ class TestEngineIntegration:
             campaign = self.run_campaign(executor, "subprocess", **overrides)
             assert deterministic_wire(campaign) == wire, executor
             # One accounting row per executed slice-epoch task, all crash-free.
-            assert len(campaign.sim_log) == len(campaign.slice_summaries)
-            assert all(row["restarts"] == 0 for row in campaign.sim_log)
+            assert len(campaign.task_log) == len(campaign.slice_summaries)
+            assert all(row["restarts"] == 0 for row in campaign.task_log)
             assert campaign.summary()["simulator_processes"]["restarts"] == 0
         close_default_pool()
 
@@ -291,8 +291,8 @@ class TestEngineIntegration:
         # as a restart); in the unlikely window between tasks the recovery is
         # a plain respawn — either way an extra server process was started.
         assert (
-            sum(row["restarts"] for row in campaign.sim_log) >= 1
-            or sum(row["spawns"] for row in campaign.sim_log) > self.SHARDS
+            sum(row["restarts"] for row in campaign.task_log) >= 1
+            or sum(row["spawns"] for row in campaign.task_log) > self.SHARDS
         )
         close_default_pool()
 
@@ -315,7 +315,7 @@ class TestEngineIntegration:
             backend.close()
         assert deterministic_wire(campaign) == deterministic_wire(reference)
         # The worker ran the tasks, so sim accounting still reached the merge.
-        assert len(campaign.sim_log) == len(campaign.slice_summaries)
+        assert len(campaign.task_log) == len(campaign.slice_summaries)
         close_default_pool()
 
     def test_configuration_rejects_unknown_simulator(self):

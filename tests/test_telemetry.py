@@ -299,15 +299,11 @@ class TestConfiguration:
             iterations=4,
             configuration=FuzzerConfiguration(core=BOOM, entropy=5),
             telemetry=False,
-            telemetry_cadence=2.5,
         )
         decoded = shard_task_from_wire(shard_task_to_wire(task))
         assert decoded.telemetry is False
-        assert decoded.telemetry_cadence == 2.5
 
-    def test_missing_wire_keys_default_to_on(self):
-        # Tasks from a pre-telemetry coordinator keep working on a new
-        # worker: telemetry defaults on, cadence to zero.
+    def test_missing_telemetry_wire_key_is_an_error(self):
         wire = shard_task_to_wire(
             ShardTask(
                 slice_index=0,
@@ -317,30 +313,39 @@ class TestConfiguration:
             )
         )
         del wire["telemetry"]
-        del wire["telemetry_cadence"]
-        decoded = shard_task_from_wire(wire)
-        assert decoded.telemetry is True
-        assert decoded.telemetry_cadence == 0.0
+        with pytest.raises(ValueError, match="lacks telemetry"):
+            shard_task_from_wire(wire)
 
 
-class TestSummaryKinds:
-    def test_summary_filters_by_kind(self):
+BATCH_COUNTERS = dict(
+    window_batches=2,
+    batch_simulations=8,
+    max_batch=4,
+    speculated=0,
+    lookahead_hits=0,
+    dut_constructions=2,
+    dut_reuses=6,
+)
+
+
+class TestSummaryProcesses:
+    def test_summary_counts_simulator_processes(self):
         result = EngineResult(
             campaign=CampaignResult(fuzzer_name="DejaVuzz", core="boom"),
             core_coverage={},
             shards=1,
             epochs=1,
         )
-        result.sim_log = [
-            # A merged subprocess row: both shapes, kind says process.
-            {"kind": "sim_process", "spawns": 2, "restarts": 1, "window_batches": 3},
-            # A batch-only row must NOT be counted as a process row.
-            {"kind": "window_batch", "window_batches": 5},
-            # A kindless row is not a process row, whatever keys it carries.
-            {"spawns": 1, "restarts": 0},
+        process = dict(steps=5, step_seconds_total=0.5, mean_step_seconds=0.1)
+        result.task_log = [
+            # Subprocess-simulator rows carry the process counters.
+            {"slice": 0, "epoch": 0, **BATCH_COUNTERS, "spawns": 2, "restarts": 1, **process},
+            {"slice": 1, "epoch": 0, **BATCH_COUNTERS, "spawns": 1, "restarts": 0, **process},
+            # A row simulated in-process is not a process row.
+            {"slice": 2, "epoch": 0, **BATCH_COUNTERS},
         ]
         processes = result.summary()["simulator_processes"]
-        assert processes == {"spawns": 2, "restarts": 1}
+        assert processes == {"spawns": 3, "restarts": 1}
 
     def test_batch_only_runs_report_no_process_summary(self):
         result = EngineResult(
@@ -349,7 +354,7 @@ class TestSummaryKinds:
             shards=1,
             epochs=1,
         )
-        result.sim_log = [{"kind": "window_batch", "window_batches": 5}]
+        result.task_log = [{"slice": 0, "epoch": 0, **BATCH_COUNTERS}]
         assert "simulator_processes" not in result.summary()
 
 
@@ -434,9 +439,14 @@ class TestTelemetryIsPureObservation:
         counters = campaign["metrics"]["counters"]
         assert counters.get("distributed/results_received") == 4
         assert "distributed/task_roundtrip_seconds" in campaign["metrics"]["histograms"]
-        # And the per-epoch worker records carried the delivery log.
-        workers = result.telemetry.records("worker")
-        assert sum(len(record["deliveries"]) for record in workers) == 4
+        # And the per-epoch tasks records carried every delivery, once.
+        rows = [
+            row
+            for record in result.telemetry.records("tasks")
+            for row in record["rows"]
+        ]
+        assert rows == result.task_log
+        assert len(rows) == 4 and all("worker" in row for row in rows)
 
     def test_subprocess_simulator_matches_inproc(self):
         def task(simulator, telemetry):
@@ -476,9 +486,10 @@ class TestTelemetryIsPureObservation:
         metrics = subprocess_payload["metrics"]
         assert metrics["counters"]["phase1/batch_simulations"] > 0
         assert "runner/window_batch_seconds" in metrics["histograms"]
-        # The subprocess sim_stats row declares its merged shape.
-        assert subprocess_payload["sim_stats"]["kind"] == "sim_process"
-        assert subprocess_payload["sim_stats"]["request_latency"]["count"] > 0
+        # The client merged its process counters into the diagnostics.
+        diagnostics = subprocess_payload["diagnostics"]
+        assert diagnostics["window_batches"] > 0
+        assert diagnostics["request_latency"]["count"] > 0
 
 
 # -- engine integration ----------------------------------------------------------------------
@@ -611,12 +622,13 @@ class TestAnalysisHelpers:
                 "slices": [],
             },
             {
-                "type": "worker",
+                "type": "tasks",
                 "ts": 102.0,
                 "epoch": 1,
-                "deliveries": [
-                    {"worker": "w1", "epoch": 1, "wall_seconds": 0.5},
-                    {"worker": "w1", "epoch": 1, "wall_seconds": 0.4},
+                "rows": [
+                    {"slice": 0, "epoch": 1, "wall_seconds": 0.5, "worker": "w1"},
+                    {"slice": 1, "epoch": 1, "wall_seconds": 0.4, "worker": "w1"},
+                    {"slice": 2, "epoch": 1, "wall_seconds": 0.3},
                 ],
             },
         ]
@@ -642,14 +654,15 @@ class TestAnalysisHelpers:
         assert (
             validate_record(
                 {
-                    "type": "worker",
+                    "type": "tasks",
                     "ts": 1.0,
                     "epoch": 0,
-                    "deliveries": [],
+                    "rows": [],
                 }
             )
             is None
         )
+        assert validate_record({"type": "tasks", "ts": 1.0, "epoch": 0}) is not None
 
 
 class TestWatchCli:
@@ -698,17 +711,17 @@ class TestWatchCli:
         file = tmp_path / "telemetry-00001.jsonl"
         complete = json.dumps(
             {
-                "type": "worker",
+                "type": "tasks",
                 "ts": 1.0,
                 "epoch": 0,
-                "deliveries": [],
+                "rows": [],
             }
         )
-        file.write_bytes((complete + "\n").encode() + b'{"type": "worke')
+        file.write_bytes((complete + "\n").encode() + b'{"type": "tas')
         follower = TelemetryFollower(str(tmp_path))
         assert len(follower.poll()) == 1  # the torn tail is not consumed
         with open(file, "ab") as handle:
-            handle.write(b'r", "ts": 2.0, "epoch": 1, "deliveries": []}\n')
+            handle.write(b'ks", "ts": 2.0, "epoch": 1, "rows": []}\n')
         assert len(follower.poll()) == 1  # ... and completes next poll
         assert not follower.errors
 

@@ -240,7 +240,7 @@ class TestBatchingAcrossExecutionPaths:
         # Every run reports batch rows; the analysis table picks them up.
         from repro.analysis import window_batch_table
 
-        rows = window_batch_table(batched.sim_log)
+        rows = window_batch_table(batched.task_log)
         assert rows and sum(row["batches"] for row in rows) > 0
 
     def test_process_pool_lookahead_matches_reference(self, inline_reference):
@@ -303,8 +303,9 @@ class TestBatchingAcrossExecutionPaths:
         reference = deterministic_payload(run_shard_task(task("inproc", 1)))
         subprocess_payload = run_shard_task(task("subprocess", 3))
         assert deterministic_payload(subprocess_payload) == reference
-        # The client merged its process counters into the runner's batch row.
-        stats = subprocess_payload["sim_stats"]
+        # The client merged its process counters into the runner's batch
+        # counters: one diagnostics dict.
+        stats = subprocess_payload["diagnostics"]
         assert stats["spawns"] >= 1
         assert stats["window_batches"] > 0
 
