@@ -7,16 +7,27 @@ measures a single-shard campaign — the hot path every backend multiplies —
 with a real :class:`~repro.telemetry.MetricsRegistry` against the
 ``NULL_REGISTRY`` off switch, and asserts the cost stays under 5%.
 
-Each arm takes the best of three runs (the benchmark convention for shaking
-off scheduler noise on shared CI machines), alternating arms so neither
-systematically benefits from warmer caches.  Results are archived to the
-untracked ``benchmarks/results/timing/telemetry_overhead.txt``; byte-identical
+Each pair runs one campaign per arm on the same seed, stepped alternately:
+the two campaigns take turns at every simulator boundary
+(:meth:`~repro.core.fuzzer.DejaVuzzFuzzer.campaign_steps`), the first arm
+alternating, and each arm's steps are timed.  Drift in the host's load so
+lands on both arms of a pair alike.  The garbage collector is off while a
+pair runs (and collects between pairs): its pauses are triggered by the
+allocations of both campaigns together and would land on whichever arm
+happened to cross the threshold.  The gate is the median of the per-pair
+on/off throughput ratios, so one disturbed pair moves one ratio, not the
+verdict.
+
+Results are archived to the untracked
+``benchmarks/results/timing/telemetry_overhead.txt``; byte-identical
 ``campaign_deterministic`` output with telemetry on/off is asserted by
-``tests/test_telemetry.py``, so this file only polices the wall clock.
+``tests/test_campaign_matrix.py``, so this file only polices the wall clock.
 """
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 
 from bench_utils import format_table, save_timing_results
@@ -26,56 +37,71 @@ from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 from repro.uarch.boom import small_boom_config
 
 CAMPAIGN_ITERATIONS = 24
-ROUNDS = 3
+PAIRS = 9
 # The acceptance bar: telemetry-on throughput must stay within 5% of off.
-# A little slack under it keeps CI honest without flaking on timer jitter.
 MAX_OVERHEAD = 0.05
 
 
-def _run_campaign(metrics) -> float:
-    core = small_boom_config()
-    configuration = FuzzerConfiguration(core=core, entropy=2025)
-    fuzzer = DejaVuzzFuzzer(configuration, metrics=metrics)
-    start = time.perf_counter()
-    fuzzer.run_campaign(iterations=CAMPAIGN_ITERATIONS)
-    elapsed = time.perf_counter() - start
-    return CAMPAIGN_ITERATIONS / elapsed if elapsed > 0 else float("inf")
+def measure_pair() -> tuple:
+    """(on, off) iterations/sec of one pair of step-interleaved campaigns."""
+    configuration = FuzzerConfiguration(core=small_boom_config(), entropy=2025)
+    fuzzers = {
+        "on": DejaVuzzFuzzer(configuration, metrics=MetricsRegistry()),
+        "off": DejaVuzzFuzzer(configuration, metrics=NULL_REGISTRY),
+    }
+    steps = {arm: fuzzer.campaign_steps(CAMPAIGN_ITERATIONS) for arm, fuzzer in fuzzers.items()}
+    seconds = dict.fromkeys(steps, 0.0)
+    order = ["off", "on"]
+    gc.collect()
+    gc.disable()
+    try:
+        while steps:
+            for arm in order:
+                if arm not in steps:
+                    continue
+                start = time.perf_counter()
+                try:
+                    next(steps[arm])
+                except StopIteration:
+                    del steps[arm]
+                seconds[arm] += time.perf_counter() - start
+            order.reverse()
+    finally:
+        gc.enable()
+    return CAMPAIGN_ITERATIONS / seconds["on"], CAMPAIGN_ITERATIONS / seconds["off"]
 
 
-def measure_rates() -> dict:
-    """Best-of-N iterations/sec for both arms, alternating runs."""
-    # One throwaway run warms module imports and code paths for both arms.
-    _run_campaign(NULL_REGISTRY)
-    on_rates, off_rates = [], []
-    for _ in range(ROUNDS):
-        off_rates.append(_run_campaign(NULL_REGISTRY))
-        on_rates.append(_run_campaign(MetricsRegistry()))
-    return {"on": max(on_rates), "off": max(off_rates)}
+def measure_pairs() -> list:
+    # One throwaway pair warms module imports and code paths for both arms.
+    measure_pair()
+    return [measure_pair() for _ in range(PAIRS)]
 
 
 def test_telemetry_overhead_under_five_percent():
-    rates = measure_rates()
-    overhead = 1.0 - rates["on"] / rates["off"]
+    pairs = measure_pairs()
+    ratio = statistics.median(on / off for on, off in pairs)
+    low, _, high = statistics.quantiles([on / off for on, off in pairs], n=4)
     table = format_table(
-        ["arm", "iterations/sec"],
+        ["arm", "median iterations/sec"],
         [
-            ("telemetry off (NULL_REGISTRY)", f"{rates['off']:.2f}"),
-            ("telemetry on (MetricsRegistry)", f"{rates['on']:.2f}"),
-            ("overhead", f"{overhead * 100:+.1f}%"),
+            ("telemetry off (NULL_REGISTRY)", f"{statistics.median(off for _, off in pairs):.2f}"),
+            ("telemetry on (MetricsRegistry)", f"{statistics.median(on for on, _ in pairs):.2f}"),
+            ("on/off ratio, median (IQR)", f"{ratio:.3f} ({low:.3f}-{high:.3f})"),
+            ("overhead", f"{(1.0 - ratio) * 100:+.1f}%"),
         ],
     )
     text = (
         "Telemetry overhead: single-shard campaign throughput with the\n"
-        f"metric instruments live vs the NULL_REGISTRY off switch (best of\n"
-        f"{ROUNDS}, {CAMPAIGN_ITERATIONS} iterations per run, alternating arms).\n"
-        f"Acceptance bar: on-throughput within {MAX_OVERHEAD:.0%} of off.\n\n"
+        "metric instruments live vs the NULL_REGISTRY off switch, median of\n"
+        f"{PAIRS} pairs of step-interleaved campaigns ({CAMPAIGN_ITERATIONS} iterations each).\n"
+        f"Acceptance bar: median on/off ratio at least {1.0 - MAX_OVERHEAD:.2f}.\n\n"
         + table
     )
     save_timing_results("telemetry_overhead", text)
-    assert rates["on"] >= (1.0 - MAX_OVERHEAD) * rates["off"], (
-        f"telemetry costs {overhead:.1%} of throughput "
-        f"(on {rates['on']:.2f} vs off {rates['off']:.2f} iter/s); "
-        f"the always-on default requires <{MAX_OVERHEAD:.0%}"
+    assert ratio >= 1.0 - MAX_OVERHEAD, (
+        f"telemetry costs {1.0 - ratio:.1%} of throughput (median on/off "
+        f"ratio {ratio:.3f} over {PAIRS} pairs); the always-on default "
+        f"requires <{MAX_OVERHEAD:.0%}"
     )
 
 

@@ -1,8 +1,8 @@
-"""Setup shim.
+"""Package metadata for the ``repro`` package under ``src/``.
 
-The canonical project metadata lives in ``pyproject.toml``.  This file exists
-so that the package can be installed in environments without the ``wheel``
-package (offline editable installs fall back to ``python setup.py develop``).
+This is the project's only packaging file.  Nothing needs installing to run
+the code or the tests (``PYTHONPATH=src`` is enough); ``pip install -e .`` or
+``python setup.py develop`` puts ``repro`` on the path for other projects.
 """
 
 from setuptools import find_packages, setup

@@ -277,7 +277,7 @@ class EngineConfiguration:
     # workers), ignored under the async driver and subprocess simulator.
     profile: int = 0
     # Live campaign telemetry: always on by default (the counters are cheap
-    # enough to keep lit).  All three knobs are pure observation — they never
+    # enough to keep lit).  Both knobs are pure observation — they never
     # enter the checkpoint fingerprint or the deterministic wire forms, and
     # campaign results are byte-identical whether telemetry is on, off, or
     # its sink is failing.
@@ -285,10 +285,6 @@ class EngineConfiguration:
     # Directory for the rotating JSONL sink (telemetry-00001.jsonl, ...);
     # None keeps records in the in-memory ring only (EngineResult.telemetry).
     telemetry_dir: Optional[str] = None
-    # Minimum seconds between emitted round-class records (0 = every round);
-    # the final round always flows so a scraper's last coverage figure
-    # matches the finished result.
-    telemetry_cadence: float = 0.0
     # Fixed-count or stall-triggered synchronisation; accepts "fixed"/"stall"
     # shorthand or a full SyncPolicy.
     sync_policy: Union[str, SyncPolicy] = "fixed"
@@ -343,10 +339,6 @@ class EngineConfiguration:
             )
         if self.profile < 0:
             raise ValueError(f"profile must be non-negative, got {self.profile}")
-        if self.telemetry_cadence < 0:
-            raise ValueError(
-                f"telemetry_cadence must be non-negative, got {self.telemetry_cadence}"
-            )
         self.sync_policy = SyncPolicy.normalize(self.sync_policy)
         planned = self.planned_epochs()
         # Seed ids are the corpus's global identity: epoch bases must stay
@@ -608,7 +600,6 @@ class CampaignScheduler:
         # below ever reads it back into a decision.
         self.telemetry = CampaignTelemetry(
             directory=configuration.telemetry_dir,
-            cadence=configuration.telemetry_cadence,
             enabled=configuration.telemetry,
         )
 
@@ -727,7 +718,6 @@ class CampaignScheduler:
                 transferred=result.transferred_seeds - transferred_before,
                 stall_estimate=stall_estimate,
                 redistribute=should_sync,
-                final=epoch >= len(all_budgets) - 1,
             )
         self._next_epoch = epoch + 1
         if configuration.checkpoint_path:
@@ -743,7 +733,6 @@ class CampaignScheduler:
         transferred: int,
         stall_estimate: float,
         redistribute: bool,
-        final: bool,
     ) -> None:
         """Emit one structured round record for a just-merged epoch.
 
@@ -778,14 +767,12 @@ class CampaignScheduler:
             redistribute=redistribute,
             slices=result.slice_summaries[-merged:],
         )
-        if self.telemetry.emit_round(event.to_record(), final=final):
-            # The cumulative metric registry rides as its own record, on the
-            # same cadence as the round record it accompanies.
-            snapshot = self.telemetry.registry.snapshot()
-            if any(snapshot.values()):
-                self.telemetry.emit(
-                    {"type": "metrics", "epoch": epoch, **snapshot}
-                )
+        self.telemetry.emit(event.to_record())
+        # The cumulative metric registry rides as its own record, next to
+        # the round record it accompanies.
+        snapshot = self.telemetry.registry.snapshot()
+        if any(snapshot.values()):
+            self.telemetry.emit({"type": "metrics", "epoch": epoch, **snapshot})
 
     def end_run(self) -> EngineResult:
         """Stop the campaign clock and return the (possibly partial) result."""
@@ -1172,8 +1159,6 @@ class CampaignScheduler:
             core: matrix.to_dicts() for core, matrix in result.core_coverage.items()
         }
         result.task_log.extend(rows)
-        # The epoch's rows always flow (no cadence gate), so a stream holds
-        # every task row exactly once.
         self.telemetry.emit(
             {
                 "type": "tasks",
@@ -1392,7 +1377,6 @@ def run_parallel_campaign(
     backend: Optional[ExecutionBackend] = None,
     telemetry: bool = True,
     telemetry_dir: Optional[str] = None,
-    telemetry_cadence: float = 0.0,
     **fuzzer_overrides,
 ) -> EngineResult:
     """Convenience helper mirroring :func:`repro.core.fuzzer.run_quick_campaign`.
@@ -1438,7 +1422,6 @@ def run_parallel_campaign(
         auth_token=auth_token,
         telemetry=telemetry,
         telemetry_dir=telemetry_dir,
-        telemetry_cadence=telemetry_cadence,
     )
     return ParallelCampaignEngine(configuration).run(backend=backend)
 
@@ -1509,16 +1492,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         choices=sorted(BACKEND_NAMES),
-        default=None,
+        default="process",
         help="execution backend: process pool, serial inline, one asyncio "
         "loop interleaving latency-bound shards, or a distributed "
         "coordinator farming shards to remote worker daemons "
         "(default: process)",
-    )
-    parser.add_argument(
-        "--inline",
-        action="store_true",
-        help="shorthand for --backend inline (debugging / single-CPU hosts)",
     )
     parser.add_argument(
         "--concurrency",
@@ -1644,14 +1622,6 @@ def build_parser() -> argparse.ArgumentParser:
         "python -m repro.analysis.watch DIR",
     )
     parser.add_argument(
-        "--telemetry-cadence",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="minimum seconds between emitted round records (0 = every "
-        "round; the final round always flows)",
-    )
-    parser.add_argument(
         "--no-telemetry",
         action="store_true",
         help="disable the telemetry counters and record stream entirely "
@@ -1676,7 +1646,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --cores must name at least one core")
         return 2
     shards = args.shards if args.shards is not None else (len(core_names) if core_names else 4)
-    backend = args.backend or ("inline" if args.inline else "process")
+    backend = args.backend
     if backend == "distributed" and not args.listen:
         print("error: --backend distributed requires --listen HOST:PORT")
         return 2
@@ -1715,7 +1685,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             profile=args.profile,
             telemetry=not args.no_telemetry,
             telemetry_dir=args.telemetry_dir,
-            telemetry_cadence=args.telemetry_cadence,
         )
         if args.resume:
             engine = ParallelCampaignEngine.resume_from(args.resume, configuration)

@@ -144,28 +144,21 @@ class CampaignTelemetry:
 
     Owns the campaign-lifetime :class:`MetricsRegistry` (per-slice payload
     snapshots merge into it at epoch boundaries), the in-memory ring, and
-    the optional rotating file sink.  ``cadence`` (seconds) rate-limits
-    *round*-class records only — tasks and campaign records always flow,
-    and the final round of a run is always emitted so a scraper's last
-    coverage figure matches the finished ``EngineResult``.
+    the optional rotating file sink.
     """
 
     def __init__(
         self,
         directory: Optional[str] = None,
-        cadence: float = 0.0,
         enabled: bool = True,
         ring_capacity: int = 512,
     ) -> None:
         self.enabled = enabled
-        self.cadence = cadence
         self.registry = MetricsRegistry(enabled=enabled)
         self.ring = TelemetryRing(capacity=ring_capacity)
         self.sink: Optional[TelemetrySink] = (
             TelemetrySink(directory) if (enabled and directory) else None
         )
-        self._last_round_emit: Optional[float] = None
-        self.suppressed_rounds = 0
 
     def emit(self, record: Dict[str, object]) -> bool:
         """Emit one record to the ring and (when configured) the sink."""
@@ -176,30 +169,6 @@ class CampaignTelemetry:
         if self.sink is not None:
             self.sink.emit(record)
         return True
-
-    def emit_round(self, record: Dict[str, object], final: bool = False) -> bool:
-        """Emit a round-class record, honouring the cadence gate.
-
-        ``final`` bypasses the gate (the last round must always land);
-        suppressed rounds are counted and reported on the next record that
-        does flow, so a scraper can tell "quiet" from "gated".
-        """
-        if not self.enabled:
-            return False
-        now = time.monotonic()
-        if (
-            not final
-            and self.cadence > 0
-            and self._last_round_emit is not None
-            and now - self._last_round_emit < self.cadence
-        ):
-            self.suppressed_rounds += 1
-            return False
-        self._last_round_emit = now
-        if self.suppressed_rounds:
-            record["suppressed_rounds"] = self.suppressed_rounds
-            self.suppressed_rounds = 0
-        return self.emit(record)
 
     def merge_metrics(self, snapshot: Optional[Dict[str, object]]) -> None:
         self.registry.merge_snapshot(snapshot)

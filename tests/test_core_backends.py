@@ -13,7 +13,6 @@ from repro.core import (
     ShardTask,
     create_backend,
     iterate_shard_task,
-    run_parallel_campaign,
     run_shard_task,
 )
 from repro.uarch import small_boom_config
@@ -180,43 +179,6 @@ class TestBackends:
         # The factory must not silently rewrite an invalid explicit zero.
         with pytest.raises(ValueError, match="concurrency"):
             create_backend("async", concurrency=0)
-
-
-class TestEngineBackendEquivalence:
-    def test_async_engine_matches_inline(self):
-        inline = run_parallel_campaign(
-            BOOM, shards=2, iterations=8, sync_epochs=2, entropy=9, executor="inline"
-        )
-        interleaved = run_parallel_campaign(
-            BOOM,
-            shards=2,
-            iterations=8,
-            sync_epochs=2,
-            entropy=9,
-            executor="async",
-            async_concurrency=2,
-        )
-        assert interleaved.coverage.points == inline.coverage.points
-        assert interleaved.campaign.to_dict(include_timing=False) == inline.campaign.to_dict(
-            include_timing=False
-        )
-
-    def test_async_engine_with_latency_matches_zero_latency(self):
-        fast = run_parallel_campaign(
-            BOOM, shards=2, iterations=4, sync_epochs=1, entropy=9, executor="async"
-        )
-        slow = run_parallel_campaign(
-            BOOM,
-            shards=2,
-            iterations=4,
-            sync_epochs=1,
-            entropy=9,
-            executor="async",
-            step_latency=0.001,
-        )
-        assert slow.campaign.to_dict(include_timing=False) == fast.campaign.to_dict(
-            include_timing=False
-        )
 
 
 class TestShardCampaignRunner:

@@ -1,13 +1,11 @@
 """Tests for the distributed campaign fabric: wire forms, the JSON-lines
-frame protocol, the coordinator/worker loop, and fault-tolerant reassignment
-(kill a worker mid-epoch, assert byte-identical campaign results)."""
+frame protocol, the coordinator/worker loop, duplicate-result handling,
+authentication and protocol errors.  Campaign byte-identity across a fleet
+(a worker SIGKILLed mid-epoch, resume on a larger fleet) is checked by
+``test_campaign_matrix.py``."""
 
 import json
-import os
-import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
 
@@ -38,14 +36,6 @@ from repro.uarch.config import TaintTrackingMode
 
 BOOM = small_boom_config()
 XIANGSHAN = xiangshan_minimal_config()
-
-REPO_SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-)
-
-
-def deterministic_wire(result):
-    return json.dumps(result.campaign.to_dict(include_timing=False), sort_keys=True)
 
 
 def make_task(**overrides):
@@ -181,26 +171,6 @@ def start_worker_thread(address, **kwargs):
     return thread
 
 
-def start_worker_process(address, *extra_args):
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = REPO_SRC + os.pathsep + environment.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.core.worker",
-            "--connect",
-            f"{address[0]}:{address[1]}",
-            "--retry",
-            "30",
-            *extra_args,
-        ],
-        env=environment,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
 class TestDistributedBackend:
     def test_single_worker_matches_inline_payloads(self):
         backend = DistributedBackend(listen="127.0.0.1:0")
@@ -237,30 +207,6 @@ class TestDistributedBackend:
         finally:
             backend.close()
 
-    def test_engine_distributed_matches_inline(self):
-        inline = run_parallel_campaign(
-            BOOM, shards=2, iterations=8, sync_epochs=2, entropy=9, executor="inline"
-        )
-        backend = DistributedBackend(listen="127.0.0.1:0", min_workers=2)
-        try:
-            start_worker_thread(backend.address)
-            start_worker_thread(backend.address)
-            distributed = run_parallel_campaign(
-                BOOM, shards=2, iterations=8, sync_epochs=2, entropy=9,
-                executor="inline", backend=backend,
-            )
-        finally:
-            backend.close()
-        assert deterministic_wire(distributed) == deterministic_wire(inline)
-        assert distributed.coverage.points == inline.coverage.points
-        # The task log feeds the analysis-layer utilization table.
-        from repro.analysis import worker_utilization_table
-
-        rows = worker_utilization_table(distributed.task_log)
-        # One delivery per executed slice-epoch task (4 active slices x 2 epochs).
-        assert sum(row["tasks"] for row in rows) == 8
-        assert all("worker" in row for row in distributed.task_log)
-
     def test_shared_backend_scopes_task_log_per_campaign(self):
         # One connected fleet may serve several campaigns in a row; each
         # result must only carry its own deliveries, not the fleet's.
@@ -287,82 +233,12 @@ class TestDistributedBackend:
             rows = worker_utilization_table(campaign.task_log)
             assert sum(row["tasks"] for row in rows) == 4
 
-    def test_heterogeneous_distributed_matches_inline(self):
-        cores = ["boom", "xiangshan"]
-        inline = run_parallel_campaign(
-            cores=cores, shards=2, iterations=8, sync_epochs=2, entropy=11,
-            executor="inline",
-        )
-        backend = DistributedBackend(listen="127.0.0.1:0", min_workers=2)
-        try:
-            start_worker_thread(backend.address)
-            start_worker_thread(backend.address)
-            distributed = run_parallel_campaign(
-                cores=cores, shards=2, iterations=8, sync_epochs=2, entropy=11,
-                executor="inline", backend=backend,
-            )
-        finally:
-            backend.close()
-        assert deterministic_wire(distributed) == deterministic_wire(inline)
-        assert set(distributed.core_coverage) == {"small-boom", "xiangshan-minimal"}
-
 
 def received(backend):
     return backend.metrics.snapshot()["counters"].get("distributed/results_received", 0)
 
 
 class TestFaultTolerance:
-    def wait_for_inflight_on(self, backend, pid, timeout=30.0):
-        """Block until the worker daemon with ``pid`` holds an assigned task."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            for row in backend.workers():
-                if row["pid"] == pid and row["inflight"] and row["alive"]:
-                    return row["worker"]
-            time.sleep(0.02)
-        raise AssertionError(f"worker {pid} never received a task")
-
-    def test_killed_worker_is_reassigned_and_results_stay_identical(self):
-        """The acceptance scenario: SIGKILL one of two workers while it holds
-        an in-flight task; its shards rerun on the survivor and the merged
-        campaign is byte-identical to the inline reference."""
-        inline = run_parallel_campaign(
-            cores=["boom", "xiangshan"], shards=2, iterations=8, sync_epochs=2,
-            entropy=9, executor="inline",
-        )
-        backend = DistributedBackend(listen="127.0.0.1:0", min_workers=2)
-        victim = None
-        try:
-            start_worker_thread(backend.address)
-            victim = start_worker_process(backend.address)
-
-            def kill_mid_epoch():
-                self.wait_for_inflight_on(backend, victim.pid)
-                os.kill(victim.pid, signal.SIGKILL)
-
-            assassin = threading.Thread(target=kill_mid_epoch, daemon=True)
-            assassin.start()
-            # step_latency keeps each task slow enough that the kill reliably
-            # lands while the victim's batch is still running.
-            distributed = run_parallel_campaign(
-                cores=["boom", "xiangshan"], shards=2, iterations=8, sync_epochs=2,
-                entropy=9, executor="inline", step_latency=0.01, backend=backend,
-            )
-            assassin.join(timeout=60)
-            assert not assassin.is_alive()
-        finally:
-            backend.close()
-            if victim is not None and victim.poll() is None:
-                victim.kill()
-            if victim is not None:
-                victim.wait(timeout=30)
-        # The victim died holding work: the coordinator must have reassigned.
-        assert backend.reassigned_tasks >= 1
-        assert any(row["reassigned"] for row in distributed.task_log)
-        # Identity despite the loss: latency and worker death never feed back
-        # into campaign results.
-        assert deterministic_wire(distributed) == deterministic_wire(inline)
-
     def test_late_result_from_a_presumed_dead_worker_is_dropped(self):
         backend = DistributedBackend(listen="127.0.0.1:0")
         try:
@@ -474,70 +350,6 @@ class TestAuthToken:
             assert len(backend.workers()) == 1
         finally:
             backend.close()
-
-    def test_matching_token_campaign_is_identical_to_inline(self):
-        inline = run_parallel_campaign(
-            BOOM, shards=2, iterations=6, sync_epochs=1, entropy=13,
-            executor="inline",
-        )
-        backend = DistributedBackend(listen="127.0.0.1:0", auth_token="sesame")
-        try:
-            start_worker_thread(backend.address, auth_token="sesame")
-            authenticated = run_parallel_campaign(
-                BOOM, shards=2, iterations=6, sync_epochs=1, entropy=13,
-                executor="inline", backend=backend,
-            )
-        finally:
-            backend.close()
-        assert deterministic_wire(authenticated) == deterministic_wire(inline)
-
-
-class TestWorkerCrashRecovery:
-    """A local backend failure mid-batch must not kill the daemon: the worker
-    drops the connection (so the coordinator reassigns the batch), rebuilds
-    its backend, reconnects within ``--retry``, and the campaign stays
-    byte-identical to inline."""
-
-    def test_backend_raising_mid_batch_reconnects_and_stays_identical(self):
-        from repro.core.backends import ExecutionBackend
-
-        inline = run_parallel_campaign(
-            BOOM, shards=2, iterations=8, sync_epochs=2, entropy=9,
-            executor="inline",
-        )
-        fault = {"armed": True}
-
-        class FlakyOnceBackend(ExecutionBackend):
-            name = "flaky-once"
-
-            def run_epoch(self, tasks):
-                if fault["armed"]:
-                    fault["armed"] = False
-                    raise RuntimeError("injected mid-batch backend failure")
-                return [run_shard_task(task) for task in tasks]
-
-        backend = DistributedBackend(listen="127.0.0.1:0", min_workers=1)
-        try:
-            start_worker_thread(
-                backend.address,
-                retry_seconds=60.0,
-                backend_factory=FlakyOnceBackend,
-            )
-            campaign = run_parallel_campaign(
-                BOOM, shards=2, iterations=8, sync_epochs=2, entropy=9,
-                executor="inline", backend=backend,
-            )
-            # The failed batch was requeued and the daemon re-joined as a
-            # fresh fleet member.
-            assert not fault["armed"]
-            assert backend.reassigned_tasks >= 1
-            assert len(backend.workers()) == 2  # the dead incarnation + the reconnect
-        finally:
-            backend.close()
-        assert deterministic_wire(campaign) == deterministic_wire(inline)
-        # The reconnected daemon delivered the work.
-        assert all("worker" in row for row in campaign.task_log)
-
 
 class TestWorkerProtocolErrors:
     """A malformed frame from the coordinator is a protocol error: the daemon
@@ -717,60 +529,3 @@ class TestCoordinatorProtocolErrors:
             client.close()
         finally:
             backend.close()
-
-
-class TestElasticDistributedResume:
-    """Checkpoints are keyed by logical slice, so a distributed campaign can
-    resume on a fleet of a different size — byte-identical to both the
-    uninterrupted run and an inline resume."""
-
-    def cfg(self, shards, checkpoint_path):
-        from repro.core import EngineConfiguration
-
-        return EngineConfiguration(
-            fuzzer=FuzzerConfiguration(core=BOOM, entropy=9),
-            shards=shards,
-            iterations=12,
-            sync_epochs=3,
-            executor="inline",
-            checkpoint_path=checkpoint_path,
-        )
-
-    def test_resume_on_a_larger_fleet_is_byte_identical(self, tmp_path):
-        from repro.core import ParallelCampaignEngine
-
-        uninterrupted = run_parallel_campaign(
-            BOOM, shards=2, iterations=12, sync_epochs=3, entropy=9,
-            executor="inline",
-        )
-        checkpoint = str(tmp_path / "checkpoint.json")
-
-        # Phase 1: a 2-shard campaign on a fleet of one worker, halted after
-        # the first sync epoch.
-        first = DistributedBackend(listen="127.0.0.1:0", min_workers=1)
-        try:
-            start_worker_thread(first.address)
-            partial = ParallelCampaignEngine(self.cfg(2, checkpoint)).run(
-                max_epochs=1, backend=first
-            )
-            assert not partial.complete
-        finally:
-            first.close()
-
-        # Phase 2: resume the same checkpoint at twice the shards on a fleet
-        # with one more worker than before.
-        second = DistributedBackend(listen="127.0.0.1:0", min_workers=2)
-        try:
-            start_worker_thread(second.address)
-            start_worker_thread(second.address)
-            resumed = ParallelCampaignEngine.resume_from(
-                checkpoint, self.cfg(4, checkpoint)
-            ).run(backend=second)
-        finally:
-            second.close()
-        assert resumed.complete
-        assert resumed.shards == 4
-        assert deterministic_wire(resumed) == deterministic_wire(uninterrupted)
-        # The new fleet actually ran the tasks.
-        assert resumed.task_log
-        assert all("worker" in row for row in resumed.task_log)

@@ -307,16 +307,6 @@ class TestParallelCampaignEngine:
             r.signature for r in second.campaign.reports
         ]
 
-    def test_process_executor_matches_inline(self):
-        inline = run_parallel_campaign(
-            BOOM, shards=2, iterations=8, sync_epochs=2, entropy=9, executor="inline"
-        )
-        pooled = run_parallel_campaign(
-            BOOM, shards=2, iterations=8, sync_epochs=2, entropy=9, executor="process"
-        )
-        assert pooled.coverage.points == inline.coverage.points
-        assert pooled.campaign.coverage_history == inline.campaign.coverage_history
-
     def test_redistribution_reaches_lagging_shards(self):
         result = run_parallel_campaign(
             BOOM, shards=2, iterations=12, sync_epochs=3, entropy=7, executor="inline"
@@ -605,7 +595,7 @@ class TestEngineCli:
 
     def test_cores_flag_drives_a_heterogeneous_campaign(self, capsys):
         code = engine_main(
-            ["--cores", "boom,xiangshan", "--iterations", "8", "--epochs", "1", "--inline"]
+            ["--cores", "boom,xiangshan", "--iterations", "8", "--epochs", "1", "--backend", "inline"]
         )
         output = capsys.readouterr().out
         assert code == 0
@@ -613,7 +603,7 @@ class TestEngineCli:
         assert "per_core_coverage" in output
 
     def test_bad_cores_flag_is_reported(self, capsys):
-        assert engine_main(["--cores", "rocket", "--inline"]) == 2
+        assert engine_main(["--cores", "rocket", "--backend", "inline"]) == 2
         assert "unknown core" in capsys.readouterr().out
 
     def test_core_flag_accepts_canonical_names_and_aliases(self):
@@ -622,7 +612,7 @@ class TestEngineCli:
             assert parser.parse_args(["--core", name]).core == name
 
     def test_zero_window_lookahead_is_reported(self, capsys):
-        assert engine_main(["--window-lookahead", "0", "--inline"]) == 2
+        assert engine_main(["--window-lookahead", "0", "--backend", "inline"]) == 2
         assert "window_lookahead" in capsys.readouterr().out
 
 
@@ -808,17 +798,6 @@ class TestCheckpointResume:
             tmp_path, cores=["boom", "xiangshan"], entropy=11
         )
         assert set(resumed.core_coverage) == {"small-boom", "xiangshan-minimal"}
-
-    def test_resume_on_a_different_backend_is_identical(self, tmp_path):
-        uninterrupted = ParallelCampaignEngine(self.cfg()).run()
-        ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
-        resumed = ParallelCampaignEngine.resume_from(
-            str(tmp_path / "checkpoint.json"),
-            self.cfg(tmp_path, executor="async", async_concurrency=2),
-        ).run()
-        assert resumed.campaign.to_dict(
-            include_timing=False
-        ) == uninterrupted.campaign.to_dict(include_timing=False)
 
     def test_checkpoint_rejects_a_different_campaign(self, tmp_path):
         ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
@@ -1051,14 +1030,13 @@ class TestElasticResume:
     seed-id bases, core assignment, corpus attribution) is keyed by logical
     slice, and the fingerprint pins ``slices``, never ``shards``."""
 
-    def cfg(self, shards, tmp_path=None, cores=None, executor="inline",
-            **overrides):
+    def cfg(self, shards, tmp_path=None, cores=None, **overrides):
         defaults = dict(
             fuzzer=FuzzerConfiguration(core=BOOM, entropy=13),
             shards=shards,
             iterations=24,
             sync_epochs=3,
-            executor=executor,
+            executor="inline",
             cores=cores,
         )
         if tmp_path is not None:
@@ -1066,22 +1044,15 @@ class TestElasticResume:
         defaults.update(overrides)
         return EngineConfiguration(**defaults)
 
-    def checkpoint_then_resume(self, tmp_path, resume_shards, cores=None,
-                               executor="inline", resume_executor=None,
-                               **overrides):
-        uninterrupted = ParallelCampaignEngine(
-            self.cfg(4, cores=cores, executor=executor, **overrides)
-        ).run()
+    def checkpoint_then_resume(self, tmp_path, resume_shards, cores=None):
+        uninterrupted = ParallelCampaignEngine(self.cfg(4, cores=cores)).run()
         partial = ParallelCampaignEngine(
-            self.cfg(4, tmp_path, cores=cores, executor=executor, **overrides)
+            self.cfg(4, tmp_path, cores=cores)
         ).run(max_epochs=1)
         assert not partial.complete
         resumed = ParallelCampaignEngine.resume_from(
             str(tmp_path / "checkpoint.json"),
-            self.cfg(
-                resume_shards, tmp_path, cores=cores,
-                executor=resume_executor or executor, **overrides,
-            ),
+            self.cfg(resume_shards, tmp_path, cores=cores),
         ).run()
         assert resumed.complete
         assert resumed.shards == resume_shards
@@ -1097,22 +1068,6 @@ class TestElasticResume:
     @pytest.mark.parametrize("resume_shards", [8, 2, 1])
     def test_inline_resume_at_other_shard_counts(self, tmp_path, resume_shards):
         self.checkpoint_then_resume(tmp_path, resume_shards)
-
-    def test_process_pool_resume_at_double_the_shards(self, tmp_path):
-        self.checkpoint_then_resume(tmp_path, 8, executor="process")
-
-    def test_async_resume_at_half_the_shards(self, tmp_path):
-        self.checkpoint_then_resume(
-            tmp_path, 2, executor="async", async_concurrency=2
-        )
-
-    def test_resume_crosses_executors_and_shard_counts_at_once(self, tmp_path):
-        # The checkpoint pins neither the executor nor the shard count:
-        # checkpoint under the inline executor at 4 shards, resume on the
-        # process pool at 8.
-        self.checkpoint_then_resume(
-            tmp_path, 8, executor="inline", resume_executor="process"
-        )
 
     def test_heterogeneous_cores_survive_resharding(self, tmp_path):
         cores = ["boom", "xiangshan", "boom-large"]

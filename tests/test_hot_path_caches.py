@@ -9,13 +9,7 @@ wire forms.
 
 import pytest
 
-from repro.core.backends import (
-    AsyncBackend,
-    InlineBackend,
-    ProcessPoolBackend,
-    ShardTask,
-    run_shard_task,
-)
+from repro.core.backends import ShardTask, run_shard_task
 from repro.core.distributed import shard_task_from_wire, shard_task_to_wire
 from repro.core.engine import EngineConfiguration, ParallelCampaignEngine
 from repro.core.fuzzer import FuzzerConfiguration, run_quick_campaign
@@ -254,58 +248,6 @@ class TestCensusDirtyFlag:
         census_recompute(monkeypatch)
         recomputed = deterministic_dict(iterations=4, entropy=5)
         assert baseline == recomputed
-
-
-class TestBackendsCacheEquivalence:
-    @staticmethod
-    def _normalize(payload):
-        # The diagnostics and the metrics snapshot count physical
-        # simulations, DUT reuses, and cache hits/misses, which differ
-        # cache-on vs cache-off by design; the deterministic payload must not.
-        entry = {
-            k: v
-            for k, v in payload.items()
-            if k not in ("wall_seconds", "diagnostics", "metrics")
-        }
-        entry["result"] = dict(
-            entry["result"], elapsed_seconds=0.0, first_bug_seconds=None
-        )
-        for report in entry["result"]["reports"]:
-            report["wall_clock_seconds"] = 0.0
-        return entry
-
-    @staticmethod
-    def _tasks():
-        return [
-            ShardTask(
-                slice_index=index,
-                epoch=0,
-                iterations=3,
-                configuration=FuzzerConfiguration(
-                    core=BOOM,
-                    entropy=41 + index,
-                    seed_id_base=100 * index,
-                ),
-            )
-            for index in range(2)
-        ]
-
-    def test_cache_on_off_identical_across_backends(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            uncached_simulation(patch)
-            reference = [
-                self._normalize(p) for p in InlineBackend().run_epoch(self._tasks())
-            ]
-        for backend in (
-            InlineBackend(),
-            ProcessPoolBackend(max_workers=2),
-            AsyncBackend(concurrency=2),
-        ):
-            try:
-                payloads = backend.run_epoch(self._tasks())
-            finally:
-                backend.close()
-            assert [self._normalize(p) for p in payloads] == reference
 
 
 class TestProfilePlumbing:

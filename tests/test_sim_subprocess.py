@@ -1,23 +1,19 @@
 """Tests for the out-of-process simulator fabric: the fault-tolerant
 SubprocessSimulator client (SIGKILL / crash / hang recovery via
-restart-and-replay), the per-shard process pool, and campaign byte-identity
-between the in-process and subprocess simulators on every backend."""
+restart-and-replay) and the per-shard process pool, at the level of one
+shard task.  Campaign byte-identity between the in-process and subprocess
+simulators on every backend is checked by ``test_campaign_matrix.py``."""
 
-import json
 import os
 import signal
-import threading
 import time
-from dataclasses import replace
 
 import pytest
 
-from repro.core import FuzzerConfiguration, ShardTask, run_parallel_campaign
+from repro.core import FuzzerConfiguration, ShardTask
 from repro.core.backends import run_shard_task
-from repro.core.distributed import DistributedBackend
 from repro.core.engine import EngineConfiguration
 from repro.core.report import CampaignResult
-from repro.core.worker import run_worker
 from repro.sim.client import (
     SimProcessPool,
     SimServerCrash,
@@ -55,10 +51,6 @@ def deterministic_payload(payload):
         "points": payload["points"],
         "top_seeds": payload["top_seeds"],
     }
-
-
-def deterministic_wire(result):
-    return json.dumps(result.campaign.to_dict(include_timing=False), sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -231,93 +223,6 @@ def _pid_alive(pid):
 
 
 class TestEngineIntegration:
-    SHARDS = 2
-    ITERATIONS = 8
-    EPOCHS = 2
-    ENTROPY = 77
-
-    def run_campaign(self, executor, simulator, **overrides):
-        return run_parallel_campaign(
-            BOOM,
-            shards=self.SHARDS,
-            iterations=self.ITERATIONS,
-            sync_epochs=self.EPOCHS,
-            entropy=self.ENTROPY,
-            executor=executor,
-            simulator=simulator,
-            **overrides,
-        )
-
-    def test_every_backend_matches_inproc(self):
-        reference = self.run_campaign("inline", "inproc")
-        wire = deterministic_wire(reference)
-        for executor, overrides in (
-            ("inline", {}),
-            ("async", {"async_concurrency": 2}),
-            ("process", {}),
-        ):
-            campaign = self.run_campaign(executor, "subprocess", **overrides)
-            assert deterministic_wire(campaign) == wire, executor
-            # One accounting row per executed slice-epoch task, all crash-free.
-            assert len(campaign.task_log) == len(campaign.slice_summaries)
-            assert all(row["restarts"] == 0 for row in campaign.task_log)
-            assert campaign.summary()["simulator_processes"]["restarts"] == 0
-        close_default_pool()
-
-    def test_sigkilled_server_mid_campaign_is_byte_identical(self):
-        reference = self.run_campaign("inline", "inproc")
-        close_default_pool()  # fresh servers so the kill drill sees our pids
-
-        killed = threading.Event()
-
-        def assassin():
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not killed.is_set():
-                rows = default_pool().processes()
-                for row in rows:
-                    if row["alive"]:
-                        os.kill(row["pid"], signal.SIGKILL)
-                        killed.set()
-                        return
-                time.sleep(0.01)
-
-        thread = threading.Thread(target=assassin, daemon=True)
-        thread.start()
-        campaign = self.run_campaign("inline", "subprocess")
-        thread.join(timeout=60)
-        assert killed.is_set(), "the kill drill never saw a live server"
-        assert deterministic_wire(campaign) == deterministic_wire(reference)
-        # The kill almost always lands mid-task (restart-and-replay, counted
-        # as a restart); in the unlikely window between tasks the recovery is
-        # a plain respawn — either way an extra server process was started.
-        assert (
-            sum(row["restarts"] for row in campaign.task_log) >= 1
-            or sum(row["spawns"] for row in campaign.task_log) > self.SHARDS
-        )
-        close_default_pool()
-
-    def test_distributed_worker_runs_subprocess_simulator(self):
-        reference = self.run_campaign("inline", "inproc")
-        backend = DistributedBackend(listen="127.0.0.1:0", min_workers=1)
-        try:
-            thread = threading.Thread(
-                target=run_worker,
-                kwargs=dict(
-                    connect=f"{backend.address[0]}:{backend.address[1]}",
-                    capacity=2,
-                    quiet=True,
-                ),
-                daemon=True,
-            )
-            thread.start()
-            campaign = self.run_campaign("inline", "subprocess", backend=backend)
-        finally:
-            backend.close()
-        assert deterministic_wire(campaign) == deterministic_wire(reference)
-        # The worker ran the tasks, so sim accounting still reached the merge.
-        assert len(campaign.task_log) == len(campaign.slice_summaries)
-        close_default_pool()
-
     def test_configuration_rejects_unknown_simulator(self):
         with pytest.raises(ValueError, match="unknown simulator"):
             EngineConfiguration(

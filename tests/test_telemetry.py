@@ -2,15 +2,15 @@
 
 The shared contract under test: telemetry is *pure observation* — the same
 campaign run with telemetry on, off, or with a failing sink produces
-byte-identical deterministic wire forms on every execution path — and the
-metric primitives merge deterministically in any join order, because
-worker payloads arrive in whatever order the fleet finishes them.
+byte-identical deterministic wire forms on every execution path (checked by
+``test_campaign_matrix.py``) — and the metric primitives merge
+deterministically in any join order, because worker payloads arrive in
+whatever order the fleet finishes them.
 """
 
 import json
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -18,11 +18,7 @@ from repro.analysis import latency_percentiles, telemetry_table
 from repro.analysis.watch import TelemetryFollower, validate_record
 from repro.analysis.watch import main as watch_main
 from repro.core.backends import ShardTask, run_shard_task
-from repro.core.distributed import (
-    DistributedBackend,
-    shard_task_from_wire,
-    shard_task_to_wire,
-)
+from repro.core.distributed import shard_task_from_wire, shard_task_to_wire
 from repro.core.engine import (
     EngineConfiguration,
     EngineResult,
@@ -31,7 +27,6 @@ from repro.core.engine import (
 )
 from repro.core.fuzzer import FuzzerConfiguration
 from repro.core.report import CampaignResult
-from repro.core.worker import run_worker
 from repro.sim.client import close_default_pool
 from repro.telemetry import (
     HISTOGRAM_BOUNDS,
@@ -238,23 +233,6 @@ class TestCampaignTelemetry:
         assert len(pipeline.ring) == 0
         assert pipeline.sink is None  # no directory is even created for it
 
-    def test_cadence_gates_round_records_but_not_the_final(self):
-        pipeline = CampaignTelemetry(cadence=3600.0)
-        assert pipeline.emit_round({"type": "round", "epoch": 0})
-        assert not pipeline.emit_round({"type": "round", "epoch": 1})
-        assert not pipeline.emit_round({"type": "round", "epoch": 2})
-        assert pipeline.emit_round({"type": "round", "epoch": 3}, final=True)
-        records = pipeline.ring.records("round")
-        assert [record["epoch"] for record in records] == [0, 3]
-        # The gated rounds are accounted for on the record that flowed.
-        assert records[-1]["suppressed_rounds"] == 2
-
-    def test_zero_cadence_emits_every_round(self):
-        pipeline = CampaignTelemetry()
-        for epoch in range(3):
-            assert pipeline.emit_round({"type": "round", "epoch": epoch})
-        assert len(pipeline.ring.records("round")) == 3
-
     def test_ring_is_bounded(self):
         ring = TelemetryRing(capacity=4)
         for index in range(10):
@@ -267,14 +245,6 @@ class TestCampaignTelemetry:
 
 
 class TestConfiguration:
-    def test_rejects_negative_cadence(self):
-        with pytest.raises(ValueError, match="telemetry_cadence"):
-            EngineConfiguration(
-                fuzzer=FuzzerConfiguration(core=BOOM, entropy=3),
-                iterations=4,
-                telemetry_cadence=-1.0,
-            )
-
     def test_telemetry_knobs_stay_out_of_the_fingerprint(self, tmp_path):
         def configuration(**telemetry):
             return EngineConfiguration(
@@ -284,7 +254,7 @@ class TestConfiguration:
             )
 
         with_telemetry = ParallelCampaignEngine(
-            configuration(telemetry_dir=str(tmp_path), telemetry_cadence=5.0)
+            configuration(telemetry_dir=str(tmp_path))
         )
         without = ParallelCampaignEngine(configuration(telemetry=False))
         assert (
@@ -358,96 +328,10 @@ class TestSummaryProcesses:
         assert "simulator_processes" not in result.summary()
 
 
-# -- byte-identity across the execution paths ------------------------------------------------
+# -- one shard task through the subprocess simulator -----------------------------------------
 
 
 class TestTelemetryIsPureObservation:
-    ENGINE_KWARGS = dict(
-        shards=2, slices=2, iterations=8, sync_epochs=2, entropy=9
-    )
-
-    @pytest.fixture(scope="class")
-    def inline_reference(self):
-        result = run_parallel_campaign(
-            BOOM, executor="inline", telemetry=False, **self.ENGINE_KWARGS
-        )
-        assert len(result.telemetry) == 0  # off leaves the ring empty
-        return engine_wire(result)
-
-    def test_inline_with_telemetry_matches(self, inline_reference):
-        result = run_parallel_campaign(
-            BOOM, executor="inline", **self.ENGINE_KWARGS
-        )
-        assert engine_wire(result) == inline_reference
-        assert result.telemetry.records("round")
-        assert result.telemetry.records("campaign")
-
-    def test_inline_with_sink_matches(self, inline_reference, tmp_path):
-        result = run_parallel_campaign(
-            BOOM,
-            executor="inline",
-            telemetry_dir=str(tmp_path / "stream"),
-            **self.ENGINE_KWARGS,
-        )
-        assert engine_wire(result) == inline_reference
-        files = list((tmp_path / "stream").glob("telemetry-*.jsonl"))
-        assert files
-
-    def test_inline_with_failing_sink_matches(self, inline_reference, tmp_path, capsys):
-        blocker = tmp_path / "blocked"
-        blocker.write_text("occupied")  # telemetry_dir is an existing *file*
-        result = run_parallel_campaign(
-            BOOM,
-            executor="inline",
-            telemetry_dir=str(blocker),
-            **self.ENGINE_KWARGS,
-        )
-        assert engine_wire(result) == inline_reference
-        # The ring keeps working even when the sink is dead.
-        assert result.telemetry.records("round")
-
-    def test_process_pool_matches(self, inline_reference):
-        result = run_parallel_campaign(
-            BOOM, executor="process", **self.ENGINE_KWARGS
-        )
-        assert engine_wire(result) == inline_reference
-
-    def test_async_matches(self, inline_reference):
-        result = run_parallel_campaign(
-            BOOM, executor="async", **self.ENGINE_KWARGS
-        )
-        assert engine_wire(result) == inline_reference
-
-    def test_distributed_matches_and_reports_fabric_metrics(self, inline_reference):
-        backend = DistributedBackend(listen="127.0.0.1:0")
-        try:
-            threading.Thread(
-                target=run_worker,
-                kwargs=dict(
-                    connect=f"{backend.address[0]}:{backend.address[1]}", quiet=True
-                ),
-                daemon=True,
-            ).start()
-            result = run_parallel_campaign(
-                BOOM, executor="inline", backend=backend, **self.ENGINE_KWARGS
-            )
-        finally:
-            backend.close()
-        assert engine_wire(result) == inline_reference
-        # The run's share of the fabric metrics landed in the final record.
-        campaign = result.telemetry.records("campaign")[-1]
-        counters = campaign["metrics"]["counters"]
-        assert counters.get("distributed/results_received") == 4
-        assert "distributed/task_roundtrip_seconds" in campaign["metrics"]["histograms"]
-        # And the per-epoch tasks records carried every delivery, once.
-        rows = [
-            row
-            for record in result.telemetry.records("tasks")
-            for row in record["rows"]
-        ]
-        assert rows == result.task_log
-        assert len(rows) == 4 and all("worker" in row for row in rows)
-
     def test_subprocess_simulator_matches_inproc(self):
         def task(simulator, telemetry):
             return ShardTask(
@@ -522,22 +406,6 @@ class TestEngineTelemetry:
         metrics = result.telemetry.records("metrics")[-1]
         assert metrics["counters"]["phase1/batch_simulations"] > 0
         assert metrics["histograms"]["phase1/sim_seconds"]["count"] > 0
-
-    def test_cadence_suppresses_intermediate_rounds(self):
-        result = run_parallel_campaign(
-            BOOM,
-            executor="inline",
-            shards=2,
-            slices=2,
-            iterations=12,
-            sync_epochs=3,
-            entropy=9,
-            telemetry_cadence=3600.0,
-        )
-        rounds = result.telemetry.records("round")
-        # First round flows, middle is gated, final bypasses the gate.
-        assert [record["epoch"] for record in rounds] == [0, 2]
-        assert rounds[-1]["suppressed_rounds"] == 1
 
     def test_resume_appends_to_a_fresh_sink_file(self, tmp_path):
         def configuration(checkpoint):

@@ -3,23 +3,17 @@ SwapMemory.rearm(), speculative trigger lookahead, and the batch accounting.
 
 The shared contract under test: batching is *byte-transparent* — the same
 campaign run with any ``window_lookahead``, on warm or fresh DUTs (the
-``reference_paths.fresh_duts`` fake), and on any execution path produces
-byte-identical deterministic wire forms.
+``reference_paths.fresh_duts`` fake) produces byte-identical deterministic
+wire forms.  The same holds on every execution path, which
+``test_campaign_matrix.py`` checks.
 """
 
 import json
 
 import pytest
 
-from repro.core.backends import (
-    AsyncBackend,
-    InlineBackend,
-    ProcessPoolBackend,
-    ShardTask,
-    run_shard_task,
-)
+from repro.core.backends import ShardTask, run_shard_task
 from repro.core.distributed import (
-    DistributedBackend,
     fuzzer_configuration_from_wire,
     fuzzer_configuration_to_wire,
 )
@@ -27,12 +21,10 @@ from repro.core.engine import (
     EngineConfiguration,
     ParallelCampaignEngine,
     resolve_core,
-    run_parallel_campaign,
 )
 from repro.core.fuzzer import DejaVuzzFuzzer, FuzzerConfiguration, run_quick_campaign
 from repro.core.phase1 import DEFAULT_LAYOUT, DutPool, TransientWindowTriggering
 from repro.core.report import CampaignResult
-from repro.core.worker import run_worker
 from repro.generation.mutation import Mutator
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
@@ -220,61 +212,6 @@ class TestDutPool:
 
 
 class TestBatchingAcrossExecutionPaths:
-    ENGINE_KWARGS = dict(
-        shards=2, slices=2, iterations=8, sync_epochs=2, entropy=9
-    )
-
-    @pytest.fixture(scope="class")
-    def inline_reference(self):
-        result = run_parallel_campaign(
-            BOOM, executor="inline", **self.ENGINE_KWARGS
-        )
-        return engine_wire(result)
-
-    def test_inline_lookahead_matches_reference(self, inline_reference, monkeypatch):
-        fresh_duts(monkeypatch)
-        batched = run_parallel_campaign(
-            BOOM, executor="inline", window_lookahead=3, **self.ENGINE_KWARGS
-        )
-        assert engine_wire(batched) == inline_reference
-        # Every run reports batch rows; the analysis table picks them up.
-        from repro.analysis import window_batch_table
-
-        rows = window_batch_table(batched.task_log)
-        assert rows and sum(row["batches"] for row in rows) > 0
-
-    def test_process_pool_lookahead_matches_reference(self, inline_reference):
-        batched = run_parallel_campaign(
-            BOOM, executor="process", window_lookahead=3, **self.ENGINE_KWARGS
-        )
-        assert engine_wire(batched) == inline_reference
-
-    def test_async_lookahead_matches_reference(self, inline_reference):
-        batched = run_parallel_campaign(
-            BOOM, executor="async", window_lookahead=3, **self.ENGINE_KWARGS
-        )
-        assert engine_wire(batched) == inline_reference
-
-    def test_distributed_lookahead_matches_reference(self, inline_reference):
-        import threading
-
-        backend = DistributedBackend(listen="127.0.0.1:0")
-        try:
-            threading.Thread(
-                target=run_worker,
-                kwargs=dict(
-                    connect=f"{backend.address[0]}:{backend.address[1]}", quiet=True
-                ),
-                daemon=True,
-            ).start()
-            batched = run_parallel_campaign(
-                BOOM, executor="inline", backend=backend, window_lookahead=3,
-                **self.ENGINE_KWARGS,
-            )
-        finally:
-            backend.close()
-        assert engine_wire(batched) == inline_reference
-
     def test_subprocess_simulator_lookahead_matches_inproc(self):
         def task(simulator, lookahead):
             return ShardTask(
