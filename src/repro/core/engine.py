@@ -114,6 +114,7 @@ from repro.core.backends import (
 )
 from repro.core.corpus import SharedCorpus
 from repro.core.coverage import CoveragePoint, TaintCoverageMatrix
+from repro.core.distributed import MAX_FRAME_BYTES
 from repro.core.fuzzer import FuzzerConfiguration
 from repro.core.report import CampaignResult
 from repro.generation.seeds import Seed
@@ -1337,8 +1338,15 @@ class ParallelCampaignEngine:
         Calling :meth:`run` on the returned engine continues from the first
         unexecuted epoch.
         """
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        # A checkpoint is untrusted input: read at most one frame's worth
+        # before parsing, so a huge file fails fast instead of exhausting memory.
+        with open(path, "rb") as handle:
+            raw = handle.read(MAX_FRAME_BYTES + 1)
+        if len(raw) > MAX_FRAME_BYTES:
+            raise ValueError(
+                f"checkpoint {path!r} is larger than {MAX_FRAME_BYTES} bytes; refusing to load it"
+            )
+        payload = json.loads(raw.decode("utf-8"))
         engine = cls(configuration)
         engine.scheduler.restore(payload)
         return engine

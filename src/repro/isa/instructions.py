@@ -135,6 +135,10 @@ _register(
 )
 
 
+# Instructions that serialize the frontend at dispatch.
+SERIALIZING_MNEMONICS = frozenset(("ecall", "ebreak", "mret", "fence", "fence.i"))
+
+
 @dataclass(frozen=True)
 class Instruction:
     """A single symbolic instruction.
@@ -202,6 +206,20 @@ class Instruction:
             "is_nop",
             self.mnemonic == "addi" and rd == 0 and rs1 == 0 and self.imm == 0,
         )
+        # Execution-resource classification, read once per executed
+        # instruction: the non-pipelined divider, the issue-port class and
+        # whether dispatch serializes the frontend.
+        setattr_(
+            self,
+            "is_divider",
+            self.mnemonic.startswith(("div", "rem")) or iclass is InstructionClass.FP_DIV,
+        )
+        setattr_(
+            self,
+            "port_class",
+            "mem" if is_load or is_store else "fp" if self.is_fp else "int",
+        )
+        setattr_(self, "is_serializing", self.mnemonic in SERIALIZING_MNEMONICS)
         setattr_(self, "_writes", rd if info.writes_rd and rd != 0 else None)
         if info.reads_rs1:
             reads = (rs1, rs2) if info.reads_rs2 else (rs1,)

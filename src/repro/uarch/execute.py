@@ -8,19 +8,10 @@ other instructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.isa.instructions import Instruction, InstructionClass
 from repro.uarch.config import CoreConfig
-
-
-@dataclass
-class PortGrant:
-    """The outcome of asking for an issue port in a given cycle."""
-
-    granted: bool
-    delay: int = 0
 
 
 class ExecutionPorts:
@@ -40,26 +31,9 @@ class ExecutionPorts:
         self.fp_div_busy_until = 0
         self.contention_cycles: Dict[str, int] = {"int": 0, "mem": 0, "fp": 0, "div": 0, "fdiv": 0}
 
-    @staticmethod
-    def port_class(instruction: Instruction) -> str:
-        if instruction.is_memory:
-            return "mem"
-        if instruction.is_fp:
-            return "fp"
-        return "int"
-
-    def request(self, instruction: Instruction, cycle: int) -> PortGrant:
-        """Try to claim an issue port this cycle."""
-        return PortGrant(granted=self.try_claim(instruction, cycle), delay=0)
-
     def try_claim(self, instruction: Instruction, cycle: int) -> bool:
-        """Allocation-free form of :meth:`request` for the per-cycle hot path."""
-        if instruction.is_memory:
-            port = "mem"
-        elif instruction.is_fp:
-            port = "fp"
-        else:
-            port = "int"
+        """Claim an issue port of the instruction's class this cycle, if one is free."""
+        port = instruction.port_class
         usage = self._port_usage[port]
         count = usage.get(cycle, 0)
         if count >= self._limits[port]:
@@ -114,7 +88,3 @@ def base_latency(instruction: Instruction, config: CoreConfig) -> int:
         return config.alu_latency
     # Memory instructions: the cache model supplies the real latency.
     return config.alu_latency
-
-
-def is_divider_op(instruction: Instruction) -> bool:
-    return instruction.mnemonic.startswith(("div", "rem")) or instruction.iclass is InstructionClass.FP_DIV

@@ -53,7 +53,7 @@ from repro.uarch.events import (
     TraceLog,
     TrapCommitEvent,
 )
-from repro.uarch.execute import ExecutionPorts, base_latency, is_divider_op
+from repro.uarch.execute import ExecutionPorts, base_latency
 from repro.uarch.lsu import LoadStoreUnit
 from repro.uarch.predictors import BranchPredictorUnit
 from repro.uarch.rob import ReorderBuffer, RobEntry
@@ -65,9 +65,6 @@ from repro.utils.bitops import is_aligned, mask, sign_extend, to_signed, to_unsi
 PHYSICAL_ADDRESS_BITS = 39
 # Width to which the buggy XiangShan load path truncates illegal addresses (B1).
 TRUNCATED_ADDRESS_BITS = 32
-
-# Instructions that serialize the frontend at dispatch.
-_SERIALIZING_MNEMONICS = frozenset(("ecall", "ebreak", "mret", "fence", "fence.i"))
 
 # Trace events are named tuples; building them through ``tuple.__new__``
 # skips the keyword-argument constructor on the per-instruction path.
@@ -265,56 +262,173 @@ class Processor:
         """
         self._stop_pcs = stop_pcs or set()
         self._halt_reason = None
-        target_commits = max_commits if max_commits is not None else float("inf")
         start_cycle = self.cycle
-        limit_cycle = start_cycle + max_cycles
-        while self.cycle < limit_cycle:
-            self.step_cycle()
-            if self._halt_reason is not None:
-                break
-            if self.committed_instructions >= target_commits:
-                self._halt_reason = "max_commits"
-                break
-            self._fast_forward(limit_cycle)
-        if not collect_outcome:
-            return SimulationOutcome(
-                cycles=self.cycle - start_cycle,
-                committed_instructions=self.committed_instructions,
-                trace=self.trace,
-                taint=self.taint,
-                halted_on=self._halt_reason or "max_cycles",
-            )
-        return SimulationOutcome(
+        self._advance(
+            start_cycle + max_cycles,
+            max_commits if max_commits is not None else float("inf"),
+        )
+        outcome = SimulationOutcome(
             cycles=self.cycle - start_cycle,
             committed_instructions=self.committed_instructions,
             trace=self.trace,
             taint=self.taint,
             halted_on=self._halt_reason or "max_cycles",
-            commit_cycles=list(self.commit_cycles),
-            contention=self._contention_summary(),
-            side_channel_fingerprint=self.side_channel_fingerprint(),
         )
+        if collect_outcome:
+            outcome.commit_cycles = list(self.commit_cycles)
+            outcome.contention = self._contention_summary()
+            outcome.side_channel_fingerprint = self.side_channel_fingerprint()
+        return outcome
 
     def step_cycle(self) -> None:
-        """Advance the pipeline by one clock cycle."""
-        self.cycle += 1
-        self.hierarchy.cycle = self.cycle
-        # Control-flow resolution runs before commit: a mispredicted branch
-        # must squash its wrong path before younger entries can retire.
-        self._resolve_stage()
-        self._commit_stage()
-        if self._halt_reason is not None:
-            if self._taint_enabled:
+        """Advance the pipeline by exactly one clock cycle (no fast-forward)."""
+        self._advance(self.cycle + 1, float("inf"))
+
+    def _advance(self, limit_cycle: int, target_commits: float) -> None:
+        """The cycle loop behind ``run`` and ``step_cycle``.
+
+        Steps until ``limit_cycle``, a halt, or ``target_commits`` commits.
+        One iteration is one clock cycle: resolve (before commit, so a
+        mispredicted branch squashes its wrong path before younger entries
+        can retire), commit, execute, fetch, then the taint census.  Each
+        stage's per-cycle scan is written out in the body; per-instruction
+        work and rare events (squashes, traps) stay methods.  Config
+        constants and bound methods are hoisted into locals once per call,
+        never per cycle.  Only objects that are never rebound while the loop
+        runs may be hoisted: squashes replace ``rob.entries`` and the execute
+        step replaces ``_unexecuted``, so both are re-read every cycle.
+        """
+        commit_width = self.config.commit_width
+        exception_commit_delay = self.config.exception_commit_delay
+        fetch_width = self.config.fetch_width
+        rob = self.rob
+        rob_capacity = rob.capacity
+        find = rob.find
+        hierarchy = self.hierarchy
+        icache_fetch = hierarchy.icache.fetch_access
+        ports = self.ports
+        try_claim = ports.try_claim
+        results = self._results
+        unresolved = self._unresolved
+        executing = self._executing
+        taint_enabled = self._taint_enabled
+        resolve_stage = self._resolve_stage
+        commit_instruction = self._commit_instruction
+        commit_exception = self._commit_exception
+        execute_entry = self._execute_entry
+        dispatch = self._dispatch
+        heappush = heapq.heappush
+        cycle = self.cycle
+        while cycle < limit_cycle:
+            cycle += 1
+            self.cycle = hierarchy.cycle = cycle
+            if unresolved:
+                resolve_stage(cycle)
+
+            # Commit: retire ready heads in order; a trapping head ends the cycle.
+            entries = rob.entries
+            for _ in range(commit_width):
+                if not entries:
+                    break
+                head = entries[0]
+                if head.head_arrival_cycle is None:
+                    head.head_arrival_cycle = cycle
+                if not head.executed:
+                    break
+                if head.exception is not None:
+                    # The trap is taken ``exception_commit_delay`` cycles after
+                    # the faulting entry reaches the head: the transient window.
+                    if cycle >= max(
+                        head.complete_cycle, head.head_arrival_cycle + exception_commit_delay
+                    ):
+                        commit_exception(head)
+                    break
+                if cycle < head.complete_cycle:
+                    break
+                commit_instruction(head)
+            if self._halt_reason is not None:
+                if taint_enabled:
+                    self._record_census()
+                break
+
+            # Execute: issue every entry whose producers have completed to a
+            # free port.  A memory-disambiguation squash during the loop
+            # truncates ``waiting`` in place; the entries it squashed are
+            # skipped for the rest of the loop.
+            self._port_denied = False
+            pending = self._unexecuted
+            if pending:
+                waiting: List[RobEntry] = []
+                self._unexecuted = waiting
+                for entry in pending:
+                    if entry.squashed:
+                        continue
+                    producers = entry._producers
+                    if producers:
+                        # Ready once every in-flight producer has completed;
+                        # a ``break`` leaves ``producers`` set, so it waits.
+                        for producer in producers.values():
+                            if producer not in results:
+                                break
+                            producing = find(producer)
+                            if producing is not None and (
+                                not producing.executed or producing.complete_cycle > cycle
+                            ):
+                                break
+                        else:
+                            producers = None
+                        if producers:
+                            waiting.append(entry)
+                            continue
+                    if not try_claim(entry.instruction, cycle):
+                        self._port_denied = True
+                        waiting.append(entry)
+                        continue
+                    execute_entry(entry)
+                    heappush(executing, (entry.complete_cycle, entry.sequence, entry))
+
+            # Fetch: dispatch up to fetch_width instructions along the
+            # predicted path, stopping at an icache miss or a serializing
+            # or illegal instruction.
+            fetch_source = self._fetch_source
+            if (
+                fetch_source is not None
+                and cycle >= self.fetch_stall_until
+                and not self.fetch_serialized
+            ):
+                entries = rob.entries
+                fetched = 0
+                while fetched < fetch_width and len(entries) < rob_capacity:
+                    instruction = fetch_source(self.fetch_pc)
+                    if instruction is None:
+                        if fetched == 0:
+                            self._fetch_returned_none = True
+                        break
+                    self._fetch_returned_none = False
+                    miss_latency = icache_fetch(self.fetch_pc)
+                    if miss_latency:
+                        self.fetch_stall_until = cycle + miss_latency
+                    entry = dispatch(instruction)
+                    fetched += 1
+                    if (
+                        self.fetch_serialized
+                        or miss_latency
+                        or (entry.exception is not None and instruction.is_illegal)
+                    ):
+                        break
+
+            if cycle & 15 == 0:
+                # Pruning is pure GC (claims only ever reference the current
+                # cycle), so amortising it over 16 cycles is free.
+                ports.drop_usage_before(cycle)
+            if taint_enabled:
                 self._record_census()
-            return
-        self._execute_stage()
-        self._fetch_stage()
-        if self.cycle & 15 == 0:
-            # Pruning is pure GC (claims only ever reference the current
-            # cycle), so amortising it over 16 cycles is free.
-            self.ports.drop_usage_before(self.cycle)
-        if self._taint_enabled:
-            self._record_census()
+            if self.committed_instructions >= target_commits:
+                self._halt_reason = "max_commits"
+                break
+            if cycle + 1 < limit_cycle:
+                self._fast_forward(limit_cycle)
+                cycle = self.cycle
 
     def _fast_forward(self, limit_cycle: int) -> None:
         """Jump the clock over cycles in which no pipeline stage can act.
@@ -368,28 +482,10 @@ class Processor:
         if self._taint_enabled:
             log = self.taint.census_log
             shared_counts = log[-1].element_counts
-            log.extend(
-                TaintCensus(cycle=skipped, element_counts=shared_counts)
-                for skipped in range(cycle + 1, target)
-            )
+            log.extend(TaintCensus(skipped, shared_counts) for skipped in range(cycle + 1, target))
         self.cycle = target - 1
 
     # -- commit stage ------------------------------------------------------------------------
-
-    def _commit_stage(self) -> None:
-        entries = self.rob.entries
-        for _ in range(self.config.commit_width):
-            if not entries:
-                return
-            head = entries[0]
-            if head.head_arrival_cycle is None:
-                head.head_arrival_cycle = self.cycle
-            if not head.is_ready_to_commit(self.cycle, self.config.exception_commit_delay):
-                return
-            if head.exception is not None:
-                self._commit_exception(head)
-                return
-            self._commit_instruction(head)
 
     def _commit_instruction(self, entry: RobEntry) -> None:
         instruction = entry.instruction
@@ -470,16 +566,13 @@ class Processor:
 
     # -- resolve stage -----------------------------------------------------------------------
 
-    def _resolve_stage(self) -> None:
+    def _resolve_stage(self, cycle: int) -> None:
         # An entry resolves once, in the first cycle its result is complete:
         # its actual and predicted next PC never change afterwards, so a
         # correct prediction needs no further look.  Entries completing in
         # the same cycle resolve in program order, and one squashed by an
         # older entry's misprediction earlier in the loop does not resolve.
         unresolved = self._unresolved
-        if not unresolved:
-            return
-        cycle = self.cycle
         ready = [
             entry
             for entry in unresolved
@@ -511,11 +604,7 @@ class Processor:
 
         tainted = entry.sources_tainted
         propagate = self.taint.control_event(
-            kind="redirect",
-            key=(entry.sequence,),
-            value=entry.actual_next_pc,
-            tainted=tainted,
-            cycle=self.cycle,
+            "redirect", (entry.sequence,), entry.actual_next_pc, tainted, self.cycle
         )
         squashed = self._squash_younger_than(entry.sequence)
         self._record_squash(reason, entry, squashed)
@@ -556,11 +645,7 @@ class Processor:
         if not had_tainted_inflight:
             return
         propagate = self.taint.control_event(
-            kind="rollback",
-            key=(squashed[0].sequence if squashed else -1,),
-            value=len(squashed),
-            tainted=True,
-            cycle=self.cycle,
+            "rollback", (squashed[0].sequence if squashed else -1,), len(squashed), True, self.cycle
         )
         if propagate or extra_tainted:
             if self.taint.mode is TaintTrackingMode.CELLIFT:
@@ -594,51 +679,6 @@ class Processor:
 
     # -- execute stage ------------------------------------------------------------------------
 
-    def _execute_stage(self) -> None:
-        self._port_denied = False
-        pending = self._unexecuted
-        if not pending:
-            return
-        # The entries left unexecuted this cycle, in program order; a
-        # memory-disambiguation squash during the loop truncates it in place,
-        # and the entries it squashed are skipped for the rest of the loop.
-        waiting: List[RobEntry] = []
-        self._unexecuted = waiting
-        cycle = self.cycle
-        try_claim = self.ports.try_claim
-        operands_ready = self._operands_ready
-        for entry in pending:
-            if entry.squashed:
-                continue
-            if not operands_ready(entry):
-                waiting.append(entry)
-                continue
-            if not try_claim(entry.instruction, cycle):
-                self._port_denied = True
-                waiting.append(entry)
-                continue
-            self._execute_entry(entry)
-            heapq.heappush(self._executing, (entry.complete_cycle, entry.sequence, entry))
-
-    def _operands_ready(self, entry: RobEntry) -> bool:
-        producers = entry._producers
-        if not producers:
-            return True
-        results = self._results
-        cycle = self.cycle
-        find = self.rob.find
-        for producer in producers.values():
-            if producer not in results:
-                return False
-            producing_entry = find(producer)
-            if producing_entry is not None and (
-                not producing_entry.executed
-                or producing_entry.complete_cycle is None
-                or producing_entry.complete_cycle > cycle
-            ):
-                return False
-        return True
-
     def _operand_value(self, entry: RobEntry, source: int) -> Tuple[int, bool]:
         if source == 0:
             return 0, False
@@ -646,7 +686,7 @@ class Processor:
         producer = producers.get(source) if producers else None
         if producer is not None and producer in self._results:
             return self._results[producer]
-        return self.registers[source], self.taint.register_is_tainted(source)
+        return self.registers[source], self._taint_enabled and self.taint.register_is_tainted(source)
 
     def _execute_entry(self, entry: RobEntry) -> None:
         instruction = entry.instruction
@@ -667,7 +707,7 @@ class Processor:
             rs2_tainted and instruction.info.reads_rs2
         )
         entry.sources_tainted = sources_tainted
-        entry.dispatch_cycle = self.cycle
+        entry.dispatch_cycle = cycle
         latency_cache = self._latency_cache
         latency = latency_cache.get(instruction.mnemonic)
         if latency is None:
@@ -690,25 +730,21 @@ class Processor:
             entry.actual_next_pc = next_pc(instruction, entry.pc, rs1_value, rs2_value)
             if sources_tainted:
                 self.taint.control_event(
-                    kind="branch_target",
-                    key=(entry.sequence,),
-                    value=entry.actual_next_pc,
-                    tainted=True,
-                    cycle=self.cycle,
+                    "branch_target", (entry.sequence,), entry.actual_next_pc, True, cycle
                 )
         else:
             entry.result = compute_alu(instruction, rs1_value, rs2_value, entry.pc)
             entry.actual_next_pc = entry.pc + 4
 
-        if is_divider_op(instruction) and entry.exception is None:
+        if instruction.is_divider and entry.exception is None:
             start = self.ports.claim_divider(
-                self.cycle, latency, floating_point=instruction.iclass is InstructionClass.FP_DIV
+                cycle, latency, floating_point=instruction.iclass is InstructionClass.FP_DIV
             )
-            latency += start - self.cycle
+            latency += start - cycle
 
         entry.result_tainted = sources_tainted or entry.result_tainted
         entry.executed = True
-        entry.complete_cycle = self.cycle + max(latency, 1)
+        entry.complete_cycle = cycle + max(latency, 1)
         destination = instruction._writes
         if destination is not None:
             entry.dest_reg = destination
@@ -768,11 +804,7 @@ class Processor:
         address_taint_propagates = False
         if rs1_tainted:
             address_taint_propagates = self.taint.control_event(
-                kind="dcache_set",
-                key=(entry.sequence,),
-                value=set_index,
-                tainted=True,
-                cycle=self.cycle,
+                "dcache_set", (entry.sequence,), set_index, True, self.cycle
             )
 
         latency = self._translate(access_address, rs1_tainted and address_taint_propagates)
@@ -867,11 +899,11 @@ class Processor:
         if violating_entry is None:
             return
         propagate = self.taint.control_event(
-            kind="mem_disamb",
-            key=(store_entry.sequence,),
-            value=violating_sequence,
-            tainted=store_entry.result_tainted or violating_entry.result_tainted,
-            cycle=self.cycle,
+            "mem_disamb",
+            (store_entry.sequence,),
+            violating_sequence,
+            store_entry.result_tainted or violating_entry.result_tainted,
+            self.cycle,
         )
         squashed = self._squash_younger_than(violating_sequence - 1)
         self._record_squash(SquashReason.MEMORY_DISAMBIGUATION, store_entry, squashed)
@@ -882,53 +914,21 @@ class Processor:
 
     # -- fetch stage ----------------------------------------------------------------------------
 
-    def _fetch_stage(self) -> None:
-        if self._fetch_source is None:
-            return
-        if self.cycle < self.fetch_stall_until:
-            return
-        if self.fetch_serialized:
-            return
-        fetched = 0
-        fetch_width = self.config.fetch_width
-        fetch_source = self._fetch_source
-        icache_fetch = self.hierarchy.icache.fetch_access
-        rob_entries = self.rob.entries
-        rob_capacity = self.rob.capacity
-        while fetched < fetch_width and len(rob_entries) < rob_capacity:
-            instruction = fetch_source(self.fetch_pc)
-            if instruction is None:
-                if fetched == 0:
-                    self._fetch_returned_none = True
-                return
-            self._fetch_returned_none = False
-            miss_latency = icache_fetch(self.fetch_pc)
-            if miss_latency:
-                self.fetch_stall_until = self.cycle + miss_latency
-            entry = self._dispatch(instruction)
-            fetched += 1
-            if self.fetch_serialized:
-                break
-            if miss_latency:
-                break
-            if entry.exception is not None and entry.instruction.is_illegal:
-                break
-
     def _dispatch(self, instruction: Instruction) -> RobEntry:
-        sequence = self.rob.allocate_sequence()
+        rob = self.rob
+        sequence = rob.allocate_sequence()
+        pc = self.fetch_pc
+        cycle = self.cycle
         if instruction.is_control_flow:
-            predicted_next_pc, ras_snapshot = self._predict(instruction, self.fetch_pc)
+            predicted_next_pc, ras_snapshot = self._predict(instruction, pc)
         else:
             # Straight-line instructions always predict fall-through.
-            predicted_next_pc, ras_snapshot = self.fetch_pc + 4, None
-        entry = RobEntry(
-            sequence=sequence,
-            pc=self.fetch_pc,
-            instruction=instruction,
-            fetch_cycle=self.cycle,
-            predicted_next_pc=predicted_next_pc,
-            ras_snapshot=ras_snapshot,
-        )
+            predicted_next_pc, ras_snapshot = pc + 4, None
+        # Built positionally: a keyword build of the 26-slot dataclass costs
+        # three times as much, and dispatch runs once per fetched instruction.
+        entry = RobEntry(sequence, pc, instruction, cycle, predicted_next_pc)
+        if ras_snapshot is not None:
+            entry.ras_snapshot = ras_snapshot
         producers: Optional[Dict[int, int]] = None
         last_writer = self._last_writer
         for source in instruction._reads:
@@ -937,16 +937,15 @@ class Processor:
                     producers = {}
                 producers[source] = last_writer[source]
         entry._producers = producers
-        self.rob.enqueue(entry)
+        rob.enqueue(entry)
         self.trace.enqueues.append(
             _new_event(
-                RobEnqueueEvent,
-                (self.cycle, len(self.rob.entries) - 1, sequence, self.fetch_pc, instruction.mnemonic),
+                RobEnqueueEvent, (cycle, len(rob.entries) - 1, sequence, pc, instruction.mnemonic)
             )
         )
         destination = instruction._writes
         if destination is not None:
-            self._last_writer[destination] = sequence
+            last_writer[destination] = sequence
         if instruction.is_control_flow:
             self._unresolved.append(entry)
         if instruction.is_illegal and not self.config.illegal_instruction_opens_window:
@@ -954,12 +953,12 @@ class Processor:
             # (BOOM behaviour): no transient window opens.
             entry.exception = TrapCause.ILLEGAL_INSTRUCTION
             entry.executed = True
-            entry.complete_cycle = self.cycle + 1
+            entry.complete_cycle = cycle + 1
             heapq.heappush(self._executing, (entry.complete_cycle, sequence, entry))
             self.fetch_serialized = True
         else:
             self._unexecuted.append(entry)
-        if instruction.mnemonic in _SERIALIZING_MNEMONICS:
+        if instruction.is_serializing:
             # System instructions serialize the frontend: fetch does not run
             # past them until they resolve (redirect or trap).
             self.fetch_serialized = True

@@ -57,19 +57,6 @@ class RobEntry:
     def in_flight(self) -> bool:
         return not self.squashed and not self.committed
 
-    def is_ready_to_commit(self, cycle: int, exception_commit_delay: int) -> bool:
-        if not self.executed or self.complete_cycle is None:
-            return False
-        if self.exception is not None:
-            # The trap is taken at retirement: the faulting instruction must be
-            # the oldest instruction, and the trap pipeline then needs
-            # ``exception_commit_delay`` cycles before the flush — that is the
-            # transient window younger instructions execute in.
-            if self.head_arrival_cycle is None:
-                return False
-            return cycle >= max(self.complete_cycle, self.head_arrival_cycle + exception_commit_delay)
-        return cycle >= self.complete_cycle
-
 
 class ReorderBuffer:
     """A bounded in-order list of in-flight instructions."""

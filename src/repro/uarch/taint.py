@@ -90,6 +90,9 @@ class TaintState:
         diff_oracle: Optional[DiffOracle] = None,
     ) -> None:
         self.mode = mode
+        # A plain attribute, not a property: the mode is fixed for the
+        # state's lifetime and every register write checks it.
+        self.enabled = mode is not TaintTrackingMode.NONE
         self.diff_oracle = diff_oracle
         # Register taint is one bit per architectural register, packed into a
         # 32-bit mask; memory byte taint is packed into 64-byte occupancy
@@ -109,10 +112,6 @@ class TaintState:
         self.taint_version: int = 0
 
     # -- configuration ------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode is not TaintTrackingMode.NONE
 
     def reset(self) -> None:
         self._register_mask = 0
@@ -222,7 +221,7 @@ class TaintState:
 
     def control_event(self, kind: str, key: Tuple, value: int, tainted: bool, cycle: int) -> bool:
         """Record a control decision; return True when control taint must propagate."""
-        self.control_log.append(ControlEvent(kind=kind, key=key, value=value, tainted=tainted, cycle=cycle))
+        self.control_log.append(ControlEvent(kind, key, value, tainted, cycle))
         if not self.enabled or not tainted:
             return False
         if self.mode is TaintTrackingMode.CELLIFT:
@@ -258,7 +257,7 @@ class TaintState:
         counts["memory"] = 0  # architectural memory taint is the source, not coverage
         for module, extra in self.control_taint_overlays.items():
             counts[module] = counts.get(module, 0) + extra
-        census = TaintCensus(cycle=cycle, element_counts=counts)
+        census = TaintCensus(cycle, counts)
         self.census_log.append(census)
         return census
 
@@ -271,7 +270,7 @@ class TaintState:
         (censuses are never mutated after recording).
         """
         previous = self.census_log[-1]
-        census = TaintCensus(cycle=cycle, element_counts=previous.element_counts)
+        census = TaintCensus(cycle, previous.element_counts)
         self.census_log.append(census)
         return census
 

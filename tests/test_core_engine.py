@@ -878,6 +878,15 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="checkpoint format"):
             ParallelCampaignEngine.resume_from(str(path), self.cfg())
 
+    def test_checkpoint_larger_than_a_frame_is_refused(self, tmp_path):
+        from repro.core.distributed import MAX_FRAME_BYTES
+
+        path = tmp_path / "huge.json"
+        with open(path, "wb") as handle:
+            handle.truncate(MAX_FRAME_BYTES + 1)  # sparse: no 16 MiB write
+        with pytest.raises(ValueError, match="larger than .* refusing to load"):
+            ParallelCampaignEngine.resume_from(str(path), self.cfg())
+
     def test_checkpoint_state_requires_a_started_run(self):
         engine = ParallelCampaignEngine(self.cfg())
         with pytest.raises(ValueError, match="run\\(\\) has not started"):

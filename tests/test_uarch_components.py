@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.isa import Assembler, SimMemory
 from repro.isa.instructions import Instruction
 from repro.uarch.boom import small_boom_config
 from repro.uarch.bugs import BUG_REGISTRY, bugs_for_core, default_bug_set
 from repro.uarch.cache import LineFillBuffer, MemoryHierarchy, SetAssociativeCache
 from repro.uarch.config import CacheConfig, CoreConfig
-from repro.uarch.execute import ExecutionPorts, base_latency, is_divider_op
+from repro.uarch.execute import ExecutionPorts, base_latency
 from repro.uarch.lsu import LoadStoreUnit
 from repro.uarch.predictors import (
     BranchHistoryTable,
@@ -17,6 +18,7 @@ from repro.uarch.predictors import (
     LoopPredictor,
     ReturnAddressStack,
 )
+from repro.uarch.processor import Processor
 from repro.uarch.rob import ReorderBuffer, RobEntry
 from repro.uarch.tlb import Tlb
 from repro.uarch.xiangshan import xiangshan_minimal_config
@@ -395,15 +397,22 @@ class TestReorderBuffer:
         assert rob.tainted_entry_count() == 0
 
     def test_exception_commit_clock_starts_at_head(self):
-        rob = ReorderBuffer(capacity=4)
-        entry = self._entry(rob)
-        entry.executed = True
-        entry.complete_cycle = 10
-        entry.exception = __import__("repro.isa.simulator", fromlist=["TrapCause"]).TrapCause.ECALL
-        assert not entry.is_ready_to_commit(100, exception_commit_delay=5)
-        entry.head_arrival_cycle = 100
-        assert not entry.is_ready_to_commit(104, exception_commit_delay=5)
-        assert entry.is_ready_to_commit(105, exception_commit_delay=5)
+        # The ecall completes long before the dependent divides ahead of it
+        # retire, and reaches the head in the cycle the last one commits: its
+        # trap still waits the full exception_commit_delay from that cycle.
+        config = small_boom_config()
+        memory = SimMemory()
+        memory.map_range(0x1000, 0x1000)
+        processor = Processor(config, memory=memory)
+        source = "div a0, a1, a2\ndiv a0, a0, a2\ndiv a0, a0, a2\necall\n"
+        processor.load_program(Assembler(base=0x1000).assemble(source))
+        outcome = processor.run(max_cycles=500)
+        assert outcome.halted_on == "trap:ecall"
+        last_commit = outcome.commit_cycles[-1][0]
+        ecall_enqueue = outcome.trace.enqueues[-1]
+        assert ecall_enqueue.pc == 0x100C and ecall_enqueue.cycle < last_commit
+        (trap,) = outcome.trace.traps
+        assert trap.cycle == last_commit + config.exception_commit_delay
 
 
 class TestExecutionPortsAndLatency:
@@ -411,10 +420,11 @@ class TestExecutionPortsAndLatency:
         config = small_boom_config()
         ports = ExecutionPorts(config)
         load = Instruction("ld", rd=1, rs1=2)
-        assert ports.request(load, cycle=1).granted
+        assert ports.try_claim(load, cycle=1)
         # Only one memory issue port on SmallBOOM.
-        assert not ports.request(load, cycle=1).granted
-        assert ports.request(load, cycle=2).granted
+        assert not ports.try_claim(load, cycle=1)
+        assert ports.try_claim(load, cycle=2)
+        assert ports.contention_cycles["mem"] == 1
 
     def test_divider_is_not_pipelined(self):
         ports = ExecutionPorts(small_boom_config())
@@ -432,9 +442,11 @@ class TestExecutionPortsAndLatency:
         )
 
     def test_is_divider_op(self):
-        assert is_divider_op(Instruction("div", rd=1, rs1=2, rs2=3))
-        assert is_divider_op(Instruction("fdiv.d", rd=1, rs1=2, rs2=3))
-        assert not is_divider_op(Instruction("add", rd=1, rs1=2, rs2=3))
+        assert Instruction("div", rd=1, rs1=2, rs2=3).is_divider
+        assert Instruction("remu", rd=1, rs1=2, rs2=3).is_divider
+        assert Instruction("fdiv.d", rd=1, rs1=2, rs2=3).is_divider
+        assert not Instruction("add", rd=1, rs1=2, rs2=3).is_divider
+        assert not Instruction("mul", rd=1, rs1=2, rs2=3).is_divider
 
 
 class TestConfigsAndBugs:

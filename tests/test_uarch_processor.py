@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import resolve_core
 from repro.isa import Assembler, IsaSimulator, Permission, SimMemory
 from repro.isa.instructions import Instruction
 from repro.uarch import (
@@ -403,9 +404,27 @@ class TestWorklists:
             if entry.executed and entry.complete_cycle > cycle
         )
 
-    def test_worklists_mirror_the_rob_every_cycle(self):
+    @pytest.mark.parametrize(
+        "core, taint_mode",
+        [
+            ("boom", TaintTrackingMode.NONE),
+            ("xiangshan", TaintTrackingMode.NONE),
+            ("boom-large", TaintTrackingMode.NONE),
+            ("boom", TaintTrackingMode.DIFFIFT),
+        ],
+        ids=["boom", "xiangshan", "boom-large", "boom-diffift"],
+    )
+    def test_worklists_mirror_the_rob_every_cycle(self, core, taint_mode):
+        """``step_cycle`` is the one-cycle entry into the fused cycle loop:
+        the worklists it leaves behind must match the RoB after every cycle."""
         memory = make_memory((0x1000, 0x2000), (PROBE, 0x1000))
-        processor, _ = build_processor(self.SOURCE, memory=memory)
+        processor, _ = build_processor(
+            self.SOURCE, config=resolve_core(core), memory=memory, taint_mode=taint_mode
+        )
+        if taint_mode is TaintTrackingMode.DIFFIFT:
+            # Every control decision diverges, so the rollback taint paths run.
+            processor.taint.diff_oracle = lambda kind, key, value: True
+            processor.mark_secret(PROBE, 0x1000)
         reasons = set()
         while processor._halt_reason is None and processor.cycle < 2000:
             processor.step_cycle()
@@ -414,6 +433,10 @@ class TestWorklists:
             reasons.update(processor.trace.squash_reasons())
         assert processor._halt_reason == "trap:ecall"
         assert {SquashReason.BRANCH_MISPREDICTION, SquashReason.MEMORY_DISAMBIGUATION} <= reasons
+        if taint_mode is TaintTrackingMode.DIFFIFT:
+            census = processor.taint.census_log
+            assert [entry.cycle for entry in census] == list(range(1, processor.cycle + 1))
+            assert any(entry.total_elements() for entry in census)
         processor.flush_transient_state()
         assert not (processor._unexecuted or processor._unresolved or processor._executing)
 

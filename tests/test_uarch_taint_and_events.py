@@ -11,7 +11,7 @@ from repro.core.phase3 import LeakageVerdict
 from repro.generation import TransientWindowType
 from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
 from repro.isa import Assembler, IsaSimulator, SimMemory
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, nop
 from repro.swapmem.harness import DualCoreHarness
 from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.memory import SwapMemory
@@ -24,7 +24,6 @@ from repro.uarch import (
     SquashReason,
     TaintTrackingMode,
     TraceLog,
-    small_boom_config,
 )
 from repro.uarch.config import TaintTrackingMode as Mode
 from repro.uarch.taint import BIT_WEIGHTS, TaintCensus, TaintState, make_peer_diff_oracle
@@ -212,34 +211,54 @@ class TestReports:
 class TestCoSimulation:
     """Property test: the OoO pipeline retires the same architectural state as the ISA model."""
 
-    @settings(max_examples=15, deadline=None)
+    SAFE_BASE = 0xA000
+    SAFE_SIZE = 0x1000
+
+    @pytest.mark.parametrize("allow_branches", [False, True], ids=["straight-line", "branches"])
+    @pytest.mark.parametrize("core", CORES)
+    @settings(max_examples=12, deadline=None)
     @given(entropy=st.integers(min_value=0, max_value=10_000))
-    def test_random_arithmetic_programs_match_golden_model(self, entropy):
+    def test_random_programs_commit_in_lockstep_with_golden_model(
+        self, core, allow_branches, entropy
+    ):
+        """Random filler with loads/stores into a mapped region (and forward
+        branches): the pipeline commits exactly the golden model's instruction
+        sequence, traps at its ecall, and leaves the same registers and the
+        same bytes in the region."""
         rng = DeterministicRng(entropy, "cosim")
         generator = RandomInstructionGenerator(
-            rng, safe_regions=[SafeRegion(0xA000, 0x1000)]
+            rng, safe_regions=[SafeRegion(self.SAFE_BASE, self.SAFE_SIZE)]
         )
-        body = generator.filler_block(30, allow_branches=False)
+        body = generator.filler_block(40, allow_branches=allow_branches)
+        # A branch near the end skips at most four instructions: it lands on
+        # the padding, never past the ecall.
+        body.extend(nop() for _ in range(4))
         body.append(Instruction("ecall"))
         program = Assembler(base=0x1000).assemble_instructions(body)
 
         def fresh_memory():
             memory = SimMemory()
             memory.map_range(0x1000, 0x1000)
-            memory.map_range(0xA000, 0x1000)
+            memory.map_range(self.SAFE_BASE, self.SAFE_SIZE)
             return memory
 
-        reference = IsaSimulator(program, memory=fresh_memory())
-        reference.run(max_instructions=200)
+        reference_memory = fresh_memory()
+        reference = IsaSimulator(program, memory=reference_memory).run(max_instructions=500)
+        assert reference.trap is not None and reference.trap.cause.value == "ecall"
+        *committed_pcs, ecall_pc = [pc for pc, _ in reference.trace]
 
-        processor = Processor(small_boom_config(), memory=fresh_memory())
+        memory = fresh_memory()
+        processor = Processor(resolve_core(core), memory=memory)
         processor.load_program(program, map_pages=False)
-        outcome = processor.run(max_cycles=1500)
+        outcome = processor.run(max_cycles=20_000)
         assert outcome.halted_on == "trap:ecall"
-        for register in range(32):
-            assert processor.read_register(register) == reference.read_register(register), (
-                f"register x{register} diverged for entropy {entropy}"
-            )
+        assert [event.pc for event in outcome.trace.commits] == committed_pcs
+        assert [trap.pc for trap in outcome.trace.traps] == [ecall_pc]
+        assert [processor.read_register(index) for index in range(32)] == [
+            reference.register_file.get(index, 0) for index in range(32)
+        ]
+        for address in range(self.SAFE_BASE, self.SAFE_BASE + self.SAFE_SIZE, 8):
+            assert memory.read(address, 8) == reference_memory.read(address, 8), hex(address)
 
 
 WINDOW_TYPES = list(TransientWindowType)
