@@ -315,12 +315,10 @@ def window_batch_table(
 
     ``task_log`` is :attr:`repro.core.engine.EngineResult.task_log`: every
     slice-epoch task's row carries the window-batching counters
-    (``window_batches, batch_simulations, max_batch, speculated,
-    lookahead_hits, dut_constructions, dut_reuses``).  Each output row sums a
-    slice's story across the campaign: how many window batches ran, the
-    physical simulations they performed, the widest batch, how many
-    candidates were evaluated speculatively, and how many committed rounds
-    were absorbed by an earlier batch (``lookahead_hits``).  The companion of
+    (``window_batches, batch_simulations, max_batch, dut_constructions,
+    dut_reuses``).  Each output row sums a slice's story across the campaign:
+    how many window batches ran, the simulations they performed, the widest
+    batch and how often the warm DUT was reused.  The companion of
     :func:`profile_hotspot_table` for the batching layer — diagnostics only,
     never part of the deterministic campaign wire forms.
     """
@@ -335,8 +333,6 @@ def window_batch_table(
                 "batches": 0,
                 "batch_simulations": 0,
                 "max_batch": 0,
-                "speculated": 0,
-                "lookahead_hits": 0,
                 "dut_constructions": 0,
                 "dut_reuses": 0,
             },
@@ -345,8 +341,6 @@ def window_batch_table(
         row["batches"] += int(entry["window_batches"])
         row["batch_simulations"] += int(entry["batch_simulations"])
         row["max_batch"] = max(row["max_batch"], int(entry["max_batch"]))
-        row["speculated"] += int(entry["speculated"])
-        row["lookahead_hits"] += int(entry["lookahead_hits"])
         row["dut_constructions"] += int(entry["dut_constructions"])
         row["dut_reuses"] += int(entry["dut_reuses"])
     return [dict(rows[index]) for index in sorted(rows)]

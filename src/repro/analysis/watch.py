@@ -27,9 +27,10 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.results import latency_percentiles, telemetry_table
+from repro.core.distributed import MAX_FRAME_BYTES
 
 __all__ = ["TelemetryFollower", "main", "render_summary", "validate_record"]
 
@@ -78,6 +79,8 @@ class TelemetryFollower:
         self.records: List[Dict[str, object]] = []
         self.errors: List[str] = []
         self._offsets: Dict[str, int] = {}
+        # Files whose next bytes continue an over-long line being skipped.
+        self._skipping: Set[str] = set()
 
     def files(self) -> List[str]:
         if os.path.isdir(self.path):
@@ -89,21 +92,42 @@ class TelemetryFollower:
         return [self.path]
 
     def poll(self) -> List[Dict[str, object]]:
-        """Consume newly completed lines; returns the records they held."""
+        """Consume newly completed lines; returns the records they held.
+
+        Reads at most ``MAX_FRAME_BYTES + 1`` bytes of each file per call.
+        A line longer than ``MAX_FRAME_BYTES`` is counted in :attr:`errors`
+        and skipped up to its newline, never parsed.
+        """
         new: List[Dict[str, object]] = []
         for file in self.files():
             offset = self._offsets.get(file, 0)
             try:
                 with open(file, "rb") as handle:
                     handle.seek(offset)
-                    chunk = handle.read()
+                    chunk = handle.read(MAX_FRAME_BYTES + 1)
             except OSError:
                 continue
+            name = os.path.basename(file)
+            if file in self._skipping:
+                newline = chunk.find(b"\n")
+                if newline < 0:
+                    self._offsets[file] = offset + len(chunk)
+                    continue
+                self._skipping.discard(file)
+                offset += newline + 1
+                chunk = chunk[newline + 1:]
             # Only complete lines are consumed; a trailing partial line is
             # left for the next poll (the writer appends whole lines, so a
             # partial read means we raced the append itself).
             end = chunk.rfind(b"\n")
             if end < 0:
+                if len(chunk) > MAX_FRAME_BYTES:
+                    self.errors.append(
+                        f"{name}: line longer than {MAX_FRAME_BYTES} bytes"
+                    )
+                    self._skipping.add(file)
+                    offset += len(chunk)
+                self._offsets[file] = offset
                 continue
             self._offsets[file] = offset + end + 1
             for line in chunk[:end].split(b"\n"):
@@ -113,19 +137,25 @@ class TelemetryFollower:
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    self.errors.append(f"{os.path.basename(file)}: unparseable line")
+                    self.errors.append(f"{name}: unparseable line")
                     continue
                 if not isinstance(record, dict):
-                    self.errors.append(
-                        f"{os.path.basename(file)}: record is not an object"
-                    )
+                    self.errors.append(f"{name}: record is not an object")
                     continue
                 problem = validate_record(record)
                 if problem is not None:
-                    self.errors.append(f"{os.path.basename(file)}: {problem}")
+                    self.errors.append(f"{name}: {problem}")
                 new.append(record)
         self.records.extend(new)
         return new
+
+    def poll_to_end(self) -> None:
+        """Poll until no file has a further complete line to consume."""
+        while True:
+            offsets = dict(self._offsets)
+            self.poll()
+            if self._offsets == offsets:
+                return
 
 
 def render_summary(
@@ -239,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     follower = TelemetryFollower(args.path)
 
     if args.once:
-        follower.poll()
+        follower.poll_to_end()
         summary = telemetry_table(follower.records)
         for line in render_summary(summary, args.path, errors=len(follower.errors)):
             print(line)

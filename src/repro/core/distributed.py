@@ -94,7 +94,7 @@ __all__ = [
     "core_config_to_wire",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # Upper bound on one JSON-lines frame, newline included, for every reader of
 # the worker fabric and the simulator-server protocol; longer is malformed.
@@ -202,11 +202,32 @@ def core_config_to_wire(core: CoreConfig) -> Dict[str, object]:
     return payload
 
 
+def _wire_fields(cls, payload, what: str) -> Dict[str, object]:
+    """A copy of ``payload`` once its keys are exactly the fields of the
+    dataclass ``cls``; raises :class:`ValueError` naming any missing or
+    unknown key (every field is required on the wire)."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} wire form is not an object: {payload!r}")
+    names = [spec.name for spec in fields(cls)]
+    missing = [name for name in names if name not in payload]
+    unknown = sorted(str(key) for key in payload if key not in names)
+    if missing or unknown:
+        problems = []
+        if missing:
+            problems.append(f"lacks {', '.join(missing)}")
+        if unknown:
+            problems.append(f"has unknown {', '.join(unknown)}")
+        raise ValueError(f"{what} wire form {' and '.join(problems)}")
+    return dict(payload)
+
+
 def core_config_from_wire(payload: Dict[str, object]) -> CoreConfig:
-    data = dict(payload)
-    data["icache"] = CacheConfig(**data["icache"])
-    data["dcache"] = CacheConfig(**data["dcache"])
-    data["predictors"] = PredictorConfig(**data["predictors"])
+    data = _wire_fields(CoreConfig, payload, "core config")
+    data["icache"] = CacheConfig(**_wire_fields(CacheConfig, data["icache"], "icache"))
+    data["dcache"] = CacheConfig(**_wire_fields(CacheConfig, data["dcache"], "dcache"))
+    data["predictors"] = PredictorConfig(
+        **_wire_fields(PredictorConfig, data["predictors"], "predictor config")
+    )
     data["bugs"] = frozenset(data["bugs"])
     return CoreConfig(**data)
 
@@ -226,7 +247,6 @@ def fuzzer_configuration_to_wire(
         "max_cycles_per_packet": configuration.max_cycles_per_packet,
         "window_mutations_per_trigger": configuration.window_mutations_per_trigger,
         "low_gain_limit": configuration.low_gain_limit,
-        "window_lookahead": configuration.window_lookahead,
         "seed_id_base": configuration.seed_id_base,
         "name": configuration.name,
     }
@@ -235,9 +255,9 @@ def fuzzer_configuration_to_wire(
 def fuzzer_configuration_from_wire(
     payload: Dict[str, object],
 ) -> FuzzerConfiguration:
-    data = dict(payload)
+    data = _wire_fields(FuzzerConfiguration, payload, "fuzzer configuration")
     data["core"] = core_config_from_wire(data["core"])
-    data["layout"] = MemoryLayout(**data["layout"])
+    data["layout"] = MemoryLayout(**_wire_fields(MemoryLayout, data["layout"], "layout"))
     data["taint_mode"] = TaintTrackingMode(data["taint_mode"])
     data["training_mode"] = TrainingMode(data["training_mode"])
     return FuzzerConfiguration(**data)
@@ -261,10 +281,8 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
 
 def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
     """Decode a task wire form; raises :class:`ValueError` naming any
-    missing key (every :class:`ShardTask` field is required on the wire)."""
-    missing = [spec.name for spec in fields(ShardTask) if spec.name not in payload]
-    if missing:
-        raise ValueError(f"shard task wire form lacks {', '.join(missing)}")
+    missing or unknown key."""
+    payload = _wire_fields(ShardTask, payload, "shard task")
     return ShardTask(
         slice_index=int(payload["slice_index"]),
         epoch=int(payload["epoch"]),

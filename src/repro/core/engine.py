@@ -884,13 +884,25 @@ class CampaignScheduler:
         }
 
     def save_checkpoint(self, path: str) -> str:
-        """Write the current campaign state to ``path`` (atomically)."""
-        payload = self.checkpoint_state()
+        """Write the current campaign state to ``path`` (atomically).
+
+        Raises :class:`ValueError` before touching the file system when the
+        checkpoint would exceed the ``MAX_FRAME_BYTES`` that
+        :meth:`ParallelCampaignEngine.resume_from` loads, so the previous
+        checkpoint stays intact and resumable.
+        """
+        data = json.dumps(self.checkpoint_state(), indent=2).encode("utf-8")
+        if len(data) > MAX_FRAME_BYTES:
+            raise ValueError(
+                f"checkpoint of {len(data)} bytes is larger than "
+                f"{MAX_FRAME_BYTES} bytes, which resume_from refuses; "
+                f"{path!r} is left as it was"
+            )
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         staging = f"{path}.tmp"
-        with open(staging, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
+        with open(staging, "wb") as handle:
+            handle.write(data)
             # Durable before the rename: a crash after os.replace must not
             # leave a truncated checkpoint behind the final name.
             handle.flush()
@@ -1614,15 +1626,6 @@ def build_parser() -> argparse.ArgumentParser:
         "honor it, the async driver and subprocess simulator ignore it)",
     )
     parser.add_argument(
-        "--window-lookahead",
-        type=int,
-        default=1,
-        metavar="K",
-        help="on a window miss, speculatively evaluate the next K-1 mutated "
-        "candidates in the same simulator batch (default: 1 = off; results "
-        "are byte-identical for any K)",
-    )
-    parser.add_argument(
         "--telemetry-dir",
         metavar="DIR",
         help="stream telemetry records (round/metrics/worker/campaign) as "
@@ -1667,7 +1670,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             training_mode=TrainingMode.RANDOM if args.random_training else TrainingMode.DERIVED,
             coverage_feedback=not args.no_coverage_feedback,
             low_gain_limit=args.low_gain_limit,
-            window_lookahead=args.window_lookahead,
         )
         configuration = EngineConfiguration(
             fuzzer=fuzzer_configuration,
@@ -1779,8 +1781,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"  slice {row['slice']} batches={row['batches']:4d} "
                 f"sims={row['batch_simulations']:4d} "
                 f"max-batch={row['max_batch']:2d} "
-                f"speculated={row['speculated']:3d} "
-                f"lookahead-hits={row['lookahead_hits']:3d} "
                 f"dut-reuses={row['dut_reuses']}/{row['dut_constructions'] + row['dut_reuses']}"
             )
     process_rows = analysis.simulator_process_table(result.task_log)

@@ -48,13 +48,6 @@ class FuzzerConfiguration:
     max_cycles_per_packet: int = 600
     window_mutations_per_trigger: int = 6
     low_gain_limit: int = 3
-    # Speculative trigger lookahead: on a Phase-1 window miss, the next K-1
-    # mutate_trigger candidates are precomputed and evaluated in the same
-    # simulator batch, so the retry loop replays from memoized results — one
-    # simulator boundary per batch instead of one per failed candidate.  1
-    # (the default) is the legacy one-candidate-per-round behavior; results
-    # are byte-identical for any K.
-    window_lookahead: int = 1
     # Namespace for seed ids: parallel shards use disjoint bases so their seeds
     # never collide in a shared corpus (seed ids also feed per-seed rng streams).
     seed_id_base: int = 0
@@ -66,10 +59,6 @@ class FuzzerConfiguration:
         if not self.coverage_feedback:
             return "dejavuzz-"
         return self.name
-
-    def __post_init__(self) -> None:
-        if self.window_lookahead < 1:
-            raise ValueError(f"window_lookahead must be >= 1, got {self.window_lookahead}")
 
 
 @dataclass
@@ -136,9 +125,11 @@ class DejaVuzzFuzzer:
         self._gain_history: List[int] = []
         self._seed_gains: Dict[int, int] = {}
         self._seeds_by_id: Dict[int, Seed] = {}
-        # Campaign rounds whose window miss replayed from a speculatively
-        # memoized result (no simulator boundary of their own).
-        self.lookahead_hits = 0
+        # Phase-1 acquisitions (one simulator boundary each), the simulations
+        # they ran and the widest one: the window-batch diagnostics.
+        self.window_batches = 0
+        self.batch_simulations = 0
+        self.max_batch = 0
         explore = self.metrics.scope("explore")
         self._phase2_seconds = explore.histogram("phase2_seconds")
         self._phase3_seconds = explore.histogram("phase3_seconds")
@@ -211,56 +202,27 @@ class DejaVuzzFuzzer:
         current_phase1: Optional[Phase1Result] = None
         window_mutations = 0
         consecutive_low_gain = 0
-        # Window-miss rounds already charged to an earlier speculative batch:
-        # they replay from the simulation memo and yield no boundary of their
-        # own (``window_lookahead`` > 1 only; always 0 in legacy mode).
-        pending_absorbed = 0
 
         for iteration in range(iterations):
             if current_phase1 is None or not current_phase1.triggered:
-                absorbed = pending_absorbed > 0
-                if absorbed:
-                    pending_absorbed -= 1
-                lookahead = 0
-                if not absorbed and configuration.window_lookahead > 1:
-                    # Never speculate past the iteration budget: candidates
-                    # beyond it would be simulated but never replayed.
-                    lookahead = min(
-                        configuration.window_lookahead - 1,
-                        iterations - iteration - 1,
-                    )
-                current_phase1, batch_simulations, missed_candidates = (
-                    self._acquire_window(current_seed, result, lookahead=lookahead)
-                )
+                current_phase1 = self._acquire_window(current_seed, result)
                 window_mutations = 0
                 consecutive_low_gain = 0
-                if not current_phase1.triggered:
+                missed = not current_phase1.triggered
+                if missed:
                     # Could not trigger a window with this seed: move to a new one.
                     result.coverage_history.append(len(self.coverage))
                     result.iterations_run = iteration + 1
                     current_seed = self.mutator.mutate_trigger(current_seed)
-                    current_phase1 = None
-                    if absorbed:
-                        # This round's simulations were charged by the batch
-                        # that speculated it; no boundary to yield.
-                        self.lookahead_hits += 1
-                        continue
-                    pending_absorbed = missed_candidates
-                    yield CampaignStep(
-                        iteration=iteration,
-                        phase="window",
-                        simulations=batch_simulations,
-                        end_of_iteration=True,
-                        result=result,
-                    )
-                    continue
                 yield CampaignStep(
                     iteration=iteration,
                     phase="window",
-                    simulations=batch_simulations,
-                    end_of_iteration=False,
+                    simulations=current_phase1.simulations_used,
+                    end_of_iteration=missed,
                     result=result,
                 )
+                if missed:
+                    continue
 
             explore_started = time.perf_counter()
             phase2_result = self.phase2.run(
@@ -359,38 +321,15 @@ class DejaVuzzFuzzer:
         ]
         return unexplored or list(TransientWindowType)
 
-    def _lookahead_candidates(self, seed: Seed, count: int):
-        """Lazily yield the next ``count`` trigger candidates after ``seed``.
-
-        Mutation happens on a fork of the mutator (cloned rng state + copied
-        seed-id counter), so speculation never advances the committed
-        mutator: when the real loop later calls ``mutate_trigger`` it replays
-        the identical chain, seed ids included.  The window-miss path mutates
-        without coverage arguments, which is what makes the chain a pure
-        function of ``seed`` and the mutator state at fork time.
-        """
-        if count <= 0:
-            return
-        fork = self.mutator.fork()
-        candidate = seed
-        for _ in range(count):
-            candidate = fork.mutate_trigger(candidate)
-            yield candidate
-
-    def _acquire_window(
-        self, seed: Seed, result: CampaignResult, lookahead: int = 0
-    ) -> tuple:
-        """Run one Phase-1 batch, recording training statistics on a trigger.
-
-        Returns ``(phase1_result, batch_simulations, missed_candidates)``
-        from the batch evaluator; ``lookahead`` extends a missed batch with
-        that many speculative follow-up candidates.
-        """
-        phase1_result, batch_simulations, missed_candidates = (
-            self.phase1.batch_evaluator.evaluate(
-                seed, lookahead=self._lookahead_candidates(seed, lookahead)
-            )
-        )
+    def _acquire_window(self, seed: Seed, result: CampaignResult) -> Phase1Result:
+        """Run Phase 1 for ``seed`` — one simulator boundary: the trigger
+        simulation plus every leave-one-out training-reduction candidate —
+        and record its training statistics on a trigger."""
+        phase1_result = self.phase1.run(seed)
+        batch = phase1_result.simulations_used
+        self.window_batches += 1
+        self.batch_simulations += batch
+        self.max_batch = max(self.max_batch, batch)
         if phase1_result.triggered:
             group = group_of(seed.window_type)
             result.triggered_windows[group] = result.triggered_windows.get(group, 0) + 1
@@ -400,7 +339,7 @@ class DejaVuzzFuzzer:
             result.effective_training_overhead.setdefault(group, []).append(
                 phase1_result.effective_training_overhead
             )
-        return phase1_result, batch_simulations, missed_candidates
+        return phase1_result
 
     def batch_stats(self) -> Dict[str, int]:
         """The window-batching and DUT-pool tallies, listed in one place.
@@ -410,11 +349,14 @@ class DejaVuzzFuzzer:
         :meth:`export_metrics`.  Never part of deterministic wire forms or
         checkpoints — purely observability.
         """
-        stats = dict(self.phase1.batch_evaluator.stats())
-        stats["lookahead_hits"] = self.lookahead_hits
         pool = self.phase1.dut_pool
-        stats.update(dut_constructions=pool.constructions, dut_reuses=pool.reuses)
-        return stats
+        return {
+            "window_batches": self.window_batches,
+            "batch_simulations": self.batch_simulations,
+            "max_batch": self.max_batch,
+            "dut_constructions": pool.constructions,
+            "dut_reuses": pool.reuses,
+        }
 
     def export_metrics(self) -> None:
         """Fold the cache/DUT-pool/batch tallies into the metrics registry.
@@ -428,9 +370,6 @@ class DejaVuzzFuzzer:
         stats = self.batch_stats()
         # The widest batch is a maximum, not a tally: counters would sum it.
         del stats["max_batch"]
-        self.metrics.scope("fuzzer").counter("lookahead_hits").add(
-            stats.pop("lookahead_hits")
-        )
         for name, value in stats.items():
             phase1.counter(name).add(value)
 

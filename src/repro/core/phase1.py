@@ -247,62 +247,6 @@ class Phase1Result:
         )
 
 
-class WindowBatchEvaluator:
-    """One simulator pass over a batch of candidate schedules.
-
-    A head seed's batch is its initial trigger simulation plus every
-    leave-one-out training-reduction candidate, all evaluated eagerly against
-    the owning phase's (pooled) DUT and fed into its
-    :class:`SimulationCache`.  When the head misses, the caller may extend
-    the batch with speculative follow-up candidates — the fuzzer's
-    ``window_lookahead`` — whose memoized results the committed retry loop
-    later replays without re-entering the simulator.
-    """
-
-    def __init__(self, phase1: "TransientWindowTriggering") -> None:
-        self.phase1 = phase1
-        self.batches = 0
-        self.simulations = 0
-        self.max_batch = 0
-        self.speculated = 0
-
-    def evaluate(self, seed: Seed, lookahead=(), secret: Optional[int] = None) -> Tuple:
-        """Evaluate ``seed`` and, on a miss, the ``lookahead`` candidates.
-
-        Returns ``(head_result, batch_simulations, missed_candidates)``.
-        ``lookahead`` is consumed lazily and only when the head missed, and
-        speculation stops at the first candidate that triggers (the committed
-        loop takes over from there, replaying its cached reduction).  The
-        batch charges only the head and the *missed* speculative candidates:
-        a triggered speculative candidate is charged by its own later
-        committed round.
-        """
-        phase1 = self.phase1
-        head = phase1.run(seed, secret=secret)
-        batch = head.simulations_used
-        missed_candidates = 0
-        if not head.triggered:
-            for candidate in lookahead:
-                speculative = phase1.run(candidate, secret=secret)
-                self.speculated += 1
-                if speculative.triggered:
-                    break
-                batch += speculative.simulations_used
-                missed_candidates += 1
-        self.batches += 1
-        self.simulations += batch
-        self.max_batch = max(self.max_batch, batch)
-        return head, batch, missed_candidates
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "window_batches": self.batches,
-            "batch_simulations": self.simulations,
-            "max_batch": self.max_batch,
-            "speculated": self.speculated,
-        }
-
-
 class TransientWindowTriggering:
     """Phase 1 of the DejaVuzz workflow."""
 
@@ -325,7 +269,6 @@ class TransientWindowTriggering:
         # Instance-local (never module-global): shard campaign runners promise
         # that no module-global state is read or mutated.
         self.dut_pool = DutPool(config, layout)
-        self.batch_evaluator = WindowBatchEvaluator(self)
         # Telemetry instruments, resolved once so the hot path holds direct
         # references; ``metrics`` is a MetricsRegistry/MetricsScope (or None
         # for the shared no-op registry — record/add become empty calls).

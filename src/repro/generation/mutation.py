@@ -43,20 +43,6 @@ class Mutator:
         self._next_seed_id += 1
         return seed_id
 
-    def fork(self) -> "Mutator":
-        """A mutator that will produce this one's exact future mutations.
-
-        Both the rng state and the seed-id counter are copied, so a forked
-        mutator's ``mutate_*`` calls yield the very seeds (ids included) the
-        original will later allocate.  Speculative evaluation (the fuzzer's
-        ``window_lookahead``) mutates on a fork so the committed loop replays
-        identically.
-        """
-        fork = Mutator.__new__(Mutator)
-        fork.rng = self.rng.clone()
-        fork._next_seed_id = self._next_seed_id
-        return fork
-
     def mutate_window(self, seed: Seed, uncovered_modules: Optional[Iterable[str]] = None) -> Seed:
         """Regenerate the window section: new encode strategies / length / masking.
 

@@ -40,17 +40,6 @@ class TrapCause(enum.Enum):
     LOAD_PAGE_FAULT = "load_page_fault"
     STORE_PAGE_FAULT = "store_page_fault"
 
-    @property
-    def is_memory_exception(self) -> bool:
-        return self in (
-            TrapCause.MISALIGNED_LOAD,
-            TrapCause.LOAD_ACCESS_FAULT,
-            TrapCause.MISALIGNED_STORE,
-            TrapCause.STORE_ACCESS_FAULT,
-            TrapCause.LOAD_PAGE_FAULT,
-            TrapCause.STORE_PAGE_FAULT,
-        )
-
 
 @dataclass
 class Trap(Exception):
@@ -173,20 +162,6 @@ class SimMemory:
 
     def read_bytes(self, address: int, size: int) -> bytes:
         return bytes(self.read(address + offset, 1) for offset in range(size))
-
-    def snapshot_pages(self) -> Dict[int, bytes]:
-        """Return a copy of all touched page contents (for differential checks)."""
-        return {index: bytes(page) for index, page in self._pages.items()}
-
-
-@dataclass
-class MemoryOp:
-    """Description of a memory access produced by the semantics helpers."""
-
-    is_store: bool
-    address: int
-    nbytes: int
-    value: int = 0
 
 
 @dataclass

@@ -59,7 +59,10 @@ class SimulatorSession:
         task_wire = frame.get("task")
         if not isinstance(task_wire, dict):
             raise ValueError("LOAD needs a 'task' object (ShardTask wire form)")
-        task = shard_task_from_wire(task_wire)
+        try:
+            task = shard_task_from_wire(task_wire)
+        except TypeError as error:  # a value of the wrong type
+            raise ValueError(f"malformed task: {error}") from None
         self._runner = ShardCampaignRunner(task)
         self._steps = 0
         self._final_payload = None

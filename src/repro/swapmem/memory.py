@@ -95,9 +95,5 @@ class SwapMemory:
 
     # -- convenience --------------------------------------------------------------------
 
-    def write_probe_array(self, value: int = 0) -> None:
-        """Initialise the probe array to a constant (not strictly required)."""
-        self.data.write(self.layout.probe_base, value, 8)
-
     def secret_address_range(self, size: Optional[int] = None) -> tuple:
         return self.layout.secret_address, size if size is not None else self.layout.secret_size

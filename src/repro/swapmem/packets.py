@@ -69,13 +69,6 @@ class Packet:
     def with_instructions(self, instructions: List[Instruction]) -> "Packet":
         return replace(self, instructions=list(instructions))
 
-    def with_name(self, name: str) -> "Packet":
-        return replace(self, name=name)
-
-    def tagged_offsets(self, tag: str) -> List[int]:
-        """Byte offsets of instructions carrying a given tag."""
-        return [offset for offset, instruction in self.offsets() if instruction.has_tag(tag)]
-
     def replace_tagged_with_nops(self, tag: str) -> "Packet":
         """Return a copy with every ``tag``-tagged instruction replaced by a nop.
 

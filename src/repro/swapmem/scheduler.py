@@ -104,13 +104,6 @@ class SwapRunResult:
             return None
         return span[1] - span[0]
 
-    def training_cycles(self) -> int:
-        return sum(
-            record.end_cycle - record.start_cycle
-            for record in self.packet_records
-            if record.kind is not PacketKind.TRANSIENT
-        )
-
     def summary(self) -> Dict[str, object]:
         return {
             "packets": len(self.packet_records),

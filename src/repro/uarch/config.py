@@ -30,10 +30,6 @@ class CacheConfig:
         if self.miss_latency < 1:
             raise ValueError(f"miss_latency must be at least 1, got {self.miss_latency}")
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.sets * self.ways * self.line_bytes
-
 
 @dataclass(frozen=True)
 class PredictorConfig:

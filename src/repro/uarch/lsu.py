@@ -60,12 +60,6 @@ class LoadStoreUnit:
 
     # -- allocation ----------------------------------------------------------------
 
-    def ldq_full(self) -> bool:
-        return len(self.load_queue) >= self.ldq_capacity
-
-    def stq_full(self) -> bool:
-        return len(self.store_queue) >= self.stq_capacity
-
     def allocate_store(self, sequence: int) -> StoreQueueEntry:
         entry = StoreQueueEntry(sequence=sequence)
         self.store_queue.append(entry)

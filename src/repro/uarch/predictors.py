@@ -52,9 +52,6 @@ class BranchHistoryTable:
             self.tainted.add(index)
             self.taint_version += 1
 
-    def is_trained_taken(self, pc: int) -> bool:
-        return self.counters[self._index(pc)] > self._max // 2
-
     def reset(self) -> None:
         self.counters = [self._default] * self.entries
         if self.tainted:

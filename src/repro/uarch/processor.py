@@ -87,24 +87,6 @@ class SimulationOutcome:
     contention: Dict[str, int] = field(default_factory=dict)
     side_channel_fingerprint: Tuple = ()
 
-    def cycles_between_pcs(self, start_pc: int, end_pc: int) -> Optional[int]:
-        """Cycles elapsed between the commits of two PCs (timing measurement)."""
-        start_cycle = end_cycle = None
-        for cycle, pc in self.commit_cycles:
-            if pc == start_pc and start_cycle is None:
-                start_cycle = cycle
-            if pc == end_pc:
-                end_cycle = cycle
-        if start_cycle is None or end_cycle is None:
-            return None
-        return end_cycle - start_cycle
-
-    def commit_cycle_of(self, pc: int) -> Optional[int]:
-        for cycle, committed_pc in self.commit_cycles:
-            if committed_pc == pc:
-                return cycle
-        return None
-
 
 class Processor:
     """One simulated out-of-order core instance."""

@@ -53,10 +53,6 @@ class RobEntry:
     # (dispatch-time renaming snapshot); filled in by the dispatch stage.
     _producers: Optional[Dict[int, int]] = None
 
-    @property
-    def in_flight(self) -> bool:
-        return not self.squashed and not self.committed
-
 
 class ReorderBuffer:
     """A bounded in-order list of in-flight instructions."""
@@ -78,10 +74,6 @@ class ReorderBuffer:
     @property
     def is_full(self) -> bool:
         return len(self.entries) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
 
     def allocate_sequence(self) -> int:
         sequence = self._next_sequence
@@ -106,9 +98,6 @@ class ReorderBuffer:
             self.tainted_entries.discard(entry.sequence)
             self.taint_version += 1
         return entry
-
-    def younger_than(self, sequence: int) -> List[RobEntry]:
-        return [entry for entry in self.entries if entry.sequence > sequence]
 
     def remove_younger_than(self, sequence: int) -> List[RobEntry]:
         """Remove and return all entries younger than ``sequence`` (exclusive)."""
@@ -142,16 +131,6 @@ class ReorderBuffer:
     def mark_tainted(self, sequence: int) -> None:
         if sequence not in self.tainted_entries:
             self.tainted_entries.add(sequence)
-            self.taint_version += 1
-
-    def taint_all_inflight(self) -> None:
-        """Taint every in-flight entry (the CellIFT rollback explosion)."""
-        added = False
-        for entry in self.entries:
-            if entry.sequence not in self.tainted_entries:
-                self.tainted_entries.add(entry.sequence)
-                added = True
-        if added:
             self.taint_version += 1
 
     def tainted_entry_count(self) -> int:

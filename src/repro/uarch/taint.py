@@ -23,7 +23,7 @@ the configured mode, mirroring the circuit-level policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.uarch.config import TaintTrackingMode
 
@@ -123,24 +123,6 @@ class TaintState:
 
     # -- data taint ------------------------------------------------------------------
 
-    @property
-    def register_taint(self) -> List[bool]:
-        """The register-taint mask unpacked to a per-register list (inspection)."""
-        mask_value = self._register_mask
-        return [bool((mask_value >> index) & 1) for index in range(32)]
-
-    @property
-    def tainted_addresses(self) -> Set[int]:
-        """The packed byte-taint words expanded to an address set (inspection)."""
-        addresses: Set[int] = set()
-        for word, bits in self._addr_words.items():
-            base = word << 6
-            while bits:
-                low = bits & -bits
-                addresses.add(base + low.bit_length() - 1)
-                bits ^= low
-        return addresses
-
     def taint_address_range(self, base: int, size: int) -> None:
         """Mark a memory region (the secret) as the taint source."""
         words = self._addr_words
@@ -209,10 +191,6 @@ class TaintState:
 
     def register_is_tainted(self, index: int) -> bool:
         return (self._register_mask >> index) & 1 != 0
-
-    def any_register_tainted(self, indices) -> bool:
-        mask_value = self._register_mask
-        return any((mask_value >> index) & 1 for index in indices)
 
     def tainted_register_count(self) -> int:
         return self._register_mask.bit_count()

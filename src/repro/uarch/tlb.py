@@ -76,9 +76,6 @@ class Tlb:
         self.accesses = 0
         self.misses = 0
 
-    def resident_pages(self) -> Set[int]:
-        return set(self.pages)
-
     def state_fingerprint(self) -> Tuple[int, ...]:
         return tuple(self.pages)
 

@@ -39,19 +39,6 @@ class DeterministicRng:
         """Return an independent child stream identified by ``label``."""
         return DeterministicRng(self._seed, f"{self._label}/{label}")
 
-    def clone(self) -> "DeterministicRng":
-        """Return a stream that will produce this stream's exact future draws.
-
-        Unlike :meth:`split`, the clone copies the *current* generator state:
-        it yields the same sequence this stream would yield next, without
-        consuming anything from it.  Speculative consumers (the fuzzer's
-        trigger lookahead) draw from a clone so the real stream replays the
-        identical sequence later.
-        """
-        clone = DeterministicRng(self._seed, self._label)
-        clone._random.setstate(self._random.getstate())
-        return clone
-
     def randint(self, low: int, high: int) -> int:
         """Return a uniform integer in ``[low, high]`` inclusive."""
         return self._random.randint(low, high)

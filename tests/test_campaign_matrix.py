@@ -1,12 +1,12 @@
 """The campaign-equivalence matrix: the repo's one determinism oracle.
 
-Every backend, simulator mode, batching and profiling knob, telemetry
-setting and resume at another shard count must give a byte-identical
-``campaign_deterministic`` and the same per-core coverage points as one
-reference campaign: the inline backend, the in-process simulator, telemetry
-off, ``window_lookahead=1``, with the reference paths of
-``reference_paths.py`` (uncached simulation, fresh DUTs, cold verification,
-full census) applied.  The reference is computed once per session.
+Every backend, simulator mode, profiling knob, telemetry setting and resume
+at another shard count must give a byte-identical ``campaign_deterministic``
+and the same per-core coverage points as one reference campaign: the inline
+backend, the in-process simulator, telemetry off, with the reference paths
+of ``reference_paths.py`` (uncached simulation, fresh DUTs, cold
+verification, full census) applied.  The reference is computed once per
+session.
 
 The arms cover every value of every axis at least once; they are not the
 full cross product.  Each arm runs its campaign once.  Besides the wire
@@ -69,20 +69,16 @@ REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
 BATCH_KEYS = (
-    "window_batches", "batch_simulations", "max_batch", "speculated",
-    "lookahead_hits", "dut_constructions", "dut_reuses",
+    "window_batches", "batch_simulations", "max_batch",
+    "dut_constructions", "dut_reuses",
 )
 
 
-def configuration(window_lookahead=1, **overrides):
+def configuration(**overrides):
     settings = dict(CAMPAIGN, executor="inline")
     settings.update(overrides)
     return EngineConfiguration(
-        fuzzer=FuzzerConfiguration(
-            core=resolve_core(CORES[0]),
-            entropy=ENTROPY,
-            window_lookahead=window_lookahead,
-        ),
+        fuzzer=FuzzerConfiguration(core=resolve_core(CORES[0]), entropy=ENTROPY),
         **settings,
     )
 
@@ -379,22 +375,9 @@ def subprocess_with_a_killed_server(matrix, directory):
     return outcome
 
 
-@arm("lookahead-profile")
-def inline_lookahead_with_profiling(matrix, directory):
-    return from_result(
-        run(window_lookahead=4, profile=5,
-            telemetry_dir=sink(directory)),
-        directory,
-    )
-
-
-@arm("lookahead-process")
-def process_pool_lookahead(matrix, directory):
-    return from_result(
-        run(window_lookahead=3, executor="process",
-            telemetry_dir=sink(directory)),
-        directory,
-    )
+@arm("profile")
+def inline_with_profiling(matrix, directory):
+    return from_result(run(profile=5, telemetry_dir=sink(directory)), directory)
 
 
 def resumed(matrix, directory, shards, **overrides):
@@ -460,14 +443,13 @@ def engine_cli_halt_then_resume(matrix, directory):
     ) == 0
     return from_cli(
         ["--resume", checkpoint, "--checkpoint", checkpoint, "--shards", "8",
-         "--backend", "async", "--window-lookahead", "4", "--profile", "5"],
+         "--backend", "async", "--profile", "5"],
         directory,
         epochs_run=EPOCHS - 1,
     )
 
 
 CLI_ARMS = ["cli", "cli-resume"]
-LOOKAHEAD_ARMS = ["lookahead-profile", "lookahead-process", "cli-resume"]
 ENGINE_ARMS = [name for name in ARMS if name not in CLI_ARMS]
 RESUMED_SHARDS = {"resume-async-2x": 4, "resume-inline-half": 1, "distributed-resume": 4}
 
@@ -561,17 +543,12 @@ def test_batch_table_matches_the_metric_registry(matrix, name):
 
     assert total("batches") == counters["phase1/window_batches"] > 0
     assert total("batch_simulations") == counters["phase1/batch_simulations"]
-    assert total("speculated") == counters["phase1/speculated"]
     assert total("dut_reuses") == counters["phase1/dut_reuses"]
-    assert total("lookahead_hits") == counters["fuzzer/lookahead_hits"]
 
 
-@pytest.mark.parametrize(
-    "name", [name for name in ARMS if name != "inline" and name not in LOOKAHEAD_ARMS]
-)
+@pytest.mark.parametrize("name", [name for name in ARMS if name != "inline"])
 def test_batch_counters_are_the_same_on_every_path(matrix, name):
-    # Speculative lookahead batches differently by design; every other arm
-    # runs each slice task's windows exactly as the inline arm does.
+    # Every arm runs each slice task's windows exactly as the inline arm does.
     outcome = matrix[name]
 
     def counters(rows):
@@ -689,7 +666,7 @@ def test_killed_simulator_server_is_restarted_and_replayed(matrix):
 
 
 def test_profiled_rows_feed_the_hotspot_table(matrix):
-    result = matrix["lookahead-profile"].result
+    result = matrix["profile"].result
     assert all(0 < len(row["profile"]) <= 5 for row in result.task_log)
     rows = profile_hotspot_table(result.task_log, top=0)
     assert any("campaign_steps" in row["function"] for row in rows)

@@ -4,6 +4,7 @@ authentication and protocol errors.  Campaign byte-identity across a fleet
 (a worker SIGKILLed mid-epoch, resume on a larger fleet) is checked by
 ``test_campaign_matrix.py``."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -31,6 +32,7 @@ from repro.core.worker import run_worker
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingMode
 from repro.generation.window_types import TransientWindowType
+from repro.swapmem.layout import MemoryLayout
 from repro.uarch import small_boom_config, xiangshan_minimal_config
 from repro.uarch.config import TaintTrackingMode
 
@@ -69,6 +71,53 @@ class TestWireForms:
         wire = fuzzer_configuration_to_wire(configuration)
         json.dumps(wire)
         assert fuzzer_configuration_from_wire(wire) == configuration
+
+    def test_every_fuzzer_configuration_field_crosses_the_wire(self):
+        # One non-default value per field: a field added without a wire key
+        # (or a wire key left behind by a removed field) fails here.
+        overrides = dict(
+            core=XIANGSHAN,
+            entropy=77,
+            layout=MemoryLayout(probe_size=0x8000),
+            taint_mode=TaintTrackingMode.CELLIFT,
+            training_mode=TrainingMode.RANDOM,
+            coverage_feedback=False,
+            use_liveness_annotations=False,
+            training_candidates=5,
+            max_cycles_per_packet=900,
+            window_mutations_per_trigger=4,
+            low_gain_limit=9,
+            seed_id_base=123,
+            name="parity",
+        )
+        names = [spec.name for spec in dataclasses.fields(FuzzerConfiguration)]
+        assert sorted(overrides) == sorted(names)
+        configuration = FuzzerConfiguration(**overrides)
+        defaults = FuzzerConfiguration(core=BOOM)
+        for name in names:
+            assert getattr(configuration, name) != getattr(defaults, name), name
+        wire = json.loads(json.dumps(fuzzer_configuration_to_wire(configuration)))
+        assert sorted(wire) == sorted(names)
+        assert fuzzer_configuration_from_wire(wire) == configuration
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda wire: wire.update(bogus=1), "unknown bogus"),
+            (lambda wire: wire.pop("core"), "lacks core"),
+            (lambda wire: wire["core"].pop("rob_entries"), "lacks rob_entries"),
+            (lambda wire: wire["core"]["dcache"].update(ways2=1), "unknown ways2"),
+            (lambda wire: wire["layout"].pop("probe_base"), "lacks probe_base"),
+            (lambda wire: wire.update(core=[]), "not an object"),
+            # A protocol-2 peer still sends the removed lookahead knob.
+            (lambda wire: wire.update(window_lookahead=4), "unknown window_lookahead"),
+        ],
+    )
+    def test_malformed_configuration_wire_is_a_value_error(self, corrupt, message):
+        wire = fuzzer_configuration_to_wire(FuzzerConfiguration(core=BOOM))
+        corrupt(wire)
+        with pytest.raises(ValueError, match=message):
+            fuzzer_configuration_from_wire(wire)
 
     def test_shard_task_round_trip(self):
         seed = Seed.fresh(

@@ -611,9 +611,11 @@ class TestEngineCli:
         for name in ("boom", "boom-large", "xiangshan", "small-boom", "large-boom"):
             assert parser.parse_args(["--core", name]).core == name
 
-    def test_zero_window_lookahead_is_reported(self, capsys):
-        assert engine_main(["--window-lookahead", "0", "--backend", "inline"]) == 2
-        assert "window_lookahead" in capsys.readouterr().out
+    def test_removed_window_lookahead_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            engine_main(["--window-lookahead", "4", "--backend", "inline"])
+        assert raised.value.code == 2
+        assert "--window-lookahead" in capsys.readouterr().err
 
 
 class TestSeedIdReproducibility:
@@ -886,6 +888,17 @@ class TestCheckpointResume:
             handle.truncate(MAX_FRAME_BYTES + 1)  # sparse: no 16 MiB write
         with pytest.raises(ValueError, match="larger than .* refusing to load"):
             ParallelCampaignEngine.resume_from(str(path), self.cfg())
+
+    def test_checkpoint_larger_than_a_frame_is_not_written(self, tmp_path, monkeypatch):
+        engine = ParallelCampaignEngine(self.cfg(tmp_path))
+        engine.run(max_epochs=1)
+        path = tmp_path / "checkpoint.json"
+        previous = path.read_bytes()
+        monkeypatch.setattr("repro.core.engine.MAX_FRAME_BYTES", len(previous) // 2)
+        with pytest.raises(ValueError, match="larger than .* left as it was"):
+            engine.scheduler.save_checkpoint(str(path))
+        assert path.read_bytes() == previous
+        assert not (tmp_path / "checkpoint.json.tmp").exists()
 
     def test_checkpoint_state_requires_a_started_run(self):
         engine = ParallelCampaignEngine(self.cfg())

@@ -309,7 +309,7 @@ class TestProfilePlumbing:
             slice_index=1,
             epoch=2,
             iterations=3,
-            configuration=FuzzerConfiguration(core=BOOM, window_lookahead=3),
+            configuration=FuzzerConfiguration(core=BOOM, entropy=3),
             profile=7,
         )
         wire = shard_task_to_wire(task)

@@ -185,6 +185,30 @@ class TestEdgeCases:
         with pytest.raises(SimProtocolError, match="unknown request type"):
             server.request({"type": "FLY"})
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda configuration: configuration.update(bogus=1), "unknown bogus"),
+            (lambda configuration: configuration.pop("core"), "lacks core"),
+            (lambda configuration: configuration["core"].update(bugs=5), "malformed task"),
+            (
+                lambda configuration: configuration.update(window_lookahead=4),
+                "unknown window_lookahead",
+            ),
+        ],
+    )
+    def test_malformed_task_configuration_survives(self, server, corrupt, message):
+        # A configuration the decoder cannot rebuild is a protocol error: one
+        # ERROR frame, and a valid LOAD on the same session still works.
+        wire = shard_task_to_wire(make_task())
+        corrupt(wire["configuration"])
+        with pytest.raises(SimProtocolError, match=message):
+            server.request({"type": "LOAD", "task": wire})
+        follow_up = server.request(
+            {"type": "LOAD", "task": shard_task_to_wire(make_task())}
+        )
+        assert follow_up["type"] == "LOADED"
+
     def test_step_after_finish(self, server):
         server.request({"type": "LOAD", "task": shard_task_to_wire(make_task())})
         while not server.request({"type": "STEP"})["done"]:

@@ -291,8 +291,6 @@ BATCH_COUNTERS = dict(
     window_batches=2,
     batch_simulations=8,
     max_batch=4,
-    speculated=0,
-    lookahead_hits=0,
     dut_constructions=2,
     dut_reuses=6,
 )
@@ -592,6 +590,21 @@ class TestWatchCli:
             handle.write(b'ks", "ts": 2.0, "epoch": 1, "rows": []}\n')
         assert len(follower.poll()) == 1  # ... and completes next poll
         assert not follower.errors
+
+    def test_follower_skips_a_line_longer_than_a_frame(self, tmp_path, monkeypatch):
+        cap = 64
+        monkeypatch.setattr("repro.analysis.watch.MAX_FRAME_BYTES", cap)
+        record = {"type": "tasks", "ts": 1.0, "epoch": 0, "rows": []}
+        oversized = b'{"type": "tasks", "pad": "' + b"x" * (3 * cap) + b'"}\n'
+        file = tmp_path / "telemetry-00001.jsonl"
+        file.write_bytes(oversized + (json.dumps(record) + "\n").encode())
+        follower = TelemetryFollower(str(tmp_path))
+        # One bounded read sees only the start of the long line.
+        assert follower.poll() == []
+        assert len(follower.errors) == 1 and "longer than 64 bytes" in follower.errors[0]
+        follower.poll_to_end()
+        assert follower.records == [record]
+        assert len(follower.errors) == 1
 
     def test_cli_module_entry_point(self, tmp_path):
         directory = self._stream(tmp_path)

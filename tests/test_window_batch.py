@@ -1,11 +1,10 @@
 """Tests for batched window evaluation: DUT reuse via Processor.reset() /
-SwapMemory.rearm(), speculative trigger lookahead, and the batch accounting.
+SwapMemory.rearm(), and the batch accounting.
 
-The shared contract under test: batching is *byte-transparent* — the same
-campaign run with any ``window_lookahead``, on warm or fresh DUTs (the
-``reference_paths.fresh_duts`` fake) produces byte-identical deterministic
-wire forms.  The same holds on every execution path, which
-``test_campaign_matrix.py`` checks.
+The shared contract under test: DUT reuse is *byte-transparent* — the same
+campaign run on warm or fresh DUTs (the ``reference_paths.fresh_duts`` fake)
+produces byte-identical deterministic wire forms.  The same holds on every
+execution path, which ``test_campaign_matrix.py`` checks.
 """
 
 import json
@@ -13,10 +12,6 @@ import json
 import pytest
 
 from repro.core.backends import ShardTask, run_shard_task
-from repro.core.distributed import (
-    fuzzer_configuration_from_wire,
-    fuzzer_configuration_to_wire,
-)
 from repro.core.engine import (
     EngineConfiguration,
     ParallelCampaignEngine,
@@ -25,7 +20,6 @@ from repro.core.engine import (
 from repro.core.fuzzer import DejaVuzzFuzzer, FuzzerConfiguration, run_quick_campaign
 from repro.core.phase1 import DEFAULT_LAYOUT, DutPool, TransientWindowTriggering
 from repro.core.report import CampaignResult
-from repro.generation.mutation import Mutator
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
 from repro.swapmem.memory import SwapMemory
@@ -33,16 +27,10 @@ from repro.swapmem.scheduler import SwapRunner
 from repro.uarch import Processor, small_boom_config
 from repro.utils.rng import DeterministicRng
 
-from reference_paths import fresh_duts, uncached_simulation
+from reference_paths import fresh_duts
 from test_processor_golden import CORES, _run_digests, _seed
 
 BOOM = small_boom_config()
-
-# Entropy values where the quick campaign hits window misses, so the
-# speculative lookahead actually engages (asserted below, so a generator
-# change that stops producing misses here fails loudly instead of silently
-# weakening the suite).
-MISS_HEAVY_ENTROPIES = (6, 7, 16)
 
 
 def deterministic_dict(iterations=8, entropy=11, **overrides):
@@ -50,86 +38,8 @@ def deterministic_dict(iterations=8, entropy=11, **overrides):
     return result.to_dict(include_timing=False)
 
 
-def engine_wire(result):
-    return json.dumps(result.campaign.to_dict(include_timing=False), sort_keys=True)
-
-
 def make_seed(seed_id=7, entropy=13, window_type=TransientWindowType.BRANCH_MISPREDICTION):
     return Seed(seed_id=seed_id, entropy=entropy, window_type=window_type)
-
-
-class TestSpeculativeLookahead:
-    def test_k1_is_the_legacy_path(self):
-        configuration = FuzzerConfiguration(core=BOOM, entropy=6, window_lookahead=1)
-        fuzzer = DejaVuzzFuzzer(configuration)
-        fuzzer.run_campaign(iterations=12)
-        stats = fuzzer.batch_stats()
-        assert stats["speculated"] == 0
-        assert stats["lookahead_hits"] == 0
-
-    def test_lookahead_campaigns_are_byte_identical(self):
-        for entropy in MISS_HEAVY_ENTROPIES:
-            legacy = deterministic_dict(iterations=12, entropy=entropy)
-            for lookahead in (3, 8):
-                batched = deterministic_dict(
-                    iterations=12, entropy=entropy, window_lookahead=lookahead
-                )
-                assert batched == legacy
-
-    def test_lookahead_actually_engages_on_misses(self):
-        engaged = 0
-        for entropy in MISS_HEAVY_ENTROPIES:
-            configuration = FuzzerConfiguration(
-                core=BOOM, entropy=entropy, window_lookahead=4
-            )
-            fuzzer = DejaVuzzFuzzer(configuration)
-            fuzzer.run_campaign(iterations=12)
-            stats = fuzzer.batch_stats()
-            engaged += stats["lookahead_hits"]
-            assert stats["speculated"] >= stats["lookahead_hits"]
-        assert engaged > 0
-
-    def test_lookahead_without_sim_cache_is_byte_identical(self, monkeypatch):
-        # With the memo bypassed, the committed loop simulates speculated
-        # candidates again instead of replaying them; the campaign must not
-        # notice.
-        legacy = deterministic_dict(iterations=12, entropy=6)
-        uncached_simulation(monkeypatch)
-        uncached = deterministic_dict(iterations=12, entropy=6, window_lookahead=4)
-        assert uncached == legacy
-
-    def test_simulation_totals_are_conserved_with_fewer_boundaries(self):
-        def steps(lookahead):
-            fuzzer = DejaVuzzFuzzer(
-                FuzzerConfiguration(core=BOOM, entropy=6, window_lookahead=lookahead)
-            )
-            generator = fuzzer.campaign_steps(12)
-            collected = []
-            while True:
-                try:
-                    collected.append(next(generator))
-                except StopIteration:
-                    break
-            return collected, fuzzer.batch_stats()
-
-        legacy, _ = steps(1)
-        batched, stats = steps(4)
-        assert stats["lookahead_hits"] > 0
-        # The logical simulation budget is conserved: absorbed rounds are
-        # pre-charged by their batch's consolidated step.
-        assert sum(s.simulations for s in batched) == sum(
-            s.simulations for s in legacy
-        )
-        # Absorbed rounds yield no step of their own: fewer boundaries.
-        assert len(batched) == len(legacy) - stats["lookahead_hits"]
-
-    def test_rejects_bad_lookahead(self):
-        with pytest.raises(ValueError, match="window_lookahead"):
-            FuzzerConfiguration(core=BOOM, entropy=3, window_lookahead=0)
-        wire = fuzzer_configuration_to_wire(FuzzerConfiguration(core=BOOM, entropy=3))
-        wire["window_lookahead"] = 0
-        with pytest.raises(ValueError, match="window_lookahead"):
-            fuzzer_configuration_from_wire(wire)
 
 
 WINDOW_TYPES = list(TransientWindowType)
@@ -212,16 +122,13 @@ class TestDutPool:
 
 
 class TestBatchingAcrossExecutionPaths:
-    def test_subprocess_simulator_lookahead_matches_inproc(self):
-        def task(simulator, lookahead):
+    def test_subprocess_simulator_matches_inproc(self):
+        def task(simulator):
             return ShardTask(
                 slice_index=0,
                 epoch=0,
                 iterations=6,
-                configuration=FuzzerConfiguration(
-                    core=BOOM, entropy=6, seed_id_base=10,
-                    window_lookahead=lookahead,
-                ),
+                configuration=FuzzerConfiguration(core=BOOM, entropy=6, seed_id_base=10),
                 simulator=simulator,
             )
 
@@ -237,8 +144,8 @@ class TestBatchingAcrossExecutionPaths:
                 "top_seeds": payload["top_seeds"],
             }
 
-        reference = deterministic_payload(run_shard_task(task("inproc", 1)))
-        subprocess_payload = run_shard_task(task("subprocess", 3))
+        reference = deterministic_payload(run_shard_task(task("inproc")))
+        subprocess_payload = run_shard_task(task("subprocess"))
         assert deterministic_payload(subprocess_payload) == reference
         # The client merged its process counters into the runner's batch
         # counters: one diagnostics dict.
@@ -248,12 +155,12 @@ class TestBatchingAcrossExecutionPaths:
 
 
 class TestCheckpointResume:
-    def test_resume_mid_campaign_with_lookahead_is_byte_identical(self, tmp_path):
-        def configuration(checkpoint=None):
+    def test_dut_reuse_is_not_part_of_the_campaign_identity(self, tmp_path, monkeypatch):
+        # DUT reuse is transparent, so a checkpoint written on warm DUTs
+        # resumes on fresh DUTs with identical results.
+        def configuration(checkpoint):
             return EngineConfiguration(
-                fuzzer=FuzzerConfiguration(
-                    core=BOOM, entropy=6, window_lookahead=4
-                ),
+                fuzzer=FuzzerConfiguration(core=BOOM, entropy=6),
                 shards=2,
                 slices=2,
                 iterations=12,
@@ -262,76 +169,35 @@ class TestCheckpointResume:
                 checkpoint_path=checkpoint,
             )
 
-        uninterrupted = ParallelCampaignEngine(configuration()).run()
-        checkpoint = str(tmp_path / "batched.json")
+        def wire(result):
+            return json.dumps(
+                result.campaign.to_dict(include_timing=False), sort_keys=True
+            )
+
+        uninterrupted = ParallelCampaignEngine(configuration(None)).run()
+        checkpoint = str(tmp_path / "identity.json")
         halted = ParallelCampaignEngine(configuration(checkpoint)).run(max_epochs=1)
         assert not halted.complete
+        fresh_duts(monkeypatch)
         resumed = ParallelCampaignEngine.resume_from(
             checkpoint, configuration(checkpoint)
         ).run()
-        assert engine_wire(resumed) == engine_wire(uninterrupted)
-
-    def test_lookahead_is_not_part_of_the_campaign_identity(self, tmp_path, monkeypatch):
-        # Batching is transparent, so a checkpoint written with K=1 on a warm
-        # DUT resumes under K>1 on fresh DUTs with identical results.
-        def configuration(lookahead, checkpoint):
-            return EngineConfiguration(
-                fuzzer=FuzzerConfiguration(
-                    core=BOOM, entropy=6, window_lookahead=lookahead
-                ),
-                shards=2,
-                slices=2,
-                iterations=12,
-                sync_epochs=3,
-                executor="inline",
-                checkpoint_path=checkpoint,
-            )
-
-        uninterrupted = ParallelCampaignEngine(configuration(1, None)).run()
-        checkpoint = str(tmp_path / "identity.json")
-        ParallelCampaignEngine(configuration(1, checkpoint)).run(max_epochs=1)
-        fresh_duts(monkeypatch)
-        resumed = ParallelCampaignEngine.resume_from(
-            checkpoint, configuration(4, checkpoint)
-        ).run()
-        assert engine_wire(resumed) == engine_wire(uninterrupted)
+        assert wire(resumed) == wire(uninterrupted)
 
 
-class TestWireDefaults:
-    def test_missing_batch_keys_default_to_off(self):
-        wire = fuzzer_configuration_to_wire(
-            FuzzerConfiguration(core=BOOM, entropy=5)
-        )
-        assert wire["window_lookahead"] == 1
-        del wire["window_lookahead"]
-        decoded = fuzzer_configuration_from_wire(wire)
-        assert decoded.window_lookahead == 1
-
-    def test_batch_knobs_round_trip(self):
-        configuration = FuzzerConfiguration(core=BOOM, entropy=5, window_lookahead=6)
-        decoded = fuzzer_configuration_from_wire(
-            fuzzer_configuration_to_wire(configuration)
-        )
-        assert decoded == configuration
-
-
-class TestForkPrimitives:
-    def test_rng_clone_replays_the_future(self):
-        rng = DeterministicRng(42, "clone-test")
-        rng.randint(0, 100)  # consume some state first
-        clone = rng.clone()
-        speculative = [clone.randint(0, 10**9) for _ in range(5)]
-        committed = [rng.randint(0, 10**9) for _ in range(5)]
-        assert speculative == committed
-
-    def test_mutator_fork_replays_seeds_and_ids(self):
-        mutator = Mutator(DeterministicRng(7, "fork-test"), seed_id_base=500)
-        seed = make_seed(seed_id=mutator.allocate_seed_id())
-        fork = mutator.fork()
-        speculative = fork.mutate_trigger(seed)
-        speculative = [speculative, fork.mutate_trigger(speculative)]
-        committed = mutator.mutate_trigger(seed)
-        committed = [committed, mutator.mutate_trigger(committed)]
-        for a, b in zip(speculative, committed):
-            assert a.to_dict() == b.to_dict()
-        assert [s.seed_id for s in committed] == [501, 502]
+class TestBatchAccounting:
+    def test_one_window_batch_per_phase1_boundary(self):
+        fuzzer = DejaVuzzFuzzer(FuzzerConfiguration(core=BOOM, entropy=6))
+        steps = fuzzer.campaign_steps(12)
+        windows = []
+        while True:
+            try:
+                step = next(steps)
+            except StopIteration:
+                break
+            if step.phase == "window":
+                windows.append(step.simulations)
+        stats = fuzzer.batch_stats()
+        assert stats["window_batches"] == len(windows) > 0
+        assert stats["batch_simulations"] == sum(windows)
+        assert stats["max_batch"] == max(windows)
