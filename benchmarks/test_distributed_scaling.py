@@ -3,10 +3,11 @@
 The paper's campaigns are bounded by slow RTL simulators, so the distributed
 backend's job is to spread that *waiting* over a fleet: this benchmark
 injects a per-simulation latency (``step_latency``, the same slow-simulator
-stand-in the async benchmark uses) and runs one 4-shard campaign four ways —
-inline (the reference), through a coordinator with one worker daemon, with
-two worker daemons, and with two workers of which one is **killed mid-epoch**
-(SIGKILL, no goodbye) so its tasks are reassigned to the survivor.
+stand-in the elastic-resume benchmark uses) and runs one 4-shard campaign
+four ways — inline (the reference), through a coordinator with one worker
+daemon, with two worker daemons, and with two workers of which one is
+**killed mid-epoch** (SIGKILL, no goodbye) so its tasks are reassigned to
+the survivor.
 
 Asserts
 

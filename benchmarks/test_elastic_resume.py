@@ -8,8 +8,8 @@ byte-identical to the uninterrupted reference run.
 
 The second half measures why resharding is worth having: with an injected
 per-simulation latency (the slow-RTL regime of the paper's real targets) the
-same halted checkpoint is resumed on the async backend at the original
-concurrency and at double, and the doubled resume must actually use its
+same halted checkpoint is resumed on the process backend at the original
+shard count and at double, and the doubled resume must actually use its
 extra capacity — the overlap bound means 2x in-flight tasks can approach
 half the wall-clock when waits dominate.
 
@@ -18,8 +18,8 @@ Asserts
 * **reshard identity** — resume at 8, 2, and 1 shards each reproduce the
   uninterrupted run's deterministic wire form exactly,
 * **elastic speedup** — under waiting-dominated injected latency, resuming
-  at 2x the concurrency beats the original-concurrency resume by at least
-  1.25x (the extra shards demonstrably run tasks, not just exist).
+  at 2x the shards beats the original-shard-count resume by at least 1.25x
+  (the extra shards demonstrably run tasks, not just exist).
 """
 
 import json
@@ -42,8 +42,7 @@ HALT_AFTER = 2
 ENTROPY = 4242
 
 
-def build_cfg(shards, checkpoint_path=None, executor="inline",
-              step_latency=0.0, async_concurrency=None):
+def build_cfg(shards, checkpoint_path=None, executor="inline", step_latency=0.0):
     return EngineConfiguration(
         fuzzer=FuzzerConfiguration(core=small_boom_config(), entropy=ENTROPY),
         shards=shards,
@@ -52,7 +51,6 @@ def build_cfg(shards, checkpoint_path=None, executor="inline",
         executor=executor,
         checkpoint_path=checkpoint_path,
         step_latency=step_latency,
-        async_concurrency=async_concurrency,
     )
 
 
@@ -103,40 +101,30 @@ def test_elastic_resume(benchmark, tmp_path):
         rows,
     )
 
-    # --- Elastic speedup: waiting-dominated resumes at 1x vs 2x concurrency.
+    # --- Elastic speedup: waiting-dominated resumes at 1x vs 2x the shards.
     # Calibrate the injected wait against this host so waits dominate compute
     # on fast and slow machines alike.
     latency = max(0.02, round(full_seconds / 24, 3))
     baseline_ck = tmp_path / "latency_at_4.json"
     shutil.copy(halted, baseline_ck)
     _, baseline_seconds = resume(
-        baseline_ck, CHECKPOINT_SHARDS, executor="async",
-        step_latency=latency, async_concurrency=CHECKPOINT_SHARDS,
+        baseline_ck, CHECKPOINT_SHARDS, executor="process", step_latency=latency,
     )
     doubled_ck = tmp_path / "latency_at_8.json"
     shutil.copy(halted, doubled_ck)
     (doubled, doubled_seconds) = benchmark.pedantic(
         resume,
         args=(doubled_ck, 2 * CHECKPOINT_SHARDS),
-        kwargs=dict(
-            executor="async",
-            step_latency=latency,
-            async_concurrency=2 * CHECKPOINT_SHARDS,
-        ),
+        kwargs=dict(executor="process", step_latency=latency),
         rounds=1,
         iterations=1,
     )
     speedup = baseline_seconds / max(doubled_seconds, 1e-9)
     latency_table = format_table(
-        ["Resume shards", "Concurrency", "Seconds", "Speedup"],
+        ["Resume shards", "Seconds", "Speedup"],
         [
-            [CHECKPOINT_SHARDS, CHECKPOINT_SHARDS, round(baseline_seconds, 2), "1.00x"],
-            [
-                2 * CHECKPOINT_SHARDS,
-                2 * CHECKPOINT_SHARDS,
-                round(doubled_seconds, 2),
-                f"{speedup:.2f}x",
-            ],
+            [CHECKPOINT_SHARDS, round(baseline_seconds, 2), "1.00x"],
+            [2 * CHECKPOINT_SHARDS, round(doubled_seconds, 2), f"{speedup:.2f}x"],
         ],
     )
 
@@ -146,7 +134,7 @@ def test_elastic_resume(benchmark, tmp_path):
         f"({TOTAL_ITERATIONS} iterations total; root entropy: {ENTROPY})\n\n"
         + identity_table
         + "\n\nresume under injected simulator latency "
-        f"({latency}s/simulation, async backend):\n\n"
+        f"({latency}s/simulation, process backend):\n\n"
         + latency_table
     )
     save_timing_results("elastic_resume", text)
@@ -154,7 +142,7 @@ def test_elastic_resume(benchmark, tmp_path):
     # The injected-latency resumes are still the same campaign.
     assert deterministic_wire(doubled) == reference
     # The doubled fleet must demonstrably use its extra shards: in the
-    # waiting-dominated regime 2x concurrency overlaps 2x the waits.
+    # waiting-dominated regime 2x the shards overlap 2x the waits.
     assert speedup >= 1.25, (
-        f"resume at 2x concurrency only {speedup:.2f}x faster"
+        f"resume at 2x the shards only {speedup:.2f}x faster"
     )

@@ -6,16 +6,18 @@ injected ``step_latency`` sleep; this one retires the stand-in.  The same
 
 * ``inline`` + ``inproc`` — the in-process reference the identity checks
   compare against,
-* ``inline`` + ``subprocess`` — strictly serial steps against per-shard
+* ``inline`` + ``subprocess`` — strictly serial steps against per-slice
   ``python -m repro.sim.server`` processes: every protocol round trip blocks
   the one worker,
-* ``async`` (concurrency 4) + ``subprocess`` — the asyncio backend awaits
-  each round trip on an executor thread, so the four server processes
-  compute concurrently while one client loop interleaves their shards.
+* ``process`` + ``subprocess`` — the process backend drives subprocess
+  tasks on a pool of 4 threads, each blocking on its own round trip, so four
+  server processes compute concurrently.
 
-The server pool is pre-warmed (one server per shard, reused by both measured
-runs) so the comparison is steady-state step throughput, not interpreter
-spawn cost.
+The server pool is pre-warmed by a throwaway campaign of the same shape (one
+server per slice slot, at most ``max_live_servers`` alive, reused by both
+measured runs) so the comparison is mostly steady-state step throughput, not
+interpreter spawn cost.  On hosts with fewer CPUs than slice tasks the cap
+evicts idle servers, and the measured runs respawn some of them.
 
 Asserts
 
@@ -25,12 +27,12 @@ Asserts
   and must never leak into results,
 * **crash-free accounting** — the campaign's ``task_log`` reports one row per
   executed slice-epoch task with zero restarts,
-* **interleaving speedup** — on hosts with at least 4 CPUs (and outside CI),
-  the async backend finishes the subprocess-simulated campaign at least 2x
+* **overlap speedup** — on hosts with at least 4 CPUs (and outside CI),
+  the process backend finishes the subprocess-simulated campaign at least 2x
   faster than serial inline: genuine subprocess compute overlaps across
-  server processes.  On smaller hosts the four servers time-slice one core,
-  so the assertion falls back to an overhead bound (async may not be more
-  than 1.7x slower than serial).
+  server processes.  On smaller hosts the four servers time-slice fewer
+  cores, so the assertion falls back to an overhead bound (the threaded run
+  may not be more than 1.7x slower than serial).
 
 The committed artifact (``benchmarks/results/subprocess_sim.txt``) contains
 only deterministic facts — configuration, identity verdicts, simulator
@@ -52,7 +54,6 @@ TOTAL_ITERATIONS = 12
 SHARDS = 4
 SYNC_EPOCHS = 1
 ENTROPY = 99
-CONCURRENCY = 4
 
 
 def run_campaign(executor, simulator, entropy=ENTROPY, **overrides):
@@ -78,33 +79,33 @@ def test_subprocess_sim(benchmark):
     cpus = os.cpu_count() or 1
     reference, _ = run_campaign("inline", "inproc")
 
-    # Pre-warm: spawn the four per-shard server processes once with a tiny
-    # throwaway campaign, so the measured runs compare steady-state step
-    # throughput rather than interpreter boot.
+    # Pre-warm: spawn one server per slice slot with a throwaway campaign of
+    # the same shape, so the measured runs compare step throughput rather
+    # than interpreter boot.  The pool keeps at most max_live_servers alive.
     close_default_pool()
-    run_campaign("inline", "subprocess", entropy=1)
+    warm, _ = run_campaign("inline", "subprocess", entropy=1)
     warm_servers = [row for row in default_pool().processes() if row["alive"]]
+    expected_warm = min(len(warm.task_log), default_pool().max_live_servers)
 
     serial, serial_seconds = run_campaign("inline", "subprocess")
-    (interleaved, async_seconds) = benchmark.pedantic(
+    (threaded, threaded_seconds) = benchmark.pedantic(
         run_campaign,
-        args=("async", "subprocess"),
-        kwargs={"async_concurrency": CONCURRENCY},
+        args=("process", "subprocess"),
         rounds=1,
         iterations=1,
     )
-    speedup = serial_seconds / max(async_seconds, 1e-9)
+    speedup = serial_seconds / max(threaded_seconds, 1e-9)
     close_default_pool()
 
     identical = {
         "inline+subprocess": deterministic_wire(serial) == deterministic_wire(reference),
-        "async+subprocess": deterministic_wire(interleaved) == deterministic_wire(reference),
+        "process+subprocess": deterministic_wire(threaded) == deterministic_wire(reference),
     }
     serial_restarts = sum(row["restarts"] for row in serial.task_log)
-    async_restarts = sum(row["restarts"] for row in interleaved.task_log)
+    threaded_restarts = sum(row["restarts"] for row in threaded.task_log)
 
     print(
-        f"\nmeasured: serial {serial_seconds:.2f}s, async {async_seconds:.2f}s "
+        f"\nmeasured: serial {serial_seconds:.2f}s, process {threaded_seconds:.2f}s "
         f"({speedup:.2f}x) on {cpus} CPU(s); "
         f"mean step: "
         f"{1000 * sum(r['step_seconds_total'] for r in serial.task_log) / max(1, sum(r['steps'] for r in serial.task_log)):.1f}ms"
@@ -116,38 +117,40 @@ def test_subprocess_sim(benchmark):
     # Crash-free accounting: one row per executed slice-epoch task, no
     # recoveries needed.
     assert len(serial.task_log) == len(serial.slice_summaries)
-    assert len(interleaved.task_log) == len(interleaved.slice_summaries)
-    assert serial_restarts == 0 and async_restarts == 0
-    assert len(warm_servers) == SHARDS
+    assert len(threaded.task_log) == len(threaded.slice_summaries)
+    assert serial_restarts == 0 and threaded_restarts == 0
+    # One server per warm-up slice task, up to the pool's live-server cap.
+    assert len(warm_servers) == expected_warm
 
-    gate = cpus >= CONCURRENCY and not os.environ.get("CI")
+    gate = cpus >= SHARDS and not os.environ.get("CI")
     if gate:
-        # Interleaving speedup: four server processes compute concurrently
-        # while the serial driver pays every round trip back to back.
+        # Overlap speedup: four server processes compute concurrently while
+        # the serial driver pays every round trip back to back.
         assert speedup >= 2.0, (
-            f"async interleaving should be >= 2x over serial inline against "
-            f"real subprocess servers (serial {serial_seconds:.2f}s vs async "
-            f"{async_seconds:.2f}s = {speedup:.2f}x on {cpus} CPUs)"
+            f"the threaded process backend should be >= 2x over serial inline "
+            f"against real subprocess servers (serial {serial_seconds:.2f}s vs "
+            f"process {threaded_seconds:.2f}s = {speedup:.2f}x on {cpus} CPUs)"
         )
     else:
-        # One core (or CI): the servers time-slice a single CPU, so only the
-        # protocol/executor overhead is observable.
-        assert async_seconds <= serial_seconds * 1.7, (
-            f"async subprocess driver overhead too high on {cpus} CPU(s): "
-            f"serial {serial_seconds:.2f}s vs async {async_seconds:.2f}s"
+        # Few cores (or CI): the servers time-slice the CPUs, so only the
+        # protocol/thread overhead is observable.
+        assert threaded_seconds <= serial_seconds * 1.7, (
+            f"threaded subprocess driver overhead too high on {cpus} CPU(s): "
+            f"serial {serial_seconds:.2f}s vs process {threaded_seconds:.2f}s"
         )
 
     rows = [
-        ["inline", "inproc", "-", reference.total_coverage(),
-         len(reference.campaign.reports), "reference"],
-        ["inline", "subprocess", SHARDS, serial.total_coverage(),
-         len(serial.campaign.reports), "byte-identical"],
-        [f"async (c={CONCURRENCY})", "subprocess", SHARDS,
-         interleaved.total_coverage(), len(interleaved.campaign.reports),
+        ["inline", "inproc", "-", len(reference.task_log),
+         reference.total_coverage(), len(reference.campaign.reports), "reference"],
+        ["inline", "subprocess", "-", len(serial.task_log),
+         serial.total_coverage(), len(serial.campaign.reports), "byte-identical"],
+        ["process", "subprocess", SHARDS, len(threaded.task_log),
+         threaded.total_coverage(), len(threaded.campaign.reports),
          "byte-identical"],
     ]
     table = format_table(
-        ["Backend", "Simulator", "Servers", "Coverage", "Reports", "vs inproc"],
+        ["Backend", "Simulator", "Threads", "Slice tasks", "Coverage", "Reports",
+         "vs inproc"],
         rows,
     )
     table += (
@@ -155,12 +158,12 @@ def test_subprocess_sim(benchmark):
         f"{SYNC_EPOCHS} sync epoch; root entropy: {ENTROPY}"
     )
     table += (
-        f"\nper-shard repro.sim server processes, pre-warmed and reused: "
-        f"{len(warm_servers)}"
+        "\nrepro.sim server processes: one per slice slot, at most "
+        "max_live_servers alive, pre-warmed and reused"
     )
     table += (
         f"\nsimulator restarts during measured runs: "
-        f"{serial_restarts + async_restarts}"
+        f"{serial_restarts + threaded_restarts}"
     )
     table += (
         "\nno injected sleeps: steps block on real server round trips;"
@@ -169,7 +172,7 @@ def test_subprocess_sim(benchmark):
     )
     table += "\nboth subprocess wire forms byte-identical to inproc: True"
     table += (
-        "\nasync >= 2x over serial inline (gated on >= 4 CPUs, non-CI): "
+        "\nprocess >= 2x over serial inline (gated on >= 4 CPUs, non-CI): "
         + ("measured, True" if gate else "gated off on this host")
     )
     save_results("subprocess_sim", table)

@@ -3,12 +3,13 @@
 
 A self-contained demo of the simulator fabric (:mod:`repro.sim`): the same
 campaign runs twice, first with the in-process simulator (the reference),
-then with ``simulator="subprocess"`` — per-shard ``python -m repro.sim.server``
+then with ``simulator="subprocess"`` — per-slice ``python -m repro.sim.server``
 processes hosting the simulator behind the LOAD/STEP/READ/SNAPSHOT/RESTORE
-stdio protocol, driven through the async backend so their genuine subprocess
-waits interleave.  Unless ``--keep-servers``, one server process is SIGKILLed
-as soon as it is up, so the client's restart-and-replay recovery visibly
-kicks in.  The two campaigns' deterministic wire forms are then diffed: they
+stdio protocol, driven by the process backend on one thread per shard so
+their genuine subprocess waits overlap.  The servers belong to this process's
+pool, which the kill drill watches.  Unless ``--keep-servers``, one server
+process is SIGKILLed as soon as it is up, so the client's restart-and-replay
+recovery visibly kicks in.  The two campaigns' deterministic wire forms are then diffed: they
 must be byte-identical, simulator crash included.
 
 Usage::
@@ -17,7 +18,7 @@ Usage::
 
 The same campaign without driver code::
 
-    python -m repro.core.engine --simulator subprocess --backend async \
+    python -m repro.core.engine --simulator subprocess --backend process \
         --shards 4 --iterations 100
 """
 
@@ -64,8 +65,7 @@ def main() -> int:
             iterations=iterations,
             sync_epochs=2,
             entropy=entropy,
-            executor="async",
-            async_concurrency=shards,
+            executor="process",
             simulator=simulator,
         )
 
@@ -78,7 +78,7 @@ def main() -> int:
         threading.Thread(
             target=kill_first_live_server, args=(killed,), daemon=True
         ).start()
-    print(f"subprocess run: {shards} per-shard simulator servers...")
+    print(f"subprocess run: {shards} threads, one simulator server per slice...")
     started = time.perf_counter()
     campaign = run("subprocess")
     elapsed = time.perf_counter() - started

@@ -154,7 +154,7 @@ def sync_round_table(
 
     Each row sums one epoch across its slices: iterations executed,
     globally-new coverage points, bug reports, and the slowest slice's wall
-    time (the epoch's critical path — what an interleaving backend shortens).
+    time (the epoch's critical path — what a concurrent backend shortens).
     Useful for eyeballing where an adaptive (stall-triggered) sync policy
     found the new-point rate flatlining.
     """

@@ -27,14 +27,12 @@ from repro.core.fuzzer import CampaignStep, DejaVuzzFuzzer, FuzzerConfiguration
 from repro.core.corpus import CorpusEntry, SharedCorpus
 from repro.core.backends import (
     SIMULATOR_NAMES,
-    AsyncBackend,
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
     ShardCampaignRunner,
     ShardTask,
     create_backend,
-    iterate_shard_task,
     run_shard_task,
 )
 
@@ -99,7 +97,6 @@ __all__ = [
     "FuzzerConfiguration",
     "CorpusEntry",
     "SharedCorpus",
-    "AsyncBackend",
     "ExecutionBackend",
     "InlineBackend",
     "ProcessPoolBackend",
@@ -107,7 +104,6 @@ __all__ = [
     "ShardCampaignRunner",
     "ShardTask",
     "create_backend",
-    "iterate_shard_task",
     "run_shard_task",
     "CampaignScheduler",
     "DistributedBackend",

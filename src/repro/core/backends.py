@@ -13,13 +13,10 @@ protocol:
 * :class:`ProcessPoolBackend` — one task per worker process on a shared
   :class:`~concurrent.futures.ProcessPoolExecutor`; the pool is spawned
   lazily on the first multi-task epoch and reused across epochs (worker spawn
-  plus interpreter boot is expensive relative to an epoch's work).
-* :class:`AsyncBackend` — a single asyncio event loop that interleaves many
-  slice campaigns on one worker.  Each slice task runs as
-  :meth:`~repro.core.fuzzer.DejaVuzzFuzzer.campaign_steps`, a generator that
-  suspends at every simulator boundary; whenever one task is waiting on its
-  (slow, possibly external RTL) simulator the loop advances another, so a
-  latency-dominated campaign no longer pins a whole worker per slice.
+  plus interpreter boot is expensive relative to an epoch's work).  An epoch
+  of subprocess-simulated tasks only waits on its simulator servers, so it
+  runs on a thread pool of the same size instead, driving the caller's warm
+  server pool.
 * :class:`~repro.core.distributed.DistributedBackend` (registry name
   ``distributed``; imported lazily so the socket machinery stays out of
   single-host runs) — a TCP coordinator farming tasks to remote
@@ -36,19 +33,18 @@ of a slice's steps actually execute.
   per-slice server process hosts the simulator behind a JSON-lines stdio
   protocol, the step driver blocks on *real* subprocess turnaround instead
   of an injected sleep, and a crashed or hung server is transparently
-  restarted and replayed from its last snapshot.  The async driver runs
-  each protocol request on an executor thread, so the genuine subprocess
-  waits of concurrent slices overlap on one event loop.
+  restarted and replayed from its last snapshot.  The process backend
+  drives these tasks on threads, so the genuine subprocess waits of
+  concurrent slices overlap.
 
 Latency model: ``ShardTask.step_latency`` injects a fixed wait per simulator
 invocation, standing in for an external RTL simulator that responds after a
-delay behind the same wire protocol.  The serial drivers pay it with
-``time.sleep`` at each step; the async driver awaits ``asyncio.sleep``, so
-the waits of concurrent slices overlap.  Latency never feeds back into the
+delay behind the same wire protocol.  :func:`run_shard_task` pays it with
+``time.sleep`` at each step, so the waits overlap exactly as far as the
+backend runs tasks concurrently.  Latency never feeds back into the
 campaign itself — all backends and both simulator placements produce
-byte-identical results for the same configuration, which the engine's tests
-and the ``benchmarks/test_async_interleaving.py`` /
-``benchmarks/test_subprocess_sim.py`` benchmarks assert.
+byte-identical results for the same configuration, which
+``tests/test_campaign_matrix.py`` asserts.
 
 Only cheap wire forms (``to_dict`` payloads and dataclasses of primitives)
 cross the backend boundary — simulator state never gets pickled — which is
@@ -57,11 +53,10 @@ what keeps the protocol open for distributed (socket/queue) backends later.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.coverage import TaintCoverageMatrix
 from repro.core.fuzzer import CampaignStep, DejaVuzzFuzzer, FuzzerConfiguration
@@ -99,12 +94,11 @@ class ShardTask:
     # drives the steps against a repro.sim server process (real turnaround
     # latency, crash/hang recovery via restart-and-replay).
     simulator: str = "inproc"
-    # When positive, the serial drivers wrap the slice-epoch in cProfile and
-    # add the top-N functions by cumulative time to the task's diagnostics
+    # When positive, run_shard_task wraps the slice-epoch in cProfile and
+    # adds the top-N functions by cumulative time to the task's diagnostics
     # (``payload["diagnostics"]["profile"]``).  Like the rest of the
     # diagnostics it never enters the deterministic wire forms or
-    # checkpoints.  Ignored by the async driver (per-task profilers cannot
-    # nest on one thread) and by the subprocess simulator (the work runs out
+    # checkpoints.  Ignored by the subprocess simulator (the work runs out
     # of process).
     profile: int = 0
     # Per-slice telemetry: when on, the runner keeps a per-task metrics
@@ -222,23 +216,6 @@ class ShardCampaignRunner:
         return payload
 
 
-def iterate_shard_task(
-    task: ShardTask,
-) -> Generator[CampaignStep, None, Dict[str, object]]:
-    """Run one slice-epoch stepwise, yielding at every simulator boundary.
-
-    Thin generator view of :class:`ShardCampaignRunner`.  The generator's
-    return value is the slice's result payload dict — the engine-side wire
-    form of :func:`run_shard_task`.
-    """
-    runner = ShardCampaignRunner(task)
-    while True:
-        step = runner.advance()
-        if step is None:
-            return runner.payload
-        yield step
-
-
 def profile_rows(profiler, top: int) -> List[Dict[str, object]]:
     """The top-``top`` functions of a cProfile run, by cumulative time.
 
@@ -267,7 +244,7 @@ def profile_rows(profiler, top: int) -> List[Dict[str, object]]:
 def run_shard_task(task: ShardTask) -> Dict[str, object]:
     """Execute one slice-epoch to completion in the current process.
 
-    The serial driver of :func:`iterate_shard_task`: used directly by the
+    Drives a :class:`ShardCampaignRunner` to completion: used directly by the
     inline backend and as the worker function of the process pool.  Injected
     simulator latency is paid with a blocking sleep at every step, exactly
     like a synchronous RTL-simulator call would block the worker.  With
@@ -289,55 +266,20 @@ def run_shard_task(task: ShardTask) -> Dict[str, object]:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        runner = iterate_shard_task(task)
+        runner = ShardCampaignRunner(task)
         while True:
-            try:
-                step = next(runner)
-            except StopIteration as stop:
-                payload = stop.value
+            step = runner.advance()
+            if step is None:
                 break
             if task.step_latency > 0:
                 time.sleep(task.step_latency * step.simulations)
     finally:
         if profiler is not None:
             profiler.disable()
+    payload = runner.payload
     if profiler is not None:
         payload["diagnostics"]["profile"] = profile_rows(profiler, task.profile)
     return payload
-
-
-async def run_shard_task_async(
-    task: ShardTask, executor=None
-) -> Dict[str, object]:
-    """Asyncio driver of :func:`iterate_shard_task`.
-
-    Suspends at every simulator boundary — injected latency becomes an
-    ``asyncio.sleep`` during which the event loop runs other tasks, and even
-    a zero-latency step yields control once so no single task starves the
-    loop.  With ``task.simulator == "subprocess"`` every simulator-server
-    round trip is awaited on ``executor`` (a thread pool) instead, so the
-    *real* subprocess waits of concurrent tasks overlap on one event loop.
-    Returns the same payload as :func:`run_shard_task`.
-    """
-    if task.simulator == "subprocess":
-        from repro.sim.client import default_pool
-
-        loop = asyncio.get_running_loop()
-        simulator = default_pool().simulator(task.slice_index)
-        await loop.run_in_executor(executor, simulator.begin_task, task)
-        while True:
-            advanced = await loop.run_in_executor(executor, simulator.advance)
-            if advanced is None:
-                return simulator.finish_task()
-    runner = iterate_shard_task(task)
-    while True:
-        try:
-            step = next(runner)
-        except StopIteration as stop:
-            return stop.value
-        await asyncio.sleep(
-            task.step_latency * step.simulations if task.step_latency > 0 else 0
-        )
 
 
 class ExecutionBackend:
@@ -368,7 +310,16 @@ class InlineBackend(ExecutionBackend):
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """One worker process per slice task, on a pool reused across epochs."""
+    """One worker per slice task, on pools reused across epochs.
+
+    An in-process simulation needs a process of its own to get around the
+    GIL, so such epochs run on a :class:`ProcessPoolExecutor`.  A task with
+    ``simulator == "subprocess"`` only waits on its server, so an epoch of
+    them runs on a :class:`ThreadPoolExecutor` of the same size that drives
+    the caller's warm :func:`~repro.sim.client.default_pool`: one server per
+    slice, whichever thread runs it.  Each pool is built on first use and
+    kept, so one backend can serve campaigns of both simulator modes.
+    """
 
     name = "process"
 
@@ -377,71 +328,38 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.max_workers = max_workers
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._threads: Optional[ThreadPoolExecutor] = None
 
     def run_epoch(self, tasks: List[ShardTask]) -> List[Dict[str, object]]:
         if len(tasks) == 1:
-            # Not worth a round trip through a worker process.
+            # Not worth a round trip through a worker.
             return [run_shard_task(tasks[0])]
-        if self._pool is None:
-            workers = self.max_workers or len(tasks)
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        return list(self._pool.map(run_shard_task, tasks))
+        workers = self.max_workers or len(tasks)
+        if all(task.simulator == "subprocess" for task in tasks):
+            if self._threads is None:
+                self._threads = ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix="sim-step"
+                )
+            pool = self._threads
+        else:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=workers)
+            pool = self._pool
+        return list(pool.map(run_shard_task, tasks))
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        for pool in (self._pool, self._threads):
+            if pool is not None:
+                pool.shutdown()
+        self._pool = self._threads = None
 
 
-class AsyncBackend(ExecutionBackend):
-    """One asyncio event loop interleaving up to ``concurrency`` slice tasks.
-
-    All task compute still happens on the calling thread — what overlaps is
-    the *waiting*: injected or real simulator latency suspends one task's
-    generator while another advances.  With latency-dominated tasks the
-    epoch finishes in roughly ``total_wait / concurrency`` instead of
-    ``total_wait``, on a single worker.
-    """
-
-    name = "async"
-
-    def __init__(self, concurrency: int = 4) -> None:
-        if concurrency <= 0:
-            raise ValueError(f"concurrency must be positive, got {concurrency}")
-        self.concurrency = concurrency
-
-    def run_epoch(self, tasks: List[ShardTask]) -> List[Dict[str, object]]:
-        return asyncio.run(self._run_epoch(tasks))
-
-    async def _run_epoch(self, tasks: List[ShardTask]) -> List[Dict[str, object]]:
-        semaphore = asyncio.Semaphore(self.concurrency)
-        executor = None
-        if any(task.simulator == "subprocess" for task in tasks):
-            # One protocol round trip blocks one thread; size the pool to the
-            # in-flight bound so the loop's default (smaller) executor never
-            # throttles the overlap below the requested concurrency.
-            executor = ThreadPoolExecutor(
-                max_workers=self.concurrency, thread_name_prefix="sim-step"
-            )
-
-        async def bounded(task: ShardTask) -> Dict[str, object]:
-            async with semaphore:
-                return await run_shard_task_async(task, executor=executor)
-
-        try:
-            return list(await asyncio.gather(*(bounded(task) for task in tasks)))
-        finally:
-            if executor is not None:
-                executor.shutdown()
-
-
-BACKEND_NAMES = ("inline", "process", "async", "distributed")
+BACKEND_NAMES = ("inline", "process", "distributed")
 
 
 def create_backend(
     name: str,
     max_workers: Optional[int] = None,
-    concurrency: Optional[int] = None,
     listen: Optional[str] = None,
     min_workers: Optional[int] = None,
     auth_token: Optional[str] = None,
@@ -449,7 +367,6 @@ def create_backend(
     """Build a backend from its registry name.
 
     ``max_workers`` sizes the process pool (default: one per task);
-    ``concurrency`` bounds the async backend's in-flight tasks (default 4);
     ``listen``/``min_workers`` give the distributed coordinator its
     ``host:port`` (default: any free localhost port) and how many worker
     daemons to wait for before dispatching the first epoch (default 1);
@@ -460,8 +377,6 @@ def create_backend(
         return InlineBackend()
     if name == "process":
         return ProcessPoolBackend(max_workers=max_workers)
-    if name == "async":
-        return AsyncBackend(concurrency=concurrency if concurrency is not None else 4)
     if name == "distributed":
         from repro.core.distributed import DistributedBackend
 

@@ -29,8 +29,8 @@ The run loop is split into two explicit layers:
 * the :class:`~repro.core.backends.ExecutionBackend` transport — *how* one
   epoch's :class:`~repro.core.backends.ShardTask` list turns into result
   payloads: serially in-process (``inline``), on a reused local process pool
-  (``process``), interleaved on one asyncio loop (``async``), or farmed out
-  to remote worker daemons over TCP
+  (``process``; threads when the simulations run out of process), or farmed
+  out to remote worker daemons over TCP
   (``distributed`` — :mod:`repro.core.distributed`).
 
 Orthogonally to the backend, ``simulator`` picks where the simulations
@@ -109,7 +109,6 @@ from repro.core.backends import (
     ExecutionBackend,
     ShardTask,
     create_backend,
-    iterate_shard_task,
     run_shard_task,
 )
 from repro.core.corpus import SharedCorpus
@@ -134,7 +133,6 @@ __all__ = [
     "ParallelCampaignEngine",
     "ShardTask",
     "SyncPolicy",
-    "iterate_shard_task",
     "resolve_core",
     "run_parallel_campaign",
     "run_shard_task",
@@ -257,8 +255,7 @@ class EngineConfiguration:
     redistribute_top: int = 2            # lagging shards reseeded per epoch
     report_top_seeds: int = 4            # seeds each shard reports per epoch
     max_workers: Optional[int] = None    # process pool size / distributed: workers to wait for
-    executor: str = "process"            # backend: "process" | "inline" | "async" | "distributed"
-    async_concurrency: Optional[int] = None  # async backend: in-flight shards (default 4)
+    executor: str = "process"            # backend: "process" | "inline" | "distributed"
     # Injected wait per simulator invocation (seconds), modelling a slow
     # external (RTL) simulator; see repro.core.backends.  Zero = full speed.
     # Applies to the in-process simulator only: with simulator="subprocess"
@@ -274,8 +271,8 @@ class EngineConfiguration:
     # When positive, every slice task profiles itself with cProfile and
     # reports its top-N hottest functions (in its EngineResult.task_log row).
     # Diagnostics only — never checkpointed, never in deterministic wire
-    # forms; honored by the serial drivers (inline/process/distributed
-    # workers), ignored under the async driver and subprocess simulator.
+    # forms; honored by every backend, ignored under the subprocess
+    # simulator (the work runs out of process).
     profile: int = 0
     # Live campaign telemetry: always on by default (the counters are cheap
     # enough to keep lit).  Both knobs are pure observation — they never
@@ -330,10 +327,6 @@ class EngineConfiguration:
             )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
-        if self.async_concurrency is not None and self.async_concurrency <= 0:
-            raise ValueError(
-                f"async_concurrency must be positive, got {self.async_concurrency}"
-            )
         if self.step_latency < 0:
             raise ValueError(
                 f"step_latency must be non-negative, got {self.step_latency}"
@@ -813,8 +806,8 @@ class CampaignScheduler:
         Everything that feeds the deterministic derivations is included; the
         execution backend, its sizing knobs, and — since format 2 — the
         physical ``shards`` count deliberately are *not*: a campaign
-        checkpointed under the process pool may resume inline, async, or on
-        a different-sized worker fleet and still produce identical results.
+        checkpointed under the process pool may resume inline or on a
+        different-sized worker fleet and still produce identical results.
         What *is* pinned is ``slices``, the logical partition count every
         entropy stream and seed-id namespace derives from.
         """
@@ -1371,7 +1364,6 @@ class ParallelCampaignEngine:
                 configuration.shards,
                 configuration.max_workers or configuration.shards,
             ),
-            concurrency=configuration.async_concurrency,
             listen=configuration.listen,
             min_workers=configuration.max_workers,
             auth_token=configuration.auth_token,
@@ -1387,7 +1379,6 @@ def run_parallel_campaign(
     entropy: int = 2025,
     executor: str = "process",
     cores: Optional[Sequence[object]] = None,
-    async_concurrency: Optional[int] = None,
     step_latency: float = 0.0,
     simulator: str = "inproc",
     sync_policy: Union[str, SyncPolicy] = "fixed",
@@ -1433,7 +1424,6 @@ def run_parallel_campaign(
         sync_epochs=sync_epochs,
         executor=executor,
         cores=cores,
-        async_concurrency=async_concurrency,
         step_latency=step_latency,
         simulator=simulator,
         sync_policy=sync_policy,
@@ -1513,16 +1503,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=sorted(BACKEND_NAMES),
         default="process",
-        help="execution backend: process pool, serial inline, one asyncio "
-        "loop interleaving latency-bound shards, or a distributed "
-        "coordinator farming shards to remote worker daemons "
-        "(default: process)",
-    )
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        help="async backend: max slice tasks in flight on the event loop (default: 4)",
+        help="execution backend: process pool (threads under --simulator "
+        "subprocess), serial inline, or a distributed coordinator farming "
+        "shards to remote worker daemons (default: process)",
     )
     parser.add_argument(
         "--listen",
@@ -1622,8 +1605,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="profile every slice task with cProfile and report the top N "
-        "functions by cumulative time (diagnostics only; serial drivers "
-        "honor it, the async driver and subprocess simulator ignore it)",
+        "functions by cumulative time (diagnostics only; the subprocess "
+        "simulator ignores it)",
     )
     parser.add_argument(
         "--telemetry-dir",
@@ -1679,7 +1662,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             sync_epochs=args.epochs,
             max_workers=args.workers,
             executor=backend,
-            async_concurrency=args.concurrency,
             step_latency=args.step_latency,
             simulator=args.simulator,
             auth_token=args.auth_token,

@@ -156,8 +156,8 @@ class DejaVuzzFuzzer:
         it first.
 
         This is a thin driver over :meth:`campaign_steps`, which exposes the
-        same loop as a stepwise generator; execution backends that interleave
-        or rate-limit simulator access drive the generator directly.
+        same loop as a stepwise generator; the slice-task runner and the
+        simulator server drive the generator directly.
         """
         steps = self.campaign_steps(iterations, initial_seed=initial_seed)
         while True:
@@ -180,11 +180,11 @@ class DejaVuzzFuzzer:
         exploration round — and returns the finished
         :class:`~repro.core.report.CampaignResult` as the generator's value.
         Between yields no simulator work is in flight, so a driver is free to
-        pause here indefinitely: the serial driver just keeps iterating, while
-        :class:`~repro.core.backends.AsyncBackend` suspends the shard at each
-        yield and interleaves other shards' simulations on the same worker.
-        The yields consume no entropy, so stepping a campaign produces results
-        identical to :meth:`run_campaign`.
+        pause here indefinitely: :class:`~repro.core.backends.ShardCampaignRunner`
+        advances a slice task one boundary at a time (``run_shard_task``
+        sleeps any injected ``step_latency`` between yields), and the
+        simulator server answers each ``STEP`` with one yield.  The yields consume no entropy, so
+        stepping a campaign produces results identical to :meth:`run_campaign`.
         """
         configuration = self.configuration
         if initial_seed is not None and not initial_seed.compatible_with(

@@ -3,11 +3,12 @@
 One worker daemon connects to a :class:`~repro.core.distributed.DistributedBackend`
 coordinator, announces itself (HELLO: capacity + local backend + auth token
 when the fleet uses one), and then runs whatever TASK batches arrive through
-any *local* execution backend — serial ``inline`` (the default), a
-``process`` pool sized to ``--capacity``, or the ``async`` interleaver for
-latency-bound simulators.  RESULT frames carry each finished task's payload
-back; a HEARTBEAT side thread keeps beating even while a batch is running,
-so the coordinator can tell "busy" from "gone".
+any *local* execution backend — serial ``inline`` (the default) or a
+``process`` pool sized to ``--capacity`` (threads for subprocess-simulated
+batches, so one daemon serves campaigns of both simulator modes).  RESULT
+frames carry each finished task's payload back; a HEARTBEAT side thread
+keeps beating even while a batch is running, so the coordinator can tell
+"busy" from "gone".
 
 The daemon is stateless between batches: every task payload is
 self-contained (full fuzzer configuration, baseline coverage, initial
@@ -17,7 +18,7 @@ coordinator reassigns its tasks), or serve several campaigns in a row.
 Run it::
 
     python -m repro.core.worker --connect HOST:PORT [--capacity N]
-                                [--backend inline|process|async]
+                                [--backend inline|process]
                                 [--auth-token SECRET]
 
 ``--retry`` is the daemon's outage budget (default 10s): it bounds how long
@@ -196,7 +197,7 @@ def run_worker(
     """Serve a coordinator until an orderly end; returns an exit code.
 
     ``capacity`` is the largest TASK batch the coordinator may send at once;
-    batches run on the local ``backend`` (pool/loop sized to the same
+    batches run on the local ``backend`` (a pool sized to the same
     capacity).  ``backend_factory`` substitutes a caller-built backend per
     connection — the crash-injection tests use it to hand the worker a
     backend that fails mid-batch.  The function blocks for the daemon's
@@ -225,7 +226,7 @@ def run_worker(
         if backend_factory is not None:
             local = backend_factory()
         else:
-            local = create_backend(backend, max_workers=capacity, concurrency=capacity)
+            local = create_backend(backend, max_workers=capacity)
         try:
             outcome = _serve_connection(
                 sock,

@@ -22,8 +22,8 @@ server processes died, which the fault-injection tests assert.
 
 Select it from the campaign engine with ``--simulator subprocess`` (or
 ``EngineConfiguration.simulator = "subprocess"``); every execution backend —
-inline, process pool, async interleaver, distributed workers — then executes
-its slice steps against per-slice server processes.
+inline, process (on threads, since the work is out of process), distributed
+workers — then executes its slice steps against per-slice server processes.
 """
 
 from repro.sim.client import (

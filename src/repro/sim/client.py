@@ -15,8 +15,8 @@ Three layers:
 * :class:`SimProcessPool` — spawns and reuses one simulator per slice slot;
   :func:`run_task_on_default_pool` is the module-level entry point the
   execution backends dispatch ``ShardTask.simulator == "subprocess"`` work
-  through (each OS process — pool worker, worker daemon — owns its own
-  default pool).
+  through (each OS process — the engine, a worker daemon — owns its own
+  default pool, which the process backend's threads share).
 
 Determinism: protocol round trips carry only the same JSON wire forms the
 distributed fabric uses, and recovery is replay of a pure function — so a
@@ -330,8 +330,8 @@ class SubprocessSimulator:
 
     @property
     def busy(self) -> bool:
-        """Between :meth:`begin_task` and :meth:`finish_task` — the pool
-        never evicts a busy simulator."""
+        """From acquisition (or :meth:`begin_task`) to :meth:`finish_task` —
+        the pool never evicts a busy simulator."""
         return self._task_active
 
     # -- the task driver --------------------------------------------------------------------
@@ -537,7 +537,11 @@ class SimProcessPool:
         self._lock = threading.Lock()
 
     def simulator(self, slot: int) -> SubprocessSimulator:
-        """The simulator serving one slice slot (created on first use)."""
+        """The simulator serving one slice slot (created on first use).
+
+        It is returned busy: another thread acquiring a slot at the same
+        time cannot evict it before the caller's task begins.
+        """
         with self._lock:
             simulator = self._simulators.get(slot)
             if simulator is None:
@@ -550,6 +554,7 @@ class SimProcessPool:
                 self._simulators[slot] = simulator
             if not simulator.alive:
                 self._evict_idle_servers(keep=slot)
+            simulator._task_active = True
             return simulator
 
     def _evict_idle_servers(self, keep: int) -> None:

@@ -228,17 +228,6 @@ def process_pool(matrix, directory):
     )
 
 
-@arm("async")
-def async_loop(matrix, directory):
-    return from_result(
-        run(
-            executor="async", async_concurrency=2, step_latency=0.001,
-            telemetry_dir=sink(directory),
-        ),
-        directory,
-    )
-
-
 @arm("distributed")
 def distributed_with_a_killed_worker(matrix, directory):
     """Two authenticated workers; one daemon is SIGKILLed holding a task."""
@@ -332,11 +321,6 @@ def subprocess_on_inline(matrix, directory):
     return subprocess_simulator(directory)
 
 
-@arm("subprocess-async")
-def subprocess_on_async(matrix, directory):
-    return subprocess_simulator(directory, executor="async", async_concurrency=2)
-
-
 @arm("subprocess-process")
 def subprocess_on_process(matrix, directory):
     return subprocess_simulator(directory, executor="process")
@@ -391,9 +375,10 @@ def resumed(matrix, directory, shards, **overrides):
     return from_result(result, directory, epochs_run=EPOCHS - 1)
 
 
-@arm("resume-async-2x")
-def resume_on_async_at_double_the_shards(matrix, directory):
-    return resumed(matrix, directory, 4, executor="async", async_concurrency=2)
+@arm("resume-process-2x")
+def resume_on_process_at_double_the_shards(matrix, directory):
+    # The injected latency is paid on the pool's workers and changes nothing.
+    return resumed(matrix, directory, 4, executor="process", step_latency=0.001)
 
 
 @arm("resume-inline-half")
@@ -443,7 +428,7 @@ def engine_cli_halt_then_resume(matrix, directory):
     ) == 0
     return from_cli(
         ["--resume", checkpoint, "--checkpoint", checkpoint, "--shards", "8",
-         "--backend", "async", "--profile", "5"],
+         "--backend", "process", "--profile", "5"],
         directory,
         epochs_run=EPOCHS - 1,
     )
@@ -451,7 +436,7 @@ def engine_cli_halt_then_resume(matrix, directory):
 
 CLI_ARMS = ["cli", "cli-resume"]
 ENGINE_ARMS = [name for name in ARMS if name not in CLI_ARMS]
-RESUMED_SHARDS = {"resume-async-2x": 4, "resume-inline-half": 1, "distributed-resume": 4}
+RESUMED_SHARDS = {"resume-process-2x": 4, "resume-inline-half": 1, "distributed-resume": 4}
 
 
 class Matrix:
@@ -632,8 +617,7 @@ def test_failed_worker_backend_reconnects(matrix):
 
 @pytest.mark.parametrize(
     "name",
-    ["subprocess-inline", "subprocess-async", "subprocess-process",
-     "subprocess-distributed"],
+    ["subprocess-inline", "subprocess-process", "subprocess-distributed"],
 )
 def test_subprocess_simulator_runs_crash_free(matrix, name):
     result = matrix[name].result
@@ -644,10 +628,12 @@ def test_subprocess_simulator_runs_crash_free(matrix, name):
     assert result.summary()["simulator_processes"]["restarts"] == 0
 
 
-def test_inline_subprocess_simulator_spawns_one_server_per_slice(matrix):
-    result = matrix["subprocess-inline"].result
+@pytest.mark.parametrize("name", ["subprocess-inline", "subprocess-process"])
+def test_local_subprocess_simulator_spawns_one_server_per_slice(matrix, name):
+    result = matrix[name].result
     rows = simulator_process_table(result.task_log)
-    # One server per slice, reused across epochs, never restarted.
+    # One server per slice, reused across epochs by whichever thread runs
+    # the slice, never restarted.
     assert [row["spawns"] for row in rows] == [1] * SLICES
     assert result.summary()["simulator_processes"] == {"spawns": SLICES, "restarts": 0}
 

@@ -1,20 +1,23 @@
 """Tests for the pluggable execution backends and the stepwise campaign
 generator they drive."""
 
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
 import pytest
 
 from repro.core import (
-    AsyncBackend,
     CampaignStep,
     DejaVuzzFuzzer,
     FuzzerConfiguration,
     InlineBackend,
     ProcessPoolBackend,
+    ShardCampaignRunner,
     ShardTask,
     create_backend,
-    iterate_shard_task,
     run_shard_task,
 )
+from repro.core.backends import BACKEND_NAMES
+from repro.sim.client import close_default_pool, default_pool
 from repro.uarch import small_boom_config
 
 BOOM = small_boom_config()
@@ -29,6 +32,22 @@ def make_task(**overrides):
     )
     defaults.update(overrides)
     return ShardTask(**defaults)
+
+
+def slice_tasks(count, **overrides):
+    return [
+        make_task(slice_index=index, configuration=FuzzerConfiguration(
+            core=BOOM, entropy=31 + index, seed_id_base=10 + 100 * index),
+            **overrides)
+        for index in range(count)
+    ]
+
+
+def campaign_facts(payload):
+    """The deterministic part of a payload that every driver must agree on."""
+    facts = {key: payload[key] for key in ("slice_index", "epoch", "core", "points", "top_seeds")}
+    facts["coverage_history"] = payload["result"]["coverage_history"]
+    return facts
 
 
 class TestCampaignSteps:
@@ -75,22 +94,14 @@ class TestCampaignSteps:
 
 
 class TestShardTaskDrivers:
-    def test_iterate_shard_task_returns_the_wire_payload(self):
+    def test_runner_payload_is_the_run_shard_task_payload(self):
         task = make_task()
-        runner = iterate_shard_task(task)
+        runner = ShardCampaignRunner(task)
         steps = 0
-        while True:
-            try:
-                next(runner)
-                steps += 1
-            except StopIteration as stop:
-                payload = stop.value
-                break
+        while runner.advance() is not None:
+            steps += 1
         assert steps >= task.iterations
-        direct = run_shard_task(make_task())
-        for key in ("slice_index", "epoch", "core", "points", "top_seeds"):
-            assert payload[key] == direct[key]
-        assert payload["result"]["coverage_history"] == direct["result"]["coverage_history"]
+        assert campaign_facts(runner.payload) == campaign_facts(run_shard_task(make_task()))
 
     def test_step_latency_does_not_change_results(self):
         fast = run_shard_task(make_task())
@@ -103,20 +114,12 @@ class TestShardTaskDrivers:
 
 class TestBackends:
     def run_tasks(self, backend):
-        tasks = [
-            make_task(slice_index=index, configuration=FuzzerConfiguration(
-                core=BOOM, entropy=31 + index, seed_id_base=10 + 100 * index))
-            for index in range(3)
-        ]
         try:
-            return backend.run_epoch(tasks)
+            return backend.run_epoch(slice_tasks(3))
         finally:
             backend.close()
 
     def test_all_backends_produce_identical_payloads(self):
-        inline = self.run_tasks(InlineBackend())
-        pooled = self.run_tasks(ProcessPoolBackend(max_workers=2))
-        interleaved = self.run_tasks(AsyncBackend(concurrency=2))
         def strip(payloads):
             stripped_payloads = []
             for payload in payloads:
@@ -130,19 +133,16 @@ class TestBackends:
                 metrics = entry.get("metrics")
                 if metrics is not None:
                     entry["metrics"] = dict(metrics, histograms=None)
+                entry["result"] = dict(entry["result"], elapsed_seconds=0.0, first_bug_seconds=None)
+                # reports embed wall clocks; zero them before comparing
+                for report in entry["result"]["reports"]:
+                    report["wall_clock_seconds"] = 0.0
                 stripped_payloads.append(entry)
             return stripped_payloads
-        stripped = strip(inline)
-        for entry in stripped:
-            entry["result"] = dict(entry["result"], elapsed_seconds=0.0, first_bug_seconds=None)
-        for other in (strip(pooled), strip(interleaved)):
-            for entry in other:
-                entry["result"] = dict(entry["result"], elapsed_seconds=0.0, first_bug_seconds=None)
-            # reports embed wall clocks; zero them before comparing
-            for a, b in zip(stripped, other):
-                for report in a["result"]["reports"] + b["result"]["reports"]:
-                    report["wall_clock_seconds"] = 0.0
-                assert a == b
+
+        inline = strip(self.run_tasks(InlineBackend()))
+        pooled = strip(self.run_tasks(ProcessPoolBackend(max_workers=2)))
+        assert inline == pooled
 
     def test_single_task_epochs_skip_the_pool(self):
         backend = ProcessPoolBackend(max_workers=2)
@@ -163,40 +163,65 @@ class TestBackends:
             backend.close()
         assert backend._pool is None
 
+    def test_subprocess_epoch_runs_on_threads_against_the_callers_servers(self):
+        close_default_pool()
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            payloads = backend.run_epoch(slice_tasks(2, iterations=2, simulator="subprocess"))
+            assert isinstance(backend._threads, ThreadPoolExecutor)
+            assert backend._pool is None  # no worker process was spawned
+            # Both slots live in this process's pool: one warm server per slice.
+            rows = default_pool().processes()
+            assert [(row["slot"], row["alive"], row["spawns"]) for row in rows] == [
+                (0, True, 1), (1, True, 1),
+            ]
+            assert [payload["diagnostics"]["spawns"] for payload in payloads] == [1, 1]
+        finally:
+            backend.close()
+            close_default_pool()
+
+    def test_one_backend_serves_both_simulator_modes_in_turn(self):
+        close_default_pool()
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            served = backend.run_epoch(slice_tasks(2, iterations=2, simulator="subprocess"))
+            threads = backend._threads
+            local = backend.run_epoch(slice_tasks(2, iterations=2))
+            # The in-process epoch needs processes (the GIL); the thread pool
+            # is kept for the next subprocess epoch.
+            assert isinstance(backend._pool, ProcessPoolExecutor)
+            assert backend._threads is threads
+        finally:
+            backend.close()
+            close_default_pool()
+        assert backend._pool is None and backend._threads is None
+        assert [campaign_facts(payload) for payload in served] == [
+            campaign_facts(payload) for payload in local
+        ]
+
     def test_create_backend_registry(self):
+        assert BACKEND_NAMES == ("inline", "process", "distributed")
         assert isinstance(create_backend("inline"), InlineBackend)
         assert isinstance(create_backend("process"), ProcessPoolBackend)
-        backend = create_backend("async", concurrency=7)
-        assert isinstance(backend, AsyncBackend) and backend.concurrency == 7
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            create_backend("threads")
+        for name in ("threads", "async"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                create_backend(name)
 
     def test_backend_rejects_bad_sizing(self):
-        with pytest.raises(ValueError, match="concurrency"):
-            AsyncBackend(concurrency=0)
         with pytest.raises(ValueError, match="max_workers"):
             ProcessPoolBackend(max_workers=0)
         # The factory must not silently rewrite an invalid explicit zero.
-        with pytest.raises(ValueError, match="concurrency"):
-            create_backend("async", concurrency=0)
+        with pytest.raises(ValueError, match="max_workers"):
+            create_backend("process", max_workers=0)
 
 
 class TestShardCampaignRunner:
     """The inspectable stepwise executor the simulator server hosts."""
 
-    def test_runner_matches_the_generator_driver(self):
-        from repro.core.backends import ShardCampaignRunner
-
-        generator = iterate_shard_task(make_task())
-        steps = []
-        while True:
-            try:
-                steps.append(next(generator))
-            except StopIteration as stop:
-                generator_payload = stop.value
-                break
-
-        runner = ShardCampaignRunner(make_task())
+    def test_runner_steps_the_campaign_that_run_shard_task_finishes(self):
+        task = make_task()
+        steps = list(DejaVuzzFuzzer(task.configuration).campaign_steps(task.iterations))
+        runner = ShardCampaignRunner(task)
         runner_steps = []
         while True:
             step = runner.advance()
@@ -204,20 +229,14 @@ class TestShardCampaignRunner:
                 break
             runner_steps.append(step)
         assert runner.finished
-        assert len(runner_steps) == len(steps)
-        for ours, theirs in zip(runner_steps, steps):
-            assert (ours.iteration, ours.phase, ours.simulations) == (
-                theirs.iteration, theirs.phase, theirs.simulations
-            )
-        for key in ("slice_index", "epoch", "core", "points", "top_seeds"):
-            assert runner.payload[key] == generator_payload[key]
-        assert runner.payload["result"]["coverage_history"] == (
-            generator_payload["result"]["coverage_history"]
-        )
+        assert [(step.iteration, step.phase, step.simulations) for step in runner_steps] == [
+            (step.iteration, step.phase, step.simulations) for step in steps
+        ]
+        # Injected latency is paid between the runner's steps and changes nothing.
+        slow = run_shard_task(make_task(step_latency=0.0005))
+        assert campaign_facts(runner.payload) == campaign_facts(slow)
 
     def test_runner_exposes_live_campaign_state(self):
-        from repro.core.backends import ShardCampaignRunner
-
         runner = ShardCampaignRunner(make_task())
         assert runner.campaign_result is None
         first = runner.advance()

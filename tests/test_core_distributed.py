@@ -28,7 +28,7 @@ from repro.core.distributed import (
     shard_task_from_wire,
     shard_task_to_wire,
 )
-from repro.core.worker import run_worker
+from repro.core.worker import LOCAL_BACKEND_NAMES, main as worker_main, run_worker
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingMode
 from repro.generation.window_types import TransientWindowType
@@ -465,6 +465,19 @@ class TestWorkerProtocolErrors:
         )
         assert code == 0
         assert hellos == ["HELLO", "HELLO"]
+
+
+class TestWorkerBackends:
+    def test_local_backends_are_inline_and_process(self):
+        assert LOCAL_BACKEND_NAMES == ("inline", "process")
+        with pytest.raises(ValueError, match=r"\(known: inline, process\)"):
+            run_worker("127.0.0.1:1", backend="async")
+
+    def test_removed_async_backend_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            worker_main(["--connect", "127.0.0.1:1", "--backend", "async"])
+        assert raised.value.code == 2
+        assert "'async'" in capsys.readouterr().err
 
 
 class TestProtocolVersion:

@@ -396,8 +396,6 @@ class TestParallelCampaignEngine:
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), sync_epochs=0)
         with pytest.raises(ValueError, match="sync_epochs"):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), sync_epochs=-3)
-        with pytest.raises(ValueError, match="async_concurrency"):
-            EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), async_concurrency=0)
         with pytest.raises(ValueError, match="step_latency"):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), step_latency=-0.1)
         with pytest.raises(ValueError, match="sync policy"):
@@ -616,6 +614,21 @@ class TestEngineCli:
             engine_main(["--window-lookahead", "4", "--backend", "inline"])
         assert raised.value.code == 2
         assert "--window-lookahead" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["--backend", "async"], "'async'"), (["--concurrency", "2"], "--concurrency")],
+        ids=["backend-async", "concurrency"],
+    )
+    def test_removed_async_backend_flags_are_refused(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as raised:
+            engine_main([*argv, "--iterations", "1"])
+        assert raised.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_removed_async_executor_is_refused(self):
+        with pytest.raises(ValueError, match=r"\(known: inline, process, distributed\)"):
+            EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), executor="async")
 
 
 class TestSeedIdReproducibility:

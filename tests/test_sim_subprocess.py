@@ -189,6 +189,20 @@ class TestSimProcessPool:
         finally:
             pool.close()
 
+    def test_an_acquired_server_is_not_evicted_before_its_task_runs(self):
+        # Threads share one pool: the slot one thread acquired must survive
+        # another thread's acquisition until its task has run.
+        pool = SimProcessPool(max_live_servers=1)
+        try:
+            pool.run_task(make_task(slice_index=0, iterations=1))
+            held = pool.simulator(0)
+            pool.simulator(1)
+            assert held.alive
+            payload = held.run_task(make_task(slice_index=0, epoch=1, iterations=1))
+            assert payload["diagnostics"]["spawns"] == 0
+        finally:
+            pool.close()
+
     def test_pool_validation(self):
         with pytest.raises(ValueError, match="max_live_servers"):
             SimProcessPool(max_live_servers=0)
