@@ -304,8 +304,10 @@ def distributed_worker_whose_backend_fails_once(matrix, directory):
     )
 
 
-def subprocess_simulator(directory, backend=None, **overrides):
+def subprocess_simulator(directory, backend=None, max_live_servers=None, **overrides):
     close_default_pool()  # fresh servers: one spawn per slice
+    if max_live_servers is not None:
+        default_pool().max_live_servers = max_live_servers
     try:
         result = run(
             backend=backend, simulator="subprocess",
@@ -324,6 +326,14 @@ def subprocess_on_inline(matrix, directory):
 @arm("subprocess-process")
 def subprocess_on_process(matrix, directory):
     return subprocess_simulator(directory, executor="process")
+
+
+@arm("subprocess-process-capped")
+def subprocess_on_two_threads_with_two_live_servers(matrix, directory):
+    """Fewer threads and live servers than slices: evicted servers respawn."""
+    return subprocess_simulator(
+        directory, executor="process", max_workers=2, max_live_servers=2
+    )
 
 
 @arm("subprocess-distributed")
@@ -381,6 +391,15 @@ def resume_on_process_at_double_the_shards(matrix, directory):
     return resumed(matrix, directory, 4, executor="process", step_latency=0.001)
 
 
+@arm("subprocess-resume-process-2x")
+def subprocess_resume_on_process_at_double_the_shards(matrix, directory):
+    close_default_pool()
+    try:
+        return resumed(matrix, directory, 4, executor="process", simulator="subprocess")
+    finally:
+        close_default_pool()
+
+
 @arm("resume-inline-half")
 def resume_inline_at_half_the_shards(matrix, directory):
     return resumed(matrix, directory, 1)
@@ -436,7 +455,10 @@ def engine_cli_halt_then_resume(matrix, directory):
 
 CLI_ARMS = ["cli", "cli-resume"]
 ENGINE_ARMS = [name for name in ARMS if name not in CLI_ARMS]
-RESUMED_SHARDS = {"resume-process-2x": 4, "resume-inline-half": 1, "distributed-resume": 4}
+RESUMED_SHARDS = {
+    "resume-process-2x": 4, "resume-inline-half": 1, "distributed-resume": 4,
+    "subprocess-resume-process-2x": 4,
+}
 
 
 class Matrix:
@@ -617,7 +639,8 @@ def test_failed_worker_backend_reconnects(matrix):
 
 @pytest.mark.parametrize(
     "name",
-    ["subprocess-inline", "subprocess-process", "subprocess-distributed"],
+    ["subprocess-inline", "subprocess-process", "subprocess-process-capped",
+     "subprocess-distributed"],
 )
 def test_subprocess_simulator_runs_crash_free(matrix, name):
     result = matrix[name].result
@@ -636,6 +659,16 @@ def test_local_subprocess_simulator_spawns_one_server_per_slice(matrix, name):
     # the slice, never restarted.
     assert [row["spawns"] for row in rows] == [1] * SLICES
     assert result.summary()["simulator_processes"] == {"spawns": SLICES, "restarts": 0}
+
+
+def test_capped_pool_respawns_evicted_servers(matrix):
+    result = matrix["subprocess-process-capped"].result
+    rows = simulator_process_table(result.task_log)
+    # Two live servers for four slices: every slice spawns at least once, and
+    # the slices evicted in the first epoch respawn in the second.
+    assert all(row["spawns"] >= 1 for row in rows)
+    assert sum(row["spawns"] for row in rows) > SLICES
+    assert result.summary()["simulator_processes"]["restarts"] == 0
 
 
 def test_killed_simulator_server_is_restarted_and_replayed(matrix):
