@@ -359,14 +359,13 @@ class DejaVuzzFuzzer:
         }
 
     def export_metrics(self) -> None:
-        """Fold the cache/DUT-pool/batch tallies into the metrics registry.
+        """Fold the DUT-pool and window-batch tallies into the metrics registry.
 
         The underlying objects already count these; this copies the final
         tallies into registry counters so one snapshot carries everything.
         Call once per campaign (the shard runner does, at payload build).
         """
         phase1 = self.metrics.scope("phase1")
-        phase1.counter("sim_cache_evictions").add(self.phase1.simulation_cache.evictions)
         stats = self.batch_stats()
         # The widest batch is a maximum, not a tally: counters would sum it.
         del stats["max_batch"]

@@ -11,11 +11,9 @@ triggering are permanently discarded.
 
 from __future__ import annotations
 
-import hashlib
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingDeriver, TrainingMode
@@ -28,122 +26,6 @@ from repro.telemetry.metrics import NULL_REGISTRY
 from repro.uarch.config import CoreConfig, TaintTrackingMode
 from repro.uarch.processor import Processor
 from repro.utils.rng import DeterministicRng
-
-
-def _freeze(value) -> object:
-    """Convert a metadata value into a hashable, content-equal form."""
-    if isinstance(value, dict):
-        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted(_freeze(item) for item in value))
-    return value
-
-
-def _packet_fingerprint(packet) -> bytes:
-    """A per-packet content digest, memoized on the packet object itself.
-
-    Packets are immutable once scheduled, so the digest never needs
-    invalidating.  The leave-one-out reduction loop fingerprints T schedules
-    sharing the same T packets; the memo means each packet is serialized once
-    for its lifetime.  The memoized value is a SHA-256 digest rather than the
-    content tuple: cache keys are dict keys, and hashing a nested tuple walks
-    every ``Instruction`` on *every* get/put, while hashing a short ``bytes``
-    object is a single cheap pass.  The canonical form spells each
-    instruction out field by field (with sorted tags) so equal content always
-    serializes identically — no reliance on ``repr`` of unordered sets.
-    """
-    cached = getattr(packet, "_content_fingerprint", None)
-    if cached is None:
-        canonical = (
-            packet.kind.value,
-            packet.entry_offset,
-            tuple(
-                (
-                    ins.mnemonic,
-                    ins.rd,
-                    ins.rs1,
-                    ins.rs2,
-                    ins.imm,
-                    ins.target_label,
-                    ins.comment,
-                    tuple(sorted(ins.tags)),
-                )
-                for ins in packet.instructions
-            ),
-            tuple(sorted(packet.labels.items())),
-            _freeze(packet.metadata),
-        )
-        cached = hashlib.sha256(repr(canonical).encode()).digest()
-        object.__setattr__(packet, "_content_fingerprint", cached)
-    return cached
-
-
-def schedule_fingerprint(schedule: SwapSchedule) -> Tuple:
-    """A content fingerprint of a schedule, independent of packet *names*.
-
-    Training packets carry rng-derived name suffixes, so two leave-one-out
-    candidates with identical instruction content would never collide on a
-    name-based key.  The fingerprint therefore covers everything the
-    simulator actually observes — packet kind/entry/instructions/labels/
-    metadata in schedule order plus the secret-protection flag — and nothing
-    it does not (names).
-    """
-    return (
-        schedule.protect_secret_before_transient,
-        tuple(_packet_fingerprint(packet) for packet in schedule.packets),
-    )
-
-
-class SimulationCache:
-    """Bounded LRU memo of ``(schedule fingerprint, secret) -> SwapRunResult``.
-
-    Simulation is a pure function of the schedule content and the secret (the
-    DUT instance is constructed fresh and consumes no rng), so identical
-    candidates — notably the leave-one-out re-simulations of the training
-    reduction loop — can reuse a prior run's result object verbatim.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity <= 0:
-            raise ValueError("simulation cache capacity must be positive")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[Tuple, SwapRunResult]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Tuple) -> Optional[SwapRunResult]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: Tuple, value: SwapRunResult) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-        }
 
 
 class DutPool:
@@ -265,7 +147,6 @@ class TransientWindowTriggering:
         self.training_deriver = TrainingDeriver(layout, mode=training_mode)
         self.training_candidates = training_candidates
         self.max_cycles_per_packet = max_cycles_per_packet
-        self.simulation_cache = SimulationCache()
         # Instance-local (never module-global): shard campaign runners promise
         # that no module-global state is read or mutated.
         self.dut_pool = DutPool(config, layout)
@@ -274,8 +155,6 @@ class TransientWindowTriggering:
         # for the shared no-op registry — record/add become empty calls).
         scope = metrics if metrics is not None else NULL_REGISTRY
         self._sim_seconds = scope.histogram("sim_seconds")
-        self._sim_cache_hit_count = scope.counter("sim_cache_hits")
-        self._sim_cache_miss_count = scope.counter("sim_cache_misses")
 
     # -- Step 1.1: trigger generation ------------------------------------------------
 
@@ -370,19 +249,6 @@ class TransientWindowTriggering:
     # -- simulation helper ----------------------------------------------------------------
 
     def _simulate(self, schedule: SwapSchedule, secret: int) -> SwapRunResult:
-        """One simulation of a schedule, memoized on (content, secret)."""
-        cache = self.simulation_cache
-        key = (schedule_fingerprint(schedule), secret)
-        cached = cache.get(key)
-        if cached is not None:
-            self._sim_cache_hit_count.add(1)
-            return cached
-        self._sim_cache_miss_count.add(1)
-        result = self._simulate_uncached(schedule, secret)
-        cache.put(key, result)
-        return result
-
-    def _simulate_uncached(self, schedule: SwapSchedule, secret: int) -> SwapRunResult:
         """One un-instrumented RTL simulation of a schedule on the pooled DUT."""
         started = time.perf_counter()
         try:

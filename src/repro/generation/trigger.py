@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
-from repro.isa.assembler import Assembler, AssemblyCache
+from repro.isa.assembler import Assembler
 from repro.isa.instructions import Instruction, nop
 from repro.isa.simulator import IsaSimulator, Permission, SimMemory
 from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
@@ -82,12 +82,6 @@ class TriggerGenerator:
 
     def __init__(self, layout: MemoryLayout = DEFAULT_LAYOUT) -> None:
         self.layout = layout
-        self.assembly_cache = AssemblyCache()
-        # Verification verdict memo: packet content -> bool (bounded FIFO).
-        self._verify_memo: Dict[tuple, bool] = {}
-        self._verify_memo_capacity = 256
-        self.verify_hits = 0
-        self.verify_misses = 0
 
     # -- public API ------------------------------------------------------------------
 
@@ -322,35 +316,10 @@ class TriggerGenerator:
         For misprediction windows the architectural path must skip the window;
         for exception and disambiguation windows the run must stop at (or
         squash past) the trigger.  This mirrors the paper's use of the ISA
-        simulator to validate derived operands.
-
-        The verdict is memoized on the packet content (the verification is a
-        pure function of the packet, its operand writes and the layout), and
-        the assembled program is cached by genotype so an unchanged prefix is
-        never re-assembled.
+        simulator to validate derived operands.  Campaigns never call it: the
+        operands are derived constructively.  The tests use it as the ISA
+        oracle for every window type.
         """
-        operand_writes = spec.packet.metadata.get("operand_writes", {})
-        memo_key = (
-            spec.window_type,
-            spec.protect_secret,
-            spec.packet.entry_offset,
-            tuple(spec.packet.instructions),
-            tuple(sorted(operand_writes.items())),
-            tuple(spec.window_offsets),
-            max_instructions,
-        )
-        cached = self._verify_memo.get(memo_key)
-        if cached is not None:
-            self.verify_hits += 1
-            return cached
-        self.verify_misses += 1
-        result = self._verify_uncached(spec, max_instructions)
-        if len(self._verify_memo) >= self._verify_memo_capacity:
-            self._verify_memo.pop(next(iter(self._verify_memo)))
-        self._verify_memo[memo_key] = result
-        return result
-
-    def _verify_uncached(self, spec: TriggerSpec, max_instructions: int) -> bool:
         memory = SimMemory()
         layout = self.layout
         memory.map_range(layout.shared_base, layout.shared_size)
@@ -362,7 +331,7 @@ class TriggerGenerator:
         if spec.protect_secret:
             memory.set_permission(layout.secret_address, Permission.EXECUTE)
 
-        assembler = Assembler(base=layout.swappable_base, cache=self.assembly_cache)
+        assembler = Assembler(base=layout.swappable_base)
         program = assembler.assemble_instructions(
             spec.packet.instructions, base=layout.swappable_base
         )

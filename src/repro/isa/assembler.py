@@ -14,7 +14,6 @@ readably, and so that generated packets can be rendered into binary images.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Instruction, OPCODE_TABLE
@@ -31,79 +30,12 @@ _LABEL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_.]*)\s*:\s*(.*)$")
 _MEM_OPERAND_RE = re.compile(r"^(-?\w+)\s*\(\s*(\w+)\s*\)$")
 
 
-class AssemblyCache:
-    """Bounded LRU cache of assembled programs keyed by genotype content.
-
-    Assembly is a pure function of the instruction sequence, base address and
-    labels, so repeated assemblies of an unchanged genotype prefix (golden
-    model re-verification, repeated packet rendering) can reuse the prior
-    :class:`Program`.  Cached programs are shared by reference — callers must
-    treat them as read-only.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("assembly cache capacity must be positive")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[Tuple, Program]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def key_for(
-        instructions: Sequence[Instruction],
-        base: int,
-        labels: Optional[Dict[str, int]],
-        section_name: str,
-    ) -> Tuple:
-        frozen_labels = tuple(sorted(labels.items())) if labels else ()
-        return (base, section_name, tuple(instructions), frozen_labels)
-
-    def get(self, key: Tuple) -> Optional[Program]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: Tuple, program: Program) -> None:
-        self._entries[key] = program
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-        }
-
-
 class Assembler:
     """Two-pass assembler producing a :class:`Program`."""
 
-    def __init__(
-        self,
-        base: int = 0x8000_0000,
-        section_name: str = "text",
-        cache: Optional[AssemblyCache] = None,
-    ) -> None:
+    def __init__(self, base: int = 0x8000_0000, section_name: str = "text") -> None:
         self._base = base
         self._section_name = section_name
-        self._cache = cache
 
     def assemble(self, source: str, extra_symbols: Optional[Dict[str, int]] = None) -> Program:
         """Assemble ``source`` text into a single-section program."""
@@ -126,18 +58,6 @@ class Assembler:
 
         ``labels`` maps label names to instruction indices.
         """
-        cache = self._cache
-        key = None
-        if cache is not None:
-            key = AssemblyCache.key_for(
-                instructions,
-                base if base is not None else self._base,
-                labels,
-                self._section_name,
-            )
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
         section = Section(self._section_name, base if base is not None else self._base)
         section.instructions = list(instructions)
         if labels:
@@ -146,8 +66,6 @@ class Assembler:
         program = Program()
         program.add_section(section)
         program.entry = section.base
-        if key is not None:
-            cache.put(key, program)
         return program
 
     # -- first pass: tokenize, expand pseudo-instructions, collect labels -----

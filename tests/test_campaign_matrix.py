@@ -4,8 +4,7 @@ Every backend, simulator mode, profiling knob, telemetry setting and resume
 at another shard count must give a byte-identical ``campaign_deterministic``
 and the same per-core coverage points as one reference campaign: the inline
 backend, the in-process simulator, telemetry off, with the reference paths
-of ``reference_paths.py`` (uncached simulation, fresh DUTs, cold
-verification, full census) applied.  The reference is computed once per
+of ``reference_paths.py`` (fresh DUTs, full census) applied.  The reference is computed once per
 session.
 
 The arms cover every value of every axis at least once; they are not the

@@ -1,42 +1,26 @@
-"""Tests for the hot-path caches: Phase-1 simulation memo, assembly cache,
-golden-model verify memo, census dirty-flagging and the profile plumbing.
+"""Tests for the hot-path accelerators: the warm-DUT pool, census
+dirty-flagging, the training reduction and the profile plumbing.
 
-The shared contract under test: every cache is *transparent* — the same
-campaign run through the reference paths of ``reference_paths`` (no memo,
-cold caches, full census every cycle) produces byte-identical deterministic
-wire forms.
+The shared contract under test: every accelerator is *transparent* — the
+same campaign run through the reference paths of ``reference_paths`` (fresh
+DUTs, full census every cycle) produces byte-identical deterministic wire
+forms.  Phase 1 has no simulation memo: every leave-one-out candidate is a
+different schedule, so each counted simulation really runs.
 """
-
-import pytest
 
 from repro.core.backends import ShardTask, run_shard_task
 from repro.core.distributed import shard_task_from_wire, shard_task_to_wire
 from repro.core.engine import EngineConfiguration, ParallelCampaignEngine
 from repro.core.fuzzer import FuzzerConfiguration, run_quick_campaign
-from repro.core.phase1 import (
-    SimulationCache,
-    TransientWindowTriggering,
-    schedule_fingerprint,
-)
+from repro.core.phase1 import TransientWindowTriggering
 from repro.analysis import profile_hotspot_table
-from dataclasses import replace
-
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
-from repro.generation.trigger import TriggerGenerator
-from repro.isa.assembler import Assembler, AssemblyCache
-from repro.isa.instructions import make_instruction, nop
-from repro.swapmem.packets import SwapSchedule
+from repro.swapmem.scheduler import SwapRunner
 from repro.uarch.boom import small_boom_config
 from repro.uarch.taint import TaintState
 
-from reference_paths import (
-    census_recompute,
-    cold_verification,
-    fresh_duts,
-    reference_paths,
-    uncached_simulation,
-)
+from reference_paths import census_recompute, fresh_duts, reference_paths
 
 BOOM = small_boom_config()
 
@@ -54,12 +38,31 @@ def make_seed(seed_id=7, entropy=13):
     )
 
 
-class TestSimulationCacheTransparency:
-    def test_cache_on_off_campaigns_are_byte_identical(self, monkeypatch):
-        cached = deterministic_dict()
-        uncached_simulation(monkeypatch)
-        uncached = deterministic_dict()
-        assert cached == uncached
+class TestPhase1Simulations:
+    def test_every_simulation_runs(self, monkeypatch):
+        """Re-running a seed re-simulates: each counted simulation is one
+        ``SwapRunner.run`` call, the second run included."""
+        calls = []
+        real_run = SwapRunner.run
+
+        def counting_run(self):
+            calls.append(self)
+            return real_run(self)
+
+        monkeypatch.setattr(SwapRunner, "run", counting_run)
+        phase1 = TransientWindowTriggering(BOOM)
+        seed = make_seed()
+        first = phase1.run(seed)
+        assert len(calls) == first.simulations_used
+        calls.clear()
+        second = phase1.run(seed)
+        assert len(calls) == second.simulations_used
+        assert first.triggered == second.triggered
+        assert first.simulations_used == second.simulations_used
+
+
+class TestReferencePaths:
+    """Each fake really takes its accelerator out of the path."""
 
     def test_all_reference_paths_are_byte_identical(self, monkeypatch):
         fast = deterministic_dict(iterations=4, entropy=5)
@@ -67,56 +70,12 @@ class TestSimulationCacheTransparency:
         reference = deterministic_dict(iterations=4, entropy=5)
         assert fast == reference
 
-    def test_identical_schedules_hit_the_cache(self):
-        phase1 = TransientWindowTriggering(BOOM)
-        seed = make_seed()
-        first = phase1.run(seed)
-        hits_before = phase1.simulation_cache.hits
-        second = phase1.run(seed)
-        assert phase1.simulation_cache.hits > hits_before
-        assert first.triggered == second.triggered
-        assert first.simulations_used == second.simulations_used
-
-    def test_fingerprint_ignores_packet_names(self):
-        phase1 = TransientWindowTriggering(BOOM)
-        _, schedule = phase1.generate_schedule(make_seed())
-        renamed = SwapSchedule(
-            packets=[
-                replace(packet, name=f"x_{index}")
-                for index, packet in enumerate(schedule.packets)
-            ],
-            protect_secret_before_transient=schedule.protect_secret_before_transient,
-            name="other-name",
-        )
-        assert schedule_fingerprint(schedule) == schedule_fingerprint(renamed)
-
-
-class TestReferencePaths:
-    """Each fake really takes its accelerator out of the path."""
-
-    def test_uncached_simulation_never_replays(self, monkeypatch):
-        uncached_simulation(monkeypatch)
-        phase1 = TransientWindowTriggering(BOOM)
-        phase1.run(make_seed())
-        phase1.run(make_seed())
-        assert phase1.simulation_cache.hits == 0
-        assert len(phase1.simulation_cache) == 0
-
     def test_fresh_duts_build_one_pair_per_simulation(self, monkeypatch):
         fresh_duts(monkeypatch)
         phase1 = TransientWindowTriggering(BOOM)
         result = phase1.run(make_seed())
         assert phase1.dut_pool.reuses == 0
         assert phase1.dut_pool.constructions == result.simulations_used
-
-    def test_cold_verification_never_hits_the_memo(self, monkeypatch):
-        cold_verification(monkeypatch)
-        generator = TriggerGenerator()
-        spec = generator.generate(make_seed())
-        generator.verify_with_golden_model(spec)
-        generator.verify_with_golden_model(spec)
-        assert generator.verify_hits == generator.verify_misses == 0
-        assert len(generator.assembly_cache) == 0
 
     def test_census_recompute_never_repeats(self, monkeypatch):
         repeats = []
@@ -135,76 +94,10 @@ class TestReferencePaths:
         assert not repeats
 
 
-class TestSimulationCacheBounds:
-    def test_eviction_at_capacity_boundary(self):
-        cache = SimulationCache(capacity=2)
-        cache.put(("a",), "ra")
-        cache.put(("b",), "rb")
-        assert cache.get(("a",)) == "ra"  # refresh a: b is now LRU
-        cache.put(("c",), "rc")
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.get(("b",)) is None  # the LRU entry was evicted
-        assert cache.get(("a",)) == "ra"
-        assert cache.get(("c",)) == "rc"
-        stats = cache.stats()
-        assert stats["entries"] == 2
-        assert stats["capacity"] == 2
-        assert stats["misses"] == 1  # only the lookup of the evicted key
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            SimulationCache(capacity=0)
-
-
-class TestAssemblyCache:
-    def test_cached_assembly_matches_uncached(self):
-        instructions = (
-            nop(),
-            make_instruction("addi", rd=5, rs1=0, imm=1),
-            make_instruction("addi", rd=6, rs1=5, imm=2),
-        )
-        cache = AssemblyCache()
-        cached = Assembler(base=0x8000_0000, cache=cache).assemble_instructions(
-            list(instructions)
-        )
-        plain = Assembler(base=0x8000_0000).assemble_instructions(list(instructions))
-        assert cached.entry == plain.entry
-        assert [list(s.instructions) for s in cached.sections] == [
-            list(s.instructions) for s in plain.sections
-        ]
-        again = Assembler(base=0x8000_0000, cache=cache).assemble_instructions(
-            list(instructions)
-        )
-        assert again is cached  # shared by reference on a hit
-        assert cache.hits == 1
-
-    def test_eviction_at_capacity_boundary(self):
-        cache = AssemblyCache(capacity=2)
-        assembler = Assembler(base=0x8000_0000, cache=cache)
-        programs = [
-            assembler.assemble_instructions([make_instruction("addi", rd=5, rs1=0, imm=imm)])
-            for imm in (1, 2, 3)
-        ]
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        # The first program's key was evicted: assembling it again misses.
-        misses_before = cache.misses
-        rebuilt = assembler.assemble_instructions(
-            [make_instruction("addi", rd=5, rs1=0, imm=1)]
-        )
-        assert cache.misses == misses_before + 1
-        assert rebuilt is not programs[0]
-        assert [list(s.instructions) for s in rebuilt.sections] == [
-            list(s.instructions) for s in programs[0].sections
-        ]
-
-
 class TestTrainingReduction:
-    def test_reduction_matches_without_packet_reference(self, monkeypatch):
+    def test_reduction_matches_without_packet_reference(self):
         """The in-place surviving-list reduction equals the naive chained
         ``without_packet`` reference, run by run."""
-        uncached_simulation(monkeypatch)
         phase1 = TransientWindowTriggering(BOOM)
         for seed_id in (3, 7, 21):
             seed = make_seed(seed_id=seed_id)
@@ -228,18 +121,6 @@ class TestTrainingReduction:
                 p.name for p in reference.packets
             ]
             assert simulations == reference_simulations
-
-    def test_verify_memo_matches_uncached_verdicts(self, monkeypatch):
-        generator = TriggerGenerator()
-        specs = [generator.generate(make_seed(seed_id=i)) for i in range(4)]
-        cached = [generator.verify_with_golden_model(spec) for spec in specs]
-        assert generator.verify_misses >= len(specs)
-        hits_before = generator.verify_hits
-        repeat = [generator.verify_with_golden_model(spec) for spec in specs]
-        assert generator.verify_hits >= hits_before + len(specs)
-        cold_verification(monkeypatch)
-        uncached = [generator.verify_with_golden_model(spec) for spec in specs]
-        assert cached == repeat == uncached
 
 
 class TestCensusDirtyFlag:
