@@ -62,7 +62,7 @@ class SwapRunResult:
         """One memoized pass over the trace for both window queries.
 
         Both public accessors rebuild ``set(trace.committed_sequences())``;
-        results are queried repeatedly (reduction loop, cache hits), so the
+        results are queried repeatedly (the reduction loop), so the
         pass runs once per result.
         """
         if self._window_analysis is not _UNSET:

@@ -8,6 +8,8 @@ forms.  Phase 1 has no simulation memo: every leave-one-out candidate is a
 different schedule, so each counted simulation really runs.
 """
 
+import pytest
+
 from repro.core.backends import ShardTask, run_shard_task
 from repro.core.distributed import shard_task_from_wire, shard_task_to_wire
 from repro.core.engine import EngineConfiguration, ParallelCampaignEngine
@@ -59,6 +61,39 @@ class TestPhase1Simulations:
         assert len(calls) == second.simulations_used
         assert first.triggered == second.triggered
         assert first.simulations_used == second.simulations_used
+
+
+class TestDutPool:
+    @pytest.mark.parametrize(
+        "window_type", list(TransientWindowType), ids=lambda kind: kind.value
+    )
+    def test_pooled_duts_match_fresh_duts(self, window_type, monkeypatch):
+        """For every window type the warm DUT serves all but the first
+        simulation, and Phase 1 decides exactly as on fresh DUTs."""
+        seed = Seed(seed_id=5, entropy=13, window_type=window_type)
+
+        def phase1_run():
+            phase1 = TransientWindowTriggering(BOOM)
+            result = phase1.run(seed)
+            run = result.last_run
+            outcome = (
+                result.to_dict(),
+                [packet.name for packet in result.schedule.packets],
+                None if run is None else (run.total_cycles, sorted(run.window_pcs)),
+                None if run is None else run.packet_records,
+            )
+            return phase1.dut_pool, result.simulations_used, outcome
+
+        pooled, simulations, pooled_outcome = phase1_run()
+        assert simulations > 0
+        assert pooled.constructions == 1
+        assert pooled.reuses == simulations - 1
+        with monkeypatch.context() as patch:
+            fresh_duts(patch)
+            fresh, fresh_simulations, fresh_outcome = phase1_run()
+        assert fresh.reuses == 0
+        assert fresh.constructions == fresh_simulations == simulations
+        assert pooled_outcome == fresh_outcome
 
 
 class TestReferencePaths:
