@@ -31,10 +31,12 @@ from repro.utils.rng import DeterministicRng
 class DutPool:
     """A warm DUT — one ``(SwapMemory, Processor)`` pair per ``(core, layout)``.
 
-    Construction of a processor (hierarchy, port map, predictors, packed-taint
-    slot index) dominates short Phase-1 simulations; checking a pooled pair
-    out resets it in place (``Processor.reset`` + ``SwapMemory.rearm``), which
-    is byte-equivalent to a fresh pair but touches only the mutated state.
+    Checking a pooled pair out resets it in place (``Processor.reset`` +
+    ``SwapMemory.rearm``) instead of constructing the processor's hierarchy,
+    port map, predictors and packed-taint slot index again.  That saves
+    little: a fresh pair costs about 0.1-0.2 ms on a 2-vCPU host, against
+    about 4 ms for the Phase-1 simulation that uses it.  The reset is
+    byte-equivalent to a fresh pair but touches only the mutated state.
     Phase 1 runs serially within a shard, so a single warm pair suffices; a
     re-entrant checkout falls back to a fresh, unpooled pair.
     """

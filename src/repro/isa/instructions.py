@@ -139,6 +139,45 @@ _register(
 SERIALIZING_MNEMONICS = frozenset(("ecall", "ebreak", "mret", "fence", "fence.i"))
 
 
+def _opcode_facts(info: OpcodeInfo) -> Dict[str, object]:
+    """The classification attributes every instruction of one mnemonic shares."""
+    mnemonic = info.mnemonic
+    iclass = info.iclass
+    is_branch = iclass is InstructionClass.BRANCH
+    is_jump = iclass is InstructionClass.JUMP
+    is_load = iclass is InstructionClass.LOAD
+    is_store = iclass is InstructionClass.STORE
+    is_fp = iclass in (InstructionClass.FP, InstructionClass.FP_DIV)
+    is_illegal = iclass is InstructionClass.ILLEGAL
+    return {
+        "info": info,
+        "iclass": iclass,
+        "is_branch": is_branch,
+        "is_jump": is_jump,
+        "is_indirect_jump": mnemonic == "jalr",
+        "is_control_flow": is_branch or is_jump,
+        "is_load": is_load,
+        "is_store": is_store,
+        "is_memory": is_load or is_store,
+        "is_fp": is_fp,
+        "is_system": iclass is InstructionClass.SYSTEM,
+        "is_illegal": is_illegal,
+        "may_fault": is_load or is_store or is_illegal or mnemonic in ("ecall", "ebreak"),
+        # Execution-resource classification, read once per executed
+        # instruction: the non-pipelined divider, the issue-port class and
+        # whether dispatch serializes the frontend.
+        "is_divider": mnemonic.startswith(("div", "rem")) or iclass is InstructionClass.FP_DIV,
+        "port_class": "mem" if is_load or is_store else "fp" if is_fp else "int",
+        "is_serializing": mnemonic in SERIALIZING_MNEMONICS,
+    }
+
+
+# Per-mnemonic classification, computed once at import.
+_OPCODE_FACTS: Dict[str, Dict[str, object]] = {
+    mnemonic: _opcode_facts(info) for mnemonic, info in OPCODE_TABLE.items()
+}
+
+
 @dataclass(frozen=True)
 class Instruction:
     """A single symbolic instruction.
@@ -162,70 +201,34 @@ class Instruction:
     # per-cycle stages read ``iclass`` / ``is_control_flow`` / ``reads()``
     # hundreds of thousands of times per campaign and the attribute lookups
     # dominate the property-call overhead.  The names below are plain
-    # instance attributes set via ``object.__setattr__`` (the dataclass is
-    # frozen); they are not fields, so equality/hash/replace are unaffected.
+    # instance attributes written straight into ``__dict__`` (the dataclass
+    # is frozen); they are not fields, so equality/hash/replace are
+    # unaffected.  Everything that depends on the mnemonic alone is copied
+    # from ``_OPCODE_FACTS``; only the register-dependent attributes are
+    # computed per instance.
 
     def __post_init__(self) -> None:
-        info = OPCODE_TABLE.get(self.mnemonic)
-        if info is None:
+        facts = _OPCODE_FACTS.get(self.mnemonic)
+        if facts is None:
             raise ValueError(f"unknown mnemonic: {self.mnemonic!r}")
         rd, rs1, rs2 = self.rd, self.rs1, self.rs2
         for name, value in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
             if not 0 <= value < 32:
                 raise ValueError(f"{name} out of range for {self.mnemonic}: {value}")
-        iclass = info.iclass
-        setattr_ = object.__setattr__
-        setattr_(self, "info", info)
-        setattr_(self, "iclass", iclass)
-        is_branch = iclass is InstructionClass.BRANCH
-        is_jump = iclass is InstructionClass.JUMP
-        setattr_(self, "is_branch", is_branch)
-        setattr_(self, "is_jump", is_jump)
-        is_indirect = self.mnemonic == "jalr"
-        setattr_(self, "is_indirect_jump", is_indirect)
+        attributes = self.__dict__
+        attributes.update(facts)
+        info = facts["info"]
+        is_indirect = facts["is_indirect_jump"]
         # ``ret`` in RISC-V is ``jalr x0, 0(ra)``; calls use ``rd == ra``.
-        setattr_(self, "is_return", is_indirect and rd == 0 and rs1 == 1 and self.imm == 0)
-        setattr_(self, "is_call", is_jump and rd == 1)
-        setattr_(self, "is_control_flow", is_branch or is_jump)
-        is_load = iclass is InstructionClass.LOAD
-        is_store = iclass is InstructionClass.STORE
-        setattr_(self, "is_load", is_load)
-        setattr_(self, "is_store", is_store)
-        setattr_(self, "is_memory", is_load or is_store)
-        setattr_(self, "is_fp", iclass in (InstructionClass.FP, InstructionClass.FP_DIV))
-        setattr_(self, "is_system", iclass is InstructionClass.SYSTEM)
-        is_illegal = iclass is InstructionClass.ILLEGAL
-        setattr_(self, "is_illegal", is_illegal)
-        setattr_(
-            self,
-            "may_fault",
-            is_load or is_store or is_illegal or self.mnemonic in ("ecall", "ebreak"),
-        )
-        setattr_(
-            self,
-            "is_nop",
-            self.mnemonic == "addi" and rd == 0 and rs1 == 0 and self.imm == 0,
-        )
-        # Execution-resource classification, read once per executed
-        # instruction: the non-pipelined divider, the issue-port class and
-        # whether dispatch serializes the frontend.
-        setattr_(
-            self,
-            "is_divider",
-            self.mnemonic.startswith(("div", "rem")) or iclass is InstructionClass.FP_DIV,
-        )
-        setattr_(
-            self,
-            "port_class",
-            "mem" if is_load or is_store else "fp" if self.is_fp else "int",
-        )
-        setattr_(self, "is_serializing", self.mnemonic in SERIALIZING_MNEMONICS)
-        setattr_(self, "_writes", rd if info.writes_rd and rd != 0 else None)
+        attributes["is_return"] = is_indirect and rd == 0 and rs1 == 1 and self.imm == 0
+        attributes["is_call"] = facts["is_jump"] and rd == 1
+        attributes["is_nop"] = self.mnemonic == "addi" and rd == 0 and rs1 == 0 and self.imm == 0
+        attributes["_writes"] = rd if info.writes_rd and rd != 0 else None
         if info.reads_rs1:
             reads = (rs1, rs2) if info.reads_rs2 else (rs1,)
         else:
             reads = (rs2,) if info.reads_rs2 else ()
-        setattr_(self, "_reads", reads)
+        attributes["_reads"] = reads
 
     def writes(self) -> Optional[int]:
         """Return the destination register index, or None."""
@@ -239,7 +242,13 @@ class Instruction:
         return replace(self, imm=imm)
 
     def with_tag(self, tag: str) -> "Instruction":
-        return replace(self, tags=self.tags | {tag})
+        # A tag changes no classification: copy the computed attributes
+        # instead of constructing (and classifying) the instruction again.
+        tagged = object.__new__(type(self))
+        attributes = tagged.__dict__
+        attributes.update(self.__dict__)
+        attributes["tags"] = self.tags | {tag}
+        return tagged
 
     def has_tag(self, tag: str) -> bool:
         return tag in self.tags

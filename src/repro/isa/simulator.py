@@ -175,99 +175,102 @@ class ExecutionResult:
     register_file: Dict[int, int] = field(default_factory=dict)
 
 
+def _sext32(value: int) -> int:
+    """Sign-extend the low 32 bits of ``value`` (the result of a ``*w`` operation)."""
+    value &= 0xFFFFFFFF
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
+def _signed_divide(dividend: int, divisor: int) -> int:
+    """RISC-V signed division: exact, truncating toward zero, ``x / 0 == -1``.
+
+    The overflow case (most negative value divided by -1) yields the
+    dividend once the caller truncates to the register width.
+    """
+    if divisor == 0:
+        return -1
+    quotient = abs(dividend) // abs(divisor)
+    return -quotient if (dividend < 0) != (divisor < 0) else quotient
+
+
+def _signed_remainder(dividend: int, divisor: int) -> int:
+    """RISC-V signed remainder: takes the dividend's sign, ``x % 0 == x``."""
+    if divisor == 0:
+        return dividend
+    return dividend - _signed_divide(dividend, divisor) * divisor
+
+
+def _upper_immediate(imm: int) -> int:
+    return sign_extend(imm & 0xFFFFF000, 32, 64)
+
+
+# mnemonic -> f(a, b, imm, pc), with ``a``/``b`` the unsigned 64-bit source
+# operands and ``imm`` the raw immediate.  ``compute_alu`` truncates the
+# result to XLEN; ``*w`` entries sign-extend their 32-bit result themselves.
+_ALU_OPERATIONS: Dict[str, Callable[[int, int, int, int], int]] = {
+    "add": lambda a, b, imm, pc: a + b,
+    "addw": lambda a, b, imm, pc: _sext32(a + b),
+    "addi": lambda a, b, imm, pc: a + to_signed(imm, 64),
+    "addiw": lambda a, b, imm, pc: _sext32(a + to_signed(imm, 64)),
+    "sub": lambda a, b, imm, pc: a - b,
+    "subw": lambda a, b, imm, pc: _sext32(a - b),
+    "and": lambda a, b, imm, pc: a & b,
+    "andi": lambda a, b, imm, pc: a & (imm & _WORD_MASK),
+    "or": lambda a, b, imm, pc: a | b,
+    "ori": lambda a, b, imm, pc: a | (imm & _WORD_MASK),
+    "xor": lambda a, b, imm, pc: a ^ b,
+    "xori": lambda a, b, imm, pc: a ^ (imm & _WORD_MASK),
+    "sll": lambda a, b, imm, pc: a << (b & 63),
+    "sllw": lambda a, b, imm, pc: _sext32(a << (b & 31)),
+    "slli": lambda a, b, imm, pc: a << (imm & 63),
+    "slliw": lambda a, b, imm, pc: _sext32(a << (imm & 31)),
+    "srl": lambda a, b, imm, pc: a >> (b & 63),
+    "srlw": lambda a, b, imm, pc: _sext32((a & 0xFFFFFFFF) >> (b & 31)),
+    "srli": lambda a, b, imm, pc: a >> (imm & 63),
+    "srliw": lambda a, b, imm, pc: _sext32((a & 0xFFFFFFFF) >> (imm & 31)),
+    "sra": lambda a, b, imm, pc: to_signed(a, 64) >> (b & 63),
+    "sraw": lambda a, b, imm, pc: _sext32(to_signed(a, 32) >> (b & 31)),
+    "srai": lambda a, b, imm, pc: to_signed(a, 64) >> (imm & 63),
+    "sraiw": lambda a, b, imm, pc: _sext32(to_signed(a, 32) >> (imm & 31)),
+    "slt": lambda a, b, imm, pc: 1 if to_signed(a, 64) < to_signed(b, 64) else 0,
+    "slti": lambda a, b, imm, pc: 1 if to_signed(a, 64) < to_signed(imm, 64) else 0,
+    "sltu": lambda a, b, imm, pc: 1 if a < b else 0,
+    "sltiu": lambda a, b, imm, pc: 1 if a < (imm & _WORD_MASK) else 0,
+    "mul": lambda a, b, imm, pc: a * b,
+    "mulw": lambda a, b, imm, pc: _sext32(a * b),
+    "mulh": lambda a, b, imm, pc: (to_signed(a, 64) * to_signed(b, 64)) >> 64,
+    "mulhu": lambda a, b, imm, pc: (a * b) >> 64,
+    "div": lambda a, b, imm, pc: _signed_divide(to_signed(a, 64), to_signed(b, 64)),
+    "divw": lambda a, b, imm, pc: _sext32(_signed_divide(to_signed(a, 32), to_signed(b, 32))),
+    "divu": lambda a, b, imm, pc: _WORD_MASK if b == 0 else a // b,
+    "rem": lambda a, b, imm, pc: _signed_remainder(to_signed(a, 64), to_signed(b, 64)),
+    "remw": lambda a, b, imm, pc: _sext32(_signed_remainder(to_signed(a, 32), to_signed(b, 32))),
+    "remu": lambda a, b, imm, pc: a if b == 0 else a % b,
+    "lui": lambda a, b, imm, pc: _upper_immediate(imm),
+    "auipc": lambda a, b, imm, pc: pc + _upper_immediate(imm),
+    "jal": lambda a, b, imm, pc: pc + 4,
+    "jalr": lambda a, b, imm, pc: pc + 4,
+    "fadd.d": lambda a, b, imm, pc: _fp_arith("fadd.d", a, b),
+    "fsub.d": lambda a, b, imm, pc: _fp_arith("fsub.d", a, b),
+    "fmul.d": lambda a, b, imm, pc: _fp_arith("fmul.d", a, b),
+    "fdiv.d": lambda a, b, imm, pc: _fp_arith("fdiv.d", a, b),
+    "fcvt.d.l": lambda a, b, imm, pc: _double_to_bits(float(to_signed(a, 64))),
+    "fmv.x.d": lambda a, b, imm, pc: a,
+    "csrrw": lambda a, b, imm, pc: a,
+    "csrrs": lambda a, b, imm, pc: a,
+}
+
+
 def compute_alu(instruction: Instruction, rs1: int, rs2: int, pc: int) -> int:
-    """Compute the architectural result of a non-memory instruction."""
-    m = instruction.mnemonic
-    imm = to_signed(instruction.imm, 64)
-    a = to_unsigned(rs1, XLEN)
-    b = to_unsigned(rs2, XLEN)
-    sa = to_signed(a, XLEN)
-    sb = to_signed(b, XLEN)
+    """Compute the architectural result of a non-memory instruction.
 
-    if m in ("add", "addw"):
-        result = a + b
-    elif m in ("addi", "addiw"):
-        result = a + imm
-    elif m in ("sub", "subw"):
-        result = a - b
-    elif m == "and":
-        result = a & b
-    elif m == "andi":
-        result = a & to_unsigned(imm, XLEN)
-    elif m == "or":
-        result = a | b
-    elif m == "ori":
-        result = a | to_unsigned(imm, XLEN)
-    elif m == "xor":
-        result = a ^ b
-    elif m == "xori":
-        result = a ^ to_unsigned(imm, XLEN)
-    elif m in ("sll", "sllw"):
-        shift = b & (31 if instruction.info.is_word_op else 63)
-        result = a << shift
-    elif m in ("slli", "slliw"):
-        shift = instruction.imm & (31 if instruction.info.is_word_op else 63)
-        result = a << shift
-    elif m in ("srl", "srlw"):
-        shift = b & (31 if instruction.info.is_word_op else 63)
-        source = a & mask(32) if instruction.info.is_word_op else a
-        result = source >> shift
-    elif m in ("srli", "srliw"):
-        shift = instruction.imm & (31 if instruction.info.is_word_op else 63)
-        source = a & mask(32) if instruction.info.is_word_op else a
-        result = source >> shift
-    elif m in ("sra", "sraw"):
-        shift = b & (31 if instruction.info.is_word_op else 63)
-        source = to_signed(a, 32) if instruction.info.is_word_op else sa
-        result = source >> shift
-    elif m in ("srai", "sraiw"):
-        shift = instruction.imm & (31 if instruction.info.is_word_op else 63)
-        source = to_signed(a, 32) if instruction.info.is_word_op else sa
-        result = source >> shift
-    elif m == "slt":
-        result = 1 if sa < sb else 0
-    elif m == "slti":
-        result = 1 if sa < imm else 0
-    elif m == "sltu":
-        result = 1 if a < b else 0
-    elif m == "sltiu":
-        result = 1 if a < to_unsigned(imm, XLEN) else 0
-    elif m in ("mul", "mulw"):
-        result = a * b
-    elif m == "mulh":
-        result = (sa * sb) >> 64
-    elif m == "mulhu":
-        result = (a * b) >> 64
-    elif m in ("div", "divw"):
-        result = -1 if sb == 0 else int(sa / sb) if sb != 0 else -1
-    elif m == "divu":
-        result = mask(64) if b == 0 else a // b
-    elif m in ("rem", "remw"):
-        result = sa if sb == 0 else sa - int(sa / sb) * sb
-    elif m == "remu":
-        result = a if b == 0 else a % b
-    elif m == "lui":
-        result = sign_extend(instruction.imm & 0xFFFFF000, 32, 64)
-    elif m == "auipc":
-        result = pc + sign_extend(instruction.imm & 0xFFFFF000, 32, 64)
-    elif m == "jal":
-        result = pc + 4
-    elif m == "jalr":
-        result = pc + 4
-    elif m in ("fadd.d", "fsub.d", "fmul.d", "fdiv.d"):
-        result = _fp_arith(m, a, b)
-    elif m == "fcvt.d.l":
-        result = _double_to_bits(float(sa))
-    elif m == "fmv.x.d":
-        result = a
-    elif m in ("csrrw", "csrrs"):
-        result = a
-    else:
-        result = 0
-
-    if instruction.info.is_word_op:
-        result = sign_extend(to_unsigned(result, 32), 32, 64)
-    return to_unsigned(result, XLEN)
+    Mnemonics the table does not list (memory accesses, conditional
+    branches and most system instructions) yield 0.
+    """
+    operation = _ALU_OPERATIONS.get(instruction.mnemonic)
+    if operation is None:
+        return 0
+    return operation(rs1 & _WORD_MASK, rs2 & _WORD_MASK, instruction.imm, pc) & _WORD_MASK
 
 
 def branch_taken(instruction: Instruction, rs1: int, rs2: int) -> bool:

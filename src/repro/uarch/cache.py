@@ -123,8 +123,12 @@ class SetAssociativeCache:
         the fetch stage only needs the stall, not a result object.
         """
         self.accesses += 1
-        line = self._line_address(address)
-        set_index = self._set_index_of_line(line)
+        # ``_line_address`` and ``_set_index_of_line``, written out: fetch
+        # calls this once per fetched instruction.
+        shift = self._line_shift
+        line = address >> shift if shift is not None else address // self.config.line_bytes
+        set_mask = self._set_mask
+        set_index = line & set_mask if set_mask is not None else line % self.config.sets
         ways = self.sets[set_index]
         if ways:
             if ways[0] == line:

@@ -19,8 +19,11 @@ class ExecutionPorts:
 
     def __init__(self, config: CoreConfig) -> None:
         self.config = config
-        self._port_usage: Dict[str, Dict[int, int]] = {"int": {}, "mem": {}, "fp": {}}
-        self._limits = {
+        # Claims per cycle for each port class, and the number of ports of
+        # each class; the processor's inline nop lane claims int ports
+        # through these directly.
+        self.port_usage: Dict[str, Dict[int, int]] = {"int": {}, "mem": {}, "fp": {}}
+        self.port_limits = {
             "int": config.int_issue_ports,
             "mem": config.mem_issue_ports,
             "fp": config.fp_issue_ports,
@@ -34,9 +37,9 @@ class ExecutionPorts:
     def try_claim(self, instruction: Instruction, cycle: int) -> bool:
         """Claim an issue port of the instruction's class this cycle, if one is free."""
         port = instruction.port_class
-        usage = self._port_usage[port]
+        usage = self.port_usage[port]
         count = usage.get(cycle, 0)
-        if count >= self._limits[port]:
+        if count >= self.port_limits[port]:
             self.contention_cycles[port] += 1
             return False
         usage[cycle] = count + 1
@@ -57,13 +60,13 @@ class ExecutionPorts:
     def drop_usage_before(self, cycle: int) -> None:
         """Garbage-collect per-cycle usage maps (keeps memory bounded)."""
         threshold = cycle - 4
-        for usage in self._port_usage.values():
+        for usage in self.port_usage.values():
             if len(usage) > 8:
                 for c in [c for c in usage if c < threshold]:
                     del usage[c]
 
     def reset(self) -> None:
-        self._port_usage = {"int": {}, "mem": {}, "fp": {}}
+        self.port_usage = {"int": {}, "mem": {}, "fp": {}}
         self.div_busy_until = 0
         self.fp_div_busy_until = 0
         self.contention_cycles = {"int": 0, "mem": 0, "fp": 0, "div": 0, "fdiv": 0}

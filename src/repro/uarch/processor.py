@@ -277,12 +277,22 @@ class Processor:
         work and rare events (squashes, traps) stay methods.  Config
         constants and bound methods are hoisted into locals once per call,
         never per cycle.  Only objects that are never rebound while the loop
-        runs may be hoisted: squashes replace ``rob.entries`` and the execute
-        step replaces ``_unexecuted``, so both are re-read every cycle.
+        runs may be hoisted: squashes replace ``rob.entries`` and
+        ``rob._by_sequence``, and the execute step replaces ``_unexecuted``,
+        so these are re-read every cycle.
+
+        Nops (``addi x0, x0, 0``, most of every generated stimulus) take an
+        inline lane in the fetch, execute and commit scans.  It does what
+        ``_dispatch``, ``_execute_entry`` and ``_commit_instruction`` do for
+        an instruction with no sources, no destination, no memory access
+        and no control flow: the same int issue-port claim and contention
+        count, the same trace events and the same stop-PC check.
         """
-        commit_width = self.config.commit_width
-        exception_commit_delay = self.config.exception_commit_delay
-        fetch_width = self.config.fetch_width
+        config = self.config
+        commit_width = config.commit_width
+        exception_commit_delay = config.exception_commit_delay
+        fetch_width = config.fetch_width
+        nop_latency = max(config.alu_latency, 1)
         rob = self.rob
         rob_capacity = rob.capacity
         find = rob.find
@@ -290,6 +300,12 @@ class Processor:
         icache_fetch = hierarchy.icache.fetch_access
         ports = self.ports
         try_claim = ports.try_claim
+        int_usage = ports.port_usage["int"]
+        int_ports = ports.port_limits["int"]
+        enqueue_events = self.trace.enqueues
+        commit_events = self.trace.commits
+        commit_cycles = self.commit_cycles
+        stop_pcs = self._stop_pcs
         results = self._results
         unresolved = self._unresolved
         executing = self._executing
@@ -327,6 +343,21 @@ class Processor:
                     break
                 if cycle < head.complete_cycle:
                     break
+                if head.instruction.is_nop:
+                    # A nop is never marked tainted, so ``rob.pop_head``
+                    # reduces to the two removals.
+                    del entries[0]
+                    del rob._by_sequence[head.sequence]
+                    head.committed = True
+                    pc = head.pc
+                    commit_events.append(
+                        _new_event(RobCommitEvent, (cycle, 0, head.sequence, pc, "addi"))
+                    )
+                    commit_cycles.append((cycle, pc))
+                    self.committed_instructions += 1
+                    if pc in stop_pcs:
+                        self._halt_reason = "stop_pc"
+                    continue
                 commit_instruction(head)
             if self._halt_reason is not None:
                 if taint_enabled:
@@ -344,6 +375,22 @@ class Processor:
                 self._unexecuted = waiting
                 for entry in pending:
                     if entry.squashed:
+                        continue
+                    if entry.instruction.is_nop:
+                        count = int_usage.get(cycle, 0)
+                        if count >= int_ports:
+                            ports.contention_cycles["int"] += 1
+                            self._port_denied = True
+                            waiting.append(entry)
+                            continue
+                        int_usage[cycle] = count + 1
+                        # Zero result, fall-through, no taint: the entry's
+                        # defaults already say so.
+                        entry.dispatch_cycle = cycle
+                        entry.actual_next_pc = entry.pc + 4
+                        entry.executed = True
+                        complete = entry.complete_cycle = cycle + nop_latency
+                        heappush(executing, (complete, entry.sequence, entry))
                         continue
                     producers = entry._producers
                     if producers:
@@ -379,19 +426,40 @@ class Processor:
                 and not self.fetch_serialized
             ):
                 entries = rob.entries
+                by_sequence = rob._by_sequence
+                unexecuted = self._unexecuted
                 fetched = 0
                 while fetched < fetch_width and len(entries) < rob_capacity:
-                    instruction = fetch_source(self.fetch_pc)
+                    pc = self.fetch_pc
+                    instruction = fetch_source(pc)
                     if instruction is None:
                         if fetched == 0:
                             self._fetch_returned_none = True
                         break
                     self._fetch_returned_none = False
-                    miss_latency = icache_fetch(self.fetch_pc)
+                    miss_latency = icache_fetch(pc)
                     if miss_latency:
                         self.fetch_stall_until = cycle + miss_latency
-                    entry = dispatch(instruction)
                     fetched += 1
+                    if instruction.is_nop:
+                        # No producers to record, no destination to rename,
+                        # a fall-through prediction and no serialization.
+                        sequence = rob._next_sequence
+                        rob._next_sequence = sequence + 1
+                        entry = RobEntry(sequence, pc, instruction, cycle, pc + 4)
+                        entries.append(entry)
+                        by_sequence[sequence] = entry
+                        enqueue_events.append(
+                            _new_event(
+                                RobEnqueueEvent, (cycle, len(entries) - 1, sequence, pc, "addi")
+                            )
+                        )
+                        unexecuted.append(entry)
+                        self.fetch_pc = pc + 4
+                        if miss_latency:
+                            break
+                        continue
+                    entry = dispatch(instruction)
                     if (
                         self.fetch_serialized
                         or miss_latency
@@ -661,30 +729,32 @@ class Processor:
 
     # -- execute stage ------------------------------------------------------------------------
 
-    def _operand_value(self, entry: RobEntry, source: int) -> Tuple[int, bool]:
-        if source == 0:
-            return 0, False
-        producers = entry._producers
-        producer = producers.get(source) if producers else None
-        if producer is not None and producer in self._results:
-            return self._results[producer]
-        return self.registers[source], self._taint_enabled and self.taint.register_is_tainted(source)
-
     def _execute_entry(self, entry: RobEntry) -> None:
+        """Execute one non-nop entry (nops run inline in ``_advance``)."""
         instruction = entry.instruction
         cycle = self.cycle
-        if instruction.is_nop:
-            # The dominant instruction in generated stimuli (dummy windows,
-            # alignment padding): zero result, fall-through, no taint.
-            entry.sources_tainted = False
-            entry.dispatch_cycle = cycle
-            entry.result = 0
-            entry.actual_next_pc = entry.pc + 4
-            entry.executed = True
-            entry.complete_cycle = cycle + max(self.config.alu_latency, 1)
-            return
-        rs1_value, rs1_tainted = self._operand_value(entry, instruction.rs1)
-        rs2_value, rs2_tainted = self._operand_value(entry, instruction.rs2)
+        # Each source reads its in-flight producer's result if there is one,
+        # else the architectural register; x0 reads as an untainted zero.
+        producers = entry._producers
+        results = self._results
+        source = instruction.rs1
+        producer = producers.get(source) if producers else None
+        if source == 0:
+            rs1_value, rs1_tainted = 0, False
+        elif producer is not None and producer in results:
+            rs1_value, rs1_tainted = results[producer]
+        else:
+            rs1_value = self.registers[source]
+            rs1_tainted = self._taint_enabled and self.taint.register_is_tainted(source)
+        source = instruction.rs2
+        producer = producers.get(source) if producers else None
+        if source == 0:
+            rs2_value, rs2_tainted = 0, False
+        elif producer is not None and producer in results:
+            rs2_value, rs2_tainted = results[producer]
+        else:
+            rs2_value = self.registers[source]
+            rs2_tainted = self._taint_enabled and self.taint.register_is_tainted(source)
         sources_tainted = (rs1_tainted and instruction.info.reads_rs1) or (
             rs2_tainted and instruction.info.reads_rs2
         )

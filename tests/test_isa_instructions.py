@@ -1,14 +1,73 @@
 """Tests for the symbolic instruction model."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.isa.instructions import (
     Instruction,
     InstructionClass,
     OPCODE_TABLE,
+    SERIALIZING_MNEMONICS,
     make_instruction,
     nop,
 )
+
+
+def _reference_attributes(instruction):
+    """Classify ``instruction`` from scratch, the way construction did before
+    the per-mnemonic facts table: every attribute recomputed per instance."""
+    mnemonic, rd, rs1, rs2, imm = (
+        instruction.mnemonic,
+        instruction.rd,
+        instruction.rs1,
+        instruction.rs2,
+        instruction.imm,
+    )
+    info = OPCODE_TABLE[mnemonic]
+    iclass = info.iclass
+    is_branch = iclass is InstructionClass.BRANCH
+    is_jump = iclass is InstructionClass.JUMP
+    is_indirect = mnemonic == "jalr"
+    is_load = iclass is InstructionClass.LOAD
+    is_store = iclass is InstructionClass.STORE
+    is_fp = iclass in (InstructionClass.FP, InstructionClass.FP_DIV)
+    is_illegal = iclass is InstructionClass.ILLEGAL
+    if info.reads_rs1:
+        reads = (rs1, rs2) if info.reads_rs2 else (rs1,)
+    else:
+        reads = (rs2,) if info.reads_rs2 else ()
+    return {
+        "info": info,
+        "iclass": iclass,
+        "is_branch": is_branch,
+        "is_jump": is_jump,
+        "is_indirect_jump": is_indirect,
+        "is_return": is_indirect and rd == 0 and rs1 == 1 and imm == 0,
+        "is_call": is_jump and rd == 1,
+        "is_control_flow": is_branch or is_jump,
+        "is_load": is_load,
+        "is_store": is_store,
+        "is_memory": is_load or is_store,
+        "is_fp": is_fp,
+        "is_system": iclass is InstructionClass.SYSTEM,
+        "is_illegal": is_illegal,
+        "may_fault": is_load or is_store or is_illegal or mnemonic in ("ecall", "ebreak"),
+        "is_nop": mnemonic == "addi" and rd == 0 and rs1 == 0 and imm == 0,
+        "is_divider": mnemonic.startswith(("div", "rem")) or iclass is InstructionClass.FP_DIV,
+        "port_class": "mem" if is_load or is_store else "fp" if is_fp else "int",
+        "is_serializing": mnemonic in SERIALIZING_MNEMONICS,
+        "_writes": rd if info.writes_rd and rd != 0 else None,
+        "_reads": reads,
+    }
+
+
+def _operand_variants(mnemonic):
+    """Every mnemonic with ``rd``/``rs1`` at 0, 1 or another register, two
+    ``rs2`` values and a zero and non-zero immediate."""
+    for rd, rs1, rs2, imm in itertools.product((0, 1, 7), (0, 1, 7), (0, 2), (0, 8)):
+        yield Instruction(mnemonic, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
 
 
 class TestOpcodeTable:
@@ -107,6 +166,34 @@ class TestInstructionProperties:
 
     def test_with_imm(self):
         assert Instruction("addi", rd=1, rs1=0, imm=1).with_imm(7).imm == 7
+
+
+class TestDecodeOnce:
+    """Construction copies per-mnemonic facts; the result must match a full
+    per-instance classification, and tagging must change nothing else."""
+
+    @pytest.mark.parametrize("mnemonic", sorted(OPCODE_TABLE))
+    def test_attributes_match_a_from_scratch_classification(self, mnemonic):
+        for instruction in _operand_variants(mnemonic):
+            expected = _reference_attributes(instruction)
+            actual = {name: getattr(instruction, name) for name in expected}
+            assert actual == expected, instruction
+            # Nothing beyond the fields and the reference attributes.
+            fields = {f.name for f in dataclasses.fields(Instruction)}
+            assert set(vars(instruction)) == fields | set(expected)
+
+    @pytest.mark.parametrize("mnemonic", sorted(OPCODE_TABLE))
+    def test_with_tag_changes_only_tags(self, mnemonic):
+        for instruction in _operand_variants(mnemonic):
+            tagged = instruction.with_tag("window").with_tag("secret-access")
+            assert type(tagged) is Instruction
+            assert tagged.tags == instruction.tags | {"window", "secret-access"}
+            assert isinstance(tagged.tags, frozenset)
+            before = dict(vars(instruction), tags=None)
+            after = dict(vars(tagged), tags=None)
+            assert after == before
+            assert tagged == dataclasses.replace(instruction, tags=tagged.tags)
+            assert hash(tagged) == hash(dataclasses.replace(instruction, tags=tagged.tags))
 
 
 class TestRendering:

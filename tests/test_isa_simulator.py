@@ -43,6 +43,61 @@ class TestAluSemantics:
         assert compute_alu(Instruction("div", rd=1, rs1=2, rs2=3), 10, 0, 0) == mask(64)
         assert compute_alu(Instruction("divu", rd=1, rs1=2, rs2=3), 10, 0, 0) == mask(64)
         assert compute_alu(Instruction("remu", rd=1, rs1=2, rs2=3), 10, 0, 0) == 10
+        assert compute_alu(Instruction("rem", rd=1, rs1=2, rs2=3), to_unsigned(-10, 64), 0, 0) == (
+            to_unsigned(-10, 64)
+        )
+        # The *w forms test and divide only the low 32 bits of the divisor.
+        assert compute_alu(Instruction("divw", rd=1, rs1=2, rs2=3), 10, 1 << 32, 0) == mask(64)
+        assert compute_alu(Instruction("remw", rd=1, rs1=2, rs2=3), 0x1_8000_0001, 1 << 32, 0) == (
+            to_unsigned(-0x7FFF_FFFF, 64)
+        )
+
+    def test_signed_division_is_exact(self):
+        # Float division loses the low bits of operands wider than 53 bits.
+        dividend = (1 << 62) + 1
+        div = Instruction("div", rd=1, rs1=2, rs2=3)
+        rem = Instruction("rem", rd=1, rs1=2, rs2=3)
+        assert compute_alu(div, dividend, 3, 0) == dividend // 3
+        assert compute_alu(rem, dividend, 3, 0) == dividend % 3
+        assert compute_alu(div, to_unsigned(-dividend, 64), 3, 0) == to_unsigned(-(dividend // 3), 64)
+        assert compute_alu(rem, to_unsigned(-dividend, 64), 3, 0) == to_unsigned(-(dividend % 3), 64)
+
+    @given(a=U64, b=U64)
+    def test_signed_division_truncates_toward_zero(self, a, b):
+        sa, sb = to_signed(a, 64), to_signed(b, 64)
+        quotient = compute_alu(Instruction("div", rd=1, rs1=2, rs2=3), a, b, 0)
+        remainder = compute_alu(Instruction("rem", rd=1, rs1=2, rs2=3), a, b, 0)
+        if sb == 0:
+            assert (quotient, remainder) == (mask(64), a)
+            return
+        # a == q * b + r with |r| < |b| and r taking the dividend's sign.
+        q, r = to_signed(quotient, 64), to_signed(remainder, 64)
+        assert to_unsigned(q * sb + r, 64) == a
+        assert abs(r) < abs(sb) and (r == 0 or (r < 0) == (sa < 0))
+
+    def test_signed_division_overflow(self):
+        most_negative = 1 << 63
+        assert compute_alu(Instruction("div", rd=1, rs1=2, rs2=3), most_negative, mask(64), 0) == (
+            most_negative
+        )
+        assert compute_alu(Instruction("rem", rd=1, rs1=2, rs2=3), most_negative, mask(64), 0) == 0
+        assert compute_alu(Instruction("divw", rd=1, rs1=2, rs2=3), 0x8000_0000, mask(64), 0) == (
+            to_unsigned(-(1 << 31), 64)
+        )
+        assert compute_alu(Instruction("remw", rd=1, rs1=2, rs2=3), 0x8000_0000, mask(64), 0) == 0
+
+    def test_word_division_uses_the_low_32_bits(self):
+        divw = Instruction("divw", rd=1, rs1=2, rs2=3)
+        remw = Instruction("remw", rd=1, rs1=2, rs2=3)
+        assert compute_alu(divw, 0x1_0000_0006, 3, 0) == 2
+        assert compute_alu(remw, 0x1_0000_0007, 3, 0) == 1
+        # -7 / 2 on the low words, whatever the upper halves hold.
+        assert compute_alu(divw, 0xABCD_0000_FFFF_FFF9, 0x1234_0000_0000_0002, 0) == (
+            to_unsigned(-3, 64)
+        )
+        assert compute_alu(remw, 0xABCD_0000_FFFF_FFF9, 0x1234_0000_0000_0002, 0) == (
+            to_unsigned(-1, 64)
+        )
 
     def test_lui_sign_extension(self):
         value = compute_alu(Instruction("lui", rd=1, imm=0x80000000), 0, 0, 0)

@@ -1,5 +1,8 @@
 """Tests for the out-of-order pipeline model (the DUT)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.engine import resolve_core
@@ -446,6 +449,59 @@ class TestWorklists:
         assert processor._unexecuted or processor._unresolved or processor._executing
         processor.reset()
         assert not (processor._unexecuted or processor._unresolved or processor._executing)
+
+
+class TestNopIssuePorts:
+    """Nops run inline in the fused cycle loop; they must still compete for
+    the int issue ports in program order.  In each loop iteration a divide
+    holds back sixteen dependent adds; once it completes they saturate the
+    int ports and the nops fetched behind them wait (the second iteration
+    fetches from a warm icache, so fetch keeps up).  The pinned figures are
+    those of the general per-instruction path, before nops had a lane of
+    their own."""
+
+    SOURCE = "\n".join(
+        ["li a0, 1000", "li a1, 7", "li s0, 2", "loop:", "div a2, a0, a1"]
+        + [f"add t{index % 3}, a2, a2" for index in range(16)]
+        + ["nop"] * 24
+        + ["addi s0, s0, -1", "bnez s0, loop", "stop:", "nop", "ecall"]
+    )
+
+    # core -> (cycles, int-port contention, SHA-256 of the [cycle, pc] commit list)
+    EXPECTED = {
+        "boom": (136, 244, "a3bcff497ea1439887431069adf36bfeb5e05020fb619293264efc35919c2d12"),
+        "xiangshan": (127, 52, "1a6c2a5c2e270f62ee10ff1a9a9bac4c18f269112222bb6a186400513d79d459"),
+        "boom-large": (117, 146, "42d61bde5f66e0d9a5a5f393c669d6991fc81bcbd19b6faf3ca43b4c5b6a9b1c"),
+    }
+
+    @pytest.mark.parametrize("core", sorted(EXPECTED))
+    def test_nop_port_contention_commit_cycles_and_stop_pc(self, core):
+        processor, program = build_processor(self.SOURCE, config=resolve_core(core))
+        stop = program.label_address("stop")
+        outcome = processor.run(max_cycles=800, stop_pcs={stop})
+        cycles, contention, digest = self.EXPECTED[core]
+        assert outcome.halted_on == "stop_pc"
+        assert outcome.cycles == cycles
+        assert processor.ports.contention_cycles["int"] == contention
+        # Three set-up instructions, two iterations of 43, then the stop nop.
+        assert len(outcome.commit_cycles) == 3 + 2 * 43 + 1
+        assert outcome.commit_cycles[-1][1] == stop
+        commits = json.dumps([list(pair) for pair in outcome.commit_cycles])
+        assert hashlib.sha256(commits.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("core", sorted(EXPECTED))
+    def test_nops_wait_for_a_port(self, core):
+        """A nop is ready one cycle after fetch; it executes later only
+        because older instructions held every int port."""
+        processor, _ = build_processor(self.SOURCE, config=resolve_core(core))
+        nops = {}
+        while processor._halt_reason is None and processor.cycle < 800:
+            processor.step_cycle()
+            for entry in processor.rob.entries:
+                if entry.instruction.is_nop:
+                    nops[entry.sequence] = entry
+        assert processor._halt_reason == "trap:ecall"
+        assert any(entry.dispatch_cycle > entry.fetch_cycle + 1 for entry in nops.values())
 
 
 class TestSideChannelState:
