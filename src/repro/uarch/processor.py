@@ -486,12 +486,15 @@ class Processor:
         Every stage's next possible action is keyed to a known future cycle:
         resolution/commit/operand readiness all wait on an entry's
         ``complete_cycle``, a trapping head waits for its exception-commit
-        delay, and a stalled fetch waits for ``fetch_stall_until``.  When, in
-        addition, fetch cannot deliver an instruction next cycle and no
-        issue-port request was denied this cycle (a denied request retries on
-        the next cycle), every intermediate cycle is provably inert — the
-        skipped cycles only need repeat censuses so the per-cycle taint
-        series stays bit-identical with the unskipped execution.
+        delay, and a stalled fetch waits for ``fetch_stall_until``.  The clock
+        does not jump while any stage can act next cycle: fetch can deliver
+        an instruction, an issue-port request was denied this cycle (it
+        retries next cycle), an entry fetched this cycle has not had its
+        first issue attempt yet, or the head's arrival cycle is still to be
+        assigned.  The skipped cycles only need repeat censuses so the
+        per-cycle taint series stays bit-identical with ``step_cycle``, the
+        reference that never skips.  ``_nop_run`` applies the same rule to
+        its own bookkeeping; a change here must be mirrored there.
         """
         if self._port_denied:
             return
@@ -509,9 +512,15 @@ class Processor:
         head = self.rob.head()
         if head is not None and head.head_arrival_cycle is None:
             return  # the head's arrival cycle is assigned next cycle
-        # Unexecuted entries wait on a producer's completion (covered by the
-        # producer's complete_cycle) or on an issue-port retry (excluded by
-        # the _port_denied guard above), so only executing entries wake.
+        unexecuted = self._unexecuted
+        if unexecuted and unexecuted[-1].fetch_cycle == cycle:
+            # Fetched after this cycle's execute stage (say, on an icache
+            # miss): it makes its first issue attempt next cycle.
+            return
+        # Other unexecuted entries wait on a producer's completion (covered
+        # by the producer's complete_cycle) or on an issue-port retry
+        # (excluded by the _port_denied guard above), so only executing
+        # entries wake.
         executing = self._executing
         while executing and (executing[0][0] <= cycle or executing[0][2].squashed):
             heapq.heappop(executing)

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import resolve_core
 from repro.isa import Assembler, IsaSimulator, Permission, SimMemory
@@ -38,6 +39,47 @@ def build_processor(source, config=None, memory=None, taint_mode=TaintTrackingMo
     processor = Processor(config, memory=memory, taint_mode=taint_mode)
     processor.load_program(program, map_pages=False)
     return processor, program
+
+
+def run_by_steps(processor, max_cycles, stop_pcs=None, max_commits=None):
+    """What ``Processor.run`` does, one ``step_cycle`` at a time.
+
+    ``step_cycle`` never fast-forwards and never enters the nop-run
+    macro-step, so this is the reference every shortcut of ``run`` must
+    reproduce.  Returns the halt reason ``run`` would report.
+    """
+    processor._stop_pcs = stop_pcs or set()
+    processor._halt_reason = None
+    limit = processor.cycle + max_cycles
+    target = float("inf") if max_commits is None else max_commits
+    while processor.cycle < limit:
+        processor.step_cycle()
+        if processor._halt_reason is not None:
+            break
+        if processor.committed_instructions >= target:
+            processor._halt_reason = "max_commits"
+            break
+    return processor._halt_reason or "max_cycles"
+
+
+def pipeline_state(processor):
+    """Everything a run leaves behind that a shortcut could get wrong."""
+    trace = processor.trace
+    icache = processor.hierarchy.icache
+    return {
+        "enqueues": list(trace.enqueues),
+        "commits": list(trace.commits),
+        "squashes": list(trace.squashes),
+        "traps": list(trace.traps),
+        "redirects": list(trace.redirects),
+        "contention": processor._contention_summary(),
+        "icache": (icache.accesses, icache.misses),
+        "fingerprint": processor.side_channel_fingerprint(),
+        "registers": list(processor.registers),
+        "cycle": processor.cycle,
+        "committed": processor.committed_instructions,
+        "census": [(census.cycle, census.element_counts) for census in processor.taint.census_log],
+    }
 
 
 class TestArchitecturalCorrectness:
@@ -607,3 +649,104 @@ class TestTraceLog:
         outcome = processor.run(max_cycles=200)
         cycles = [cycle for cycle, _ in outcome.commit_cycles]
         assert cycles == sorted(cycles)
+
+
+PROGRAM_SEGMENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("nops"), st.integers(0, 80), st.none()),
+        st.tuples(st.just("arith"), st.sampled_from(["div", "divu", "rem", "mul"]), st.integers(0, 3)),
+        st.tuples(st.just("memory"), st.booleans(), st.integers(0, 63)),
+        st.tuples(st.just("branch"), st.booleans(), st.integers(0, 6)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def segments_source(segments):
+    """Assembly for a packet of nop sleds, divide/multiply chains, loads and
+    stores into ``PROBE`` and forward branches, ending in ``ecall``."""
+    lines = [f"li a0, {PROBE}", "li t0, 100", "li t1, 7"]
+    for index, (kind, first, second) in enumerate(segments):
+        if kind == "nops":
+            lines += ["nop"] * first
+        elif kind == "arith":
+            lines.append(f"{first} s0, t0, t1")
+            lines += ["add s1, s1, s0"] * second
+        elif kind == "memory":
+            lines.append(f"sd s1, {second * 8}(a0)" if first else f"ld t2, {second * 8}(a0)")
+        else:
+            # t0 != t1: bne is taken, beq falls through.
+            lines.append(f"{'bne' if first else 'beq'} t0, t1, skip{index}")
+            lines += ["addi t3, t3, 1"] * second
+            lines.append(f"skip{index}:")
+    lines.append("ecall")
+    return "\n".join(lines)
+
+
+def build_tainted(source, core, taint_mode):
+    memory = make_memory((0x1000, 0x2000), (PROBE, 0x1000))
+    processor, program = build_processor(
+        source, config=resolve_core(core), memory=memory, taint_mode=taint_mode
+    )
+    if taint_mode is TaintTrackingMode.DIFFIFT:
+        # The always-diverge oracle of TestWorklists: every control
+        # decision diverges, so the rollback taint paths run.
+        processor.taint.diff_oracle = lambda kind, key, value: True
+        processor.mark_secret(PROBE, 0x1000)
+    return processor, program
+
+
+CORE_TAINT_ARMS = [
+    (core, mode)
+    for mode in (TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT)
+    for core in ("boom", "xiangshan", "boom-large")
+]
+
+
+def assert_run_matches_steps(source, core, taint_mode=TaintTrackingMode.NONE, **run_kwargs):
+    """Run ``source`` once through ``run`` and once by ``step_cycle``; both
+    must leave the same state behind.  Returns the ``run`` processor."""
+    fast, program = build_tainted(source, core, taint_mode)
+    reference, _ = build_tainted(source, core, taint_mode)
+    stop_labels = run_kwargs.pop("stop_labels", ())
+    stop_pcs = {program.label_address(label) for label in stop_labels} or None
+    max_cycles = run_kwargs.pop("max_cycles", 20_000)
+    outcome = fast.run(max_cycles=max_cycles, stop_pcs=stop_pcs, **run_kwargs)
+    halted_on = run_by_steps(reference, max_cycles, stop_pcs=stop_pcs, **run_kwargs)
+    assert outcome.halted_on == halted_on
+    assert outcome.cycles == reference.cycle
+    assert pipeline_state(fast) == pipeline_state(reference)
+    return fast, reference, outcome
+
+
+class TestRunMatchesStepCycle:
+    """``run`` skips inert cycles (``_fast_forward``) and advances nop-only
+    cycles on integer bookkeeping (``_nop_run``); ``step_cycle`` does
+    neither, so it is the reference both shortcuts must reproduce."""
+
+    @pytest.mark.parametrize(
+        "core, taint_mode", CORE_TAINT_ARMS, ids=[f"{core}-{mode.value}" for core, mode in CORE_TAINT_ARMS]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(segments=PROGRAM_SEGMENTS)
+    def test_run_matches_repeated_step_cycle(self, core, taint_mode, segments):
+        _, _, outcome = assert_run_matches_steps(segments_source(segments), core, taint_mode)
+        assert outcome.halted_on == "trap:ecall"
+
+    def test_fast_forward_waits_for_an_instruction_fetched_on_a_miss(self):
+        """Regression: the last nop is fetched at cycle 114 on a new icache
+        line, behind a divide.  ``_fast_forward`` used to jump straight to
+        the divide's completion, skipping the cycle in which the nop
+        issues, so ``run`` committed it at 117 instead of 116."""
+        source = "\n".join(
+            ["addi t0, zero, 100", "addi t1, zero, 7"]
+            + ["nop"] * 32
+            + ["div s0, t0, t1", "nop", "div t2, t0, t1"]
+            + ["nop"] * 11
+            + ["div t2, t0, t1", "nop", "ecall"]
+        )
+        fast, _, outcome = assert_run_matches_steps(source, "xiangshan")
+        assert outcome.cycles == 162
+        (last_nop,) = [event for event in fast.trace.commits if event.sequence == 49]
+        assert last_nop.cycle == 116
