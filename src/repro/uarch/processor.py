@@ -28,6 +28,7 @@ LFB, ports) live in their own modules and are updated speculatively.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -83,7 +84,8 @@ class SimulationOutcome:
     trace: TraceLog
     taint: TaintState
     halted_on: str = "max_cycles"
-    commit_cycles: List[Tuple[int, int]] = field(default_factory=list)  # (cycle, pc)
+    # (cycle, pc) of every commit in ``trace``.
+    commit_cycles: List[Tuple[int, int]] = field(default_factory=list)
     contention: Dict[str, int] = field(default_factory=dict)
     side_channel_fingerprint: Tuple = ()
 
@@ -132,7 +134,6 @@ class Processor:
         self.fetch_stall_until = 0
         self.fetch_serialized = False
         self.committed_instructions = 0
-        self.commit_cycles: List[Tuple[int, int]] = []
         self._fetch_source: Optional[FetchSource] = None
         self._last_writer: Dict[int, int] = {}
         self._results: Dict[int, Tuple[int, bool]] = {}
@@ -144,6 +145,9 @@ class Processor:
         # very next cycle, so the clock cannot jump past it).
         self._fetch_returned_none = False
         self._port_denied = False
+        # Sequence of the youngest non-nop ever dispatched: the RoB holds only
+        # nops when it is empty or its head is younger (see _nop_run).
+        self._youngest_non_nop = -1
         # Phantom-BTB (B3) race bookkeeping: the cycle and corrected target of
         # the most recent indirect-jump misprediction resolution.
         self._indirect_correction: Optional[Tuple[int, int, bool]] = None
@@ -190,7 +194,6 @@ class Processor:
         self.fetch_stall_until = 0
         self.fetch_serialized = False
         self.committed_instructions = 0
-        self.commit_cycles = []
         self._fetch_source = None
         self._last_writer = {}
         self._results = {}
@@ -198,6 +201,7 @@ class Processor:
         self._stop_pcs = set()
         self._fetch_returned_none = False
         self._port_denied = False
+        self._youngest_non_nop = -1
         self._indirect_correction = None
         self._clear_worklists()
 
@@ -257,7 +261,7 @@ class Processor:
             halted_on=self._halt_reason or "max_cycles",
         )
         if collect_outcome:
-            outcome.commit_cycles = list(self.commit_cycles)
+            outcome.commit_cycles = [(event.cycle, event.pc) for event in self.trace.commits]
             outcome.contention = self._contention_summary()
             outcome.side_channel_fingerprint = self.side_channel_fingerprint()
         return outcome
@@ -286,7 +290,10 @@ class Processor:
         ``_dispatch``, ``_execute_entry`` and ``_commit_instruction`` do for
         an instruction with no sources, no destination, no memory access
         and no control flow: the same int issue-port claim and contention
-        count, the same trace events and the same stop-PC check.
+        count, the same trace events and the same stop-PC check.  While the
+        RoB holds only nops and at least two cycles remain, ``_nop_run``
+        takes over the loop; ``step_cycle`` (one cycle) never enters it, nor
+        ``_fast_forward``, so it is the reference for both.
         """
         config = self.config
         commit_width = config.commit_width
@@ -304,7 +311,6 @@ class Processor:
         int_ports = ports.port_limits["int"]
         enqueue_events = self.trace.enqueues
         commit_events = self.trace.commits
-        commit_cycles = self.commit_cycles
         stop_pcs = self._stop_pcs
         results = self._results
         unresolved = self._unresolved
@@ -318,6 +324,12 @@ class Processor:
         heappush = heapq.heappush
         cycle = self.cycle
         while cycle < limit_cycle:
+            if cycle + 2 <= limit_cycle:
+                entries = rob.entries
+                if not entries or entries[0].sequence > self._youngest_non_nop:
+                    cycle = self._nop_run(limit_cycle, target_commits)
+                    if cycle >= limit_cycle or self._halt_reason is not None:
+                        break
             cycle += 1
             self.cycle = hierarchy.cycle = cycle
             if unresolved:
@@ -353,7 +365,6 @@ class Processor:
                     commit_events.append(
                         _new_event(RobCommitEvent, (cycle, 0, head.sequence, pc, "addi"))
                     )
-                    commit_cycles.append((cycle, pc))
                     self.committed_instructions += 1
                     if pc in stop_pcs:
                         self._halt_reason = "stop_pc"
@@ -476,9 +487,20 @@ class Processor:
             if self.committed_instructions >= target_commits:
                 self._halt_reason = "max_commits"
                 break
-            if cycle + 1 < limit_cycle:
-                self._fast_forward(limit_cycle)
-                cycle = self.cycle
+            # _fast_forward's early exits, inlined: most cycles end in one.
+            if cycle + 1 < limit_cycle and not self._port_denied:
+                entries = rob.entries
+                if (
+                    fetch_source is None
+                    or self.fetch_serialized
+                    or len(entries) >= rob_capacity
+                    or self.fetch_stall_until > cycle + 1
+                    or self._fetch_returned_none
+                ) and not (entries and entries[0].head_arrival_cycle is None):
+                    unexecuted = self._unexecuted
+                    if not unexecuted or unexecuted[-1].fetch_cycle != cycle:
+                        self._fast_forward(limit_cycle)
+                        cycle = self.cycle
 
     def _fast_forward(self, limit_cycle: int) -> None:
         """Jump the clock over cycles in which no pipeline stage can act.
@@ -544,6 +566,279 @@ class Processor:
             log.extend(TaintCensus(skipped, shared_counts) for skipped in range(cycle + 1, target))
         self.cycle = target - 1
 
+    def _nop_run(self, limit_cycle: int, target_commits: float) -> int:
+        """Advance whole cycles in which the RoB holds only nops; return the cycle reached.
+
+        ``_advance`` enters it at a cycle boundary when the RoB holds only
+        nops and at least two cycles remain.  It scans the nops ahead of
+        ``fetch_pc`` once, then runs each cycle's commit, issue, fetch,
+        census and idle jump on parallel lists of sequence, pc, fetch cycle
+        and completion cycle instead of a ``RobEntry``, a heap entry and
+        dict entries per nop.  It produces the same trace events, port
+        contention, icache state and census as the nop lane of ``_advance``
+        and the rule of ``_fast_forward``; a change to either must be
+        mirrored here.
+
+        It exits at a cycle boundary: before a cycle whose fetch would reach
+        the instruction that ends the run, on a halt, or at ``limit_cycle``.
+        On exit the in-flight nops (at most the RoB's capacity) become
+        ``RobEntry`` objects again, and the RoB, the worklists, the head's
+        arrival cycle and the fetch and port flags are left as the cycle
+        loop would have left them.
+
+        While only nops are in flight nothing else claims an int port, so
+        nops issue in program order (the executed entries are a prefix of
+        the RoB) and complete ``nop_latency`` cycles after they issue; no
+        entry is tainted or unresolved; and only these fetches touch the
+        icache, so a fetch from the line fetched last is a hit on its set's
+        most recently used line and only bumps ``accesses``.
+        """
+        config = self.config
+        commit_width = config.commit_width
+        fetch_width = config.fetch_width
+        nop_latency = max(config.alu_latency, 1)
+        rob = self.rob
+        capacity = rob.capacity
+        icache = self.hierarchy.icache
+        icache_fetch = icache.fetch_access
+        line_bytes = icache.config.line_bytes
+        int_ports = self.ports.port_limits["int"]
+        enqueue_events = self.trace.enqueues
+        commit_events = self.trace.commits
+        stop_pcs = self._stop_pcs
+        taint_enabled = self._taint_enabled
+        record_census = self._record_census
+        census_log = self.taint.census_log
+        start_cycle = cycle = self.cycle
+        committed = self.committed_instructions
+
+        # The run: the nops ahead of fetch, up to the first other instruction
+        # or a pc with none.  Fetch takes at most fetch_width per cycle and
+        # runs at most a RoB (and one commit group) ahead of the commits.
+        fetch_source = self._fetch_source
+        fetching = fetch_source is not None and not self.fetch_serialized
+        run: List[Instruction] = []
+        ends_on_none = False
+        if fetching:
+            budget = min(
+                (limit_cycle - cycle) * fetch_width,
+                target_commits - committed + capacity + commit_width,
+            )
+            pc = self.fetch_pc
+            while len(run) < budget:
+                instruction = fetch_source(pc)
+                if instruction is None:
+                    ends_on_none = True
+                    break
+                if not instruction.is_nop:
+                    break
+                run.append(instruction)
+                pc += 4
+        run_length = len(run)
+        if (
+            not run_length
+            and not ends_on_none
+            and fetching
+            and cycle + 1 >= self.fetch_stall_until
+            and len(rob.entries) < capacity
+        ):
+            return cycle  # next cycle's fetch takes the instruction after the run
+        # While at most this many run nops are fetched, a cycle's fetch (at
+        # most fetch_width) cannot reach the end of the run.
+        last_safe = run_length - fetch_width if fetching and not ends_on_none else run_length
+
+        # In-flight nops, oldest first: [head, tail) are in the RoB, and
+        # [head, issued) have executed and complete at done_at[index].  The
+        # first ``first_new`` are the RobEntry objects in flight on entry;
+        # the rest are run nops, whose sequences and pcs are laid out ahead.
+        old_entries = rob.entries
+        first_new = tail = len(old_entries)
+        run_pc = self.fetch_pc
+        seqs = [entry.sequence for entry in old_entries]
+        seqs += range(rob._next_sequence, rob._next_sequence + run_length)
+        pcs = [entry.pc for entry in old_entries]
+        pcs += range(run_pc, run_pc + 4 * run_length, 4)
+        fetched_at = [entry.fetch_cycle for entry in old_entries]
+        done_at = [entry.complete_cycle for entry in old_entries if entry.executed]
+        head = 0
+        issued = len(done_at)
+        arrival = old_entries[0].head_arrival_cycle if old_entries else None
+        # Trace events are built on exit, from the commit cycle of every
+        # retired nop and the RoB index of every run nop at its enqueue.
+        commit_at: List[int] = []
+        positions: List[int] = []
+
+        stall_until = self.fetch_stall_until
+        returned_none = self._fetch_returned_none
+        port_denied = self._port_denied
+        taken = 0  # run nops fetched so far
+        # Run nops below ``hit_until`` share the line of the last icache
+        # access made here, which is its set's most recently used line.
+        hit_until = 0
+        icache_calls = 0
+        denied_total = 0
+        simulated = cycle
+        halt: Optional[str] = None
+        while cycle < limit_cycle:
+            now = cycle + 1
+            if taken > last_safe and now >= stall_until:
+                # Fetch may reach the end of the run this cycle: count what
+                # commits first, then the slots fetch gets.
+                retiring = min(bisect_right(done_at, now, head) - head, commit_width)
+                slots = capacity - (tail - head - retiring)
+                if min(fetch_width, slots) > run_length - taken:
+                    break
+            cycle = simulated = now
+
+            # Commit: up to commit_width completed heads, in order.
+            retired = bisect_right(done_at, cycle, head) - head
+            if retired:
+                if retired > commit_width:
+                    retired = commit_width
+                commit_at += [cycle] * retired
+                if stop_pcs and not stop_pcs.isdisjoint(pcs[head : head + retired]):
+                    halt = "stop_pc"
+                head += retired
+                arrival = None
+            if retired < commit_width and head < tail and arrival is None:
+                arrival = cycle  # the commit stage looked at this head
+            if halt is not None:
+                if taint_enabled:
+                    self.cycle = cycle
+                    record_census()
+                break
+
+            # Issue: the oldest waiting nops take the free int ports.
+            waiting = tail - issued
+            port_denied = waiting > int_ports
+            if waiting:
+                if port_denied:
+                    denied_total += waiting - int_ports
+                    waiting = int_ports
+                done_at += [cycle + nop_latency] * waiting
+                issued += waiting
+
+            # Fetch: up to fetch_width nops, ending after an icache miss.
+            if fetching and cycle >= stall_until:
+                count = capacity - tail + head
+                if count:
+                    if count > fetch_width:
+                        count = fetch_width
+                    available = run_length - taken
+                    if not available:
+                        # Only a pc with no instruction ends a run inside a cycle.
+                        returned_none = True
+                    else:
+                        returned_none = False
+                        if count > available:
+                            count = available
+                        end = taken + count
+                        while hit_until < end:
+                            # The first fetch from another line goes to the
+                            # icache; a miss ends this cycle's fetch after it.
+                            pc = run_pc + 4 * hit_until
+                            miss = icache_fetch(pc)
+                            icache_calls += 1
+                            if miss:
+                                stall_until = cycle + miss
+                                end = hit_until + 1
+                            hit_until += (line_bytes - pc % line_bytes + 3) // 4
+                        count = end - taken
+                        position = tail - head
+                        positions += range(position, position + count)
+                        fetched_at += [cycle] * count
+                        tail += count
+                        taken = end
+
+            if taint_enabled:
+                self.cycle = cycle
+                record_census()
+            if committed + head >= target_commits:
+                halt = "max_commits"
+                break
+
+            # Jump over idle cycles, by the rule of _fast_forward.
+            if cycle + 1 < limit_cycle and not port_denied:
+                inflight = tail - head
+                wake: Optional[int] = None
+                if fetching and inflight < capacity:
+                    if stall_until > cycle + 1:
+                        wake = stall_until
+                    elif not returned_none:
+                        continue
+                if inflight and arrival is None:
+                    continue
+                if issued < tail and fetched_at[-1] == cycle:
+                    continue
+                first = bisect_right(done_at, cycle, head)
+                if first < issued and (wake is None or done_at[first] < wake):
+                    wake = done_at[first]
+                target = limit_cycle if wake is None else min(wake, limit_cycle)
+                if target > cycle + 1:
+                    if taint_enabled:
+                        shared_counts = census_log[-1].element_counts
+                        census_log.extend(
+                            TaintCensus(skipped, shared_counts)
+                            for skipped in range(cycle + 1, target)
+                        )
+                    cycle = target - 1
+
+        if cycle == start_cycle:
+            return cycle  # no cycle ran: nothing to restore
+        commit_events += [
+            _new_event(RobCommitEvent, (commit_cycle, 0, seqs[index], pcs[index], "addi"))
+            for index, commit_cycle in enumerate(commit_at)
+        ]
+        enqueue_events += [
+            _new_event(RobEnqueueEvent, (fetch_cycle, position, sequence, pc, "addi"))
+            for fetch_cycle, position, sequence, pc in zip(
+                fetched_at[first_new:], positions, seqs[first_new:], pcs[first_new:]
+            )
+        ]
+        self.cycle = cycle
+        self.hierarchy.cycle = simulated
+        self.committed_instructions = committed + head
+        self._halt_reason = halt
+        self.fetch_pc = run_pc + 4 * taken
+        self.fetch_stall_until = stall_until
+        self._fetch_returned_none = returned_none
+        self._port_denied = port_denied
+        self.ports.contention_cycles["int"] += denied_total
+        icache.accesses += taken - icache_calls
+        rob._next_sequence += taken
+
+        # Back to RobEntry objects.  ``_advance`` holds ``_executing``, so it
+        # is refilled in place; (complete, sequence) order makes it a heap.
+        entries: List[RobEntry] = []
+        by_sequence: Dict[int, RobEntry] = {}
+        unexecuted: List[RobEntry] = []
+        executing = self._executing
+        executing.clear()
+        for index in range(head, tail):
+            if index < first_new:
+                entry = old_entries[index]
+            else:
+                pc = pcs[index]
+                entry = RobEntry(seqs[index], pc, run[index - first_new], fetched_at[index], pc + 4)
+            if index < issued:
+                complete = done_at[index]
+                if not entry.executed:
+                    entry.dispatch_cycle = complete - nop_latency
+                    entry.actual_next_pc = entry.pc + 4
+                    entry.executed = True
+                    entry.complete_cycle = complete
+                executing.append((complete, entry.sequence, entry))
+            else:
+                unexecuted.append(entry)
+            entries.append(entry)
+            by_sequence[entry.sequence] = entry
+        if entries:
+            entries[0].head_arrival_cycle = arrival
+        rob.entries = entries
+        rob._by_sequence = by_sequence
+        self._unexecuted = unexecuted
+        return cycle
+
     # -- commit stage ------------------------------------------------------------------------
 
     def _commit_instruction(self, entry: RobEntry) -> None:
@@ -555,7 +850,6 @@ class Processor:
                 RobCommitEvent, (self.cycle, 0, entry.sequence, entry.pc, instruction.mnemonic)
             )
         )
-        self.commit_cycles.append((self.cycle, entry.pc))
         self.committed_instructions += 1
 
         if entry.dest_reg is not None:
@@ -978,6 +1272,7 @@ class Processor:
     def _dispatch(self, instruction: Instruction) -> RobEntry:
         rob = self.rob
         sequence = rob.allocate_sequence()
+        self._youngest_non_nop = sequence
         pc = self.fetch_pc
         cycle = self.cycle
         if instruction.is_control_flow:

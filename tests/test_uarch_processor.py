@@ -750,3 +750,106 @@ class TestRunMatchesStepCycle:
         assert outcome.cycles == 162
         (last_nop,) = [event for event in fast.trace.commits if event.sequence == 49]
         assert last_nop.cycle == 116
+
+
+def sled(length, before=(), after=("ecall",)):
+    return "\n".join(["li t0, 100", "li t1, 7", *before] + ["nop"] * length + list(after))
+
+
+class TestNopRun:
+    """Edge cases of the nop-run macro-step (``Processor._nop_run``), each
+    checked against the ``step_cycle`` reference."""
+
+    CORES = ("boom", "xiangshan", "boom-large")
+
+    @staticmethod
+    def _count_entries(monkeypatch):
+        """Record (cycle on entry, RoB size on entry, cycle on exit) per call."""
+        calls = []
+        nop_run = Processor._nop_run
+
+        def counting(self, limit_cycle, target_commits):
+            start, inflight = self.cycle, len(self.rob.entries)
+            end = nop_run(self, limit_cycle, target_commits)
+            calls.append((start, inflight, end))
+            return end
+
+        monkeypatch.setattr(Processor, "_nop_run", counting)
+        return calls
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_stop_pc_inside_a_sled(self, core):
+        source = sled(40, after=["stop:"] + ["nop"] * 40 + ["ecall"])
+        _, _, outcome = assert_run_matches_steps(source, core, stop_labels=["stop"])
+        assert outcome.halted_on == "stop_pc"
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_max_commits_inside_a_sled(self, core):
+        _, _, outcome = assert_run_matches_steps(sled(120), core, max_commits=57)
+        assert outcome.halted_on == "max_commits"
+
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("taint_mode", [TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT])
+    def test_max_cycles_cutting_a_sled_then_resuming(self, core, taint_mode):
+        """A run cut inside a sled leaves RobEntry objects, worklists and
+        flags from which the next run resumes exactly."""
+        source = sled(150, before=["div s0, t0, t1"])
+        fast, _ = build_tainted(source, core, taint_mode)
+        reference, _ = build_tainted(source, core, taint_mode)
+        for max_cycles in (45, 3, 60, 20_000):
+            outcome = fast.run(max_cycles=max_cycles)
+            assert outcome.halted_on == run_by_steps(reference, max_cycles)
+            assert pipeline_state(fast) == pipeline_state(reference)
+            TestWorklists._check_against_rob(fast)
+            assert [
+                (entry.sequence, entry.executed, entry.complete_cycle, entry.head_arrival_cycle)
+                for entry in fast.rob.entries
+            ] == [
+                (entry.sequence, entry.executed, entry.complete_cycle, entry.head_arrival_cycle)
+                for entry in reference.rob.entries
+            ]
+            assert (fast.fetch_pc, fast.fetch_stall_until, fast._port_denied) == (
+                reference.fetch_pc,
+                reference.fetch_stall_until,
+                reference._port_denied,
+            )
+        assert outcome.halted_on == "trap:ecall"
+
+    def test_boom_large_sled_contends_for_int_ports(self):
+        """boom-large fetches four nops a cycle but has three int ports."""
+        config = resolve_core("boom-large")
+        assert config.fetch_width > config.int_issue_ports
+        # Two passes over the sled: the second fetches from a warm icache,
+        # so fetch outruns issue.
+        source = "\n".join(
+            ["li s0, 2", "loop:"] + ["nop"] * 64 + ["addi s0, s0, -1", "bnez s0, loop", "ecall"]
+        )
+        fast, _, _ = assert_run_matches_steps(source, "boom-large")
+        assert fast.ports.contention_cycles["int"] > 0
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_sled_longer_than_the_rob_entered_with_nops_in_flight(self, core, monkeypatch):
+        """On the second pass (warm icache) three chained divides hold the
+        head while the sled fills the RoB; the macro-step then takes over
+        with the RoB full of nops."""
+        calls = self._count_entries(monkeypatch)
+        capacity = resolve_core(core).rob_entries
+        source = "\n".join(
+            ["li t0, 100", "li t1, 7", "li s1, 2", "loop:"]
+            + ["div s0, t0, t1", "div s0, s0, t1", "div s0, s0, t1"]
+            + ["nop"] * (3 * capacity)
+            + ["addi s1, s1, -1", "bnez s1, loop", "ecall"]
+        )
+        assert_run_matches_steps(source, core)
+        assert any(inflight == capacity and end > start for start, inflight, end in calls)
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_macro_step_carries_a_long_sled(self, core, monkeypatch):
+        """On a 5,000-nop sled at least 90% of the cycles advance inside
+        ``_nop_run``."""
+        calls = self._count_entries(monkeypatch)
+        processor, _ = build_processor(sled(5000), config=resolve_core(core))
+        outcome = processor.run(max_cycles=100_000)
+        assert outcome.halted_on == "trap:ecall"
+        inside = sum(end - start for start, _, end in calls)
+        assert inside >= 0.9 * outcome.cycles

@@ -222,14 +222,19 @@ class TestCoSimulation:
         self, core, allow_branches, entropy
     ):
         """Random filler with loads/stores into a mapped region (and forward
-        branches): the pipeline commits exactly the golden model's instruction
-        sequence, traps at its ecall, and leaves the same registers and the
-        same bytes in the region."""
+        branches), with runs of 0-40 nops between the filler instructions so
+        the nop-run macro-step enters and exits around them: the pipeline
+        commits exactly the golden model's instruction sequence, traps at
+        its ecall, and leaves the same registers and the same bytes in the
+        region."""
         rng = DeterministicRng(entropy, "cosim")
         generator = RandomInstructionGenerator(
             rng, safe_regions=[SafeRegion(self.SAFE_BASE, self.SAFE_SIZE)]
         )
-        body = generator.filler_block(40, allow_branches=allow_branches)
+        body = []
+        for instruction in generator.filler_block(40, allow_branches=allow_branches):
+            body.append(instruction)
+            body.extend(nop() for _ in range(rng.randint(0, 40)))
         # A branch near the end skips at most four instructions: it lands on
         # the padding, never past the ecall.
         body.extend(nop() for _ in range(4))
@@ -243,7 +248,7 @@ class TestCoSimulation:
             return memory
 
         reference_memory = fresh_memory()
-        reference = IsaSimulator(program, memory=reference_memory).run(max_instructions=500)
+        reference = IsaSimulator(program, memory=reference_memory).run(max_instructions=5_000)
         assert reference.trap is not None and reference.trap.cause.value == "ecall"
         *committed_pcs, ecall_pc = [pc for pc, _ in reference.trace]
 
