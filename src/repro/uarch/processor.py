@@ -596,19 +596,8 @@ class Processor:
         config = self.config
         commit_width = config.commit_width
         fetch_width = config.fetch_width
-        nop_latency = max(config.alu_latency, 1)
         rob = self.rob
         capacity = rob.capacity
-        icache = self.hierarchy.icache
-        icache_fetch = icache.fetch_access
-        line_bytes = icache.config.line_bytes
-        int_ports = self.ports.port_limits["int"]
-        enqueue_events = self.trace.enqueues
-        commit_events = self.trace.commits
-        stop_pcs = self._stop_pcs
-        taint_enabled = self._taint_enabled
-        record_census = self._record_census
-        census_log = self.taint.census_log
         start_cycle = cycle = self.cycle
         committed = self.committed_instructions
 
@@ -643,6 +632,19 @@ class Processor:
             and len(rob.entries) < capacity
         ):
             return cycle  # next cycle's fetch takes the instruction after the run
+
+        nop_latency = max(config.alu_latency, 1)
+        icache = self.hierarchy.icache
+        icache_fetch = icache.fetch_access
+        line_bytes = icache.config.line_bytes
+        int_ports = self.ports.port_limits["int"]
+        enqueue_events = self.trace.enqueues
+        commit_events = self.trace.commits
+        stop_pcs = self._stop_pcs
+        taint_enabled = self._taint_enabled
+        record_census = self._record_census
+        census_log = self.taint.census_log
+
         # While at most this many run nops are fetched, a cycle's fetch (at
         # most fetch_width) cannot reach the end of the run.
         last_safe = run_length - fetch_width if fetching and not ends_on_none else run_length
