@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.isa.instructions import Instruction, InstructionClass
@@ -787,16 +788,23 @@ class Processor:
 
         if cycle == start_cycle:
             return cycle  # no cycle ran: nothing to restore
-        commit_events += [
-            _new_event(RobCommitEvent, (commit_cycle, 0, seqs[index], pcs[index], "addi"))
-            for index, commit_cycle in enumerate(commit_at)
-        ]
-        enqueue_events += [
-            _new_event(RobEnqueueEvent, (fetch_cycle, position, sequence, pc, "addi"))
-            for fetch_cycle, position, sequence, pc in zip(
-                fetched_at[first_new:], positions, seqs[first_new:], pcs[first_new:]
-            )
-        ]
+        # zip stops at its shortest input: the retired nops, the fetched run nops.
+        commit_events += map(
+            _new_event,
+            repeat(RobCommitEvent),
+            zip(commit_at, repeat(0), seqs, pcs, repeat("addi")),
+        )
+        enqueue_events += map(
+            _new_event,
+            repeat(RobEnqueueEvent),
+            zip(
+                islice(fetched_at, first_new, None),
+                positions,
+                islice(seqs, first_new, None),
+                islice(pcs, first_new, None),
+                repeat("addi"),
+            ),
+        )
         self.cycle = cycle
         self.hierarchy.cycle = simulated
         self.committed_instructions = committed + head

@@ -704,16 +704,17 @@ CORE_TAINT_ARMS = [
 ]
 
 
-def assert_run_matches_steps(source, core, taint_mode=TaintTrackingMode.NONE, **run_kwargs):
+def assert_run_matches_steps(
+    source, core, taint_mode=TaintTrackingMode.NONE, max_cycles=20_000, stop_labels=(), max_commits=None
+):
     """Run ``source`` once through ``run`` and once by ``step_cycle``; both
-    must leave the same state behind.  Returns the ``run`` processor."""
+    must leave the same state behind.  Returns both processors and the
+    outcome of ``run``."""
     fast, program = build_tainted(source, core, taint_mode)
     reference, _ = build_tainted(source, core, taint_mode)
-    stop_labels = run_kwargs.pop("stop_labels", ())
     stop_pcs = {program.label_address(label) for label in stop_labels} or None
-    max_cycles = run_kwargs.pop("max_cycles", 20_000)
-    outcome = fast.run(max_cycles=max_cycles, stop_pcs=stop_pcs, **run_kwargs)
-    halted_on = run_by_steps(reference, max_cycles, stop_pcs=stop_pcs, **run_kwargs)
+    outcome = fast.run(max_cycles=max_cycles, stop_pcs=stop_pcs, max_commits=max_commits)
+    halted_on = run_by_steps(reference, max_cycles, stop_pcs=stop_pcs, max_commits=max_commits)
     assert outcome.halted_on == halted_on
     assert outcome.cycles == reference.cycle
     assert pipeline_state(fast) == pipeline_state(reference)
@@ -753,6 +754,8 @@ class TestRunMatchesStepCycle:
 
 
 def sled(length, before=(), after=("ecall",)):
+    """Assembly for ``length`` nops between two set-up lines plus ``before``
+    and the lines ``after``."""
     return "\n".join(["li t0, 100", "li t1, 7", *before] + ["nop"] * length + list(after))
 
 
