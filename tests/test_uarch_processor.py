@@ -1,5 +1,6 @@
 """Tests for the out-of-order pipeline model (the DUT)."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -685,9 +686,11 @@ def segments_source(segments):
 
 
 def build_tainted(source, core, taint_mode):
+    """A processor for ``source`` on ``core`` (a name or a ``CoreConfig``)."""
+    config = resolve_core(core) if isinstance(core, str) else core
     memory = make_memory((0x1000, 0x2000), (PROBE, 0x1000))
     processor, program = build_processor(
-        source, config=resolve_core(core), memory=memory, taint_mode=taint_mode
+        source, config=config, memory=memory, taint_mode=taint_mode
     )
     if taint_mode is TaintTrackingMode.DIFFIFT:
         # The always-diverge oracle of TestWorklists: every control
@@ -781,27 +784,36 @@ class TestNopRun:
         return calls
 
     @pytest.mark.parametrize("core", CORES)
-    def test_stop_pc_inside_a_sled(self, core):
+    def test_stop_pc_inside_a_sled(self, core, monkeypatch):
+        calls = self._count_entries(monkeypatch)
         source = sled(40, after=["stop:"] + ["nop"] * 40 + ["ecall"])
-        _, _, outcome = assert_run_matches_steps(source, core, stop_labels=["stop"])
+        fast, _, outcome = assert_run_matches_steps(source, core, stop_labels=["stop"])
         assert outcome.halted_on == "stop_pc"
+        assert calls[-1][2] == fast.cycle  # the halt came inside _nop_run
 
     @pytest.mark.parametrize("core", CORES)
-    def test_max_commits_inside_a_sled(self, core):
-        _, _, outcome = assert_run_matches_steps(sled(120), core, max_commits=57)
+    def test_max_commits_inside_a_sled(self, core, monkeypatch):
+        calls = self._count_entries(monkeypatch)
+        fast, _, outcome = assert_run_matches_steps(sled(120), core, max_commits=57)
         assert outcome.halted_on == "max_commits"
+        assert calls[-1][2] == fast.cycle
 
     @pytest.mark.parametrize("core", CORES)
     @pytest.mark.parametrize("taint_mode", [TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT])
-    def test_max_cycles_cutting_a_sled_then_resuming(self, core, taint_mode):
-        """A run cut inside a sled leaves RobEntry objects, worklists and
-        flags from which the next run resumes exactly."""
-        source = sled(150, before=["div s0, t0, t1"])
-        fast, _ = build_tainted(source, core, taint_mode)
-        reference, _ = build_tainted(source, core, taint_mode)
-        for max_cycles in (45, 3, 60, 20_000):
-            outcome = fast.run(max_cycles=max_cycles)
-            assert outcome.halted_on == run_by_steps(reference, max_cycles)
+    def test_max_cycles_cutting_a_sled_then_resuming(self, core, taint_mode, monkeypatch):
+        """Runs of five cycles at a time, cut inside sleds with the RoB full
+        of nops, leave RobEntry objects, worklists and flags from which the
+        next run resumes exactly."""
+        calls = self._count_entries(monkeypatch)
+        fast, _ = build_tainted(self.warm_sled_loop(core), core, taint_mode)
+        reference, _ = build_tainted(self.warm_sled_loop(core), core, taint_mode)
+        cuts_with_nops_in_flight = 0
+        outcome = None
+        while outcome is None or outcome.halted_on == "max_cycles":
+            outcome = fast.run(max_cycles=5)
+            assert outcome.halted_on == run_by_steps(reference, 5)
+            if calls and calls[-1][2] == fast.cycle and fast.rob.entries:
+                cuts_with_nops_in_flight += 1
             assert pipeline_state(fast) == pipeline_state(reference)
             TestWorklists._check_against_rob(fast)
             assert [
@@ -817,6 +829,20 @@ class TestNopRun:
                 reference._port_denied,
             )
         assert outcome.halted_on == "trap:ecall"
+        assert cuts_with_nops_in_flight >= 10
+
+    @staticmethod
+    def warm_sled_loop(core):
+        """Two passes over three chained divides and a sled three RoBs
+        long: on the second pass (warm icache) the divides hold the head
+        while the sled fills the RoB."""
+        capacity = resolve_core(core).rob_entries
+        return "\n".join(
+            ["li t0, 100", "li t1, 7", "li s1, 2", "loop:"]
+            + ["div s0, t0, t1", "div s0, s0, t1", "div s0, s0, t1"]
+            + ["nop"] * (3 * capacity)
+            + ["addi s1, s1, -1", "bnez s1, loop", "ecall"]
+        )
 
     def test_boom_large_sled_contends_for_int_ports(self):
         """boom-large fetches four nops a cycle but has three int ports."""
@@ -832,19 +858,29 @@ class TestNopRun:
 
     @pytest.mark.parametrize("core", CORES)
     def test_sled_longer_than_the_rob_entered_with_nops_in_flight(self, core, monkeypatch):
-        """On the second pass (warm icache) three chained divides hold the
-        head while the sled fills the RoB; the macro-step then takes over
-        with the RoB full of nops."""
+        """The macro-step takes over with the RoB full of nops."""
         calls = self._count_entries(monkeypatch)
+        assert_run_matches_steps(self.warm_sled_loop(core), core)
         capacity = resolve_core(core).rob_entries
-        source = "\n".join(
-            ["li t0, 100", "li t1, 7", "li s1, 2", "loop:"]
-            + ["div s0, t0, t1", "div s0, s0, t1", "div s0, s0, t1"]
-            + ["nop"] * (3 * capacity)
-            + ["addi s1, s1, -1", "bnez s1, loop", "ecall"]
-        )
-        assert_run_matches_steps(source, core)
         assert any(inflight == capacity and end > start for start, inflight, end in calls)
+
+    def test_multi_cycle_nops(self):
+        """With a three-cycle ALU, nops in flight need not complete next
+        cycle, so an idle jump could skip the first issue attempt of a nop
+        fetched on an icache miss.  The jump lands on the sled's fourth-last
+        slot of a cold 64-byte line: after that miss two nops stream in,
+        then the third misses on the next line while the two have not
+        completed."""
+        config = dataclasses.replace(small_boom_config(), alu_latency=3)
+        assert (config.fetch_width, config.icache.line_bytes) == (2, 64)
+        # Three set-up instructions, then padding up to 0x1074, 52 bytes
+        # into the line at 0x1040.
+        jump_into_line = "\n".join(
+            ["li t0, 100", "li t1, 7", "j sled"] + ["nop"] * 26 + ["sled:"] + ["nop"] * 100 + ["ecall"]
+        )
+        assert_run_matches_steps(jump_into_line, config)
+        for source in (sled(200), sled(120, before=["div s0, t0, t1"]), self.warm_sled_loop("boom")):
+            assert_run_matches_steps(source, config)
 
     @pytest.mark.parametrize("core", CORES)
     def test_macro_step_carries_a_long_sled(self, core, monkeypatch):
