@@ -700,10 +700,9 @@ def build_tainted(source, core, taint_mode):
     return processor, program
 
 
+CORE_NAMES = ("boom", "xiangshan", "boom-large")
 CORE_TAINT_ARMS = [
-    (core, mode)
-    for mode in (TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT)
-    for core in ("boom", "xiangshan", "boom-large")
+    (core, mode) for mode in (TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT) for core in CORE_NAMES
 ]
 
 
@@ -766,8 +765,6 @@ class TestNopRun:
     """Edge cases of the nop-run macro-step (``Processor._nop_run``), each
     checked against the ``step_cycle`` reference."""
 
-    CORES = ("boom", "xiangshan", "boom-large")
-
     @staticmethod
     def _count_entries(monkeypatch):
         """Record (cycle on entry, RoB size on entry, cycle on exit) per call."""
@@ -783,7 +780,7 @@ class TestNopRun:
         monkeypatch.setattr(Processor, "_nop_run", counting)
         return calls
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORE_NAMES)
     def test_stop_pc_inside_a_sled(self, core, monkeypatch):
         calls = self._count_entries(monkeypatch)
         source = sled(40, after=["stop:"] + ["nop"] * 40 + ["ecall"])
@@ -791,14 +788,14 @@ class TestNopRun:
         assert outcome.halted_on == "stop_pc"
         assert calls[-1][2] == fast.cycle  # the halt came inside _nop_run
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORE_NAMES)
     def test_max_commits_inside_a_sled(self, core, monkeypatch):
         calls = self._count_entries(monkeypatch)
         fast, _, outcome = assert_run_matches_steps(sled(120), core, max_commits=57)
         assert outcome.halted_on == "max_commits"
         assert calls[-1][2] == fast.cycle
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORE_NAMES)
     @pytest.mark.parametrize("taint_mode", [TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT])
     def test_max_cycles_cutting_a_sled_then_resuming(self, core, taint_mode, monkeypatch):
         """Runs of five cycles at a time, cut inside sleds with the RoB full
@@ -856,7 +853,7 @@ class TestNopRun:
         fast, _, _ = assert_run_matches_steps(source, "boom-large")
         assert fast.ports.contention_cycles["int"] > 0
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORE_NAMES)
     def test_sled_longer_than_the_rob_entered_with_nops_in_flight(self, core, monkeypatch):
         """The macro-step takes over with the RoB full of nops."""
         calls = self._count_entries(monkeypatch)
@@ -882,7 +879,7 @@ class TestNopRun:
         for source in (sled(200), sled(120, before=["div s0, t0, t1"]), self.warm_sled_loop("boom")):
             assert_run_matches_steps(source, config)
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("core", CORE_NAMES)
     def test_macro_step_carries_a_long_sled(self, core, monkeypatch):
         """On a 5,000-nop sled at least 90% of the cycles advance inside
         ``_nop_run``."""
