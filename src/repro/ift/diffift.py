@@ -78,24 +78,6 @@ class DifferentialTestbench:
     def taint_memory(self, name: str, index: int, taint: Optional[int] = None) -> None:
         self.simulator.taint_memory(name, index, taint)
 
-    def load_secret(self, memory: str, index: int, secret: int, width: int = 64) -> None:
-        """Load a secret into both instances, flipping every bit for instance 1.
-
-        The paper generates the variant secret "by flipping each bit of the
-        original secret to avoid using identical values" (§3.3); the false
-        negative mode loads identical values instead.
-        """
-        variant = secret if self.false_negative_mode else (~secret) & ((1 << width) - 1)
-        self.simulator.write_memory(memory, index, secret, instance=0)
-        self.simulator.write_memory(memory, index, variant, instance=1)
-        self.simulator.taint_memory(memory, index)
-
-    def set_secret_input(self, signal: str, secret: int, width: int = 64) -> List[Dict[str, int]]:
-        """Build per-instance input maps carrying a secret on an input signal."""
-        variant = secret if self.false_negative_mode else (~secret) & ((1 << width) - 1)
-        self.simulator.taint_signal(signal)
-        return [{signal: secret}, {signal: variant}]
-
     def step(
         self,
         inputs: Optional[Dict[str, int]] = None,

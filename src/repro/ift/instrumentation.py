@@ -25,12 +25,6 @@ class InstrumentationStats:
     compile_seconds: float = 0.0
     extra: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def cell_overhead(self) -> float:
-        if self.original_cells == 0:
-            return 0.0
-        return self.instrumented_cells / self.original_cells
-
 
 @dataclass
 class InstrumentationResult:

@@ -72,9 +72,6 @@ class LivenessChecker:
         self.annotations = annotations if annotations is not None else collect_annotations(module)
         self._by_sink: Dict[str, LivenessAnnotation] = {a.sink: a for a in self.annotations}
 
-    def annotation_for(self, sink: str) -> Optional[LivenessAnnotation]:
-        return self._by_sink.get(sink)
-
     def is_live(self, sink: str, signal_values: Dict[str, int], lane: Optional[int] = None) -> bool:
         """Return True when the sink's taint is exploitable.
 

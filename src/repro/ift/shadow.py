@@ -49,12 +49,6 @@ class PackedShadowState:
     def set_taint(self, signal: str, taint: int) -> None:
         self._taints[self._index[signal]] = taint
 
-    @property
-    def signal_taints(self) -> Dict[str, int]:
-        """The packed vector expanded to a name-keyed dict (inspection only)."""
-        taints = self._taints
-        return {name: taints[slot] for name, slot in self._index.items()}
-
 
 class TaintSimulator:
     """Simulate a module together with its IFT shadow state.

@@ -67,9 +67,6 @@ class CircuitBuilder:
     def and_(self, a: str, b: str, name: Optional[str] = None) -> str:
         return self._binary(CellType.AND, a, b, self._w(a), name)
 
-    def or_(self, a: str, b: str, name: Optional[str] = None) -> str:
-        return self._binary(CellType.OR, a, b, self._w(a), name)
-
     def xor(self, a: str, b: str, name: Optional[str] = None) -> str:
         return self._binary(CellType.XOR, a, b, self._w(a), name)
 
@@ -84,12 +81,6 @@ class CircuitBuilder:
 
     def shr(self, a: str, b: str, name: Optional[str] = None) -> str:
         return self._binary(CellType.SHR, a, b, self._w(a), name)
-
-    def not_(self, a: str, name: Optional[str] = None) -> str:
-        signal = name or self._fresh("not")
-        self.module.add_signal(signal, self._w(a))
-        self._cell(CellType.NOT, signal, {"a": a})
-        return signal
 
     def eq(self, a: str, b: str, name: Optional[str] = None) -> str:
         return self._compare(CellType.EQ, a, b, name)

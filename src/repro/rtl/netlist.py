@@ -105,9 +105,6 @@ class Module:
     def sequential_cells(self) -> List[Cell]:
         return [cell for cell in self.cells if cell.is_sequential]
 
-    def register_count(self) -> int:
-        return len(self.registers)
-
     def state_bit_count(self) -> int:
         """Total number of state bits (registers + memory contents)."""
         register_bits = sum(info.width for info in self.registers.values())

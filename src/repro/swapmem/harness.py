@@ -14,7 +14,7 @@ same swap schedule, and exposes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
@@ -54,9 +54,6 @@ class DifferentialRunResult:
         primary_cycles = self.primary.transient_packet_cycles() or 0
         variant_cycles = self.variant.transient_packet_cycles() or 0
         return abs(primary_cycles - variant_cycles)
-
-    def total_cycle_difference(self) -> int:
-        return abs(self.primary.total_cycles - self.variant.total_cycles)
 
     def fingerprints_differ(self) -> bool:
         """SpecDoctor-style oracle: do the timing-component hashes differ?"""

@@ -89,11 +89,3 @@ class SwapMemory:
     def fetch(self, address: int) -> Optional[Instruction]:
         """The processor's fetch source for the swappable region."""
         return self._instructions.get(address)
-
-    def packet_address(self, offset: int) -> int:
-        return self.layout.swappable_base + offset
-
-    # -- convenience --------------------------------------------------------------------
-
-    def secret_address_range(self, size: Optional[int] = None) -> tuple:
-        return self.layout.secret_address, size if size is not None else self.layout.secret_size

@@ -63,9 +63,6 @@ class Packet:
         for index, instruction in enumerate(self.instructions):
             yield index * 4, instruction
 
-    def label_offset(self, name: str) -> int:
-        return self.labels[name]
-
     def with_instructions(self, instructions: List[Instruction]) -> "Packet":
         return replace(self, instructions=list(instructions))
 

@@ -177,11 +177,7 @@ class SwapRunner:
 
         start_cycle = processor.cycle
         committed_before = processor.committed_instructions
-        # Only the halt reason is consumed here; skip the per-packet outcome
-        # snapshots (commit-cycle copy, contention, side-channel fingerprint).
-        outcome = processor.run(
-            max_cycles=self.max_cycles_per_packet, collect_outcome=False
-        )
+        outcome = processor.run(max_cycles=self.max_cycles_per_packet)
         result.packet_records.append(
             PacketRunRecord(
                 packet_name=packet.name,

@@ -10,7 +10,7 @@ liveness analysis must classify as unexploitable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.uarch.config import CacheConfig
@@ -61,9 +61,6 @@ class SetAssociativeCache:
         if self._set_mask is not None:
             return line & self._set_mask
         return line % self.config.sets
-
-    def _set_index(self, address: int) -> int:
-        return self._set_index_of_line(self._line_address(address))
 
     def lookup(self, address: int) -> bool:
         """Non-destructive presence check."""

@@ -20,8 +20,7 @@ class ExecutionPorts:
     def __init__(self, config: CoreConfig) -> None:
         self.config = config
         # Claims per cycle for each port class, and the number of ports of
-        # each class; the processor's inline nop lane claims int ports
-        # through these directly.
+        # each class (the processor's nop-run macro-step reads the int count).
         self.port_usage: Dict[str, Dict[int, int]] = {"int": {}, "mem": {}, "fp": {}}
         self.port_limits = {
             "int": config.int_issue_ports,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -38,7 +38,6 @@ from repro.isa.simulator import (
     Permission,
     SimMemory,
     TrapCause,
-    branch_taken,
     compute_alu,
     effective_address,
     next_pc,
@@ -85,10 +84,6 @@ class SimulationOutcome:
     trace: TraceLog
     taint: TaintState
     halted_on: str = "max_cycles"
-    # (cycle, pc) of every commit in ``trace``.
-    commit_cycles: List[Tuple[int, int]] = field(default_factory=list)
-    contention: Dict[str, int] = field(default_factory=dict)
-    side_channel_fingerprint: Tuple = ()
 
 
 class Processor:
@@ -230,77 +225,54 @@ class Processor:
 
     # -- main loop ------------------------------------------------------------------------
 
-    def run(
-        self,
-        max_cycles: int = 2000,
-        stop_pcs: Optional[Set[int]] = None,
-        max_commits: Optional[int] = None,
-        collect_outcome: bool = True,
-    ) -> SimulationOutcome:
-        """Run until a stop PC commits, the commit budget is reached, or timeout.
+    def run(self, max_cycles: int = 2000, stop_pcs: Optional[Set[int]] = None) -> SimulationOutcome:
+        """Run until a stop PC commits, a trap halts the core, or ``max_cycles`` pass.
 
-        ``collect_outcome=False`` returns an outcome carrying only the halt
-        reason and counters, skipping the commit-cycle copy, the contention
-        summary and the side-channel fingerprint.  All of that state stays on
-        the processor and can be read directly afterwards; the flag only
-        controls whether ``run`` snapshots it.  The swap scheduler calls
-        ``run`` once per packet and reads nothing but ``halted_on``, so the
-        eager snapshots there are O(packets × commits) of pure waste.
+        Commit cycles, port contention and the side-channel fingerprint stay
+        on the processor (``trace.commits``, ``ports.contention_cycles``,
+        ``side_channel_fingerprint()``) for callers that want them.
         """
         self._stop_pcs = stop_pcs or set()
         self._halt_reason = None
         start_cycle = self.cycle
-        self._advance(
-            start_cycle + max_cycles,
-            max_commits if max_commits is not None else float("inf"),
-        )
-        outcome = SimulationOutcome(
+        self._advance(start_cycle + max_cycles)
+        return SimulationOutcome(
             cycles=self.cycle - start_cycle,
             committed_instructions=self.committed_instructions,
             trace=self.trace,
             taint=self.taint,
             halted_on=self._halt_reason or "max_cycles",
         )
-        if collect_outcome:
-            outcome.commit_cycles = [(event.cycle, event.pc) for event in self.trace.commits]
-            outcome.contention = self._contention_summary()
-            outcome.side_channel_fingerprint = self.side_channel_fingerprint()
-        return outcome
 
     def step_cycle(self) -> None:
         """Advance the pipeline by exactly one clock cycle (no fast-forward)."""
-        self._advance(self.cycle + 1, float("inf"))
+        self._advance(self.cycle + 1)
 
-    def _advance(self, limit_cycle: int, target_commits: float) -> None:
+    def _advance(self, limit_cycle: int) -> None:
         """The cycle loop behind ``run`` and ``step_cycle``.
 
-        Steps until ``limit_cycle``, a halt, or ``target_commits`` commits.
-        One iteration is one clock cycle: resolve (before commit, so a
-        mispredicted branch squashes its wrong path before younger entries
-        can retire), commit, execute, fetch, then the taint census.  Each
-        stage's per-cycle scan is written out in the body; per-instruction
-        work and rare events (squashes, traps) stay methods.  Config
-        constants and bound methods are hoisted into locals once per call,
-        never per cycle.  Only objects that are never rebound while the loop
-        runs may be hoisted: squashes replace ``rob.entries`` and
-        ``rob._by_sequence``, and the execute step replaces ``_unexecuted``,
-        so these are re-read every cycle.
+        Steps until ``limit_cycle`` or a halt.  One iteration is one clock
+        cycle: resolve (before commit, so a mispredicted branch squashes its
+        wrong path before younger entries can retire), commit, execute,
+        fetch, then the taint census.  Each stage's per-cycle scan is
+        written out in the body; per-instruction work and rare events
+        (squashes, traps) stay methods.  Config constants and bound methods
+        are hoisted into locals once per call, never per cycle.  Only
+        objects that are never rebound while the loop runs may be hoisted:
+        squashes replace ``rob.entries`` and ``rob._by_sequence``, and the
+        execute step replaces ``_unexecuted``, so these are re-read every
+        cycle.
 
-        Nops (``addi x0, x0, 0``, most of every generated stimulus) take an
-        inline lane in the fetch, execute and commit scans.  It does what
-        ``_dispatch``, ``_execute_entry`` and ``_commit_instruction`` do for
-        an instruction with no sources, no destination, no memory access
-        and no control flow: the same int issue-port claim and contention
-        count, the same trace events and the same stop-PC check.  While the
-        RoB holds only nops and at least two cycles remain, ``_nop_run``
-        takes over the loop; ``step_cycle`` (one cycle) never enters it, nor
-        ``_fast_forward``, so it is the reference for both.
+        Nops (``addi x0, x0, 0``, most of every generated stimulus) take the
+        same per-instruction methods as every other instruction, except
+        while the RoB holds only nops and at least two cycles remain: then
+        ``_nop_run`` takes over the loop.  ``step_cycle`` (one cycle) never
+        enters it, nor ``_fast_forward``, so it is the reference for both.
         """
         config = self.config
         commit_width = config.commit_width
         exception_commit_delay = config.exception_commit_delay
         fetch_width = config.fetch_width
-        nop_latency = max(config.alu_latency, 1)
         rob = self.rob
         rob_capacity = rob.capacity
         find = rob.find
@@ -308,11 +280,6 @@ class Processor:
         icache_fetch = hierarchy.icache.fetch_access
         ports = self.ports
         try_claim = ports.try_claim
-        int_usage = ports.port_usage["int"]
-        int_ports = ports.port_limits["int"]
-        enqueue_events = self.trace.enqueues
-        commit_events = self.trace.commits
-        stop_pcs = self._stop_pcs
         results = self._results
         unresolved = self._unresolved
         executing = self._executing
@@ -328,7 +295,7 @@ class Processor:
             if cycle + 2 <= limit_cycle:
                 entries = rob.entries
                 if not entries or entries[0].sequence > self._youngest_non_nop:
-                    cycle = self._nop_run(limit_cycle, target_commits)
+                    cycle = self._nop_run(limit_cycle)
                     if cycle >= limit_cycle or self._halt_reason is not None:
                         break
             cycle += 1
@@ -356,20 +323,6 @@ class Processor:
                     break
                 if cycle < head.complete_cycle:
                     break
-                if head.instruction.is_nop:
-                    # A nop is never marked tainted, so ``rob.pop_head``
-                    # reduces to the two removals.
-                    del entries[0]
-                    del rob._by_sequence[head.sequence]
-                    head.committed = True
-                    pc = head.pc
-                    commit_events.append(
-                        _new_event(RobCommitEvent, (cycle, 0, head.sequence, pc, "addi"))
-                    )
-                    self.committed_instructions += 1
-                    if pc in stop_pcs:
-                        self._halt_reason = "stop_pc"
-                    continue
                 commit_instruction(head)
             if self._halt_reason is not None:
                 if taint_enabled:
@@ -387,22 +340,6 @@ class Processor:
                 self._unexecuted = waiting
                 for entry in pending:
                     if entry.squashed:
-                        continue
-                    if entry.instruction.is_nop:
-                        count = int_usage.get(cycle, 0)
-                        if count >= int_ports:
-                            ports.contention_cycles["int"] += 1
-                            self._port_denied = True
-                            waiting.append(entry)
-                            continue
-                        int_usage[cycle] = count + 1
-                        # Zero result, fall-through, no taint: the entry's
-                        # defaults already say so.
-                        entry.dispatch_cycle = cycle
-                        entry.actual_next_pc = entry.pc + 4
-                        entry.executed = True
-                        complete = entry.complete_cycle = cycle + nop_latency
-                        heappush(executing, (complete, entry.sequence, entry))
                         continue
                     producers = entry._producers
                     if producers:
@@ -438,8 +375,6 @@ class Processor:
                 and not self.fetch_serialized
             ):
                 entries = rob.entries
-                by_sequence = rob._by_sequence
-                unexecuted = self._unexecuted
                 fetched = 0
                 while fetched < fetch_width and len(entries) < rob_capacity:
                     pc = self.fetch_pc
@@ -453,24 +388,6 @@ class Processor:
                     if miss_latency:
                         self.fetch_stall_until = cycle + miss_latency
                     fetched += 1
-                    if instruction.is_nop:
-                        # No producers to record, no destination to rename,
-                        # a fall-through prediction and no serialization.
-                        sequence = rob._next_sequence
-                        rob._next_sequence = sequence + 1
-                        entry = RobEntry(sequence, pc, instruction, cycle, pc + 4)
-                        entries.append(entry)
-                        by_sequence[sequence] = entry
-                        enqueue_events.append(
-                            _new_event(
-                                RobEnqueueEvent, (cycle, len(entries) - 1, sequence, pc, "addi")
-                            )
-                        )
-                        unexecuted.append(entry)
-                        self.fetch_pc = pc + 4
-                        if miss_latency:
-                            break
-                        continue
                     entry = dispatch(instruction)
                     if (
                         self.fetch_serialized
@@ -485,9 +402,6 @@ class Processor:
                 ports.drop_usage_before(cycle)
             if taint_enabled:
                 self._record_census()
-            if self.committed_instructions >= target_commits:
-                self._halt_reason = "max_commits"
-                break
             # _fast_forward's early exits, inlined: most cycles end in one.
             if cycle + 1 < limit_cycle and not self._port_denied:
                 entries = rob.entries
@@ -567,7 +481,7 @@ class Processor:
             log.extend(TaintCensus(skipped, shared_counts) for skipped in range(cycle + 1, target))
         self.cycle = target - 1
 
-    def _nop_run(self, limit_cycle: int, target_commits: float) -> int:
+    def _nop_run(self, limit_cycle: int) -> int:
         """Advance whole cycles in which the RoB holds only nops; return the cycle reached.
 
         ``_advance`` enters it at a cycle boundary when the RoB holds only
@@ -576,8 +490,9 @@ class Processor:
         census and idle jump on parallel lists of sequence, pc, fetch cycle
         and completion cycle instead of a ``RobEntry``, a heap entry and
         dict entries per nop.  It produces the same trace events, port
-        contention, icache state and census as the nop lane of ``_advance``
-        and the rule of ``_fast_forward``; a change to either must be
+        contention, icache state and census as ``_dispatch``,
+        ``_execute_entry`` and ``_commit_instruction`` do for a nop, and
+        follows the rule of ``_fast_forward``; a change to either must be
         mirrored here.
 
         It exits at a cycle boundary: before a cycle whose fetch would reach
@@ -603,17 +518,13 @@ class Processor:
         committed = self.committed_instructions
 
         # The run: the nops ahead of fetch, up to the first other instruction
-        # or a pc with none.  Fetch takes at most fetch_width per cycle and
-        # runs at most a RoB (and one commit group) ahead of the commits.
+        # or a pc with none.  Fetch takes at most fetch_width per cycle.
         fetch_source = self._fetch_source
         fetching = fetch_source is not None and not self.fetch_serialized
         run: List[Instruction] = []
         ends_on_none = False
         if fetching:
-            budget = min(
-                (limit_cycle - cycle) * fetch_width,
-                target_commits - committed + capacity + commit_width,
-            )
+            budget = (limit_cycle - cycle) * fetch_width
             pc = self.fetch_pc
             while len(run) < budget:
                 instruction = fetch_source(pc)
@@ -756,9 +667,6 @@ class Processor:
             if taint_enabled:
                 self.cycle = cycle
                 record_census()
-            if committed + head >= target_commits:
-                halt = "max_commits"
-                break
 
             # Jump over idle cycles, by the rule of _fast_forward.
             if cycle + 1 < limit_cycle and not port_denied:
@@ -875,8 +783,12 @@ class Processor:
             self.lsu.retire_load(entry.sequence)
         if instruction.is_control_flow:
             self._train_predictors_at_commit(entry)
-        if instruction.mnemonic == "fence.i":
-            self.hierarchy.flush_icache()
+        if instruction.is_serializing:
+            # A fence, fence.i or mret that commits without trapping lets
+            # fetch run past it again.
+            self.fetch_serialized = False
+            if instruction.mnemonic == "fence.i":
+                self.hierarchy.flush_icache()
         if entry.pc in self._stop_pcs:
             self._halt_reason = "stop_pc"
 
@@ -1043,7 +955,6 @@ class Processor:
     # -- execute stage ------------------------------------------------------------------------
 
     def _execute_entry(self, entry: RobEntry) -> None:
-        """Execute one non-nop entry (nops run inline in ``_advance``)."""
         instruction = entry.instruction
         cycle = self.cycle
         # Each source reads its in-flight producer's result if there is one,
@@ -1282,7 +1193,9 @@ class Processor:
     def _dispatch(self, instruction: Instruction) -> RobEntry:
         rob = self.rob
         sequence = rob.allocate_sequence()
-        self._youngest_non_nop = sequence
+        if not instruction.is_nop:
+            # Nops leave it behind, so _advance sees a RoB of only nops.
+            self._youngest_non_nop = sequence
         pc = self.fetch_pc
         cycle = self.cycle
         if instruction.is_control_flow:
@@ -1326,7 +1239,7 @@ class Processor:
             self._unexecuted.append(entry)
         if instruction.is_serializing:
             # System instructions serialize the frontend: fetch does not run
-            # past them until they resolve (redirect or trap).
+            # past them until they commit, trap or are squashed.
             self.fetch_serialized = True
         self.fetch_pc = predicted_next_pc
         return entry
@@ -1429,11 +1342,6 @@ class Processor:
         counts.update(self.lsu.tainted_counts())
         self.taint.record_census(self.cycle, counts)
         self._census_version = version
-
-    def _contention_summary(self) -> Dict[str, int]:
-        summary = dict(self.ports.contention_cycles)
-        summary["lsu_writeback"] = self.lsu.port_contention_cycles
-        return summary
 
     def side_channel_fingerprint(self) -> Tuple:
         """Hash-able snapshot of every timing component (SpecDoctor's oracle)."""

@@ -17,14 +17,23 @@ from the telemetry stream equal ``EngineResult.task_log``, one row per merged
 slice task, and the analysis tables built on those rows agree with the
 campaign's other accounting (slice summaries, the merged metric registry,
 the coordinator).
+
+The reference itself is pinned across commits: SHA-256 digests of its
+``campaign_deterministic`` and of its per-core coverage points are committed
+in ``tests/data/campaign_reference.json``.  Regenerate them (only for an
+intended change of campaign results) with::
+
+    PYTHONPATH=src python tests/test_campaign_matrix.py --regenerate
 """
 
+import hashlib
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -64,6 +73,9 @@ CLI_CAMPAIGN = [
     "--epochs", str(EPOCHS), "--entropy", str(ENTROPY),
 ]
 AUTH_TOKEN = "sesame"
+REFERENCE_DIGESTS_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "campaign_reference.json"
+)
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
@@ -484,12 +496,28 @@ class Matrix:
         return self._checkpoint
 
 
-@pytest.fixture(scope="session")
-def reference(tmp_path_factory):
+def reference_outcome(directory):
+    """The reference campaign: inline, telemetry off, reference paths applied."""
     with pytest.MonkeyPatch.context() as patch:
         reference_paths(patch)
         result = run(telemetry=False)
-    return from_result(result, str(tmp_path_factory.mktemp("reference")))
+    return from_result(result, directory)
+
+
+def reference_digests(outcome):
+    """SHA-256 of the campaign wire form and of the per-core coverage points."""
+    return {
+        key: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+        for key, value in (
+            ("campaign_deterministic", outcome.campaign),
+            ("coverage_points", outcome.points),
+        )
+    }
+
+
+@pytest.fixture(scope="session")
+def reference(tmp_path_factory):
+    return reference_outcome(str(tmp_path_factory.mktemp("reference")))
 
 
 @pytest.fixture(scope="session")
@@ -498,6 +526,12 @@ def matrix(tmp_path_factory):
 
 
 # -- the oracle ------------------------------------------------------------------------------
+
+
+def test_reference_matches_the_committed_digests(reference):
+    """The reference campaign is the one earlier commits produced."""
+    with open(REFERENCE_DIGESTS_PATH, encoding="utf-8") as handle:
+        assert reference_digests(reference) == json.load(handle)
 
 
 @pytest.mark.parametrize("name", ARMS)
@@ -703,3 +737,13 @@ def test_distributed_resume_ran_on_the_new_fleet(matrix):
     result = matrix["distributed-resume"].result
     assert result.task_log
     assert all("worker" in row for row in result.task_log)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: {sys.argv[0]} --regenerate")
+    with tempfile.TemporaryDirectory() as directory:
+        digests = reference_digests(reference_outcome(directory))
+    with open(REFERENCE_DIGESTS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=1, sort_keys=True)
+        handle.write("\n")

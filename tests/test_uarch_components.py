@@ -408,7 +408,7 @@ class TestReorderBuffer:
         processor.load_program(Assembler(base=0x1000).assemble(source))
         outcome = processor.run(max_cycles=500)
         assert outcome.halted_on == "trap:ecall"
-        last_commit = outcome.commit_cycles[-1][0]
+        last_commit = processor.trace.commits[-1].cycle
         ecall_enqueue = outcome.trace.enqueues[-1]
         assert ecall_enqueue.pc == 0x100C and ecall_enqueue.cycle < last_commit
         (trap,) = outcome.trace.traps

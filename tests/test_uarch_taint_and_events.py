@@ -223,10 +223,11 @@ class TestCoSimulation:
     ):
         """Random filler with loads/stores into a mapped region (and forward
         branches), with runs of 0-40 nops between the filler instructions so
-        the nop-run macro-step enters and exits around them: the pipeline
-        commits exactly the golden model's instruction sequence, traps at
-        its ecall, and leaves the same registers and the same bytes in the
-        region."""
+        the nop-run macro-step enters and exits around them, and a ``fence``
+        or ``fence.i`` after about one in four runs so fetch serializes and
+        resumes: the pipeline commits exactly the golden model's instruction
+        sequence, traps at its ecall, and leaves the same registers and the
+        same bytes in the region."""
         rng = DeterministicRng(entropy, "cosim")
         generator = RandomInstructionGenerator(
             rng, safe_regions=[SafeRegion(self.SAFE_BASE, self.SAFE_SIZE)]
@@ -235,6 +236,9 @@ class TestCoSimulation:
         for instruction in generator.filler_block(40, allow_branches=allow_branches):
             body.append(instruction)
             body.extend(nop() for _ in range(rng.randint(0, 40)))
+            fence = rng.randint(0, 7)
+            if fence < 2:
+                body.append(Instruction(("fence", "fence.i")[fence]))
         # A branch near the end skips at most four instructions: it lands on
         # the padding, never past the ecall.
         body.extend(nop() for _ in range(4))
