@@ -30,7 +30,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.results import latency_percentiles, telemetry_table
-from repro.core.distributed import MAX_FRAME_BYTES
+from repro.core.wire import MAX_FRAME_BYTES, decode_object
 
 __all__ = ["TelemetryFollower", "main", "render_summary", "validate_record"]
 
@@ -70,8 +70,9 @@ class TelemetryFollower:
 
     Each :meth:`poll` reads whatever complete lines have appeared since the
     last one, across every file of the stream (rotation-aware: new files are
-    discovered on each poll).  Unparseable lines are counted, never raised —
-    a live view must survive a torn write from a crashing producer.
+    discovered on each poll).  Malformed lines (blank, unparseable, not an
+    object) are counted, never raised — a live view must survive a torn
+    write from a crashing producer.
     """
 
     def __init__(self, path: str) -> None:
@@ -131,16 +132,10 @@ class TelemetryFollower:
                 continue
             self._offsets[file] = offset + end + 1
             for line in chunk[:end].split(b"\n"):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    record = json.loads(line)
-                except ValueError:
-                    self.errors.append(f"{name}: unparseable line")
-                    continue
-                if not isinstance(record, dict):
-                    self.errors.append(f"{name}: record is not an object")
+                    record = decode_object(line, "record")
+                except ValueError as error:
+                    self.errors.append(f"{name}: {error}")
                     continue
                 problem = validate_record(record)
                 if problem is not None:

@@ -55,13 +55,6 @@ _ENGINE_EXPORTS = frozenset(
         "run_parallel_campaign",
     }
 )
-_DISTRIBUTED_EXPORTS = frozenset(
-    {
-        "DistributedBackend",
-        "shard_task_from_wire",
-        "shard_task_to_wire",
-    }
-)
 
 
 def __getattr__(name):
@@ -69,10 +62,10 @@ def __getattr__(name):
         from repro.core import engine
 
         return getattr(engine, name)
-    if name in _DISTRIBUTED_EXPORTS:
+    if name == "DistributedBackend":
         from repro.core import distributed
 
-        return getattr(distributed, name)
+        return distributed.DistributedBackend
     if name == "run_worker":
         from repro.core import worker
 
@@ -114,6 +107,4 @@ __all__ = [
     "resolve_core",
     "run_parallel_campaign",
     "run_worker",
-    "shard_task_from_wire",
-    "shard_task_to_wire",
 ]

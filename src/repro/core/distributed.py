@@ -7,7 +7,8 @@ worker daemons (``python -m repro.core.worker``, :mod:`repro.core.worker`)
 over a line-oriented TCP protocol, and folds the result payloads back for
 the :class:`~repro.core.engine.CampaignScheduler`.
 
-Wire protocol — JSON lines, one frame per line, five frame types:
+Wire protocol — frames of :mod:`repro.core.wire` (one JSON object per
+line, at most :data:`~repro.core.wire.MAX_FRAME_BYTES`), five frame types:
 
 ==========  ======================  ==========================================
 frame       direction               fields
@@ -36,16 +37,18 @@ every HELLO must carry the same token in its ``auth`` field; a mismatched
 and a coordinator-side warning log line, and the worker is never admitted to
 the fleet.  This is a shared-secret gate for semi-trusted networks — the
 stream itself is not encrypted (TLS remains a follow-up).  A HELLO whose
-``version`` is not :data:`PROTOCOL_VERSION` is rejected the same way
-(``code="version"``): the wire forms carry no defaults, so coordinator and
-workers must run the same revision.
+``version`` is not :data:`~repro.core.wire.PROTOCOL_VERSION` is rejected the
+same way (``code="version"``): the wire forms carry no defaults, so
+coordinator and workers must run the same revision.
 
 Fault tolerance: a worker that closes its socket, says BYE, or misses
-heartbeats for longer than ``heartbeat_timeout`` is declared dead and its
-unfinished tasks are *reassigned* to surviving workers (or to the next
-worker that joins — workers may connect at any time, including mid-epoch).
-A late RESULT from a worker that was wrongly declared dead is dropped as a
-duplicate.  Because a :class:`~repro.core.backends.ShardTask` is a pure
+heartbeats for longer than ``heartbeat_timeout`` is declared dead, its
+connection is shut down, and its unfinished tasks are *reassigned* to
+surviving workers (or to the next worker that joins — workers may connect at
+any time, including mid-epoch).  A late RESULT from a worker that was wrongly
+declared dead is dropped: a duplicate within the epoch loses to the first
+delivery, and a RESULT for a task the running epoch did not dispatch is
+ignored.  Because a :class:`~repro.core.backends.ShardTask` is a pure
 function of its payload and the scheduler consumes only merged per-epoch
 data, a re-run task returns an identical payload — so worker count, join
 order, and mid-epoch worker loss can never change campaign results, which
@@ -54,51 +57,25 @@ campaign is handled one layer up: the engine's checkpoint/resume restarts
 from the last merged epoch.
 
 The coordinator never pickles anything: :class:`ShardTask` crosses the wire
-as a JSON dict (:func:`shard_task_to_wire` / :func:`shard_task_from_wire`,
-including the full :class:`~repro.core.fuzzer.FuzzerConfiguration` and
-:class:`~repro.uarch.config.CoreConfig`), so coordinator and workers only
-need the same code, not the same process image.
+in the task wire form of :mod:`repro.core.wire`, so coordinator and workers
+only need the same code, not the same process image.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import socket
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, fields
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.backends import ExecutionBackend, ShardTask
-from repro.core.fuzzer import FuzzerConfiguration
-from repro.generation.training import TrainingMode
+from repro.core.wire import PROTOCOL_VERSION, encode_frame, read_frame, shard_task_to_wire
 from repro.telemetry.metrics import MetricsRegistry
-from repro.swapmem.layout import MemoryLayout
-from repro.uarch.config import CacheConfig, CoreConfig, PredictorConfig, TaintTrackingMode
 
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "DistributedBackend",
-    "parse_address",
-    "recv_frame",
-    "send_frame",
-    "shard_task_from_wire",
-    "shard_task_to_wire",
-    "fuzzer_configuration_from_wire",
-    "fuzzer_configuration_to_wire",
-    "core_config_from_wire",
-    "core_config_to_wire",
-]
-
-PROTOCOL_VERSION = 3
-
-# Upper bound on one JSON-lines frame, newline included, for every reader of
-# the worker fabric and the simulator-server protocol; longer is malformed.
-MAX_FRAME_BYTES = 16 * 1024 * 1024
+__all__ = ["DistributedBackend", "parse_address", "send_frame"]
 
 logger = logging.getLogger(__name__)
 
@@ -149,153 +126,14 @@ def send_frame(
     frame: Dict[str, object],
     lock: Optional[threading.Lock] = None,
 ) -> None:
-    """Write one JSON-lines frame; ``lock`` serialises concurrent writers.
+    """Write one frame; ``lock`` serialises concurrent writers.
 
     A worker writes RESULT frames from its main loop and HEARTBEAT frames
     from a side thread over the same socket — interleaving two partial lines
     would corrupt the stream, so both go through one lock.
     """
-    data = (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
-    if lock is not None:
-        with lock:
-            sock.sendall(data)
-    else:
-        sock.sendall(data)
-
-
-def recv_frame(reader) -> Optional[Dict[str, object]]:
-    """Read one frame from a ``makefile("rb")`` reader; None on EOF.
-
-    Raises :class:`ValueError` on an oversized, truncated or non-JSON frame.
-    """
-    try:
-        line = reader.readline(MAX_FRAME_BYTES + 1)
-    except (OSError, ValueError):
-        return None
-    if not line:
-        return None
-    if len(line) > MAX_FRAME_BYTES:
-        raise ValueError(f"malformed frame: longer than {MAX_FRAME_BYTES} bytes")
-    if not line.endswith(b"\n"):
-        raise ValueError("malformed frame: truncated by end of stream")
-    try:
-        frame = json.loads(line.decode("utf-8"))
-    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
-        raise ValueError(f"malformed frame: {error}") from None
-    if not isinstance(frame, dict) or "type" not in frame:
-        raise ValueError(f"malformed frame: {frame!r}")
-    return frame
-
-
-# -- wire forms ------------------------------------------------------------------------------
-#
-# Everything a ShardTask carries is JSON-safe except the FuzzerConfiguration
-# dataclass tree (CoreConfig with nested cache/predictor configs and a
-# frozenset of bug ids, the swapMem MemoryLayout, and two enums).  These
-# helpers flatten that tree losslessly; round-tripping reconstructs dataclass
-# trees that compare equal, which the engine's determinism guarantees rest on.
-
-
-def core_config_to_wire(core: CoreConfig) -> Dict[str, object]:
-    payload = asdict(core)
-    payload["bugs"] = sorted(core.bugs)
-    return payload
-
-
-def _wire_fields(cls, payload, what: str) -> Dict[str, object]:
-    """A copy of ``payload`` once its keys are exactly the fields of the
-    dataclass ``cls``; raises :class:`ValueError` naming any missing or
-    unknown key (every field is required on the wire)."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{what} wire form is not an object: {payload!r}")
-    names = [spec.name for spec in fields(cls)]
-    missing = [name for name in names if name not in payload]
-    unknown = sorted(str(key) for key in payload if key not in names)
-    if missing or unknown:
-        problems = []
-        if missing:
-            problems.append(f"lacks {', '.join(missing)}")
-        if unknown:
-            problems.append(f"has unknown {', '.join(unknown)}")
-        raise ValueError(f"{what} wire form {' and '.join(problems)}")
-    return dict(payload)
-
-
-def core_config_from_wire(payload: Dict[str, object]) -> CoreConfig:
-    data = _wire_fields(CoreConfig, payload, "core config")
-    data["icache"] = CacheConfig(**_wire_fields(CacheConfig, data["icache"], "icache"))
-    data["dcache"] = CacheConfig(**_wire_fields(CacheConfig, data["dcache"], "dcache"))
-    data["predictors"] = PredictorConfig(
-        **_wire_fields(PredictorConfig, data["predictors"], "predictor config")
-    )
-    data["bugs"] = frozenset(data["bugs"])
-    return CoreConfig(**data)
-
-
-def fuzzer_configuration_to_wire(
-    configuration: FuzzerConfiguration,
-) -> Dict[str, object]:
-    return {
-        "core": core_config_to_wire(configuration.core),
-        "entropy": configuration.entropy,
-        "layout": asdict(configuration.layout),
-        "taint_mode": configuration.taint_mode.value,
-        "training_mode": configuration.training_mode.value,
-        "coverage_feedback": configuration.coverage_feedback,
-        "use_liveness_annotations": configuration.use_liveness_annotations,
-        "training_candidates": configuration.training_candidates,
-        "max_cycles_per_packet": configuration.max_cycles_per_packet,
-        "window_mutations_per_trigger": configuration.window_mutations_per_trigger,
-        "low_gain_limit": configuration.low_gain_limit,
-        "seed_id_base": configuration.seed_id_base,
-        "name": configuration.name,
-    }
-
-
-def fuzzer_configuration_from_wire(
-    payload: Dict[str, object],
-) -> FuzzerConfiguration:
-    data = _wire_fields(FuzzerConfiguration, payload, "fuzzer configuration")
-    data["core"] = core_config_from_wire(data["core"])
-    data["layout"] = MemoryLayout(**_wire_fields(MemoryLayout, data["layout"], "layout"))
-    data["taint_mode"] = TaintTrackingMode(data["taint_mode"])
-    data["training_mode"] = TrainingMode(data["training_mode"])
-    return FuzzerConfiguration(**data)
-
-
-def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
-    return {
-        "slice_index": task.slice_index,
-        "epoch": task.epoch,
-        "iterations": task.iterations,
-        "configuration": fuzzer_configuration_to_wire(task.configuration),
-        "initial_seed": task.initial_seed,
-        "baseline_points": task.baseline_points,
-        "report_top_seeds": task.report_top_seeds,
-        "step_latency": task.step_latency,
-        "simulator": task.simulator,
-        "profile": task.profile,
-        "telemetry": task.telemetry,
-    }
-
-
-def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
-    """Decode a task wire form; raises :class:`ValueError` naming any
-    missing or unknown key."""
-    payload = _wire_fields(ShardTask, payload, "shard task")
-    return ShardTask(
-        slice_index=int(payload["slice_index"]),
-        epoch=int(payload["epoch"]),
-        iterations=int(payload["iterations"]),
-        configuration=fuzzer_configuration_from_wire(payload["configuration"]),
-        initial_seed=payload["initial_seed"],
-        baseline_points=list(payload["baseline_points"]),
-        report_top_seeds=int(payload["report_top_seeds"]),
-        step_latency=float(payload["step_latency"]),
-        simulator=str(payload["simulator"]),
-        profile=int(payload["profile"]),
-        telemetry=bool(payload["telemetry"]),
-    )
+    with lock or nullcontext():
+        sock.sendall(encode_frame(frame))
 
 
 # -- the coordinator -------------------------------------------------------------------------
@@ -327,6 +165,12 @@ class _WorkerConnection:
         self.tasks_completed = 0
 
     def close(self) -> None:
+        # shutdown() first: the reader thread's makefile() holds the
+        # descriptor open, so close() alone would not unblock its read.
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self.sock.close()
         except OSError:
@@ -463,7 +307,7 @@ class DistributedBackend(ExecutionBackend):
     def _serve_worker(self, conn: socket.socket) -> None:
         reader = conn.makefile("rb")
         try:
-            hello = recv_frame(reader)
+            hello = read_frame(reader)
         except ValueError:
             hello = None
         if not hello or hello.get("type") != "HELLO":
@@ -502,7 +346,7 @@ class DistributedBackend(ExecutionBackend):
             self._condition.notify_all()
         try:
             while True:
-                frame = recv_frame(reader)
+                frame = read_frame(reader)
                 if frame is None or frame.get("type") == "BYE":
                     return
                 kind = frame.get("type")
@@ -538,6 +382,10 @@ class DistributedBackend(ExecutionBackend):
             raise ValueError("malformed RESULT frame: no task payload")
         task_id = str(frame.get("task_id"))
         with self._condition:
+            if not self._task_attempts.get(task_id):
+                # Not dispatched by the running epoch: a late delivery from
+                # an earlier one, dropped before any bookkeeping.
+                return
             worker.last_heartbeat = time.monotonic()
             worker.inflight.pop(task_id, None)
             worker.tasks_completed += 1

@@ -113,7 +113,7 @@ from repro.core.backends import (
 )
 from repro.core.corpus import SharedCorpus
 from repro.core.coverage import CoveragePoint, TaintCoverageMatrix
-from repro.core.distributed import MAX_FRAME_BYTES
+from repro.core.wire import MAX_FRAME_BYTES, decode_object, encode_frame
 from repro.core.fuzzer import FuzzerConfiguration
 from repro.core.report import CampaignResult
 from repro.generation.seeds import Seed
@@ -539,6 +539,13 @@ class EngineResult:
 # clear format error rather than silently misinterpreted.
 CHECKPOINT_FORMAT = 2
 
+# The top-level keys restore() reads without a default.
+_CHECKPOINT_KEYS = (
+    "fingerprint", "next_epoch", "assignments", "slice_iterations_done",
+    "transfer_count", "corpus", "core_coverage", "campaign", "slice_points",
+    "slice_summaries", "transfers", "redistributed_seeds", "transferred_seeds",
+)
+
 
 class CampaignScheduler:
     """The transport-agnostic brain of a sharded campaign.
@@ -884,7 +891,7 @@ class CampaignScheduler:
         :meth:`ParallelCampaignEngine.resume_from` loads, so the previous
         checkpoint stays intact and resumable.
         """
-        data = json.dumps(self.checkpoint_state(), indent=2).encode("utf-8")
+        data = encode_frame(self.checkpoint_state())
         if len(data) > MAX_FRAME_BYTES:
             raise ValueError(
                 f"checkpoint of {len(data)} bytes is larger than "
@@ -915,6 +922,9 @@ class CampaignScheduler:
                 f"migrate the checkpoint (format 1 checkpoints are keyed by "
                 f"physical shard and cannot be resharded)"
             )
+        missing = [key for key in _CHECKPOINT_KEYS if key not in payload]
+        if missing:
+            raise ValueError(f"checkpoint lacks {', '.join(missing)}")
         expected = self.configuration_fingerprint()
         found = payload.get("fingerprint")
         if found != expected:
@@ -1347,11 +1357,7 @@ class ParallelCampaignEngine:
         # before parsing, so a huge file fails fast instead of exhausting memory.
         with open(path, "rb") as handle:
             raw = handle.read(MAX_FRAME_BYTES + 1)
-        if len(raw) > MAX_FRAME_BYTES:
-            raise ValueError(
-                f"checkpoint {path!r} is larger than {MAX_FRAME_BYTES} bytes; refusing to load it"
-            )
-        payload = json.loads(raw.decode("utf-8"))
+        payload = decode_object(raw, f"checkpoint {path!r}")
         engine = cls(configuration)
         engine.scheduler.restore(payload)
         return engine

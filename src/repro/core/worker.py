@@ -42,14 +42,8 @@ import time
 from typing import Callable, List, Optional
 
 from repro.core.backends import BACKEND_NAMES, ExecutionBackend, create_backend
-from repro.core.distributed import (
-    HEARTBEAT_INTERVAL,
-    PROTOCOL_VERSION,
-    parse_address,
-    recv_frame,
-    send_frame,
-    shard_task_from_wire,
-)
+from repro.core.distributed import HEARTBEAT_INTERVAL, parse_address, send_frame
+from repro.core.wire import PROTOCOL_VERSION, read_frame, shard_task_from_wire
 from repro.telemetry.metrics import LatencyHistogram
 
 __all__ = ["run_worker", "main"]
@@ -125,7 +119,7 @@ def _serve_connection(
         threading.Thread(target=beat, name="worker-heartbeat", daemon=True).start()
         log(f"connected (capacity {capacity}, {backend_name} backend)")
         while True:
-            frame = recv_frame(reader)
+            frame = read_frame(reader)
             if frame is None:
                 log("coordinator hung up")
                 return "hangup"

@@ -2,10 +2,11 @@
 
 The paper's fuzzer spends essentially all wall clock inside an external RTL
 simulator; this package makes that boundary real.  A **simulator server**
-(``python -m repro.sim.server``) hosts one simulator instance behind a
-JSON-lines stdio protocol — ``LOAD`` a workload, ``STEP`` to the next
-simulator boundary, ``READ`` coverage/census state, ``SNAPSHOT``/``RESTORE``
-for crash recovery, ``QUIT`` — and a **fault-tolerant client**
+(``python -m repro.sim.server``) hosts one simulator instance behind a stdio
+protocol of :mod:`repro.core.wire` frames — ``LOAD`` a workload, ``STEP`` to
+the next simulator boundary, ``READ`` coverage/census state,
+``SNAPSHOT``/``RESTORE`` for crash recovery, ``QUIT`` — and a
+**fault-tolerant client**
 (:class:`~repro.sim.client.SubprocessSimulator`, pooled per slice by
 :class:`~repro.sim.client.SimProcessPool`) drives campaign steps against it.
 
@@ -38,10 +39,9 @@ from repro.sim.client import (
     default_server_command,
     run_task_on_default_pool,
 )
-from repro.sim.protocol import PROTOCOL_VERSION, state_digest
+from repro.sim.protocol import state_digest
 
 __all__ = [
-    "PROTOCOL_VERSION",
     "SimProcessPool",
     "SimProtocolError",
     "SimServerCrash",

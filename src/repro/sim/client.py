@@ -3,10 +3,10 @@
 Three layers:
 
 * :class:`SimServerProcess` — one spawned ``python -m repro.sim.server``
-  subprocess with raw JSON-lines framing over its stdio pipes.  Reads are
-  ``select``-based with a deadline, so a *hung* server (alive but silent) is
-  detected exactly like a dead one: the process is killed and the request
-  raises :class:`SimServerCrash`.
+  subprocess with :mod:`repro.core.wire` frames over its stdio pipes.
+  Reads are ``select``-based with a deadline, so a *hung* server (alive but
+  silent) is detected exactly like a dead one: the process is killed and the
+  request raises :class:`SimServerCrash`.
 * :class:`SubprocessSimulator` — the fault-tolerant driver of one slice's
   workload.  It LOADs a task, STEPs it to completion, takes a SNAPSHOT every
   ``snapshot_interval`` steps, and when the server crashes or hangs it spawns
@@ -27,7 +27,6 @@ matter how many server processes died, which the engine tests assert.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import select
 import subprocess
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.backends import ShardTask
-from repro.core.distributed import MAX_FRAME_BYTES, shard_task_to_wire
+from repro.core.wire import MAX_FRAME_BYTES, decode_object, encode_frame, shard_task_to_wire
 from repro.telemetry.metrics import LatencyHistogram
 
 __all__ = [
@@ -145,14 +144,19 @@ class SimServerProcess:
             timeout if timeout is not None else self.request_timeout
         )
         try:
-            write_frame_bytes(self._process.stdin, frame)
+            self._process.stdin.write(encode_frame(frame))
+            self._process.stdin.flush()
         except (OSError, ValueError) as error:
             raise SimServerCrash(
                 f"simulator server pid {self.pid} is gone (write failed: {error})"
             ) from None
-        line = self._read_line(deadline)
-        response = parse_response(line)
-        if response.get("type") == "ERROR":
+        try:
+            response = decode_object(self._read_line(deadline), "server response")
+        except ValueError as error:
+            raise SimProtocolError(str(error)) from None
+        if "type" not in response:
+            raise SimProtocolError("malformed server response: no 'type' field")
+        if response["type"] == "ERROR":
             raise SimProtocolError(str(response.get("error")))
         return response
 
@@ -218,22 +222,6 @@ class SimServerProcess:
                 stream.close()
             except OSError:
                 pass
-
-
-def write_frame_bytes(stream, frame: Dict[str, object]) -> None:
-    """Binary-pipe variant of :func:`repro.sim.protocol.write_frame`."""
-    stream.write((json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8"))
-    stream.flush()
-
-
-def parse_response(line: bytes) -> Dict[str, object]:
-    try:
-        response = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
-        raise SimProtocolError(f"unparseable server response: {error}") from None
-    if not isinstance(response, dict) or "type" not in response:
-        raise SimProtocolError(f"malformed server response: {response!r}")
-    return response
 
 
 @dataclass

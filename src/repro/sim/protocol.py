@@ -1,8 +1,10 @@
 """The simulator-server wire protocol.
 
-JSON lines over stdio: the client writes one request object per line to the
-server's stdin and reads one response object per line from its stdout (the
-server's stderr is free for logging).  Every frame carries a ``type`` field.
+Frames of :mod:`repro.core.wire` over stdio: the client writes one request
+frame per line to the server's stdin and reads one response frame per line
+from its stdout (the server's stderr is free for logging).  Every frame is a
+JSON object with a ``type`` field on one newline-terminated line of at most
+:data:`~repro.core.wire.MAX_FRAME_BYTES` bytes.
 
 Requests — the six verbs:
 
@@ -50,11 +52,12 @@ ERROR       ``error`` (message); the session survives and the next
             request is handled normally
 ==========  =========================================================
 
-Error handling is deliberately two-tier: *protocol* errors (malformed or
-over-long frame, ``READ`` before ``LOAD``, ``STEP`` after the workload
-finished, unknown verb) come back as ``ERROR`` frames and never kill the
-server, while *process* failures (crash, kill, hang) surface client-side as
-EOF or a request timeout and are recovered by restart-and-replay.
+Error handling is deliberately two-tier: *protocol* errors (a malformed,
+over-long or unterminated frame, ``READ`` before ``LOAD``, ``STEP`` after
+the workload finished, unknown verb) come back as ``ERROR`` frames and never
+kill the server, while *process* failures (crash, kill, hang) surface
+client-side as EOF or a request timeout and are recovered by
+restart-and-replay.
 
 Snapshots exploit the model's determinism: a snapshot is the pair
 ``(steps, digest)`` and ``RESTORE`` replays the loaded workload to that step
@@ -69,45 +72,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, IO, Optional
-
-from repro.core.distributed import MAX_FRAME_BYTES
-
-PROTOCOL_VERSION = 1
-
-
-def write_frame(stream: IO[str], frame: Dict[str, object]) -> None:
-    """Write one frame to a text stream and flush it (stdio is line-buffered
-    at best; the peer blocks until the line arrives)."""
-    stream.write(json.dumps(frame, separators=(",", ":")) + "\n")
-    stream.flush()
-
-
-def read_frame(stream: IO[bytes]) -> Optional[Dict[str, object]]:
-    """Read one frame from a binary stream; ``None`` on EOF.
-
-    Raises :class:`ValueError` on a line that is not a UTF-8 JSON object with
-    a ``type`` field, or that is longer than :data:`MAX_FRAME_BYTES` bytes —
-    the server answers that with an ``ERROR`` frame rather than dying, so a
-    buggy client cannot wedge the session.  An oversized line is consumed to
-    its end first, so the next read starts at the next request.
-    """
-    line = stream.readline(MAX_FRAME_BYTES + 1)
-    if not line:
-        return None
-    if len(line) > MAX_FRAME_BYTES:
-        while line and not line.endswith(b"\n"):
-            line = stream.readline(MAX_FRAME_BYTES)
-        raise ValueError(f"malformed frame: longer than {MAX_FRAME_BYTES} bytes")
-    if not line.strip():
-        raise ValueError("malformed frame: empty line")
-    try:
-        frame = json.loads(line.decode("utf-8"))
-    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
-        raise ValueError(f"malformed frame: {error}") from None
-    if not isinstance(frame, dict) or "type" not in frame:
-        raise ValueError(f"malformed frame: {frame!r}")
-    return frame
 
 
 def state_digest(runner, steps: int) -> str:

@@ -1,7 +1,7 @@
 """The simulator server daemon.
 
 Hosts one simulator instance behind the stdio protocol of
-:mod:`repro.sim.protocol`::
+:mod:`repro.sim.protocol` (frames of :mod:`repro.core.wire`)::
 
     python -m repro.sim.server
 
@@ -39,8 +39,8 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.backends import ShardCampaignRunner
-from repro.core.distributed import shard_task_from_wire
-from repro.sim.protocol import read_frame, state_digest, write_frame
+from repro.core.wire import encode_frame, read_frame, shard_task_from_wire
+from repro.sim.protocol import state_digest
 
 __all__ = ["SimulatorSession", "serve", "main"]
 
@@ -56,11 +56,8 @@ class SimulatorSession:
     # -- verbs ------------------------------------------------------------------------------
 
     def load(self, frame: Dict[str, object]) -> Dict[str, object]:
-        task_wire = frame.get("task")
-        if not isinstance(task_wire, dict):
-            raise ValueError("LOAD needs a 'task' object (ShardTask wire form)")
         try:
-            task = shard_task_from_wire(task_wire)
+            task = shard_task_from_wire(frame.get("task"))
         except TypeError as error:  # a value of the wrong type
             raise ValueError(f"malformed task: {error}") from None
         self._runner = ShardCampaignRunner(task)
@@ -154,24 +151,19 @@ def serve(
     crash_after: Optional[int] = None,
     hang_after: Optional[int] = None,
 ) -> int:
-    """Answer requests from the binary ``input_stream`` on the text
+    """Answer requests from the binary ``input_stream`` on the binary
     ``output_stream`` until QUIT or EOF; returns an exit code."""
     session = SimulatorSession()
     steps_served = 0
     while True:
         try:
             frame = read_frame(input_stream)
-        except ValueError as error:
-            write_frame(output_stream, {"type": "ERROR", "error": str(error)})
-            continue
-        if frame is None:
-            return 0  # client hung up
-        kind = frame["type"]
-        if kind == "QUIT":
-            write_frame(output_stream, {"type": "BYE"})
-            return 0
-        try:
-            if kind == "LOAD":
+            if frame is None:
+                return 0  # client hung up
+            kind = frame["type"]
+            if kind == "QUIT":
+                response = {"type": "BYE"}
+            elif kind == "LOAD":
                 response = session.load(frame)
             elif kind == "STEP":
                 if crash_after is not None and steps_served >= crash_after:
@@ -202,9 +194,13 @@ def serve(
                 steps_served = 0
             else:
                 response = {"type": "ERROR", "error": f"unknown request type {kind!r}"}
-        except ValueError as error:
+        except ValueError as error:  # a malformed frame or a misused verb
             response = {"type": "ERROR", "error": str(error)}
-        write_frame(output_stream, response)
+        # Flushed per frame: the client blocks until the line arrives.
+        output_stream.write(encode_frame(response))
+        output_stream.flush()
+        if response["type"] == "BYE":
+            return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     return serve(
         sys.stdin.buffer,
-        sys.stdout,
+        sys.stdout.buffer,
         crash_after=args.crash_after,
         hang_after=args.hang_after,
     )

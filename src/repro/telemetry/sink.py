@@ -17,7 +17,6 @@ working either way.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -25,6 +24,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
+from repro.core.wire import encode_frame
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["CampaignTelemetry", "TelemetryRing", "TelemetrySink"]
@@ -114,7 +114,7 @@ class TelemetrySink:
         """Append one record; returns whether it was durably written."""
         if self.failed:
             return False
-        line = (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+        line = encode_frame(record)
         if self._size and self._size + len(line) > self.max_bytes:
             self._index += 1
             self._size = 0

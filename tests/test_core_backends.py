@@ -253,7 +253,7 @@ class TestShardCampaignRunner:
         assert runner.advance() is None
 
     def test_simulator_field_survives_the_distributed_wire(self):
-        from repro.core.distributed import shard_task_from_wire, shard_task_to_wire
+        from repro.core.wire import shard_task_from_wire, shard_task_to_wire
 
         task = make_task(simulator="subprocess")
         assert shard_task_from_wire(shard_task_to_wire(task)) == task

@@ -14,17 +14,15 @@ import pytest
 
 from repro.core import FuzzerConfiguration, ShardTask, run_parallel_campaign
 from repro.core.backends import run_shard_task
-from repro.core.distributed import (
+from repro.core.distributed import DistributedBackend, parse_address, send_frame
+from repro.core.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    DistributedBackend,
     core_config_from_wire,
     core_config_to_wire,
     fuzzer_configuration_from_wire,
     fuzzer_configuration_to_wire,
-    parse_address,
-    recv_frame,
-    send_frame,
+    read_frame,
     shard_task_from_wire,
     shard_task_to_wire,
 )
@@ -165,10 +163,10 @@ class TestFraming:
             reader = right.makefile("rb")
             send_frame(left, {"type": "HELLO", "capacity": 3})
             send_frame(left, {"type": "HEARTBEAT"})
-            assert recv_frame(reader) == {"type": "HELLO", "capacity": 3}
-            assert recv_frame(reader) == {"type": "HEARTBEAT"}
+            assert read_frame(reader) == {"type": "HELLO", "capacity": 3}
+            assert read_frame(reader) == {"type": "HEARTBEAT"}
             left.close()
-            assert recv_frame(reader) is None  # EOF
+            assert read_frame(reader) is None  # EOF
         finally:
             right.close()
 
@@ -179,8 +177,11 @@ class TestFraming:
             b"this is not json\n",
             b'{"type":"HELLO","pad":"' + b"x" * MAX_FRAME_BYTES + b'"}\n',
             b'{"type": "HEARTBEAT"}',  # EOF before the newline
+            b"\xff\xfe{}\n",
+            b"[1, 2]\n",
+            b"\n",
         ],
-        ids=["no-type", "non-json", "oversized", "truncated"],
+        ids=["no-type", "non-json", "oversized", "truncated", "non-utf8", "not-an-object", "blank"],
     )
     def test_malformed_frame_is_rejected(self, data):
         left, right = socket.socketpair()
@@ -197,7 +198,7 @@ class TestFraming:
         sender.start()
         try:
             with pytest.raises(ValueError, match="malformed frame"):
-                recv_frame(reader)
+                read_frame(reader)
         finally:
             right.close()
             sender.join(timeout=30)
@@ -311,7 +312,7 @@ class TestFaultTolerance:
 
             runner = threading.Thread(target=run, daemon=True)
             runner.start()
-            frame = recv_frame(reader)
+            frame = read_frame(reader)
             assert frame["type"] == "TASK" and len(frame["tasks"]) == 1
             task_id = frame["tasks"][0]["task_id"]
             payload = run_shard_task(tasks[0])
@@ -330,6 +331,108 @@ class TestFaultTolerance:
             assert diagnostics["worker"] == "w000"
             assert diagnostics["reassigned"] is False
             client.close()
+        finally:
+            backend.close()
+
+    def test_result_the_epoch_did_not_dispatch_is_dropped(self):
+        backend = DistributedBackend(listen="127.0.0.1:0")
+        try:
+            client = socket.create_connection(backend.address, timeout=30)
+            send_frame(
+                client,
+                {
+                    "type": "HELLO",
+                    "version": PROTOCOL_VERSION,
+                    "worker": "fake:1",
+                    "capacity": 1,
+                },
+            )
+            tasks = [make_task()]
+            collected = {}
+            runner = threading.Thread(
+                target=lambda: collected.update(payloads=backend.run_epoch(tasks)),
+                daemon=True,
+            )
+            runner.start()
+            task_id = read_frame(client.makefile("rb"))["tasks"][0]["task_id"]
+            payload = run_shard_task(tasks[0])
+            # A RESULT for a task id this epoch never handed out comes first;
+            # it must neither finish the epoch nor be counted.
+            send_frame(client, {"type": "RESULT", "task_id": "e9-s9", "payload": payload})
+            send_frame(client, {"type": "RESULT", "task_id": task_id, "payload": payload})
+            runner.join(timeout=30)
+            assert not runner.is_alive()
+            assert [p["slice_index"] for p in collected["payloads"]] == [0]
+            assert received(backend) == 1
+            client.close()
+        finally:
+            backend.close()
+
+    def test_late_result_of_a_swept_worker_does_not_end_the_next_epoch(self):
+        # A silent worker is declared dead while it holds e0-s0; a live worker
+        # finishes epoch 0; the silent one then delivers e0-s0 during epoch 1.
+        backend = DistributedBackend(listen="127.0.0.1:0", heartbeat_timeout=0.5)
+        try:
+            silent = socket.create_connection(backend.address, timeout=30)
+            send_frame(
+                silent,
+                {
+                    "type": "HELLO",
+                    "version": PROTOCOL_VERSION,
+                    "worker": "silent:1",
+                    "capacity": 1,
+                },
+            )
+            first = [make_task()]
+            second = [
+                make_task(
+                    epoch=1,
+                    slice_index=index,
+                    configuration=FuzzerConfiguration(
+                        core=BOOM, entropy=50 + index, seed_id_base=10 + 100 * index
+                    ),
+                )
+                for index in range(2)
+            ]
+            collected = {}
+
+            def run(key, tasks):
+                collected[key] = backend.run_epoch(tasks)
+
+            epoch0 = threading.Thread(target=run, args=("e0", first), daemon=True)
+            epoch0.start()
+            frame = read_frame(silent.makefile("rb"))
+            assert [entry["task_id"] for entry in frame["tasks"]] == ["e0-s0"]
+            late_payload = run_shard_task(first[0])
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and backend.workers()[0]["alive"]:
+                time.sleep(0.02)
+            assert not backend.workers()[0]["alive"]  # swept: no heartbeats
+            silent.settimeout(10)
+            assert silent.recv(1) == b""  # ... and its connection shut down
+            start_worker_thread(backend.address, heartbeat_interval=0.1)
+            epoch0.join(timeout=60)
+            assert [p["epoch"] for p in collected["e0"]] == [0]
+
+            epoch1 = threading.Thread(target=run, args=("e1", second), daemon=True)
+            epoch1.start()
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and not backend.workers()[1]["inflight"]:
+                time.sleep(0.02)
+            try:
+                send_frame(
+                    silent,
+                    {"type": "RESULT", "task_id": "e0-s0", "payload": late_payload},
+                )
+            except OSError:
+                pass  # the coordinator already shut the dropped socket down
+            epoch1.join(timeout=60)
+            assert not epoch1.is_alive()
+            assert [(p["epoch"], p["slice_index"]) for p in collected["e1"]] == [
+                (1, 0),
+                (1, 1),
+            ]
+            silent.close()
         finally:
             backend.close()
 
@@ -416,7 +519,7 @@ class TestWorkerProtocolErrors:
             for reply in (first_reply, None):
                 conn, _ = server.accept()
                 with conn:
-                    hello = recv_frame(conn.makefile("rb"))
+                    hello = read_frame(conn.makefile("rb"))
                     hellos.append(hello["type"])
                     if reply is None:
                         send_frame(conn, {"type": "BYE", "reason": "done"})
@@ -495,7 +598,7 @@ class TestProtocolVersion:
                     client,
                     {"type": "HELLO", "version": PROTOCOL_VERSION - 1, "worker": "old:1"},
                 )
-                frame = recv_frame(client.makefile("rb"))
+                frame = read_frame(client.makefile("rb"))
             client.close()
             assert frame["type"] == "BYE"
             assert frame["code"] == "version"
@@ -514,7 +617,7 @@ class TestProtocolVersion:
         def serve():
             conn, _ = server.accept()
             with conn:
-                hellos.append(recv_frame(conn.makefile("rb")))
+                hellos.append(read_frame(conn.makefile("rb")))
                 send_frame(conn, {"type": "BYE", "code": "version", "reason": "old"})
 
         thread = threading.Thread(target=serve, daemon=True)
@@ -568,7 +671,7 @@ class TestCoordinatorProtocolErrors:
 
             runner = threading.Thread(target=run, daemon=True)
             runner.start()
-            frame = recv_frame(reader)
+            frame = read_frame(reader)
             assert frame["type"] == "TASK"
             client.sendall(bad_frame)
             client.shutdown(socket.SHUT_WR)

@@ -1,6 +1,8 @@
 """Tests for the sharded parallel campaign engine, the shared corpus and the
 wire-format serialization that carries state between executor processes."""
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -894,13 +896,43 @@ class TestCheckpointResume:
             ParallelCampaignEngine.resume_from(str(path), self.cfg())
 
     def test_checkpoint_larger_than_a_frame_is_refused(self, tmp_path):
-        from repro.core.distributed import MAX_FRAME_BYTES
+        from repro.core.wire import MAX_FRAME_BYTES
 
         path = tmp_path / "huge.json"
         with open(path, "wb") as handle:
             handle.truncate(MAX_FRAME_BYTES + 1)  # sparse: no 16 MiB write
-        with pytest.raises(ValueError, match="larger than .* refusing to load"):
+        with pytest.raises(ValueError, match="checkpoint .* longer than"):
             ParallelCampaignEngine.resume_from(str(path), self.cfg())
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}\n", b"not json\n", b"[1, 2]\n", b"\n"],
+        ids=["non-utf8", "non-json", "not-an-object", "blank"],
+    )
+    def test_malformed_checkpoint_is_refused(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="malformed checkpoint"):
+            ParallelCampaignEngine.resume_from(str(path), self.cfg())
+
+    @pytest.mark.parametrize("content", ["list", "string", "no-corpus"])
+    def test_cli_reports_a_malformed_checkpoint(self, tmp_path, capsys, content):
+        path = tmp_path / "checkpoint.json"
+        if content == "no-corpus":
+            ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
+            payload = json.loads(path.read_text())
+            del payload["corpus"]
+            path.write_text(json.dumps(payload))
+        else:
+            path.write_text("[1, 2]" if content == "list" else '"x"')
+        code = engine_main(
+            ["--resume", str(path), "--backend", "inline", "--iterations", "12"]
+        )
+        output = capsys.readouterr().out
+        assert code == 2
+        assert output.startswith("error:")
+        if content == "no-corpus":
+            assert "lacks corpus" in output
 
     def test_checkpoint_larger_than_a_frame_is_not_written(self, tmp_path, monkeypatch):
         engine = ParallelCampaignEngine(self.cfg(tmp_path))

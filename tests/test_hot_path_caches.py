@@ -11,7 +11,7 @@ different schedule, so each counted simulation really runs.
 import pytest
 
 from repro.core.backends import ShardTask, run_shard_task
-from repro.core.distributed import shard_task_from_wire, shard_task_to_wire
+from repro.core.wire import shard_task_from_wire, shard_task_to_wire
 from repro.core.engine import EngineConfiguration, ParallelCampaignEngine
 from repro.core.fuzzer import FuzzerConfiguration, run_quick_campaign
 from repro.core.phase1 import TransientWindowTriggering

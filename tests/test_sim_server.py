@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import FuzzerConfiguration, ShardTask
 from repro.core.backends import run_shard_task
-from repro.core.distributed import MAX_FRAME_BYTES, shard_task_to_wire
+from repro.core.wire import MAX_FRAME_BYTES, read_frame, shard_task_to_wire
 from repro.sim.client import (
     SimProtocolError,
     SimServerCrash,
@@ -21,7 +21,6 @@ from repro.sim.client import (
     default_server_command,
     server_environment,
 )
-from repro.sim.protocol import read_frame
 from repro.uarch import small_boom_config
 
 BOOM = small_boom_config()
@@ -120,10 +119,21 @@ class TestVerbs:
 
 
 class TestEdgeCases:
-    def test_malformed_frame_survives(self, server):
-        # A raw non-JSON line must produce an ERROR frame, not kill the
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"this is not json\n",
+            b"\xff\xfe{}\n",
+            b"[1, 2]\n",
+            b"\n",
+            b'{"no_type": 1}\n',
+        ],
+        ids=["non-json", "non-utf8", "not-an-object", "blank", "no-type"],
+    )
+    def test_malformed_frame_survives(self, server, line):
+        # A malformed line must produce an ERROR frame, not kill the
         # session: the next request is answered normally.
-        server._process.stdin.write(b"this is not json\n")
+        server._process.stdin.write(line)
         server._process.stdin.flush()
         line = server._read_line(time.monotonic() + 30)
         response = json.loads(line)
@@ -153,8 +163,14 @@ class TestEdgeCases:
         )
         assert follow_up["type"] == "LOADED"
 
-    def test_truncated_frame_is_an_error(self):
-        # A request cut off by EOF is malformed: one ERROR, then a clean exit.
+    @pytest.mark.parametrize(
+        "data",
+        ['{"type": "LO', '{"type": "QUIT"}'],
+        ids=["cut-json", "complete-json"],
+    )
+    def test_truncated_frame_is_an_error(self, data):
+        # A request cut off by EOF is malformed, even when the JSON is
+        # complete: one ERROR, then a clean exit.
         process = subprocess.Popen(
             default_server_command(),
             stdin=subprocess.PIPE,
@@ -162,7 +178,7 @@ class TestEdgeCases:
             env=server_environment(),
             text=True,
         )
-        out, _ = process.communicate(input='{"type": "LO', timeout=60)
+        out, _ = process.communicate(input=data, timeout=60)
         assert process.returncode == 0
         frames = [json.loads(line) for line in out.splitlines() if line.strip()]
         assert [frame["type"] for frame in frames] == ["ERROR"]
@@ -280,10 +296,21 @@ def fake_server(reply: str):
 class TestClientFraming:
     """Malformed server responses against the client's bounded reader."""
 
-    def test_non_json_response_is_a_protocol_error(self):
-        process = fake_server(repr(b"this is not json\n"))
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (b"this is not json\n", "unparseable"),
+            (b"\xff\xfe{}\n", "unparseable"),
+            (b"[1, 2]\n", "not an object"),
+            (b"\n", "unparseable"),
+            (b'{"no_type": 1}\n', "no 'type' field"),
+        ],
+        ids=["non-json", "non-utf8", "not-an-object", "blank", "no-type"],
+    )
+    def test_non_json_response_is_a_protocol_error(self, reply, message):
+        process = fake_server(repr(reply))
         try:
-            with pytest.raises(SimProtocolError, match="unparseable"):
+            with pytest.raises(SimProtocolError, match=message):
                 process.request({"type": "READ"})
         finally:
             process.kill()

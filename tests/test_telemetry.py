@@ -18,7 +18,7 @@ from repro.analysis import latency_percentiles, telemetry_table
 from repro.analysis.watch import TelemetryFollower, validate_record
 from repro.analysis.watch import main as watch_main
 from repro.core.backends import ShardTask, run_shard_task
-from repro.core.distributed import shard_task_from_wire, shard_task_to_wire
+from repro.core.wire import shard_task_from_wire, shard_task_to_wire
 from repro.core.engine import (
     EngineConfiguration,
     EngineResult,
@@ -590,6 +590,19 @@ class TestWatchCli:
             handle.write(b'ks", "ts": 2.0, "epoch": 1, "rows": []}\n')
         assert len(follower.poll()) == 1  # ... and completes next poll
         assert not follower.errors
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"\xff\xfe{}", b"not json at all", b"[1, 2]", b""],
+        ids=["non-utf8", "non-json", "not-an-object", "blank"],
+    )
+    def test_follower_counts_a_malformed_line(self, tmp_path, line):
+        record = {"type": "tasks", "ts": 1.0, "epoch": 0, "rows": []}
+        file = tmp_path / "telemetry-00001.jsonl"
+        file.write_bytes(line + b"\n" + (json.dumps(record) + "\n").encode())
+        follower = TelemetryFollower(str(tmp_path))
+        assert follower.poll() == [record]
+        assert len(follower.errors) == 1 and "malformed record" in follower.errors[0]
 
     def test_follower_skips_a_line_longer_than_a_frame(self, tmp_path, monkeypatch):
         cap = 64
