@@ -7,7 +7,6 @@ from repro.analysis.results import (
     training_overhead_table,
     coverage_curve_statistics,
     coverage_improvement,
-    iterations_to_reach,
     latency_percentiles,
     per_core_breakdown,
     cross_core_transfer_table,
@@ -27,7 +26,6 @@ __all__ = [
     "training_overhead_table",
     "coverage_curve_statistics",
     "coverage_improvement",
-    "iterations_to_reach",
     "latency_percentiles",
     "per_core_breakdown",
     "cross_core_transfer_table",

@@ -30,19 +30,6 @@ class TaintCurve:
     def final(self) -> int:
         return self.taint_bits[-1] if self.taint_bits else 0
 
-    def value_at(self, cycle: int) -> int:
-        best = 0
-        for c, value in zip(self.cycles, self.taint_bits):
-            if c <= cycle:
-                best = value
-            else:
-                break
-        return best
-
-    def saturated(self, threshold: int) -> bool:
-        """Did the curve reach ``threshold`` tainted bits at any point?"""
-        return self.peak() >= threshold
-
 
 def extract_taint_curve(
     census_log: Iterable[TaintCensus],
@@ -99,14 +86,6 @@ def coverage_curve_statistics(curves: Sequence[List[int]]) -> Dict[str, object]:
         "min_final": min(finals),
         "max_final": max(finals),
     }
-
-
-def iterations_to_reach(curve: Sequence[int], target: int) -> Optional[int]:
-    """First iteration index at which a coverage curve reaches ``target``."""
-    for index, value in enumerate(curve):
-        if value >= target:
-            return index
-    return None
 
 
 def coverage_improvement(

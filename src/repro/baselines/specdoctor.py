@@ -22,7 +22,6 @@ the full SpecDoctor implementation:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -30,7 +29,7 @@ from repro.core.coverage import TaintCoverageMatrix
 from repro.core.report import CampaignResult
 from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
 from repro.generation.window_types import TransientWindowType, group_of
-from repro.isa.instructions import Instruction, nop
+from repro.isa.instructions import Instruction
 from repro.swapmem.harness import DualCoreHarness
 from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.packets import Packet, PacketKind, SwapSchedule

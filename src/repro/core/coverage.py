@@ -13,7 +13,7 @@ coverage point ``(module, tainted-count)``.  The metric is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.uarch.taint import TaintCensus

@@ -539,12 +539,14 @@ class EngineResult:
 # clear format error rather than silently misinterpreted.
 CHECKPOINT_FORMAT = 2
 
-# The top-level keys restore() reads without a default.
-_CHECKPOINT_KEYS = (
-    "fingerprint", "next_epoch", "assignments", "slice_iterations_done",
-    "transfer_count", "corpus", "core_coverage", "campaign", "slice_points",
-    "slice_summaries", "transfers", "redistributed_seeds", "transferred_seeds",
-)
+# The top-level keys restore() reads without a default, with their JSON types.
+_CHECKPOINT_TYPES = {
+    "fingerprint": dict, "next_epoch": int, "assignments": dict,
+    "slice_iterations_done": dict, "transfer_count": int, "corpus": list,
+    "core_coverage": dict, "campaign": dict, "slice_points": dict,
+    "slice_summaries": list, "transfers": list, "redistributed_seeds": int,
+    "transferred_seeds": int,
+}
 
 
 class CampaignScheduler:
@@ -922,9 +924,16 @@ class CampaignScheduler:
                 f"migrate the checkpoint (format 1 checkpoints are keyed by "
                 f"physical shard and cannot be resharded)"
             )
-        missing = [key for key in _CHECKPOINT_KEYS if key not in payload]
+        missing = [key for key in _CHECKPOINT_TYPES if key not in payload]
         if missing:
             raise ValueError(f"checkpoint lacks {', '.join(missing)}")
+        mistyped = [
+            f"{key} (expected {kind.__name__})"
+            for key, kind in _CHECKPOINT_TYPES.items()
+            if not isinstance(payload[key], kind)
+        ]
+        if mistyped:
+            raise ValueError(f"checkpoint has the wrong type for {', '.join(mistyped)}")
         expected = self.configuration_fingerprint()
         found = payload.get("fingerprint")
         if found != expected:

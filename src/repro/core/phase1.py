@@ -25,7 +25,6 @@ from repro.swapmem.scheduler import SwapRunner, SwapRunResult
 from repro.telemetry.metrics import NULL_REGISTRY
 from repro.uarch.config import CoreConfig, TaintTrackingMode
 from repro.uarch.processor import Processor
-from repro.utils.rng import DeterministicRng
 
 
 class DutPool:
@@ -224,8 +223,8 @@ class TransientWindowTriggering:
 
         A surviving-packet list is maintained in place, so each candidate is
         one ``del``/``insert`` and a single list copy — packets already proven
-        removable are never filtered over again (``without_packet`` would
-        rebuild the schedule from the full chained-filter each trial).
+        removable are never filtered over again (rebuilding each candidate by
+        filtering one name out of the previous schedule repeats that work).
         """
         current = schedule
         simulations = 0

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.coverage import CoverageFeedback, TaintCoverageMatrix
 from repro.core.phase1 import Phase1Result
 from repro.generation.seeds import Seed
-from repro.generation.training import TrainingDeriver, TrainingMode
+from repro.generation.training import TrainingDeriver
 from repro.generation.window import WindowCompleter
 from repro.swapmem.harness import DifferentialRunResult, DualCoreHarness
 from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout

@@ -17,7 +17,7 @@ unexploitable (the false positives that trap SpecDoctor, §6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.phase2 import Phase2Result
 from repro.generation.seeds import Seed

@@ -14,7 +14,7 @@ from repro.generation.window_types import (
     supported_window_types,
     window_types_for_table3,
 )
-from repro.generation.seeds import Seed, SeedCorpus, SeedGenotype, EncodeStrategy
+from repro.generation.seeds import Seed, SeedGenotype, EncodeStrategy
 from repro.generation.random_inst import RandomInstructionGenerator
 from repro.generation.trigger import TriggerGenerator, TriggerSpec
 from repro.generation.training import TrainingDeriver, TrainingMode
@@ -27,7 +27,6 @@ __all__ = [
     "supported_window_types",
     "window_types_for_table3",
     "Seed",
-    "SeedCorpus",
     "SeedGenotype",
     "EncodeStrategy",
     "RandomInstructionGenerator",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.generation.seeds import EncodeStrategy, Seed
 from repro.generation.window_types import TransientWindowType
@@ -80,12 +80,6 @@ class Mutator:
             mask_high_bits=self.rng.bernoulli(0.25),
         )
 
-    def mutate_secret(self, seed: Seed) -> Seed:
-        """Try a different secret pair (mitigates diffIFT false negatives, §3.3)."""
-        return seed.mutated(
-            seed_id=self.allocate_seed_id(), secret_value=self.rng.randbits(64) | 1
-        )
-
     def pick_strategies(self, uncovered_modules: Optional[Iterable[str]] = None) -> tuple:
         """Choose the secret-encoding strategies for a new window section.
 
@@ -107,17 +101,3 @@ class Mutator:
                     picked.append(self.rng.choice(pool))
                 return tuple(dict.fromkeys(picked))
         return tuple(self.rng.sample(pool, count))
-
-    def initial_population(self, count: int) -> List[Seed]:
-        seeds = []
-        for _ in range(count):
-            seeds.append(
-                Seed.fresh(
-                    seed_id=self.allocate_seed_id(),
-                    entropy=self.rng.randint(0, 2**31 - 1),
-                    window_type=self.rng.choice(list(TransientWindowType)),
-                    encode_strategies=self.pick_strategies(),
-                    mask_high_bits=self.rng.bernoulli(0.2),
-                )
-            )
-        return seeds

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.isa.instructions import Instruction, nop
+from repro.isa.instructions import Instruction
 from repro.utils.rng import DeterministicRng
 
 # Registers the generator may freely clobber.  It avoids sp/gp/tp/ra, the
@@ -134,6 +134,3 @@ class RandomInstructionGenerator:
         while len(instructions) < length:
             instructions.append(self.any_instruction(allow_branches=allow_branches))
         return instructions[:length]
-
-    def nop_block(self, length: int) -> List[Instruction]:
-        return [nop() for _ in range(length)]

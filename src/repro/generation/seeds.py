@@ -1,4 +1,4 @@
-"""Seeds, portable seed genotypes, and the seed corpus.
+"""Seeds and portable seed genotypes.
 
 A seed captures everything needed to regenerate a stimulus deterministically:
 the entropy for the random instruction generator, the targeted transient
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional
 
 from repro.generation.window_types import (
@@ -284,62 +284,3 @@ class Seed:
             generation=int(payload["generation"]),
             parent_id=payload["parent_id"] if payload["parent_id"] is None else int(payload["parent_id"]),
         )
-
-
-@dataclass
-class SeedCorpus:
-    """The corpus of seeds the fuzzing manager draws from."""
-
-    seeds: List[Seed] = field(default_factory=list)
-    coverage_by_seed: dict = field(default_factory=dict)
-
-    def add(self, seed: Seed) -> Seed:
-        self.seeds.append(seed)
-        return seed
-
-    def record_coverage(self, seed: Seed, new_points: int) -> None:
-        self.coverage_by_seed[seed.seed_id] = (
-            self.coverage_by_seed.get(seed.seed_id, 0) + new_points
-        )
-
-    def best_seeds(self, count: int = 5) -> List[Seed]:
-        ranked = sorted(
-            self.seeds,
-            key=lambda seed: self.coverage_by_seed.get(seed.seed_id, 0),
-            reverse=True,
-        )
-        return ranked[:count]
-
-    def discard(self, seed: Seed) -> None:
-        self.seeds = [candidate for candidate in self.seeds if candidate.seed_id != seed.seed_id]
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    @staticmethod
-    def initial(
-        entropy: int,
-        window_types: Optional[List[TransientWindowType]] = None,
-        per_type: int = 1,
-    ) -> "SeedCorpus":
-        """Build the initial corpus with one (or more) seed per window type.
-
-        Seed ids are allocated positionally, not from the module-global
-        counter: two ``initial`` calls with the same arguments produce
-        identical seeds (ids feed the per-seed rng streams) no matter how many
-        ad-hoc seeds were created beforehand in the process.
-        """
-        corpus = SeedCorpus()
-        rng = DeterministicRng(entropy, "corpus")
-        types = window_types or list(TransientWindowType)
-        next_id = itertools.count()
-        for window_type in types:
-            for index in range(per_type):
-                corpus.add(
-                    Seed.fresh(
-                        seed_id=next(next_id),
-                        entropy=rng.randint(0, 2**31 - 1) + index,
-                        window_type=window_type,
-                    )
-                )
-        return corpus

@@ -17,7 +17,6 @@ from typing import Dict, List
 
 from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
 from repro.generation.trigger import REG_TRIGGER_A, TriggerSpec, _li_address
-from repro.generation.window_types import TransientWindowType
 from repro.isa.instructions import Instruction, nop
 from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.packets import Packet, PacketKind
@@ -199,10 +198,3 @@ class TrainingDeriver:
                 entry_offset=0,
             )
         ]
-
-
-def training_statistics(packets: List[Packet]) -> Dict[str, int]:
-    """TO / ETO statistics for a list of trigger-training packets."""
-    total = sum(packet.instruction_count() for packet in packets)
-    effective = sum(packet.non_nop_count() for packet in packets)
-    return {"training_overhead": total, "effective_training_overhead": effective}

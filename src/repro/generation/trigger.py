@@ -32,7 +32,6 @@ from repro.isa.instructions import Instruction, nop
 from repro.isa.simulator import IsaSimulator, Permission, SimMemory
 from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.packets import Packet, PacketKind
-from repro.utils.rng import DeterministicRng
 
 # Register conventions used by generated packets.
 REG_TRIGGER_A = 10  # a0: primary trigger operand (branch lhs, jump target, address)

@@ -37,19 +37,6 @@ class TransientWindowType(enum.Enum):
         )
 
     @property
-    def is_misprediction_type(self) -> bool:
-        return self in (
-            TransientWindowType.BRANCH_MISPREDICTION,
-            TransientWindowType.INDIRECT_MISPREDICTION,
-            TransientWindowType.RETURN_MISPREDICTION,
-        )
-
-    @property
-    def needs_training(self) -> bool:
-        """Whether triggering this window requires microarchitectural training."""
-        return self.is_misprediction_type
-
-    @property
     def attack_type(self) -> str:
         """Meltdown-type (exception based) vs Spectre-type (prediction based)."""
         return "meltdown" if self.is_exception_type else "spectre"

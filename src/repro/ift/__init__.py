@@ -20,7 +20,6 @@ shadow-state evaluator in :mod:`repro.ift.shadow`.
 
 from repro.ift.policies import (
     TaintMode,
-    propagate_cell_taint,
     and_taint,
     or_taint,
     xor_taint,
@@ -32,14 +31,13 @@ from repro.ift.policies import (
     memory_write_taint,
 )
 from repro.ift.shadow import TaintSimulator
-from repro.ift.cellift import CellIFTPass, CellIFTTestbench, flatten_memories
-from repro.ift.diffift import DiffIFTPass, DifferentialTestbench
+from repro.ift.cellift import CellIFTPass, flatten_memories
+from repro.ift.diffift import DiffIFTPass
 from repro.ift.liveness import LivenessAnnotation, LivenessChecker, collect_annotations
 from repro.ift.instrumentation import InstrumentationResult, InstrumentationStats
 
 __all__ = [
     "TaintMode",
-    "propagate_cell_taint",
     "and_taint",
     "or_taint",
     "xor_taint",
@@ -51,10 +49,8 @@ __all__ = [
     "memory_write_taint",
     "TaintSimulator",
     "CellIFTPass",
-    "CellIFTTestbench",
     "flatten_memories",
     "DiffIFTPass",
-    "DifferentialTestbench",
     "LivenessAnnotation",
     "LivenessChecker",
     "collect_annotations",

@@ -11,11 +11,8 @@ design is then simulated with the always-on control-taint policies
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
 
 from repro.ift.instrumentation import InstrumentationResult, InstrumentationStats
-from repro.ift.policies import TaintMode
-from repro.ift.shadow import TaintSimulator
 from repro.rtl.cells import Cell, CellType
 from repro.rtl.netlist import Memory, Module, RegisterInfo
 
@@ -198,25 +195,3 @@ class CellIFTPass:
         )
         stats.compile_seconds = time.perf_counter() - start
         return InstrumentationResult(module=flattened, stats=stats)
-
-
-class CellIFTTestbench:
-    """A single-DUT testbench running the CellIFT-instrumented design."""
-
-    def __init__(self, module: Module) -> None:
-        self.result = CellIFTPass().run(module)
-        self.simulator = TaintSimulator(self.result.module, mode=TaintMode.CELLIFT)
-
-    @property
-    def stats(self) -> InstrumentationStats:
-        return self.result.stats
-
-    def taint_signal(self, name: str, taint: Optional[int] = None) -> None:
-        self.simulator.taint_signal(name, taint)
-
-    def step(self, inputs: Optional[Dict[str, int]] = None) -> int:
-        self.simulator.step(inputs=inputs)
-        return self.simulator.state_taint_sum()
-
-    def run(self, cycles: int, inputs: Optional[Dict[str, int]] = None):
-        return self.simulator.run(cycles, inputs=inputs)

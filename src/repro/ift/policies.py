@@ -206,10 +206,3 @@ def reduce_or_taint(a: int, a_t: int, width: int) -> int:
     if untainted_ones:
         return 0
     return 1 if a_t else 0
-
-
-def propagate_cell_taint(*args, **kwargs):  # pragma: no cover - thin convenience alias
-    """Dispatch helper re-exported for the shadow evaluator (see shadow.py)."""
-    from repro.ift.shadow import evaluate_cell_taint
-
-    return evaluate_cell_taint(*args, **kwargs)

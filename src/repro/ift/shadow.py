@@ -100,20 +100,6 @@ class TaintSimulator:
             name, mask(width) if taint is None else to_unsigned(taint, width)
         )
 
-    def taint_memory(self, name: str, index: int, taint: Optional[int] = None) -> None:
-        memory = self.module.memories[name]
-        value = mask(memory.width) if taint is None else to_unsigned(taint, memory.width)
-        self.shadow.memory_taints[name][index % memory.depth] = value
-
-    def write_memory(self, name: str, index: int, value: int, instance: Optional[int] = None) -> None:
-        """Directly poke a memory entry of one instance (or all instances)."""
-        targets = self.instances if instance is None else [self.instances[instance]]
-        for simulator in targets:
-            memory = self.module.memories[name]
-            simulator.state.memories[name][index % memory.depth] = to_unsigned(
-                value, memory.width
-            )
-
     # -- stepping ----------------------------------------------------------------
 
     def step(
@@ -254,13 +240,6 @@ class TaintSimulator:
         for name, entries in self.shadow.memory_taints.items():
             total += sum(popcount(entry) for entry in entries)
         return total
-
-    def tainted_registers(self) -> Dict[str, int]:
-        return {
-            name: self.shadow.taint_of(name)
-            for name in self.module.registers
-            if self.shadow.taint_of(name)
-        }
 
     def taints_by_module(self) -> Dict[str, int]:
         """Tainted state-bit count per module path (feeds the coverage matrix)."""

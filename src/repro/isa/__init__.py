@@ -18,9 +18,8 @@ from repro.isa.instructions import (
     Instruction,
     InstructionClass,
     OPCODE_TABLE,
-    make_instruction,
 )
-from repro.isa.program import Label, Program, Section
+from repro.isa.program import Program, Section
 from repro.isa.assembler import Assembler, AssemblyError
 from repro.isa.encoding import decode_word, encode_instruction, EncodingError
 from repro.isa.simulator import (
@@ -41,8 +40,6 @@ __all__ = [
     "Instruction",
     "InstructionClass",
     "OPCODE_TABLE",
-    "make_instruction",
-    "Label",
     "Program",
     "Section",
     "Assembler",

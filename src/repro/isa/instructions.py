@@ -12,7 +12,7 @@ from 32-bit words when a binary image is needed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.utils.bitops import to_signed
@@ -125,7 +125,9 @@ _register(_i("fmv.x.d", InstructionClass.FP))
 # System / miscellaneous.
 _register(OpcodeInfo("ecall", InstructionClass.SYSTEM, "none", writes_rd=False, reads_rs1=False))
 _register(OpcodeInfo("ebreak", InstructionClass.SYSTEM, "none", writes_rd=False, reads_rs1=False))
-_register(OpcodeInfo("mret", InstructionClass.SYSTEM, "none", writes_rd=False, reads_rs1=False))
+# Neither model has a CSR file or ``mepc`` to return to, so ``mret`` takes an
+# illegal-instruction trap.
+_register(OpcodeInfo("mret", InstructionClass.ILLEGAL, "none", writes_rd=False, reads_rs1=False))
 _register(OpcodeInfo("fence", InstructionClass.SYSTEM, "none", writes_rd=False, reads_rs1=False))
 _register(OpcodeInfo("fence.i", InstructionClass.SYSTEM, "none", writes_rd=False, reads_rs1=False))
 _register(_i("csrrw", InstructionClass.SYSTEM))
@@ -136,7 +138,7 @@ _register(
 
 
 # Instructions that serialize the frontend at dispatch.
-SERIALIZING_MNEMONICS = frozenset(("ecall", "ebreak", "mret", "fence", "fence.i"))
+SERIALIZING_MNEMONICS = frozenset(("ecall", "ebreak", "fence", "fence.i"))
 
 
 def _opcode_facts(info: OpcodeInfo) -> Dict[str, object]:
@@ -238,9 +240,6 @@ class Instruction:
         """Return the tuple of source register indices actually read."""
         return self._reads
 
-    def with_imm(self, imm: int) -> "Instruction":
-        return replace(self, imm=imm)
-
     def with_tag(self, tag: str) -> "Instruction":
         # A tag changes no classification: copy the computed attributes
         # instead of constructing (and classifying) the instruction again.
@@ -282,11 +281,6 @@ class Instruction:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
-
-
-def make_instruction(mnemonic: str, **kwargs) -> Instruction:
-    """Convenience constructor used by generators and tests."""
-    return Instruction(mnemonic=mnemonic, **kwargs)
 
 
 _NOP = Instruction("addi", rd=0, rs1=0, imm=0)

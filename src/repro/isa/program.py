@@ -3,17 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction
-
-
-@dataclass(frozen=True)
-class Label:
-    """A named position inside a section (offset in bytes from the base)."""
-
-    name: str
-    offset: int
 
 
 @dataclass
@@ -30,13 +22,6 @@ class Section:
         self.instructions.append(instruction)
         return self
 
-    def mark(self, label: str) -> "Section":
-        """Place ``label`` at the current end of the section."""
-        if label in self.labels:
-            raise ValueError(f"duplicate label {label!r} in section {self.name!r}")
-        self.labels[label] = len(self.instructions) * 4
-        return self
-
     def label_address(self, label: str) -> int:
         return self.base + self.labels[label]
 
@@ -48,10 +33,6 @@ class Section:
     def end(self) -> int:
         return self.base + self.size
 
-    def addresses(self) -> Iterator[Tuple[int, Instruction]]:
-        for index, instruction in enumerate(self.instructions):
-            yield self.base + index * 4, instruction
-
 
 @dataclass
 class Program:
@@ -59,12 +40,6 @@ class Program:
 
     sections: List[Section] = field(default_factory=list)
     entry: Optional[int] = None
-
-    def section(self, name: str) -> Section:
-        for candidate in self.sections:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no section named {name!r}")
 
     def add_section(self, section: Section) -> Section:
         for existing in self.sections:
@@ -95,10 +70,6 @@ class Program:
             if 0 <= offset < len(section.instructions) * 4 and offset % 4 == 0:
                 return section.instructions[offset // 4]
         return None
-
-    def all_instructions(self) -> Iterator[Tuple[int, Instruction]]:
-        for section in self.sections:
-            yield from section.addresses()
 
     @property
     def instruction_count(self) -> int:

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, InstructionClass
+from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.utils.bitops import is_aligned, mask, sign_extend, to_signed, to_unsigned
 
@@ -438,7 +438,7 @@ class IsaSimulator:
             self.pc = target
             return
 
-        if instruction.is_system and instruction.mnemonic in ("fence", "fence.i", "mret"):
+        if instruction.is_system and instruction.mnemonic in ("fence", "fence.i"):
             self.pc = pc + 4
             return
 

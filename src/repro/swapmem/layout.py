@@ -43,9 +43,6 @@ class MemoryLayout:
     def swappable_end(self) -> int:
         return self.swappable_base + self.swappable_size
 
-    def contains_swappable(self, address: int) -> bool:
-        return self.swappable_base <= address < self.swappable_end
-
     def describe(self) -> str:
         return (
             f"shared    [{self.shared_base:#x}, {self.shared_base + self.shared_size:#x})\n"

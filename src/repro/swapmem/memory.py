@@ -67,9 +67,6 @@ class SwapMemory:
         """Revoke read permission on the secret page (pre-transient step)."""
         self.data.set_permission(self.layout.secret_address, Permission.EXECUTE)
 
-    def unprotect_secret(self) -> None:
-        self.data.set_permission(self.layout.secret_address, Permission.rwx())
-
     # -- swappable region --------------------------------------------------------------
 
     def load_packet(self, packet: Packet) -> int:
@@ -79,9 +76,10 @@ class SwapMemory:
                 f"packet {packet.name!r} ({packet.size} bytes) does not fit in the "
                 f"swappable region ({self.layout.swappable_size} bytes)"
             )
-        self._instructions = {}
-        for offset, instruction in packet.offsets():
-            self._instructions[self.layout.swappable_base + offset] = instruction
+        base = self.layout.swappable_base
+        self._instructions = dict(
+            zip(range(base, base + packet.size, 4), packet.instructions)
+        )
         self.loaded_packet = packet
         self.swap_count += 1
         return self.layout.swappable_base + packet.entry_offset

@@ -123,17 +123,6 @@ class SwapSchedule:
     def training_packets(self) -> List[Packet]:
         return [p for p in self.packets if p.kind is PacketKind.TRIGGER_TRAINING]
 
-    def window_training_packets(self) -> List[Packet]:
-        return [p for p in self.packets if p.kind is PacketKind.WINDOW_TRAINING]
-
-    def without_packet(self, name: str) -> "SwapSchedule":
-        """A copy of the schedule with one packet removed (training reduction)."""
-        return SwapSchedule(
-            packets=[p for p in self.packets if p.name != name],
-            protect_secret_before_transient=self.protect_secret_before_transient,
-            name=self.name,
-        )
-
     def with_transient_packet(self, packet: Packet) -> "SwapSchedule":
         """A copy of the schedule with the transient packet replaced."""
         replaced = [p for p in self.packets if p.kind is not PacketKind.TRANSIENT]

@@ -62,11 +62,6 @@ class SetAssociativeCache:
             return line & self._set_mask
         return line % self.config.sets
 
-    def lookup(self, address: int) -> bool:
-        """Non-destructive presence check."""
-        line = self._line_address(address)
-        return line in self.sets[self._set_index_of_line(line)]
-
     def access(self, address: int, fill_on_miss: bool = True, tainted: bool = False) -> CacheAccessResult:
         """Access the cache, optionally filling the line on a miss."""
         self.accesses += 1
@@ -145,9 +140,6 @@ class SetAssociativeCache:
         ways.insert(0, line)
         return self.config.miss_latency
 
-    def fill(self, address: int, tainted: bool = False) -> None:
-        self.access(address, fill_on_miss=True, tainted=tainted)
-
     def flush(self) -> None:
         sets = self.sets
         for set_index in self._filled_sets:
@@ -163,21 +155,11 @@ class SetAssociativeCache:
         self.accesses = 0
         self.misses = 0
 
-    def resident_lines(self) -> Set[int]:
-        resident: Set[int] = set()
-        for ways in self.sets:
-            resident.update(ways)
-        return resident
-
     def state_fingerprint(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(ways) for ways in self.sets)
 
     def tainted_entry_count(self) -> int:
         return len(self.tainted_lines)
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
 
 @dataclass
@@ -231,13 +213,6 @@ class LineFillBuffer:
         if (slot.tainted or self.stale_taint[slot_index]) != slot.tainted:
             self.taint_version += 1
         self.stale_taint[slot_index] = slot.tainted
-
-    def valid_mask(self) -> int:
-        mask_value = 0
-        for index, slot in enumerate(self.slots):
-            if slot is not None and slot.valid:
-                mask_value |= 1 << index
-        return mask_value
 
     def tainted_slots(self) -> List[int]:
         """Slots holding tainted data, regardless of validity (raw reachability)."""
@@ -329,17 +304,8 @@ class MemoryHierarchy:
             )
         return result
 
-    def instruction_access(self, address: int) -> CacheAccessResult:
-        return self.icache.access(address)
-
     def flush_icache(self) -> None:
         self.icache.flush()
-
-    def flush_dcache(self) -> None:
-        self.dcache.flush()
-        if self.l2 is not None:
-            self.l2.flush()
-        self.lfb.reset()
 
     @property
     def taint_version(self) -> int:

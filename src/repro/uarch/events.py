@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 
 class SquashReason(enum.Enum):
@@ -83,12 +83,6 @@ class TraceLog:
     traps: List[TrapCommitEvent] = field(default_factory=list)
     redirects: List[RedirectEvent] = field(default_factory=list)
 
-    def record_enqueue(self, event: RobEnqueueEvent) -> None:
-        self.enqueues.append(event)
-
-    def record_commit(self, event: RobCommitEvent) -> None:
-        self.commits.append(event)
-
     def record_squash(self, event: RobSquashEvent) -> None:
         self.squashes.append(event)
 
@@ -116,53 +110,6 @@ class TraceLog:
         """Sequences that were enqueued but never committed (transient instructions)."""
         committed = set(self.committed_sequences())
         return [seq for seq in self.enqueued_sequences() if seq not in committed]
-
-    def transient_window_triggered(self, window_pcs: Optional[set] = None) -> bool:
-        """Did a transient window trigger?
-
-        With ``window_pcs`` the check is restricted to the given addresses
-        (the window section of the transient packet); otherwise any squashed
-        instruction counts.
-        """
-        if window_pcs is None:
-            return len(self.transient_sequences()) > 0
-        committed = set(self.committed_sequences())
-        for event in self.enqueues:
-            if event.pc in window_pcs and event.sequence not in committed:
-                return True
-        return False
-
-    def window_cycle_range(self, window_pcs: Optional[set] = None) -> Optional[Tuple[int, int]]:
-        """The [first, last] cycle during which transient window instructions were in flight."""
-        committed = set(self.committed_sequences())
-        cycles: List[int] = []
-        transient_sequences = set()
-        for event in self.enqueues:
-            if event.sequence in committed:
-                continue
-            if window_pcs is not None and event.pc not in window_pcs:
-                continue
-            cycles.append(event.cycle)
-            transient_sequences.add(event.sequence)
-        if not cycles:
-            return None
-        last = max(cycles)
-        for squash in self.squashes:
-            if transient_sequences & set(squash.squashed_sequences):
-                last = max(last, squash.cycle)
-        return min(cycles), last
-
-    def enqueue_count_in_window(self, window_pcs: set) -> int:
-        return sum(1 for event in self.enqueues if event.pc in window_pcs)
-
-    def commit_count_in_window(self, window_pcs: set) -> int:
-        return sum(1 for event in self.commits if event.pc in window_pcs)
-
-    def squash_reasons(self) -> List[SquashReason]:
-        return [event.reason for event in self.squashes]
-
-    def committed_pcs(self) -> List[int]:
-        return [event.pc for event in self.commits]
 
     def summary(self) -> Dict[str, int]:
         return {

@@ -11,7 +11,7 @@ Spectre-Reload (B5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 
@@ -105,11 +105,6 @@ class LoadStoreUnit:
 
     # -- forwarding and ordering -----------------------------------------------------
 
-    def forward_for_load(self, sequence: int, address: int, nbytes: int) -> Optional[StoreQueueEntry]:
-        """Return the youngest older store whose resolved address overlaps the load."""
-        sources = self.forwarding_sources(sequence, address, nbytes)
-        return sources[-1] if sources else None
-
     def forwarding_sources(
         self, sequence: int, address: int, nbytes: int
     ) -> List[StoreQueueEntry]:
@@ -127,11 +122,6 @@ class LoadStoreUnit:
             and _ranges_overlap(entry.address, entry.nbytes, address, nbytes)
         ]
         return sorted(sources, key=lambda entry: entry.sequence)
-
-    def has_unresolved_older_store(self, sequence: int) -> bool:
-        return any(
-            entry.sequence < sequence and entry.address is None for entry in self.store_queue
-        )
 
     def check_ordering_violation(
         self, store_sequence: int, address: int, nbytes: int
@@ -214,9 +204,6 @@ class LoadStoreUnit:
             "ldq": len(self.tainted_load_slots & inflight_loads),
             "stq": len(self.tainted_store_slots & inflight_stores),
         }
-
-    def occupancy(self) -> Tuple[int, int]:
-        return len(self.load_queue), len(self.store_queue)
 
     def state_fingerprint(self) -> Tuple:
         loads = tuple((e.sequence, e.address, e.nbytes) for e in self.load_queue)

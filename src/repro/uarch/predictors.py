@@ -8,7 +8,7 @@ taint engine can record when secret-derived values reach it (the ``(fau)btb``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 
@@ -102,12 +102,6 @@ class BranchTargetBuffer:
         if index in self.tainted:
             self.tainted.discard(index)
             self.taint_version += 1
-
-    def entry_for(self, pc: int) -> Optional[int]:
-        index = self._index(pc)
-        if self.tags[index] == pc:
-            return self.targets[index]
-        return None
 
     def reset(self) -> None:
         self.tags = [None] * self.entries

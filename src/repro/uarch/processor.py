@@ -784,8 +784,8 @@ class Processor:
         if instruction.is_control_flow:
             self._train_predictors_at_commit(entry)
         if instruction.is_serializing:
-            # A fence, fence.i or mret that commits without trapping lets
-            # fetch run past it again.
+            # A fence or fence.i that commits without trapping lets fetch
+            # run past it again.
             self.fetch_serialized = False
             if instruction.mnemonic == "fence.i":
                 self.hierarchy.flush_icache()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.isa.instructions import Instruction
@@ -136,9 +136,6 @@ class ReorderBuffer:
     def tainted_entry_count(self) -> int:
         inflight = {entry.sequence for entry in self.entries}
         return len(self.tainted_entries & inflight)
-
-    def occupancy(self) -> int:
-        return len(self.entries)
 
     def find(self, sequence: int) -> Optional[RobEntry]:
         return self._by_sequence.get(sequence)

@@ -57,9 +57,6 @@ class TaintCensus:
     def bit_count(self, module: str) -> int:
         return self.element_counts.get(module, 0) * BIT_WEIGHTS.get(module, 64)
 
-    def total_elements(self) -> int:
-        return sum(self.element_counts.values())
-
     def total_bits(self) -> int:
         return sum(self.bit_count(module) for module in self.element_counts)
 
@@ -217,15 +214,6 @@ class TaintState:
         self.control_taint_overlays[module] = self.control_taint_overlays.get(module, 0) + elements
         self.taint_version += 1
 
-    def clear_control_overlay(self, module: Optional[str] = None) -> None:
-        if module is None:
-            if self.control_taint_overlays:
-                self.taint_version += 1
-            self.control_taint_overlays = {}
-        elif module in self.control_taint_overlays:
-            del self.control_taint_overlays[module]
-            self.taint_version += 1
-
     # -- census --------------------------------------------------------------------------
 
     def record_census(self, cycle: int, component_counts: Dict[str, int]) -> TaintCensus:
@@ -252,28 +240,8 @@ class TaintState:
         self.census_log.append(census)
         return census
 
-    def taint_sum_series(self) -> List[int]:
-        """Tainted state bits per recorded cycle (the Figure 6 y-axis).
-
-        Repeated censuses share one ``element_counts`` dict, so the bit total
-        is memoized per unique dict rather than recomputed per cycle.
-        """
-        totals: Dict[int, int] = {}
-        series: List[int] = []
-        for census in self.census_log:
-            key = id(census.element_counts)
-            bits = totals.get(key)
-            if bits is None:
-                bits = census.total_bits()
-                totals[key] = bits
-            series.append(bits)
-        return series
-
     def final_census(self) -> Optional[TaintCensus]:
         return self.census_log[-1] if self.census_log else None
-
-    def max_taint_bits(self) -> int:
-        return max(self.taint_sum_series(), default=0)
 
     # -- differential support ------------------------------------------------------------------
 

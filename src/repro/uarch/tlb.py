@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 PAGE_SHIFT = 12
 
@@ -37,9 +37,6 @@ class Tlb:
 
     def _page(self, address: int) -> int:
         return address >> PAGE_SHIFT
-
-    def lookup(self, address: int) -> bool:
-        return self._page(address) in self.pages
 
     def access(self, address: int, fill_on_miss: bool = True, tainted: bool = False) -> TlbAccessResult:
         self.accesses += 1
@@ -81,7 +78,3 @@ class Tlb:
 
     def tainted_entry_count(self) -> int:
         return len(self.tainted_pages)
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0

@@ -8,11 +8,9 @@ from repro.utils.bitops import (
     to_signed,
     to_unsigned,
     popcount,
-    align_down,
-    align_up,
     is_aligned,
 )
-from repro.utils.rng import DeterministicRng, split_rng
+from repro.utils.rng import DeterministicRng
 
 __all__ = [
     "bit",
@@ -22,9 +20,6 @@ __all__ = [
     "to_signed",
     "to_unsigned",
     "popcount",
-    "align_down",
-    "align_up",
     "is_aligned",
     "DeterministicRng",
-    "split_rng",
 ]

@@ -58,18 +58,6 @@ def popcount(value: int) -> int:
     return bin(value).count("1")
 
 
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to a multiple of ``alignment`` (a power of two)."""
-    _check_alignment(alignment)
-    return value & ~(alignment - 1)
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to a multiple of ``alignment`` (a power of two)."""
-    _check_alignment(alignment)
-    return (value + alignment - 1) & ~(alignment - 1)
-
-
 def is_aligned(value: int, alignment: int) -> bool:
     """Return True when ``value`` is a multiple of ``alignment`` (a power of two)."""
     _check_alignment(alignment)

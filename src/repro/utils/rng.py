@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -29,11 +29,6 @@ class DeterministicRng:
     def seed(self) -> int:
         """The root integer seed this stream was derived from."""
         return self._seed
-
-    @property
-    def label(self) -> str:
-        """The label path identifying this stream."""
-        return self._label
 
     def split(self, label: str) -> "DeterministicRng":
         """Return an independent child stream identified by ``label``."""
@@ -78,17 +73,6 @@ class DeterministicRng:
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be within [0, 1], got {probability}")
         return self._random.random() < probability
-
-    def pick_weighted(self, options: Sequence[T], weights: Sequence[float]) -> T:
-        """Return one element of ``options`` chosen with the given weights."""
-        if len(options) != len(weights):
-            raise ValueError("options and weights must have the same length")
-        return self._random.choices(list(options), weights=list(weights), k=1)[0]
-
-
-def split_rng(seed: int, labels: Iterable[str]) -> List[DeterministicRng]:
-    """Create one independent stream per label from a single root seed."""
-    return [DeterministicRng(seed, label) for label in labels]
 
 
 def _derive_seed(seed: int, label: str, extra: Optional[str] = None) -> int:

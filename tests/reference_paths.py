@@ -5,9 +5,12 @@ census are always on.  Each fake below puts back the path its accelerator
 replaced, so a test can run the same work both ways and compare the
 deterministic results.  Apply them with pytest's ``monkeypatch`` (or a
 ``monkeypatch.context()`` to scope them to one arm of a comparison).
+``without_packet`` is the naive form of Phase 1's in-place training
+reduction, for tests that rebuild the reduction step by step.
 """
 
 from repro.core.phase1 import DutPool
+from repro.swapmem.packets import SwapSchedule
 from repro.uarch.processor import Processor
 
 
@@ -25,6 +28,15 @@ def census_recompute(monkeypatch) -> None:
         record(self)
 
     monkeypatch.setattr(Processor, "_record_census", recompute)
+
+
+def without_packet(schedule: SwapSchedule, name: str) -> SwapSchedule:
+    """A copy of ``schedule`` with one packet removed."""
+    return SwapSchedule(
+        packets=[packet for packet in schedule.packets if packet.name != name],
+        protect_secret_before_transient=schedule.protect_secret_before_transient,
+        name=schedule.name,
+    )
 
 
 def reference_paths(monkeypatch) -> None:

@@ -915,24 +915,43 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="malformed checkpoint"):
             ParallelCampaignEngine.resume_from(str(path), self.cfg())
 
-    @pytest.mark.parametrize("content", ["list", "string", "no-corpus"])
+    # A value of None deletes the key; any other value replaces it.
+    MALFORMED = {
+        "no-corpus": ("corpus", None, "lacks corpus"),
+        "corpus-int": ("corpus", 5, "wrong type for corpus"),
+        "transfers-int": ("transfers", 5, "wrong type for transfers"),
+        "slice_points-list": ("slice_points", [], "wrong type for slice_points"),
+        "core_coverage-int": ("core_coverage", 5, "wrong type for core_coverage"),
+        "assignments-int": ("assignments", 5, "wrong type for assignments"),
+        "fingerprint-int": ("fingerprint", 5, "wrong type for fingerprint"),
+        "campaign-list": ("campaign", [], "wrong type for campaign"),
+        "slice_summaries-int": ("slice_summaries", 5, "wrong type for slice_summaries"),
+    }
+
+    @pytest.mark.parametrize("content", ["list", "string", *MALFORMED])
     def test_cli_reports_a_malformed_checkpoint(self, tmp_path, capsys, content):
         path = tmp_path / "checkpoint.json"
-        if content == "no-corpus":
+        if content in self.MALFORMED:
+            key, value, message = self.MALFORMED[content]
             ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
             payload = json.loads(path.read_text())
-            del payload["corpus"]
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
             path.write_text(json.dumps(payload))
         else:
             path.write_text("[1, 2]" if content == "list" else '"x"')
+        # The flags match self.cfg(), so a well-formed checkpoint would resume.
         code = engine_main(
-            ["--resume", str(path), "--backend", "inline", "--iterations", "12"]
+            ["--resume", str(path), "--backend", "inline", "--iterations", "12",
+             "--epochs", "3", "--entropy", "7"]
         )
         output = capsys.readouterr().out
         assert code == 2
         assert output.startswith("error:")
-        if content == "no-corpus":
-            assert "lacks corpus" in output
+        if content in self.MALFORMED:
+            assert message in output
 
     def test_checkpoint_larger_than_a_frame_is_not_written(self, tmp_path, monkeypatch):
         engine = ParallelCampaignEngine(self.cfg(tmp_path))

@@ -7,7 +7,8 @@ from repro.core.phase1 import TransientWindowTriggering
 from repro.core.phase2 import TransientExecutionExploration
 from repro.core.phase3 import TransientLeakageAnalysis
 from repro.core.report import classify_report
-from repro.generation import EncodeStrategy, Seed, TrainingMode, TransientWindowType
+from repro.generation import EncodeStrategy, Seed, TransientWindowType
+from repro.swapmem import PacketKind
 from repro.uarch import small_boom_config, xiangshan_minimal_config
 
 BOOM = small_boom_config()
@@ -83,7 +84,7 @@ class TestPhase2:
         phase1_result, seed = triggered_phase1(TransientWindowType.BRANCH_MISPREDICTION)
         phase2 = TransientExecutionExploration(BOOM)
         schedule = phase2.complete_window(phase1_result, seed)
-        assert schedule.window_training_packets()
+        assert any(p.kind is PacketKind.WINDOW_TRAINING for p in schedule.packets)
         transient = schedule.transient_packet()
         assert transient.metadata.get("window_completed") is True
 

@@ -7,7 +7,6 @@ from repro.generation import (
     Mutator,
     RandomInstructionGenerator,
     Seed,
-    SeedCorpus,
     SeedGenotype,
     TrainingDeriver,
     TrainingMode,
@@ -16,7 +15,6 @@ from repro.generation import (
     WindowCompleter,
 )
 from repro.generation.random_inst import SCRATCH_REGISTERS, SafeRegion
-from repro.generation.training import training_statistics
 from repro.generation.window_types import (
     WINDOW_TYPE_GROUPS,
     group_of,
@@ -37,9 +35,6 @@ class TestWindowTypes:
 
     def test_classification(self):
         assert TransientWindowType.LOAD_PAGE_FAULT.is_exception_type
-        assert TransientWindowType.BRANCH_MISPREDICTION.is_misprediction_type
-        assert TransientWindowType.BRANCH_MISPREDICTION.needs_training
-        assert not TransientWindowType.MEMORY_DISAMBIGUATION.needs_training
         assert TransientWindowType.LOAD_PAGE_FAULT.attack_type == "meltdown"
         assert TransientWindowType.RETURN_MISPREDICTION.attack_type == "spectre"
 
@@ -60,28 +55,6 @@ class TestSeeds:
         assert child.parent_id == parent.seed_id
         assert child.generation == parent.generation + 1
         assert child.seed_id != parent.seed_id
-
-    def test_corpus_initialisation(self):
-        corpus = SeedCorpus.initial(entropy=1, per_type=1)
-        assert len(corpus) == len(TransientWindowType)
-
-    def test_corpus_initialisation_is_order_independent(self):
-        # Regression for the module-global _seed_counter footgun: seed ids
-        # feed the per-seed rng streams, so two identical initial corpora
-        # must come out identical no matter how many ad-hoc seeds were
-        # created in the process beforehand.
-        first = SeedCorpus.initial(entropy=3, per_type=2)
-        Seed.fresh(entropy=9, window_type=TransientWindowType.LOAD_MISALIGN)
-        second = SeedCorpus.initial(entropy=3, per_type=2)
-        assert first.seeds == second.seeds
-
-    def test_corpus_ranking_and_discard(self):
-        corpus = SeedCorpus.initial(entropy=1, per_type=1)
-        best_seed = corpus.seeds[3]
-        corpus.record_coverage(best_seed, 100)
-        assert corpus.best_seeds(1)[0].seed_id == best_seed.seed_id
-        corpus.discard(best_seed)
-        assert best_seed.seed_id not in [seed.seed_id for seed in corpus.seeds]
 
 
 class _FakeCore:
@@ -229,10 +202,6 @@ class TestRandomInstructionGenerator:
             value = compute_alu(addi, value, 0, 0)
             assert value == address
 
-    def test_nop_block(self):
-        block = RandomInstructionGenerator(DeterministicRng(1)).nop_block(5)
-        assert len(block) == 5 and all(instruction.is_nop for instruction in block)
-
 
 class TestTriggerGenerator:
     @pytest.mark.parametrize("window_type", list(TransientWindowType))
@@ -322,8 +291,9 @@ class TestTrainingDeriver:
     def test_training_statistics(self):
         spec = self._spec(TransientWindowType.INDIRECT_MISPREDICTION)
         packets = TrainingDeriver().derive_trigger_training(spec, DeterministicRng(1), count=2)
-        stats = training_statistics(packets)
-        assert stats["training_overhead"] > stats["effective_training_overhead"] > 0
+        total = sum(packet.instruction_count() for packet in packets)
+        effective = sum(packet.non_nop_count() for packet in packets)
+        assert total > effective > 0
 
 
 class TestWindowCompleter:
@@ -379,13 +349,3 @@ class TestMutator:
         seed = Seed.fresh(entropy=1, window_type=TransientWindowType.BRANCH_MISPREDICTION)
         types = {mutator.mutate_trigger(seed).window_type for _ in range(20)}
         assert len(types) > 1
-
-    def test_mutate_secret_changes_value(self):
-        mutator = Mutator(DeterministicRng(7))
-        seed = Seed.fresh(entropy=1, window_type=TransientWindowType.LOAD_PAGE_FAULT)
-        assert mutator.mutate_secret(seed).secret_value != seed.secret_value
-
-    def test_initial_population(self):
-        population = Mutator(DeterministicRng(8)).initial_population(10)
-        assert len(population) == 10
-        assert all(seed.encode_strategies for seed in population)

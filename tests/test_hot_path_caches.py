@@ -22,7 +22,7 @@ from repro.swapmem.scheduler import SwapRunner
 from repro.uarch.boom import small_boom_config
 from repro.uarch.taint import TaintState
 
-from reference_paths import census_recompute, fresh_duts, reference_paths
+from reference_paths import census_recompute, fresh_duts, reference_paths, without_packet
 
 BOOM = small_boom_config()
 
@@ -147,7 +147,7 @@ class TestTrainingReduction:
             reference = schedule
             reference_simulations = 0
             for packet in schedule.training_packets():
-                candidate = reference.without_packet(packet.name)
+                candidate = without_packet(reference, packet.name)
                 run = phase1._simulate(candidate, seed.secret_value)
                 reference_simulations += 1
                 if run.window_triggered():

@@ -1,13 +1,13 @@
 """Tests for taint propagation policies, shadow simulation, CellIFT and diffIFT."""
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ift import (
     CellIFTPass,
-    CellIFTTestbench,
     DiffIFTPass,
-    DifferentialTestbench,
     LivenessChecker,
     TaintMode,
     collect_annotations,
@@ -132,36 +132,101 @@ class TestTaintSimulator:
         stimulus_enqueue = {"enq_valid": 1, "enq_uopc": 0x3F, "rollback": 0, "rollback_idx": 0}
         stimulus_rollback = {"enq_valid": 0, "enq_uopc": 0, "rollback": 1, "rollback_idx": 0}
 
-        cellift = CellIFTTestbench(build_rob_slice(num_entries=8))
+        cellift = TaintSimulator(
+            CellIFTPass().run(build_rob_slice(num_entries=8)).module, mode=TaintMode.CELLIFT
+        )
         cellift.taint_signal("enq_uopc")
         for _ in range(8):
             cellift.step(stimulus_enqueue)
-        before = cellift.simulator.state_taint_sum()
+        before = cellift.state_taint_sum()
         # Rolling back with a *tainted* tail index: taint the rollback index to
         # model the tainted squash target.
         cellift.taint_signal("rollback_idx")
         cellift.step(stimulus_rollback)
         cellift.step(stimulus_enqueue)
-        after = cellift.simulator.state_taint_sum()
+        after = cellift.state_taint_sum()
         assert after >= before  # CellIFT never loses taint across the rollback
 
-        diff = DifferentialTestbench(build_rob_slice(num_entries=8))
+        diff = TaintSimulator(build_rob_slice(num_entries=8), mode=TaintMode.DIFFIFT)
         diff.taint_signal("enq_uopc")
         for _ in range(8):
             diff.step(stimulus_enqueue)
         diff.taint_signal("rollback_idx")
         diff.step(stimulus_rollback)  # identical rollback index in both instances
         diff.step(stimulus_enqueue)
-        assert diff.simulator.state_taint_sum() <= after
+        assert diff.state_taint_sum() <= after
 
     def test_taints_by_module(self):
-        testbench = DifferentialTestbench(build_lfb_with_mshr(num_entries=4))
-        testbench.simulator.taint_signal("refill_data")
+        testbench = TaintSimulator(build_lfb_with_mshr(num_entries=4), mode=TaintMode.DIFFIFT)
+        testbench.taint_signal("refill_data")
         testbench.step(
             {"refill_valid": 1, "refill_idx": 1, "refill_data": 5, "invalidate": 0, "invalidate_idx": 0}
         )
         by_module = testbench.taints_by_module()
         assert by_module.get("lfb", 0) > 0
+
+
+LIBRARY_CIRCUITS = [
+    build_counter,
+    build_rob_slice,
+    build_lfb_with_mshr,
+    build_forwarding_pipeline,
+    build_branch_unit,
+]
+
+
+class TestPrecision:
+    """diffIFT's precision claims (§3.3) as properties of the library circuits.
+
+    Each example taints one random input (the secret) and drives the same
+    random stimuli through CellIFT, through diffIFT with the flipped secret in
+    its second instance, and through diffIFT_FN with the same secret in both.
+    """
+
+    CYCLES = 12
+
+    def _lockstep(self, circuit, seed):
+        """Yield ``(cycle, cellift, diffift, false_negative)`` after each cycle."""
+        module = circuit()
+        rng = random.Random(seed)
+        secret_input = rng.choice(module.inputs)
+        cellift = TaintSimulator(CellIFTPass().run(module).module, mode=TaintMode.CELLIFT)
+        diffift = TaintSimulator(module, mode=TaintMode.DIFFIFT)
+        false_negative = TaintSimulator(module, mode=TaintMode.DIFFIFT)
+        # The library circuits hold no memories, so flattening keeps every signal.
+        assert cellift.module.signals == module.signals
+        for simulator in (cellift, diffift, false_negative):
+            simulator.taint_signal(secret_input)
+        flip = mask(module.width_of(secret_input))
+        for cycle in range(self.CYCLES):
+            stimulus = {name: rng.getrandbits(module.width_of(name)) for name in module.inputs}
+            variant = dict(stimulus, **{secret_input: stimulus[secret_input] ^ flip})
+            cellift.step(inputs=stimulus)
+            diffift.step(per_instance_inputs=[stimulus, variant])
+            false_negative.step(per_instance_inputs=[stimulus, stimulus])
+            yield cycle, cellift, diffift, false_negative
+
+    @staticmethod
+    def _assert_subset(smaller, larger, cycle):
+        for name in smaller.module.signals:
+            extra = smaller.shadow.taint_of(name) & ~larger.shadow.taint_of(name)
+            assert not extra, (cycle, name, hex(extra))
+
+    @pytest.mark.parametrize("circuit", LIBRARY_CIRCUITS, ids=lambda circuit: circuit.__name__)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_diffift_taints_a_subset_of_cellift(self, circuit, seed):
+        for cycle, cellift, diffift, _ in self._lockstep(circuit, seed):
+            self._assert_subset(diffift, cellift, cycle)
+
+    @pytest.mark.parametrize("circuit", LIBRARY_CIRCUITS, ids=lambda circuit: circuit.__name__)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_identical_secrets_only_lose_taint(self, circuit, seed):
+        """With the same secret in both instances no control taint fires, so
+        diffIFT_FN taints a subset of what diffIFT taints (its false negatives)."""
+        for cycle, _, diffift, false_negative in self._lockstep(circuit, seed):
+            self._assert_subset(false_negative, diffift, cycle)
 
 
 class TestCellIFTPass:
@@ -265,7 +330,7 @@ class TestEndToEndLfbScenario:
     def test_stale_lfb_taint_is_reachable_but_dead(self):
         """The C2-2 false-positive scenario: tainted data behind an invalid MSHR."""
         module = build_lfb_with_mshr(num_entries=4)
-        testbench = CellIFTTestbench(module)
+        testbench = TaintSimulator(CellIFTPass().run(module).module, mode=TaintMode.CELLIFT)
         testbench.taint_signal("refill_data")
         testbench.step(
             {"refill_valid": 1, "refill_idx": 0, "refill_data": 0x5A, "invalidate": 0, "invalidate_idx": 0}
@@ -278,10 +343,10 @@ class TestEndToEndLfbScenario:
         testbench.step(
             {"refill_valid": 0, "refill_idx": 0, "refill_data": 0, "invalidate": 0, "invalidate_idx": 0}
         )
-        taints = testbench.simulator.tainted_registers()
-        assert any(name.startswith("lb_0") for name in taints)  # reachability
+        taints = {name: testbench.shadow.taint_of(name) for name in testbench.module.registers}
+        assert any(taint for name, taint in taints.items() if name.startswith("lb_0"))  # reachability
         checker = LivenessChecker(module)
-        values = testbench.simulator.instances[0].register_values()
-        values["mshr_valid_vec"] = testbench.simulator.instances[0].value("mshr_valid_vec")
+        values = testbench.instances[0].register_values()
+        values["mshr_valid_vec"] = testbench.instances[0].value("mshr_valid_vec")
         live = checker.filter_live_sinks({"lb_0": taints.get("lb_0", 0)}, values)
         assert live == {}  # ...but not exploitable

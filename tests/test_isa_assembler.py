@@ -7,18 +7,11 @@ from repro.isa.instructions import Instruction, nop
 
 
 class TestSectionsAndPrograms:
-    def test_section_add_and_mark(self):
-        section = Section("text", 0x1000)
-        section.add(nop()).mark("after_nop").add(nop())
-        assert section.labels["after_nop"] == 4
+    def test_section_add_and_label(self):
+        section = Section("text", 0x1000, labels={"after_nop": 4})
+        section.add(nop()).add(nop())
         assert section.label_address("after_nop") == 0x1004
         assert section.size == 8
-
-    def test_duplicate_label_rejected(self):
-        section = Section("text", 0x1000)
-        section.mark("a")
-        with pytest.raises(ValueError):
-            section.mark("a")
 
     def test_program_overlap_rejected(self):
         program = Program()
@@ -41,11 +34,9 @@ class TestSectionsAndPrograms:
 
     def test_label_lookup_across_sections(self):
         program = Program()
-        a = Section("a", 0x1000)
-        a.mark("start")
+        a = Section("a", 0x1000, labels={"start": 0})
         a.add(nop())
-        b = Section("b", 0x2000)
-        b.mark("other")
+        b = Section("b", 0x2000, labels={"other": 0})
         b.add(nop())
         program.add_section(a)
         program.add_section(b)
@@ -64,7 +55,7 @@ class TestAssembler:
               addi t1, t0, 1
             """
         )
-        instructions = [i for _, i in program.all_instructions()]
+        instructions = [i for section in program.sections for i in section.instructions]
         assert len(instructions) == 2
         assert instructions[0].rd == 5 and instructions[0].imm == 5
 
@@ -96,7 +87,7 @@ class TestAssembler:
               nop
             """
         )
-        rendered = [i.render() for _, i in program.all_instructions()]
+        rendered = [i.render() for section in program.sections for i in section.instructions]
         assert rendered[0] == "nop"
         assert rendered[1] == "addi a0, a1, 0"
         assert "addi t0, zero, 42" in rendered[2]

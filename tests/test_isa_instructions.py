@@ -10,7 +10,6 @@ from repro.isa.instructions import (
     InstructionClass,
     OPCODE_TABLE,
     SERIALIZING_MNEMONICS,
-    make_instruction,
     nop,
 )
 
@@ -164,9 +163,6 @@ class TestInstructionProperties:
         assert nop().tags == frozenset()
         assert nop() == Instruction("addi", rd=0, rs1=0, imm=0)
 
-    def test_with_imm(self):
-        assert Instruction("addi", rd=1, rs1=0, imm=1).with_imm(7).imm == 7
-
 
 class TestDecodeOnce:
     """Construction copies per-mnemonic facts; the result must match a full
@@ -207,6 +203,3 @@ class TestRendering:
     def test_render_uses_label_when_present(self):
         branch = Instruction("beq", rs1=1, rs2=2, imm=8, target_label="window")
         assert "window" in branch.render()
-
-    def test_make_instruction_helper(self):
-        assert make_instruction("add", rd=1, rs1=2, rs2=3).mnemonic == "add"

@@ -8,7 +8,6 @@ from repro.analysis import (
     coverage_improvement,
     cross_core_transfer_table,
     extract_taint_curve,
-    iterations_to_reach,
     per_core_breakdown,
     summarize_training_overhead,
     training_overhead_table,
@@ -16,10 +15,14 @@ from repro.analysis import (
 from repro.core import DejaVuzzFuzzer, FuzzerConfiguration
 from repro.core.report import CampaignResult
 from repro.scenarios import ATTACK_SCENARIOS, build_attack_schedule, run_attack
-from repro.swapmem import DualCoreHarness
+from repro.swapmem import PacketKind
 from repro.uarch import TaintTrackingMode, small_boom_config, xiangshan_minimal_config
 
 BOOM = small_boom_config()
+
+
+def _peak_taint_bits(result):
+    return extract_taint_curve(result.primary.processor.taint.census_log, "primary").peak()
 
 
 class TestAttackScenarios:
@@ -36,13 +39,13 @@ class TestAttackScenarios:
     def test_scenarios_trigger_on_boom(self, name):
         result = run_attack(name, BOOM, taint_mode=TaintTrackingMode.DIFFIFT)
         assert result.window_triggered
-        assert result.primary.processor.taint.max_taint_bits() > 0
+        assert _peak_taint_bits(result) > 0
 
     def test_build_attack_schedule_returns_completed_window(self):
         schedule, seed = build_attack_schedule("spectre-v1", BOOM)
         transient = schedule.transient_packet()
         assert transient.metadata.get("window_completed") is True
-        assert schedule.window_training_packets()
+        assert any(p.kind is PacketKind.WINDOW_TRAINING for p in schedule.packets)
         assert seed.window_type.name == "BRANCH_MISPREDICTION"
 
     def test_unknown_scenario_rejected(self):
@@ -53,8 +56,8 @@ class TestAttackScenarios:
         """The Figure 6 relationship: CellIFT over-taints, diffIFT stays bounded."""
         diff_result = run_attack("spectre-v1", BOOM, taint_mode=TaintTrackingMode.DIFFIFT)
         cell_result = run_attack("spectre-v1", BOOM, taint_mode=TaintTrackingMode.CELLIFT)
-        diff_peak = max(diff_result.primary.processor.taint.taint_sum_series())
-        cell_peak = max(cell_result.primary.processor.taint.taint_sum_series())
+        diff_peak = _peak_taint_bits(diff_result)
+        cell_peak = _peak_taint_bits(cell_result)
         assert cell_peak > 5 * diff_peak
 
     def test_false_negative_mode_suppresses_control_taints(self):
@@ -62,8 +65,8 @@ class TestAttackScenarios:
         fn_result = run_attack(
             "meltdown", BOOM, taint_mode=TaintTrackingMode.DIFFIFT, false_negative_mode=True
         )
-        diff_peak = max(diff_result.primary.processor.taint.taint_sum_series())
-        fn_peak = max(fn_result.primary.processor.taint.taint_sum_series())
+        diff_peak = _peak_taint_bits(diff_result)
+        fn_peak = _peak_taint_bits(fn_result)
         assert fn_peak <= diff_peak
         # Data taints still propagate in the false-negative case.
         assert fn_peak > 0
@@ -108,8 +111,6 @@ class TestAnalysisHelpers:
         curve = extract_taint_curve(log, label="diffIFT", cycle_offset=10)
         assert curve.cycles == [0, 1]
         assert curve.peak() == curve.final() == 2 * 512
-        assert curve.value_at(0) == 512
-        assert curve.saturated(512) and not curve.saturated(10**9)
 
     def test_empty_curve(self):
         curve = TaintCurve(label="empty")
@@ -133,8 +134,6 @@ class TestAnalysisHelpers:
         assert stats["mean_final"] == 10
         assert coverage_improvement([0, 10, 47], [0, 5, 10]) == pytest.approx(4.7)
         assert coverage_improvement([], [1]) is None
-        assert iterations_to_reach([0, 2, 5, 9], 5) == 2
-        assert iterations_to_reach([0, 1], 10) is None
 
     def test_per_core_breakdown_rows(self):
         campaign = CampaignResult(fuzzer_name="dejavuzz", core="small-boom+xiangshan-minimal")

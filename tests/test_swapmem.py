@@ -40,11 +40,6 @@ class TestLayout:
         assert layout.dedicated_base <= layout.secret_address < layout.dedicated_base + layout.dedicated_size
         assert layout.dedicated_base <= layout.operand_address < layout.dedicated_base + layout.dedicated_size
 
-    def test_contains_swappable(self):
-        layout = DEFAULT_LAYOUT
-        assert layout.contains_swappable(layout.swappable_base)
-        assert not layout.contains_swappable(layout.probe_base)
-
     def test_describe(self):
         assert "swappable" in DEFAULT_LAYOUT.describe()
 
@@ -109,14 +104,6 @@ class TestSwapSchedule:
         assert schedule.training_overhead() == 12
         assert schedule.effective_training_overhead() == 1
 
-    def test_without_packet(self):
-        schedule = SwapSchedule()
-        schedule.add(simple_packet("a", PacketKind.TRIGGER_TRAINING))
-        schedule.add(simple_packet("b", PacketKind.TRANSIENT))
-        reduced = schedule.without_packet("a")
-        assert reduced.packet_names() == ["b"]
-        assert schedule.packet_names() == ["a", "b"]  # original untouched
-
     def test_with_transient_packet(self):
         schedule = SwapSchedule()
         schedule.add(simple_packet("old", PacketKind.TRANSIENT))
@@ -145,8 +132,6 @@ class TestSwapMemory:
 
         permission = memory.data.permission_at(DEFAULT_LAYOUT.secret_address)
         assert not permission & Permission.READ
-        memory.unprotect_secret()
-        assert memory.data.permission_at(DEFAULT_LAYOUT.secret_address) & Permission.READ
 
     def test_load_packet_and_fetch(self):
         memory = SwapMemory()

@@ -207,14 +207,16 @@ class TestArchitecturalCorrectness:
     def test_fetch_resumes_after_a_serializing_commit(self, op, core):
         # Regression: a serializing instruction that committed without
         # trapping left fetch serialized for good, so the run ended at
-        # max_cycles after one commit.
+        # max_cycles after one commit.  Neither model has a CSR file or
+        # mepc, so mret is no longer a fall-through: both models trap on it.
         source = f"{op}\naddi a0, zero, 1\necall\n"
         processor, program = build_processor(source, config=resolve_core(core))
         outcome = processor.run(max_cycles=500)
         reference = IsaSimulator(program, memory=make_memory((0x1000, 0x2000)))
         result = reference.run()
-        assert outcome.halted_on == f"trap:{result.trap.cause.value}" == "trap:ecall"
-        assert processor.read_register(10) == reference.read_register(10) == 1
+        cause, a0 = ("illegal_instruction", 0) if op == "mret" else ("ecall", 1)
+        assert outcome.halted_on == f"trap:{result.trap.cause.value}" == f"trap:{cause}"
+        assert processor.read_register(10) == reference.read_register(10) == a0
 
 
 class TestSpeculationAndSquashes:
@@ -233,7 +235,7 @@ class TestSpeculationAndSquashes:
         processor, _ = build_processor(source)
         outcome = processor.run(max_cycles=600)
         assert processor.read_register(12) == 1
-        assert SquashReason.BRANCH_MISPREDICTION in outcome.trace.squash_reasons()
+        assert SquashReason.BRANCH_MISPREDICTION in {event.reason for event in outcome.trace.squashes}
         # Architectural state must be unaffected by squashed wrong-path work.
         assert processor.read_register(10) == 4
 
@@ -270,7 +272,7 @@ class TestSpeculationAndSquashes:
         assert outcome.halted_on == "trap:load_page_fault"
         # The probe line indexed by the secret was touched and tainted.
         assert processor.hierarchy.dcache.tainted_entry_count() >= 1
-        assert outcome.taint.max_taint_bits() > 0
+        assert any(census.total_bits() for census in outcome.taint.census_log)
 
     def test_memory_disambiguation_squash(self):
         source = """
@@ -290,7 +292,7 @@ class TestSpeculationAndSquashes:
         memory = make_memory((0x1000, 0x2000), (PROBE, 0x1000))
         processor, _ = build_processor(source, memory=memory)
         outcome = processor.run(max_cycles=600)
-        assert SquashReason.MEMORY_DISAMBIGUATION in outcome.trace.squash_reasons()
+        assert SquashReason.MEMORY_DISAMBIGUATION in {event.reason for event in outcome.trace.squashes}
         # After re-execution the load observes the (architecturally correct) zero.
         assert processor.read_register(29) == 0
 
@@ -401,7 +403,7 @@ class TestSameCycleSquashes:
 
         processor.rob.remove_younger_than = recording_remove
         outcome = processor.run(max_cycles=600)
-        assert SquashReason.MEMORY_DISAMBIGUATION in outcome.trace.squash_reasons()
+        assert SquashReason.MEMORY_DISAMBIGUATION in {event.reason for event in outcome.trace.squashes}
         assert squashes and all(squashed for _, squashed in squashes)
         executed_after_squash = [
             (cycle, entry.sequence)
@@ -487,13 +489,13 @@ class TestWorklists:
             processor.step_cycle()
             self._check_against_rob(processor)
             processor._fast_forward(2000)
-            reasons.update(processor.trace.squash_reasons())
+            reasons.update(event.reason for event in processor.trace.squashes)
         assert processor._halt_reason == "trap:ecall"
         assert {SquashReason.BRANCH_MISPREDICTION, SquashReason.MEMORY_DISAMBIGUATION} <= reasons
         if taint_mode is TaintTrackingMode.DIFFIFT:
             census = processor.taint.census_log
             assert [entry.cycle for entry in census] == list(range(1, processor.cycle + 1))
-            assert any(entry.total_elements() for entry in census)
+            assert any(entry.nonzero_modules() for entry in census)
         processor.flush_transient_state()
         assert not (processor._unexecuted or processor._unresolved or processor._executing)
 
@@ -623,7 +625,9 @@ class TestSideChannelState:
             assert outcome.halted_on == "trap:load_access_fault"
             # The value at the truncated address is 0x7; if it was sampled the
             # transient probe load touches PROBE + (0x7 << 6).
-            results[name] = processor.hierarchy.dcache.lookup(PROBE + (0x7 << 6))
+            dcache = processor.hierarchy.dcache
+            probe_line = (PROBE + (0x7 << 6)) // dcache.config.line_bytes
+            results[name] = any(probe_line in ways for ways in dcache.sets)
         assert results["buggy"] is True
         assert results["clean"] is False
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import resolve_core
 from repro.core.phase1 import TransientWindowTriggering
 from repro.core.phase2 import TransientExecutionExploration
-from repro.core.report import BugReport, CampaignResult, classify_report
+from repro.core.report import CampaignResult, classify_report
 from repro.core.phase3 import LeakageVerdict
 from repro.generation import TransientWindowType
 from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
@@ -87,24 +87,24 @@ class TestTaintState:
         assert census.element_counts["rob"] == 4
         assert census.bit_count("dcache") == 2 * BIT_WEIGHTS["dcache"]
         assert census.total_bits() > 0
-        assert taint.taint_sum_series() == [census.total_bits()]
-        taint.clear_control_overlay("rob")
-        second = taint.record_census(cycle=11, component_counts={})
-        assert "rob" not in second.nonzero_modules()
+        assert taint.census_log == [census]
 
     def test_census_totals(self):
         census = TaintCensus(cycle=0, element_counts={"dcache": 1, "rob": 2, "tlb": 0})
-        assert census.total_elements() == 3
         assert census.nonzero_modules() == {"dcache": 1, "rob": 2}
 
 
 class TestTraceLog:
     def _log(self):
         log = TraceLog()
-        log.record_enqueue(RobEnqueueEvent(cycle=1, rob_index=0, sequence=0, pc=0x100, mnemonic="addi"))
-        log.record_enqueue(RobEnqueueEvent(cycle=2, rob_index=1, sequence=1, pc=0x104, mnemonic="ld"))
-        log.record_enqueue(RobEnqueueEvent(cycle=3, rob_index=2, sequence=2, pc=0x108, mnemonic="add"))
-        log.record_commit(RobCommitEvent(cycle=4, rob_index=0, sequence=0, pc=0x100, mnemonic="addi"))
+        log.enqueues.extend(
+            [
+                RobEnqueueEvent(cycle=1, rob_index=0, sequence=0, pc=0x100, mnemonic="addi"),
+                RobEnqueueEvent(cycle=2, rob_index=1, sequence=1, pc=0x104, mnemonic="ld"),
+                RobEnqueueEvent(cycle=3, rob_index=2, sequence=2, pc=0x108, mnemonic="add"),
+            ]
+        )
+        log.commits.append(RobCommitEvent(cycle=4, rob_index=0, sequence=0, pc=0x100, mnemonic="addi"))
         log.record_squash(
             RobSquashEvent(
                 cycle=5,
@@ -121,22 +121,8 @@ class TestTraceLog:
         assert log.transient_sequences() == [1, 2]
         assert log.squashed_sequences() == [1, 2]
 
-    def test_window_detection_with_and_without_pcs(self):
+    def test_summary(self):
         log = self._log()
-        assert log.transient_window_triggered()
-        assert log.transient_window_triggered({0x108})
-        assert not log.transient_window_triggered({0x900})
-
-    def test_window_cycle_range(self):
-        log = self._log()
-        start, end = log.window_cycle_range({0x104, 0x108})
-        assert start == 2 and end == 5
-        assert log.window_cycle_range({0x900}) is None
-
-    def test_counts_and_summary(self):
-        log = self._log()
-        assert log.enqueue_count_in_window({0x104, 0x108}) == 2
-        assert log.commit_count_in_window({0x100}) == 1
         summary = log.summary()
         assert summary == {
             "enqueued": 3,
@@ -214,31 +200,36 @@ class TestCoSimulation:
     SAFE_BASE = 0xA000
     SAFE_SIZE = 0x1000
 
-    @pytest.mark.parametrize("allow_branches", [False, True], ids=["straight-line", "branches"])
+    @pytest.mark.parametrize("shape", ["straight-line", "branches", "mret"])
     @pytest.mark.parametrize("core", CORES)
     @settings(max_examples=12, deadline=None)
     @given(entropy=st.integers(min_value=0, max_value=10_000))
     def test_random_programs_commit_in_lockstep_with_golden_model(
-        self, core, allow_branches, entropy
+        self, core, shape, entropy
     ):
         """Random filler with loads/stores into a mapped region (and forward
         branches), with runs of 0-40 nops between the filler instructions so
         the nop-run macro-step enters and exits around them, and a ``fence``
         or ``fence.i`` after about one in four runs so fetch serializes and
         resumes: the pipeline commits exactly the golden model's instruction
-        sequence, traps at its ecall, and leaves the same registers and the
-        same bytes in the region."""
+        sequence, traps where it traps, and leaves the same registers and the
+        same bytes in the region.  The ``mret`` shape puts one ``mret`` at a
+        random point of the straight-line filler; neither model has a CSR
+        file or ``mepc``, so both take an illegal-instruction trap there."""
         rng = DeterministicRng(entropy, "cosim")
         generator = RandomInstructionGenerator(
             rng, safe_regions=[SafeRegion(self.SAFE_BASE, self.SAFE_SIZE)]
         )
         body = []
-        for instruction in generator.filler_block(40, allow_branches=allow_branches):
+        for instruction in generator.filler_block(40, allow_branches=shape == "branches"):
             body.append(instruction)
             body.extend(nop() for _ in range(rng.randint(0, 40)))
             fence = rng.randint(0, 7)
             if fence < 2:
                 body.append(Instruction(("fence", "fence.i")[fence]))
+        if shape == "mret":
+            body.insert(rng.randint(0, len(body)), Instruction("mret"))
+        cause = "illegal_instruction" if shape == "mret" else "ecall"
         # A branch near the end skips at most four instructions: it lands on
         # the padding, never past the ecall.
         body.extend(nop() for _ in range(4))
@@ -253,16 +244,16 @@ class TestCoSimulation:
 
         reference_memory = fresh_memory()
         reference = IsaSimulator(program, memory=reference_memory).run(max_instructions=5_000)
-        assert reference.trap is not None and reference.trap.cause.value == "ecall"
-        *committed_pcs, ecall_pc = [pc for pc, _ in reference.trace]
+        assert reference.trap is not None and reference.trap.cause.value == cause
+        *committed_pcs, trap_pc = [pc for pc, _ in reference.trace]
 
         memory = fresh_memory()
         processor = Processor(resolve_core(core), memory=memory)
         processor.load_program(program, map_pages=False)
         outcome = processor.run(max_cycles=20_000)
-        assert outcome.halted_on == "trap:ecall"
+        assert outcome.halted_on == f"trap:{cause}"
         assert [event.pc for event in outcome.trace.commits] == committed_pcs
-        assert [trap.pc for trap in outcome.trace.traps] == [ecall_pc]
+        assert [trap.pc for trap in outcome.trace.traps] == [trap_pc]
         assert [processor.read_register(index) for index in range(32)] == [
             reference.register_file.get(index, 0) for index in range(32)
         ]
