@@ -1,58 +1,57 @@
-"""Distributed scaling — the multi-host fabric versus a single inline worker.
+"""Distributed scaling — two worker daemons versus one.
 
 The paper's campaigns are bounded by slow RTL simulators, so the distributed
 backend's job is to spread that *waiting* over a fleet: this benchmark
 injects a per-simulation latency (``step_latency``, the same slow-simulator
-stand-in the elastic-resume benchmark uses) and runs one 4-shard campaign
-four ways — inline (the reference), through a coordinator with one worker
-daemon, with two worker daemons, and with two workers of which one is
-**killed mid-epoch** (SIGKILL, no goodbye) so its tasks are reassigned to
-the survivor.
+stand-in the elastic-resume benchmark uses) and runs one 4-slice campaign
+through a coordinator with one worker daemon (the reference arm) and with
+two (the fast arm), in alternating pairs (:func:`bench_utils.paired_ratio`)
+on two fleets that stay connected across the pairs.  A third fleet of two
+workers loses one to SIGKILL (no goodbye) while it holds a task.
 
 Asserts
 
-* **fleet identity** — all distributed runs, the degraded one included,
-  produce byte-identical ``CampaignResult.to_dict(include_timing=False)``
-  wire forms versus inline: worker count, join order and worker loss are
-  transport details and must never leak into results,
-* **fleet scaling** — two workers finish the latency-bound campaign at
-  least 1.4x faster than one worker (the waits of concurrently assigned
-  shards overlap across daemons),
+* **fleet scaling** — the median one-worker/two-worker ratio is at least
+  1.4 (the waits of concurrently assigned slices overlap across daemons),
 * **fault tolerance** — the killed worker's in-flight tasks are observed
-  being reassigned (``reassigned_tasks >= 1``) and the campaign still
-  completes.
+  being reassigned to the survivor (``reassigned_tasks >= 1``) and the
+  campaign still completes.
 
+That every fleet, the degraded one included, yields the inline backend's
+campaign byte for byte is ``tests/test_campaign_matrix.py``'s job
+(``distributed``, ``distributed-flaky-worker`` and ``distributed-resume``).
 The committed artifact (``benchmarks/results/distributed_scaling.txt``)
-contains only deterministic facts — configuration, per-run identity
-verdicts, coverage/report counts and the threshold verdicts — so it is
-byte-reproducible standalone or in the full suite; measured seconds go to
-stdout only.
+contains only deterministic facts — configuration, coverage/report counts,
+the bar — so it is byte-reproducible standalone or in the full suite; the
+per-pair wall clocks go to the untracked
+``benchmarks/results/timing/distributed_scaling.txt``.
 """
 
-import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
-from bench_utils import format_table, save_results
+from bench_utils import format_table, paired_ratio, save_results, save_timing_results
 
 from repro.core import run_parallel_campaign
 from repro.core.distributed import DistributedBackend
 from repro.core.worker import run_worker
 from repro.uarch import small_boom_config
 
-TOTAL_ITERATIONS = 12
+TOTAL_ITERATIONS = 8
 SHARDS = 4
 SYNC_EPOCHS = 2
 ENTROPY = 77
 
 
 def run_campaign(step_latency, backend=None):
-    started = time.perf_counter()
-    result = run_parallel_campaign(
+    return run_parallel_campaign(
         small_boom_config(),
         shards=SHARDS,
+        slices=SHARDS,
         iterations=TOTAL_ITERATIONS,
         sync_epochs=SYNC_EPOCHS,
         entropy=ENTROPY,
@@ -60,70 +59,51 @@ def run_campaign(step_latency, backend=None):
         step_latency=step_latency,
         backend=backend,
     )
-    return result, time.perf_counter() - started
 
 
-def start_worker_thread(address):
-    thread = threading.Thread(
-        target=run_worker,
-        kwargs=dict(connect=f"{address[0]}:{address[1]}", quiet=True),
-        daemon=True,
-    )
-    thread.start()
-    return thread
-
-
-def run_distributed(step_latency, workers):
+def fleet(workers, threads=None):
+    """A coordinator awaiting ``workers`` daemons, ``threads`` (default: all)
+    of which run in this process."""
     backend = DistributedBackend(listen="127.0.0.1:0", min_workers=workers)
-    try:
-        for _ in range(workers):
-            start_worker_thread(backend.address)
-        return run_campaign(step_latency, backend=backend)
-    finally:
-        backend.close()
+    for _ in range(workers if threads is None else threads):
+        threading.Thread(
+            target=run_worker,
+            kwargs=dict(connect="%s:%d" % backend.address, quiet=True),
+            daemon=True,
+        ).start()
+    return backend
 
 
 def run_degraded(step_latency):
     """Two workers; the subprocess one is SIGKILLed holding an in-flight task."""
-    import subprocess
-    import sys
-
-    backend = DistributedBackend(listen="127.0.0.1:0", min_workers=2)
-    environment = dict(os.environ)
+    backend = fleet(2, threads=1)
     source_root = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
     )
-    environment["PYTHONPATH"] = (
-        source_root + os.pathsep + environment.get("PYTHONPATH", "")
-    )
     victim = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.core.worker",
-            "--connect", f"{backend.address[0]}:{backend.address[1]}",
-            "--retry", "30", "--quiet",
-        ],
-        env=environment,
+        [sys.executable, "-m", "repro.core.worker", "--connect",
+         "%s:%d" % backend.address, "--retry", "30", "--quiet"],
+        env=dict(os.environ, PYTHONPATH=source_root),
     )
+
+    def kill_when_busy():
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            busy = any(
+                row["pid"] == victim.pid and row["inflight"] and row["alive"]
+                for row in backend.workers()
+            )
+            if busy:
+                os.kill(victim.pid, signal.SIGKILL)
+                return
+            time.sleep(0.02)
+
     try:
-        start_worker_thread(backend.address)
-
-        def kill_when_busy():
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                busy = any(
-                    row["pid"] == victim.pid and row["inflight"] and row["alive"]
-                    for row in backend.workers()
-                )
-                if busy:
-                    os.kill(victim.pid, signal.SIGKILL)
-                    return
-                time.sleep(0.02)
-
         assassin = threading.Thread(target=kill_when_busy, daemon=True)
         assassin.start()
-        result, seconds = run_campaign(step_latency, backend=backend)
+        result = run_campaign(step_latency, backend=backend)
         assassin.join(timeout=60)
-        return result, seconds, backend.reassigned_tasks
+        return result, backend.reassigned_tasks
     finally:
         backend.close()
         if victim.poll() is None:
@@ -131,75 +111,58 @@ def run_degraded(step_latency):
         victim.wait(timeout=30)
 
 
-def deterministic_wire(result):
-    return json.dumps(result.campaign.to_dict(include_timing=False), sort_keys=True)
-
-
-def test_distributed_scaling(benchmark):
+def test_distributed_scaling():
     # Calibrate the injected wait against this host's compute speed, keeping
     # the campaign waiting-dominated on fast and slow hosts alike.
-    _, compute_seconds = run_campaign(0.0)
-    latency = max(0.02, round(compute_seconds / 10, 3))
+    started = time.perf_counter()
+    run_campaign(0.0)
+    latency = max(0.01, round((time.perf_counter() - started) / 16, 3))
 
-    inline, inline_seconds = run_campaign(latency)
-    single, single_seconds = run_distributed(latency, workers=1)
-    ((double, double_seconds),) = [
-        benchmark.pedantic(
-            run_distributed, args=(latency, 2), rounds=1, iterations=1
+    single, double = fleet(1), fleet(2)
+    try:
+        paired = paired_ratio(
+            lambda: run_campaign(latency, backend=single),
+            lambda: run_campaign(latency, backend=double),
         )
-    ]
-    degraded, degraded_seconds, reassigned = run_degraded(latency)
+    finally:
+        single.close()
+        double.close()
+    degraded, reassigned = run_degraded(latency)
 
-    reference = deterministic_wire(inline)
-    verdicts = {
-        "distributed x1": deterministic_wire(single) == reference,
-        "distributed x2": deterministic_wire(double) == reference,
-        "x2, one killed": deterministic_wire(degraded) == reference,
-    }
-    speedup = single_seconds / max(double_seconds, 1e-9)
-
-    print(
-        f"\nmeasured: inline {inline_seconds:.2f}s, x1 {single_seconds:.2f}s, "
-        f"x2 {double_seconds:.2f}s ({speedup:.2f}x), degraded "
-        f"{degraded_seconds:.2f}s; injected latency {latency}s/simulation"
+    save_timing_results(
+        "distributed_scaling",
+        f"injected latency {latency}s/simulation\n\n"
+        + paired.table("one worker", "two workers"),
     )
 
-    # Fleet identity: transport details must never leak into results.
-    assert all(verdicts.values()), f"distributed runs diverged: {verdicts}"
     # Fleet scaling: two daemons overlap the waits one daemon pays serially.
-    assert speedup >= 1.4, (
-        f"two workers should beat one on a latency-bound campaign "
-        f"(x1 {single_seconds:.2f}s vs x2 {double_seconds:.2f}s = {speedup:.2f}x)"
+    assert paired.median >= 1.4, (
+        f"two workers should beat one on a latency-bound campaign: "
+        f"one/two workers {paired.describe()}"
     )
     # Fault tolerance: the kill landed while work was in flight, and the
     # survivor inherited it.
     assert reassigned >= 1
     assert degraded.complete
 
-    rows = [
-        ["inline", "-", "-", inline.total_coverage(),
-         len(inline.campaign.reports), "reference"],
-        ["distributed", 1, 0, single.total_coverage(),
-         len(single.campaign.reports), "byte-identical"],
-        ["distributed", 2, 0, double.total_coverage(),
-         len(double.campaign.reports), "byte-identical"],
-        ["distributed", "2 (1 killed mid-epoch)", ">=1", degraded.total_coverage(),
-         len(degraded.campaign.reports), "byte-identical"],
-    ]
     table = format_table(
-        ["Backend", "Workers", "Reassigned", "Coverage", "Reports", "vs inline"],
-        rows,
+        ["Workers", "Coverage", "Reports"],
+        [
+            [workers, result.total_coverage(), len(result.campaign.reports)]
+            for workers, result in (
+                (1, paired.reference[0]), (2, paired.fast[0]),
+                ("2, one killed mid-epoch", degraded),
+            )
+        ],
     )
     table += (
-        f"\n\n{SHARDS} shards x {TOTAL_ITERATIONS} iterations, "
+        f"\n\n{SHARDS} shards = {SHARDS} slices x {TOTAL_ITERATIONS} iterations, "
         f"{SYNC_EPOCHS} sync epochs; root entropy: {ENTROPY}"
     )
     table += (
         "\ninjected per-simulation latency calibrated to keep the campaign"
-        "\nwaiting-dominated; wall seconds are printed to stdout only so this"
-        "\nartifact stays byte-reproducible standalone and in the full suite"
+        " waiting-dominated"
+        "\nbar: median one-worker/two-worker ratio of alternating pairs >= 1.4: met"
+        "\nkilled worker's tasks reassigned to the survivor: True"
     )
-    table += "\ntwo-worker speedup over one worker >= 1.4x: True"
-    table += "\nkilled worker's tasks reassigned to the survivor: True"
-    table += "\nall distributed wire forms byte-identical to inline: True"
     save_results("distributed_scaling", table)

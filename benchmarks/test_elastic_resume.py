@@ -1,32 +1,32 @@
-"""Elastic resume — reshard a checkpointed campaign when it resumes.
+"""Elastic resume — resuming a checkpoint at more shards uses them.
 
-A campaign checkpointed at 4 physical shards is resumed at 8, 2, and 1:
-because every deterministic derivation (entropy streams, seed-id bases, core
-binding, corpus attribution) is keyed by the *logical slice* and the format-2
-fingerprint pins ``slices`` instead of ``shards``, each resume must be
-byte-identical to the uninterrupted reference run.
-
-The second half measures why resharding is worth having: with an injected
+A campaign checkpointed at 4 physical shards can resume at any other shard
+count, because every deterministic derivation is keyed by the logical slice
+and the checkpoint fingerprint pins ``slices``, not ``shards``.  This
+benchmark measures why resharding is worth having: with an injected
 per-simulation latency (the slow-RTL regime of the paper's real targets) the
 same halted checkpoint is resumed on the process backend at the original
-shard count and at double, and the doubled resume must actually use its
-extra capacity — the overlap bound means 2x in-flight tasks can approach
-half the wall-clock when waits dominate.
+shard count (the reference arm) and at double (the fast arm), in alternating
+pairs (:func:`bench_utils.paired_ratio`), each resume from a fresh copy of
+the checkpoint.  The overlap bound means 2x in-flight tasks can approach
+half the wall clock when waits dominate.
 
 Asserts
 
-* **reshard identity** — resume at 8, 2, and 1 shards each reproduce the
-  uninterrupted run's deterministic wire form exactly,
-* **elastic speedup** — under waiting-dominated injected latency, resuming
-  at 2x the shards beats the original-shard-count resume by at least 1.25x
+* **elastic speedup** — the median 4-shard/8-shard ratio is at least 1.25
   (the extra shards demonstrably run tasks, not just exist).
+
+That a resume at another shard count reproduces the uninterrupted campaign
+byte for byte is ``tests/test_campaign_matrix.py``'s job
+(``resume-process-2x``, ``resume-inline-half``, ``distributed-resume``,
+``cli-resume``).  The per-pair wall clocks go to the untracked
+``benchmarks/results/timing/elastic_resume.txt``.
 """
 
-import json
 import shutil
 import time
 
-from bench_utils import format_table, save_timing_results
+from bench_utils import paired_ratio, save_timing_results
 
 from repro.core import (
     EngineConfiguration,
@@ -35,17 +35,21 @@ from repro.core import (
 )
 from repro.uarch import small_boom_config
 
-TOTAL_ITERATIONS = 48
+TOTAL_ITERATIONS = 16
 CHECKPOINT_SHARDS = 4
-SYNC_EPOCHS = 4
-HALT_AFTER = 2
+# One slice task per doubled shard: the doubled resume runs each epoch in
+# one wave of tasks, the original in two.
+SLICES = 2 * CHECKPOINT_SHARDS
+SYNC_EPOCHS = 2
+HALT_AFTER = 1
 ENTROPY = 4242
 
 
-def build_cfg(shards, checkpoint_path=None, executor="inline", step_latency=0.0):
+def build_cfg(shards, checkpoint_path, executor="inline", step_latency=0.0):
     return EngineConfiguration(
         fuzzer=FuzzerConfiguration(core=small_boom_config(), entropy=ENTROPY),
         shards=shards,
+        slices=SLICES,
         iterations=TOTAL_ITERATIONS,
         sync_epochs=SYNC_EPOCHS,
         executor=executor,
@@ -54,95 +58,41 @@ def build_cfg(shards, checkpoint_path=None, executor="inline", step_latency=0.0)
     )
 
 
-def deterministic_wire(result):
-    return json.dumps(result.campaign.to_dict(include_timing=False), sort_keys=True)
-
-
-def resume(checkpoint, shards, **overrides):
-    started = time.perf_counter()
-    result = ParallelCampaignEngine.resume_from(
-        str(checkpoint), build_cfg(shards, str(checkpoint), **overrides)
-    ).run()
-    return result, time.perf_counter() - started
-
-
-def test_elastic_resume(benchmark, tmp_path):
-    started = time.perf_counter()
-    uninterrupted = ParallelCampaignEngine(build_cfg(CHECKPOINT_SHARDS)).run()
-    full_seconds = time.perf_counter() - started
-    reference = deterministic_wire(uninterrupted)
-
+def test_elastic_resume(tmp_path):
     halted = tmp_path / "halted.json"
+    started = time.perf_counter()
     partial = ParallelCampaignEngine(
         build_cfg(CHECKPOINT_SHARDS, str(halted))
     ).run(max_epochs=HALT_AFTER)
     assert not partial.complete
-
-    # --- Reshard identity: one fresh copy of the halted checkpoint per
-    # resume, so each factor replays the identical halt point.
-    rows = []
-    for resume_shards in (8, 2, 1):
-        checkpoint = tmp_path / f"resume_at_{resume_shards}.json"
-        shutil.copy(halted, checkpoint)
-        resumed, seconds = resume(checkpoint, resume_shards)
-        assert resumed.complete
-        identical = deterministic_wire(resumed) == reference
-        rows.append([
-            CHECKPOINT_SHARDS,
-            resume_shards,
-            f"{resume_shards / CHECKPOINT_SHARDS:g}x",
-            resumed.slices,
-            "yes" if identical else "NO",
-            round(seconds, 2),
-        ])
-        assert identical, f"resume at {resume_shards} shards diverged"
-    identity_table = format_table(
-        ["Ckpt shards", "Resume shards", "Factor", "Slices", "Identical", "Seconds"],
-        rows,
-    )
-
-    # --- Elastic speedup: waiting-dominated resumes at 1x vs 2x the shards.
     # Calibrate the injected wait against this host so waits dominate compute
     # on fast and slow machines alike.
-    latency = max(0.02, round(full_seconds / 24, 3))
-    baseline_ck = tmp_path / "latency_at_4.json"
-    shutil.copy(halted, baseline_ck)
-    _, baseline_seconds = resume(
-        baseline_ck, CHECKPOINT_SHARDS, executor="process", step_latency=latency,
+    latency = max(0.02, round((time.perf_counter() - started) / 4, 3))
+
+    def resume(shards):
+        checkpoint = tmp_path / "resumed.json"  # a fresh copy for every resume
+        shutil.copy(halted, checkpoint)
+        return ParallelCampaignEngine.resume_from(
+            str(checkpoint),
+            build_cfg(shards, str(checkpoint), "process", latency),
+        ).run()
+
+    paired = paired_ratio(
+        lambda: resume(CHECKPOINT_SHARDS), lambda: resume(2 * CHECKPOINT_SHARDS)
     )
-    doubled_ck = tmp_path / "latency_at_8.json"
-    shutil.copy(halted, doubled_ck)
-    (doubled, doubled_seconds) = benchmark.pedantic(
-        resume,
-        args=(doubled_ck, 2 * CHECKPOINT_SHARDS),
-        kwargs=dict(executor="process", step_latency=latency),
-        rounds=1,
-        iterations=1,
-    )
-    speedup = baseline_seconds / max(doubled_seconds, 1e-9)
-    latency_table = format_table(
-        ["Resume shards", "Seconds", "Speedup"],
-        [
-            [CHECKPOINT_SHARDS, round(baseline_seconds, 2), "1.00x"],
-            [2 * CHECKPOINT_SHARDS, round(doubled_seconds, 2), f"{speedup:.2f}x"],
-        ],
+    save_timing_results(
+        "elastic_resume",
+        f"{CHECKPOINT_SHARDS}-shard campaign of {SLICES} slices halted after "
+        f"{HALT_AFTER}/{SYNC_EPOCHS} epochs\n"
+        f"({TOTAL_ITERATIONS} iterations total; root entropy: {ENTROPY}), resumed on the\n"
+        f"process backend under injected simulator latency ({latency}s/simulation)\n\n"
+        + paired.table(f"{CHECKPOINT_SHARDS} shards", f"{2 * CHECKPOINT_SHARDS} shards"),
     )
 
-    text = (
-        f"{CHECKPOINT_SHARDS}-shard campaign halted after "
-        f"{HALT_AFTER}/{SYNC_EPOCHS} epochs, resumed elsewhere\n"
-        f"({TOTAL_ITERATIONS} iterations total; root entropy: {ENTROPY})\n\n"
-        + identity_table
-        + "\n\nresume under injected simulator latency "
-        f"({latency}s/simulation, process backend):\n\n"
-        + latency_table
-    )
-    save_timing_results("elastic_resume", text)
-
-    # The injected-latency resumes are still the same campaign.
-    assert deterministic_wire(doubled) == reference
+    assert all(result.complete for result in paired.reference + paired.fast)
     # The doubled fleet must demonstrably use its extra shards: in the
     # waiting-dominated regime 2x the shards overlap 2x the waits.
-    assert speedup >= 1.25, (
-        f"resume at 2x the shards only {speedup:.2f}x faster"
+    assert paired.median >= 1.25, (
+        f"resume at 2x the shards: {CHECKPOINT_SHARDS}/{2 * CHECKPOINT_SHARDS} "
+        f"shards {paired.describe()}"
     )

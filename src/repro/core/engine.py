@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -545,7 +546,8 @@ _CHECKPOINT_TYPES = {
     "slice_iterations_done": dict, "transfer_count": int, "corpus": list,
     "core_coverage": dict, "campaign": dict, "slice_points": dict,
     "slice_summaries": list, "transfers": list, "redistributed_seeds": int,
-    "transferred_seeds": int,
+    "transferred_seeds": int, "core_triggered": dict, "round_gains": list,
+    "wall_clock_seconds": numbers.Real,
 }
 
 
@@ -955,15 +957,34 @@ class CampaignScheduler:
                 "checkpoint does not match this configuration "
                 f"(differing fields: {', '.join(differing)})"
             )
-        configuration = self.configuration
         slice_cores = {
             index: prototype.core.name
             for index, prototype in enumerate(self._slice_fuzzers)
         }
-        core_coverage: Dict[str, TaintCoverageMatrix] = {}
+        core_names = list(dict.fromkeys(slice_cores.values()))
         stored_coverage = payload["core_coverage"]
-        for name in dict.fromkeys(slice_cores.values()):
-            entry = stored_coverage.get(name, {"points": [], "history": []})
+        absent = [name for name in core_names if name not in stored_coverage]
+        if absent:
+            raise ValueError(f"checkpoint lacks core_coverage for {', '.join(absent)}")
+        mistyped = [
+            f"core_coverage[{name}] (expected object with list points and history)"
+            for name in core_names
+            if not (
+                isinstance(stored_coverage[name], dict)
+                and isinstance(stored_coverage[name].get("points"), list)
+                and isinstance(stored_coverage[name].get("history"), list)
+            )
+        ] + [
+            f"slice_points[{key}] (expected list)"
+            for key, points in payload["slice_points"].items()
+            if not isinstance(points, list)
+        ]
+        if mistyped:
+            raise ValueError(f"checkpoint has the wrong type for {', '.join(mistyped)}")
+        configuration = self.configuration
+        core_coverage: Dict[str, TaintCoverageMatrix] = {}
+        for name in core_names:
+            entry = stored_coverage[name]
             matrix = TaintCoverageMatrix.from_dicts(entry["points"])
             matrix.history = [int(total) for total in entry["history"]]
             core_coverage[name] = matrix
@@ -1001,9 +1022,9 @@ class CampaignScheduler:
         self._transfer_count = int(payload["transfer_count"])
         self._core_triggered = {
             core: set(groups)
-            for core, groups in payload.get("core_triggered", {}).items()
+            for core, groups in payload["core_triggered"].items()
         }
-        self._round_gains = [int(gain) for gain in payload.get("round_gains", [])]
+        self._round_gains = [int(gain) for gain in payload["round_gains"]]
         self.corpus = SharedCorpus.from_dicts(
             payload["corpus"], capacity=configuration.corpus_capacity
         )
@@ -1017,7 +1038,7 @@ class CampaignScheduler:
             if row.get("new_global_points") is None:
                 key = (int(row["target_slice"]), int(row["epoch"]))
                 self._pending_transfers[key] = row
-        self._elapsed_before = float(payload.get("wall_clock_seconds", 0.0))
+        self._elapsed_before = float(payload["wall_clock_seconds"])
 
     # -- epoch plumbing ---------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 
 class SquashReason(enum.Enum):
@@ -94,29 +94,5 @@ class TraceLog:
 
     # -- fuzzer-facing queries ---------------------------------------------------
 
-    def enqueued_sequences(self) -> List[int]:
-        return [event.sequence for event in self.enqueues]
-
     def committed_sequences(self) -> List[int]:
         return [event.sequence for event in self.commits]
-
-    def squashed_sequences(self) -> List[int]:
-        squashed: List[int] = []
-        for event in self.squashes:
-            squashed.extend(event.squashed_sequences)
-        return squashed
-
-    def transient_sequences(self) -> List[int]:
-        """Sequences that were enqueued but never committed (transient instructions)."""
-        committed = set(self.committed_sequences())
-        return [seq for seq in self.enqueued_sequences() if seq not in committed]
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "enqueued": len(self.enqueues),
-            "committed": len(self.commits),
-            "squashes": len(self.squashes),
-            "transient": len(self.transient_sequences()),
-            "traps": len(self.traps),
-            "redirects": len(self.redirects),
-        }

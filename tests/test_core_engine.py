@@ -915,7 +915,8 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="malformed checkpoint"):
             ParallelCampaignEngine.resume_from(str(path), self.cfg())
 
-    # A value of None deletes the key; any other value replaces it.
+    # The key is a dotted path into the checkpoint.  A value of None deletes
+    # it; any other value replaces it.
     MALFORMED = {
         "no-corpus": ("corpus", None, "lacks corpus"),
         "corpus-int": ("corpus", 5, "wrong type for corpus"),
@@ -926,6 +927,18 @@ class TestCheckpointResume:
         "fingerprint-int": ("fingerprint", 5, "wrong type for fingerprint"),
         "campaign-list": ("campaign", [], "wrong type for campaign"),
         "slice_summaries-int": ("slice_summaries", 5, "wrong type for slice_summaries"),
+        "core_coverage-entry-int": (
+            "core_coverage.small-boom", 5, "wrong type for core_coverage[small-boom]"
+        ),
+        "core_coverage-lacks-core": (
+            "core_coverage.small-boom", None, "lacks core_coverage for small-boom"
+        ),
+        "core_triggered-int": ("core_triggered", 5, "wrong type for core_triggered"),
+        "round_gains-int": ("round_gains", 5, "wrong type for round_gains"),
+        "slice_points-entry-int": ("slice_points.0", 5, "wrong type for slice_points[0]"),
+        "wall_clock_seconds-list": (
+            "wall_clock_seconds", [], "wrong type for wall_clock_seconds"
+        ),
     }
 
     @pytest.mark.parametrize("content", ["list", "string", *MALFORMED])
@@ -935,10 +948,14 @@ class TestCheckpointResume:
             key, value, message = self.MALFORMED[content]
             ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
             payload = json.loads(path.read_text())
+            *parents, key = key.split(".")
+            target = payload
+            for parent in parents:
+                target = target[parent]
             if value is None:
-                del payload[key]
+                del target[key]
             else:
-                payload[key] = value
+                target[key] = value
             path.write_text(json.dumps(payload))
         else:
             path.write_text("[1, 2]" if content == "list" else '"x"')
@@ -952,6 +969,15 @@ class TestCheckpointResume:
         assert output.startswith("error:")
         if content in self.MALFORMED:
             assert message in output
+
+    def test_integer_wall_clock_seconds_is_accepted(self, tmp_path):
+        ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
+        path = tmp_path / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        payload["wall_clock_seconds"] = 3
+        path.write_text(json.dumps(payload))
+        engine = ParallelCampaignEngine.resume_from(str(path), self.cfg(tmp_path))
+        assert engine.scheduler._elapsed_before == 3.0
 
     def test_checkpoint_larger_than_a_frame_is_not_written(self, tmp_path, monkeypatch):
         engine = ParallelCampaignEngine(self.cfg(tmp_path))
@@ -1111,16 +1137,22 @@ class TestFeedbackKnobPlumbing:
 
 
 class TestElasticResume:
-    """A checkpoint written at N physical shards resumes at any other shard
-    count byte-identically: every deterministic derivation (entropy streams,
-    seed-id bases, core assignment, corpus attribution) is keyed by logical
-    slice, and the fingerprint pins ``slices``, never ``shards``."""
+    """A checkpoint written at N physical shards resumes at another shard
+    count: every deterministic derivation (entropy streams, seed-id bases,
+    core assignment, corpus attribution) is keyed by logical slice, and the
+    fingerprint pins ``slices``, never ``shards``.  That such a resume is
+    byte-identical to the uninterrupted campaign is the campaign matrix's
+    job (``tests/test_campaign_matrix.py``: ``resume-process-2x``,
+    ``resume-inline-half``, ``distributed-resume`` and
+    ``test_merged_slice_state_matches_the_reference``); these tests keep what
+    its two-core, four-slice campaign does not reach: three cores, six slices
+    split unevenly over the shards, and a slice-count mismatch."""
 
     def cfg(self, shards, tmp_path=None, cores=None, **overrides):
         defaults = dict(
             fuzzer=FuzzerConfiguration(core=BOOM, entropy=13),
             shards=shards,
-            iterations=24,
+            iterations=12,
             sync_epochs=3,
             executor="inline",
             cores=cores,
@@ -1130,59 +1162,41 @@ class TestElasticResume:
         defaults.update(overrides)
         return EngineConfiguration(**defaults)
 
-    def checkpoint_then_resume(self, tmp_path, resume_shards, cores=None):
-        uninterrupted = ParallelCampaignEngine(self.cfg(4, cores=cores)).run()
+    def halt_then_resume(self, tmp_path, resume_shards, **overrides):
+        uninterrupted = ParallelCampaignEngine(self.cfg(4, **overrides)).run()
         partial = ParallelCampaignEngine(
-            self.cfg(4, tmp_path, cores=cores)
+            self.cfg(4, tmp_path, **overrides)
         ).run(max_epochs=1)
         assert not partial.complete
         resumed = ParallelCampaignEngine.resume_from(
             str(tmp_path / "checkpoint.json"),
-            self.cfg(resume_shards, tmp_path, cores=cores),
+            self.cfg(resume_shards, tmp_path, **overrides),
         ).run()
         assert resumed.complete
         assert resumed.shards == resume_shards
-        assert resumed.slices == uninterrupted.slices
         assert resumed.campaign.to_dict(
             include_timing=False
         ) == uninterrupted.campaign.to_dict(include_timing=False)
         assert resumed.slice_points == uninterrupted.slice_points
-        assert resumed.slice_cores == uninterrupted.slice_cores
         assert resumed.transfers == uninterrupted.transfers
         return resumed
 
-    @pytest.mark.parametrize("resume_shards", [8, 2, 1])
-    def test_inline_resume_at_other_shard_counts(self, tmp_path, resume_shards):
-        self.checkpoint_then_resume(tmp_path, resume_shards)
-
     def test_heterogeneous_cores_survive_resharding(self, tmp_path):
-        cores = ["boom", "xiangshan", "boom-large"]
-        for resume_shards in (8, 2):
-            resumed = self.checkpoint_then_resume(
-                tmp_path / f"at{resume_shards}", resume_shards, cores=cores
-            )
-            # Slice->core binding is round-robin over the cores rotation and
-            # must not move when the physical shard count changes.
-            assert [resumed.slice_cores[index] for index in range(3)] == [
-                "small-boom", "xiangshan-minimal", "large-boom",
-            ]
-            assert set(resumed.core_coverage) == {
-                "small-boom", "xiangshan-minimal", "large-boom",
-            }
+        resumed = self.halt_then_resume(
+            tmp_path, 8, cores=["boom", "xiangshan", "boom-large"]
+        )
+        # Slice->core binding is round-robin over the cores rotation and
+        # must not move when the physical shard count changes.
+        rotation = ["small-boom", "xiangshan-minimal", "large-boom"]
+        assert [resumed.slice_cores[index] for index in range(resumed.slices)] == [
+            rotation[index % 3] for index in range(resumed.slices)
+        ]
+        assert set(resumed.core_coverage) == set(rotation)
 
     def test_explicit_slices_knob_is_honoured_across_resume(self, tmp_path):
-        uninterrupted = ParallelCampaignEngine(
-            self.cfg(4, slices=6)
-        ).run()
-        assert uninterrupted.slices == 6
-        ParallelCampaignEngine(self.cfg(4, tmp_path, slices=6)).run(max_epochs=1)
-        resumed = ParallelCampaignEngine.resume_from(
-            str(tmp_path / "checkpoint.json"), self.cfg(2, tmp_path, slices=6)
-        ).run()
+        # Six slices split unevenly over four shards and then over two.
+        resumed = self.halt_then_resume(tmp_path, 2, slices=6)
         assert resumed.slices == 6
-        assert resumed.campaign.to_dict(
-            include_timing=False
-        ) == uninterrupted.campaign.to_dict(include_timing=False)
 
     def test_resume_with_a_different_slice_count_is_rejected(self, tmp_path):
         ParallelCampaignEngine(self.cfg(4, tmp_path)).run(max_epochs=1)

@@ -116,22 +116,16 @@ class TestTraceLog:
         )
         return log
 
-    def test_transient_sequences(self):
-        log = self._log()
-        assert log.transient_sequences() == [1, 2]
-        assert log.squashed_sequences() == [1, 2]
-
     def test_summary(self):
         log = self._log()
-        summary = log.summary()
-        assert summary == {
-            "enqueued": 3,
-            "committed": 1,
-            "squashes": 1,
-            "transient": 2,
-            "traps": 0,
-            "redirects": 0,
-        }
+        committed = {event.sequence for event in log.commits}
+        assert [event.sequence for event in log.enqueues] == [0, 1, 2]
+        assert [
+            event.sequence for event in log.enqueues if event.sequence not in committed
+        ] == [1, 2]
+        assert [event.squashed_sequences for event in log.squashes] == [(1, 2)]
+        assert log.committed_sequences() == [0]
+        assert (log.traps, log.redirects) == ([], [])
 
 
 class TestReports:
