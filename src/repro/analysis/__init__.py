@@ -11,7 +11,6 @@ from repro.analysis.results import (
     per_core_breakdown,
     cross_core_transfer_table,
     sync_round_table,
-    checkpoint_summary,
     profile_hotspot_table,
     simulator_process_table,
     telemetry_table,
@@ -30,7 +29,6 @@ __all__ = [
     "per_core_breakdown",
     "cross_core_transfer_table",
     "sync_round_table",
-    "checkpoint_summary",
     "profile_hotspot_table",
     "simulator_process_table",
     "telemetry_table",

@@ -161,37 +161,6 @@ def sync_round_table(
     return [rounds[epoch] for epoch in sorted(rounds)]
 
 
-def checkpoint_summary(payload: Dict[str, object]) -> Dict[str, object]:
-    """Describe an engine checkpoint file (the dict loaded from its JSON).
-
-    Pulls out the facts an operator wants before resuming a long campaign:
-    how far it got, what is left, and the size of the carried state.
-    """
-    fingerprint = payload.get("fingerprint", {})
-    campaign = payload.get("campaign", {})
-    coverage = {
-        core: len(entry.get("points", []))
-        for core, entry in sorted(payload.get("core_coverage", {}).items())
-    }
-    return {
-        "format": payload.get("format"),
-        "next_epoch": payload.get("next_epoch"),
-        "iterations_done": campaign.get("iterations_run", 0),
-        "iterations_total": fingerprint.get("iterations"),
-        "slices": fingerprint.get("slices"),
-        "cores": fingerprint.get("cores", []),
-        "per_core_coverage": coverage,
-        "corpus_seeds": len(payload.get("corpus", [])),
-        "reports": len(campaign.get("reports", [])),
-        "pending_transfers": sum(
-            1
-            for row in payload.get("transfers", [])
-            if row.get("new_global_points") is None
-        ),
-        "wall_clock_seconds": round(float(payload.get("wall_clock_seconds", 0.0)), 2),
-    }
-
-
 def worker_utilization_table(
     task_log: Iterable[Dict[str, object]]
 ) -> List[Dict[str, object]]:

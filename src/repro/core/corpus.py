@@ -53,15 +53,12 @@ class CorpusEntry:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "CorpusEntry":
-        seed = Seed.from_dict(payload["seed"])
         return CorpusEntry(
-            seed=seed,
+            seed=Seed.from_dict(payload["seed"]),
             gain=int(payload["gain"]),
             slice_index=int(payload["slice_index"]),
             epoch=int(payload["epoch"]),
-            # Older checkpoints predate the tag; fall back to the seed's own
-            # core binding so a reloaded corpus keeps its transfer semantics.
-            core=str(payload.get("core", seed.core)),
+            core=str(payload["core"]),
         )
 
 
@@ -145,12 +142,6 @@ class SharedCorpus:
 
     def to_dicts(self) -> List[Dict[str, object]]:
         return [entry.to_dict() for entry in sorted(self._entries.values(), key=self._rank)]
-
-    @staticmethod
-    def from_dicts(payload: Iterable[Dict[str, object]], capacity: int = 64) -> "SharedCorpus":
-        corpus = SharedCorpus(capacity=capacity)
-        corpus.extend(CorpusEntry.from_dict(entry) for entry in payload)
-        return corpus
 
     @staticmethod
     def _rank(entry: CorpusEntry):

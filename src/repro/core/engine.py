@@ -83,8 +83,8 @@ pays for corpus redistribution when the global new-point rate flatlines
 (optionally averaged over the last ``window_rounds`` rounds).
 
 Long campaigns survive restarts: ``checkpoint_path`` makes the engine write a
-JSON checkpoint after every merged epoch, and :meth:`ParallelCampaignEngine.resume_from`
-rebuilds the engine mid-campaign from it — the resumed campaign is
+JSON checkpoint (:mod:`repro.core.checkpoint`) after every merged epoch, and
+:meth:`ParallelCampaignEngine.resume_from` rebuilds the engine mid-campaign from it — the resumed campaign is
 byte-identical (timing aside) to an uninterrupted one.  Combined with the
 distributed backend this covers the preemptible-fleet case: a campaign whose
 entire worker fleet is lost resumes from the last merged epoch.
@@ -98,8 +98,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -112,9 +110,15 @@ from repro.core.backends import (
     create_backend,
     run_shard_task,
 )
+from repro.core.checkpoint import (
+    CheckpointState,
+    decode_checkpoint,
+    encode_checkpoint,
+    load_checkpoint,
+    write_checkpoint,
+)
 from repro.core.corpus import SharedCorpus
 from repro.core.coverage import CoveragePoint, TaintCoverageMatrix
-from repro.core.wire import MAX_FRAME_BYTES, decode_object, encode_frame
 from repro.core.fuzzer import FuzzerConfiguration
 from repro.core.report import CampaignResult
 from repro.generation.seeds import Seed
@@ -532,25 +536,6 @@ class EngineResult:
         return summary
 
 
-# Version tag of the engine checkpoint wire format.  Format 2 re-keyed every
-# per-worker map by the logical slice and dropped the physical shard count
-# from the fingerprint (pinning `slices` instead), which is what lets a
-# checkpoint resume on a different shard count.  Format-1 checkpoints keyed
-# state by physical shard and cannot be resharded; they are rejected with a
-# clear format error rather than silently misinterpreted.
-CHECKPOINT_FORMAT = 2
-
-# The top-level keys restore() reads without a default, with their JSON types.
-_CHECKPOINT_TYPES = {
-    "fingerprint": dict, "next_epoch": int, "assignments": dict,
-    "slice_iterations_done": dict, "transfer_count": int, "corpus": list,
-    "core_coverage": dict, "campaign": dict, "slice_points": dict,
-    "slice_summaries": list, "transfers": list, "redistributed_seeds": int,
-    "transferred_seeds": int, "core_triggered": dict, "round_gains": list,
-    "wall_clock_seconds": numbers.Real,
-}
-
-
 class CampaignScheduler:
     """The transport-agnostic brain of a sharded campaign.
 
@@ -571,30 +556,27 @@ class CampaignScheduler:
 
     def __init__(self, configuration: EngineConfiguration) -> None:
         self.configuration = configuration
-        self.corpus = SharedCorpus(capacity=configuration.corpus_capacity)
         self._slice_fuzzers = configuration.slice_fuzzers()
         # Wire form of each core's merged coverage, handed to that core's
         # slices as their starting baseline; refreshed at every epoch merge.
         self._baseline_points: Dict[str, List[Dict[str, object]]] = {}
-        # Deterministic id allocation and outcome bookkeeping for transfers.
-        self._transfer_count = 0
+        # Transfers whose receiving epoch has not merged yet, by (slice, epoch).
         self._pending_transfers: Dict[Tuple[int, int], Dict[str, object]] = {}
-        # Run-loop state, kept on the instance so a campaign can be
+        # Run-loop state, kept in one object so a campaign can be
         # checkpointed after any epoch and resumed later (possibly in a new
-        # process via :meth:`ParallelCampaignEngine.resume_from`).
-        self._result: Optional[EngineResult] = None
-        self._next_epoch = 0
-        self._assignments: Dict[int, Optional[Dict[str, object]]] = {
-            index: None for index in range(configuration.slices)
-        }
-        self._slice_iterations_done: Dict[int, int] = {}
-        # Window-type groups each core has triggered so far; feeds the
-        # transfer-aware redistribution bias.
-        self._core_triggered: Dict[str, Set[str]] = {}
-        # Globally-new points of each merged round, oldest first; the
-        # windowed stall estimate averages the tail of this.
-        self._round_gains: List[int] = []
-        self._elapsed_before = 0.0  # wall seconds accumulated by earlier run() calls
+        # process via :meth:`ParallelCampaignEngine.resume_from`).  The
+        # result is created when the first run starts.
+        self.state = CheckpointState(
+            result=None,
+            next_epoch=0,
+            assignments=dict.fromkeys(range(configuration.slices)),
+            slice_iterations_done={},
+            transfer_count=0,
+            core_triggered={},
+            round_gains=[],
+            corpus=SharedCorpus(capacity=configuration.corpus_capacity),
+            wall_clock_seconds=0.0,
+        )
         self._run_started: Optional[float] = None
         # Elapsed campaign seconds at the moment the current epoch's tasks
         # were built; bug-report wall clocks are rebased onto it at merge.
@@ -649,22 +631,22 @@ class CampaignScheduler:
 
     @property
     def result(self) -> Optional[EngineResult]:
-        return self._result
+        return self.state.result
 
     @property
     def next_epoch(self) -> int:
         """Index of the first epoch that has not merged yet."""
-        return self._next_epoch
+        return self.state.next_epoch
 
     @property
     def finished(self) -> bool:
-        return self._next_epoch >= len(self.epoch_budgets())
+        return self.state.next_epoch >= len(self.epoch_budgets())
 
     def begin_run(self) -> None:
         """Start (or continue) the campaign clock; idempotent per run call."""
         self._run_started = time.perf_counter()
-        if self._result is None:
-            self._initialise_run()
+        if self.state.result is None:
+            self.state.result = self._new_result()
 
     def next_tasks(self) -> List[ShardTask]:
         """Build the current epoch's slice tasks (empty when budget-less).
@@ -672,9 +654,9 @@ class CampaignScheduler:
         One task per budgeted slice; the backend decides which physical
         executor leases each one.
         """
-        epoch = self._next_epoch
+        epoch = self.state.next_epoch
         budgets = self.epoch_budgets()[epoch]
-        self._epoch_offset_seconds = self._elapsed_before + (
+        self._epoch_offset_seconds = self.state.wall_clock_seconds + (
             time.perf_counter() - (self._run_started or time.perf_counter())
         )
         return [
@@ -692,9 +674,9 @@ class CampaignScheduler:
         """
         configuration = self.configuration
         all_budgets = self.epoch_budgets()
-        epoch = self._next_epoch
+        epoch = self.state.next_epoch
         if payloads:
-            result = self._result
+            result = self.state.result
             redistributed_before = result.redistributed_seeds
             transferred_before = result.transferred_seeds
             ordered = sorted(payloads, key=lambda payload: payload["slice_index"])
@@ -702,17 +684,17 @@ class CampaignScheduler:
                 ordered,
                 result,
                 self._epoch_offset_seconds,
-                self._slice_iterations_done,
+                self.state.slice_iterations_done,
             )
-            self._assignments = {
+            self.state.assignments = {
                 index: None for index in range(configuration.slices)
             }
             should_sync = self._should_redistribute(epoch_gains)
             stall_estimate = self._stall_estimate(epoch_gains)
-            self._round_gains.append(sum(epoch_gains.values()))
+            self.state.round_gains.append(sum(epoch_gains.values()))
             if epoch < len(all_budgets) - 1 and should_sync:
-                self._assignments = self._redistribute(
-                    epoch_gains, self._result, all_budgets[epoch + 1], epoch + 1
+                self.state.assignments = self._redistribute(
+                    epoch_gains, self.state.result, all_budgets[epoch + 1], epoch + 1
                 )
             self._emit_round_record(
                 epoch=epoch,
@@ -724,7 +706,7 @@ class CampaignScheduler:
                 stall_estimate=stall_estimate,
                 redistribute=should_sync,
             )
-        self._next_epoch = epoch + 1
+        self.state.next_epoch = epoch + 1
         if configuration.checkpoint_path:
             self.save_checkpoint(configuration.checkpoint_path)
 
@@ -746,7 +728,7 @@ class CampaignScheduler:
         """
         if not self.telemetry.enabled:
             return
-        result = self._result
+        result = self.state.result
         per_core_gain: Dict[str, int] = {}
         for slice_index, gain in epoch_gains.items():
             core = result.slice_cores.get(slice_index, "?")
@@ -754,7 +736,7 @@ class CampaignScheduler:
         event = RoundEvent(
             epoch=epoch,
             rounds_total=rounds_total,
-            iterations_done=sum(self._slice_iterations_done.values()),
+            iterations_done=sum(self.state.slice_iterations_done.values()),
             coverage={
                 core: len(matrix)
                 for core, matrix in sorted(result.core_coverage.items())
@@ -763,8 +745,8 @@ class CampaignScheduler:
                 core: per_core_gain[core] for core in sorted(per_core_gain)
             },
             coverage_total=result.total_coverage(),
-            corpus_size=len(self.corpus),
-            corpus_evictions=self.corpus.evictions,
+            corpus_size=len(self.state.corpus),
+            corpus_evictions=self.state.corpus.evictions,
             redistributed=redistributed,
             transferred=transferred,
             reports=len(result.campaign.reports),
@@ -781,18 +763,18 @@ class CampaignScheduler:
 
     def end_run(self) -> EngineResult:
         """Stop the campaign clock and return the (possibly partial) result."""
-        result = self._result
+        result = self.state.result
         result.complete = self.finished
         if result.complete:
             result.campaign.finish()
-        self._elapsed_before += time.perf_counter() - self._run_started
+        self.state.wall_clock_seconds += time.perf_counter() - self._run_started
         self._run_started = None
-        result.wall_clock_seconds = self._elapsed_before
+        result.wall_clock_seconds = self.state.wall_clock_seconds
         self.telemetry.emit(
             {
                 "type": "campaign",
                 "complete": result.complete,
-                "epochs_merged": self._next_epoch,
+                "epochs_merged": self.state.next_epoch,
                 "rounds_total": len(self.epoch_budgets()),
                 "coverage": {
                     core: len(matrix)
@@ -840,232 +822,62 @@ class CampaignScheduler:
 
     def checkpoint_state(self) -> Dict[str, object]:
         """The scheduler's full mid-campaign state as a JSON-safe dict."""
-        if self._result is None:
+        if self.state.result is None:
             raise ValueError(
                 "no campaign state to checkpoint: run() has not started"
             )
-        result = self._result
-        elapsed = self._elapsed_before
+        elapsed = self.state.wall_clock_seconds
         if self._run_started is not None:
             elapsed += time.perf_counter() - self._run_started
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "fingerprint": self.configuration_fingerprint(),
-            "next_epoch": self._next_epoch,
-            "assignments": {
-                str(index): seed for index, seed in self._assignments.items()
-            },
-            "slice_iterations_done": {
-                str(index): count
-                for index, count in self._slice_iterations_done.items()
-            },
-            "transfer_count": self._transfer_count,
-            "core_triggered": {
-                core: sorted(groups)
-                for core, groups in self._core_triggered.items()
-            },
-            "round_gains": list(self._round_gains),
-            "corpus": self.corpus.to_dicts(),
-            "core_coverage": {
-                core: {"points": matrix.to_dicts(), "history": list(matrix.history)}
-                for core, matrix in result.core_coverage.items()
-            },
-            "campaign": result.campaign.to_dict(),
-            "slice_points": {
-                str(index): [
-                    point.to_dict()
-                    for point in sorted(
-                        points, key=lambda p: (p.module, p.tainted_count)
-                    )
-                ]
-                for index, points in result.slice_points.items()
-            },
-            "slice_summaries": list(result.slice_summaries),
-            "transfers": list(result.transfers),
-            "redistributed_seeds": result.redistributed_seeds,
-            "transferred_seeds": result.transferred_seeds,
-            "wall_clock_seconds": elapsed,
-        }
+        return encode_checkpoint(
+            self.configuration_fingerprint(),
+            replace(self.state, wall_clock_seconds=elapsed),
+        )
 
     def save_checkpoint(self, path: str) -> str:
-        """Write the current campaign state to ``path`` (atomically).
-
-        Raises :class:`ValueError` before touching the file system when the
-        checkpoint would exceed the ``MAX_FRAME_BYTES`` that
-        :meth:`ParallelCampaignEngine.resume_from` loads, so the previous
-        checkpoint stays intact and resumable.
-        """
-        data = encode_frame(self.checkpoint_state())
-        if len(data) > MAX_FRAME_BYTES:
-            raise ValueError(
-                f"checkpoint of {len(data)} bytes is larger than "
-                f"{MAX_FRAME_BYTES} bytes, which resume_from refuses; "
-                f"{path!r} is left as it was"
-            )
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        staging = f"{path}.tmp"
-        with open(staging, "wb") as handle:
-            handle.write(data)
-            # Durable before the rename: a crash after os.replace must not
-            # leave a truncated checkpoint behind the final name.
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(staging, path)  # a killed writer never corrupts the checkpoint
-        return path
+        """Write the current campaign state to ``path`` (atomically)."""
+        return write_checkpoint(path, self.checkpoint_state())
 
     def restore(self, payload: Dict[str, object]) -> None:
-        found_format = payload.get("format")
-        if found_format != CHECKPOINT_FORMAT:
-            # Format 1 keyed everything by the physical shard index; there is
-            # no faithful way to reinterpret it under slice addressing, so
-            # fail loudly instead of raising a KeyError deep in the restore.
-            raise ValueError(
-                f"checkpoint format {found_format!r}, expected "
-                f"{CHECKPOINT_FORMAT}; re-run the campaign from scratch or "
-                f"migrate the checkpoint (format 1 checkpoints are keyed by "
-                f"physical shard and cannot be resharded)"
-            )
-        missing = [key for key in _CHECKPOINT_TYPES if key not in payload]
-        if missing:
-            raise ValueError(f"checkpoint lacks {', '.join(missing)}")
-        mistyped = [
-            f"{key} (expected {kind.__name__})"
-            for key, kind in _CHECKPOINT_TYPES.items()
-            if not isinstance(payload[key], kind)
-        ]
-        if mistyped:
-            raise ValueError(f"checkpoint has the wrong type for {', '.join(mistyped)}")
-        expected = self.configuration_fingerprint()
-        found = payload.get("fingerprint")
-        if found != expected:
-            stored_policy = (found or {}).get("sync_policy")
-            if stored_policy != expected.get("sync_policy"):
-                raise ValueError(
-                    f"checkpoint was written under sync policy {stored_policy!r} "
-                    f"but this configuration resumes with "
-                    f"{expected['sync_policy']!r}: a policy change on resume "
-                    f"would silently alter the redistribution cadence, so the "
-                    f"original sync-policy flags must be passed again"
-                )
-            differing = sorted(
-                key
-                for key in set(expected) | set(found or {})
-                if (found or {}).get(key) != expected.get(key)
-            )
-            raise ValueError(
-                "checkpoint does not match this configuration "
-                f"(differing fields: {', '.join(differing)})"
-            )
-        slice_cores = {
-            index: prototype.core.name
-            for index, prototype in enumerate(self._slice_fuzzers)
-        }
-        core_names = list(dict.fromkeys(slice_cores.values()))
-        stored_coverage = payload["core_coverage"]
-        absent = [name for name in core_names if name not in stored_coverage]
-        if absent:
-            raise ValueError(f"checkpoint lacks core_coverage for {', '.join(absent)}")
-        mistyped = [
-            f"core_coverage[{name}] (expected object with list points and history)"
-            for name in core_names
-            if not (
-                isinstance(stored_coverage[name], dict)
-                and isinstance(stored_coverage[name].get("points"), list)
-                and isinstance(stored_coverage[name].get("history"), list)
-            )
-        ] + [
-            f"slice_points[{key}] (expected list)"
-            for key, points in payload["slice_points"].items()
-            if not isinstance(points, list)
-        ]
-        if mistyped:
-            raise ValueError(f"checkpoint has the wrong type for {', '.join(mistyped)}")
-        configuration = self.configuration
-        core_coverage: Dict[str, TaintCoverageMatrix] = {}
-        for name in core_names:
-            entry = stored_coverage[name]
-            matrix = TaintCoverageMatrix.from_dicts(entry["points"])
-            matrix.history = [int(total) for total in entry["history"]]
-            core_coverage[name] = matrix
-        self._result = EngineResult(
-            campaign=CampaignResult.from_dict(payload["campaign"]),
-            core_coverage=core_coverage,
-            shards=configuration.shards,
-            epochs=len(self.epoch_budgets()),
-            slices=configuration.slices,
-            slice_cores=slice_cores,
-            slice_points={
-                index: {
-                    CoveragePoint.from_dict(point)
-                    for point in payload["slice_points"].get(str(index), [])
-                }
-                for index in range(configuration.slices)
-            },
-            slice_summaries=list(payload["slice_summaries"]),
-            transfers=[dict(row) for row in payload["transfers"]],
-            redistributed_seeds=int(payload["redistributed_seeds"]),
-            transferred_seeds=int(payload["transferred_seeds"]),
-            complete=False,
-        )
-        self._result.telemetry = self.telemetry.ring
-        self._next_epoch = int(payload["next_epoch"])
-        self._assignments = {
-            index: None for index in range(configuration.slices)
-        }
-        for key, seed in payload["assignments"].items():
-            self._assignments[int(key)] = seed
-        self._slice_iterations_done = {
-            int(key): int(count)
-            for key, count in payload["slice_iterations_done"].items()
-        }
-        self._transfer_count = int(payload["transfer_count"])
-        self._core_triggered = {
-            core: set(groups)
-            for core, groups in payload["core_triggered"].items()
-        }
-        self._round_gains = [int(gain) for gain in payload["round_gains"]]
-        self.corpus = SharedCorpus.from_dicts(
-            payload["corpus"], capacity=configuration.corpus_capacity
+        """Continue from a loaded checkpoint; a malformed one raises
+        :class:`ValueError` and leaves the scheduler as it was."""
+        self.state = decode_checkpoint(
+            payload, self.configuration_fingerprint(), self._new_result()
         )
         self._baseline_points = {
-            core: matrix.to_dicts() for core, matrix in core_coverage.items()
+            core: matrix.to_dicts()
+            for core, matrix in self.state.result.core_coverage.items()
         }
-        # Transfers whose receiving epoch has not merged yet get their outcome
-        # filled in after resume; relink them by (target slice, epoch).
-        self._pending_transfers = {}
-        for row in self._result.transfers:
-            if row.get("new_global_points") is None:
-                key = (int(row["target_slice"]), int(row["epoch"]))
-                self._pending_transfers[key] = row
-        self._elapsed_before = float(payload["wall_clock_seconds"])
+        self._pending_transfers = {
+            (row["target_slice"], row["epoch"]): row
+            for row in self.state.result.transfers
+            if row["new_global_points"] is None
+        }
 
     # -- epoch plumbing ---------------------------------------------------------------------
 
-    def _initialise_run(self) -> None:
+    def _new_result(self) -> EngineResult:
+        """The empty result a run of this campaign starts from."""
         configuration = self.configuration
         slice_cores = {
             index: prototype.core.name
             for index, prototype in enumerate(self._slice_fuzzers)
         }
-        # One matrix per distinct core, in slice order.
-        core_coverage = {
-            name: TaintCoverageMatrix() for name in dict.fromkeys(slice_cores.values())
-        }
-        aggregate = CampaignResult(
-            fuzzer_name=configuration.fuzzer.variant_name(),
-            core="+".join(dict.fromkeys(slice_cores.values())),
-        )
-        self._result = EngineResult(
-            campaign=aggregate,
-            core_coverage=core_coverage,
+        names = list(dict.fromkeys(slice_cores.values()))
+        result = EngineResult(
+            campaign=CampaignResult(
+                fuzzer_name=configuration.fuzzer.variant_name(), core="+".join(names)
+            ),
+            # One matrix per distinct core, in slice order.
+            core_coverage={name: TaintCoverageMatrix() for name in names},
             shards=configuration.shards,
             epochs=len(self.epoch_budgets()),
             slices=configuration.slices,
             slice_cores=slice_cores,
             slice_points={index: set() for index in range(configuration.slices)},
         )
-        self._result.telemetry = self.telemetry.ring
+        result.telemetry = self.telemetry.ring
+        return result
 
     def _stall_estimate(self, epoch_gains: Dict[int, int]) -> float:
         """The windowed mean globally-new gain the stall policy compares.
@@ -1076,7 +888,7 @@ class CampaignScheduler:
         figure an operator watches is exactly the one the policy acted on.
         """
         policy = SyncPolicy.normalize(self.configuration.sync_policy)
-        window = (self._round_gains + [sum(epoch_gains.values())])[
+        window = (self.state.round_gains + [sum(epoch_gains.values())])[
             -policy.window_rounds:
         ]
         return sum(window) / len(window)
@@ -1105,7 +917,7 @@ class CampaignScheduler:
             epoch=epoch,
             iterations=iterations,
             configuration=slice_configuration,
-            initial_seed=self._assignments.get(slice_index),
+            initial_seed=self.state.assignments.get(slice_index),
             baseline_points=self._baseline_points.get(prototype.core.name, []),
             report_top_seeds=self.configuration.report_top_seeds,
             step_latency=self.configuration.step_latency,
@@ -1154,12 +966,12 @@ class CampaignScheduler:
             # Which window-type groups this core has triggered so far; the
             # redistribution walk biases donors towards cores where their
             # group is still untriggered.
-            self._core_triggered.setdefault(core_name, set()).update(
+            self.state.core_triggered.setdefault(core_name, set()).update(
                 slice_result.triggered_windows
             )
             result.campaign.merge_shard(slice_result)
             for entry in payload["top_seeds"]:
-                self.corpus.add(
+                self.state.corpus.add(
                     Seed.from_dict(entry["seed"]),
                     gain=int(entry["gain"]),
                     slice_index=slice_index,
@@ -1208,7 +1020,7 @@ class CampaignScheduler:
         self.telemetry.emit(
             {
                 "type": "tasks",
-                "epoch": self._next_epoch,
+                "epoch": self.state.next_epoch,
                 "rows": [dict(row) for row in rows],
             }
         )
@@ -1241,7 +1053,7 @@ class CampaignScheduler:
         assignments: Dict[int, Optional[Dict[str, object]]] = {
             index: None for index in range(configuration.slices)
         }
-        if not epoch_gains or len(self.corpus) == 0:
+        if not epoch_gains or len(self.state.corpus) == 0:
             return assignments
         eligible = [
             index
@@ -1253,9 +1065,9 @@ class CampaignScheduler:
         for slice_index in lagging[: configuration.redistribute_top]:
             target_core = self.slice_core(slice_index)
             supported = target_core.supported_window_types()
-            triggered_groups = self._core_triggered.get(target_core.name, set())
+            triggered_groups = self.state.core_triggered.get(target_core.name, set())
             donors = sorted(
-                self.corpus.best(len(self.corpus), exclude_slice=slice_index),
+                self.state.corpus.best(len(self.state.corpus), exclude_slice=slice_index),
                 key=lambda donor: group_of(donor.seed.window_type)
                 in triggered_groups,
             )
@@ -1273,10 +1085,10 @@ class CampaignScheduler:
                     continue
                 transferred = donor.seed.transfer(
                     target_core.name,
-                    seed_id=TRANSFER_SEED_ID_BASE + self._transfer_count,
+                    seed_id=TRANSFER_SEED_ID_BASE + self.state.transfer_count,
                     supported=supported,
                 )
-                self._transfer_count += 1
+                self.state.transfer_count += 1
                 assignments[slice_index] = transferred.to_dict()
                 assigned_ids.add(donor.seed.seed_id)
                 result.redistributed_seeds += 1
@@ -1383,13 +1195,8 @@ class ParallelCampaignEngine:
         Calling :meth:`run` on the returned engine continues from the first
         unexecuted epoch.
         """
-        # A checkpoint is untrusted input: read at most one frame's worth
-        # before parsing, so a huge file fails fast instead of exhausting memory.
-        with open(path, "rb") as handle:
-            raw = handle.read(MAX_FRAME_BYTES + 1)
-        payload = decode_object(raw, f"checkpoint {path!r}")
         engine = cls(configuration)
-        engine.scheduler.restore(payload)
+        engine.scheduler.restore(load_checkpoint(path))
         return engine
 
     def _create_backend(self) -> ExecutionBackend:
@@ -1428,9 +1235,10 @@ def run_parallel_campaign(
 ) -> EngineResult:
     """Convenience helper mirroring :func:`repro.core.fuzzer.run_quick_campaign`.
 
-    ``core`` is the prototype core for homogeneous campaigns; ``cores`` gives
-    a per-slice assignment for heterogeneous ones (``core`` then defaults to
-    the first entry and only seeds the prototype configuration).  ``shards``
+    ``core`` (a registry name, a CoreConfig or a FuzzerConfiguration) is the
+    prototype core for homogeneous campaigns; ``cores`` gives a per-slice
+    assignment for heterogeneous ones (``core`` then defaults to the first
+    entry and only seeds the prototype configuration).  ``shards``
     defaults to one per ``cores`` entry, matching the CLI, or to 4; it only
     sizes the execution backend.  ``slices`` pins the logical partition count
     (default ``max(shards, DEFAULT_MIN_SLICES)``) — everything deterministic
@@ -1444,13 +1252,11 @@ def run_parallel_campaign(
     if core is None:
         if not cores:
             raise ValueError("either core or cores must be given")
-        first = cores[0]
-        if isinstance(first, FuzzerConfiguration):
-            core = first.core
-        elif isinstance(first, CoreConfig):
-            core = first
-        else:
-            core = resolve_core(str(first))
+        core = cores[0]
+    if isinstance(core, FuzzerConfiguration):
+        core = core.core
+    elif isinstance(core, str):
+        core = resolve_core(core)
     fuzzer_configuration = FuzzerConfiguration(core=core, entropy=entropy, **fuzzer_overrides)
     configuration = EngineConfiguration(
         fuzzer=fuzzer_configuration,

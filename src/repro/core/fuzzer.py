@@ -53,6 +53,13 @@ class FuzzerConfiguration:
     seed_id_base: int = 0
     name: str = "dejavuzz"
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.core, CoreConfig):
+            raise ValueError(
+                f"core must be a CoreConfig, got {self.core!r}; resolve a "
+                f"registry name with repro.core.engine.resolve_core"
+            )
+
     def variant_name(self) -> str:
         if self.training_mode is TrainingMode.RANDOM:
             return "dejavuzz*"

@@ -155,6 +155,10 @@ def _match_known_bugs(core_name: str, verdict: LeakageVerdict, components: List[
     return tuple(matched)
 
 
+# The per-core subtotals of CampaignResult.core_breakdown.
+_BREAKDOWN_KEYS = ("iterations", "reports", "triggered_windows")
+
+
 @dataclass
 class CampaignResult:
     """The aggregate outcome of one fuzzing campaign."""
@@ -218,23 +222,30 @@ class CampaignResult:
         result = CampaignResult(
             fuzzer_name=str(payload["fuzzer_name"]), core=str(payload["core"])
         )
+        # Every number is converted, so a malformed payload fails here rather
+        # than in a later merge_shard.
         result.iterations_run = int(payload["iterations_run"])
-        result.coverage_history = list(payload["coverage_history"])
+        result.coverage_history = [int(total) for total in payload["coverage_history"]]
         result.reports = [BugReport.from_dict(entry) for entry in payload["reports"]]
-        result.triggered_windows = dict(payload["triggered_windows"])
+        result.triggered_windows = {
+            str(group): int(count) for group, count in payload["triggered_windows"].items()
+        }
         result.training_overhead = {
-            group: list(samples) for group, samples in payload["training_overhead"].items()
+            str(group): [int(sample) for sample in samples]
+            for group, samples in payload["training_overhead"].items()
         }
         result.effective_training_overhead = {
-            group: list(samples)
+            str(group): [int(sample) for sample in samples]
             for group, samples in payload["effective_training_overhead"].items()
         }
         result.elapsed_seconds = float(payload["elapsed_seconds"])
-        result.first_bug_seconds = payload["first_bug_seconds"]
-        result.first_bug_iteration = payload["first_bug_iteration"]
+        first_seconds = payload["first_bug_seconds"]
+        result.first_bug_seconds = None if first_seconds is None else float(first_seconds)
+        first_iteration = payload["first_bug_iteration"]
+        result.first_bug_iteration = None if first_iteration is None else int(first_iteration)
         result.core_breakdown = {
-            core: dict(entry)
-            for core, entry in payload.get("core_breakdown", {}).items()
+            str(core): {key: int(entry[key]) for key in _BREAKDOWN_KEYS}
+            for core, entry in payload["core_breakdown"].items()
         }
         return result
 
@@ -250,7 +261,7 @@ class CampaignResult:
         self.iterations_run += shard.iterations_run
         self.reports.extend(shard.reports)
         breakdown = self.core_breakdown.setdefault(
-            shard.core, {"iterations": 0, "reports": 0, "triggered_windows": 0}
+            shard.core, dict.fromkeys(_BREAKDOWN_KEYS, 0)
         )
         breakdown["iterations"] += shard.iterations_run
         breakdown["reports"] += len(shard.reports)

@@ -271,7 +271,7 @@ class Seed:
     def from_dict(payload: Dict[str, object]) -> "Seed":
         """Rebuild a seed from :meth:`to_dict` without touching the id counter."""
         return Seed(
-            core=str(payload.get("core", "")),
+            core=str(payload["core"]),
             seed_id=int(payload["seed_id"]),
             entropy=int(payload["entropy"]),
             window_type=TransientWindowType(payload["window_type"]),

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (
     CampaignResult,
+    CorpusEntry,
     CoveragePoint,
     DejaVuzzFuzzer,
     EngineConfiguration,
@@ -187,14 +188,16 @@ class TestSharedCorpus:
     def test_wire_roundtrip(self):
         corpus = SharedCorpus()
         corpus.add(make_seed(seed_id=1), gain=3, slice_index=0, epoch=1)
-        rebuilt = SharedCorpus.from_dicts(corpus.to_dicts())
+        rebuilt = SharedCorpus()
+        rebuilt.extend(CorpusEntry.from_dict(entry) for entry in corpus.to_dicts())
         assert rebuilt.best(1)[0].seed == corpus.best(1)[0].seed
 
     def test_wire_roundtrip_preserves_the_core_tag(self):
         corpus = SharedCorpus()
         corpus.add(make_seed(seed_id=1), gain=3, slice_index=0, epoch=1, core="small-boom")
         corpus.add(make_seed(seed_id=2), gain=5, slice_index=1, epoch=1, core="xiangshan-minimal")
-        rebuilt = SharedCorpus.from_dicts(corpus.to_dicts())
+        rebuilt = SharedCorpus()
+        rebuilt.extend(CorpusEntry.from_dict(entry) for entry in corpus.to_dicts())
         assert [entry.core for entry in rebuilt.best(2)] == [
             "xiangshan-minimal",
             "small-boom",
@@ -295,6 +298,15 @@ class TestParallelCampaignEngine:
         assert history == sorted(history)
         assert history[-1] == len(result.coverage)
 
+    def test_a_registry_name_is_accepted_as_core(self):
+        result = run_parallel_campaign(core="boom", iterations=2, executor="inline")
+        assert result.campaign.core == BOOM.name
+        assert result.campaign.iterations_run == 2
+
+    def test_fuzzer_configuration_refuses_a_core_that_is_no_core_config(self):
+        with pytest.raises(ValueError, match="CoreConfig"):
+            FuzzerConfiguration(core="boom")
+
     def test_deterministic_given_root_entropy(self):
         first = run_parallel_campaign(
             BOOM, shards=2, iterations=10, sync_epochs=2, entropy=5, executor="inline"
@@ -325,8 +337,8 @@ class TestParallelCampaignEngine:
                 redistribute_top=2,
             )
         )
-        engine.scheduler.corpus.add(make_seed(seed_id=100), gain=9, slice_index=2, epoch=0)
-        engine.scheduler.corpus.add(make_seed(seed_id=200), gain=5, slice_index=2, epoch=0)
+        engine.scheduler.state.corpus.add(make_seed(seed_id=100), gain=9, slice_index=2, epoch=0)
+        engine.scheduler.state.corpus.add(make_seed(seed_id=200), gain=5, slice_index=2, epoch=0)
         from repro.core.engine import EngineResult
         from repro.core.coverage import TaintCoverageMatrix
         from repro.core.report import CampaignResult
@@ -723,10 +735,10 @@ class TestSyncPolicy:
         scheduler = engine.scheduler
         # One productive prior round on record: its gain is averaged with the
         # current one, so a single flat round no longer triggers...
-        scheduler._round_gains = [5]
+        scheduler.state.round_gains = [5]
         assert not engine.scheduler._should_redistribute({0: 0, 1: 0})  # mean (5+0)/2 > 1
         # ...but two consecutive flat rounds do.
-        scheduler._round_gains = [5, 1]
+        scheduler.state.round_gains = [5, 1]
         assert engine.scheduler._should_redistribute({0: 1, 1: 0})  # mean (1+1)/2 <= 1
 
     def test_window_rounds_default_is_the_single_round_threshold(self):
@@ -734,7 +746,7 @@ class TestSyncPolicy:
         engine = ParallelCampaignEngine(
             self.cfg(sync_policy=SyncPolicy(kind="stall", epoch_iterations=4, stall_gain=1))
         )
-        engine.scheduler._round_gains = [50, 40, 30]
+        engine.scheduler.state.round_gains = [50, 40, 30]
         assert engine.scheduler._should_redistribute({0: 1, 1: 0})
         assert not engine.scheduler._should_redistribute({0: 3, 1: 2})
 
@@ -931,7 +943,7 @@ class TestCheckpointResume:
             "core_coverage.small-boom", 5, "wrong type for core_coverage[small-boom]"
         ),
         "core_coverage-lacks-core": (
-            "core_coverage.small-boom", None, "lacks core_coverage for small-boom"
+            "core_coverage.small-boom", None, "lacks core_coverage[small-boom]"
         ),
         "core_triggered-int": ("core_triggered", 5, "wrong type for core_triggered"),
         "round_gains-int": ("round_gains", 5, "wrong type for round_gains"),
@@ -977,14 +989,14 @@ class TestCheckpointResume:
         payload["wall_clock_seconds"] = 3
         path.write_text(json.dumps(payload))
         engine = ParallelCampaignEngine.resume_from(str(path), self.cfg(tmp_path))
-        assert engine.scheduler._elapsed_before == 3.0
+        assert engine.scheduler.state.wall_clock_seconds == 3.0
 
     def test_checkpoint_larger_than_a_frame_is_not_written(self, tmp_path, monkeypatch):
         engine = ParallelCampaignEngine(self.cfg(tmp_path))
         engine.run(max_epochs=1)
         path = tmp_path / "checkpoint.json"
         previous = path.read_bytes()
-        monkeypatch.setattr("repro.core.engine.MAX_FRAME_BYTES", len(previous) // 2)
+        monkeypatch.setattr("repro.core.checkpoint.MAX_FRAME_BYTES", len(previous) // 2)
         with pytest.raises(ValueError, match="larger than .* left as it was"):
             engine.scheduler.save_checkpoint(str(path))
         assert path.read_bytes() == previous
@@ -1054,9 +1066,9 @@ class TestTransferAwareRedistribution:
         fresh_group = Seed.fresh(
             seed_id=200, entropy=2, window_type=TransientWindowType.BRANCH_MISPREDICTION
         )
-        engine.scheduler.corpus.add(high_gain, gain=9, slice_index=1, epoch=0)
-        engine.scheduler.corpus.add(fresh_group, gain=5, slice_index=1, epoch=0)
-        engine.scheduler._core_triggered = {BOOM.name: {group_of(high_gain.window_type)}}
+        engine.scheduler.state.corpus.add(high_gain, gain=9, slice_index=1, epoch=0)
+        engine.scheduler.state.corpus.add(fresh_group, gain=5, slice_index=1, epoch=0)
+        engine.scheduler.state.core_triggered = {BOOM.name: {group_of(high_gain.window_type)}}
         result = EngineResult(
             campaign=CampaignResult(fuzzer_name="dejavuzz", core=BOOM.name),
             core_coverage={BOOM.name: TaintCoverageMatrix()},
@@ -1079,11 +1091,11 @@ class TestTransferAwareRedistribution:
         )
         # No group triggered yet: both donors sit in the same (untriggered)
         # tier, so plain gain order decides.
-        engine.scheduler.corpus.add(
+        engine.scheduler.state.corpus.add(
             Seed.fresh(seed_id=100, entropy=1, window_type=TransientWindowType.LOAD_PAGE_FAULT),
             gain=9, slice_index=1, epoch=0,
         )
-        engine.scheduler.corpus.add(
+        engine.scheduler.state.corpus.add(
             Seed.fresh(seed_id=200, entropy=2, window_type=TransientWindowType.BRANCH_MISPREDICTION),
             gain=5, slice_index=1, epoch=0,
         )

@@ -161,9 +161,10 @@ class TestSeedGenotype:
     def test_seed_wire_form_carries_the_core_tag(self):
         seed = self.make_seed()
         assert Seed.from_dict(seed.to_dict()) == seed
-        # Pre-tag payloads (older checkpoints) rebuild as unbound seeds.
-        legacy = {k: v for k, v in seed.to_dict().items() if k != "core"}
-        assert Seed.from_dict(legacy).core == ""
+        # Every writer writes the tag, so a payload without it is refused.
+        untagged = {k: v for k, v in seed.to_dict().items() if k != "core"}
+        with pytest.raises(KeyError, match="core"):
+            Seed.from_dict(untagged)
 
 
 class TestRandomInstructionGenerator:
