@@ -4,12 +4,13 @@
 A self-contained demo of the simulator fabric (:mod:`repro.sim`): the same
 campaign runs twice, first with the in-process simulator (the reference),
 then with ``simulator="subprocess"`` — per-slice ``python -m repro.sim.server``
-processes hosting the simulator behind the LOAD/STEP/READ/SNAPSHOT/RESTORE
-stdio protocol, driven by the process backend on one thread per shard so
+processes hosting the simulator behind the three-verb LOAD/STEP/QUIT stdio
+protocol, driven by the process backend on one thread per shard so
 their genuine subprocess waits overlap.  The servers belong to this process's
 pool, which the kill drill watches.  Unless ``--keep-servers``, one server
-process is SIGKILLed as soon as it is up, so the client's restart-and-replay
-recovery visibly kicks in.  The two campaigns' deterministic wire forms are then diffed: they
+process is SIGKILLed as soon as it is up, so the client's recovery visibly
+kicks in: a fresh server LOADs the task at the step the campaign reached and
+its state digest is checked.  The two campaigns' deterministic wire forms are then diffed: they
 must be byte-identical, simulator crash included.
 
 Usage::

@@ -10,7 +10,6 @@ from repro.analysis.results import (
     latency_percentiles,
     per_core_breakdown,
     cross_core_transfer_table,
-    sync_round_table,
     profile_hotspot_table,
     simulator_process_table,
     telemetry_table,
@@ -28,7 +27,6 @@ __all__ = [
     "latency_percentiles",
     "per_core_breakdown",
     "cross_core_transfer_table",
-    "sync_round_table",
     "profile_hotspot_table",
     "simulator_process_table",
     "telemetry_table",

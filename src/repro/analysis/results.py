@@ -126,41 +126,6 @@ def per_core_breakdown(campaign: CampaignResult) -> List[Dict[str, object]]:
     return rows
 
 
-def sync_round_table(
-    slice_summaries: Iterable[Dict[str, object]]
-) -> List[Dict[str, object]]:
-    """Aggregate the engine's per-slice-epoch log into one row per sync round.
-
-    Each row sums one epoch across its slices: iterations executed,
-    globally-new coverage points, bug reports, and the slowest slice's wall
-    time (the epoch's critical path — what a concurrent backend shortens).
-    Useful for eyeballing where an adaptive (stall-triggered) sync policy
-    found the new-point rate flatlining.
-    """
-    rounds: Dict[int, Dict[str, object]] = {}
-    for entry in slice_summaries:
-        epoch = int(entry["epoch"])
-        row = rounds.setdefault(
-            epoch,
-            {
-                "epoch": epoch,
-                "slices": 0,
-                "iterations": 0,
-                "new_global_points": 0,
-                "reports": 0,
-                "critical_path_seconds": 0.0,
-            },
-        )
-        row["slices"] += 1
-        row["iterations"] += int(entry["iterations"])
-        row["new_global_points"] += int(entry["new_global_points"])
-        row["reports"] += int(entry["reports"])
-        row["critical_path_seconds"] = round(
-            max(row["critical_path_seconds"], float(entry["wall_seconds"])), 3
-        )
-    return [rounds[epoch] for epoch in sorted(rounds)]
-
-
 def worker_utilization_table(
     task_log: Iterable[Dict[str, object]]
 ) -> List[Dict[str, object]]:

@@ -33,8 +33,8 @@ of a slice's steps actually execute.
   per-slice server process hosts the simulator behind a JSON-lines stdio
   protocol, the step driver blocks on *real* subprocess turnaround instead
   of an injected sleep, and a crashed or hung server is transparently
-  restarted and replayed from its last snapshot.  The process backend
-  drives these tasks on threads, so the genuine subprocess waits of
+  restarted and replayed to the step the slice had reached.  The process
+  backend drives these tasks on threads, so the genuine subprocess waits of
   concurrent slices overlap.
 
 Latency model: ``ShardTask.step_latency`` injects a fixed wait per simulator
@@ -118,9 +118,9 @@ class ShardCampaignRunner:
     results.  :meth:`advance` executes the campaign up to the next simulator
     boundary and returns the :class:`~repro.core.fuzzer.CampaignStep`, or
     ``None`` once the slice task is finished and :attr:`payload` is available.
-    The live :attr:`fuzzer` (coverage matrix, accumulating result) stays
-    readable between steps, which is what the simulator server's ``READ`` /
-    ``SNAPSHOT`` verbs are built on.
+    The live :attr:`fuzzer` (coverage matrix), :attr:`result` and
+    :attr:`steps_taken` stay readable between steps, which is what the
+    simulator server's state digests are computed from.
     """
 
     def __init__(self, task: ShardTask) -> None:
@@ -143,15 +143,12 @@ class ShardCampaignRunner:
         self._steps = self.fuzzer.campaign_steps(
             task.iterations, initial_seed=initial_seed
         )
-        self.steps_taken = 0
+        self.steps_taken = 0  # simulator boundaries passed; the server reports it
         runner_scope = self.metrics.scope("runner")
         self._window_batch_seconds = runner_scope.histogram("window_batch_seconds")
         self._explore_step_seconds = runner_scope.histogram("explore_step_seconds")
-        self.result: Optional[object] = None  # CampaignResult once finished
-        # Live view of the accumulating CampaignResult (captured from the
-        # first step onward); the simulator server's READ/SNAPSHOT digests
-        # are computed over it between steps.
-        self.campaign_result: Optional[object] = None
+        # The accumulating CampaignResult, from the first step onward.
+        self.result: Optional[object] = None
         self.payload: Optional[Dict[str, object]] = None
 
     @property
@@ -167,7 +164,6 @@ class ShardCampaignRunner:
             step = next(self._steps)
         except StopIteration as stop:
             self.result = stop.value
-            self.campaign_result = stop.value
             self.payload = self._build_payload()
             return None
         elapsed = time.perf_counter() - started
@@ -175,7 +171,7 @@ class ShardCampaignRunner:
             self._window_batch_seconds.record(elapsed)
         else:
             self._explore_step_seconds.record(elapsed)
-        self.campaign_result = step.result
+        self.result = step.result
         self.steps_taken += 1
         return step
 

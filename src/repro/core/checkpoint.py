@@ -20,6 +20,7 @@ from repro.core.coverage import CoveragePoint, TaintCoverageMatrix
 from repro.core.report import CampaignResult
 from repro.core.wire import MAX_FRAME_BYTES, decode_object, encode_frame
 from repro.generation.seeds import Seed
+from repro.utils.jsontypes import json_typed
 
 if TYPE_CHECKING:
     from repro.core.engine import EngineResult
@@ -164,7 +165,12 @@ def _json(kind: type) -> _Decoder:
     return decode
 
 
-_int, _float, _str = _plain(int), _plain(float), _plain(str)
+def _scalar(kind: type) -> _Decoder:
+    """The decoder accepting only a JSON value of ``kind`` (see :func:`json_typed`)."""
+    return _plain(lambda value: json_typed(value, kind, "the value"))
+
+
+_int, _float, _str = _scalar(int), _scalar(float), _scalar(str)
 _object, _list = _json(dict), _json(list)
 
 
@@ -248,6 +254,9 @@ def decode_checkpoint(
             _refuse(path, f"no slice {index} among {len(cores)}")
         return index
 
+    def slice_key(name: str, path: str) -> int:  # an object key holding an index
+        return slice_index(_plain(int)(name, path), path)
+
     def check_core(seed: Seed, core: str, path: str) -> None:
         if not seed.compatible_with(core):
             _refuse(path, f"a seed realized for core {seed.core!r}, not {core!r}")
@@ -264,7 +273,7 @@ def decode_checkpoint(
     if not 0 <= next_epoch <= fresh.epochs:
         _refuse("next_epoch", f"outside 0..{fresh.epochs}, the planned epochs")
     assignments = dict.fromkeys(range(len(cores)))
-    seeds = get("assignments", _map_of(_optional(_plain(Seed.from_dict)), slice_index))
+    seeds = get("assignments", _map_of(_optional(_plain(Seed.from_dict)), slice_key))
     for index, seed in seeds.items():
         if seed is not None:
             check_core(seed, cores[index], f"assignments[{index}]")
@@ -278,7 +287,7 @@ def decode_checkpoint(
         matrix.add_points(stored[core]["points"])
         matrix.history = stored[core]["history"]
     slice_points = {index: set() for index in range(len(cores))}
-    for index, points in get("slice_points", _map_of(_points, slice_index)).items():
+    for index, points in get("slice_points", _map_of(_points, slice_key)).items():
         slice_points[index] = set(points)
     corpus = SharedCorpus(capacity=fingerprint["corpus_capacity"])
     corpus.extend(get("corpus", _list_of(corpus_entry)))
@@ -305,7 +314,7 @@ def decode_checkpoint(
         result=result,
         next_epoch=next_epoch,
         assignments=assignments,
-        slice_iterations_done=get("slice_iterations_done", _map_of(_int, slice_index)),
+        slice_iterations_done=get("slice_iterations_done", _map_of(_int, slice_key)),
         transfer_count=get("transfer_count", _int),
         core_triggered={
             core: set(groups)

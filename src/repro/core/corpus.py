@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.generation.seeds import Seed
+from repro.utils.jsontypes import json_typed
 
 
 @dataclass
@@ -55,10 +56,10 @@ class CorpusEntry:
     def from_dict(payload: Dict[str, object]) -> "CorpusEntry":
         return CorpusEntry(
             seed=Seed.from_dict(payload["seed"]),
-            gain=int(payload["gain"]),
-            slice_index=int(payload["slice_index"]),
-            epoch=int(payload["epoch"]),
-            core=str(payload["core"]),
+            gain=json_typed(payload["gain"], int, "gain"),
+            slice_index=json_typed(payload["slice_index"], int, "slice_index"),
+            epoch=json_typed(payload["epoch"], int, "epoch"),
+            core=json_typed(payload["core"], str, "core"),
         )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.uarch.taint import TaintCensus
+from repro.utils.jsontypes import json_typed
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class CoveragePoint:
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "CoveragePoint":
         return CoveragePoint(
-            module=str(payload["module"]), tainted_count=int(payload["tainted_count"])
+            module=json_typed(payload["module"], str, "module"),
+            tainted_count=json_typed(payload["tainted_count"], int, "tainted_count"),
         )
 
 

@@ -28,6 +28,7 @@ from repro.generation.window_types import (
     TransientWindowType,
     group_of,
 )
+from repro.utils.jsontypes import json_typed
 from repro.utils.rng import DeterministicRng
 
 
@@ -119,17 +120,28 @@ class SeedGenotype:
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "SeedGenotype":
         return SeedGenotype(
-            entropy=int(payload["entropy"]),
-            window_group=str(payload["window_group"]),
-            encode_strategies=tuple(
-                EncodeStrategy(value) for value in payload["encode_strategies"]
-            ),
-            encode_block_length=int(payload["encode_block_length"]),
-            mask_high_bits=bool(payload["mask_high_bits"]),
-            secret_value=int(payload["secret_value"]),
-            generation=int(payload["generation"]),
-            parent_id=payload["parent_id"] if payload["parent_id"] is None else int(payload["parent_id"]),
+            window_group=json_typed(payload["window_group"], str, "window_group"),
+            **_shared_fields(payload),
         )
+
+
+def _shared_fields(payload: Dict[str, object]) -> Dict[str, object]:
+    """The type-checked fields a seed's wire form shares with its genotype's."""
+    strategies = json_typed(payload["encode_strategies"], list, "encode_strategies")
+    if not strategies:
+        raise ValueError("encode_strategies is empty")
+    parent_id = payload["parent_id"]
+    return {
+        "entropy": json_typed(payload["entropy"], int, "entropy"),
+        "encode_strategies": tuple(EncodeStrategy(value) for value in strategies),
+        "encode_block_length": json_typed(
+            payload["encode_block_length"], int, "encode_block_length"
+        ),
+        "mask_high_bits": json_typed(payload["mask_high_bits"], bool, "mask_high_bits"),
+        "secret_value": json_typed(payload["secret_value"], int, "secret_value"),
+        "generation": json_typed(payload["generation"], int, "generation"),
+        "parent_id": None if parent_id is None else json_typed(parent_id, int, "parent_id"),
+    }
 
 
 @dataclass(frozen=True)
@@ -271,16 +283,8 @@ class Seed:
     def from_dict(payload: Dict[str, object]) -> "Seed":
         """Rebuild a seed from :meth:`to_dict` without touching the id counter."""
         return Seed(
-            core=str(payload["core"]),
-            seed_id=int(payload["seed_id"]),
-            entropy=int(payload["entropy"]),
+            core=json_typed(payload["core"], str, "core"),
+            seed_id=json_typed(payload["seed_id"], int, "seed_id"),
             window_type=TransientWindowType(payload["window_type"]),
-            encode_strategies=tuple(
-                EncodeStrategy(value) for value in payload["encode_strategies"]
-            ),
-            encode_block_length=int(payload["encode_block_length"]),
-            mask_high_bits=bool(payload["mask_high_bits"]),
-            secret_value=int(payload["secret_value"]),
-            generation=int(payload["generation"]),
-            parent_id=payload["parent_id"] if payload["parent_id"] is None else int(payload["parent_id"]),
+            **_shared_fields(payload),
         )

@@ -3,9 +3,8 @@
 The paper's fuzzer spends essentially all wall clock inside an external RTL
 simulator; this package makes that boundary real.  A **simulator server**
 (``python -m repro.sim.server``) hosts one simulator instance behind a stdio
-protocol of :mod:`repro.core.wire` frames — ``LOAD`` a workload, ``STEP`` to
-the next simulator boundary, ``READ`` coverage/census state,
-``SNAPSHOT``/``RESTORE`` for crash recovery, ``QUIT`` — and a
+protocol of :mod:`repro.core.wire` frames — ``LOAD`` a workload at a given
+step, ``STEP`` to the next simulator boundary, ``QUIT`` — and a
 **fault-tolerant client**
 (:class:`~repro.sim.client.SubprocessSimulator`, pooled per slice by
 :class:`~repro.sim.client.SimProcessPool`) drives campaign steps against it.
@@ -17,9 +16,11 @@ documented in :mod:`repro.sim.protocol` so a verilator/VCS wrapper can
 implement the same verbs against a real RTL build later.
 
 Crash-recovery guarantee: a server process that exits, is killed, or stops
-responding (request timeout) is transparently restarted and **replayed** from
-its last snapshot — campaign results are byte-identical whether zero or many
-server processes died, which the fault-injection tests assert.
+responding (request timeout) is transparently restarted and **replayed**: the
+replacement LOADs the task at the step the campaign reached and must return
+the state digest the lost server last sent — campaign results are
+byte-identical whether zero or many server processes died, which the
+fault-injection tests assert.
 
 Select it from the campaign engine with ``--simulator subprocess`` (or
 ``EngineConfiguration.simulator = "subprocess"``); every execution backend —

@@ -8,10 +8,10 @@ Three layers:
   silent) is detected exactly like a dead one: the process is killed and the
   request raises :class:`SimServerCrash`.
 * :class:`SubprocessSimulator` — the fault-tolerant driver of one slice's
-  workload.  It LOADs a task, STEPs it to completion, takes a SNAPSHOT every
-  ``snapshot_interval`` steps, and when the server crashes or hangs it spawns
-  a replacement, RESTOREs the last snapshot (verifying the state digest),
-  silently re-steps the gap, and continues — the campaign never notices.
+  workload.  It LOADs a task and STEPs it to completion; when the server
+  crashes or hangs it spawns a replacement, LOADs the task at the step the
+  campaign reached (verifying the state digest), and continues — the
+  campaign never notices.
 * :class:`SimProcessPool` — spawns and reuses one simulator per slice slot;
   :func:`run_task_on_default_pool` is the module-level entry point the
   execution backends dispatch ``ShardTask.simulator == "subprocess"`` work
@@ -58,7 +58,6 @@ __all__ = [
 # simulations; two minutes of silence means wedged, not slow, with a wide
 # margin even on loaded CI hosts.  Real RTL wrappers may need more.
 DEFAULT_REQUEST_TIMEOUT = 120.0
-DEFAULT_SNAPSHOT_INTERVAL = 8
 DEFAULT_MAX_RESTARTS = 3
 
 
@@ -73,8 +72,9 @@ class SimServerCrash(SimServerError):
 
 class SimProtocolError(SimServerError):
     """The server answered, but wrongly: an ERROR frame, an unexpected
-    response type, or a digest mismatch after RESTORE.  Deterministic —
-    retrying cannot help, so it is never swallowed by recovery."""
+    response type, or a digest mismatch after a recovery LOAD.
+    Deterministic — retrying cannot help, so it is never swallowed by
+    recovery."""
 
 
 def default_server_command() -> List[str]:
@@ -231,7 +231,7 @@ class SimTaskStats:
 
     ``steps`` counts the timed STEP round trips (the workload-finishing one
     included) and ``step_seconds_total`` sums only their successful server
-    turnarounds — recovery time (respawn, RESTORE, gap replay) and timed-out
+    turnarounds — recovery time (respawn, LOAD replay) and timed-out
     attempts are excluded, so ``mean_step_seconds`` reads as the server's
     per-step speed even on a task that needed restarts.
     """
@@ -273,35 +273,21 @@ class SubprocessSimulator:
         command: Optional[List[str]] = None,
         command_factory: Optional[Callable[[int], List[str]]] = None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
     ) -> None:
-        if snapshot_interval <= 0:
-            raise ValueError(
-                f"snapshot_interval must be positive, got {snapshot_interval}"
-            )
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be non-negative, got {max_restarts}")
         self.command = command
         self.command_factory = command_factory
         self.request_timeout = request_timeout
-        self.snapshot_interval = snapshot_interval
         self.max_restarts = max_restarts
         self.lifetime_spawns = 0
         self.lifetime_restarts = 0
         self.last_used = time.monotonic()
-        self._task_active = False
+        # From acquisition to the end of run_task: the pool never evicts a
+        # busy simulator.
+        self.busy = False
         self._process: Optional[SimServerProcess] = None
-        # Per-task state.
-        self._wire: Optional[Dict[str, object]] = None
-        self._stats: Optional[SimTaskStats] = None
-        self._loaded = False
-        self._steps_done = 0
-        self._snapshot: Optional[Dict[str, object]] = None
-        self._payload: Optional[Dict[str, object]] = None
-        self._task_restarts = 0
-
-    # -- observation ------------------------------------------------------------------------
 
     @property
     def pid(self) -> Optional[int]:
@@ -311,73 +297,72 @@ class SubprocessSimulator:
     def alive(self) -> bool:
         return self._process is not None and self._process.alive
 
-    @property
-    def stats(self) -> Optional[SimTaskStats]:
-        """Accounting of the current (or just finished) task."""
-        return self._stats
-
-    @property
-    def busy(self) -> bool:
-        """From acquisition (or :meth:`begin_task`) to :meth:`finish_task` —
-        the pool never evicts a busy simulator."""
-        return self._task_active
-
-    # -- the task driver --------------------------------------------------------------------
-
     def run_task(self, task: ShardTask) -> Dict[str, object]:
         """LOAD + STEP a slice task to completion; returns its result payload
-        (with the process counters in its diagnostics)."""
-        self.begin_task(task)
-        while self.advance() is not None:
-            pass
-        return self.finish_task()
+        (with the process counters in its diagnostics).
 
-    def begin_task(self, task: ShardTask) -> None:
-        """LOAD a task onto the server (spawning one if needed)."""
-        self._wire = shard_task_to_wire(task)
-        self._stats = SimTaskStats()
-        self._loaded = False
-        self._steps_done = 0
-        self._snapshot = None
-        self._payload = None
-        self._task_restarts = 0
-        self._task_active = True
+        Whenever the server is missing or dead, a new one is spawned and sent
+        ``LOAD`` at the step the task reached.  Its digest must equal the last
+        one this task was sent — a mismatch is a :class:`SimProtocolError` —
+        and the pending request is then sent again.
+        """
+        self.busy = True
         self.last_used = time.monotonic()
-        if self._process is None or not self._process.alive:
-            self._process = self._spawn()
-        response = self._request({"type": "LOAD", "task": self._wire})
-        self._expect(response, "LOADED")
-        self._loaded = True
-        self._snapshot = {"steps": 0, "digest": response["digest"]}
-
-    def advance(self) -> Optional[Dict[str, object]]:
-        """One STEP round trip; returns the step metadata, or ``None`` once
-        the workload finished and the payload is ready."""
-        if self._payload is not None:
-            return None
-        response = self._request({"type": "STEP"}, timed=True)
-        self._expect(response, "STEP")
-        if response.get("done"):
-            self._payload = response["payload"]
-            return None
-        self._steps_done += 1
-        if self._steps_done % self.snapshot_interval == 0:
-            snapshot = self._request({"type": "SNAPSHOT"})
-            self._expect(snapshot, "SNAPSHOT")
-            self._snapshot = {
-                "steps": snapshot["steps"],
-                "digest": snapshot["digest"],
-            }
-        return response["step"]
-
-    def finish_task(self) -> Dict[str, object]:
-        """The finished task's result payload, with the process counters
-        merged into its diagnostics."""
-        if self._payload is None:
-            raise SimServerError("no finished workload: run advance() to completion")
-        self._payload["diagnostics"].update(self._stats.to_row())
-        self._task_active = False
-        return self._payload
+        stats = SimTaskStats()
+        wire = shard_task_to_wire(task)
+        steps_done, digest, loaded, crashes = 0, None, False, 0
+        try:
+            while True:
+                try:
+                    if not self.alive:
+                        self._process = self._spawn()
+                        stats.spawns += 1
+                        loaded = False
+                    if not loaded:
+                        response = self._call(
+                            {"type": "LOAD", "task": wire, "steps": steps_done}, "LOADED"
+                        )
+                        if digest is not None and response["digest"] != digest:
+                            self._process.kill()
+                            raise SimProtocolError(
+                                f"state digest mismatch after LOAD at step "
+                                f"{steps_done}: the replayed session diverged "
+                                f"(non-deterministic simulator?)"
+                            )
+                        digest, loaded = response["digest"], True
+                    started = time.perf_counter()
+                    response = self._call({"type": "STEP"}, "STEP")
+                except SimServerCrash as error:
+                    self._process.kill()
+                    crashes += 1
+                    stats.restarts += 1
+                    self.lifetime_restarts += 1
+                    if crashes > self.max_restarts:
+                        raise SimServerCrash(
+                            f"simulator server died {crashes} times on one task "
+                            f"(max_restarts={self.max_restarts}); giving up"
+                        ) from None
+                    print(
+                        f"[sim.client] {error}; restarting and replaying to "
+                        f"step {steps_done}",
+                        file=sys.stderr,
+                        flush=True,
+                    )
+                    continue
+                # Only successful STEP round trips are timed: recovery
+                # (respawn, LOAD replay) and timed-out attempts would inflate
+                # the mean step wall clock the diagnostics report.
+                elapsed = time.perf_counter() - started
+                stats.steps += 1
+                stats.step_seconds_total += elapsed
+                stats.latency.record(elapsed)
+                steps_done, digest = response["steps"], response["digest"]
+                if response["done"]:
+                    payload = response["payload"]
+                    payload["diagnostics"].update(stats.to_row())
+                    return payload
+        finally:
+            self.busy = False
 
     def close(self) -> None:
         """Shut the server process down; the simulator stays reusable."""
@@ -385,111 +370,21 @@ class SubprocessSimulator:
             self._process.quit()
             self._process = None
 
-    # -- recovery ---------------------------------------------------------------------------
-
-    def _request(
-        self, frame: Dict[str, object], timed: bool = False
-    ) -> Dict[str, object]:
-        while True:
-            if self._process is None or not self._process.alive:
-                self._recover()
-            try:
-                started = time.perf_counter()
-                response = self._process.request(frame)
-            except SimServerCrash as error:
-                self._note_crash(error)
-                continue
-            if timed:
-                # Only successful round trips count: recovery time (respawn,
-                # RESTORE, replay) and timed-out attempts would otherwise
-                # inflate the mean step wall clock the diagnostics report.
-                elapsed = time.perf_counter() - started
-                self._stats.step_seconds_total += elapsed
-                self._stats.steps += 1
-                self._stats.latency.record(elapsed)
-            return response
-
-    def _note_crash(self, error: SimServerCrash) -> None:
-        print(
-            f"[sim.client] {error}; restarting and replaying "
-            f"(snapshot at step {self._snapshot['steps'] if self._snapshot else 0}, "
-            f"{self._steps_done} steps done)",
-            file=sys.stderr,
-            flush=True,
-        )
-        if self._process is not None:
-            self._process.kill()
-            self._process = None
-
-    def _recover(self) -> None:
-        """Spawn a replacement and replay it to the current task position."""
-        while True:
-            self._task_restarts += 1
-            self.lifetime_restarts += 1
-            if self._stats is not None:
-                self._stats.restarts += 1
-            if self._task_restarts > self.max_restarts:
-                raise SimServerCrash(
-                    f"simulator server died {self._task_restarts} times on one "
-                    f"task (max_restarts={self.max_restarts}); giving up"
-                )
-            process = self._spawn()
-            try:
-                if self._loaded:
-                    snapshot = self._snapshot
-                    response = process.request(
-                        {
-                            "type": "RESTORE",
-                            "task": self._wire,
-                            "steps": snapshot["steps"],
-                        }
-                    )
-                    if response.get("type") != "RESTORED":
-                        raise SimProtocolError(
-                            f"expected RESTORED, got {response.get('type')!r}"
-                        )
-                    if response["digest"] != snapshot["digest"]:
-                        raise SimProtocolError(
-                            f"state digest mismatch after RESTORE at step "
-                            f"{snapshot['steps']}: the replayed session diverged "
-                            f"from the snapshot (non-deterministic simulator?)"
-                        )
-                    # Silently re-step the gap between the snapshot and the
-                    # step the campaign had already consumed.
-                    for _ in range(self._steps_done - snapshot["steps"]):
-                        process.request({"type": "STEP"})
-                self._process = process
-                return
-            except SimServerCrash as error:
-                print(
-                    f"[sim.client] replacement server failed during replay: "
-                    f"{error}; retrying",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                process.kill()
-            except Exception:
-                # A deterministic protocol failure aborts the task; the
-                # replacement must not outlive it as an orphan.
-                process.kill()
-                raise
-
     def _spawn(self) -> SimServerProcess:
         if self.command_factory is not None:
             command = self.command_factory(self.lifetime_spawns)
         else:
             command = self.command
         self.lifetime_spawns += 1
-        if self._stats is not None:
-            self._stats.spawns += 1
         return SimServerProcess(command, request_timeout=self.request_timeout)
 
-    @staticmethod
-    def _expect(response: Dict[str, object], expected: str) -> None:
-        if response.get("type") != expected:
+    def _call(self, frame: Dict[str, object], expected: str) -> Dict[str, object]:
+        response = self._process.request(frame)
+        if response["type"] != expected:
             raise SimProtocolError(
-                f"expected {expected}, got {response.get('type')!r}: {response!r}"
+                f"expected {expected}, got {response['type']!r}: {response!r}"
             )
+        return response
 
 
 class SimProcessPool:
@@ -508,7 +403,6 @@ class SimProcessPool:
         self,
         command: Optional[List[str]] = None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         max_live_servers: Optional[int] = None,
     ) -> None:
@@ -518,7 +412,6 @@ class SimProcessPool:
             )
         self.command = command
         self.request_timeout = request_timeout
-        self.snapshot_interval = snapshot_interval
         self.max_restarts = max_restarts
         self.max_live_servers = max_live_servers or max(4, os.cpu_count() or 1)
         self._simulators: Dict[int, SubprocessSimulator] = {}
@@ -536,13 +429,12 @@ class SimProcessPool:
                 simulator = SubprocessSimulator(
                     command=self.command,
                     request_timeout=self.request_timeout,
-                    snapshot_interval=self.snapshot_interval,
                     max_restarts=self.max_restarts,
                 )
                 self._simulators[slot] = simulator
             if not simulator.alive:
                 self._evict_idle_servers(keep=slot)
-            simulator._task_active = True
+            simulator.busy = True
             return simulator
 
     def _evict_idle_servers(self, keep: int) -> None:

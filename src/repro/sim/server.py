@@ -12,8 +12,8 @@ uses — each ``STEP`` runs to the next simulator boundary (a Phase-1 window
 batch of N un-instrumented simulations, or one differential dual-DUT
 exploration run on the :class:`~repro.swapmem.harness.DualCoreHarness`).
 Because the runner is a pure function of the loaded task, a server-driven
-slice is byte-identical to an in-process one, and ``RESTORE`` can rebuild any
-session state by deterministic replay.
+slice is byte-identical to an in-process one, and ``LOAD {steps}`` can rebuild
+any session state by deterministic replay.
 
 The server is single-session and single-threaded on purpose: one campaign
 slice talks to one server process, and process-level parallelism comes from
@@ -23,11 +23,12 @@ stdout carries protocol frames only; logging goes to stderr.
 Fault-injection flags for tests and recovery drills (a real deployment never
 uses them):
 
-* ``--crash-after N`` — the process exits hard (code 13) when STEP request
-  ``N+1`` arrives, simulating a simulator crash mid-campaign.
-* ``--hang-after N`` — the process stops responding at STEP request ``N+1``
-  (sleeps forever), simulating a wedged simulator; clients detect this via
-  their request timeout.
+* ``--crash-after N`` — the process exits hard (code 13) when the ``N+1``-th
+  STEP request it receives arrives, simulating a simulator crash
+  mid-campaign.  The fast-forward of ``LOAD {steps}`` does not count.
+* ``--hang-after N`` — the process stops responding at the ``N+1``-th STEP
+  request it receives (sleeps forever), simulating a wedged simulator;
+  clients detect this via their request timeout.
 """
 
 from __future__ import annotations
@@ -50,99 +51,44 @@ class SimulatorSession:
 
     def __init__(self) -> None:
         self._runner: Optional[ShardCampaignRunner] = None
-        self._steps = 0
-        self._final_payload: Optional[Dict[str, object]] = None
-
-    # -- verbs ------------------------------------------------------------------------------
 
     def load(self, frame: Dict[str, object]) -> Dict[str, object]:
+        steps = frame.get("steps")
+        if type(steps) is not int or steps < 0:
+            raise ValueError("LOAD needs a non-negative integer 'steps'")
         try:
             task = shard_task_from_wire(frame.get("task"))
         except TypeError as error:  # a value of the wrong type
             raise ValueError(f"malformed task: {error}") from None
-        self._runner = ShardCampaignRunner(task)
-        self._steps = 0
-        self._final_payload = None
-        return {"type": "LOADED", "steps": 0, "digest": self._digest()}
+        runner = ShardCampaignRunner(task)
+        while runner.steps_taken < steps:
+            if runner.advance() is None:
+                raise ValueError(
+                    f"workload finished after {runner.steps_taken} steps; "
+                    f"cannot fast-forward to step {steps}"
+                )
+        self._runner = runner
+        return {"type": "LOADED", "steps": steps, "digest": state_digest(runner)}
 
     def step(self) -> Dict[str, object]:
-        runner = self._require_runner("STEP")
-        if self._final_payload is not None:
+        runner = self._runner
+        if runner is None:
+            raise ValueError("STEP before LOAD: no workload loaded")
+        if runner.finished:
             raise ValueError("workload already finished; LOAD a new one")
         step = runner.advance()
+        response = {"type": "STEP", "done": step is None, "steps": runner.steps_taken}
         if step is None:
-            self._final_payload = runner.payload
-            return {
-                "type": "STEP",
-                "done": True,
-                "steps": self._steps,
-                "payload": runner.payload,
-            }
-        self._steps += 1
-        return {
-            "type": "STEP",
-            "done": False,
-            "steps": self._steps,
-            "step": {
+            response["payload"] = runner.payload
+        else:
+            response["step"] = {
                 "iteration": step.iteration,
                 "phase": step.phase,
                 "simulations": step.simulations,
                 "end_of_iteration": step.end_of_iteration,
-            },
-        }
-
-    def read(self) -> Dict[str, object]:
-        runner = self._require_runner("READ")
-        per_module = runner.fuzzer.coverage.per_module_counts()
-        campaign = runner.campaign_result
-        return {
-            "type": "STATE",
-            "loaded": True,
-            "finished": runner.finished,
-            "steps": self._steps,
-            "coverage": {
-                "total": len(runner.fuzzer.coverage),
-                "per_module": {
-                    module: per_module[module] for module in sorted(per_module)
-                },
-            },
-            "history": list(runner.fuzzer.coverage.history),
-            "iterations_run": campaign.iterations_run if campaign else 0,
-            "reports": len(campaign.reports) if campaign else 0,
-            # Live telemetry snapshot of the loaded task's metric registry
-            # (latency histograms, cache counters) — an observation surface
-            # only: the digest covers deterministic state and ignores it.
-            "metrics": runner.metrics.snapshot(),
-            "digest": self._digest(),
-        }
-
-    def snapshot(self) -> Dict[str, object]:
-        self._require_runner("SNAPSHOT")
-        return {"type": "SNAPSHOT", "steps": self._steps, "digest": self._digest()}
-
-    def restore(self, frame: Dict[str, object]) -> Dict[str, object]:
-        steps = frame.get("steps")
-        if not isinstance(steps, int) or steps < 0:
-            raise ValueError("RESTORE needs a non-negative integer 'steps'")
-        self.load(frame)
-        for _ in range(steps):
-            response = self.step()
-            if response["done"]:
-                raise ValueError(
-                    f"workload finished after {response['steps']} steps; "
-                    f"cannot fast-forward to step {steps}"
-                )
-        return {"type": "RESTORED", "steps": self._steps, "digest": self._digest()}
-
-    # -- helpers ----------------------------------------------------------------------------
-
-    def _require_runner(self, verb: str) -> ShardCampaignRunner:
-        if self._runner is None:
-            raise ValueError(f"{verb} before LOAD: no workload loaded")
-        return self._runner
-
-    def _digest(self) -> str:
-        return state_digest(self._runner, self._steps)
+            }
+        response["digest"] = state_digest(runner)
+        return response
 
 
 def serve(
@@ -185,13 +131,6 @@ def serve(
                         time.sleep(3600)
                 response = session.step()
                 steps_served += 1
-            elif kind == "READ":
-                response = session.read()
-            elif kind == "SNAPSHOT":
-                response = session.snapshot()
-            elif kind == "RESTORE":
-                response = session.restore(frame)
-                steps_served = 0
             else:
                 response = {"type": "ERROR", "error": f"unknown request type {kind!r}"}
         except ValueError as error:  # a malformed frame or a misused verb
@@ -208,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.sim.server",
         description=(
             "Host a simulator instance behind the JSON-lines stdio protocol "
-            "(LOAD/STEP/READ/SNAPSHOT/RESTORE/QUIT)."
+            "(LOAD/STEP/QUIT)."
         ),
     )
     parser.add_argument(

@@ -238,16 +238,16 @@ class TestShardCampaignRunner:
 
     def test_runner_exposes_live_campaign_state(self):
         runner = ShardCampaignRunner(make_task())
-        assert runner.campaign_result is None
+        assert runner.result is None
         first = runner.advance()
         assert first is not None
         # The captured reference is the live accumulating CampaignResult.
-        assert runner.campaign_result is first.result
+        assert runner.result is first.result
         assert runner.steps_taken == 1
         assert not runner.finished
         while runner.advance() is not None:
             pass
-        assert runner.campaign_result is runner.result
+        assert runner.result is first.result
         assert runner.payload is not None
         # advance() after completion stays a no-op.
         assert runner.advance() is None

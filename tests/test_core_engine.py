@@ -927,10 +927,11 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="malformed checkpoint"):
             ParallelCampaignEngine.resume_from(str(path), self.cfg())
 
-    # The key is a dotted path into the checkpoint.  A value of None deletes
-    # it; any other value replaces it.
+    # The key is a dotted path into the checkpoint (list indices are
+    # numbers).  A value of DELETE deletes it; any other value replaces it.
+    DELETE = object()
     MALFORMED = {
-        "no-corpus": ("corpus", None, "lacks corpus"),
+        "no-corpus": ("corpus", DELETE, "lacks corpus"),
         "corpus-int": ("corpus", 5, "wrong type for corpus"),
         "transfers-int": ("transfers", 5, "wrong type for transfers"),
         "slice_points-list": ("slice_points", [], "wrong type for slice_points"),
@@ -943,13 +944,26 @@ class TestCheckpointResume:
             "core_coverage.small-boom", 5, "wrong type for core_coverage[small-boom]"
         ),
         "core_coverage-lacks-core": (
-            "core_coverage.small-boom", None, "lacks core_coverage[small-boom]"
+            "core_coverage.small-boom", DELETE, "lacks core_coverage[small-boom]"
         ),
         "core_triggered-int": ("core_triggered", 5, "wrong type for core_triggered"),
         "round_gains-int": ("round_gains", 5, "wrong type for round_gains"),
         "slice_points-entry-int": ("slice_points.0", 5, "wrong type for slice_points[0]"),
         "wall_clock_seconds-list": (
             "wall_clock_seconds", [], "wrong type for wall_clock_seconds"
+        ),
+        "point-module-null": (
+            "core_coverage.small-boom.points.0.module",
+            None,
+            "wrong type for core_coverage[small-boom].points[0] (module",
+        ),
+        "seed-mask_high_bits-string": (
+            "corpus.0.seed.mask_high_bits", "x", "wrong type for corpus[0] (mask_high_bits"
+        ),
+        "seed-no-encode_strategies": (
+            "assignments.2.encode_strategies",
+            [],
+            "bad value for assignments[2] (encode_strategies is empty",
         ),
     }
 
@@ -963,8 +977,10 @@ class TestCheckpointResume:
             *parents, key = key.split(".")
             target = payload
             for parent in parents:
-                target = target[parent]
-            if value is None:
+                target = target[int(parent) if isinstance(target, list) else parent]
+            if isinstance(target, list):
+                key = int(key)
+            if value is self.DELETE:
                 del target[key]
             else:
                 target[key] = value

@@ -1,7 +1,7 @@
-"""Tests for the simulator-server protocol: the six verbs over a real
+"""Tests for the simulator-server protocol: the three verbs over a real
 ``python -m repro.sim.server`` subprocess, the documented edge cases
-(malformed frame, READ before LOAD, double QUIT), and snapshot/restore
-round-trip byte-identity."""
+(malformed frame, STEP before LOAD, double QUIT), and the byte-identity of a
+session LOADed at a later step."""
 
 import io
 import json
@@ -46,25 +46,33 @@ def server():
     process.quit()
 
 
+def load(task, steps=0):
+    return {"type": "LOAD", "task": shard_task_to_wire(task), "steps": steps}
+
+
 class TestVerbs:
     def test_load_step_to_completion_matches_inproc(self, server):
-        task = make_task()
-        response = server.request({"type": "LOAD", "task": shard_task_to_wire(task)})
+        response = server.request(load(make_task()))
         assert response["type"] == "LOADED"
         assert response["steps"] == 0
         assert isinstance(response["digest"], str)
 
         steps = 0
+        digests = [response["digest"]]
         while True:
             response = server.request({"type": "STEP"})
             assert response["type"] == "STEP"
+            digests.append(response["digest"])
             if response["done"]:
                 payload = response["payload"]
+                assert response["steps"] == steps
                 break
             steps += 1
             assert response["steps"] == steps
             assert response["step"]["phase"] in ("window", "explore")
             assert response["step"]["simulations"] >= 0
+        # Every boundary, the finished state included, has its own digest.
+        assert len(set(digests)) == len(digests)
 
         reference = run_shard_task(make_task())
         assert payload["points"] == reference["points"]
@@ -75,31 +83,13 @@ class TestVerbs:
         )
         assert steps > 0
 
-    def test_read_reports_live_coverage(self, server):
-        task = make_task()
-        server.request({"type": "LOAD", "task": shard_task_to_wire(task)})
-        server.request({"type": "STEP"})
-        state = server.request({"type": "READ"})
-        assert state["type"] == "STATE"
-        assert state["loaded"] and not state["finished"]
-        assert state["steps"] == 1
-        assert state["coverage"]["total"] == sum(
-            state["coverage"]["per_module"].values()
-        )
-        assert list(state["coverage"]["per_module"]) == sorted(
-            state["coverage"]["per_module"]
-        )
-        assert isinstance(state["digest"], str)
-
     def test_load_replaces_the_previous_workload(self, server):
-        server.request({"type": "LOAD", "task": shard_task_to_wire(make_task())})
+        first = server.request(load(make_task(epoch=1)))
+        server.request(load(make_task()))
         server.request({"type": "STEP"})
-        response = server.request(
-            {"type": "LOAD", "task": shard_task_to_wire(make_task(epoch=1))}
-        )
+        response = server.request(load(make_task(epoch=1)))
         assert response["steps"] == 0
-        state = server.request({"type": "READ"})
-        assert state["steps"] == 0
+        assert response["digest"] == first["digest"]
 
     def test_digest_is_deterministic_across_processes(self):
         task_wire = shard_task_to_wire(make_task())
@@ -107,10 +97,12 @@ class TestVerbs:
         def digest_after(steps):
             process = SimServerProcess(request_timeout=60.0)
             try:
-                process.request({"type": "LOAD", "task": task_wire})
+                digest = process.request(
+                    {"type": "LOAD", "task": task_wire, "steps": 0}
+                )["digest"]
                 for _ in range(steps):
-                    process.request({"type": "STEP"})
-                return process.request({"type": "SNAPSHOT"})["digest"]
+                    digest = process.request({"type": "STEP"})["digest"]
+                return digest
             finally:
                 process.quit()
 
@@ -143,9 +135,7 @@ class TestEdgeCases:
         with pytest.raises(SimProtocolError, match="malformed"):
             server.request({"no_type": True})
 
-        follow_up = server.request(
-            {"type": "LOAD", "task": shard_task_to_wire(make_task())}
-        )
+        follow_up = server.request(load(make_task()))
         assert follow_up["type"] == "LOADED"
 
     def test_oversized_frame_survives(self, server):
@@ -158,9 +148,7 @@ class TestEdgeCases:
         response = json.loads(server._read_line(time.monotonic() + 60))
         assert response["type"] == "ERROR"
         assert "longer than" in response["error"]
-        follow_up = server.request(
-            {"type": "LOAD", "task": shard_task_to_wire(make_task())}
-        )
+        follow_up = server.request(load(make_task()))
         assert follow_up["type"] == "LOADED"
 
     @pytest.mark.parametrize(
@@ -184,22 +172,24 @@ class TestEdgeCases:
         assert [frame["type"] for frame in frames] == ["ERROR"]
         assert "malformed" in frames[0]["error"]
 
-    def test_read_before_load(self):
+    def test_step_before_load(self):
         process = SimServerProcess(request_timeout=60.0)
         try:
-            for verb in ("READ", "STEP", "SNAPSHOT"):
-                with pytest.raises(SimProtocolError, match="before LOAD"):
-                    process.request({"type": verb})
-            # The session survives the errors.
-            assert process.request(
-                {"type": "LOAD", "task": shard_task_to_wire(make_task())}
-            )["type"] == "LOADED"
+            with pytest.raises(SimProtocolError, match="before LOAD"):
+                process.request({"type": "STEP"})
+            # The session survives the error.
+            assert process.request(load(make_task()))["type"] == "LOADED"
         finally:
             process.quit()
 
-    def test_unknown_verb(self, server):
+    # READ, SNAPSHOT and RESTORE were verbs of an earlier protocol.
+    @pytest.mark.parametrize("verb", ["FLY", "READ", "SNAPSHOT", "RESTORE"])
+    def test_unknown_verb(self, server, verb):
+        # An ERROR, and the loaded session is untouched.
+        server.request(load(make_task()))
         with pytest.raises(SimProtocolError, match="unknown request type"):
-            server.request({"type": "FLY"})
+            server.request({**load(make_task(), steps=2), "type": verb})
+        assert server.request({"type": "STEP"})["steps"] == 1
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -219,14 +209,12 @@ class TestEdgeCases:
         wire = shard_task_to_wire(make_task())
         corrupt(wire["configuration"])
         with pytest.raises(SimProtocolError, match=message):
-            server.request({"type": "LOAD", "task": wire})
-        follow_up = server.request(
-            {"type": "LOAD", "task": shard_task_to_wire(make_task())}
-        )
+            server.request({"type": "LOAD", "task": wire, "steps": 0})
+        follow_up = server.request(load(make_task()))
         assert follow_up["type"] == "LOADED"
 
     def test_step_after_finish(self, server):
-        server.request({"type": "LOAD", "task": shard_task_to_wire(make_task())})
+        server.request(load(make_task()))
         while not server.request({"type": "STEP"})["done"]:
             pass
         with pytest.raises(SimProtocolError, match="already finished"):
@@ -262,24 +250,32 @@ class TestEdgeCases:
         assert process.returncode == 0
         assert out == ""
 
-    def test_restore_bad_steps(self, server):
-        wire = shard_task_to_wire(make_task())
-        with pytest.raises(SimProtocolError, match="non-negative integer"):
-            server.request({"type": "RESTORE", "task": wire, "steps": -1})
-        # Fast-forwarding past the end of the workload is refused loudly.
+    @pytest.mark.parametrize("steps", [-1, "3", 1.0, True, "missing"])
+    def test_load_bad_steps(self, server, steps):
+        frame = load(make_task(), steps)
+        if steps == "missing":
+            del frame["steps"]
+        with pytest.raises(SimProtocolError, match="non-negative integer 'steps'"):
+            server.request(frame)
+
+    def test_load_past_the_end(self, server):
+        # Fast-forwarding past the end of the workload is refused loudly, and
+        # the session keeps the workload it had.
+        server.request(load(make_task()))
         with pytest.raises(SimProtocolError, match="cannot fast-forward"):
-            server.request({"type": "RESTORE", "task": wire, "steps": 10_000})
+            server.request(load(make_task(), steps=10_000))
+        assert server.request({"type": "STEP"})["steps"] == 1
 
 
 def test_server_frame_bound_counts_bytes():
     # Two-byte characters: fewer than MAX_FRAME_BYTES characters, more bytes.
     pad = "\u00e9" * (MAX_FRAME_BYTES // 2)
     stream = io.BytesIO(
-        ('{"type":"LOAD","pad":"' + pad + '"}\n{"type":"READ"}\n').encode("utf-8")
+        ('{"type":"LOAD","pad":"' + pad + '"}\n{"type":"STEP"}\n').encode("utf-8")
     )
     with pytest.raises(ValueError, match="longer than"):
         read_frame(stream)
-    assert read_frame(stream) == {"type": "READ"}
+    assert read_frame(stream) == {"type": "STEP"}
 
 
 def fake_server(reply: str):
@@ -311,7 +307,7 @@ class TestClientFraming:
         process = fake_server(repr(reply))
         try:
             with pytest.raises(SimProtocolError, match=message):
-                process.request({"type": "READ"})
+                process.request({"type": "STEP"})
         finally:
             process.kill()
 
@@ -320,7 +316,7 @@ class TestClientFraming:
         process = fake_server(f'b"x" * {MAX_FRAME_BYTES} + b"\\n"')
         try:
             with pytest.raises(SimProtocolError, match="longer than"):
-                process.request({"type": "READ"})
+                process.request({"type": "STEP"})
             assert not process.alive  # the unframeable stream is shut down
         finally:
             process.kill()
@@ -335,62 +331,58 @@ class TestClientFraming:
         process = SimServerProcess([sys.executable, "-c", script], request_timeout=60.0)
         try:
             with pytest.raises(SimServerCrash, match="died mid-request"):
-                process.request({"type": "READ"})
+                process.request({"type": "STEP"})
         finally:
             process.kill()
 
 
-class TestSnapshotRestore:
+class TestLoadAtStep:
     def test_round_trip_byte_identity(self):
-        """A session RESTOREd at a snapshot is byte-identical to the original:
-        same digest at the snapshot, same digests for every later step, and
-        the same final payload."""
+        """A session LOADed at step 3 is byte-identical to the original at
+        its step 3: the same digest there, the same reply for every later
+        step, and the same final payload."""
         task_wire = shard_task_to_wire(make_task(iterations=4))
         original = SimServerProcess(request_timeout=60.0)
-        restored = SimServerProcess(request_timeout=60.0)
+        replayed = SimServerProcess(request_timeout=60.0)
         try:
-            original.request({"type": "LOAD", "task": task_wire})
+            original.request({"type": "LOAD", "task": task_wire, "steps": 0})
             for _ in range(3):
-                original.request({"type": "STEP"})
-            snapshot = original.request({"type": "SNAPSHOT"})
-            assert snapshot["steps"] == 3
+                at_three = original.request({"type": "STEP"})
+            assert at_three["steps"] == 3
 
-            response = restored.request(
-                {"type": "RESTORE", "task": task_wire, "steps": snapshot["steps"]}
-            )
-            assert response["type"] == "RESTORED"
-            assert response["steps"] == snapshot["steps"]
-            assert response["digest"] == snapshot["digest"]
+            response = replayed.request({"type": "LOAD", "task": task_wire, "steps": 3})
+            assert response["type"] == "LOADED"
+            assert response["steps"] == 3
+            assert response["digest"] == at_three["digest"]
 
             # Both sessions now walk the remainder in lockstep.
             while True:
                 step_a = original.request({"type": "STEP"})
-                step_b = restored.request({"type": "STEP"})
-                assert step_a == step_b or (
-                    # wall_seconds inside the final payload is timing
-                    step_a["done"]
-                    and step_b["done"]
-                )
-                if step_a["done"]:
-                    payload_a = dict(step_a["payload"])
-                    payload_b = dict(step_b["payload"])
-                    payload_a.pop("wall_seconds")
-                    payload_b.pop("wall_seconds")
-                    # metric latency histograms are timing too
-                    payload_a.pop("metrics", None)
-                    payload_b.pop("metrics", None)
-                    # Timing lives inside the result dict too; compare the
-                    # deterministic projection.
-                    result_a = payload_a.pop("result")
-                    result_b = payload_b.pop("result")
-                    for entry in (result_a, result_b):
-                        entry["elapsed_seconds"] = 0.0
-                        entry["first_bug_seconds"] = None
-                        for report in entry["reports"]:
-                            report["wall_clock_seconds"] = 0.0
-                    assert payload_a == payload_b
-                    assert result_a == result_b
-                    break
+                step_b = replayed.request({"type": "STEP"})
+                assert step_a["digest"] == step_b["digest"]
+                if not step_a["done"]:
+                    assert step_a == step_b
+                    continue
+                assert step_b["done"]
+                payload_a = dict(step_a["payload"])
+                payload_b = dict(step_b["payload"])
+                payload_a.pop("wall_seconds")
+                payload_b.pop("wall_seconds")
+                # metric latency histograms are timing too
+                payload_a.pop("metrics", None)
+                payload_b.pop("metrics", None)
+                # Timing lives inside the result dict too; compare the
+                # deterministic projection.
+                result_a = payload_a.pop("result")
+                result_b = payload_b.pop("result")
+                for entry in (result_a, result_b):
+                    entry["elapsed_seconds"] = 0.0
+                    entry["first_bug_seconds"] = None
+                    for report in entry["reports"]:
+                        report["wall_clock_seconds"] = 0.0
+                assert payload_a == payload_b
+                assert result_a == result_b
+                break
         finally:
             original.quit()
-            restored.quit()
+            replayed.quit()

@@ -6,16 +6,18 @@ simulators on every backend is checked by ``test_campaign_matrix.py``."""
 
 import os
 import signal
+import sys
 import time
 
 import pytest
 
 from repro.core import FuzzerConfiguration, ShardTask
-from repro.core.backends import run_shard_task
+from repro.core.backends import ShardCampaignRunner, run_shard_task
 from repro.core.engine import EngineConfiguration
 from repro.core.report import CampaignResult
 from repro.sim.client import (
     SimProcessPool,
+    SimProtocolError,
     SimServerCrash,
     SubprocessSimulator,
     close_default_pool,
@@ -85,36 +87,40 @@ class TestSubprocessSimulator:
         assert second["diagnostics"]["spawns"] == 0  # reused, not respawned
         assert deterministic_payload(first) == deterministic_payload(second)
 
-    def test_sigkill_mid_task_restarts_and_replays(self, inproc_reference):
-        simulator = SubprocessSimulator(snapshot_interval=2)
+    def test_sigkill_between_tasks_respawns_and_replays(self, inproc_reference):
+        simulator = SubprocessSimulator()
         try:
-            simulator.begin_task(make_task())
-            for _ in range(3):
-                assert simulator.advance() is not None
+            first = simulator.run_task(make_task())
             os.kill(simulator.pid, signal.SIGKILL)
-            while simulator.advance() is not None:
-                pass
-            payload = simulator.finish_task()
+            second = simulator.run_task(make_task())
         finally:
             simulator.close()
-        assert deterministic_payload(payload) == inproc_reference
-        assert payload["diagnostics"]["restarts"] >= 1
-        assert payload["diagnostics"]["spawns"] >= 2
+        assert deterministic_payload(first) == inproc_reference
+        assert deterministic_payload(second) == inproc_reference
+        assert second["diagnostics"]["spawns"] == 1
+        assert simulator.lifetime_spawns == 2
 
-    def test_crashing_server_restarts_and_replays(self, inproc_reference):
+    @pytest.mark.parametrize("edge", ["first-step", "finishing-step", "mid-task"])
+    def test_crashing_server_restarts_and_replays(self, inproc_reference, edge):
+        # A task of N steps takes N + 1 STEP requests: the last one finishes
+        # the workload.  The first server dies when one of them arrives.
+        steps = step_count(make_task(simulator="inproc"))
+        crash_after = {"first-step": 0, "finishing-step": steps, "mid-task": 2}[edge]
+
         def factory(spawn_index):
             command = default_server_command()
             if spawn_index == 0:
-                return command + ["--crash-after", "2"]
+                return command + ["--crash-after", str(crash_after)]
             return command
 
-        simulator = SubprocessSimulator(command_factory=factory, snapshot_interval=2)
+        simulator = SubprocessSimulator(command_factory=factory)
         try:
             payload = simulator.run_task(make_task())
         finally:
             simulator.close()
         assert deterministic_payload(payload) == inproc_reference
         assert payload["diagnostics"]["restarts"] == 1
+        assert payload["diagnostics"]["spawns"] == 2
 
     def test_hung_server_is_killed_and_replayed(self, inproc_reference):
         def factory(spawn_index):
@@ -123,15 +129,37 @@ class TestSubprocessSimulator:
                 return command + ["--hang-after", "1"]
             return command
 
-        simulator = SubprocessSimulator(
-            command_factory=factory, snapshot_interval=2, request_timeout=3.0
-        )
+        simulator = SubprocessSimulator(command_factory=factory, request_timeout=3.0)
         try:
             payload = simulator.run_task(make_task())
         finally:
             simulator.close()
         assert deterministic_payload(payload) == inproc_reference
         assert payload["diagnostics"]["restarts"] == 1
+
+    def test_replay_divergence_is_refused(self):
+        # The replacement server digests every state to one constant, so its
+        # recovery LOAD cannot match the digest the first server sent.
+        diverging = (
+            "import sys, repro.sim.server as server; "
+            "server.state_digest = lambda runner: 'diverged'; "
+            "sys.exit(server.main([]))"
+        )
+
+        def factory(spawn_index):
+            if spawn_index == 0:
+                return default_server_command() + ["--crash-after", "2"]
+            return [sys.executable, "-c", diverging]
+
+        simulator = SubprocessSimulator(command_factory=factory)
+        try:
+            with pytest.raises(SimProtocolError, match="digest mismatch after LOAD at step 2"):
+                simulator.run_task(make_task())
+            assert simulator.lifetime_spawns == 2
+            assert not simulator.alive
+            assert not simulator.busy
+        finally:
+            simulator.close()
 
     def test_restart_budget_exhaustion_raises(self):
         def factory(spawn_index):
@@ -145,8 +173,6 @@ class TestSubprocessSimulator:
             simulator.close()
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="snapshot_interval"):
-            SubprocessSimulator(snapshot_interval=0)
         with pytest.raises(ValueError, match="max_restarts"):
             SubprocessSimulator(max_restarts=-1)
         with pytest.raises(ValueError, match="request_timeout"):
@@ -226,6 +252,14 @@ class TestSimProcessPool:
         assert deterministic_payload(payload) == inproc_reference
         assert [row["slot"] for row in default_pool().processes()] == [0]
         close_default_pool()
+
+
+def step_count(task):
+    """How many simulator boundaries ``task`` passes before it finishes."""
+    runner = ShardCampaignRunner(task)
+    while runner.advance() is not None:
+        pass
+    return runner.steps_taken
 
 
 def _pid_alive(pid):
