@@ -50,7 +50,6 @@ _ENGINE_EXPORTS = frozenset(
         "EngineConfiguration",
         "EngineResult",
         "ParallelCampaignEngine",
-        "SyncPolicy",
         "resolve_core",
         "run_parallel_campaign",
     }
@@ -103,7 +102,6 @@ __all__ = [
     "EngineConfiguration",
     "EngineResult",
     "ParallelCampaignEngine",
-    "SyncPolicy",
     "resolve_core",
     "run_parallel_campaign",
     "run_worker",

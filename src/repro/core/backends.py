@@ -67,6 +67,8 @@ from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 # Where a slice task's simulations execute: in the executing process, or on
 # an out-of-process simulator server (repro.sim).
 SIMULATOR_NAMES = ("inproc", "subprocess")
+# How many of its top-gain seeds a slice task reports for the shared corpus.
+REPORT_TOP_SEEDS = 4
 
 
 @dataclass
@@ -86,7 +88,6 @@ class ShardTask:
     configuration: FuzzerConfiguration
     initial_seed: Optional[Dict[str, object]] = None
     baseline_points: List[Dict[str, object]] = field(default_factory=list)
-    report_top_seeds: int = 4
     # Injected wait per simulator invocation (seconds): models a slow external
     # (RTL) simulator behind the same protocol.  Zero means full speed.
     step_latency: float = 0.0
@@ -189,7 +190,7 @@ class ShardCampaignRunner:
             "points": [point.to_dict() for point in observed],
             "top_seeds": [
                 {"seed": seed.to_dict(), "gain": gain}
-                for seed, gain in self.fuzzer.top_seeds(task.report_top_seeds)
+                for seed, gain in self.fuzzer.top_seeds(REPORT_TOP_SEEDS)
             ],
             "wall_seconds": time.perf_counter() - self.started,
             # The task's one diagnostics dict, starting with the window-batch

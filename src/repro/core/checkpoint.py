@@ -25,10 +25,11 @@ from repro.utils.jsontypes import json_typed
 if TYPE_CHECKING:
     from repro.core.engine import EngineResult
 
-# Format 2 keys every per-slice map by the logical slice and pins `slices`,
-# not the shard count, in the fingerprint, so a checkpoint resumes on any
-# shard count.  Format 1 keyed state by physical shard; it is refused.
-CHECKPOINT_FORMAT = 2
+# Every per-slice map is keyed by the logical slice, and the fingerprint pins
+# `slices`, not the shard count, so a checkpoint resumes on any shard count.
+# Format 1 keyed state by physical shard; format 2 also carried the removed
+# stall sync policy and corpus knobs.  Both are refused.
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass
@@ -43,9 +44,6 @@ class CheckpointState:
     # Window-type groups each core has triggered so far; feeds the
     # transfer-aware redistribution bias.
     core_triggered: Dict[str, Set[str]]
-    # Globally-new points of each merged round, oldest first; the windowed
-    # stall estimate averages the tail of this.
-    round_gains: List[int]
     corpus: SharedCorpus
     wall_clock_seconds: float  # of the runs so far
 
@@ -67,7 +65,6 @@ def encode_checkpoint(
         "core_triggered": {
             core: sorted(groups) for core, groups in state.core_triggered.items()
         },
-        "round_gains": list(state.round_gains),
         "corpus": state.corpus.to_dicts(),
         "core_coverage": {
             core: {"points": matrix.to_dicts(), "history": list(matrix.history)}
@@ -211,20 +208,25 @@ _points = _list_of(_plain(CoveragePoint.from_dict))
 
 
 def decode_checkpoint(
-    payload: Dict[str, object], fingerprint: Dict[str, object], fresh: EngineResult
+    payload: Dict[str, object],
+    fingerprint: Dict[str, object],
+    fresh: EngineResult,
+    corpus: SharedCorpus,
 ) -> CheckpointState:
     """The state ``payload`` holds, or :class:`ValueError` naming what is wrong.
 
-    ``fingerprint`` and ``fresh`` describe the resuming configuration: its
-    fingerprint, which the checkpoint's must equal, and the result a new run
-    of it starts from, which the decoded result copies its shape from.
+    ``fingerprint``, ``fresh`` and ``corpus`` describe the resuming
+    configuration: its fingerprint, which the checkpoint's must equal, the
+    result a new run of it starts from, which the decoded result copies its
+    shape from, and its empty shared corpus, which the decoded entries fill.
     """
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"checkpoint format {payload.get('format')!r}, expected "
             f"{CHECKPOINT_FORMAT}; re-run the campaign from scratch or "
             f"migrate the checkpoint (format 1 checkpoints are keyed by "
-            f"physical shard and cannot be resharded)"
+            f"physical shard and cannot be resharded; format 2 checkpoints "
+            f"carry the removed stall sync policy)"
         )
 
     def get(key: str, decode: _Decoder):
@@ -234,13 +236,6 @@ def decode_checkpoint(
     differing = sorted(
         key for key in set(fingerprint) | set(found) if found.get(key) != fingerprint.get(key)
     )
-    if "sync_policy" in differing:
-        raise ValueError(
-            f"checkpoint was written under sync policy {found.get('sync_policy')!r} "
-            f"but this configuration resumes with {fingerprint['sync_policy']!r}: "
-            f"a policy change on resume would silently alter the redistribution "
-            f"cadence, so the original sync-policy flags must be passed again"
-        )
     if differing:
         raise ValueError(
             "checkpoint does not match this configuration "
@@ -289,7 +284,6 @@ def decode_checkpoint(
     slice_points = {index: set() for index in range(len(cores))}
     for index, points in get("slice_points", _map_of(_points, slice_key)).items():
         slice_points[index] = set(points)
-    corpus = SharedCorpus(capacity=fingerprint["corpus_capacity"])
     corpus.extend(get("corpus", _list_of(corpus_entry)))
     result = replace(
         fresh,
@@ -320,7 +314,6 @@ def decode_checkpoint(
             core: set(groups)
             for core, groups in get("core_triggered", _map_of(_list_of(_str))).items()
         },
-        round_gains=get("round_gains", _list_of(_int)),
         corpus=corpus,
         wall_clock_seconds=get("wall_clock_seconds", _float),
     )

@@ -20,12 +20,12 @@ slice keeps its identity no matter which executor runs it.
 The run loop is split into two explicit layers:
 
 * :class:`CampaignScheduler` — the transport-agnostic brain.  It owns every
-  campaign *decision*: the epoch/round schedule of the
-  :class:`SyncPolicy`, per-slice task construction (entropy splits, seed-id
-  bases, baseline coverage), the per-core merge of slice payloads, corpus
-  redistribution and cross-core transfer, and the checkpoint cadence.  The
-  scheduler consumes only merged per-epoch payload dicts, so its decisions
-  are identical no matter where or in what order the slices actually ran.
+  campaign *decision*: the sync-epoch schedule, per-slice task construction
+  (entropy splits, seed-id bases, baseline coverage), the per-core merge of
+  slice payloads, corpus redistribution and cross-core transfer, and the
+  checkpoint cadence.  The scheduler consumes only merged per-epoch payload
+  dicts, so its decisions are identical no matter where or in what order
+  the slices actually ran.
 * the :class:`~repro.core.backends.ExecutionBackend` transport — *how* one
   epoch's :class:`~repro.core.backends.ShardTask` list turns into result
   payloads: serially in-process (``inline``), on a reused local process pool
@@ -76,11 +76,8 @@ opens that epoch and its mutated descendants count towards its outcome.
 Because the slice→core assignment derives only from ``(slice_index,
 cores)``, it too survives resharding.
 
-Sync epochs follow a :class:`SyncPolicy`: the classic fixed count
-(``sync_epochs`` equal slices of the budget, redistribution at every
-boundary) or a stall-triggered policy that runs fixed-size rounds and only
-pays for corpus redistribution when the global new-point rate flatlines
-(optionally averaged over the last ``window_rounds`` rounds).
+The schedule is fixed: ``sync_epochs`` equal slices of the iteration
+budget, with corpus redistribution at every boundary.
 
 Long campaigns survive restarts: ``checkpoint_path`` makes the engine write a
 JSON checkpoint (:mod:`repro.core.checkpoint`) after every merged epoch, and
@@ -100,7 +97,7 @@ import argparse
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backends import (
     BACKEND_NAMES,
@@ -137,7 +134,6 @@ __all__ = [
     "EngineResult",
     "ParallelCampaignEngine",
     "ShardTask",
-    "SyncPolicy",
     "resolve_core",
     "run_parallel_campaign",
     "run_shard_task",
@@ -169,6 +165,11 @@ def resolve_core(name: str) -> CoreConfig:
     return factory()
 
 
+def _split(total: int, parts: int) -> List[int]:
+    """``total`` in ``parts`` near-equal shares, the larger ones first."""
+    return [total // parts + (1 if index < total % parts else 0) for index in range(parts)]
+
+
 # Seed-id namespacing: logical slice s / epoch e allocates ids from
 # (s + 1) * SLICE_ID_STRIDE + e * EPOCH_ID_STRIDE upward.  A slice would need
 # to breed 100k seeds in one epoch (or run 100 epochs) to collide, far beyond
@@ -185,61 +186,10 @@ TRANSFER_SEED_ID_BASE = 1_000_000_000
 # Default logical partition count: generous relative to typical shard counts
 # so a campaign started small can later fan out onto a bigger fleet.
 DEFAULT_MIN_SLICES = 16
-
-
-@dataclass(frozen=True)
-class SyncPolicy:
-    """When the engine synchronises its shards.
-
-    ``fixed`` — the classic schedule: ``EngineConfiguration.sync_epochs``
-    equal slices of the budget, with corpus redistribution at every epoch
-    boundary.
-
-    ``stall`` — adaptive: the budget is sliced into rounds of
-    ``epoch_iterations`` total iterations each (the last round takes the
-    remainder).  Coverage is merged after every round (the cheap, mandatory
-    accounting step), but the expensive cross-shard intervention — corpus
-    redistribution and seed transfer — only triggers when the global
-    new-point rate flatlines: the *mean* globally-new gain of the last
-    ``window_rounds`` rounds (the current one included) dropping to at most
-    ``stall_gain`` marks a stall.  ``window_rounds=1``, the default, is the
-    classic single-round threshold; a larger window smooths out one lucky
-    round masking an otherwise flat trend.  The decision uses only merged
-    per-round data, so it is deterministic and backend-independent.
-    """
-
-    kind: str = "fixed"        # "fixed" | "stall"
-    epoch_iterations: int = 0  # stall: global iterations per round (0 = iterations/8)
-    stall_gain: int = 0        # stall: mean round gain <= this triggers redistribution
-    window_rounds: int = 1     # stall: rounds averaged by the stall estimate
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "stall"):
-            raise ValueError(f"unknown sync policy {self.kind!r} (known: fixed, stall)")
-        if self.epoch_iterations < 0:
-            raise ValueError(
-                f"epoch_iterations must be non-negative, got {self.epoch_iterations}"
-            )
-        if self.stall_gain < 0:
-            raise ValueError(f"stall_gain must be non-negative, got {self.stall_gain}")
-        if self.window_rounds < 1:
-            raise ValueError(
-                f"window_rounds must be at least 1, got {self.window_rounds}"
-            )
-
-    @staticmethod
-    def normalize(policy: Union[str, "SyncPolicy"]) -> "SyncPolicy":
-        if isinstance(policy, SyncPolicy):
-            return policy
-        return SyncPolicy(kind=str(policy))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "epoch_iterations": self.epoch_iterations,
-            "stall_gain": self.stall_gain,
-            "window_rounds": self.window_rounds,
-        }
+# The shared corpus keeps the CORPUS_CAPACITY best seeds; at every epoch
+# boundary the REDISTRIBUTE_TOP slices that gained the least restart from one.
+CORPUS_CAPACITY = 64
+REDISTRIBUTE_TOP = 2
 
 
 @dataclass
@@ -255,10 +205,7 @@ class EngineConfiguration:
     # so the same campaign resumes on any shard count.
     slices: Optional[int] = None
     iterations: int = 100                # total budget, split across slices and epochs
-    sync_epochs: int = 2
-    corpus_capacity: int = 64
-    redistribute_top: int = 2            # lagging shards reseeded per epoch
-    report_top_seeds: int = 4            # seeds each shard reports per epoch
+    sync_epochs: int = 2                 # equal budget shares, redistribution after each
     max_workers: Optional[int] = None    # process pool size / distributed: workers to wait for
     executor: str = "process"            # backend: "process" | "inline" | "distributed"
     # Injected wait per simulator invocation (seconds), modelling a slow
@@ -288,9 +235,6 @@ class EngineConfiguration:
     # Directory for the rotating JSONL sink (telemetry-00001.jsonl, ...);
     # None keeps records in the in-memory ring only (EngineResult.telemetry).
     telemetry_dir: Optional[str] = None
-    # Fixed-count or stall-triggered synchronisation; accepts "fixed"/"stall"
-    # shorthand or a full SyncPolicy.
-    sync_policy: Union[str, SyncPolicy] = "fixed"
     # Write a JSON checkpoint here after every merged epoch; resume with
     # ParallelCampaignEngine.resume_from(path, configuration).
     checkpoint_path: Optional[str] = None
@@ -318,18 +262,6 @@ class EngineConfiguration:
             raise ValueError(
                 f"sync_epochs must be at least 1, got {self.sync_epochs}"
             )
-        if self.corpus_capacity <= 0:
-            raise ValueError(
-                f"corpus_capacity must be positive, got {self.corpus_capacity}"
-            )
-        if self.redistribute_top < 0:
-            raise ValueError(
-                f"redistribute_top must be non-negative, got {self.redistribute_top}"
-            )
-        if self.report_top_seeds < 0:
-            raise ValueError(
-                f"report_top_seeds must be non-negative, got {self.report_top_seeds}"
-            )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
         if self.step_latency < 0:
@@ -338,25 +270,23 @@ class EngineConfiguration:
             )
         if self.profile < 0:
             raise ValueError(f"profile must be non-negative, got {self.profile}")
-        self.sync_policy = SyncPolicy.normalize(self.sync_policy)
-        planned = self.planned_epochs()
         # Seed ids are the corpus's global identity: epoch bases must stay
         # inside one slice's stride, and the highest slice-epoch base must
         # stay below the transfer namespace, or ids would collide.  Both
         # checks derive from the *logical* slice count — the physical shard
         # count can never exhaust (or be constrained by) the namespace.
-        if planned * EPOCH_ID_STRIDE > SLICE_ID_STRIDE:
+        if self.sync_epochs * EPOCH_ID_STRIDE > SLICE_ID_STRIDE:
             raise ValueError(
-                f"{planned} sync epochs exhaust one slice's seed-id stride "
-                f"({SLICE_ID_STRIDE // EPOCH_ID_STRIDE} epochs max); use larger "
-                f"epochs"
+                f"{self.sync_epochs} sync epochs exhaust one slice's seed-id "
+                f"stride ({SLICE_ID_STRIDE // EPOCH_ID_STRIDE} epochs max); use "
+                f"fewer epochs"
             )
         highest_base = CampaignScheduler.slice_seed_id_base(
-            self.slices - 1, planned - 1
+            self.slices - 1, self.sync_epochs - 1
         )
         if highest_base + EPOCH_ID_STRIDE > TRANSFER_SEED_ID_BASE:
             raise ValueError(
-                f"slices={self.slices} x sync_epochs={planned} exhausts "
+                f"slices={self.slices} x sync_epochs={self.sync_epochs} exhausts "
                 f"the seed-id namespace below TRANSFER_SEED_ID_BASE "
                 f"({TRANSFER_SEED_ID_BASE}); reduce the slice or epoch count"
             )
@@ -372,31 +302,6 @@ class EngineConfiguration:
         # Resolve eagerly so a bad core name fails at configuration time, not
         # in the middle of a campaign.
         self.slice_fuzzers()
-
-    def planned_epochs(self) -> int:
-        """How many sync epochs/rounds the campaign will run."""
-        policy = SyncPolicy.normalize(self.sync_policy)
-        if policy.kind == "fixed":
-            return self.sync_epochs
-        per_round = policy.epoch_iterations or max(1, self.iterations // 8)
-        return -(-self.iterations // per_round)  # ceil division
-
-    def round_iterations(self) -> List[int]:
-        """Total iterations of each sync epoch/round, summing to the budget."""
-        policy = SyncPolicy.normalize(self.sync_policy)
-        if policy.kind == "fixed":
-            total, epochs = self.iterations, self.sync_epochs
-            return [
-                total // epochs + (1 if index < total % epochs else 0)
-                for index in range(epochs)
-            ]
-        per_round = policy.epoch_iterations or max(1, self.iterations // 8)
-        rounds = []
-        remaining = self.iterations
-        while remaining > 0:
-            rounds.append(min(per_round, remaining))
-            remaining -= rounds[-1]
-        return rounds
 
     def slice_fuzzers(self) -> List[FuzzerConfiguration]:
         """One prototype configuration per logical slice (entropy re-derived later).
@@ -573,8 +478,7 @@ class CampaignScheduler:
             slice_iterations_done={},
             transfer_count=0,
             core_triggered={},
-            round_gains=[],
-            corpus=SharedCorpus(capacity=configuration.corpus_capacity),
+            corpus=SharedCorpus(capacity=CORPUS_CAPACITY),
             wall_clock_seconds=0.0,
         )
         self._run_started: Optional[float] = None
@@ -611,20 +515,16 @@ class CampaignScheduler:
         return self._slice_fuzzers[slice_index].core
 
     def epoch_budgets(self) -> List[List[int]]:
-        """Split the iteration budget across sync epochs, then across slices.
+        """Split the iteration budget into ``sync_epochs`` equal shares, then
+        each share across the slices.
 
-        Epoch sizes come from the sync policy (equal shares under ``fixed``,
-        ``epoch_iterations``-sized rounds under ``stall``); remainders go to
-        the lowest indices, so the grand total is exactly
-        ``configuration.iterations`` for any slice/policy combination.
+        Remainders go to the lowest indices, so the grand total is exactly
+        ``configuration.iterations`` for any slice/epoch combination.
         """
-        slices = self.configuration.slices
+        configuration = self.configuration
         return [
-            [
-                budget // slices + (1 if index < budget % slices else 0)
-                for index in range(slices)
-            ]
-            for budget in self.configuration.round_iterations()
+            _split(budget, configuration.slices)
+            for budget in _split(configuration.iterations, configuration.sync_epochs)
         ]
 
     # -- the driver interface ---------------------------------------------------------------
@@ -689,10 +589,7 @@ class CampaignScheduler:
             self.state.assignments = {
                 index: None for index in range(configuration.slices)
             }
-            should_sync = self._should_redistribute(epoch_gains)
-            stall_estimate = self._stall_estimate(epoch_gains)
-            self.state.round_gains.append(sum(epoch_gains.values()))
-            if epoch < len(all_budgets) - 1 and should_sync:
+            if epoch < len(all_budgets) - 1:
                 self.state.assignments = self._redistribute(
                     epoch_gains, self.state.result, all_budgets[epoch + 1], epoch + 1
                 )
@@ -703,8 +600,6 @@ class CampaignScheduler:
                 epoch_gains=epoch_gains,
                 redistributed=result.redistributed_seeds - redistributed_before,
                 transferred=result.transferred_seeds - transferred_before,
-                stall_estimate=stall_estimate,
-                redistribute=should_sync,
             )
         self.state.next_epoch = epoch + 1
         if configuration.checkpoint_path:
@@ -718,8 +613,6 @@ class CampaignScheduler:
         epoch_gains: Dict[int, int],
         redistributed: int,
         transferred: int,
-        stall_estimate: float,
-        redistribute: bool,
     ) -> None:
         """Emit one structured round record for a just-merged epoch.
 
@@ -750,8 +643,6 @@ class CampaignScheduler:
             redistributed=redistributed,
             transferred=transferred,
             reports=len(result.campaign.reports),
-            stall_gain_estimate=stall_estimate,
-            redistribute=redistribute,
             slices=result.slice_summaries[-merged:],
         )
         self.telemetry.emit(event.to_record())
@@ -805,19 +696,14 @@ class CampaignScheduler:
         entropy stream and seed-id namespace derives from.
         """
         configuration = self.configuration
-        policy = SyncPolicy.normalize(configuration.sync_policy)
         return {
             "slices": configuration.slices,
             "iterations": configuration.iterations,
             "sync_epochs": configuration.sync_epochs,
-            "sync_policy": policy.to_dict(),
             "entropy": configuration.fuzzer.entropy,
             "variant": configuration.fuzzer.variant_name(),
             "low_gain_limit": configuration.fuzzer.low_gain_limit,
             "cores": [prototype.core.name for prototype in self._slice_fuzzers],
-            "corpus_capacity": configuration.corpus_capacity,
-            "redistribute_top": configuration.redistribute_top,
-            "report_top_seeds": configuration.report_top_seeds,
         }
 
     def checkpoint_state(self) -> Dict[str, object]:
@@ -842,7 +728,10 @@ class CampaignScheduler:
         """Continue from a loaded checkpoint; a malformed one raises
         :class:`ValueError` and leaves the scheduler as it was."""
         self.state = decode_checkpoint(
-            payload, self.configuration_fingerprint(), self._new_result()
+            payload,
+            self.configuration_fingerprint(),
+            self._new_result(),
+            SharedCorpus(capacity=CORPUS_CAPACITY),
         )
         self._baseline_points = {
             core: matrix.to_dicts()
@@ -879,27 +768,6 @@ class CampaignScheduler:
         result.telemetry = self.telemetry.ring
         return result
 
-    def _stall_estimate(self, epoch_gains: Dict[int, int]) -> float:
-        """The windowed mean globally-new gain the stall policy compares.
-
-        Averages the last ``window_rounds`` rounds — prior merged rounds plus
-        the one just summarised by ``epoch_gains``.  Shared by the
-        redistribution decision and the telemetry round record, so the
-        figure an operator watches is exactly the one the policy acted on.
-        """
-        policy = SyncPolicy.normalize(self.configuration.sync_policy)
-        window = (self.state.round_gains + [sum(epoch_gains.values())])[
-            -policy.window_rounds:
-        ]
-        return sum(window) / len(window)
-
-    def _should_redistribute(self, epoch_gains: Dict[int, int]) -> bool:
-        """Fixed policy syncs every boundary; stall policy only on a flatline."""
-        policy = SyncPolicy.normalize(self.configuration.sync_policy)
-        if policy.kind == "fixed":
-            return True
-        return self._stall_estimate(epoch_gains) <= policy.stall_gain
-
     def _build_task(
         self,
         slice_index: int,
@@ -919,7 +787,6 @@ class CampaignScheduler:
             configuration=slice_configuration,
             initial_seed=self.state.assignments.get(slice_index),
             baseline_points=self._baseline_points.get(prototype.core.name, []),
-            report_top_seeds=self.configuration.report_top_seeds,
             step_latency=self.configuration.step_latency,
             simulator=self.configuration.simulator,
             profile=self.configuration.profile,
@@ -1062,7 +929,7 @@ class CampaignScheduler:
         ]
         lagging = sorted(eligible, key=lambda index: (epoch_gains[index], index))
         assigned_ids: set = set()
-        for slice_index in lagging[: configuration.redistribute_top]:
+        for slice_index in lagging[:REDISTRIBUTE_TOP]:
             target_core = self.slice_core(slice_index)
             supported = target_core.supported_window_types()
             triggered_groups = self.state.core_triggered.get(target_core.name, set())
@@ -1224,7 +1091,6 @@ def run_parallel_campaign(
     cores: Optional[Sequence[object]] = None,
     step_latency: float = 0.0,
     simulator: str = "inproc",
-    sync_policy: Union[str, SyncPolicy] = "fixed",
     checkpoint_path: Optional[str] = None,
     listen: Optional[str] = None,
     auth_token: Optional[str] = None,
@@ -1268,7 +1134,6 @@ def run_parallel_campaign(
         cores=cores,
         step_latency=step_latency,
         simulator=simulator,
-        sync_policy=sync_policy,
         checkpoint_path=checkpoint_path,
         listen=listen,
         auth_token=auth_token,
@@ -1379,34 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in HELLO (workers with a wrong or missing token are rejected)",
     )
     parser.add_argument(
-        "--sync-policy",
-        choices=["fixed", "stall"],
-        default="fixed",
-        help="fixed: redistribute at every epoch boundary; stall: run "
-        "--epoch-iterations-sized rounds and redistribute only when the "
-        "global new-point rate flatlines",
-    )
-    parser.add_argument(
-        "--epoch-iterations",
-        type=int,
-        default=0,
-        help="stall policy: total iterations per sync round (default: iterations/8)",
-    )
-    parser.add_argument(
-        "--stall-gain",
-        type=int,
-        default=0,
-        help="stall policy: a mean round gain of at most this many "
-        "globally-new points triggers redistribution (default: 0)",
-    )
-    parser.add_argument(
-        "--window-rounds",
-        type=int,
-        default=1,
-        help="stall policy: rounds averaged by the stall estimate "
-        "(default: 1, the single-round threshold)",
-    )
-    parser.add_argument(
         "--checkpoint",
         metavar="PATH",
         help="write a JSON checkpoint after every merged epoch",
@@ -1507,12 +1344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             step_latency=args.step_latency,
             simulator=args.simulator,
             auth_token=args.auth_token,
-            sync_policy=SyncPolicy(
-                kind=args.sync_policy,
-                epoch_iterations=args.epoch_iterations,
-                stall_gain=args.stall_gain,
-                window_rounds=args.window_rounds,
-            ),
             checkpoint_path=args.checkpoint,
             listen=args.listen,
             cores=core_names,
@@ -1528,7 +1359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}")
         return 2
 
-    total_epochs = configuration.planned_epochs()
+    total_epochs = configuration.sync_epochs
 
     if backend == "distributed":
         print(
@@ -1562,7 +1393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"\n{result.campaign.fuzzer_name} on {result.campaign.core}: "
           f"{result.slices} slices on {configuration.shards} shards x "
           f"{result.epochs} epochs "
-          f"({backend} backend, {configuration.sync_policy.kind} sync)")
+          f"({backend} backend)")
     for key, value in result.summary().items():
         print(f"  {key:22s} {value}")
     print("\nper slice-epoch:")

@@ -26,6 +26,7 @@ from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.packets import SwapSchedule
 from repro.uarch.config import CoreConfig, TaintTrackingMode
 from repro.uarch.processor import Processor
+from repro.utils.jsontypes import json_typed
 
 # Sinks whose contents remain architecturally reachable after the squash: the
 # replacement state of caches/TLB and the contents of predictor structures are
@@ -69,13 +70,21 @@ class LeakageVerdict:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "LeakageVerdict":
+        def sinks(key: str) -> Dict[str, int]:
+            return {
+                sink: json_typed(count, int, key)
+                for sink, count in json_typed(payload[key], dict, key).items()
+            }
+
         return LeakageVerdict(
-            is_leak=bool(payload["is_leak"]),
-            reason=str(payload["reason"]),
-            timing_difference=int(payload["timing_difference"]),
-            live_sinks=dict(payload["live_sinks"]),
-            dead_sinks=dict(payload["dead_sinks"]),
-            encoded_sinks=dict(payload["encoded_sinks"]),
+            is_leak=json_typed(payload["is_leak"], bool, "is_leak"),
+            reason=json_typed(payload["reason"], str, "reason"),
+            timing_difference=json_typed(
+                payload["timing_difference"], int, "timing_difference"
+            ),
+            live_sinks=sinks("live_sinks"),
+            dead_sinks=sinks("dead_sinks"),
+            encoded_sinks=sinks("encoded_sinks"),
         )
 
 

@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.phase3 import LeakageVerdict
 from repro.generation.window_types import TransientWindowType, group_of
 from repro.uarch.bugs import BUG_REGISTRY
+from repro.utils.jsontypes import json_typed
 
 
 # Table 5's abbreviated transient-window categories.
@@ -39,6 +40,19 @@ _COMPONENT_NAMES = {
     "fpu": "fpu",
     "lsu-writeback-port": "lsu",
 }
+
+
+# Wire-form readers: a value of another JSON type raises TypeError naming it.
+def _typed(payload: Dict[str, object], key: str, kind: type) -> object:
+    return json_typed(payload[key], kind, key)
+
+
+def _optional(payload: Dict[str, object], key: str, kind: type) -> object:
+    return None if payload[key] is None else _typed(payload, key, kind)
+
+
+def _list_of(values: object, kind: type, name: str) -> List[object]:
+    return [json_typed(value, kind, name) for value in json_typed(values, list, name)]
 
 
 @dataclass
@@ -85,17 +99,20 @@ class BugReport:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "BugReport":
+        def strings(key: str) -> Tuple[str, ...]:
+            return tuple(_list_of(payload[key], str, key))
+
         return BugReport(
-            iteration=int(payload["iteration"]),
-            seed_id=int(payload["seed_id"]),
-            core=str(payload["core"]),
+            iteration=_typed(payload, "iteration", int),
+            seed_id=_typed(payload, "seed_id", int),
+            core=_typed(payload, "core", str),
             window_type=TransientWindowType(payload["window_type"]),
-            attack_type=str(payload["attack_type"]),
-            window_category=str(payload["window_category"]),
-            timing_components=tuple(payload["timing_components"]),
+            attack_type=_typed(payload, "attack_type", str),
+            window_category=_typed(payload, "window_category", str),
+            timing_components=strings("timing_components"),
             verdict=LeakageVerdict.from_dict(payload["verdict"]),
-            wall_clock_seconds=float(payload["wall_clock_seconds"]),
-            matched_known_bugs=tuple(payload["matched_known_bugs"]),
+            wall_clock_seconds=_typed(payload, "wall_clock_seconds", float),
+            matched_known_bugs=strings("matched_known_bugs"),
         )
 
 
@@ -219,33 +236,37 @@ class CampaignResult:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "CampaignResult":
+        # Every value is type-checked, so a malformed payload fails here
+        # rather than in a later merge_shard or under a wrong name.
+        def samples(key: str) -> Dict[str, List[int]]:
+            return {
+                group: _list_of(values, int, key)
+                for group, values in _typed(payload, key, dict).items()
+            }
+
         result = CampaignResult(
-            fuzzer_name=str(payload["fuzzer_name"]), core=str(payload["core"])
+            fuzzer_name=_typed(payload, "fuzzer_name", str),
+            core=_typed(payload, "core", str),
         )
-        # Every number is converted, so a malformed payload fails here rather
-        # than in a later merge_shard.
-        result.iterations_run = int(payload["iterations_run"])
-        result.coverage_history = [int(total) for total in payload["coverage_history"]]
-        result.reports = [BugReport.from_dict(entry) for entry in payload["reports"]]
+        result.iterations_run = _typed(payload, "iterations_run", int)
+        result.coverage_history = _list_of(
+            payload["coverage_history"], int, "coverage_history"
+        )
+        result.reports = [
+            BugReport.from_dict(entry) for entry in _typed(payload, "reports", list)
+        ]
         result.triggered_windows = {
-            str(group): int(count) for group, count in payload["triggered_windows"].items()
+            group: json_typed(count, int, "triggered_windows")
+            for group, count in _typed(payload, "triggered_windows", dict).items()
         }
-        result.training_overhead = {
-            str(group): [int(sample) for sample in samples]
-            for group, samples in payload["training_overhead"].items()
-        }
-        result.effective_training_overhead = {
-            str(group): [int(sample) for sample in samples]
-            for group, samples in payload["effective_training_overhead"].items()
-        }
-        result.elapsed_seconds = float(payload["elapsed_seconds"])
-        first_seconds = payload["first_bug_seconds"]
-        result.first_bug_seconds = None if first_seconds is None else float(first_seconds)
-        first_iteration = payload["first_bug_iteration"]
-        result.first_bug_iteration = None if first_iteration is None else int(first_iteration)
+        result.training_overhead = samples("training_overhead")
+        result.effective_training_overhead = samples("effective_training_overhead")
+        result.elapsed_seconds = _typed(payload, "elapsed_seconds", float)
+        result.first_bug_seconds = _optional(payload, "first_bug_seconds", float)
+        result.first_bug_iteration = _optional(payload, "first_bug_iteration", int)
         result.core_breakdown = {
-            str(core): {key: int(entry[key]) for key in _BREAKDOWN_KEYS}
-            for core, entry in payload["core_breakdown"].items()
+            core: {key: _typed(entry, key, int) for key in _BREAKDOWN_KEYS}
+            for core, entry in _typed(payload, "core_breakdown", dict).items()
         }
         return result
 

@@ -18,13 +18,14 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.generation.training import TrainingMode
 from repro.swapmem.layout import MemoryLayout
 from repro.uarch.config import CacheConfig, CoreConfig, PredictorConfig, TaintTrackingMode
+from repro.utils.jsontypes import json_typed
 
 if TYPE_CHECKING:
     from repro.core.backends import ShardTask
     from repro.core.fuzzer import FuzzerConfiguration
 
 # The worker fabric's protocol revision, carried in HELLO.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # Upper bound on one frame, newline included, and on every checkpoint and
 # telemetry line; longer is malformed.
@@ -97,10 +98,21 @@ def core_config_to_wire(core: CoreConfig) -> Dict[str, object]:
     return payload
 
 
+def _typed(payload: Dict[str, object], key: str, kind: type, what: str) -> object:
+    """``payload[key]`` once it has the JSON type ``kind``, else
+    :class:`ValueError` naming the key (see :func:`json_typed`)."""
+    try:
+        return json_typed(payload[key], kind, key)
+    except TypeError as error:
+        raise ValueError(f"{what} wire form: {error}") from None
+
+
 def _wire_fields(cls, payload, what: str) -> Dict[str, object]:
     """A copy of ``payload`` once its keys are exactly the fields of the
     dataclass ``cls``; raises :class:`ValueError` naming any missing or
-    unknown key (every field is required on the wire)."""
+    unknown key (every field is required on the wire) or any field whose
+    value lacks the JSON type of its ``bool``/``int``/``float``/``str``
+    default."""
     if not isinstance(payload, dict):
         raise ValueError(f"{what} wire form is not an object: {payload!r}")
     names = [spec.name for spec in fields(cls)]
@@ -113,7 +125,11 @@ def _wire_fields(cls, payload, what: str) -> Dict[str, object]:
         if unknown:
             problems.append(f"has unknown {', '.join(unknown)}")
         raise ValueError(f"{what} wire form {' and '.join(problems)}")
-    return dict(payload)
+    data = dict(payload)
+    for spec in fields(cls):
+        if isinstance(spec.default, (bool, int, float, str)):
+            data[spec.name] = _typed(data, spec.name, type(spec.default), what)
+    return data
 
 
 def core_config_from_wire(payload: Dict[str, object]) -> CoreConfig:
@@ -168,7 +184,6 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
         "configuration": fuzzer_configuration_to_wire(task.configuration),
         "initial_seed": task.initial_seed,
         "baseline_points": task.baseline_points,
-        "report_top_seeds": task.report_top_seeds,
         "step_latency": task.step_latency,
         "simulator": task.simulator,
         "profile": task.profile,
@@ -178,20 +193,14 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
 
 def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
     """Decode a task wire form; raises :class:`ValueError` naming any
-    missing or unknown key."""
+    missing or unknown key or a value of the wrong JSON type."""
     from repro.core.backends import ShardTask
 
-    payload = _wire_fields(ShardTask, payload, "shard task")
-    return ShardTask(
-        slice_index=int(payload["slice_index"]),
-        epoch=int(payload["epoch"]),
-        iterations=int(payload["iterations"]),
-        configuration=fuzzer_configuration_from_wire(payload["configuration"]),
-        initial_seed=payload["initial_seed"],
-        baseline_points=list(payload["baseline_points"]),
-        report_top_seeds=int(payload["report_top_seeds"]),
-        step_latency=float(payload["step_latency"]),
-        simulator=str(payload["simulator"]),
-        profile=int(payload["profile"]),
-        telemetry=bool(payload["telemetry"]),
-    )
+    data = _wire_fields(ShardTask, payload, "shard task")
+    for key in ("slice_index", "epoch", "iterations"):
+        data[key] = _typed(data, key, int, "shard task")
+    if data["initial_seed"] is not None:
+        _typed(data, "initial_seed", dict, "shard task")
+    _typed(data, "baseline_points", list, "shard task")
+    data["configuration"] = fuzzer_configuration_from_wire(data["configuration"])
+    return ShardTask(**data)

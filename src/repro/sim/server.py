@@ -58,7 +58,7 @@ class SimulatorSession:
             raise ValueError("LOAD needs a non-negative integer 'steps'")
         try:
             task = shard_task_from_wire(frame.get("task"))
-        except TypeError as error:  # a value of the wrong type
+        except (TypeError, ValueError) as error:
             raise ValueError(f"malformed task: {error}") from None
         runner = ShardCampaignRunner(task)
         while runner.steps_taken < steps:

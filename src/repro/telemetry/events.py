@@ -3,8 +3,7 @@
 One :class:`RoundEvent` per merged sync epoch — the record a live view or
 an external scraper consumes to answer "how is the campaign doing *right
 now*": per-core coverage and this round's gain, corpus size and churn,
-redistribution and cross-core transfer outcomes, and the stall-policy gain
-estimate the scheduler based its redistribution decision on.
+redistribution and cross-core transfer outcomes.
 
 Records are timing-adjacent diagnostics: they ride the telemetry ring and
 JSONL sinks only, never checkpoints or the deterministic campaign wire
@@ -34,8 +33,6 @@ class RoundEvent:
     redistributed: int  # seeds handed out at this boundary
     transferred: int  # cross-core transfers at this boundary
     reports: int  # cumulative leak reports
-    stall_gain_estimate: float  # windowed mean gain the stall policy saw
-    redistribute: bool  # did the sync policy fire this round?
     slices: List[dict] = field(default_factory=list)  # per-slice rows
 
     def to_record(self) -> Dict[str, object]:
@@ -52,7 +49,5 @@ class RoundEvent:
             "redistributed": self.redistributed,
             "transferred": self.transferred,
             "reports": self.reports,
-            "stall_gain_estimate": round(self.stall_gain_estimate, 6),
-            "redistribute": self.redistribute,
             "slices": [dict(row) for row in self.slices],
         }

@@ -1,6 +1,6 @@
 """Tests for the engine checkpoint codec (repro.core.checkpoint).
 
-``tests/data/checkpoint_format2.json`` is a committed format-2 checkpoint:
+``tests/data/checkpoint_format3.json`` is a committed format-3 checkpoint:
 the ``TestCheckpointResume`` campaign (boom, 16 slices, 12 iterations over 3
 epochs, entropy 7) halted after epoch 1.  It pins the format: it must keep
 decoding, re-encode to itself and resume to the uninterrupted result.
@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import decode_checkpoint, encode_checkpoint
+from repro.core.corpus import SharedCorpus
 from repro.core.engine import (
+    CORPUS_CAPACITY,
     CampaignScheduler,
     EngineConfiguration,
     ParallelCampaignEngine,
@@ -27,7 +29,7 @@ from repro.core.engine import (
 from repro.core.fuzzer import FuzzerConfiguration
 from repro.uarch import small_boom_config
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "checkpoint_format2.json")
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "checkpoint_format3.json")
 RESUME_FLAGS = ["--backend", "inline", "--iterations", "12", "--epochs", "3",
                 "--entropy", "7", "--shards", "2"]
 
@@ -67,7 +69,9 @@ def test_fixture_decodes_and_re_encodes_to_itself():
     # The codec alone, with no scheduler run: decode and encode are inverse.
     payload = fixture()
     fresh = CampaignScheduler(cfg())._new_result()
-    state = decode_checkpoint(payload, payload["fingerprint"], fresh)
+    state = decode_checkpoint(
+        payload, payload["fingerprint"], fresh, SharedCorpus(capacity=CORPUS_CAPACITY)
+    )
     assert state.next_epoch == 1 and not state.result.complete
     assert encode_checkpoint(payload["fingerprint"], state) == payload
 
@@ -115,7 +119,7 @@ def edited(payload, path, value):
         (("corpus", 0, "seed", "core"), "x", "bad value for corpus[0].seed"),
         (("corpus", 0, "core"), "x", "bad value for corpus[0].core"),
         (("campaign", "core_breakdown", "small-boom"), {}, "lacks 'iterations' in campaign"),
-        (("campaign", "first_bug_seconds"), "x", "bad value for campaign"),
+        (("campaign", "first_bug_seconds"), "x", "wrong type for campaign"),
         (("transfers",), [{"epoch": 1}], "lacks transfers[0].donor_seed_id"),
     ],
 )

@@ -5,6 +5,7 @@ authentication and protocol errors.  Campaign byte-identity across a fleet
 ``test_campaign_matrix.py``."""
 
 import dataclasses
+import io
 import json
 import socket
 import threading
@@ -27,6 +28,7 @@ from repro.core.wire import (
     shard_task_to_wire,
 )
 from repro.core.worker import LOCAL_BACKEND_NAMES, main as worker_main, run_worker
+from repro.sim.server import serve
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingMode
 from repro.generation.window_types import TransientWindowType
@@ -124,7 +126,6 @@ class TestWireForms:
         task = make_task(
             initial_seed=seed.to_dict(),
             baseline_points=[{"module": "dcache", "tainted_count": 2}],
-            report_top_seeds=7,
             step_latency=0.25,
         )
         wire = shard_task_to_wire(task)
@@ -138,6 +139,35 @@ class TestWireForms:
             del partial[key]
             with pytest.raises(ValueError, match=f"lacks {key}"):
                 shard_task_from_wire(partial)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda wire: wire.update(telemetry="no"), "telemetry must be bool, got str"),
+            (lambda wire: wire.update(simulator=None), "simulator must be str, got NoneType"),
+            (lambda wire: wire.update(iterations=2.9), "iterations must be int, got float"),
+            (
+                lambda wire: wire["configuration"].update(entropy="7"),
+                "entropy must be int, got str",
+            ),
+        ],
+        ids=["telemetry-str", "simulator-null", "iterations-float", "entropy-str"],
+    )
+    def test_a_shard_task_value_of_the_wrong_type_is_refused(self, corrupt, message):
+        # Converting instead of checking would run another task than the one
+        # sent ("no" is truthy, None becomes 'None', 2.9 becomes 2).
+        wire = shard_task_to_wire(make_task())
+        corrupt(wire)
+        with pytest.raises(ValueError, match=message):
+            shard_task_from_wire(wire)
+        # The simulator server answers such a LOAD with an ERROR frame.
+        replies = io.BytesIO()
+        request = json.dumps({"type": "LOAD", "task": wire, "steps": 0}) + "\n"
+        assert serve(io.BytesIO(request.encode("utf-8")), replies) == 0
+        reply = json.loads(replies.getvalue())
+        assert reply["type"] == "ERROR"
+        assert reply["error"].startswith("malformed task: ")
+        assert message in reply["error"]
 
     def test_round_tripped_task_runs_identically(self):
         task = make_task()

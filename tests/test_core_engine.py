@@ -15,7 +15,6 @@ from repro.core import (
     LeakageVerdict,
     ParallelCampaignEngine,
     SharedCorpus,
-    SyncPolicy,
     run_parallel_campaign,
 )
 from repro.core.engine import (
@@ -334,7 +333,6 @@ class TestParallelCampaignEngine:
             EngineConfiguration(
                 fuzzer=FuzzerConfiguration(core=BOOM, entropy=1),
                 shards=3,
-                redistribute_top=2,
             )
         )
         engine.scheduler.state.corpus.add(make_seed(seed_id=100), gain=9, slice_index=2, epoch=0)
@@ -400,20 +398,12 @@ class TestParallelCampaignEngine:
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), iterations=0)
         with pytest.raises(ValueError):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), max_workers=0)
-        with pytest.raises(ValueError, match="corpus_capacity"):
-            EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), corpus_capacity=0)
-        with pytest.raises(ValueError, match="redistribute_top"):
-            EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), redistribute_top=-1)
-        with pytest.raises(ValueError, match="report_top_seeds"):
-            EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), report_top_seeds=-1)
         with pytest.raises(ValueError, match="sync_epochs"):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), sync_epochs=0)
         with pytest.raises(ValueError, match="sync_epochs"):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), sync_epochs=-3)
         with pytest.raises(ValueError, match="step_latency"):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), step_latency=-0.1)
-        with pytest.raises(ValueError, match="sync policy"):
-            EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), sync_policy="eager")
         # Slice-epoch seed-id bases must never reach the transfer namespace
         # (slice 99 epoch 0 would land exactly on TRANSFER_SEED_ID_BASE).
         with pytest.raises(ValueError, match="seed-id namespace"):
@@ -640,6 +630,17 @@ class TestEngineCli:
         assert raised.value.code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sync-policy", "stall"), ("--epoch-iterations", "1"),
+         ("--stall-gain", "1"), ("--window-rounds", "2")],
+    )
+    def test_removed_stall_policy_flags_are_refused(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as raised:
+            engine_main([flag, value, "--iterations", "1", "--backend", "inline"])
+        assert raised.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_removed_async_executor_is_refused(self):
         with pytest.raises(ValueError, match=r"\(known: inline, process, distributed\)"):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), executor="async")
@@ -661,7 +662,7 @@ class TestSeedIdReproducibility:
         assert first == second
 
 
-class TestSyncPolicy:
+class TestSyncSchedule:
     def cfg(self, **overrides):
         defaults = dict(
             fuzzer=FuzzerConfiguration(core=BOOM, entropy=5),
@@ -672,111 +673,15 @@ class TestSyncPolicy:
         defaults.update(overrides)
         return EngineConfiguration(**defaults)
 
-    def test_policy_shorthand_and_validation(self):
-        configuration = self.cfg(sync_policy="stall")
-        assert isinstance(configuration.sync_policy, SyncPolicy)
-        assert configuration.sync_policy.kind == "stall"
-        with pytest.raises(ValueError, match="epoch_iterations"):
-            SyncPolicy(kind="stall", epoch_iterations=-1)
-        with pytest.raises(ValueError, match="stall_gain"):
-            SyncPolicy(kind="stall", stall_gain=-1)
-
-    def test_stall_rounds_cover_the_exact_budget(self):
-        configuration = self.cfg(
-            sync_policy=SyncPolicy(kind="stall", epoch_iterations=5)
-        )
-        assert configuration.round_iterations() == [5, 5, 2]
-        assert configuration.planned_epochs() == 3
-        result = ParallelCampaignEngine(configuration).run()
-        assert result.campaign.iterations_run == 12
-        assert result.epochs == 3
-        assert result.complete
-
-    def test_stall_policy_is_deterministic(self):
-        def run_once():
-            return ParallelCampaignEngine(
-                self.cfg(sync_policy=SyncPolicy(kind="stall", epoch_iterations=4))
-            ).run()
-
-        first, second = run_once(), run_once()
-        assert first.campaign.to_dict(include_timing=False) == second.campaign.to_dict(
-            include_timing=False
-        )
-        assert first.redistributed_seeds == second.redistributed_seeds
-
-    def test_stall_redistributes_only_on_flatline(self):
-        engine = ParallelCampaignEngine(
-            self.cfg(sync_policy=SyncPolicy(kind="stall", epoch_iterations=4, stall_gain=1))
-        )
-        # A productive round (above the stall threshold) keeps shards on
-        # their own trajectory; a flatlined round triggers the corpus sync.
-        assert not engine.scheduler._should_redistribute({0: 3, 1: 2})
-        assert engine.scheduler._should_redistribute({0: 1, 1: 0})
-        assert engine.scheduler._should_redistribute({0: 0, 1: 0})
-
-    def test_fixed_policy_always_redistributes(self):
-        engine = ParallelCampaignEngine(self.cfg())
-        assert engine.scheduler._should_redistribute({0: 100, 1: 100})
-
-    def test_window_rounds_validation(self):
-        with pytest.raises(ValueError, match="window_rounds"):
-            SyncPolicy(kind="stall", window_rounds=0)
-        with pytest.raises(ValueError, match="window_rounds"):
-            SyncPolicy(kind="stall", window_rounds=-2)
-
-    def test_windowed_stall_estimate_averages_recent_rounds(self):
-        engine = ParallelCampaignEngine(
-            self.cfg(
-                sync_policy=SyncPolicy(
-                    kind="stall", epoch_iterations=4, stall_gain=1, window_rounds=2
-                )
-            )
-        )
-        scheduler = engine.scheduler
-        # One productive prior round on record: its gain is averaged with the
-        # current one, so a single flat round no longer triggers...
-        scheduler.state.round_gains = [5]
-        assert not engine.scheduler._should_redistribute({0: 0, 1: 0})  # mean (5+0)/2 > 1
-        # ...but two consecutive flat rounds do.
-        scheduler.state.round_gains = [5, 1]
-        assert engine.scheduler._should_redistribute({0: 1, 1: 0})  # mean (1+1)/2 <= 1
-
-    def test_window_rounds_default_is_the_single_round_threshold(self):
-        # K=1 must reproduce the legacy behaviour exactly, history or not.
-        engine = ParallelCampaignEngine(
-            self.cfg(sync_policy=SyncPolicy(kind="stall", epoch_iterations=4, stall_gain=1))
-        )
-        engine.scheduler.state.round_gains = [50, 40, 30]
-        assert engine.scheduler._should_redistribute({0: 1, 1: 0})
-        assert not engine.scheduler._should_redistribute({0: 3, 1: 2})
-
-    def test_windowed_stall_campaign_is_deterministic_and_checkpointable(self, tmp_path):
-        def cfg(checkpoint=None):
-            return self.cfg(
-                iterations=16,
-                sync_policy=SyncPolicy(
-                    kind="stall", epoch_iterations=4, stall_gain=2, window_rounds=2
-                ),
-                checkpoint_path=checkpoint,
-            )
-
-        uninterrupted = ParallelCampaignEngine(cfg()).run()
-        checkpoint = str(tmp_path / "windowed.json")
-        ParallelCampaignEngine(cfg(checkpoint)).run(max_epochs=2)
-        # The gain history feeds the windowed estimate, so it must survive
-        # the checkpoint round trip for the resumed run to stay identical.
-        resumed = ParallelCampaignEngine.resume_from(checkpoint, cfg(checkpoint)).run()
-        assert resumed.campaign.to_dict(
-            include_timing=False
-        ) == uninterrupted.campaign.to_dict(include_timing=False)
-        assert resumed.redistributed_seeds == uninterrupted.redistributed_seeds
+    def test_every_boundary_but_the_last_redistributes(self):
+        result = ParallelCampaignEngine(self.cfg(sync_epochs=3)).run()
+        rounds = result.telemetry.records("round")
+        assert [record["redistributed"] > 0 for record in rounds] == [True, True, False]
 
     def test_planned_epochs_guard_the_seed_id_namespace(self):
-        with pytest.raises(ValueError, match="seed-id"):
-            self.cfg(
-                iterations=10_000,
-                sync_policy=SyncPolicy(kind="stall", epoch_iterations=1),
-            )
+        # 101 epochs need 101 epoch bases, one more than a slice's stride holds.
+        with pytest.raises(ValueError, match="seed-id stride"):
+            self.cfg(iterations=10_000, sync_epochs=101)
 
 
 class TestCheckpointResume:
@@ -840,56 +745,38 @@ class TestCheckpointResume:
                 self.cfg(tmp_path, iterations=24),
             )
 
-    def test_resume_rejects_a_changed_sync_policy_with_a_clear_message(self, tmp_path):
-        # Regression: resuming with a different sync policy would silently
-        # alter the redistribution cadence of the remaining epochs, so the
-        # rejection must say exactly that — not just list differing fields.
+    def test_resume_rejects_a_changed_epoch_count(self, tmp_path):
+        # The epoch count sets every later budget share and redistribution
+        # boundary, so a resume must keep it.
         ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
-        path = str(tmp_path / "checkpoint.json")
-        with pytest.raises(ValueError, match="redistribution cadence"):
+        with pytest.raises(ValueError, match="differing fields: sync_epochs"):
             ParallelCampaignEngine.resume_from(
-                path,
-                self.cfg(
-                    tmp_path,
-                    sync_policy=SyncPolicy(kind="stall", epoch_iterations=4),
-                ),
-            )
-        # A changed knob *within* the same policy kind is just as cadence-
-        # altering and gets the same treatment.
-        ParallelCampaignEngine(
-            self.cfg(
-                tmp_path, sync_policy=SyncPolicy(kind="stall", epoch_iterations=4)
-            )
-        ).run(max_epochs=1)
-        with pytest.raises(ValueError, match="redistribution cadence"):
-            ParallelCampaignEngine.resume_from(
-                path,
-                self.cfg(
-                    tmp_path,
-                    sync_policy=SyncPolicy(
-                        kind="stall", epoch_iterations=4, window_rounds=3
-                    ),
-                ),
+                str(tmp_path / "checkpoint.json"), self.cfg(tmp_path, sync_epochs=4)
             )
 
-    def test_format1_fixture_fails_with_a_clear_message(self):
-        # Committed fixture written by the format-1 (shard-keyed) engine: it
-        # must be rejected with an actionable format error, not a KeyError
-        # from deep inside restore().
-        import json
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_an_old_format_fixture_is_refused_with_a_clear_message(
+        self, capsys, old_format
+    ):
+        # Committed checkpoints of the shard-keyed format 1 and of format 2,
+        # which carried the removed stall sync policy: each is refused with
+        # an actionable format error, not a KeyError from inside restore().
         import os
 
         fixture = os.path.join(
-            os.path.dirname(__file__), "data", "checkpoint_format1.json"
+            os.path.dirname(__file__), "data", f"checkpoint_format{old_format}.json"
         )
-        payload = json.loads(open(fixture, encoding="utf-8").read())
-        assert payload["format"] == 1
-        assert "shards" in payload["fingerprint"]  # genuinely shard-keyed
-        with pytest.raises(
-            ValueError,
-            match=r"checkpoint format 1, expected 2.*re-run.*or migrate",
-        ):
-            ParallelCampaignEngine.resume_from(fixture, self.cfg())
+        assert json.loads(open(fixture, encoding="utf-8").read())["format"] == old_format
+        code = engine_main(
+            ["--resume", fixture, "--backend", "inline", "--iterations", "12",
+             "--epochs", "3", "--entropy", "7"]
+        )
+        output = capsys.readouterr().out
+        assert code == 2
+        assert output.startswith(
+            f"error: checkpoint format {old_format}, expected 3; re-run"
+        )
+        assert "or migrate" in output
 
     def test_fingerprint_pins_slices_not_shards(self, tmp_path):
         ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
@@ -947,7 +834,6 @@ class TestCheckpointResume:
             "core_coverage.small-boom", DELETE, "lacks core_coverage[small-boom]"
         ),
         "core_triggered-int": ("core_triggered", 5, "wrong type for core_triggered"),
-        "round_gains-int": ("round_gains", 5, "wrong type for round_gains"),
         "slice_points-entry-int": ("slice_points.0", 5, "wrong type for slice_points[0]"),
         "wall_clock_seconds-list": (
             "wall_clock_seconds", [], "wrong type for wall_clock_seconds"
@@ -964,6 +850,20 @@ class TestCheckpointResume:
             "assignments.2.encode_strategies",
             [],
             "bad value for assignments[2] (encode_strategies is empty",
+        ),
+        "campaign-fuzzer_name-null": (
+            "campaign.fuzzer_name", None, "wrong type for campaign (fuzzer_name must be str"
+        ),
+        "campaign-iterations_run-float": (
+            "campaign.iterations_run", 5.5,
+            "wrong type for campaign (iterations_run must be int, got float",
+        ),
+        "report-core-int": (
+            "campaign.reports.0.core", 5, "wrong type for campaign (core must be str, got int"
+        ),
+        "report-verdict-is_leak-string": (
+            "campaign.reports.0.verdict.is_leak", "no",
+            "wrong type for campaign (is_leak must be bool, got str",
         ),
     }
 
@@ -1030,7 +930,7 @@ class TestCheckpointResume:
         engine.run(max_epochs=1)
         path = tmp_path / "checkpoint.json"
         payload = json.loads(path.read_text())
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         assert payload["next_epoch"] == 1
         assert not (tmp_path / "checkpoint.json.tmp").exists()
 
@@ -1071,7 +971,6 @@ class TestTransferAwareRedistribution:
             EngineConfiguration(
                 fuzzer=FuzzerConfiguration(core=BOOM, entropy=1),
                 shards=2,
-                redistribute_top=1,
             )
         )
         # Donor 100 has more gain but its window group is already triggered
@@ -1102,7 +1001,6 @@ class TestTransferAwareRedistribution:
             EngineConfiguration(
                 fuzzer=FuzzerConfiguration(core=BOOM, entropy=1),
                 shards=2,
-                redistribute_top=1,
             )
         )
         # No group triggered yet: both donors sit in the same (untriggered)

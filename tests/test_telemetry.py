@@ -465,8 +465,6 @@ class TestAnalysisHelpers:
                 "redistributed": 0,
                 "transferred": 0,
                 "reports": 1,
-                "stall_gain_estimate": 4.0,
-                "redistribute": True,
                 "slices": [],
             },
             {
@@ -483,8 +481,6 @@ class TestAnalysisHelpers:
                 "redistributed": 1,
                 "transferred": 0,
                 "reports": 2,
-                "stall_gain_estimate": 3.0,
-                "redistribute": True,
                 "slices": [],
             },
             {
