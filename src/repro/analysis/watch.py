@@ -48,7 +48,7 @@ REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
         "corpus_size",
         "reports",
     ),
-    "metrics": ("ts", "counters", "gauges", "histograms"),
+    "metrics": ("ts", "counters", "histograms"),
     "tasks": ("ts", "epoch", "rows"),
     "campaign": ("ts", "complete", "coverage", "coverage_total", "iterations", "reports"),
 }

@@ -22,7 +22,7 @@ the full SpecDoctor implementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.coverage import TaintCoverageMatrix
@@ -65,12 +65,10 @@ class SpecDoctorStimulus:
 class SpecDoctorConfiguration:
     core: CoreConfig
     entropy: int = 99
-    layout: MemoryLayout = field(default_factory=lambda: DEFAULT_LAYOUT)
     # SpecDoctor has no IFT; taint instrumentation is only attached when the
     # caller wants to *measure* its exploration with DejaVuzz's coverage
     # metric (the replay methodology of Figure 7).
     measure_taint_coverage: bool = True
-    max_cycles_per_packet: int = 600
 
 
 class SpecDoctorFuzzer:
@@ -86,7 +84,7 @@ class SpecDoctorFuzzer:
 
     def generate_stimulus(self, window_type: Optional[TransientWindowType] = None) -> SpecDoctorStimulus:
         """Phase 1+2 of SpecDoctor: random instructions, then trigger + transmit."""
-        layout = self.configuration.layout
+        layout = DEFAULT_LAYOUT
         rng = self.rng.split(f"stimulus{self.rng.randint(0, 1 << 30)}")
         if window_type is None:
             window_type = rng.choice(list(SPECDOCTOR_SUPPORTED_WINDOWS))
@@ -214,9 +212,7 @@ class SpecDoctorFuzzer:
             configuration.core,
             stimulus.schedule,
             secret=self.rng.randbits(64) | 1,
-            layout=configuration.layout,
             taint_mode=taint_mode,
-            max_cycles_per_packet=configuration.max_cycles_per_packet,
         )
         run = harness.run()
         fingerprints_differ = run.fingerprints_differ()

@@ -140,7 +140,9 @@ class ShardCampaignRunner:
             # away from covered modules.
             self.fuzzer.coverage = TaintCoverageMatrix.from_dicts(task.baseline_points)
             self.baseline = self.fuzzer.coverage.points
-        initial_seed = Seed.from_dict(task.initial_seed) if task.initial_seed else None
+        initial_seed = (
+            None if task.initial_seed is None else Seed.from_dict(task.initial_seed)
+        )
         self._steps = self.fuzzer.campaign_steps(
             task.iterations, initial_seed=initial_seed
         )

@@ -15,7 +15,7 @@ flags:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional
 
 from repro.core.coverage import TaintCoverageMatrix
@@ -27,31 +27,34 @@ from repro.generation.mutation import Mutator
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingMode
 from repro.generation.window_types import TransientWindowType, group_of
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.telemetry.metrics import MetricsRegistry
-from repro.uarch.config import CoreConfig, TaintTrackingMode
+from repro.uarch.config import CoreConfig
 from repro.utils.rng import DeterministicRng
+
+# Encoding re-rolls of one productive transient window before the campaign
+# moves on to a new trigger.
+WINDOW_MUTATIONS_PER_TRIGGER = 6
 
 
 @dataclass
 class FuzzerConfiguration:
-    """Knobs of a DejaVuzz campaign."""
+    """Knobs of a DejaVuzz campaign.
+
+    ``training_mode`` and ``coverage_feedback`` select the paper's three
+    variants (see :meth:`variant_name`); everything else a campaign runs with
+    — the default swapMem layout, diffIFT, taint liveness, three training
+    candidates, :data:`~repro.swapmem.scheduler.MAX_CYCLES_PER_PACKET` and
+    :data:`WINDOW_MUTATIONS_PER_TRIGGER` — is fixed.
+    """
 
     core: CoreConfig
     entropy: int = 2025
-    layout: MemoryLayout = field(default_factory=lambda: DEFAULT_LAYOUT)
-    taint_mode: TaintTrackingMode = TaintTrackingMode.DIFFIFT
     training_mode: TrainingMode = TrainingMode.DERIVED
     coverage_feedback: bool = True
-    use_liveness_annotations: bool = True
-    training_candidates: int = 3
-    max_cycles_per_packet: int = 600
-    window_mutations_per_trigger: int = 6
     low_gain_limit: int = 3
     # Namespace for seed ids: parallel shards use disjoint bases so their seeds
     # never collide in a shared corpus (seed ids also feed per-seed rng streams).
     seed_id_base: int = 0
-    name: str = "dejavuzz"
 
     def __post_init__(self) -> None:
         if not isinstance(self.core, CoreConfig):
@@ -65,7 +68,7 @@ class FuzzerConfiguration:
             return "dejavuzz*"
         if not self.coverage_feedback:
             return "dejavuzz-"
-        return self.name
+        return "dejavuzz"
 
 
 @dataclass
@@ -109,26 +112,13 @@ class DejaVuzzFuzzer:
         self.coverage = TaintCoverageMatrix()
         self.phase1 = TransientWindowTriggering(
             configuration.core,
-            layout=configuration.layout,
             training_mode=configuration.training_mode,
-            training_candidates=configuration.training_candidates,
-            max_cycles_per_packet=configuration.max_cycles_per_packet,
             metrics=self.metrics.scope("phase1"),
         )
         self.phase2 = TransientExecutionExploration(
-            configuration.core,
-            layout=configuration.layout,
-            taint_mode=configuration.taint_mode,
-            max_cycles_per_packet=configuration.max_cycles_per_packet,
-            low_gain_limit=configuration.low_gain_limit,
+            configuration.core, low_gain_limit=configuration.low_gain_limit
         )
-        self.phase3 = TransientLeakageAnalysis(
-            configuration.core,
-            layout=configuration.layout,
-            taint_mode=configuration.taint_mode,
-            use_liveness_annotations=configuration.use_liveness_annotations,
-            max_cycles_per_packet=configuration.max_cycles_per_packet,
-        )
+        self.phase3 = TransientLeakageAnalysis(configuration.core)
         self._gain_history: List[int] = []
         self._seed_gains: Dict[int, int] = {}
         self._seeds_by_id: Dict[int, Seed] = {}
@@ -410,7 +400,7 @@ class DejaVuzzFuzzer:
         action = phase2_result.feedback.action
         if action == "keep":
             # Productive: keep exploring this window with a re-rolled encoding.
-            if window_mutations < configuration.window_mutations_per_trigger:
+            if window_mutations < WINDOW_MUTATIONS_PER_TRIGGER:
                 return (
                     self.mutator.mutate_window(seed, uncovered_modules=uncovered),
                     phase1_result,

@@ -7,6 +7,10 @@ events to confirm the window triggered, and then applies the *training
 reduction strategy*: candidate training packets are removed one at a time and
 the schedule is re-simulated; packets whose removal does not affect window
 triggering are permanently discarded.
+
+Phase 1 runs on the default swapMem layout with the deriver's three candidate
+training packets, and each simulation stops a packet after
+:data:`~repro.swapmem.scheduler.MAX_CYCLES_PER_PACKET` cycles.
 """
 
 from __future__ import annotations
@@ -136,21 +140,15 @@ class TransientWindowTriggering:
     def __init__(
         self,
         config: CoreConfig,
-        layout: MemoryLayout = DEFAULT_LAYOUT,
         training_mode: TrainingMode = TrainingMode.DERIVED,
-        training_candidates: int = 3,
-        max_cycles_per_packet: int = 600,
         metrics=None,
     ) -> None:
         self.config = config
-        self.layout = layout
-        self.trigger_generator = TriggerGenerator(layout)
-        self.training_deriver = TrainingDeriver(layout, mode=training_mode)
-        self.training_candidates = training_candidates
-        self.max_cycles_per_packet = max_cycles_per_packet
+        self.trigger_generator = TriggerGenerator()
+        self.training_deriver = TrainingDeriver(mode=training_mode)
         # Instance-local (never module-global): shard campaign runners promise
         # that no module-global state is read or mutated.
-        self.dut_pool = DutPool(config, layout)
+        self.dut_pool = DutPool(config, DEFAULT_LAYOUT)
         # Telemetry instruments, resolved once so the hot path holds direct
         # references; ``metrics`` is a MetricsRegistry/MetricsScope (or None
         # for the shared no-op registry — record/add become empty calls).
@@ -163,9 +161,7 @@ class TransientWindowTriggering:
         """Generate the transient packet and candidate training packets."""
         spec = self.trigger_generator.generate(seed)
         rng = seed.rng("phase1")
-        training_packets = self.training_deriver.derive_trigger_training(
-            spec, rng, count=self.training_candidates
-        )
+        training_packets = self.training_deriver.derive_trigger_training(spec, rng)
         schedule = SwapSchedule(
             protect_secret_before_transient=spec.protect_secret,
             name=f"schedule_{seed.seed_id}",
@@ -256,10 +252,7 @@ class TransientWindowTriggering:
             pool = self.dut_pool
             swap_memory, processor = pool.checkout(secret)
             try:
-                runner = SwapRunner(
-                    processor, swap_memory, schedule, max_cycles_per_packet=self.max_cycles_per_packet
-                )
-                return runner.run()
+                return SwapRunner(processor, swap_memory, schedule).run()
             finally:
                 pool.checkin(processor)
         finally:

@@ -5,6 +5,10 @@ encoding block and derives window-training packets that warm the sensitive
 data into the memory hierarchy.  Step 2.2 runs the two diffIFT-instrumented
 DUT instances on the completed schedule, measures taint coverage inside the
 transient window, and produces the feedback signal that drives mutation.
+
+The two instances always run diffIFT on the default swapMem layout; the
+other tracking modes are compared on the harness itself
+(:class:`~repro.swapmem.harness.DualCoreHarness`).
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from repro.generation.seeds import Seed
 from repro.generation.training import TrainingDeriver
 from repro.generation.window import WindowCompleter
 from repro.swapmem.harness import DifferentialRunResult, DualCoreHarness
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.packets import SwapSchedule
-from repro.uarch.config import CoreConfig, TaintTrackingMode
+from repro.uarch.config import CoreConfig
 
 
 @dataclass
@@ -43,20 +46,10 @@ class Phase2Result:
 class TransientExecutionExploration:
     """Phase 2 of the DejaVuzz workflow."""
 
-    def __init__(
-        self,
-        config: CoreConfig,
-        layout: MemoryLayout = DEFAULT_LAYOUT,
-        taint_mode: TaintTrackingMode = TaintTrackingMode.DIFFIFT,
-        max_cycles_per_packet: int = 600,
-        low_gain_limit: int = 3,
-    ) -> None:
+    def __init__(self, config: CoreConfig, low_gain_limit: int = 3) -> None:
         self.config = config
-        self.layout = layout
-        self.taint_mode = taint_mode
-        self.window_completer = WindowCompleter(layout)
-        self.training_deriver = TrainingDeriver(layout)
-        self.max_cycles_per_packet = max_cycles_per_packet
+        self.window_completer = WindowCompleter()
+        self.training_deriver = TrainingDeriver()
         self.low_gain_limit = low_gain_limit
 
     # -- Step 2.1: window completion ----------------------------------------------------
@@ -88,15 +81,7 @@ class TransientExecutionExploration:
     ) -> Phase2Result:
         """Complete the window, simulate differentially, and measure coverage."""
         schedule = self.complete_window(phase1, seed)
-        harness = DualCoreHarness(
-            self.config,
-            schedule,
-            secret=seed.secret_value,
-            layout=self.layout,
-            taint_mode=self.taint_mode,
-            max_cycles_per_packet=self.max_cycles_per_packet,
-        )
-        run = harness.run()
+        run = DualCoreHarness(self.config, schedule, secret=seed.secret_value).run()
 
         window_range = run.window_cycle_range
         census_log = run.taint_census_log()

@@ -12,6 +12,10 @@ taint liveness — a tainted sink only counts as exploitable if the state
 machine managing it still marks the data valid.  Residual taints in squashed
 RoB entries, physical registers or invalidated fill buffers are classified as
 unexploitable (the false positives that trap SpecDoctor, §6.3).
+
+The sanitized re-run uses diffIFT on the default swapMem layout, like Phase 2;
+``use_liveness_annotations=False`` counts every encoded taint as live, which
+the liveness study compares against.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from typing import Dict, Optional
 from repro.core.phase2 import Phase2Result
 from repro.generation.seeds import Seed
 from repro.swapmem.harness import DifferentialRunResult, DualCoreHarness
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.packets import SwapSchedule
-from repro.uarch.config import CoreConfig, TaintTrackingMode
+from repro.uarch.config import CoreConfig
 from repro.uarch.processor import Processor
 from repro.utils.jsontypes import json_typed
 
@@ -101,18 +104,12 @@ class TransientLeakageAnalysis:
     def __init__(
         self,
         config: CoreConfig,
-        layout: MemoryLayout = DEFAULT_LAYOUT,
-        taint_mode: TaintTrackingMode = TaintTrackingMode.DIFFIFT,
         timing_threshold: int = 1,
         use_liveness_annotations: bool = True,
-        max_cycles_per_packet: int = 600,
     ) -> None:
         self.config = config
-        self.layout = layout
-        self.taint_mode = taint_mode
         self.timing_threshold = timing_threshold
         self.use_liveness_annotations = use_liveness_annotations
-        self.max_cycles_per_packet = max_cycles_per_packet
 
     # -- Step 3.1: constant time execution analysis -----------------------------------------
 
@@ -127,15 +124,9 @@ class TransientLeakageAnalysis:
         transient = schedule.transient_packet()
         sanitized_packet = transient.replace_tagged_with_nops("encode")
         sanitized_schedule = schedule.with_transient_packet(sanitized_packet)
-        harness = DualCoreHarness(
-            self.config,
-            sanitized_schedule,
-            secret=seed.secret_value,
-            layout=self.layout,
-            taint_mode=self.taint_mode,
-            max_cycles_per_packet=self.max_cycles_per_packet,
-        )
-        return harness.run()
+        return DualCoreHarness(
+            self.config, sanitized_schedule, secret=seed.secret_value
+        ).run()
 
     def encoded_taints(
         self, original: DifferentialRunResult, sanitized: DifferentialRunResult

@@ -15,9 +15,9 @@ import json
 from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.generation.seeds import Seed
 from repro.generation.training import TrainingMode
-from repro.swapmem.layout import MemoryLayout
-from repro.uarch.config import CacheConfig, CoreConfig, PredictorConfig, TaintTrackingMode
+from repro.uarch.config import CacheConfig, CoreConfig, PredictorConfig
 from repro.utils.jsontypes import json_typed
 
 if TYPE_CHECKING:
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from repro.core.fuzzer import FuzzerConfiguration
 
 # The worker fabric's protocol revision, carried in HELLO.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 # Upper bound on one frame, newline included, and on every checkpoint and
 # telemetry line; longer is malformed.
@@ -85,9 +85,9 @@ def read_frame(stream) -> Optional[Dict[str, object]]:
 #
 # Everything a ShardTask carries is JSON-safe except the FuzzerConfiguration
 # dataclass tree (CoreConfig with nested cache/predictor configs and a
-# frozenset of bug ids, the swapMem MemoryLayout, and two enums).  These
-# helpers flatten that tree losslessly; round-tripping reconstructs dataclass
-# trees that compare equal, which the engine's determinism guarantees rest on.
+# frozenset of bug ids, and the training-mode enum).  These helpers flatten
+# that tree losslessly; round-tripping reconstructs dataclass trees that
+# compare equal, which the engine's determinism guarantees rest on.
 # ShardTask and FuzzerConfiguration are imported where they are used: the
 # telemetry sink imports this module while repro.core is still initialising.
 
@@ -149,17 +149,10 @@ def fuzzer_configuration_to_wire(
     return {
         "core": core_config_to_wire(configuration.core),
         "entropy": configuration.entropy,
-        "layout": asdict(configuration.layout),
-        "taint_mode": configuration.taint_mode.value,
         "training_mode": configuration.training_mode.value,
         "coverage_feedback": configuration.coverage_feedback,
-        "use_liveness_annotations": configuration.use_liveness_annotations,
-        "training_candidates": configuration.training_candidates,
-        "max_cycles_per_packet": configuration.max_cycles_per_packet,
-        "window_mutations_per_trigger": configuration.window_mutations_per_trigger,
         "low_gain_limit": configuration.low_gain_limit,
         "seed_id_base": configuration.seed_id_base,
-        "name": configuration.name,
     }
 
 
@@ -170,8 +163,6 @@ def fuzzer_configuration_from_wire(
 
     data = _wire_fields(FuzzerConfiguration, payload, "fuzzer configuration")
     data["core"] = core_config_from_wire(data["core"])
-    data["layout"] = MemoryLayout(**_wire_fields(MemoryLayout, data["layout"], "layout"))
-    data["taint_mode"] = TaintTrackingMode(data["taint_mode"])
     data["training_mode"] = TrainingMode(data["training_mode"])
     return FuzzerConfiguration(**data)
 
@@ -193,14 +184,22 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
 
 def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
     """Decode a task wire form; raises :class:`ValueError` naming any
-    missing or unknown key or a value of the wrong JSON type."""
+    missing or unknown key or a value of the wrong JSON type, also inside
+    ``initial_seed``, which must be ``null`` or a whole seed."""
     from repro.core.backends import ShardTask
 
     data = _wire_fields(ShardTask, payload, "shard task")
     for key in ("slice_index", "epoch", "iterations"):
         data[key] = _typed(data, key, int, "shard task")
     if data["initial_seed"] is not None:
-        _typed(data, "initial_seed", dict, "shard task")
+        try:
+            Seed.from_dict(_typed(data, "initial_seed", dict, "shard task"))
+        except KeyError as error:
+            raise ValueError(
+                f"shard task wire form: initial_seed lacks {error.args[0]}"
+            ) from None
+        except TypeError as error:
+            raise ValueError(f"shard task wire form: initial_seed {error}") from None
     _typed(data, "baseline_points", list, "shard task")
     data["configuration"] = fuzzer_configuration_from_wire(data["configuration"])
     return ShardTask(**data)

@@ -10,7 +10,6 @@ from repro.core.phase2 import TransientExecutionExploration
 from repro.generation.seeds import EncodeStrategy, Seed
 from repro.generation.window_types import TransientWindowType
 from repro.swapmem.harness import DifferentialRunResult, DualCoreHarness
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.packets import SwapSchedule
 from repro.uarch.config import CoreConfig, TaintTrackingMode
 
@@ -77,7 +76,6 @@ def build_attack_schedule(
     scenario_name: str,
     core: CoreConfig,
     secret: int = 0x5A5A_A5A5_0F0F_F0F0,
-    layout: MemoryLayout = DEFAULT_LAYOUT,
     max_attempts: int = 8,
 ) -> Tuple[SwapSchedule, Seed]:
     """Build the completed (secret-accessing, secret-encoding) schedule for an attack.
@@ -87,8 +85,8 @@ def build_attack_schedule(
     is stochastic, exactly as in the fuzzer).
     """
     scenario = ATTACK_SCENARIOS[scenario_name]
-    phase1 = TransientWindowTriggering(core, layout=layout)
-    phase2 = TransientExecutionExploration(core, layout=layout)
+    phase1 = TransientWindowTriggering(core)
+    phase2 = TransientExecutionExploration(core)
     last_error: Optional[str] = None
     for attempt in range(max_attempts):
         seed = _seed_for(scenario, secret)
@@ -116,15 +114,13 @@ def run_attack(
     taint_mode: TaintTrackingMode = TaintTrackingMode.DIFFIFT,
     secret: int = 0x5A5A_A5A5_0F0F_F0F0,
     false_negative_mode: bool = False,
-    layout: MemoryLayout = DEFAULT_LAYOUT,
 ) -> DifferentialRunResult:
     """Build and run one attack scenario on the dual-DUT harness."""
-    schedule, seed = build_attack_schedule(scenario_name, core, secret=secret, layout=layout)
+    schedule, seed = build_attack_schedule(scenario_name, core, secret=secret)
     harness = DualCoreHarness(
         core,
         schedule,
         secret=seed.secret_value,
-        layout=layout,
         taint_mode=taint_mode,
         false_negative_mode=false_negative_mode,
     )

@@ -88,7 +88,6 @@ class DualCoreHarness:
         layout: MemoryLayout = DEFAULT_LAYOUT,
         taint_mode: TaintTrackingMode = TaintTrackingMode.DIFFIFT,
         false_negative_mode: bool = False,
-        max_cycles_per_packet: int = 600,
     ) -> None:
         self.config = config
         self.schedule = schedule
@@ -98,7 +97,6 @@ class DualCoreHarness:
         # diffIFT_FN (Figure 6): both instances carry the same secret, so all
         # control signals match and control taints are suppressed.
         self.variant_secret = secret if false_negative_mode else flip_secret(secret)
-        self.max_cycles_per_packet = max_cycles_per_packet
 
         self.memory_primary = SwapMemory(layout, secret=secret)
         self.memory_variant = SwapMemory(layout, secret=self.variant_secret)
@@ -118,25 +116,17 @@ class DualCoreHarness:
             processor.mark_secret(self.layout.secret_address, self.layout.secret_size)
             del memory
 
-        variant_runner = SwapRunner(
-            self.processor_variant,
-            self.memory_variant,
-            self.schedule,
-            max_cycles_per_packet=self.max_cycles_per_packet,
-        )
-        variant_result = variant_runner.run()
+        variant_result = SwapRunner(
+            self.processor_variant, self.memory_variant, self.schedule
+        ).run()
 
         if self.taint_mode is TaintTrackingMode.DIFFIFT:
             self.processor_primary.taint.diff_oracle = make_peer_diff_oracle(
                 self.processor_variant.taint
             )
-        primary_runner = SwapRunner(
-            self.processor_primary,
-            self.memory_primary,
-            self.schedule,
-            max_cycles_per_packet=self.max_cycles_per_packet,
-        )
-        primary_result = primary_runner.run()
+        primary_result = SwapRunner(
+            self.processor_primary, self.memory_primary, self.schedule
+        ).run()
 
         return DifferentialRunResult(
             primary=primary_result,

@@ -19,6 +19,10 @@ from repro.swapmem.packets import Packet, PacketKind, SwapSchedule
 from repro.uarch.events import TraceLog
 from repro.uarch.processor import Processor
 
+# The cycle budget of one packet: a packet that has not trapped out by then
+# (a wedged or looping stimulus) is cut off and the schedule moves on.
+MAX_CYCLES_PER_PACKET = 600
+
 # Sentinel distinguishing "never analyzed" from a legitimately-None analysis.
 _UNSET = object()
 
@@ -121,7 +125,6 @@ class SwapRunner:
         processor: Processor,
         swap_memory: SwapMemory,
         schedule: SwapSchedule,
-        max_cycles_per_packet: int = 600,
     ) -> None:
         if processor.memory is not swap_memory.data:
             raise ValueError(
@@ -131,7 +134,6 @@ class SwapRunner:
         self.processor = processor
         self.swap_memory = swap_memory
         self.schedule = schedule
-        self.max_cycles_per_packet = max_cycles_per_packet
 
     def run(self) -> SwapRunResult:
         processor = self.processor
@@ -177,7 +179,7 @@ class SwapRunner:
 
         start_cycle = processor.cycle
         committed_before = processor.committed_instructions
-        outcome = processor.run(max_cycles=self.max_cycles_per_packet)
+        outcome = processor.run(max_cycles=MAX_CYCLES_PER_PACKET)
         result.packet_records.append(
             PacketRunRecord(
                 packet_name=packet.name,

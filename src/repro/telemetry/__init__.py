@@ -2,8 +2,8 @@
 
 Three layers, deliberately decoupled from the deterministic campaign state:
 
-* :mod:`repro.telemetry.metrics` — allocation-light ``Counter`` / ``Gauge``
-  / ``LatencyHistogram`` instruments in a per-process ``MetricsRegistry``.
+* :mod:`repro.telemetry.metrics` — allocation-light ``Counter`` /
+  ``LatencyHistogram`` instruments in a per-process ``MetricsRegistry``.
   Fixed log-scale histogram buckets and integer accumulators make snapshot
   merges order-independent, so per-slice metrics can ride result payloads
   through any backend and join in any arrival order.
@@ -22,21 +22,18 @@ telemetry on, off, or failing mid-run.
 from repro.telemetry.events import RoundEvent
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     HISTOGRAM_BOUNDS,
     LatencyHistogram,
     MetricsRegistry,
     MetricsScope,
     NULL_REGISTRY,
     diff_snapshots,
-    merge_snapshots,
 )
 from repro.telemetry.sink import CampaignTelemetry, TelemetryRing, TelemetrySink
 
 __all__ = [
     "CampaignTelemetry",
     "Counter",
-    "Gauge",
     "HISTOGRAM_BOUNDS",
     "LatencyHistogram",
     "MetricsRegistry",
@@ -46,5 +43,4 @@ __all__ = [
     "TelemetryRing",
     "TelemetrySink",
     "diff_snapshots",
-    "merge_snapshots",
 ]

@@ -1,9 +1,8 @@
-"""Allocation-light campaign metrics: counters, gauges, latency histograms.
+"""Allocation-light campaign metrics: counters and latency histograms.
 
 The campaign runs millions of simulator steps, so the instruments here are
-deliberately boring: a :class:`Counter` is one integer, a :class:`Gauge` is
-one float, and a :class:`LatencyHistogram` is a fixed vector of integer
-bucket counts over power-of-two bounds.  Because every instrument reduces to
+deliberately boring: a :class:`Counter` is one integer and a
+:class:`LatencyHistogram` is a fixed vector of integer bucket counts over power-of-two bounds.  Because every instrument reduces to
 integers added together, snapshots merge commutatively — per-slice
 histograms recorded on different workers and joined in *any* order (inline,
 process-pool, or distributed arrival order) produce byte-identical merged
@@ -11,25 +10,23 @@ buckets and percentiles.  That property is what lets metric snapshots ride
 the result payloads without threatening the engine's determinism oracle.
 
 When telemetry is off, :data:`NULL_REGISTRY` hands out shared no-op
-instances whose ``add``/``set``/``record`` are empty methods — the
+instances whose ``add``/``record`` are empty methods — the
 instrumentation points pay one no-op call, nothing else.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "HISTOGRAM_BOUNDS",
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsScope",
     "NULL_REGISTRY",
     "diff_snapshots",
-    "merge_snapshots",
 ]
 
 # Fixed log-scale bucket bounds in seconds: 2**-20 (~1 µs) .. 2**6 (64 s),
@@ -49,18 +46,6 @@ class Counter:
 
     def add(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A last-write-wins sampled value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class LatencyHistogram:
@@ -146,13 +131,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
 class _NullHistogram(LatencyHistogram):
     __slots__ = ()
 
@@ -161,7 +139,6 @@ class _NullHistogram(LatencyHistogram):
 
 
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -178,14 +155,8 @@ class MetricsScope:
     def counter(self, name: str) -> Counter:
         return self._registry.counter(f"{self._prefix}/{name}")
 
-    def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(f"{self._prefix}/{name}")
-
     def histogram(self, name: str) -> LatencyHistogram:
         return self._registry.histogram(f"{self._prefix}/{name}")
-
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self._registry, f"{self._prefix}/{prefix}")
 
 
 class MetricsRegistry:
@@ -197,12 +168,11 @@ class MetricsRegistry:
     instances and snapshots to empty tables.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
+    __slots__ = ("enabled", "_counters", "_histograms")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -211,14 +181,6 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter()
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge()
         return instrument
 
     def histogram(self, name: str) -> LatencyHistogram:
@@ -233,14 +195,11 @@ class MetricsRegistry:
         return MetricsScope(self, prefix)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """A JSON-ready view: counter/gauge values and sparse histograms."""
+        """A JSON-ready view: counter values and sparse histograms."""
         return {
             "counters": {
                 name: self._counters[name].value
                 for name in sorted(self._counters)
-            },
-            "gauges": {
-                name: self._gauges[name].value for name in sorted(self._gauges)
             },
             "histograms": {
                 name: self._histograms[name].to_dict()
@@ -251,33 +210,20 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: Optional[Dict[str, object]]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        Counters and histogram buckets add; gauges are last-write-wins.
-        Because everything is integer addition, merging the same snapshots
+        Counters and histogram buckets add.  Because everything is integer addition, merging the same snapshots
         in any order produces the same state.
         """
         if not self.enabled or not snapshot:
             return
         for name, value in (snapshot.get("counters") or {}).items():
             self.counter(name).add(int(value))
-        for name, value in (snapshot.get("gauges") or {}).items():
-            self.gauge(name).set(value)
         for name, payload in (snapshot.get("histograms") or {}).items():
             self.histogram(name).merge_dict(payload)
 
 
 #: The shared disabled registry: hand this to instrumentation points when
-#: telemetry is off and every record/add/set call is a no-op.
+#: telemetry is off and every record/add call is a no-op.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-def merge_snapshots(
-    snapshots: Iterable[Optional[Dict[str, object]]],
-) -> Dict[str, Dict[str, object]]:
-    """Merge snapshot dicts into one (order-independent by construction)."""
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.merge_snapshot(snapshot)
-    return merged.snapshot()
 
 
 def diff_snapshots(
@@ -285,8 +231,7 @@ def diff_snapshots(
 ) -> Dict[str, Dict[str, object]]:
     """What happened between two snapshots of one growing registry.
 
-    Counters and histogram buckets subtract (zero rows dropped); gauges
-    report the later sample.  Used to attribute a long-lived registry's
+    Counters and histogram buckets subtract (zero rows dropped).  Used to attribute a long-lived registry's
     growth (e.g. the distributed backend's) to one epoch or one run.
     """
     earlier = earlier or {}
@@ -310,6 +255,5 @@ def diff_snapshots(
             histograms[name] = late.to_dict()
     return {
         "counters": counters,
-        "gauges": dict(later.get("gauges") or {}),
         "histograms": histograms,
     }

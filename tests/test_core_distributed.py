@@ -32,9 +32,7 @@ from repro.sim.server import serve
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingMode
 from repro.generation.window_types import TransientWindowType
-from repro.swapmem.layout import MemoryLayout
 from repro.uarch import small_boom_config, xiangshan_minimal_config
-from repro.uarch.config import TaintTrackingMode
 
 BOOM = small_boom_config()
 XIANGSHAN = xiangshan_minimal_config()
@@ -62,7 +60,6 @@ class TestWireForms:
         configuration = FuzzerConfiguration(
             core=XIANGSHAN,
             entropy=77,
-            taint_mode=TaintTrackingMode.CELLIFT,
             training_mode=TrainingMode.RANDOM,
             coverage_feedback=False,
             low_gain_limit=9,
@@ -78,17 +75,10 @@ class TestWireForms:
         overrides = dict(
             core=XIANGSHAN,
             entropy=77,
-            layout=MemoryLayout(probe_size=0x8000),
-            taint_mode=TaintTrackingMode.CELLIFT,
             training_mode=TrainingMode.RANDOM,
             coverage_feedback=False,
-            use_liveness_annotations=False,
-            training_candidates=5,
-            max_cycles_per_packet=900,
-            window_mutations_per_trigger=4,
             low_gain_limit=9,
             seed_id_base=123,
-            name="parity",
         )
         names = [spec.name for spec in dataclasses.fields(FuzzerConfiguration)]
         assert sorted(overrides) == sorted(names)
@@ -107,10 +97,15 @@ class TestWireForms:
             (lambda wire: wire.pop("core"), "lacks core"),
             (lambda wire: wire["core"].pop("rob_entries"), "lacks rob_entries"),
             (lambda wire: wire["core"]["dcache"].update(ways2=1), "unknown ways2"),
-            (lambda wire: wire["layout"].pop("probe_base"), "lacks probe_base"),
             (lambda wire: wire.update(core=[]), "not an object"),
             # A protocol-2 peer still sends the removed lookahead knob.
             (lambda wire: wire.update(window_lookahead=4), "unknown window_lookahead"),
+            # A protocol-4 peer still sends the memory layout and the cycle cap.
+            (lambda wire: wire.update(layout={}), "unknown layout"),
+            (
+                lambda wire: wire.update(max_cycles_per_packet=600),
+                "unknown max_cycles_per_packet",
+            ),
         ],
     )
     def test_malformed_configuration_wire_is_a_value_error(self, corrupt, message):
@@ -150,8 +145,18 @@ class TestWireForms:
                 lambda wire: wire["configuration"].update(entropy="7"),
                 "entropy must be int, got str",
             ),
+            (lambda wire: wire.update(initial_seed={"seed_id": 1}), "initial_seed lacks core"),
+            # An empty seed is no seed at all, not "start from a fresh one".
+            (lambda wire: wire.update(initial_seed={}), "initial_seed lacks core"),
         ],
-        ids=["telemetry-str", "simulator-null", "iterations-float", "entropy-str"],
+        ids=[
+            "telemetry-str",
+            "simulator-null",
+            "iterations-float",
+            "entropy-str",
+            "seed-partial",
+            "seed-empty",
+        ],
     )
     def test_a_shard_task_value_of_the_wrong_type_is_refused(self, corrupt, message):
         # Converting instead of checking would run another task than the one

@@ -4,7 +4,9 @@ import pytest
 
 from repro.baselines import SPECDOCTOR_SUPPORTED_WINDOWS, SpecDoctorConfiguration, SpecDoctorFuzzer
 from repro.core import DejaVuzzFuzzer, FuzzerConfiguration
+from repro.core.coverage import TaintCoverageMatrix
 from repro.generation import TrainingMode, TransientWindowType
+from repro.scenarios.attacks import run_attack
 from repro.uarch import TaintTrackingMode, small_boom_config, xiangshan_minimal_config
 
 BOOM = small_boom_config()
@@ -132,9 +134,13 @@ class TestCrossCoreCampaigns:
             assert identifier in {"meltdown-sampling", "spectre-refetch", "spectre-reload"}
 
     def test_none_taint_mode_reports_nothing_via_taint(self):
-        configuration = FuzzerConfiguration(
-            core=BOOM, entropy=11, taint_mode=TaintTrackingMode.NONE
-        )
-        campaign = DejaVuzzFuzzer(configuration).run_campaign(iterations=6)
-        # Without IFT there is no coverage signal.
-        assert campaign.final_coverage() == 0
+        # The fuzzer always runs diffIFT; the tracking mode is chosen on the
+        # dual-DUT harness.  Without IFT there is no coverage signal.
+        points = {}
+        for mode in (TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT):
+            run = run_attack("spectre-v1", BOOM, taint_mode=mode)
+            points[mode] = TaintCoverageMatrix().observe_census_log(
+                run.taint_census_log(), cycle_range=run.window_cycle_range
+            )
+        assert points[TaintTrackingMode.NONE] == 0
+        assert points[TaintTrackingMode.DIFFIFT] > 0

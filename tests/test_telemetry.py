@@ -123,10 +123,10 @@ class TestMetricsRegistry:
     def test_scopes_prefix_names(self):
         registry = MetricsRegistry()
         registry.scope("phase1").counter("hits").add(3)
-        registry.scope("phase1").scope("cache").counter("misses").add()
+        registry.scope("cache").counter("misses").add()
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {
-            "phase1/cache/misses": 1,
+            "cache/misses": 1,
             "phase1/hits": 3,
         }
 
@@ -141,10 +141,8 @@ class TestMetricsRegistry:
         counter.add(5)
         histogram = registry.histogram("h")
         histogram.record(1.0)
-        registry.gauge("g").set(3)
         assert registry.snapshot() == {
             "counters": {},
-            "gauges": {},
             "histograms": {},
         }
         # The null instruments are shared singletons, and NULL_REGISTRY is
