@@ -16,7 +16,7 @@ from repro.baselines import SpecDoctorConfiguration, SpecDoctorFuzzer
 from repro.core.coverage import TaintCoverageMatrix
 from repro.core.phase1 import TransientWindowTriggering
 from repro.core.phase2 import TransientExecutionExploration
-from repro.core.phase3 import TransientLeakageAnalysis
+from repro.core.phase3 import TIMING_THRESHOLD, TransientLeakageAnalysis
 from repro.generation import EncodeStrategy, Seed, TransientWindowType
 from repro.uarch import small_boom_config
 
@@ -27,7 +27,6 @@ DEJAVUZZ_CASES = 8
 def specdoctor_candidate_study(core):
     """How many SpecDoctor hash-difference candidates are exploitable leakages?"""
     fuzzer = SpecDoctorFuzzer(SpecDoctorConfiguration(core=core, entropy=31))
-    analysis = TransientLeakageAnalysis(core)
     candidates = 0
     real = 0
     for _ in range(SPECDOCTOR_ITERATIONS):
@@ -48,7 +47,7 @@ def specdoctor_candidate_study(core):
             "dcache",
             "l2",
         }
-        if timing >= analysis.timing_threshold or (live_modules and not secret_only):
+        if timing >= TIMING_THRESHOLD or (live_modules and not secret_only):
             real += 1
     return candidates, real
 

@@ -31,7 +31,7 @@ from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
 from repro.generation.window_types import TransientWindowType, group_of
 from repro.isa.instructions import Instruction
 from repro.swapmem.harness import DualCoreHarness
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
+from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.packets import Packet, PacketKind, SwapSchedule
 from repro.uarch.config import CoreConfig, TaintTrackingMode
 from repro.utils.rng import DeterministicRng
@@ -84,7 +84,6 @@ class SpecDoctorFuzzer:
 
     def generate_stimulus(self, window_type: Optional[TransientWindowType] = None) -> SpecDoctorStimulus:
         """Phase 1+2 of SpecDoctor: random instructions, then trigger + transmit."""
-        layout = DEFAULT_LAYOUT
         rng = self.rng.split(f"stimulus{self.rng.randint(0, 1 << 30)}")
         if window_type is None:
             window_type = rng.choice(list(SPECDOCTOR_SUPPORTED_WINDOWS))
@@ -93,7 +92,7 @@ class SpecDoctorFuzzer:
 
         filler = RandomInstructionGenerator(
             rng.split("filler"),
-            safe_regions=[SafeRegion(layout.probe_base, layout.probe_size)],
+            safe_regions=[SafeRegion(DEFAULT_LAYOUT.probe_base, DEFAULT_LAYOUT.probe_size)],
         )
         # The transient-trigger phase keeps appending random instructions until
         # a RoB rollback is observed; the successful cases carry ~110-140 of
@@ -102,7 +101,7 @@ class SpecDoctorFuzzer:
         body: List[Instruction] = list(filler.filler_block(training_length, allow_branches=True))
 
         trigger_block, window_offsets_relative = self._trigger_and_window(
-            window_type, rng, layout, base_offset=len(body) * 4
+            window_type, rng, base_offset=len(body) * 4
         )
         window_offsets = [len(body) * 4 + offset for offset in window_offsets_relative]
         body.extend(trigger_block)
@@ -130,12 +129,11 @@ class SpecDoctorFuzzer:
         self,
         window_type: TransientWindowType,
         rng: DeterministicRng,
-        layout: MemoryLayout,
         base_offset: int,
     ) -> Tuple[List[Instruction], List[int]]:
         """The trigger, the transient window (secret transmit) and the receiver."""
         block: List[Instruction] = []
-        window_block = self._transmit_block(layout)
+        window_block = self._transmit_block()
 
         def _li_address(register: int, address: int) -> None:
             low = address & 0xFFF
@@ -146,10 +144,10 @@ class SpecDoctorFuzzer:
             block.append(Instruction("addi", rd=register, rs1=register, imm=low))
 
         if window_type is TransientWindowType.LOAD_PAGE_FAULT:
-            _li_address(_REG_A, layout.secret_address)
+            _li_address(_REG_A, DEFAULT_LAYOUT.secret_address)
             block.append(Instruction("ld", rd=_REG_TMP, rs1=_REG_A, imm=0))
         elif window_type is TransientWindowType.MEMORY_DISAMBIGUATION:
-            _li_address(_REG_A, layout.probe_base)
+            _li_address(_REG_A, DEFAULT_LAYOUT.probe_base)
             block.append(Instruction("addi", rd=_REG_B, rs1=0, imm=rng.randint(1, 255)))
             block.append(Instruction("addi", rd=14, rs1=0, imm=rng.randint(65, 2000)))
             block.append(Instruction("addi", rd=15, rs1=0, imm=3))
@@ -169,7 +167,7 @@ class SpecDoctorFuzzer:
             # jalr over the window; the untrained BTB predicts sequential
             # fetch, so the window executes transiently.
             target_address = (
-                layout.swappable_base
+                DEFAULT_LAYOUT.swappable_base
                 + base_offset
                 + (len(block) + 3 + len(window_block)) * 4
             )
@@ -181,15 +179,15 @@ class SpecDoctorFuzzer:
         block.extend(window_block)
         return block, offsets
 
-    def _transmit_block(self, layout: MemoryLayout) -> List[Instruction]:
+    def _transmit_block(self) -> List[Instruction]:
         """Secret access + a fixed probe-array encoding (SpecDoctor's transmit phase)."""
         block: List[Instruction] = []
-        low = layout.secret_address & 0xFFF
-        high = layout.secret_address & 0xFFFFF000
+        low = DEFAULT_LAYOUT.secret_address & 0xFFF
+        high = DEFAULT_LAYOUT.secret_address & 0xFFFFF000
         block.append(Instruction("lui", rd=_REG_PTR, imm=high))
         block.append(Instruction("addi", rd=_REG_PTR, rs1=_REG_PTR, imm=low))
         block.append(Instruction("ld", rd=_REG_SECRET, rs1=_REG_PTR, imm=0))
-        probe = layout.probe_base
+        probe = DEFAULT_LAYOUT.probe_base
         block.append(Instruction("lui", rd=6, imm=probe & 0xFFFFF000))
         block.append(Instruction("andi", rd=_REG_TMP, rs1=_REG_SECRET, imm=0xFF))
         block.append(Instruction("slli", rd=_REG_TMP, rs1=_REG_TMP, imm=6))

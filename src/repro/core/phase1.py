@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingDeriver, TrainingMode
 from repro.generation.trigger import TriggerGenerator, TriggerSpec
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.swapmem.memory import SwapMemory
 from repro.swapmem.packets import SwapSchedule
 from repro.swapmem.scheduler import SwapRunner, SwapRunResult
@@ -32,7 +31,7 @@ from repro.uarch.processor import Processor
 
 
 class DutPool:
-    """A warm DUT — one ``(SwapMemory, Processor)`` pair per ``(core, layout)``.
+    """A warm DUT — one ``(SwapMemory, Processor)`` pair per core.
 
     Checking a pooled pair out resets it in place (``Processor.reset`` +
     ``SwapMemory.rearm``) instead of constructing the processor's hierarchy,
@@ -44,9 +43,8 @@ class DutPool:
     re-entrant checkout falls back to a fresh, unpooled pair.
     """
 
-    def __init__(self, config: CoreConfig, layout: MemoryLayout) -> None:
+    def __init__(self, config: CoreConfig) -> None:
         self.config = config
-        self.layout = layout
         self.constructions = 0
         self.reuses = 0
         self._swap_memory: Optional[SwapMemory] = None
@@ -55,7 +53,7 @@ class DutPool:
 
     def _fresh_pair(self, secret: int) -> Tuple[SwapMemory, Processor]:
         self.constructions += 1
-        swap_memory = SwapMemory(self.layout, secret=secret)
+        swap_memory = SwapMemory(secret=secret)
         processor = Processor(
             self.config, memory=swap_memory.data, taint_mode=TaintTrackingMode.NONE
         )
@@ -78,60 +76,20 @@ class DutPool:
         if processor is self._processor:
             self._checked_out = False
 
-    def stats(self) -> Dict[str, int]:
-        return {"constructions": self.constructions, "reuses": self.reuses}
-
 
 @dataclass
 class Phase1Result:
     """The outcome of one Phase-1 attempt for one seed."""
 
     seed: Seed
-    spec: Optional[TriggerSpec]
-    schedule: Optional[SwapSchedule]
+    spec: TriggerSpec
+    schedule: SwapSchedule
     triggered: bool
     simulations_used: int
     training_overhead: int = 0
     effective_training_overhead: int = 0
     training_required: bool = True
     last_run: Optional[SwapRunResult] = None
-
-    @property
-    def window_type(self):
-        # The seed carries the same window type as the generated spec, and it
-        # survives the statistics-only wire form (spec does not).
-        return self.spec.window_type if self.spec is not None else self.seed.window_type
-
-    def to_dict(self) -> Dict[str, object]:
-        """The cheap wire form: statistics only, no schedule/spec/run payloads.
-
-        The heavyweight simulation artefacts are dropped, so the payload is
-        safe to send across a process boundary.  A result rebuilt with
-        ``from_dict`` is statistics-only and cannot be fed back into Phase 2
-        (which needs the live spec/schedule).
-        """
-        return {
-            "seed": self.seed.to_dict(),
-            "triggered": self.triggered,
-            "simulations_used": self.simulations_used,
-            "training_overhead": self.training_overhead,
-            "effective_training_overhead": self.effective_training_overhead,
-            "training_required": self.training_required,
-        }
-
-    @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "Phase1Result":
-        """Rebuild the statistics-only view (spec/schedule/run are not carried)."""
-        return Phase1Result(
-            seed=Seed.from_dict(payload["seed"]),
-            spec=None,
-            schedule=None,
-            triggered=bool(payload["triggered"]),
-            simulations_used=int(payload["simulations_used"]),
-            training_overhead=int(payload["training_overhead"]),
-            effective_training_overhead=int(payload["effective_training_overhead"]),
-            training_required=bool(payload["training_required"]),
-        )
 
 
 class TransientWindowTriggering:
@@ -148,7 +106,7 @@ class TransientWindowTriggering:
         self.training_deriver = TrainingDeriver(mode=training_mode)
         # Instance-local (never module-global): shard campaign runners promise
         # that no module-global state is read or mutated.
-        self.dut_pool = DutPool(config, DEFAULT_LAYOUT)
+        self.dut_pool = DutPool(config)
         # Telemetry instruments, resolved once so the hot path holds direct
         # references; ``metrics`` is a MetricsRegistry/MetricsScope (or None
         # for the shared no-op registry — record/add become empty calls).

@@ -56,12 +56,6 @@ class TransientExecutionExploration:
 
     def complete_window(self, phase1: Phase1Result, seed: Seed) -> SwapSchedule:
         """Fill the window with real payloads and add window-training packets."""
-        if phase1.spec is None or phase1.schedule is None:
-            raise ValueError(
-                "Phase 2 needs a live Phase1Result with spec and schedule; "
-                "statistics-only results (e.g. rebuilt via from_dict) cannot "
-                "be explored"
-            )
         rng = seed.rng("phase2")
         completed_packet = self.window_completer.complete(phase1.spec, seed, rng)
         schedule = phase1.schedule.with_transient_packet(completed_packet)

@@ -40,6 +40,9 @@ from repro.utils.jsontypes import json_typed
 LIVE_SINK_MODULES = ("dcache", "icache", "l2", "tlb", "btb", "ras", "loop", "bht")
 # Sinks whose taints are dead once the transient window is squashed.
 DEAD_SINK_MODULES = ("rob", "regfile", "ldq", "stq")
+# A transient packet whose duration differs by at least this many cycles between the
+# two instances is a constant-time violation (Step 3.1).
+TIMING_THRESHOLD = 1
 
 
 @dataclass
@@ -104,11 +107,9 @@ class TransientLeakageAnalysis:
     def __init__(
         self,
         config: CoreConfig,
-        timing_threshold: int = 1,
         use_liveness_annotations: bool = True,
     ) -> None:
         self.config = config
-        self.timing_threshold = timing_threshold
         self.use_liveness_annotations = use_liveness_annotations
 
     # -- Step 3.1: constant time execution analysis -----------------------------------------
@@ -171,7 +172,7 @@ class TransientLeakageAnalysis:
         """Analyse one Phase-2 test case and classify it."""
         run = phase2.run
         timing = self.constant_time_violation(run)
-        if timing >= self.timing_threshold:
+        if timing >= TIMING_THRESHOLD:
             verdict = LeakageVerdict(
                 is_leak=True,
                 reason="timing",

@@ -18,7 +18,7 @@ from typing import Dict, List
 from repro.generation.random_inst import RandomInstructionGenerator, SafeRegion
 from repro.generation.trigger import REG_TRIGGER_A, TriggerSpec, _li_address
 from repro.isa.instructions import Instruction, nop
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
+from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.packets import Packet, PacketKind
 from repro.utils.rng import DeterministicRng
 
@@ -33,12 +33,7 @@ class TrainingMode(enum.Enum):
 class TrainingDeriver:
     """Produces trigger-training and window-training packets for a trigger spec."""
 
-    def __init__(
-        self,
-        layout: MemoryLayout = DEFAULT_LAYOUT,
-        mode: TrainingMode = TrainingMode.DERIVED,
-    ) -> None:
-        self.layout = layout
+    def __init__(self, mode: TrainingMode = TrainingMode.DERIVED) -> None:
         self.mode = mode
 
     # -- trigger training -------------------------------------------------------------
@@ -83,7 +78,7 @@ class TrainingDeriver:
                 "beq", rs1=0, rs2=0, imm=target_offset - trigger_offset
             ).with_tag("training")
         elif kind == "indirect":
-            target_address = self.layout.swappable_base + int(hints["train_target_offset"])
+            target_address = DEFAULT_LAYOUT.swappable_base + int(hints["train_target_offset"])
             setup = _li_address(REG_TRIGGER_A, target_address)
             instructions[trigger_offset - 8] = setup[0].with_tag("training")
             instructions[trigger_offset - 4] = setup[1].with_tag("training")
@@ -127,7 +122,7 @@ class TrainingDeriver:
         """DejaVuzz*: a packet of purely random instructions (no alignment)."""
         helper = RandomInstructionGenerator(
             rng,
-            safe_regions=[SafeRegion(self.layout.probe_base, self.layout.probe_size)],
+            safe_regions=[SafeRegion(DEFAULT_LAYOUT.probe_base, DEFAULT_LAYOUT.probe_size)],
         )
         length = rng.randint(90, 110)
         body: List[Instruction] = []
@@ -182,7 +177,7 @@ class TrainingDeriver:
         before the secret's permissions are tightened, so the secret line is
         resident when the transient window reads it.
         """
-        secret_address = self.layout.secret_address
+        secret_address = DEFAULT_LAYOUT.secret_address
         body: List[Instruction] = []
         body += [i.with_tag("window-training") for i in _li_address(5, secret_address)]
         body.append(Instruction("ld", rd=9, rs1=5, imm=0).with_tag("window-training"))

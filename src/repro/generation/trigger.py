@@ -30,7 +30,7 @@ from repro.generation.window_types import TransientWindowType
 from repro.isa.assembler import Assembler
 from repro.isa.instructions import Instruction, nop
 from repro.isa.simulator import IsaSimulator, Permission, SimMemory
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
+from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.packets import Packet, PacketKind
 
 # Register conventions used by generated packets.
@@ -72,15 +72,12 @@ class TriggerSpec:
     def window_start_offset(self) -> int:
         return self.window_offsets[0]
 
-    def window_addresses(self, layout: MemoryLayout = DEFAULT_LAYOUT) -> List[int]:
-        return [layout.swappable_base + offset for offset in self.window_offsets]
+    def window_addresses(self) -> List[int]:
+        return [DEFAULT_LAYOUT.swappable_base + offset for offset in self.window_offsets]
 
 
 class TriggerGenerator:
     """Generates transient packets with dummy windows for every window type."""
-
-    def __init__(self, layout: MemoryLayout = DEFAULT_LAYOUT) -> None:
-        self.layout = layout
 
     # -- public API ------------------------------------------------------------------
 
@@ -88,12 +85,12 @@ class TriggerGenerator:
         rng = seed.rng("trigger")
         random_gen = RandomInstructionGenerator(
             rng.split("filler"),
-            safe_regions=[SafeRegion(self.layout.probe_base, self.layout.probe_size)],
+            safe_regions=[SafeRegion(DEFAULT_LAYOUT.probe_base, DEFAULT_LAYOUT.probe_size)],
         )
         trigger_index = rng.randint(80, 88)
         window_type = seed.window_type
 
-        builder = _PacketBuilder(self.layout)
+        builder = _PacketBuilder()
         setup = self._setup_instructions(window_type, rng)
         filler_needed = max(trigger_index - len(setup), 0)
         builder.extend(setup)
@@ -152,7 +149,7 @@ class TriggerGenerator:
         helper = RandomInstructionGenerator(rng.split("setup"))
         instructions: List[Instruction] = []
         if window_type is TransientWindowType.MEMORY_DISAMBIGUATION:
-            instructions += helper.materialize_address(REG_TRIGGER_A, self.layout.probe_base)
+            instructions += helper.materialize_address(REG_TRIGGER_A, DEFAULT_LAYOUT.probe_base)
             instructions += _li(REG_TRIGGER_B, rng.randint(1, 255))
             instructions += _li(REG_SLOW_SRC, rng.randint(64, 4096))
             instructions += _li(REG_SLOW_DIV, 3)
@@ -166,20 +163,20 @@ class TriggerGenerator:
             TransientWindowType.STORE_PAGE_FAULT,
         ):
             instructions += helper.materialize_address(
-                REG_TRIGGER_A, self.layout.secret_address
+                REG_TRIGGER_A, DEFAULT_LAYOUT.secret_address
             )
         elif window_type in (
             TransientWindowType.LOAD_MISALIGN,
             TransientWindowType.STORE_MISALIGN,
         ):
             instructions += helper.materialize_address(
-                REG_TRIGGER_A, self.layout.probe_base + 1 + 2 * rng.randint(0, 2)
+                REG_TRIGGER_A, DEFAULT_LAYOUT.probe_base + 1 + 2 * rng.randint(0, 2)
             )
         return [instruction.with_tag("setup") for instruction in instructions]
 
     def _slow_operand_load(self, builder: "_PacketBuilder", register: int, slot: int) -> None:
         """Emit a cold load of operand ``slot`` from the dedicated region into ``register``."""
-        address = self.layout.operand_address + 8 * slot
+        address = DEFAULT_LAYOUT.operand_address + 8 * slot
         for instruction in _li_address(register, address):
             builder.add(instruction.with_tag("setup"))
         builder.add(Instruction("ld", rd=register, rs1=register, imm=0).with_tag("setup"))
@@ -227,7 +224,7 @@ class TriggerGenerator:
         continue_offset = builder.mark_continue()
         window_offsets = builder.add_dummy_window(DUMMY_WINDOW_LENGTH)
         builder.add(Instruction("ecall").with_tag("terminator"))
-        builder.operand_writes[0] = self.layout.swappable_base + continue_offset
+        builder.operand_writes[0] = DEFAULT_LAYOUT.swappable_base + continue_offset
         hints.update(
             {
                 "training_kind": "indirect",
@@ -248,7 +245,7 @@ class TriggerGenerator:
         continue_offset = builder.mark_continue()
         window_offsets = builder.add_dummy_window(DUMMY_WINDOW_LENGTH)
         builder.add(Instruction("ecall").with_tag("terminator"))
-        builder.operand_writes[0] = self.layout.swappable_base + continue_offset
+        builder.operand_writes[0] = DEFAULT_LAYOUT.swappable_base + continue_offset
         hints.update(
             {
                 "training_kind": "return",
@@ -320,7 +317,7 @@ class TriggerGenerator:
         oracle for every window type.
         """
         memory = SimMemory()
-        layout = self.layout
+        layout = DEFAULT_LAYOUT
         memory.map_range(layout.shared_base, layout.shared_size)
         memory.map_range(layout.dedicated_base, layout.dedicated_size)
         memory.map_range(layout.swappable_base, layout.swappable_size)
@@ -336,7 +333,7 @@ class TriggerGenerator:
         )
         simulator = IsaSimulator(program, memory=memory)
         simulator.pc = layout.swappable_base + spec.packet.entry_offset
-        window_addresses = set(spec.window_addresses(layout))
+        window_addresses = set(spec.window_addresses())
         for _ in range(max_instructions):
             if simulator.pc in window_addresses:
                 if spec.window_type is TransientWindowType.MEMORY_DISAMBIGUATION:
@@ -354,8 +351,7 @@ class TriggerGenerator:
 class _PacketBuilder:
     """Accumulates instructions and tracks byte offsets while building a packet."""
 
-    def __init__(self, layout: MemoryLayout) -> None:
-        self.layout = layout
+    def __init__(self) -> None:
         self.instructions: List[Instruction] = []
         self.labels: Dict[str, int] = {}
         self.operand_writes: Dict[int, int] = {}

@@ -21,7 +21,7 @@ from typing import List
 from repro.generation.seeds import EncodeStrategy, Seed
 from repro.generation.trigger import TriggerSpec, _li_address
 from repro.isa.instructions import Instruction, nop
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
+from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.packets import Packet
 from repro.utils.rng import DeterministicRng
 
@@ -35,9 +35,6 @@ REG_ENCODE_TMP2 = 7   # t2
 
 class WindowCompleter:
     """Fills the dummy window with secret-access and secret-encoding blocks."""
-
-    def __init__(self, layout: MemoryLayout = DEFAULT_LAYOUT) -> None:
-        self.layout = layout
 
     def complete(self, spec: TriggerSpec, seed: Seed, rng: DeterministicRng) -> Packet:
         """Return a new transient packet whose window carries the real payload."""
@@ -63,7 +60,7 @@ class WindowCompleter:
     def secret_access_block(self, seed: Seed, rng: DeterministicRng) -> List[Instruction]:
         """Load the secret; optionally mask in illegal high address bits (MDS probing)."""
         block: List[Instruction] = []
-        secret_address = self.layout.secret_address
+        secret_address = DEFAULT_LAYOUT.secret_address
         for instruction in _li_address(REG_SECRET_PTR, secret_address):
             block.append(instruction.with_tag("window").with_tag("secret-access"))
         if seed.mask_high_bits:
@@ -109,7 +106,7 @@ class WindowCompleter:
         return [instruction.with_tag("window").with_tag("encode") for instruction in block]
 
     def _encode_with(self, strategy: EncodeStrategy, rng: DeterministicRng) -> List[Instruction]:
-        probe = self.layout.probe_base
+        probe = DEFAULT_LAYOUT.probe_base
         if strategy is EncodeStrategy.DCACHE_INDEX:
             shift = rng.choice([6, 7, 8])
             return _li_address(REG_ENCODE_PTR, probe) + [

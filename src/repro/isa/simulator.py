@@ -348,17 +348,12 @@ class IsaSimulator:
         self,
         program: Program,
         memory: Optional[SimMemory] = None,
-        trap_vector: Optional[int] = None,
-        on_trap: Optional[Callable[[Trap], None]] = None,
     ) -> None:
         self.program = program
         self.memory = memory if memory is not None else SimMemory()
         self.registers: List[int] = [0] * 32
         self.pc = program.entry if program.entry is not None else 0
-        self.trap_vector = trap_vector
         self.instructions_retired = 0
-        self.last_trap: Optional[Trap] = None
-        self._on_trap = on_trap
         if memory is None:
             for section in program.sections:
                 self.memory.map_range(section.base, max(section.size, 4))
@@ -374,24 +369,14 @@ class IsaSimulator:
         """Execute one instruction; return a trap if one was raised."""
         instruction = self.program.instruction_at(self.pc)
         if instruction is None:
-            trap = Trap(TrapCause.FETCH_ACCESS_FAULT, tval=self.pc, pc=self.pc)
-            return self._handle_trap(trap)
+            return Trap(TrapCause.FETCH_ACCESS_FAULT, tval=self.pc, pc=self.pc)
         try:
             self._execute(instruction)
             self.instructions_retired += 1
             return None
         except Trap as trap:
             trap.pc = self.pc
-            return self._handle_trap(trap)
-
-    def _handle_trap(self, trap: Trap) -> Optional[Trap]:
-        self.last_trap = trap
-        if self._on_trap is not None:
-            self._on_trap(trap)
-        if self.trap_vector is not None:
-            self.pc = self.trap_vector
             return trap
-        return trap
 
     def _execute(self, instruction: Instruction) -> None:
         rs1 = self.read_register(instruction.rs1)
@@ -447,19 +432,19 @@ class IsaSimulator:
             self.write_register(instruction.rd, result)
         self.pc = pc + 4
 
-    def run(self, max_instructions: int = 10_000, stop_pcs: Optional[set] = None) -> ExecutionResult:
-        """Run until a trap (with no trap vector), a stop PC, or the budget."""
+    def run(self, max_instructions: int = 10_000) -> ExecutionResult:
+        """Run until the first trap or until ``max_instructions`` have been stepped.
+
+        A trap leaves ``pc`` at the faulting instruction, as the DUT halts.
+        """
         trace: List[Tuple[int, str]] = []
         trap: Optional[Trap] = None
-        stop_pcs = stop_pcs or set()
         for _ in range(max_instructions):
-            if self.pc in stop_pcs:
-                break
             instruction = self.program.instruction_at(self.pc)
             if instruction is not None:
                 trace.append((self.pc, instruction.render()))
             trap = self.step()
-            if trap is not None and self.trap_vector is None:
+            if trap is not None:
                 break
         return ExecutionResult(
             instructions_retired=self.instructions_retired,

@@ -10,9 +10,10 @@ The memory is divided into three regions (Figure 4):
 
 * **shared** — the execution environment: state initialisation, trap handling
   and the runtime swap scheduler.  In this reproduction the trap handler and
-  scheduler are implemented natively (:class:`~repro.swapmem.scheduler.SwapRunner`
-  installs itself as the processor's trap hook) rather than as guest
-  instructions, which corresponds to the paper's DPI-C swapMem runtime.
+  scheduler are implemented natively (the processor halts at each packet's
+  trap and :class:`~repro.swapmem.scheduler.SwapRunner` swaps in the next
+  packet) rather than as guest instructions, which corresponds to the
+  paper's DPI-C swapMem runtime.
 * **dedicated** — per-DUT-instance data: the secret and mutable operands, so
   different secrets can be loaded without regenerating the stimulus.
 * **swappable** — the region into which packets are swapped at runtime

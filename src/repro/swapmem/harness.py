@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
+from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.memory import SwapMemory
 from repro.swapmem.packets import SwapSchedule
 from repro.swapmem.scheduler import SwapRunner, SwapRunResult
@@ -85,21 +85,19 @@ class DualCoreHarness:
         config: CoreConfig,
         schedule: SwapSchedule,
         secret: int,
-        layout: MemoryLayout = DEFAULT_LAYOUT,
         taint_mode: TaintTrackingMode = TaintTrackingMode.DIFFIFT,
         false_negative_mode: bool = False,
     ) -> None:
         self.config = config
         self.schedule = schedule
-        self.layout = layout
         self.secret = secret
         self.taint_mode = taint_mode
         # diffIFT_FN (Figure 6): both instances carry the same secret, so all
         # control signals match and control taints are suppressed.
         self.variant_secret = secret if false_negative_mode else flip_secret(secret)
 
-        self.memory_primary = SwapMemory(layout, secret=secret)
-        self.memory_variant = SwapMemory(layout, secret=self.variant_secret)
+        self.memory_primary = SwapMemory(secret=secret)
+        self.memory_variant = SwapMemory(secret=self.variant_secret)
         self.processor_primary = Processor(
             config, memory=self.memory_primary.data, taint_mode=taint_mode
         )
@@ -109,12 +107,9 @@ class DualCoreHarness:
 
     def run(self) -> DifferentialRunResult:
         """Run the variant instance, wire the diff oracle, then run the primary."""
-        for processor, memory in (
-            (self.processor_variant, self.memory_variant),
-            (self.processor_primary, self.memory_primary),
-        ):
-            processor.mark_secret(self.layout.secret_address, self.layout.secret_size)
-            del memory
+        secret_address, secret_size = DEFAULT_LAYOUT.secret_address, DEFAULT_LAYOUT.secret_size
+        self.processor_variant.mark_secret(secret_address, secret_size)
+        self.processor_primary.mark_secret(secret_address, secret_size)
 
         variant_result = SwapRunner(
             self.processor_variant, self.memory_variant, self.schedule

@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 from repro.isa.instructions import Instruction
 from repro.isa.simulator import Permission, SimMemory
-from repro.swapmem.layout import DEFAULT_LAYOUT, MemoryLayout
+from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.packets import Packet
 
 
@@ -20,8 +20,7 @@ class SwapMemory:
     for flushing the instruction cache, as the trap handler does in the paper.
     """
 
-    def __init__(self, layout: MemoryLayout = DEFAULT_LAYOUT, secret: int = 0) -> None:
-        self.layout = layout
+    def __init__(self, secret: int = 0) -> None:
         self.data = SimMemory()
         self._instructions: Dict[int, Instruction] = {}
         self.loaded_packet: Optional[Packet] = None
@@ -34,7 +33,7 @@ class SwapMemory:
 
         The backing :class:`SimMemory` object is kept (a pooled processor
         holds a reference to it) but wiped and remapped, so a rearm is
-        indistinguishable from a fresh ``SwapMemory(layout, secret=secret)``.
+        indistinguishable from a fresh ``SwapMemory(secret=secret)``.
         """
         self.data.reset()
         self._instructions = {}
@@ -44,7 +43,7 @@ class SwapMemory:
         self.set_secret(secret)
 
     def _map_regions(self) -> None:
-        layout = self.layout
+        layout = DEFAULT_LAYOUT
         self.data.map_range(layout.shared_base, layout.shared_size, Permission.rwx())
         self.data.map_range(layout.dedicated_base, layout.dedicated_size, Permission.rwx())
         self.data.map_range(layout.swappable_base, layout.swappable_size, Permission.rwx())
@@ -54,35 +53,35 @@ class SwapMemory:
 
     def set_secret(self, secret: int, size: int = 8) -> None:
         """Write the secret value into the dedicated region."""
-        self.data.write(self.layout.secret_address, secret, size)
+        self.data.write(DEFAULT_LAYOUT.secret_address, secret, size)
 
     def secret_value(self, size: int = 8) -> int:
-        return self.data.read(self.layout.secret_address, size)
+        return self.data.read(DEFAULT_LAYOUT.secret_address, size)
 
     def set_operand(self, index: int, value: int) -> None:
         """Write a mutable operand slot (8 bytes each) in the dedicated region."""
-        self.data.write(self.layout.operand_address + index * 8, value, 8)
+        self.data.write(DEFAULT_LAYOUT.operand_address + index * 8, value, 8)
 
     def protect_secret(self) -> None:
         """Revoke read permission on the secret page (pre-transient step)."""
-        self.data.set_permission(self.layout.secret_address, Permission.EXECUTE)
+        self.data.set_permission(DEFAULT_LAYOUT.secret_address, Permission.EXECUTE)
 
     # -- swappable region --------------------------------------------------------------
 
     def load_packet(self, packet: Packet) -> int:
         """Swap ``packet`` into the swappable region; return its entry address."""
-        if packet.size > self.layout.swappable_size:
+        if packet.size > DEFAULT_LAYOUT.swappable_size:
             raise ValueError(
                 f"packet {packet.name!r} ({packet.size} bytes) does not fit in the "
-                f"swappable region ({self.layout.swappable_size} bytes)"
+                f"swappable region ({DEFAULT_LAYOUT.swappable_size} bytes)"
             )
-        base = self.layout.swappable_base
+        base = DEFAULT_LAYOUT.swappable_base
         self._instructions = dict(
             zip(range(base, base + packet.size, 4), packet.instructions)
         )
         self.loaded_packet = packet
         self.swap_count += 1
-        return self.layout.swappable_base + packet.entry_offset
+        return DEFAULT_LAYOUT.swappable_base + packet.entry_offset
 
     def fetch(self, address: int) -> Optional[Instruction]:
         """The processor's fetch source for the swappable region."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.memory import SwapMemory
 from repro.swapmem.packets import Packet, PacketKind, SwapSchedule
 from repro.uarch.events import TraceLog
@@ -137,8 +138,7 @@ class SwapRunner:
 
     def run(self) -> SwapRunResult:
         processor = self.processor
-        layout = self.swap_memory.layout
-        window_pcs = self.schedule.window_pcs(layout.swappable_base)
+        window_pcs = self.schedule.window_pcs(DEFAULT_LAYOUT.swappable_base)
         result = SwapRunResult(
             processor=processor,
             schedule=self.schedule,
@@ -146,8 +146,6 @@ class SwapRunner:
             trace=processor.trace,
         )
         processor.set_fetch_source(self.swap_memory.fetch)
-        processor.trap_hook = None
-        processor.trap_vector = None
 
         # Mutable operands declared by packets are written into the dedicated
         # region before execution starts (the swapMem runtime owns that region).

@@ -31,7 +31,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction, InstructionClass
 from repro.isa.simulator import (
@@ -72,7 +72,6 @@ TRUNCATED_ADDRESS_BITS = 32
 _new_event = tuple.__new__
 
 FetchSource = Callable[[int], Optional[Instruction]]
-TrapHook = Callable[[TrapCause, int, int], Optional[int]]
 
 
 @dataclass
@@ -95,7 +94,6 @@ class Processor:
         memory: Optional[SimMemory] = None,
         taint_mode: TaintTrackingMode = TaintTrackingMode.NONE,
         diff_oracle: Optional[DiffOracle] = None,
-        trap_vector: Optional[int] = None,
     ) -> None:
         self.config = config
         self.memory = memory if memory is not None else SimMemory()
@@ -108,8 +106,6 @@ class Processor:
         self._taint_enabled = taint_mode is not TaintTrackingMode.NONE
         # Per-mnemonic base-latency memo (base_latency is pure in the config).
         self._latency_cache: Dict[str, int] = {}
-        self.trap_vector = trap_vector
-        self.trap_hook: Optional[TrapHook] = None
 
         self.rob = ReorderBuffer(config.rob_entries)
         self.lsu = LoadStoreUnit(
@@ -134,7 +130,6 @@ class Processor:
         self._last_writer: Dict[int, int] = {}
         self._results: Dict[int, Tuple[int, bool]] = {}
         self._halt_reason: Optional[str] = None
-        self._stop_pcs: Set[int] = set()
         # Idle fast-forward bookkeeping (see _fast_forward): whether the last
         # cycle's fetch attempt found no instruction at fetch_pc, and whether
         # any issue-port request was denied (a denied request retries on the
@@ -175,8 +170,6 @@ class Processor:
         """
         self.taint.reset()
         self._census_version = -1
-        self.trap_vector = None
-        self.trap_hook = None
         self.rob.reset()
         self.lsu.reset()
         self.predictors.reset()
@@ -194,7 +187,6 @@ class Processor:
         self._last_writer = {}
         self._results = {}
         self._halt_reason = None
-        self._stop_pcs = set()
         self._fetch_returned_none = False
         self._port_denied = False
         self._youngest_non_nop = -1
@@ -225,14 +217,15 @@ class Processor:
 
     # -- main loop ------------------------------------------------------------------------
 
-    def run(self, max_cycles: int = 2000, stop_pcs: Optional[Set[int]] = None) -> SimulationOutcome:
-        """Run until a stop PC commits, a trap halts the core, or ``max_cycles`` pass.
+    def run(self, max_cycles: int = 2000) -> SimulationOutcome:
+        """Run until a trap commits or ``max_cycles`` pass.
 
+        A committed trap always halts the core (``halted_on`` is
+        ``trap:<cause>``); the swapMem runtime then swaps in the next packet.
         Commit cycles, port contention and the side-channel fingerprint stay
         on the processor (``trace.commits``, ``ports.contention_cycles``,
         ``side_channel_fingerprint()``) for callers that want them.
         """
-        self._stop_pcs = stop_pcs or set()
         self._halt_reason = None
         start_cycle = self.cycle
         self._advance(start_cycle + max_cycles)
@@ -251,10 +244,10 @@ class Processor:
     def _advance(self, limit_cycle: int) -> None:
         """The cycle loop behind ``run`` and ``step_cycle``.
 
-        Steps until ``limit_cycle`` or a halt.  One iteration is one clock
-        cycle: resolve (before commit, so a mispredicted branch squashes its
-        wrong path before younger entries can retire), commit, execute,
-        fetch, then the taint census.  Each stage's per-cycle scan is
+        Steps until ``limit_cycle`` or a trap halts the core.  One iteration
+        is one clock cycle: resolve (before commit, so a mispredicted branch
+        squashes its wrong path before younger entries can retire), commit,
+        execute, fetch, then the taint census.  Each stage's per-cycle scan is
         written out in the body; per-instruction work and rare events
         (squashes, traps) stay methods.  Config constants and bound methods
         are hoisted into locals once per call, never per cycle.  Only
@@ -296,7 +289,7 @@ class Processor:
                 entries = rob.entries
                 if not entries or entries[0].sequence > self._youngest_non_nop:
                     cycle = self._nop_run(limit_cycle)
-                    if cycle >= limit_cycle or self._halt_reason is not None:
+                    if cycle >= limit_cycle:
                         break
             cycle += 1
             self.cycle = hierarchy.cycle = cycle
@@ -496,7 +489,8 @@ class Processor:
         mirrored here.
 
         It exits at a cycle boundary: before a cycle whose fetch would reach
-        the instruction that ends the run, on a halt, or at ``limit_cycle``.
+        the instruction that ends the run, or at ``limit_cycle``.  A nop
+        cannot trap, so the run never halts the core.
         On exit the in-flight nops (at most the RoB's capacity) become
         ``RobEntry`` objects again, and the RoB, the worklists, the head's
         arrival cycle and the fetch and port flags are left as the cycle
@@ -552,7 +546,6 @@ class Processor:
         int_ports = self.ports.port_limits["int"]
         enqueue_events = self.trace.enqueues
         commit_events = self.trace.commits
-        stop_pcs = self._stop_pcs
         taint_enabled = self._taint_enabled
         record_census = self._record_census
         census_log = self.taint.census_log
@@ -592,7 +585,6 @@ class Processor:
         icache_calls = 0
         denied_total = 0
         simulated = cycle
-        halt: Optional[str] = None
         while cycle < limit_cycle:
             now = cycle + 1
             if taken > last_safe and now >= stall_until:
@@ -610,17 +602,10 @@ class Processor:
                 if retired > commit_width:
                     retired = commit_width
                 commit_at += [cycle] * retired
-                if stop_pcs and not stop_pcs.isdisjoint(pcs[head : head + retired]):
-                    halt = "stop_pc"
                 head += retired
                 arrival = None
             if retired < commit_width and head < tail and arrival is None:
                 arrival = cycle  # the commit stage looked at this head
-            if halt is not None:
-                if taint_enabled:
-                    self.cycle = cycle
-                    record_census()
-                break
 
             # Issue: the oldest waiting nops take the free int ports.
             waiting = tail - issued
@@ -716,7 +701,6 @@ class Processor:
         self.cycle = cycle
         self.hierarchy.cycle = simulated
         self.committed_instructions = committed + head
-        self._halt_reason = halt
         self.fetch_pc = run_pc + 4 * taken
         self.fetch_stall_until = stall_until
         self._fetch_returned_none = returned_none
@@ -789,8 +773,6 @@ class Processor:
             self.fetch_serialized = False
             if instruction.mnemonic == "fence.i":
                 self.hierarchy.flush_icache()
-        if entry.pc in self._stop_pcs:
-            self._halt_reason = "stop_pc"
 
     def _commit_exception(self, entry: RobEntry) -> None:
         cause = entry.exception
@@ -816,16 +798,7 @@ class Processor:
         self.lsu.squash_all()
         self._rebuild_last_writers()
         self.fetch_serialized = False
-
-        redirect_target: Optional[int] = None
-        if self.trap_hook is not None:
-            redirect_target = self.trap_hook(cause, entry.pc, entry.exception_tval)
-        elif self.trap_vector is not None:
-            redirect_target = self.trap_vector
-        if redirect_target is None:
-            self._halt_reason = f"trap:{cause.value}"
-            return
-        self._redirect_fetch(redirect_target, f"trap:{cause.value}", entry.pc)
+        self._halt_reason = f"trap:{cause.value}"
 
     def _train_predictors_at_commit(self, entry: RobEntry) -> None:
         instruction = entry.instruction

@@ -27,7 +27,6 @@ from repro.core.engine import (
     resolve_core,
     run_shard_task,
 )
-from repro.core.phase1 import Phase1Result
 from repro.core.report import BugReport
 from repro.generation.seeds import EncodeStrategy, Seed
 from repro.generation.window_types import TransientWindowType, group_of
@@ -103,43 +102,6 @@ class TestWireFormats:
         assert rebuilt.reports == campaign.reports
         assert rebuilt.triggered_windows == campaign.triggered_windows
         assert rebuilt.summary()["unique_bugs"] == campaign.summary()["unique_bugs"]
-
-    def test_phase1_result_roundtrip_keeps_statistics(self):
-        original = Phase1Result(
-            seed=make_seed(),
-            spec=None,
-            schedule=None,
-            triggered=True,
-            simulations_used=4,
-            training_overhead=12,
-            effective_training_overhead=3,
-            training_required=True,
-        )
-        rebuilt = Phase1Result.from_dict(original.to_dict())
-        assert rebuilt.seed == original.seed
-        assert rebuilt.triggered
-        assert rebuilt.simulations_used == 4
-        assert rebuilt.training_overhead == 12
-        assert rebuilt.effective_training_overhead == 3
-        # window_type must survive the wire form even though spec does not.
-        assert rebuilt.window_type == original.seed.window_type
-
-    def test_statistics_only_phase1_result_rejected_by_phase2(self):
-        from repro.core.phase2 import TransientExecutionExploration
-
-        seed = make_seed()
-        rebuilt = Phase1Result.from_dict(
-            Phase1Result(
-                seed=seed,
-                spec=None,
-                schedule=None,
-                triggered=True,
-                simulations_used=1,
-            ).to_dict()
-        )
-        phase2 = TransientExecutionExploration(BOOM)
-        with pytest.raises(ValueError, match="statistics-only"):
-            phase2.complete_window(rebuilt, seed)
 
 
 class TestSharedCorpus:

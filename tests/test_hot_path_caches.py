@@ -8,6 +8,8 @@ forms.  Phase 1 has no simulation memo: every leave-one-out candidate is a
 different schedule, so each counted simulation really runs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.backends import ShardTask, run_shard_task
@@ -77,7 +79,7 @@ class TestDutPool:
             result = phase1.run(seed)
             run = result.last_run
             outcome = (
-                result.to_dict(),
+                dataclasses.replace(result, last_run=None),
                 [packet.name for packet in result.schedule.packets],
                 None if run is None else (run.total_cycles, sorted(run.window_pcs)),
                 None if run is None else run.packet_records,

@@ -245,30 +245,6 @@ class TestProgramExecution:
         result = simulator.run()
         assert result.trap.cause == TrapCause.ILLEGAL_INSTRUCTION
 
-    def test_trap_vector_redirects(self):
-        memory = SimMemory()
-        memory.map_range(0x1000, 0x1000)
-        program = Assembler(base=0x1000).assemble(
-            """
-              ecall
-              nop
-            handler:
-              li t0, 77
-              ebreak
-            """
-        )
-        simulator = IsaSimulator(program, memory=memory, trap_vector=program.label_address("handler"))
-        simulator.run(max_instructions=10)
-        # After the first trap the handler runs until the ebreak.
-        assert simulator.read_register(5) == 77
-
     def test_x0_is_always_zero(self):
         simulator, _ = run_asm("addi zero, zero, 5\necall\n")
         assert simulator.read_register(0) == 0
-
-    def test_stop_pcs(self):
-        program = Assembler(base=0x1000).assemble("nop\nnop\nnop\necall\n")
-        simulator = IsaSimulator(program)
-        result = simulator.run(stop_pcs={0x1008})
-        assert result.final_pc == 0x1008
-        assert result.instructions_retired == 2

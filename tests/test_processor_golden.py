@@ -36,7 +36,6 @@ from repro.core.phase2 import TransientExecutionExploration
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
 from repro.swapmem.harness import DualCoreHarness
-from repro.swapmem.layout import DEFAULT_LAYOUT
 from repro.swapmem.scheduler import SwapRunner
 from repro.uarch.config import TaintTrackingMode
 
@@ -122,7 +121,7 @@ def compute_golden() -> Dict[str, Dict[str, str]]:
     for core in CORES:
         config = resolve_core(core)
         phase1 = TransientWindowTriggering(config)
-        pool = DutPool(config, DEFAULT_LAYOUT)
+        pool = DutPool(config)
         for index, window_type in enumerate(TransientWindowType):
             seed = _seed(core, window_type, ENTROPY_BASE + index)
             _spec, schedule = phase1.generate_schedule(seed)

@@ -6,7 +6,6 @@ from repro.isa.instructions import Instruction, nop
 from repro.swapmem import (
     DEFAULT_LAYOUT,
     DualCoreHarness,
-    MemoryLayout,
     Packet,
     PacketKind,
     SwapMemory,
@@ -154,10 +153,9 @@ class TestSwapMemory:
         assert memory.swap_count == 2
 
     def test_oversized_packet_rejected(self):
-        layout = MemoryLayout(swappable_size=16)
-        memory = SwapMemory(layout)
+        memory = SwapMemory()
         with pytest.raises(ValueError):
-            memory.load_packet(simple_packet(body=[nop()] * 10))
+            memory.load_packet(simple_packet(body=[nop()] * (DEFAULT_LAYOUT.swappable_size // 4 + 1)))
 
 
 class TestSwapRunner:

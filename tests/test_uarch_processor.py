@@ -42,14 +42,13 @@ def build_processor(source, config=None, memory=None, taint_mode=TaintTrackingMo
     return processor, program
 
 
-def run_by_steps(processor, max_cycles, stop_pcs=None):
+def run_by_steps(processor, max_cycles):
     """What ``Processor.run`` does, one ``step_cycle`` at a time.
 
     ``step_cycle`` never fast-forwards and never enters the nop-run
     macro-step, so this is the reference every shortcut of ``run`` must
     reproduce.  Returns the halt reason ``run`` would report.
     """
-    processor._stop_pcs = stop_pcs or set()
     processor._halt_reason = None
     limit = processor.cycle + max_cycles
     while processor.cycle < limit:
@@ -321,27 +320,6 @@ class TestSpeculationAndSquashes:
             ]
             assert bool(transient_younger) == expect_window
 
-    def test_trap_hook_redirects(self):
-        source = """
-          ecall
-          nop
-        handler:
-          li a0, 3
-          ecall
-        """
-        processor, program = build_processor(source)
-        handler = program.label_address("handler")
-        calls = []
-
-        def hook(cause, pc, tval):
-            calls.append(cause)
-            return handler if len(calls) == 1 else None
-
-        processor.trap_hook = hook
-        processor.run(max_cycles=400)
-        assert processor.read_register(10) == 3
-        assert len(calls) == 2
-
 
 class TestSameCycleSquashes:
     def test_branch_squashed_by_older_branch_does_not_resolve(self):
@@ -515,37 +493,37 @@ class TestNopIssuePorts:
     loop iteration a divide holds back sixteen dependent adds; once it
     completes they saturate the int ports and the nops fetched behind them
     wait (the second iteration fetches from a warm icache, so fetch keeps
-    up).  The pinned figures were computed on the general per-instruction
-    path alone, with no nop shortcut; the nop-run macro-step must leave
-    them unchanged."""
+    up).  The pinned figures were computed with ``step_cycle``, which never
+    takes a shortcut; the nop-run macro-step must leave them unchanged."""
 
     SOURCE = "\n".join(
         ["li a0, 1000", "li a1, 7", "li s0, 2", "loop:", "div a2, a0, a1"]
         + [f"add t{index % 3}, a2, a2" for index in range(16)]
         + ["nop"] * 24
-        + ["addi s0, s0, -1", "bnez s0, loop", "stop:", "nop", "ecall"]
+        + ["addi s0, s0, -1", "bnez s0, loop", "last:", "nop", "ecall"]
     )
 
     # core -> (cycles, int-port contention, SHA-256 of the [cycle, pc] commit list)
     EXPECTED = {
-        "boom": (136, 244, "a3bcff497ea1439887431069adf36bfeb5e05020fb619293264efc35919c2d12"),
-        "xiangshan": (127, 52, "1a6c2a5c2e270f62ee10ff1a9a9bac4c18f269112222bb6a186400513d79d459"),
-        "boom-large": (117, 146, "42d61bde5f66e0d9a5a5f393c669d6991fc81bcbd19b6faf3ca43b4c5b6a9b1c"),
+        "boom": (178, 244, "a3bcff497ea1439887431069adf36bfeb5e05020fb619293264efc35919c2d12"),
+        "xiangshan": (173, 52, "1a6c2a5c2e270f62ee10ff1a9a9bac4c18f269112222bb6a186400513d79d459"),
+        "boom-large": (161, 146, "42d61bde5f66e0d9a5a5f393c669d6991fc81bcbd19b6faf3ca43b4c5b6a9b1c"),
     }
 
     @pytest.mark.parametrize("core", sorted(EXPECTED))
-    def test_nop_port_contention_commit_cycles_and_stop_pc(self, core):
+    def test_nop_port_contention_and_commit_cycles(self, core):
         processor, program = build_processor(self.SOURCE, config=resolve_core(core))
-        stop = program.label_address("stop")
-        outcome = processor.run(max_cycles=800, stop_pcs={stop})
+        outcome = processor.run(max_cycles=800)
         cycles, contention, digest = self.EXPECTED[core]
-        assert outcome.halted_on == "stop_pc"
+        assert outcome.halted_on == "trap:ecall"
         assert outcome.cycles == cycles
         assert processor.ports.contention_cycles["int"] == contention
-        # Three set-up instructions, two iterations of 43, then the stop nop.
+        # Three set-up instructions, two iterations of 43, then the last nop
+        # (the ecall traps instead of committing).
+        last = program.label_address("last")
         commit_cycles = [[event.cycle, event.pc] for event in processor.trace.commits]
         assert len(commit_cycles) == 3 + 2 * 43 + 1
-        assert commit_cycles[-1][1] == stop
+        assert commit_cycles[-1][1] == last
         commits = json.dumps(commit_cycles)
         assert hashlib.sha256(commits.encode()).hexdigest() == digest
 
@@ -724,17 +702,14 @@ CORE_TAINT_ARMS = [
 ]
 
 
-def assert_run_matches_steps(
-    source, core, taint_mode=TaintTrackingMode.NONE, max_cycles=20_000, stop_labels=()
-):
+def assert_run_matches_steps(source, core, taint_mode=TaintTrackingMode.NONE, max_cycles=20_000):
     """Run ``source`` once through ``run`` and once by ``step_cycle``; both
     must leave the same state behind.  Returns both processors and the
     outcome of ``run``."""
-    fast, program = build_tainted(source, core, taint_mode)
+    fast, _ = build_tainted(source, core, taint_mode)
     reference, _ = build_tainted(source, core, taint_mode)
-    stop_pcs = {program.label_address(label) for label in stop_labels} or None
-    outcome = fast.run(max_cycles=max_cycles, stop_pcs=stop_pcs)
-    halted_on = run_by_steps(reference, max_cycles, stop_pcs=stop_pcs)
+    outcome = fast.run(max_cycles=max_cycles)
+    halted_on = run_by_steps(reference, max_cycles)
     assert outcome.halted_on == halted_on
     assert outcome.cycles == reference.cycle
     assert pipeline_state(fast) == pipeline_state(reference)
@@ -797,14 +772,6 @@ class TestNopRun:
 
         monkeypatch.setattr(Processor, "_nop_run", counting)
         return calls
-
-    @pytest.mark.parametrize("core", CORE_NAMES)
-    def test_stop_pc_inside_a_sled(self, core, monkeypatch):
-        calls = self._count_entries(monkeypatch)
-        source = sled(40, after=["stop:"] + ["nop"] * 40 + ["ecall"])
-        fast, _, outcome = assert_run_matches_steps(source, core, stop_labels=["stop"])
-        assert outcome.halted_on == "stop_pc"
-        assert calls[-1][2] == fast.cycle  # the halt came inside _nop_run
 
     @pytest.mark.parametrize("core", CORE_NAMES)
     @pytest.mark.parametrize("taint_mode", [TaintTrackingMode.NONE, TaintTrackingMode.DIFFIFT])

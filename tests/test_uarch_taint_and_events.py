@@ -193,8 +193,31 @@ class TestCoSimulation:
 
     SAFE_BASE = 0xA000
     SAFE_SIZE = 0x1000
+    # An address on a page neither model maps.
+    UNMAPPED = 0x50000
 
-    @pytest.mark.parametrize("shape", ["straight-line", "branches", "mret"])
+    def _fault(self, rng):
+        """One faulting instruction (after the ``lui`` that sets up its
+        address, for memory faults) and the trap cause it must raise."""
+        kind = rng.choice(["load-unmapped", "store-unmapped", "misaligned", "ebreak", "illegal"])
+        if kind == "ebreak":
+            return [Instruction("ebreak")], "breakpoint"
+        if kind == "illegal":
+            return [Instruction("illegal")], "illegal_instruction"
+        if kind == "misaligned":
+            return [
+                Instruction("lui", rd=31, imm=self.SAFE_BASE),
+                Instruction("ld", rd=30, rs1=31, imm=rng.randint(1, 7)),
+            ], "misaligned_load"
+        access = (
+            Instruction("ld", rd=30, rs1=31, imm=0)
+            if kind == "load-unmapped"
+            else Instruction("sd", rs1=31, rs2=30, imm=0)
+        )
+        cause = "load_access_fault" if kind == "load-unmapped" else "store_access_fault"
+        return [Instruction("lui", rd=31, imm=self.UNMAPPED), access], cause
+
+    @pytest.mark.parametrize("shape", ["straight-line", "branches", "mret", "fault"])
     @pytest.mark.parametrize("core", CORES)
     @settings(max_examples=12, deadline=None)
     @given(entropy=st.integers(min_value=0, max_value=10_000))
@@ -209,7 +232,11 @@ class TestCoSimulation:
         sequence, traps where it traps, and leaves the same registers and the
         same bytes in the region.  The ``mret`` shape puts one ``mret`` at a
         random point of the straight-line filler; neither model has a CSR
-        file or ``mepc``, so both take an illegal-instruction trap there."""
+        file or ``mepc``, so both take an illegal-instruction trap there.
+        The ``fault`` shape puts one faulting instruction there instead: a
+        load or store to an unmapped page, a misaligned load into the
+        region, an ``ebreak`` or an illegal instruction.  Both models halt
+        at the first trap, so its cause must match too."""
         rng = DeterministicRng(entropy, "cosim")
         generator = RandomInstructionGenerator(
             rng, safe_regions=[SafeRegion(self.SAFE_BASE, self.SAFE_SIZE)]
@@ -221,9 +248,14 @@ class TestCoSimulation:
             fence = rng.randint(0, 7)
             if fence < 2:
                 body.append(Instruction(("fence", "fence.i")[fence]))
+        cause = "ecall"
         if shape == "mret":
             body.insert(rng.randint(0, len(body)), Instruction("mret"))
-        cause = "illegal_instruction" if shape == "mret" else "ecall"
+            cause = "illegal_instruction"
+        elif shape == "fault":
+            fault, cause = self._fault(rng)
+            point = rng.randint(0, len(body))
+            body[point:point] = fault
         # A branch near the end skips at most four instructions: it lands on
         # the padding, never past the ecall.
         body.extend(nop() for _ in range(4))
@@ -265,7 +297,7 @@ class TestTaintModeInvariance:
     @staticmethod
     def _digests_per_mode(config, schedule, secret):
         def single(mode):
-            swap_memory = SwapMemory(DEFAULT_LAYOUT, secret=secret)
+            swap_memory = SwapMemory(secret=secret)
             processor = Processor(config, memory=swap_memory.data, taint_mode=mode)
             if mode is not Mode.NONE:
                 processor.mark_secret(DEFAULT_LAYOUT.secret_address, DEFAULT_LAYOUT.secret_size)
@@ -287,12 +319,10 @@ class TestTaintModeInvariance:
         reached = any(sum(entry.element_counts.values()) for entry in census)
         return digests, reached
 
-    @pytest.mark.parametrize("window_type", WINDOW_TYPES, ids=lambda w: w.value)
-    @pytest.mark.parametrize("core", CORES)
-    def test_architectural_state_does_not_depend_on_taint_mode(self, core, window_type):
-        """The Phase-1 schedule, and the Phase-2 completion of its window
-        (which reads the secret), retire identically untainted, under CellIFT
-        and under diffIFT: every digest but the census matches."""
+    @staticmethod
+    def _schedules(core, window_type):
+        """The core's config, the seed, its Phase-1 schedule and, when the
+        window triggered, the Phase-2 completion of that window."""
         config = resolve_core(core)
         seed = _seed(core, window_type, TAINT_ENTROPY_BASE + WINDOW_TYPES.index(window_type))
         phase1 = TransientWindowTriggering(config)
@@ -301,9 +331,63 @@ class TestTaintModeInvariance:
         result = phase1.run(seed)
         if result.triggered:
             schedules.append(TransientExecutionExploration(config).complete_window(result, seed))
+        return config, seed, schedules
+
+    @pytest.mark.parametrize("window_type", WINDOW_TYPES, ids=lambda w: w.value)
+    @pytest.mark.parametrize("core", CORES)
+    def test_architectural_state_does_not_depend_on_taint_mode(self, core, window_type):
+        """The Phase-1 schedule, and the Phase-2 completion of its window
+        (which reads the secret), retire identically untainted, under CellIFT
+        and under diffIFT: every digest but the census matches."""
+        config, seed, schedules = self._schedules(core, window_type)
         for index, schedule in enumerate(schedules):
             digests, reached = self._digests_per_mode(config, schedule, seed.secret_value)
             assert digests[Mode.CELLIFT] == digests[Mode.NONE]
             assert digests[Mode.DIFFIFT] == digests[Mode.NONE]
             if index == 1:
                 assert reached, "the completed window never tainted anything"
+
+    @pytest.mark.parametrize("window_type", WINDOW_TYPES, ids=lambda w: w.value)
+    @pytest.mark.parametrize("core", CORES)
+    def test_precision_order_on_the_primary_census(self, core, window_type):
+        """Figure 6's precision order on the processor model: on every cycle
+        and module the primary DUT taints no more elements under diffIFT_FN
+        (both DUTs hold the same secret) than under diffIFT, and no more
+        under diffIFT than under CellIFT."""
+        config, seed, schedules = self._schedules(core, window_type)
+        for schedule in schedules:
+            logs = [
+                DualCoreHarness(
+                    config, schedule, seed.secret_value, taint_mode=mode, false_negative_mode=fn
+                ).run().taint_census_log()
+                for mode, fn in ((Mode.DIFFIFT, True), (Mode.DIFFIFT, False), (Mode.CELLIFT, False))
+            ]
+            assert len({tuple(census.cycle for census in log) for log in logs}) == 1
+            for censuses in zip(*logs):
+                for module in set().union(*(census.element_counts for census in censuses)):
+                    fn_count, diff_count, cell_count = (
+                        census.element_counts.get(module, 0) for census in censuses
+                    )
+                    assert fn_count <= diff_count <= cell_count, (module, censuses[0].cycle)
+
+    @pytest.mark.parametrize("window_type", WINDOW_TYPES, ids=lambda w: w.value)
+    @pytest.mark.parametrize("core", CORES)
+    def test_variant_observables_do_not_depend_on_taint_mode(self, core, window_type):
+        """What the primary's diff oracle and the leak oracles read from the
+        variant DUT (its control decisions, its cycle count and its
+        side-channel fingerprint) is the same whether the variant runs
+        untainted or under diffIFT: the precondition for running it
+        untainted."""
+        config, seed, schedules = self._schedules(core, window_type)
+        for schedule in schedules:
+            observed = []
+            for mode in (Mode.NONE, Mode.DIFFIFT):
+                variant = DualCoreHarness(config, schedule, seed.secret_value, taint_mode=mode).run().variant
+                observed.append(
+                    (
+                        [(event.kind, event.key, event.value) for event in variant.processor.taint.control_log],
+                        variant.total_cycles,
+                        variant.processor.side_channel_fingerprint(),
+                    )
+                )
+            assert observed[0] == observed[1]

@@ -7,6 +7,7 @@ produces byte-identical deterministic wire forms.  The same holds on every
 execution path, which ``test_campaign_matrix.py`` checks.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from repro.core.engine import (
     resolve_core,
 )
 from repro.core.fuzzer import DejaVuzzFuzzer, FuzzerConfiguration, run_quick_campaign
-from repro.core.phase1 import DEFAULT_LAYOUT, DutPool, TransientWindowTriggering
+from repro.core.phase1 import DutPool, TransientWindowTriggering
 from repro.core.report import CampaignResult
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
@@ -61,7 +62,7 @@ class TestDutPool:
         previous = _seed(core, previous_type, POOL_ENTROPY_BASE + index - 1)
         _, dirtying_schedule = phase1.generate_schedule(previous)
 
-        pool = DutPool(config, DEFAULT_LAYOUT)
+        pool = DutPool(config)
         for run_seed, run_schedule in ((previous, dirtying_schedule), (seed, schedule)):
             swap_memory, processor = pool.checkout(run_seed.secret_value)
             try:
@@ -72,7 +73,7 @@ class TestDutPool:
                 pool.checkin(processor)
         assert pool.reuses == 1
 
-        swap_memory = SwapMemory(DEFAULT_LAYOUT, secret=seed.secret_value)
+        swap_memory = SwapMemory(secret=seed.secret_value)
         processor = Processor(config, memory=swap_memory.data)
         fresh = _run_digests(SwapRunner(processor, swap_memory, schedule).run(), census=False)
         assert pooled == fresh
@@ -91,7 +92,7 @@ class TestDutPool:
             with monkeypatch.context() as patch:
                 fresh_duts(patch)
                 b = fresh.run(seed)
-            assert a.to_dict() == b.to_dict()
+            assert dataclasses.replace(a, last_run=None) == dataclasses.replace(b, last_run=None)
         assert pooled.dut_pool.reuses > 0
         assert fresh.dut_pool.reuses == 0
 
@@ -108,7 +109,7 @@ class TestDutPool:
         assert stats["dut_reuses"] > 0
 
     def test_concurrent_checkout_falls_back_to_fresh(self):
-        pool = DutPool(BOOM, DEFAULT_LAYOUT)
+        pool = DutPool(BOOM)
         memory_a, processor_a = pool.checkout(secret=0x1234)
         memory_b, processor_b = pool.checkout(secret=0x1234)
         assert processor_a is not processor_b
