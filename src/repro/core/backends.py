@@ -53,6 +53,7 @@ what keeps the protocol open for distributed (socket/queue) backends later.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,7 +62,7 @@ from typing import Dict, List, Optional
 from repro.core.coverage import TaintCoverageMatrix
 from repro.core.fuzzer import CampaignStep, DejaVuzzFuzzer, FuzzerConfiguration
 from repro.generation.seeds import Seed
-from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.telemetry.metrics import MetricsRegistry
 
 
 # Where a slice task's simulations execute: in the executing process, or on
@@ -102,12 +103,24 @@ class ShardTask:
     # checkpoints.  Ignored by the subprocess simulator (the work runs out
     # of process).
     profile: int = 0
-    # Per-slice telemetry: when on, the runner keeps a per-task metrics
-    # registry (latency histograms, cache/DUT-pool counters) and attaches
-    # its snapshot to the result payload (``payload["metrics"]``).  Like the
-    # diagnostics it never enters deterministic wire forms or checkpoints,
-    # so results are byte-identical on or off.
-    telemetry: bool = True
+
+    def __post_init__(self) -> None:
+        # A task also arrives from the wire (worker daemons, simulator
+        # servers): refuse values no engine would send rather than run them.
+        for name in ("slice_index", "epoch", "profile"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be positive, got {self.iterations}")
+        if not 0 <= self.step_latency < math.inf:
+            raise ValueError(
+                f"step_latency must be finite and non-negative, got {self.step_latency}"
+            )
+        if self.simulator not in SIMULATOR_NAMES:
+            raise ValueError(
+                f"unknown simulator {self.simulator!r} "
+                f"(known: {', '.join(SIMULATOR_NAMES)})"
+            )
 
 
 class ShardCampaignRunner:
@@ -127,11 +140,10 @@ class ShardCampaignRunner:
     def __init__(self, task: ShardTask) -> None:
         self.task = task
         self.started = time.perf_counter()
-        # One registry per task: the snapshot on the payload is this task's
-        # contribution alone, so epoch merges never need delta bookkeeping.
-        self.metrics = (
-            MetricsRegistry() if task.telemetry else NULL_REGISTRY
-        )
+        # One registry per task: the snapshot on the payload
+        # (``payload["metrics"]``) is this task's contribution alone, so epoch
+        # merges never need delta bookkeeping.
+        self.metrics = MetricsRegistry()
         self.fuzzer = DejaVuzzFuzzer(task.configuration, metrics=self.metrics)
         self.baseline = set()
         if task.baseline_points:
@@ -184,7 +196,7 @@ class ShardCampaignRunner:
             self.fuzzer.coverage.points - self.baseline,
             key=lambda point: (point.module, point.tainted_count),
         )
-        payload = {
+        return {
             "slice_index": task.slice_index,
             "epoch": task.epoch,
             "core": task.configuration.core.name,
@@ -201,18 +213,14 @@ class ShardCampaignRunner:
             # scheduler turns it into this task's EngineResult.task_log row.
             # Never enters deterministic wire forms or checkpoints.
             "diagnostics": self.fuzzer.batch_stats(),
-        }
-        if self.task.telemetry:
-            # Fold the end-of-task cache/pool tallies in, then snapshot —
-            # metrics ride the payload like the diagnostics: never
+            # Metrics ride the payload like the diagnostics: never
             # deterministic, merged at epoch boundaries, never checkpointed.
-            self.fuzzer.export_metrics()
-            payload["metrics"] = {
+            "metrics": {
                 "slice_index": task.slice_index,
                 "epoch": task.epoch,
                 **self.metrics.snapshot(),
-            }
-        return payload
+            },
+        }
 
 
 def profile_rows(profiler, top: int) -> List[Dict[str, object]]:

@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -226,14 +227,11 @@ class EngineConfiguration:
     # forms; honored by every backend, ignored under the subprocess
     # simulator (the work runs out of process).
     profile: int = 0
-    # Live campaign telemetry: always on by default (the counters are cheap
-    # enough to keep lit).  Both knobs are pure observation — they never
-    # enter the checkpoint fingerprint or the deterministic wire forms, and
-    # campaign results are byte-identical whether telemetry is on, off, or
-    # its sink is failing.
-    telemetry: bool = True
-    # Directory for the rotating JSONL sink (telemetry-00001.jsonl, ...);
-    # None keeps records in the in-memory ring only (EngineResult.telemetry).
+    # Directory for live campaign telemetry's rotating JSONL sink
+    # (telemetry-00001.jsonl, ...); None keeps records in the in-memory ring
+    # only (EngineResult.telemetry).  Pure observation: it never enters the
+    # checkpoint fingerprint or the deterministic wire forms, and campaign
+    # results are byte-identical whether the sink writes or fails.
     telemetry_dir: Optional[str] = None
     # Write a JSON checkpoint here after every merged epoch; resume with
     # ParallelCampaignEngine.resume_from(path, configuration).
@@ -264,9 +262,9 @@ class EngineConfiguration:
             )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
-        if self.step_latency < 0:
+        if not 0 <= self.step_latency < math.inf:
             raise ValueError(
-                f"step_latency must be non-negative, got {self.step_latency}"
+                f"step_latency must be finite and non-negative, got {self.step_latency}"
             )
         if self.profile < 0:
             raise ValueError(f"profile must be non-negative, got {self.profile}")
@@ -489,10 +487,7 @@ class CampaignScheduler:
         # into its registry at every epoch boundary, and the scheduler emits
         # one structured round record per merge.  Observation only — nothing
         # below ever reads it back into a decision.
-        self.telemetry = CampaignTelemetry(
-            directory=configuration.telemetry_dir,
-            enabled=configuration.telemetry,
-        )
+        self.telemetry = CampaignTelemetry(directory=configuration.telemetry_dir)
 
     # -- deterministic derivations ---------------------------------------------------------
 
@@ -617,10 +612,8 @@ class CampaignScheduler:
         """Emit one structured round record for a just-merged epoch.
 
         Pure observation of already-merged state: nothing here feeds back
-        into scheduling, so results are byte-identical with telemetry off.
+        into scheduling, so campaign results never depend on it.
         """
-        if not self.telemetry.enabled:
-            return
         result = self.state.result
         per_core_gain: Dict[str, int] = {}
         for slice_index, gain in epoch_gains.items():
@@ -790,7 +783,6 @@ class CampaignScheduler:
             step_latency=self.configuration.step_latency,
             simulator=self.configuration.simulator,
             profile=self.configuration.profile,
-            telemetry=self.configuration.telemetry,
         )
 
     def _merge_epoch(
@@ -863,8 +855,8 @@ class CampaignScheduler:
             )
             metrics = payload.get("metrics")
             if metrics:
-                # Per-task metric snapshots (latency histograms, cache
-                # counters) merge into the campaign registry: each task gets
+                # Per-task metric snapshots (latency histograms) merge into
+                # the campaign registry: each task gets
                 # a fresh registry, so snapshots are disjoint contributions
                 # and the merge is plain integer addition — deterministic in
                 # any arrival order, and never part of campaign state.
@@ -1095,7 +1087,6 @@ def run_parallel_campaign(
     listen: Optional[str] = None,
     auth_token: Optional[str] = None,
     backend: Optional[ExecutionBackend] = None,
-    telemetry: bool = True,
     telemetry_dir: Optional[str] = None,
     **fuzzer_overrides,
 ) -> EngineResult:
@@ -1137,7 +1128,6 @@ def run_parallel_campaign(
         checkpoint_path=checkpoint_path,
         listen=listen,
         auth_token=auth_token,
-        telemetry=telemetry,
         telemetry_dir=telemetry_dir,
     )
     return ParallelCampaignEngine(configuration).run(backend=backend)
@@ -1294,12 +1284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rotating JSONL files here; tail them live with "
         "python -m repro.analysis.watch DIR",
     )
-    parser.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable the telemetry counters and record stream entirely "
-        "(results are byte-identical either way)",
-    )
     parser.add_argument("--json", metavar="PATH", help="also dump the merged result as JSON")
     return parser
 
@@ -1348,7 +1332,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             listen=args.listen,
             cores=core_names,
             profile=args.profile,
-            telemetry=not args.no_telemetry,
             telemetry_dir=args.telemetry_dir,
         )
         if args.resume:

@@ -100,10 +100,9 @@ class DejaVuzzFuzzer:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.configuration = configuration
-        # Telemetry is always on by default (the instruments are one int add
-        # per event); pass ``NULL_REGISTRY`` to run with no-op instruments.
-        # Metrics never feed back into fuzzing decisions, so results are
-        # byte-identical either way.
+        # Telemetry is always on (the instruments are one int add per
+        # event).  Metrics never feed back into fuzzing decisions, so
+        # results never depend on them.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.rng = DeterministicRng(configuration.entropy, "fuzzer")
         self.mutator = Mutator(
@@ -342,9 +341,9 @@ class DejaVuzzFuzzer:
         """The window-batching and DUT-pool tallies, listed in one place.
 
         They open each slice task's diagnostics dict (the
-        ``analysis.window_batch_table`` input) and feed
-        :meth:`export_metrics`.  Never part of deterministic wire forms or
-        checkpoints — purely observability.
+        ``analysis.window_batch_table`` input), the one place they are
+        reported.  Never part of deterministic wire forms or checkpoints —
+        purely observability.
         """
         pool = self.phase1.dut_pool
         return {
@@ -354,20 +353,6 @@ class DejaVuzzFuzzer:
             "dut_constructions": pool.constructions,
             "dut_reuses": pool.reuses,
         }
-
-    def export_metrics(self) -> None:
-        """Fold the DUT-pool and window-batch tallies into the metrics registry.
-
-        The underlying objects already count these; this copies the final
-        tallies into registry counters so one snapshot carries everything.
-        Call once per campaign (the shard runner does, at payload build).
-        """
-        phase1 = self.metrics.scope("phase1")
-        stats = self.batch_stats()
-        # The widest batch is a maximum, not a tally: counters would sum it.
-        del stats["max_batch"]
-        for name, value in stats.items():
-            phase1.counter(name).add(value)
 
     def _average_gain(self) -> float:
         if not self._gain_history:

@@ -25,7 +25,7 @@ from repro.generation.trigger import TriggerGenerator, TriggerSpec
 from repro.swapmem.memory import SwapMemory
 from repro.swapmem.packets import SwapSchedule
 from repro.swapmem.scheduler import SwapRunner, SwapRunResult
-from repro.telemetry.metrics import NULL_REGISTRY
+from repro.telemetry.metrics import MetricsRegistry
 from repro.uarch.config import CoreConfig, TaintTrackingMode
 from repro.uarch.processor import Processor
 
@@ -89,7 +89,6 @@ class Phase1Result:
     training_overhead: int = 0
     effective_training_overhead: int = 0
     training_required: bool = True
-    last_run: Optional[SwapRunResult] = None
 
 
 class TransientWindowTriggering:
@@ -108,9 +107,9 @@ class TransientWindowTriggering:
         # that no module-global state is read or mutated.
         self.dut_pool = DutPool(config)
         # Telemetry instruments, resolved once so the hot path holds direct
-        # references; ``metrics`` is a MetricsRegistry/MetricsScope (or None
-        # for the shared no-op registry — record/add become empty calls).
-        scope = metrics if metrics is not None else NULL_REGISTRY
+        # references; ``metrics`` is a MetricsRegistry/MetricsScope (None
+        # records into a private registry nobody reads).
+        scope = metrics if metrics is not None else MetricsRegistry()
         self._sim_seconds = scope.histogram("sim_seconds")
 
     # -- Step 1.1: trigger generation ------------------------------------------------
@@ -146,11 +145,10 @@ class TransientWindowTriggering:
                 schedule=schedule,
                 triggered=False,
                 simulations_used=simulations,
-                last_run=run_result,
             )
 
-        reduced_schedule, extra_simulations, last_run = self._reduce_training(
-            schedule, secret_value, run_result
+        reduced_schedule, extra_simulations = self._reduce_training(
+            schedule, secret_value
         )
         simulations += extra_simulations
         training_required = len(reduced_schedule.training_packets()) > 0
@@ -163,12 +161,11 @@ class TransientWindowTriggering:
             training_overhead=reduced_schedule.training_overhead(),
             effective_training_overhead=reduced_schedule.effective_training_overhead(),
             training_required=training_required,
-            last_run=last_run,
         )
 
     def _reduce_training(
-        self, schedule: SwapSchedule, secret: int, baseline_run: SwapRunResult
-    ) -> tuple:
+        self, schedule: SwapSchedule, secret: int
+    ) -> Tuple[SwapSchedule, int]:
         """The training reduction strategy (§4.1.2).
 
         Remove one trigger-training packet at a time (in schedule order) and
@@ -182,7 +179,6 @@ class TransientWindowTriggering:
         """
         current = schedule
         simulations = 0
-        last_run = baseline_run
         surviving = list(schedule.packets)
         for packet in schedule.training_packets():
             index = surviving.index(packet)
@@ -196,10 +192,9 @@ class TransientWindowTriggering:
             simulations += 1
             if run_result.window_triggered():
                 current = candidate
-                last_run = run_result
             else:
                 surviving.insert(index, packet)
-        return current, simulations, last_run
+        return current, simulations
 
     # -- simulation helper ----------------------------------------------------------------
 

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from repro.core.fuzzer import FuzzerConfiguration
 
 # The worker fabric's protocol revision, carried in HELLO.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 # Upper bound on one frame, newline included, and on every checkpoint and
 # telemetry line; longer is malformed.
@@ -178,7 +178,6 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
         "step_latency": task.step_latency,
         "simulator": task.simulator,
         "profile": task.profile,
-        "telemetry": task.telemetry,
     }
 
 

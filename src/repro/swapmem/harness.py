@@ -10,6 +10,12 @@ same swap schedule, and exposes
 * whether the final side-channel fingerprints differ (SpecDoctor's oracle),
 * instance 0's taint state, computed under diffIFT with the cross-instance
   difference oracle wired to instance 1's recorded control decisions.
+
+Instance 1 (the variant) runs untainted: the diff oracle reads only the
+values of its control decisions, which do not depend on the taint mode, and
+no result reads its taint state.  Its secret is still marked, because which
+decisions it logs (a tainted load address, a rollback over tainted
+instructions) follows the marked secret region in every mode.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ class DualCoreHarness:
             config, memory=self.memory_primary.data, taint_mode=taint_mode
         )
         self.processor_variant = Processor(
-            config, memory=self.memory_variant.data, taint_mode=taint_mode
+            config, memory=self.memory_variant.data, taint_mode=TaintTrackingMode.NONE
         )
 
     def run(self) -> DifferentialRunResult:

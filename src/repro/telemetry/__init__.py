@@ -14,9 +14,10 @@ Three layers, deliberately decoupled from the deterministic campaign state:
   external scraper can tail, and the engine-side ``CampaignTelemetry``
   pipeline tying them together.
 
-Telemetry is diagnostics only: nothing here is checkpointed, fingerprinted,
-or part of ``campaign_deterministic`` — results are byte-identical with
-telemetry on, off, or failing mid-run.
+Telemetry is always on and diagnostics only: nothing here is checkpointed,
+fingerprinted, or part of ``campaign_deterministic``, and nothing reads it
+back into a decision — results are byte-identical whether it records,
+records nothing, or its sink fails mid-run.
 """
 
 from repro.telemetry.events import RoundEvent
@@ -26,7 +27,6 @@ from repro.telemetry.metrics import (
     LatencyHistogram,
     MetricsRegistry,
     MetricsScope,
-    NULL_REGISTRY,
     diff_snapshots,
 )
 from repro.telemetry.sink import CampaignTelemetry, TelemetryRing, TelemetrySink
@@ -38,7 +38,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsScope",
-    "NULL_REGISTRY",
     "RoundEvent",
     "TelemetryRing",
     "TelemetrySink",

@@ -8,10 +8,6 @@ histograms recorded on different workers and joined in *any* order (inline,
 process-pool, or distributed arrival order) produce byte-identical merged
 buckets and percentiles.  That property is what lets metric snapshots ride
 the result payloads without threatening the engine's determinism oracle.
-
-When telemetry is off, :data:`NULL_REGISTRY` hands out shared no-op
-instances whose ``add``/``record`` are empty methods — the
-instrumentation points pay one no-op call, nothing else.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsScope",
-    "NULL_REGISTRY",
     "diff_snapshots",
 ]
 
@@ -124,24 +119,6 @@ class LatencyHistogram:
         return histogram
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def add(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullHistogram(LatencyHistogram):
-    __slots__ = ()
-
-    def record(self, seconds: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsScope:
     """A name-prefixing view of a registry (``scope.counter("x")`` →
     ``registry.counter("prefix/x")``)."""
@@ -164,28 +141,22 @@ class MetricsRegistry:
 
     Instruments are memoized by name, so instrumentation points can resolve
     them once (at construction) and hold direct references — the hot path
-    never does a dict lookup.  A disabled registry returns shared no-op
-    instances and snapshots to empty tables.
+    never does a dict lookup.
     """
 
-    __slots__ = ("enabled", "_counters", "_histograms")
+    __slots__ = ("_counters", "_histograms")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter()
         return instrument
 
     def histogram(self, name: str) -> LatencyHistogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = LatencyHistogram()
@@ -213,17 +184,12 @@ class MetricsRegistry:
         Counters and histogram buckets add.  Because everything is integer addition, merging the same snapshots
         in any order produces the same state.
         """
-        if not self.enabled or not snapshot:
+        if not snapshot:
             return
         for name, value in (snapshot.get("counters") or {}).items():
             self.counter(name).add(int(value))
         for name, payload in (snapshot.get("histograms") or {}).items():
             self.histogram(name).merge_dict(payload)
-
-
-#: The shared disabled registry: hand this to instrumentation points when
-#: telemetry is off and every record/add call is a no-op.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 
 def diff_snapshots(

@@ -29,7 +29,12 @@ from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["CampaignTelemetry", "TelemetryRing", "TelemetrySink"]
 
-_FILE_PATTERN = re.compile(r"^(?P<prefix>[\w.-]+)-(?P<index>\d{5})\.jsonl$")
+# The ring keeps the newest RING_CAPACITY records; a sink file rotates to
+# the next number before it would exceed MAX_FILE_BYTES.
+RING_CAPACITY = 512
+MAX_FILE_BYTES = 4_000_000
+
+_FILE_PATTERN = re.compile(r"^telemetry-(?P<index>\d{5})\.jsonl$")
 
 
 class TelemetryRing:
@@ -39,11 +44,10 @@ class TelemetryRing:
     campaign wire forms.
     """
 
-    __slots__ = ("capacity", "_records",)
+    __slots__ = ("_records",)
 
-    def __init__(self, capacity: int = 512) -> None:
-        self.capacity = capacity
-        self._records: Deque[Dict[str, object]] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._records: Deque[Dict[str, object]] = deque(maxlen=RING_CAPACITY)
 
     def append(self, record: Dict[str, object]) -> None:
         self._records.append(record)
@@ -63,21 +67,14 @@ class TelemetryRing:
 class TelemetrySink:
     """Rotating JSONL writer for a telemetry directory.
 
-    Files are ``<prefix>-00001.jsonl``, ``<prefix>-00002.jsonl``, … — a new
-    number when the current file would exceed ``max_bytes``.  On
-    construction the sink resumes after the highest existing number, so a
-    resumed campaign appends a fresh file instead of clobbering history.
+    Files are ``telemetry-00001.jsonl``, ``telemetry-00002.jsonl``, … — a
+    new number when the current file would exceed :data:`MAX_FILE_BYTES`.
+    On construction the sink resumes after the highest existing number, so
+    a resumed campaign appends a fresh file instead of clobbering history.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        max_bytes: int = 4_000_000,
-        prefix: str = "telemetry",
-    ) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.max_bytes = max_bytes
-        self.prefix = prefix
         self.failed = False
         self.records_written = 0
         self._index = 1
@@ -96,17 +93,12 @@ class TelemetrySink:
 
     @property
     def current_path(self) -> str:
-        return os.path.join(
-            self.directory, f"{self.prefix}-{self._index:05d}.jsonl"
-        )
+        return os.path.join(self.directory, f"telemetry-{self._index:05d}.jsonl")
 
     def files(self) -> List[str]:
-        """All of this sink family's files, in rotation order."""
+        """All of this sink's files, in rotation order."""
         names = [
-            name
-            for name in os.listdir(self.directory)
-            if (match := _FILE_PATTERN.match(name)) is not None
-            and match.group("prefix") == self.prefix
+            name for name in os.listdir(self.directory) if _FILE_PATTERN.match(name)
         ]
         return [os.path.join(self.directory, name) for name in sorted(names)]
 
@@ -115,7 +107,7 @@ class TelemetrySink:
         if self.failed:
             return False
         line = encode_frame(record)
-        if self._size and self._size + len(line) > self.max_bytes:
+        if self._size and self._size + len(line) > MAX_FILE_BYTES:
             self._index += 1
             self._size = 0
         try:
@@ -147,28 +139,19 @@ class CampaignTelemetry:
     the optional rotating file sink.
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        enabled: bool = True,
-        ring_capacity: int = 512,
-    ) -> None:
-        self.enabled = enabled
-        self.registry = MetricsRegistry(enabled=enabled)
-        self.ring = TelemetryRing(capacity=ring_capacity)
+    def __init__(self, directory: Optional[str] = None) -> None:
+        self.registry = MetricsRegistry()
+        self.ring = TelemetryRing()
         self.sink: Optional[TelemetrySink] = (
-            TelemetrySink(directory) if (enabled and directory) else None
+            TelemetrySink(directory) if directory else None
         )
 
-    def emit(self, record: Dict[str, object]) -> bool:
+    def emit(self, record: Dict[str, object]) -> None:
         """Emit one record to the ring and (when configured) the sink."""
-        if not self.enabled:
-            return False
         record.setdefault("ts", round(time.time(), 3))
         self.ring.append(record)
         if self.sink is not None:
             self.sink.emit(record)
-        return True
 
     def merge_metrics(self, snapshot: Optional[Dict[str, object]]) -> None:
         self.registry.merge_snapshot(snapshot)

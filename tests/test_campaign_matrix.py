@@ -1,11 +1,11 @@
 """The campaign-equivalence matrix: the repo's one determinism oracle.
 
-Every backend, simulator mode, profiling knob, telemetry setting and resume
+Every backend, simulator mode, profiling knob, telemetry sink and resume
 at another shard count must give a byte-identical ``campaign_deterministic``
 and the same per-core coverage points as one reference campaign: the inline
-backend, the in-process simulator, telemetry off, with the reference paths
-of ``reference_paths.py`` (fresh DUTs, full census) applied.  The reference is computed once per
-session.
+backend, the in-process simulator, with the fakes of ``reference_paths.py``
+(fresh DUTs, full census, dark telemetry) applied.  The reference is
+computed once per session.
 
 The arms cover every value of every axis at least once; they are not the
 full cross product.  Each arm runs its campaign once.  Besides the wire
@@ -61,7 +61,7 @@ from repro.core.fuzzer import FuzzerConfiguration
 from repro.core.worker import run_worker
 from repro.sim.client import close_default_pool, default_pool
 
-from reference_paths import reference_paths
+from reference_paths import dark_telemetry, reference_paths
 
 CORES = ["boom", "xiangshan"]
 SLICES = 4
@@ -123,8 +123,8 @@ class Outcome:
     def task_rows(self):
         return [row for record in self.records_of("tasks") for row in record["rows"]]
 
-    def counters(self):
-        return self.records_of("campaign")[-1]["metrics"]["counters"]
+    def histograms(self):
+        return self.records_of("campaign")[-1]["metrics"]["histograms"]
 
     def records_of(self, kind):
         return [record for record in self.records if record["type"] == kind]
@@ -497,10 +497,10 @@ class Matrix:
 
 
 def reference_outcome(directory):
-    """The reference campaign: inline, telemetry off, reference paths applied."""
+    """The reference campaign: inline, with every reference-path fake applied."""
     with pytest.MonkeyPatch.context() as patch:
         reference_paths(patch)
-        result = run(telemetry=False)
+        result = run()
     return from_result(result, directory)
 
 
@@ -576,14 +576,15 @@ def test_batch_table_matches_the_metric_registry(matrix, name):
     rows = window_batch_table(outcome.task_rows())
     assert [row["slice"] for row in rows] == list(range(SLICES))
     assert all(row["tasks"] == outcome.epochs_run for row in rows)
-    counters = outcome.counters()
-
-    def total(key):
-        return sum(row[key] for row in rows)
-
-    assert total("batches") == counters["phase1/window_batches"] > 0
-    assert total("batch_simulations") == counters["phase1/batch_simulations"]
-    assert total("dut_reuses") == counters["phase1/dut_reuses"]
+    # The merged histograms time each Phase-1 simulation and window batch
+    # once, wherever the slice task ran.
+    histograms = outcome.histograms()
+    assert sum(row["batches"] for row in rows) == (
+        histograms["runner/window_batch_seconds"]["count"]
+    )
+    assert sum(row["batch_simulations"] for row in rows) == (
+        histograms["phase1/sim_seconds"]["count"]
+    ) > 0
 
 
 @pytest.mark.parametrize("name", [name for name in ARMS if name != "inline"])
@@ -605,10 +606,7 @@ def test_batch_counters_are_the_same_on_every_path(matrix, name):
 # -- what each path adds ---------------------------------------------------------------------
 
 
-def test_telemetry_reaches_the_ring_and_the_sink_and_survives_a_dead_sink(
-    matrix, reference
-):
-    assert len(reference.result.telemetry) == 0  # off leaves the ring empty
+def test_telemetry_reaches_the_ring_and_the_sink_and_survives_a_dead_sink(matrix):
     inline = matrix["inline"]
     assert inline.records_of("round") and inline.records_of("campaign")
     stream = sink(matrix["inline-sink"].directory)
@@ -617,20 +615,23 @@ def test_telemetry_reaches_the_ring_and_the_sink_and_survives_a_dead_sink(
     assert matrix["inline-failing-sink"].result.telemetry.records("round")
 
 
-def test_task_log_fills_with_telemetry_off_and_a_failing_sink(matrix):
+def test_task_log_fills_with_telemetry_dark_and_a_failing_sink(matrix):
     def stripped(result):
         return [
             {key: value for key, value in row.items() if key != "wall_seconds"}
             for row in result.task_log
         ]
 
-    # The reference is off too, but its fakes change the DUT and simulation
-    # counters; this run differs from the inline arm only in telemetry.
-    off = run(telemetry=False)
-    assert len(off.telemetry) == 0
-    assert stripped(off) == stripped(matrix["inline"].result)
+    # The reference is dark too, but its other fakes change the DUT and
+    # simulation counters; this run differs from the inline arm only in
+    # telemetry.
+    with pytest.MonkeyPatch.context() as patch:
+        dark_telemetry(patch)
+        dark = run()
+    assert len(dark.telemetry) == 0
+    assert stripped(dark) == stripped(matrix["inline"].result)
     assert stripped(matrix["inline-failing-sink"].result) == stripped(matrix["inline"].result)
-    assert len(off.task_log) == SLICES * EPOCHS
+    assert len(dark.task_log) == SLICES * EPOCHS
 
 
 @pytest.mark.parametrize(

@@ -138,7 +138,6 @@ class TestWireForms:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda wire: wire.update(telemetry="no"), "telemetry must be bool, got str"),
             (lambda wire: wire.update(simulator=None), "simulator must be str, got NoneType"),
             (lambda wire: wire.update(iterations=2.9), "iterations must be int, got float"),
             (
@@ -148,19 +147,54 @@ class TestWireForms:
             (lambda wire: wire.update(initial_seed={"seed_id": 1}), "initial_seed lacks core"),
             # An empty seed is no seed at all, not "start from a fresh one".
             (lambda wire: wire.update(initial_seed={}), "initial_seed lacks core"),
+            # Well-typed values no engine sends: an infinite latency raised
+            # OverflowError from time.sleep, a huge one wedged the worker.
+            (lambda wire: wire.update(simulator="bogus"), "unknown simulator 'bogus'"),
+            (
+                lambda wire: wire.update(step_latency=float("nan")),
+                "step_latency must be finite and non-negative, got nan",
+            ),
+            (
+                lambda wire: wire.update(step_latency=-1),
+                "step_latency must be finite and non-negative, got -1",
+            ),
+            (
+                lambda wire: wire.update(step_latency=float("inf")),
+                "step_latency must be finite and non-negative, got inf",
+            ),
+            (lambda wire: wire.update(profile=-3), "profile must be non-negative, got -3"),
+            (lambda wire: wire.update(iterations=-5), "iterations must be positive, got -5"),
+            (lambda wire: wire.update(iterations=0), "iterations must be positive, got 0"),
+            (
+                lambda wire: wire.update(slice_index=-1),
+                "slice_index must be non-negative, got -1",
+            ),
+            (lambda wire: wire.update(epoch=-1), "epoch must be non-negative, got -1"),
+            # A protocol-5 peer still sends the removed telemetry switch.
+            (lambda wire: wire.update(telemetry=True), "unknown telemetry"),
         ],
         ids=[
-            "telemetry-str",
             "simulator-null",
             "iterations-float",
             "entropy-str",
             "seed-partial",
             "seed-empty",
+            "simulator-bogus",
+            "latency-nan",
+            "latency-negative",
+            "latency-infinite",
+            "profile-negative",
+            "iterations-negative",
+            "iterations-zero",
+            "slice-negative",
+            "epoch-negative",
+            "telemetry-key",
         ],
     )
     def test_a_shard_task_value_of_the_wrong_type_is_refused(self, corrupt, message):
         # Converting instead of checking would run another task than the one
-        # sent ("no" is truthy, None becomes 'None', 2.9 becomes 2).
+        # sent (None becomes 'None', 2.9 becomes 2); a value out of bounds
+        # would run a task no engine builds.
         wire = shard_task_to_wire(make_task())
         corrupt(wire)
         with pytest.raises(ValueError, match=message):
@@ -596,7 +630,7 @@ class TestWorkerProtocolErrors:
 
     def test_task_missing_a_wire_key_reconnects(self):
         wire = shard_task_to_wire(make_task())
-        del wire["telemetry"]
+        del wire["profile"]
         frame = {"type": "TASK", "tasks": [{"task_id": "e0-s0", "task": wire}]}
         code, hellos = self.serve_fake_coordinator(
             (json.dumps(frame) + "\n").encode("utf-8")

@@ -364,8 +364,11 @@ class TestParallelCampaignEngine:
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), sync_epochs=0)
         with pytest.raises(ValueError, match="sync_epochs"):
             EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), sync_epochs=-3)
-        with pytest.raises(ValueError, match="step_latency"):
-            EngineConfiguration(fuzzer=FuzzerConfiguration(core=BOOM), step_latency=-0.1)
+        for latency in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step_latency"):
+                EngineConfiguration(
+                    fuzzer=FuzzerConfiguration(core=BOOM), step_latency=latency
+                )
         # Slice-epoch seed-id bases must never reach the transfer namespace
         # (slice 99 epoch 0 would land exactly on TRANSFER_SEED_ID_BASE).
         with pytest.raises(ValueError, match="seed-id namespace"):

@@ -8,8 +8,6 @@ forms.  Phase 1 has no simulation memo: every leave-one-out candidate is a
 different schedule, so each counted simulation really runs.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.backends import ShardTask, run_shard_task
@@ -73,16 +71,26 @@ class TestDutPool:
         """For every window type the warm DUT serves all but the first
         simulation, and Phase 1 decides exactly as on fresh DUTs."""
         seed = Seed(seed_id=5, entropy=13, window_type=window_type)
+        real_run = SwapRunner.run
 
         def phase1_run():
-            phase1 = TransientWindowTriggering(BOOM)
-            result = phase1.run(seed)
-            run = result.last_run
+            # Every simulation's observables, not only the outcome's.
+            runs = []
+
+            def recording_run(self):
+                run = real_run(self)
+                runs.append((run.total_cycles, sorted(run.window_pcs), run.packet_records))
+                return run
+
+            with monkeypatch.context() as patch:
+                patch.setattr(SwapRunner, "run", recording_run)
+                phase1 = TransientWindowTriggering(BOOM)
+                result = phase1.run(seed)
+            assert len(runs) == result.simulations_used
             outcome = (
-                dataclasses.replace(result, last_run=None),
+                result,
                 [packet.name for packet in result.schedule.packets],
-                None if run is None else (run.total_cycles, sorted(run.window_pcs)),
-                None if run is None else run.packet_records,
+                runs,
             )
             return phase1.dut_pool, result.simulations_used, outcome
 
@@ -142,8 +150,8 @@ class TestTrainingReduction:
             baseline = phase1._simulate(schedule, seed.secret_value)
             if not baseline.window_triggered():
                 continue
-            reduced, simulations, _ = phase1._reduce_training(
-                schedule, seed.secret_value, baseline
+            reduced, simulations = phase1._reduce_training(
+                schedule, seed.secret_value
             )
             # Reference implementation: rebuild via chained without_packet.
             reference = schedule

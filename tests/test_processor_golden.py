@@ -11,6 +11,9 @@ produces on fixed inputs:
   through ``Processor.reset``);
 * two diffIFT dual-DUT runs of Phase-2 completed schedules (secret access
   and encoding in the window), which add the per-cycle taint census series.
+  The harness runs its variant DUT untainted, so the variant's digests come
+  from the same stimulus run under diffIFT on its own, and the harness's
+  variant must match them on everything but the census.
 
 For each run it digests every trace event list (enqueue, commit, squash,
 redirect, trap), the final registers, the side-channel fingerprint, the
@@ -36,8 +39,11 @@ from repro.core.phase2 import TransientExecutionExploration
 from repro.generation.seeds import Seed
 from repro.generation.window_types import TransientWindowType
 from repro.swapmem.harness import DualCoreHarness
+from repro.swapmem.layout import DEFAULT_LAYOUT
+from repro.swapmem.memory import SwapMemory
 from repro.swapmem.scheduler import SwapRunner
 from repro.uarch.config import TaintTrackingMode
+from repro.uarch.processor import Processor
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "processor_golden.json")
 
@@ -141,7 +147,13 @@ def compute_golden() -> Dict[str, Dict[str, str]]:
         ).run()
         prefix = f"diffift/{core}/{window_type.value}"
         golden[f"{prefix}/primary"] = _run_digests(run.primary, census=True)
-        golden[f"{prefix}/variant"] = _run_digests(run.variant, census=True)
+        swap_memory = SwapMemory(secret=run.variant_secret)
+        processor = Processor(config, memory=swap_memory.data, taint_mode=TaintTrackingMode.DIFFIFT)
+        processor.mark_secret(DEFAULT_LAYOUT.secret_address, DEFAULT_LAYOUT.secret_size)
+        variant = _run_digests(SwapRunner(processor, swap_memory, schedule).run(), census=True)
+        untainted = _run_digests(run.variant, census=False)
+        assert untainted == {name: digest for name, digest in variant.items() if name != "census"}
+        golden[f"{prefix}/variant"] = variant
     return golden
 
 

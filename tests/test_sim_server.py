@@ -213,6 +213,15 @@ class TestEdgeCases:
         follow_up = server.request(load(make_task()))
         assert follow_up["type"] == "LOADED"
 
+    def test_out_of_bounds_task_is_refused(self, server):
+        # Well-typed but out of bounds: the server answers ERROR instead of
+        # sleeping forever (or raising) at the first step.
+        frame = load(make_task())
+        frame["task"]["step_latency"] = float("inf")
+        with pytest.raises(SimProtocolError, match="malformed task: step_latency"):
+            server.request(frame)
+        assert server.request(load(make_task()))["type"] == "LOADED"
+
     def test_step_after_finish(self, server):
         server.request(load(make_task()))
         while not server.request({"type": "STEP"})["done"]:

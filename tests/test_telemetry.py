@@ -1,7 +1,8 @@
 """Tests for the live campaign telemetry pipeline.
 
 The shared contract under test: telemetry is *pure observation* — the same
-campaign run with telemetry on, off, or with a failing sink produces
+campaign run with telemetry lit, dark (the ``reference_paths.dark_telemetry``
+fake), or with a failing sink produces
 byte-identical deterministic wire forms on every execution path (checked by
 ``test_campaign_matrix.py``) — and the metric primitives merge
 deterministically in any join order, because worker payloads arrive in
@@ -14,11 +15,12 @@ import sys
 
 import pytest
 
+import repro.telemetry.sink
+
 from repro.analysis import latency_percentiles, telemetry_table
 from repro.analysis.watch import TelemetryFollower, validate_record
 from repro.analysis.watch import main as watch_main
 from repro.core.backends import ShardTask, run_shard_task
-from repro.core.wire import shard_task_from_wire, shard_task_to_wire
 from repro.core.engine import (
     EngineConfiguration,
     EngineResult,
@@ -33,12 +35,13 @@ from repro.telemetry import (
     CampaignTelemetry,
     LatencyHistogram,
     MetricsRegistry,
-    NULL_REGISTRY,
     TelemetryRing,
     TelemetrySink,
     diff_snapshots,
 )
 from repro.uarch import small_boom_config
+
+from reference_paths import dark_telemetry
 
 BOOM = small_boom_config()
 
@@ -135,20 +138,6 @@ class TestMetricsRegistry:
         assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h") is registry.histogram("h")
 
-    def test_disabled_registry_hands_out_null_instruments(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("x")
-        counter.add(5)
-        histogram = registry.histogram("h")
-        histogram.record(1.0)
-        assert registry.snapshot() == {
-            "counters": {},
-            "histograms": {},
-        }
-        # The null instruments are shared singletons, and NULL_REGISTRY is
-        # the canonical off switch.
-        assert NULL_REGISTRY.counter("anything") is NULL_REGISTRY.counter("else")
-
     def test_snapshot_merge_in_any_order(self):
         def shard(values):
             registry = MetricsRegistry()
@@ -186,8 +175,9 @@ class TestMetricsRegistry:
 
 
 class TestTelemetrySink:
-    def test_rotation_creates_numbered_files(self, tmp_path):
-        sink = TelemetrySink(str(tmp_path), max_bytes=120)
+    def test_rotation_creates_numbered_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repro.telemetry.sink, "MAX_FILE_BYTES", 120)
+        sink = TelemetrySink(str(tmp_path))
         for index in range(12):
             assert sink.emit({"type": "round", "epoch": index, "pad": "x" * 40})
         files = sink.files()
@@ -220,19 +210,14 @@ class TestTelemetrySink:
 class TestCampaignTelemetry:
     def test_ring_and_sink_receive_records(self, tmp_path):
         pipeline = CampaignTelemetry(directory=str(tmp_path))
-        assert pipeline.emit({"type": "worker", "epoch": 0, "deliveries": []})
+        pipeline.emit({"type": "worker", "epoch": 0, "deliveries": []})
         assert len(pipeline.ring) == 1
         assert pipeline.sink.records_written == 1
         assert "ts" in pipeline.ring.records()[0]
 
-    def test_disabled_pipeline_is_inert(self, tmp_path):
-        pipeline = CampaignTelemetry(directory=str(tmp_path), enabled=False)
-        assert not pipeline.emit({"type": "round"})
-        assert len(pipeline.ring) == 0
-        assert pipeline.sink is None  # no directory is even created for it
-
-    def test_ring_is_bounded(self):
-        ring = TelemetryRing(capacity=4)
+    def test_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(repro.telemetry.sink, "RING_CAPACITY", 4)
+        ring = TelemetryRing()
         for index in range(10):
             ring.append({"type": "round", "epoch": index})
         assert len(ring) == 4
@@ -243,7 +228,7 @@ class TestCampaignTelemetry:
 
 
 class TestConfiguration:
-    def test_telemetry_knobs_stay_out_of_the_fingerprint(self, tmp_path):
+    def test_telemetry_dir_stays_out_of_the_fingerprint(self, tmp_path):
         def configuration(**telemetry):
             return EngineConfiguration(
                 fuzzer=FuzzerConfiguration(core=BOOM, entropy=3),
@@ -254,35 +239,11 @@ class TestConfiguration:
         with_telemetry = ParallelCampaignEngine(
             configuration(telemetry_dir=str(tmp_path))
         )
-        without = ParallelCampaignEngine(configuration(telemetry=False))
+        without = ParallelCampaignEngine(configuration())
         assert (
             with_telemetry.scheduler.configuration_fingerprint()
             == without.scheduler.configuration_fingerprint()
         )
-
-    def test_shard_task_wire_round_trip(self):
-        task = ShardTask(
-            slice_index=1,
-            epoch=0,
-            iterations=4,
-            configuration=FuzzerConfiguration(core=BOOM, entropy=5),
-            telemetry=False,
-        )
-        decoded = shard_task_from_wire(shard_task_to_wire(task))
-        assert decoded.telemetry is False
-
-    def test_missing_telemetry_wire_key_is_an_error(self):
-        wire = shard_task_to_wire(
-            ShardTask(
-                slice_index=0,
-                epoch=0,
-                iterations=4,
-                configuration=FuzzerConfiguration(core=BOOM, entropy=5),
-            )
-        )
-        del wire["telemetry"]
-        with pytest.raises(ValueError, match="lacks telemetry"):
-            shard_task_from_wire(wire)
 
 
 BATCH_COUNTERS = dict(
@@ -328,8 +289,8 @@ class TestSummaryProcesses:
 
 
 class TestTelemetryIsPureObservation:
-    def test_subprocess_simulator_matches_inproc(self):
-        def task(simulator, telemetry):
+    def test_subprocess_simulator_matches_inproc(self, monkeypatch):
+        def task(simulator):
             return ShardTask(
                 slice_index=0,
                 epoch=0,
@@ -338,7 +299,6 @@ class TestTelemetryIsPureObservation:
                     core=BOOM, entropy=6, seed_id_base=10
                 ),
                 simulator=simulator,
-                telemetry=telemetry,
             )
 
         def deterministic_payload(payload):
@@ -353,22 +313,26 @@ class TestTelemetryIsPureObservation:
                 "top_seeds": payload["top_seeds"],
             }
 
-        reference = run_shard_task(task("inproc", False))
-        assert "metrics" not in reference  # telemetry off: no snapshot rides
+        with monkeypatch.context() as patch:
+            dark_telemetry(patch)
+            reference = run_shard_task(task("inproc"))
         try:
-            subprocess_payload = run_shard_task(task("subprocess", True))
+            subprocess_payload = run_shard_task(task("subprocess"))
         finally:
             # Don't leak a warm server into other tests' spawn accounting.
             close_default_pool()
         assert deterministic_payload(subprocess_payload) == deterministic_payload(
             reference
         )
-        metrics = subprocess_payload["metrics"]
-        assert metrics["counters"]["phase1/batch_simulations"] > 0
-        assert "runner/window_batch_seconds" in metrics["histograms"]
+        histograms = subprocess_payload["metrics"]["histograms"]
         # The client merged its process counters into the diagnostics.
         diagnostics = subprocess_payload["diagnostics"]
-        assert diagnostics["window_batches"] > 0
+        assert histograms["phase1/sim_seconds"]["count"] == (
+            diagnostics["batch_simulations"]
+        ) > 0
+        assert histograms["runner/window_batch_seconds"]["count"] == (
+            diagnostics["window_batches"]
+        )
         assert diagnostics["request_latency"]["count"] > 0
 
 
@@ -400,8 +364,9 @@ class TestEngineTelemetry:
         assert campaign["coverage_total"] == result.total_coverage()
         # The merged per-task metrics accumulated across all epochs.
         metrics = result.telemetry.records("metrics")[-1]
-        assert metrics["counters"]["phase1/batch_simulations"] > 0
-        assert metrics["histograms"]["phase1/sim_seconds"]["count"] > 0
+        assert metrics["histograms"]["phase1/sim_seconds"]["count"] == sum(
+            row["batch_simulations"] for row in result.task_log
+        ) > 0
 
     def test_resume_appends_to_a_fresh_sink_file(self, tmp_path):
         def configuration(checkpoint):

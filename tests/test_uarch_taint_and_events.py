@@ -374,20 +374,26 @@ class TestTaintModeInvariance:
     @pytest.mark.parametrize("core", CORES)
     def test_variant_observables_do_not_depend_on_taint_mode(self, core, window_type):
         """What the primary's diff oracle and the leak oracles read from the
-        variant DUT (its control decisions, its cycle count and its
-        side-channel fingerprint) is the same whether the variant runs
-        untainted or under diffIFT: the precondition for running it
-        untainted."""
+        variant DUT (its control decisions, its cycle counts and its
+        side-channel fingerprint) is the same for the harness's untainted
+        variant and for one run under diffIFT with the secret marked: the
+        precondition for running it untainted."""
         config, seed, schedules = self._schedules(core, window_type)
+
+        def observed(run):
+            return (
+                [(event.kind, event.key, event.value) for event in run.processor.taint.control_log],
+                run.total_cycles,
+                run.transient_packet_cycles(),
+                run.processor.side_channel_fingerprint(),
+            )
+
         for schedule in schedules:
-            observed = []
-            for mode in (Mode.NONE, Mode.DIFFIFT):
-                variant = DualCoreHarness(config, schedule, seed.secret_value, taint_mode=mode).run().variant
-                observed.append(
-                    (
-                        [(event.kind, event.key, event.value) for event in variant.processor.taint.control_log],
-                        variant.total_cycles,
-                        variant.processor.side_channel_fingerprint(),
-                    )
-                )
-            assert observed[0] == observed[1]
+            harness = DualCoreHarness(config, schedule, seed.secret_value)
+            assert harness.processor_variant.taint.mode is Mode.NONE
+            untainted = harness.run().variant
+            swap_memory = SwapMemory(secret=harness.variant_secret)
+            processor = Processor(config, memory=swap_memory.data, taint_mode=Mode.DIFFIFT)
+            processor.mark_secret(DEFAULT_LAYOUT.secret_address, DEFAULT_LAYOUT.secret_size)
+            tainted = SwapRunner(processor, swap_memory, schedule).run()
+            assert observed(untainted) == observed(tainted)
