@@ -35,7 +35,11 @@ from repro.core import (
 )
 from repro.uarch import small_boom_config
 
-TOTAL_ITERATIONS = 16
+# Four iterations per slice-epoch.  A resumed slice task that holds a window
+# runs no Phase 1, so with one iteration per task the resumed tasks' waits
+# differ by 3x and the longest task, not the wave count, sets the wall clock;
+# over four iterations the tasks even out.
+TOTAL_ITERATIONS = 64
 CHECKPOINT_SHARDS = 4
 # One slice task per doubled shard: the doubled resume runs each epoch in
 # one wave of tasks, the original in two.

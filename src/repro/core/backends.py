@@ -60,8 +60,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.coverage import TaintCoverageMatrix
-from repro.core.fuzzer import CampaignStep, DejaVuzzFuzzer, FuzzerConfiguration
-from repro.generation.seeds import Seed
+from repro.core.fuzzer import CampaignStep, DejaVuzzFuzzer, FuzzerConfiguration, LoopState
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -87,7 +86,10 @@ class ShardTask:
     epoch: int
     iterations: int
     configuration: FuzzerConfiguration
-    initial_seed: Optional[Dict[str, object]] = None
+    # Where the slice's fuzzer loop starts: the wire form of a
+    # repro.core.fuzzer.LoopState (the previous task's, or a redistributed
+    # seed's), or None for a fresh seed.
+    loop_state: Optional[Dict[str, object]] = None
     baseline_points: List[Dict[str, object]] = field(default_factory=list)
     # Injected wait per simulator invocation (seconds): models a slow external
     # (RTL) simulator behind the same protocol.  Zero means full speed.
@@ -152,12 +154,12 @@ class ShardCampaignRunner:
             # away from covered modules.
             self.fuzzer.coverage = TaintCoverageMatrix.from_dicts(task.baseline_points)
             self.baseline = self.fuzzer.coverage.points
-        initial_seed = (
-            None if task.initial_seed is None else Seed.from_dict(task.initial_seed)
+        loop_state = (
+            None
+            if task.loop_state is None
+            else LoopState.from_dict(task.loop_state, task.configuration.core.name)
         )
-        self._steps = self.fuzzer.campaign_steps(
-            task.iterations, initial_seed=initial_seed
-        )
+        self._steps = self.fuzzer.campaign_steps(task.iterations, loop_state=loop_state)
         self.steps_taken = 0  # simulator boundaries passed; the server reports it
         runner_scope = self.metrics.scope("runner")
         self._window_batch_seconds = runner_scope.histogram("window_batch_seconds")
@@ -206,6 +208,8 @@ class ShardCampaignRunner:
                 {"seed": seed.to_dict(), "gain": gain}
                 for seed, gain in self.fuzzer.top_seeds(REPORT_TOP_SEEDS)
             ],
+            # Where the next task of this slice resumes the loop.
+            "loop_state": self.fuzzer.loop_state.to_dict(),
             "wall_seconds": time.perf_counter() - self.started,
             # The task's one diagnostics dict, starting with the window-batch
             # and DUT-pool counters.  The profiler, the subprocess simulator

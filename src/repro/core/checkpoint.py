@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.core.corpus import CorpusEntry, SharedCorpus
 from repro.core.coverage import CoveragePoint, TaintCoverageMatrix
+from repro.core.fuzzer import LoopState
 from repro.core.report import CampaignResult
 from repro.core.wire import MAX_FRAME_BYTES, decode_object, encode_frame
 from repro.generation.seeds import Seed
@@ -28,8 +29,9 @@ if TYPE_CHECKING:
 # Every per-slice map is keyed by the logical slice, and the fingerprint pins
 # `slices`, not the shard count, so a checkpoint resumes on any shard count.
 # Format 1 keyed state by physical shard; format 2 also carried the removed
-# stall sync policy and corpus knobs.  Both are refused.
-CHECKPOINT_FORMAT = 3
+# stall sync policy and corpus knobs; format 3 assigned each slice a seed,
+# not the loop state it resumes from.  All three are refused.
+CHECKPOINT_FORMAT = 4
 
 
 @dataclass
@@ -38,7 +40,8 @@ class CheckpointState:
 
     result: Optional[EngineResult]  # the campaign so far; None before it starts
     next_epoch: int  # the first epoch that has not merged
-    assignments: Dict[int, Optional[Dict[str, object]]]  # slice -> seed wire form
+    # slice -> wire form of the LoopState its next task starts from
+    assignments: Dict[int, Optional[Dict[str, object]]]
     slice_iterations_done: Dict[int, int]
     transfer_count: int  # transfers so far, which numbers their seed ids
     # Window-type groups each core has triggered so far; feeds the
@@ -57,7 +60,7 @@ def encode_checkpoint(
         "format": CHECKPOINT_FORMAT,
         "fingerprint": fingerprint,
         "next_epoch": state.next_epoch,
-        "assignments": {str(index): seed for index, seed in state.assignments.items()},
+        "assignments": {str(index): value for index, value in state.assignments.items()},
         "slice_iterations_done": {
             str(index): count for index, count in state.slice_iterations_done.items()
         },
@@ -226,7 +229,8 @@ def decode_checkpoint(
             f"{CHECKPOINT_FORMAT}; re-run the campaign from scratch or "
             f"migrate the checkpoint (format 1 checkpoints are keyed by "
             f"physical shard and cannot be resharded; format 2 checkpoints "
-            f"carry the removed stall sync policy)"
+            f"carry the removed stall sync policy; format 3 checkpoints assign "
+            f"seeds, not the loop states slices resume from)"
         )
 
     def get(key: str, decode: _Decoder):
@@ -268,11 +272,12 @@ def decode_checkpoint(
     if not 0 <= next_epoch <= fresh.epochs:
         _refuse("next_epoch", f"outside 0..{fresh.epochs}, the planned epochs")
     assignments = dict.fromkeys(range(len(cores)))
-    seeds = get("assignments", _map_of(_optional(_plain(Seed.from_dict)), slice_key))
-    for index, seed in seeds.items():
-        if seed is not None:
-            check_core(seed, cores[index], f"assignments[{index}]")
-            assignments[index] = seed.to_dict()
+    for index, value in get("assignments", _map_of(_optional(_object), slice_key)).items():
+        if value is not None:
+            loop_state = _plain(lambda payload: LoopState.from_dict(payload, cores[index]))(
+                value, f"assignments[{index}]"
+            )
+            assignments[index] = loop_state.to_dict()
     stored = get("core_coverage", _map_of(_object_of(points=_points, history=_list_of(_int))))
     core_coverage = {}
     for core in fresh.core_coverage:

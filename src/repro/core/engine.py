@@ -64,7 +64,9 @@ independently; at the epoch boundary the scheduler
    the target core via :meth:`~repro.generation.seeds.Seed.transfer`
    (window-type groups transfer; encodings are core-specific).  Every slice
    restarts from its core's merged coverage baseline so no slice spends
-   iterations rediscovering another slice's points.
+   iterations rediscovering another slice's points, and every slice not
+   handed a seed resumes the fuzzer loop its last task left behind
+   (:class:`~repro.core.fuzzer.LoopState`), held window included.
 
 Slices may run different cores (``cores=["boom", "xiangshan"]`` assigns
 cores round-robin across the slice set), turning the shared corpus into a
@@ -117,8 +119,9 @@ from repro.core.checkpoint import (
 )
 from repro.core.corpus import SharedCorpus
 from repro.core.coverage import CoveragePoint, TaintCoverageMatrix
-from repro.core.fuzzer import FuzzerConfiguration
+from repro.core.fuzzer import FuzzerConfiguration, LoopState
 from repro.core.report import CampaignResult
+from repro.core.wire import loop_state_from_wire
 from repro.generation.seeds import Seed
 from repro.generation.window_types import group_of
 from repro.telemetry import CampaignTelemetry, RoundEvent, TelemetryRing, diff_snapshots
@@ -575,19 +578,32 @@ class CampaignScheduler:
             redistributed_before = result.redistributed_seeds
             transferred_before = result.transferred_seeds
             ordered = sorted(payloads, key=lambda payload: payload["slice_index"])
+            # Decoded before anything merges: a payload may come from another
+            # process or host, and a malformed one leaves the state untouched.
+            loop_states = {
+                payload["slice_index"]: loop_state_from_wire(
+                    payload["loop_state"],
+                    self.slice_core(payload["slice_index"]).name,
+                    f"slice {payload['slice_index']} payload",
+                ).to_dict()
+                for payload in ordered
+            }
             epoch_gains = self._merge_epoch(
                 ordered,
                 result,
                 self._epoch_offset_seconds,
                 self.state.slice_iterations_done,
             )
-            self.state.assignments = {
-                index: None for index in range(configuration.slices)
-            }
+            # Each slice's next task resumes the loop its last task left,
+            # unless redistribution hands the slice a seed.
+            self.state.assignments.update(loop_states)
             if epoch < len(all_budgets) - 1:
-                self.state.assignments = self._redistribute(
+                redistributed = self._redistribute(
                     epoch_gains, self.state.result, all_budgets[epoch + 1], epoch + 1
                 )
+                for index, loop_state in redistributed.items():
+                    if loop_state is not None:
+                        self.state.assignments[index] = loop_state
             self._emit_round_record(
                 epoch=epoch,
                 rounds_total=len(all_budgets),
@@ -778,7 +794,7 @@ class CampaignScheduler:
             epoch=epoch,
             iterations=iterations,
             configuration=slice_configuration,
-            initial_seed=self.state.assignments.get(slice_index),
+            loop_state=self.state.assignments.get(slice_index),
             baseline_points=self._baseline_points.get(prototype.core.name, []),
             step_latency=self.configuration.step_latency,
             simulator=self.configuration.simulator,
@@ -894,6 +910,9 @@ class CampaignScheduler:
     ) -> Dict[int, Optional[Dict[str, object]]]:
         """Assign top corpus seeds to the slices that gained the least.
 
+        Returns, per slice, the wire form of the loop state (the seed, no
+        window, zero counters) a receiving slice starts from, or ``None``.
+
         Donors are considered in global gain order, with a transfer-aware
         bias: donors whose window-type *group* the receiving core has not
         triggered yet rank first (stable within each tier, so gain order
@@ -936,7 +955,7 @@ class CampaignScheduler:
                 if donor.seed.seed_id in assigned_ids:
                     continue
                 if donor.compatible_with(target_core.name):
-                    assignments[slice_index] = donor.seed.to_dict()
+                    assignments[slice_index] = LoopState(donor.seed).to_dict()
                     assigned_ids.add(donor.seed.seed_id)
                     result.redistributed_seeds += 1
                     break
@@ -948,7 +967,7 @@ class CampaignScheduler:
                     supported=supported,
                 )
                 self.state.transfer_count += 1
-                assignments[slice_index] = transferred.to_dict()
+                assignments[slice_index] = LoopState(transferred).to_dict()
                 assigned_ids.add(donor.seed.seed_id)
                 result.redistributed_seeds += 1
                 result.transferred_seeds += 1

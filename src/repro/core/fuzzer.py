@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.coverage import TaintCoverageMatrix
 from repro.core.phase1 import Phase1Result, TransientWindowTriggering
@@ -25,10 +25,11 @@ from repro.core.phase3 import TransientLeakageAnalysis
 from repro.core.report import CampaignResult, classify_report
 from repro.generation.mutation import Mutator
 from repro.generation.seeds import Seed
-from repro.generation.training import TrainingMode
+from repro.generation.training import TRIGGER_TRAINING_CANDIDATES, TrainingMode
 from repro.generation.window_types import TransientWindowType, group_of
 from repro.telemetry.metrics import MetricsRegistry
 from repro.uarch.config import CoreConfig
+from repro.utils.jsontypes import json_typed
 from repro.utils.rng import DeterministicRng
 
 # Encoding re-rolls of one productive transient window before the campaign
@@ -69,6 +70,102 @@ class FuzzerConfiguration:
         if not self.coverage_feedback:
             return "dejavuzz-"
         return "dejavuzz"
+
+
+@dataclass(frozen=True)
+class LoopState:
+    """Where a fuzzer loop stands between two slice tasks.
+
+    A slice task starts from one and leaves one behind
+    (:attr:`DejaVuzzFuzzer.loop_state`), so cutting a campaign into sync
+    epochs does not cut the paper's loop: the next task goes on mutating the
+    held window instead of running Phase 1 again.  ``window_seed`` is the
+    seed that acquired the held window (``None`` when none is held) and
+    ``kept_training`` the indices of its trigger-training candidates that
+    survived the reduction; together they rebuild the window without a
+    simulation (:meth:`~repro.core.phase1.TransientWindowTriggering.rebuild`).
+    The current ``seed`` cannot: a window mutation draws a new seed id and
+    entropy, and trigger generation is seeded from both.  A seed handed over
+    by redistribution or transfer is a state with no window and zero
+    counters.
+    """
+
+    seed: Seed
+    window_seed: Optional[Seed] = None
+    kept_training: Tuple[int, ...] = ()
+    window_mutations: int = 0
+    consecutive_low_gain: int = 0
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "seed": self.seed.to_dict(),
+            "window_seed": None if self.window_seed is None else self.window_seed.to_dict(),
+            "kept_training": list(self.kept_training),
+            "window_mutations": self.window_mutations,
+            "consecutive_low_gain": self.consecutive_low_gain,
+        }
+
+    @staticmethod
+    def from_dict(payload: Dict[str, object], core: str) -> "LoopState":
+        """The state :meth:`to_dict` wrote, for a slice running ``core``.
+
+        Raises :class:`KeyError` naming a missing key, :class:`TypeError` for
+        a value of the wrong JSON type and :class:`ValueError` for a state no
+        loop leaves behind: an unknown key, a seed realized for another core,
+        a training index that is negative, repeated, out of order or beyond
+        the candidates, kept indices or counters without a window.
+        """
+        json_typed(payload, dict, "a loop state")
+        unknown = sorted(str(key) for key in payload if key not in _LOOP_STATE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown {', '.join(unknown)}")
+        seed = _seed_from_dict(payload["seed"], "seed", core)
+        window = payload["window_seed"]
+        window_seed = None if window is None else _seed_from_dict(window, "window_seed", core)
+        kept = tuple(
+            json_typed(index, int, "kept_training[]")
+            for index in json_typed(payload["kept_training"], list, "kept_training")
+        )
+        if list(kept) != sorted(set(kept)) or not all(
+            0 <= index < TRIGGER_TRAINING_CANDIDATES for index in kept
+        ):
+            raise ValueError(
+                f"kept_training {list(kept)} is no ascending list of distinct "
+                f"indices below {TRIGGER_TRAINING_CANDIDATES}"
+            )
+        counters = {
+            name: json_typed(payload[name], int, name)
+            for name in ("window_mutations", "consecutive_low_gain")
+        }
+        for name, value in counters.items():
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        if window_seed is None and (kept or any(counters.values())):
+            raise ValueError("kept_training and the counters need a window_seed")
+        return LoopState(seed, window_seed, kept, **counters)
+
+
+_LOOP_STATE_KEYS = (
+    "seed", "window_seed", "kept_training", "window_mutations", "consecutive_low_gain",
+)
+
+
+def _seed_from_dict(payload: object, name: str, core: str) -> Seed:
+    """``Seed.from_dict`` with ``name`` in its errors; the seed must run on ``core``."""
+    try:
+        seed = Seed.from_dict(json_typed(payload, dict, name))
+    except KeyError as error:
+        raise KeyError(f"{name}.{error.args[0]}") from None
+    except TypeError as error:
+        raise TypeError(f"{name}: {error}") from None
+    except ValueError as error:
+        raise ValueError(f"{name}: {error}") from None
+    if not seed.compatible_with(core):
+        raise ValueError(
+            f"{name} {seed.seed_id} is realized for core {seed.core!r}, not "
+            f"{core!r}; transfer it first"
+        )
+    return seed
 
 
 @dataclass
@@ -126,6 +223,8 @@ class DejaVuzzFuzzer:
         self.window_batches = 0
         self.batch_simulations = 0
         self.max_batch = 0
+        # Where the loop stopped; set when campaign_steps returns.
+        self.loop_state: Optional[LoopState] = None
         explore = self.metrics.scope("explore")
         self._phase2_seconds = explore.histogram("phase2_seconds")
         self._phase3_seconds = explore.histogram("phase3_seconds")
@@ -136,7 +235,7 @@ class DejaVuzzFuzzer:
         self,
         iterations: int,
         progress_callback: Optional[Callable[[int, CampaignResult], None]] = None,
-        initial_seed: Optional[Seed] = None,
+        loop_state: Optional[LoopState] = None,
     ) -> CampaignResult:
         """Run the fuzzing loop for a fixed number of iterations.
 
@@ -144,18 +243,19 @@ class DejaVuzzFuzzer:
         the paper's Figure 7 uses on its x axis); Phase 1 attempts required to
         obtain a triggered window are folded into the same iteration.
 
-        ``initial_seed`` lets a caller start the campaign from an existing seed
-        instead of a freshly generated one — the parallel engine uses this to
-        redistribute high-gain seeds from the shared corpus to lagging shards.
-        A seed realized for a *different* core is rejected: encodings are
-        core-specific, so the caller must :meth:`~repro.generation.seeds.Seed.transfer`
-        it first.
+        ``loop_state`` lets a caller continue a loop where an earlier campaign
+        left it (:attr:`loop_state`), or start from an existing seed
+        (``LoopState(seed)``) instead of a freshly generated one — the
+        parallel engine does both, the latter to redistribute high-gain seeds
+        from the shared corpus to lagging slices.  A seed realized for a
+        *different* core is rejected: encodings are core-specific, so the
+        caller must :meth:`~repro.generation.seeds.Seed.transfer` it first.
 
         This is a thin driver over :meth:`campaign_steps`, which exposes the
         same loop as a stepwise generator; the slice-task runner and the
         simulator server drive the generator directly.
         """
-        steps = self.campaign_steps(iterations, initial_seed=initial_seed)
+        steps = self.campaign_steps(iterations, loop_state=loop_state)
         while True:
             try:
                 step = next(steps)
@@ -167,7 +267,7 @@ class DejaVuzzFuzzer:
     def campaign_steps(
         self,
         iterations: int,
-        initial_seed: Optional[Seed] = None,
+        loop_state: Optional[LoopState] = None,
     ) -> Generator[CampaignStep, None, CampaignResult]:
         """The campaign loop as a resumable stepwise generator.
 
@@ -181,23 +281,33 @@ class DejaVuzzFuzzer:
         sleeps any injected ``step_latency`` between yields), and the
         simulator server answers each ``STEP`` with one yield.  The yields consume no entropy, so
         stepping a campaign produces results identical to :meth:`run_campaign`.
+
+        The loop starts from ``loop_state`` (a fresh seed when ``None``); a
+        held window is rebuilt, not acquired again, so it adds nothing to the
+        window-batch counters or the Phase-1 statistics of the result.  When
+        the generator returns, :attr:`loop_state` holds where the loop
+        stopped.
         """
         configuration = self.configuration
-        if initial_seed is not None and not initial_seed.compatible_with(
-            configuration.core.name
-        ):
-            raise ValueError(
-                f"seed {initial_seed.seed_id} is realized for core "
-                f"{initial_seed.core!r}; transfer it before running on "
-                f"{configuration.core.name!r}"
-            )
+        if loop_state is None:
+            loop_state = LoopState(self._new_seed())
+        for seed in (loop_state.seed, loop_state.window_seed):
+            if seed is not None and not seed.compatible_with(configuration.core.name):
+                raise ValueError(
+                    f"seed {seed.seed_id} is realized for core {seed.core!r}; "
+                    f"transfer it before running on {configuration.core.name!r}"
+                )
         result = CampaignResult(
             fuzzer_name=configuration.variant_name(), core=configuration.core.name
         )
-        current_seed = initial_seed if initial_seed is not None else self._new_seed()
+        current_seed = loop_state.seed
         current_phase1: Optional[Phase1Result] = None
-        window_mutations = 0
-        consecutive_low_gain = 0
+        if loop_state.window_seed is not None:
+            current_phase1 = self.phase1.rebuild(
+                loop_state.window_seed, loop_state.kept_training
+            )
+        window_mutations = loop_state.window_mutations
+        consecutive_low_gain = loop_state.consecutive_low_gain
 
         for iteration in range(iterations):
             if current_phase1 is None or not current_phase1.triggered:
@@ -269,6 +379,14 @@ class DejaVuzzFuzzer:
                 end_of_iteration=True,
                 result=result,
             )
+        held = current_phase1 is not None and current_phase1.triggered
+        self.loop_state = LoopState(
+            current_seed,
+            current_phase1.seed if held else None,
+            current_phase1.kept_training if held else (),
+            window_mutations,
+            consecutive_low_gain,
+        )
         return result.finish()
 
     # -- scheduling helpers --------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.generation.seeds import Seed
 from repro.generation.training import TrainingDeriver, TrainingMode
@@ -89,6 +89,10 @@ class Phase1Result:
     training_overhead: int = 0
     effective_training_overhead: int = 0
     training_required: bool = True
+    # Indices (into the seed's generated trigger-training candidates) of the
+    # packets that survived the reduction; with ``seed`` they rebuild the
+    # window (TransientWindowTriggering.rebuild).
+    kept_training: Tuple[int, ...] = ()
 
 
 class TransientWindowTriggering:
@@ -151,16 +155,55 @@ class TransientWindowTriggering:
             schedule, secret_value
         )
         simulations += extra_simulations
-        training_required = len(reduced_schedule.training_packets()) > 0
+        surviving = {id(packet) for packet in reduced_schedule.packets}
+        return self._triggered(
+            seed,
+            spec,
+            reduced_schedule,
+            simulations,
+            tuple(
+                index
+                for index, packet in enumerate(schedule.training_packets())
+                if id(packet) in surviving
+            ),
+        )
+
+    def rebuild(self, seed: Seed, kept_training: Sequence[int]) -> Phase1Result:
+        """The triggered window that :meth:`run` acquired for ``seed``,
+        rebuilt without a simulation.
+
+        Generation is a pure function of the seed, so the spec and the
+        candidate schedule come out as they did in :meth:`run`;
+        ``kept_training`` (that result's :attr:`Phase1Result.kept_training`)
+        then replays the reduction's decisions.  ``simulations_used`` is 0.
+        """
+        spec, schedule = self.generate_schedule(seed)
+        candidates = schedule.training_packets()
+        reduced = SwapSchedule(
+            packets=[candidates[index] for index in kept_training] + [spec.packet],
+            protect_secret_before_transient=schedule.protect_secret_before_transient,
+            name=schedule.name,
+        )
+        return self._triggered(seed, spec, reduced, 0, tuple(kept_training))
+
+    @staticmethod
+    def _triggered(
+        seed: Seed,
+        spec: TriggerSpec,
+        schedule: SwapSchedule,
+        simulations: int,
+        kept_training: Tuple[int, ...],
+    ) -> Phase1Result:
         return Phase1Result(
             seed=seed,
             spec=spec,
-            schedule=reduced_schedule,
+            schedule=schedule,
             triggered=True,
             simulations_used=simulations,
-            training_overhead=reduced_schedule.training_overhead(),
-            effective_training_overhead=reduced_schedule.effective_training_overhead(),
-            training_required=training_required,
+            training_overhead=schedule.training_overhead(),
+            effective_training_overhead=schedule.effective_training_overhead(),
+            training_required=bool(kept_training),
+            kept_training=kept_training,
         )
 
     def _reduce_training(

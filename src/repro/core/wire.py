@@ -15,17 +15,16 @@ import json
 from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.generation.seeds import Seed
 from repro.generation.training import TrainingMode
 from repro.uarch.config import CacheConfig, CoreConfig, PredictorConfig
 from repro.utils.jsontypes import json_typed
 
 if TYPE_CHECKING:
     from repro.core.backends import ShardTask
-    from repro.core.fuzzer import FuzzerConfiguration
+    from repro.core.fuzzer import FuzzerConfiguration, LoopState
 
 # The worker fabric's protocol revision, carried in HELLO.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 # Upper bound on one frame, newline included, and on every checkpoint and
 # telemetry line; longer is malformed.
@@ -173,7 +172,7 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
         "epoch": task.epoch,
         "iterations": task.iterations,
         "configuration": fuzzer_configuration_to_wire(task.configuration),
-        "initial_seed": task.initial_seed,
+        "loop_state": task.loop_state,
         "baseline_points": task.baseline_points,
         "step_latency": task.step_latency,
         "simulator": task.simulator,
@@ -181,24 +180,35 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
     }
 
 
+def loop_state_from_wire(payload: object, core: str, what: str) -> LoopState:
+    """Decode the wire form of a :class:`~repro.core.fuzzer.LoopState` for a
+    slice running ``core``; raises :class:`ValueError` prefixed with ``what``
+    naming a missing key, a value of the wrong JSON type or a state no loop
+    leaves behind (see :meth:`LoopState.from_dict`)."""
+    from repro.core.fuzzer import LoopState
+
+    try:
+        return LoopState.from_dict(payload, core)
+    except KeyError as error:
+        raise ValueError(f"{what}: loop_state lacks {error.args[0]}") from None
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{what}: loop_state: {error}") from None
+
+
 def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
     """Decode a task wire form; raises :class:`ValueError` naming any
     missing or unknown key or a value of the wrong JSON type, also inside
-    ``initial_seed``, which must be ``null`` or a whole seed."""
+    ``loop_state``, which must be ``null`` or a whole loop state for the
+    task's core."""
     from repro.core.backends import ShardTask
 
     data = _wire_fields(ShardTask, payload, "shard task")
     for key in ("slice_index", "epoch", "iterations"):
         data[key] = _typed(data, key, int, "shard task")
-    if data["initial_seed"] is not None:
-        try:
-            Seed.from_dict(_typed(data, "initial_seed", dict, "shard task"))
-        except KeyError as error:
-            raise ValueError(
-                f"shard task wire form: initial_seed lacks {error.args[0]}"
-            ) from None
-        except TypeError as error:
-            raise ValueError(f"shard task wire form: initial_seed {error}") from None
     _typed(data, "baseline_points", list, "shard task")
     data["configuration"] = fuzzer_configuration_from_wire(data["configuration"])
+    if data["loop_state"] is not None:
+        loop_state_from_wire(
+            data["loop_state"], data["configuration"].core.name, "shard task wire form"
+        )
     return ShardTask(**data)

@@ -23,6 +23,11 @@ from repro.swapmem.packets import Packet, PacketKind
 from repro.utils.rng import DeterministicRng
 
 
+# Trigger-training candidates derived per transient packet; Phase 1's
+# reduction keeps the ones the window needs.
+TRIGGER_TRAINING_CANDIDATES = 3
+
+
 class TrainingMode(enum.Enum):
     """How trigger-training packets are produced."""
 
@@ -39,7 +44,10 @@ class TrainingDeriver:
     # -- trigger training -------------------------------------------------------------
 
     def derive_trigger_training(
-        self, spec: TriggerSpec, rng: DeterministicRng, count: int = 3
+        self,
+        spec: TriggerSpec,
+        rng: DeterministicRng,
+        count: int = TRIGGER_TRAINING_CANDIDATES,
     ) -> List[Packet]:
         """Generate ``count`` candidate trigger-training packets.
 

@@ -20,8 +20,10 @@ the coordinator).
 
 The reference itself is pinned across commits: SHA-256 digests of its
 ``campaign_deterministic`` and of its per-core coverage points are committed
-in ``tests/data/campaign_reference.json``.  Regenerate them (only for an
-intended change of campaign results) with::
+in ``tests/data/campaign_reference.json``, next to the same digests of the
+one-epoch campaign of the same shape (``single_epoch``), whose slice loops no
+sync epoch cuts.  Regenerate them (only for an intended change of campaign
+results) with::
 
     PYTHONPATH=src python tests/test_campaign_matrix.py --regenerate
 """
@@ -496,11 +498,11 @@ class Matrix:
         return self._checkpoint
 
 
-def reference_outcome(directory):
+def reference_outcome(directory, **overrides):
     """The reference campaign: inline, with every reference-path fake applied."""
     with pytest.MonkeyPatch.context() as patch:
         reference_paths(patch)
-        result = run()
+        result = run(**overrides)
     return from_result(result, directory)
 
 
@@ -513,6 +515,19 @@ def reference_digests(outcome):
             ("coverage_points", outcome.points),
         )
     }
+
+
+def committed_digests():
+    with open(REFERENCE_DIGESTS_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def regenerated_digests(directory):
+    digests = reference_digests(reference_outcome(directory))
+    digests["single_epoch"] = reference_digests(
+        reference_outcome(directory, sync_epochs=1)
+    )
+    return digests
 
 
 @pytest.fixture(scope="session")
@@ -530,8 +545,16 @@ def matrix(tmp_path_factory):
 
 def test_reference_matches_the_committed_digests(reference):
     """The reference campaign is the one earlier commits produced."""
-    with open(REFERENCE_DIGESTS_PATH, encoding="utf-8") as handle:
-        assert reference_digests(reference) == json.load(handle)
+    committed = committed_digests()
+    del committed["single_epoch"]
+    assert reference_digests(reference) == committed
+
+
+def test_single_epoch_reference_matches_the_committed_digests(tmp_path):
+    """No sync epoch cuts a one-epoch campaign's slice loops, so carrying
+    loop state across task boundaries must leave its results alone."""
+    outcome = reference_outcome(str(tmp_path), sync_epochs=1)
+    assert reference_digests(outcome) == committed_digests()["single_epoch"]
 
 
 @pytest.mark.parametrize("name", ARMS)
@@ -744,7 +767,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: {sys.argv[0]} --regenerate")
     with tempfile.TemporaryDirectory() as directory:
-        digests = reference_digests(reference_outcome(directory))
+        digests = regenerated_digests(directory)
     with open(REFERENCE_DIGESTS_PATH, "w", encoding="utf-8") as handle:
         json.dump(digests, handle, indent=1, sort_keys=True)
         handle.write("\n")

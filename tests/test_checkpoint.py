@@ -1,9 +1,10 @@
 """Tests for the engine checkpoint codec (repro.core.checkpoint).
 
-``tests/data/checkpoint_format3.json`` is a committed format-3 checkpoint:
+``tests/data/checkpoint_format4.json`` is a committed format-4 checkpoint:
 the ``TestCheckpointResume`` campaign (boom, 16 slices, 12 iterations over 3
 epochs, entropy 7) halted after epoch 1.  It pins the format: it must keep
-decoding, re-encode to itself and resume to the uninterrupted result.
+decoding, re-encode to itself and resume to the uninterrupted result.  Its
+slices 0 and 1 hold a window; slices 2 and 3 were handed a seed.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ from repro.core.engine import (
 from repro.core.fuzzer import FuzzerConfiguration
 from repro.uarch import small_boom_config
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "checkpoint_format3.json")
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "checkpoint_format4.json")
 RESUME_FLAGS = ["--backend", "inline", "--iterations", "12", "--epochs", "3",
                 "--entropy", "7", "--shards", "2"]
 
@@ -115,7 +116,12 @@ def edited(payload, path, value):
         (("next_epoch",), 7, "bad value for next_epoch"),
         (("slice_iterations_done",), {"16": 1}, "slice_iterations_done[16] (no slice 16"),
         (("slice_summaries", 0, "slice"), 99, "slice_summaries[0].slice (no slice 99"),
-        (("assignments", "2", "core"), "xiangshan-minimal", "bad value for assignments[2]"),
+        (("assignments", "2", "seed", "core"), "xiangshan-minimal", "bad value for assignments[2]"),
+        (
+            ("assignments", "0", "window_seed", "core"),
+            "xiangshan-minimal",
+            "bad value for assignments[0] (window_seed",
+        ),
         (("corpus", 0, "seed", "core"), "x", "bad value for corpus[0].seed"),
         (("corpus", 0, "core"), "x", "bad value for corpus[0].core"),
         (("campaign", "core_breakdown", "small-boom"), {}, "lacks 'iterations' in campaign"),

@@ -7,6 +7,7 @@ authentication and protocol errors.  Campaign byte-identity across a fleet
 import dataclasses
 import io
 import json
+import re
 import socket
 import threading
 import time
@@ -16,6 +17,7 @@ import pytest
 from repro.core import FuzzerConfiguration, ShardTask, run_parallel_campaign
 from repro.core.backends import run_shard_task
 from repro.core.distributed import DistributedBackend, parse_address, send_frame
+from repro.core.fuzzer import LoopState
 from repro.core.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -47,6 +49,20 @@ def make_task(**overrides):
     )
     defaults.update(overrides)
     return ShardTask(**defaults)
+
+
+def held_window(**overrides):
+    """The wire form of a loop state that holds a window on BOOM."""
+    seed = Seed.fresh(
+        seed_id=5, entropy=1, window_type=TransientWindowType.LOAD_PAGE_FAULT,
+        core=BOOM.name,
+    )
+    state = LoopState(
+        seed, window_seed=seed, kept_training=(0, 2), window_mutations=1,
+        consecutive_low_gain=1,
+    ).to_dict()
+    state.update(overrides)
+    return state
 
 
 class TestWireForms:
@@ -115,11 +131,8 @@ class TestWireForms:
             fuzzer_configuration_from_wire(wire)
 
     def test_shard_task_round_trip(self):
-        seed = Seed.fresh(
-            seed_id=5, entropy=1, window_type=TransientWindowType.LOAD_PAGE_FAULT
-        )
         task = make_task(
-            initial_seed=seed.to_dict(),
+            loop_state=held_window(),
             baseline_points=[{"module": "dcache", "tainted_count": 2}],
             step_latency=0.25,
         )
@@ -144,9 +157,15 @@ class TestWireForms:
                 lambda wire: wire["configuration"].update(entropy="7"),
                 "entropy must be int, got str",
             ),
-            (lambda wire: wire.update(initial_seed={"seed_id": 1}), "initial_seed lacks core"),
+            (
+                lambda wire: wire.update(loop_state=held_window(seed={"seed_id": 1})),
+                "loop_state lacks seed.core",
+            ),
             # An empty seed is no seed at all, not "start from a fresh one".
-            (lambda wire: wire.update(initial_seed={}), "initial_seed lacks core"),
+            (
+                lambda wire: wire.update(loop_state=held_window(seed={})),
+                "loop_state lacks seed.core",
+            ),
             # Well-typed values no engine sends: an infinite latency raised
             # OverflowError from time.sleep, a huge one wedged the worker.
             (lambda wire: wire.update(simulator="bogus"), "unknown simulator 'bogus'"),
@@ -172,6 +191,46 @@ class TestWireForms:
             (lambda wire: wire.update(epoch=-1), "epoch must be non-negative, got -1"),
             # A protocol-5 peer still sends the removed telemetry switch.
             (lambda wire: wire.update(telemetry=True), "unknown telemetry"),
+            # A protocol-6 peer still sends a seed instead of a loop state.
+            (lambda wire: wire.update(initial_seed=None), "unknown initial_seed"),
+            # Loop states no fuzzer loop leaves behind.
+            (
+                lambda wire: wire.update(loop_state=held_window(kept_training=[-1])),
+                "kept_training [-1] is no ascending list of distinct indices below 3",
+            ),
+            (
+                lambda wire: wire.update(loop_state=held_window(kept_training=[0, 0])),
+                "kept_training [0, 0] is no ascending list",
+            ),
+            (
+                lambda wire: wire.update(loop_state=held_window(kept_training=[3])),
+                "kept_training [3] is no ascending list",
+            ),
+            (
+                lambda wire: wire.update(loop_state=held_window(window_mutations=1.0)),
+                "window_mutations must be int, got float",
+            ),
+            (
+                lambda wire: wire.update(loop_state=held_window(consecutive_low_gain=-1)),
+                "consecutive_low_gain must be non-negative, got -1",
+            ),
+            (
+                lambda wire: wire.update(
+                    loop_state=held_window(
+                        window_seed=None, window_mutations=0, consecutive_low_gain=0
+                    )
+                ),
+                "kept_training and the counters need a window_seed",
+            ),
+            (
+                lambda wire: wire.update(
+                    loop_state=held_window(
+                        window_seed=dict(held_window()["seed"], core=XIANGSHAN.name)
+                    )
+                ),
+                "window_seed 5 is realized for core 'xiangshan-minimal', not 'small-boom'",
+            ),
+            (lambda wire: wire.update(loop_state=[]), "a loop state must be dict, got list"),
         ],
         ids=[
             "simulator-null",
@@ -189,6 +248,15 @@ class TestWireForms:
             "slice-negative",
             "epoch-negative",
             "telemetry-key",
+            "initial-seed-key",
+            "training-index-negative",
+            "training-index-duplicate",
+            "training-index-out-of-range",
+            "counter-float",
+            "counter-negative",
+            "kept-without-window",
+            "window-seed-foreign-core",
+            "loop-state-list",
         ],
     )
     def test_a_shard_task_value_of_the_wrong_type_is_refused(self, corrupt, message):
@@ -197,7 +265,7 @@ class TestWireForms:
         # would run a task no engine builds.
         wire = shard_task_to_wire(make_task())
         corrupt(wire)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             shard_task_from_wire(wire)
         # The simulator server answers such a LOAD with an ERROR frame.
         replies = io.BytesIO()

@@ -27,6 +27,7 @@ from repro.core.engine import (
     resolve_core,
     run_shard_task,
 )
+from repro.core.fuzzer import LoopState
 from repro.core.report import BugReport
 from repro.generation.seeds import EncodeStrategy, Seed
 from repro.generation.window_types import TransientWindowType, group_of
@@ -312,7 +313,10 @@ class TestParallelCampaignEngine:
         assignments = engine.scheduler._redistribute({0: 0, 1: 1, 2: 10}, result)
         # Shards 0 and 1 lag; they must receive two *different* donor seeds.
         assert assignments[0] is not None and assignments[1] is not None
-        assert assignments[0]["seed_id"] != assignments[1]["seed_id"]
+        assert assignments[0]["seed"]["seed_id"] != assignments[1]["seed"]["seed_id"]
+        # A redistributed seed starts its slice's loop with no window held.
+        assert assignments[0]["window_seed"] is None
+        assert assignments[0]["window_mutations"] == 0
         assert result.redistributed_seeds == 2
 
         # A shard with no iterations left next epoch must not receive (and
@@ -517,11 +521,11 @@ class TestHeterogeneousEngine:
             {**make_seed(seed_id=5).to_dict(), "core": "xiangshan-minimal"}
         )
         with pytest.raises(ValueError, match="transfer"):
-            fuzzer.run_campaign(2, initial_seed=foreign)
+            fuzzer.run_campaign(2, loop_state=LoopState(foreign))
         # The transferred realization of the same seed is accepted.
         moved = foreign.transfer("small-boom", seed_id=6)
         assert group_of(moved.window_type) == group_of(foreign.window_type)
-        fuzzer.run_campaign(2, initial_seed=moved)
+        fuzzer.run_campaign(2, loop_state=LoopState(moved))
 
 
 class TestEngineCli:
@@ -719,13 +723,14 @@ class TestCheckpointResume:
                 str(tmp_path / "checkpoint.json"), self.cfg(tmp_path, sync_epochs=4)
             )
 
-    @pytest.mark.parametrize("old_format", [1, 2])
+    @pytest.mark.parametrize("old_format", [1, 2, 3])
     def test_an_old_format_fixture_is_refused_with_a_clear_message(
         self, capsys, old_format
     ):
-        # Committed checkpoints of the shard-keyed format 1 and of format 2,
-        # which carried the removed stall sync policy: each is refused with
-        # an actionable format error, not a KeyError from inside restore().
+        # Committed checkpoints of the shard-keyed format 1, of format 2,
+        # which carried the removed stall sync policy, and of format 3, which
+        # assigned seeds instead of loop states: each is refused with an
+        # actionable format error, not a KeyError from inside restore().
         import os
 
         fixture = os.path.join(
@@ -739,7 +744,7 @@ class TestCheckpointResume:
         output = capsys.readouterr().out
         assert code == 2
         assert output.startswith(
-            f"error: checkpoint format {old_format}, expected 3; re-run"
+            f"error: checkpoint format {old_format}, expected 4; re-run"
         )
         assert "or migrate" in output
 
@@ -812,9 +817,9 @@ class TestCheckpointResume:
             "corpus.0.seed.mask_high_bits", "x", "wrong type for corpus[0] (mask_high_bits"
         ),
         "seed-no-encode_strategies": (
-            "assignments.2.encode_strategies",
+            "assignments.2.seed.encode_strategies",
             [],
-            "bad value for assignments[2] (encode_strategies is empty",
+            "bad value for assignments[2] (seed: encode_strategies is empty",
         ),
         "campaign-fuzzer_name-null": (
             "campaign.fuzzer_name", None, "wrong type for campaign (fuzzer_name must be str"
@@ -829,6 +834,36 @@ class TestCheckpointResume:
         "report-verdict-is_leak-string": (
             "campaign.reports.0.verdict.is_leak", "no",
             "wrong type for campaign (is_leak must be bool, got str",
+        ),
+        # Slice 0 holds a window after epoch 0; slice 2 was handed a seed.
+        "loop-training-index-negative": (
+            "assignments.0.kept_training", [-1],
+            "bad value for assignments[0] (kept_training [-1] is no ascending list",
+        ),
+        "loop-training-index-duplicate": (
+            "assignments.0.kept_training", [1, 1],
+            "bad value for assignments[0] (kept_training [1, 1] is no ascending list",
+        ),
+        "loop-training-index-out-of-range": (
+            "assignments.0.kept_training", [3],
+            "bad value for assignments[0] (kept_training [3] is no ascending list",
+        ),
+        "loop-counter-float": (
+            "assignments.0.window_mutations", 1.5,
+            "wrong type for assignments[0] (window_mutations must be int, got float",
+        ),
+        "loop-counter-negative": (
+            "assignments.0.consecutive_low_gain", -2,
+            "bad value for assignments[0] (consecutive_low_gain must be non-negative",
+        ),
+        "loop-kept-without-window": (
+            "assignments.2.kept_training", [0],
+            "bad value for assignments[2] (kept_training and the counters need a window_seed",
+        ),
+        "loop-window-seed-foreign-core": (
+            "assignments.0.window_seed.core", "xiangshan-minimal",
+            "bad value for assignments[0] (window_seed 10000000 is realized for core "
+            "'xiangshan-minimal', not 'small-boom'",
         ),
     }
 
@@ -863,6 +898,19 @@ class TestCheckpointResume:
         if content in self.MALFORMED:
             assert message in output
 
+    def test_a_payload_loop_state_is_decoded_before_the_merge(self):
+        # Payloads come back from other processes and hosts; a malformed loop
+        # state is refused before any of the epoch merges.
+        scheduler = ParallelCampaignEngine(self.cfg()).scheduler
+        scheduler.begin_run()
+        payloads = [run_shard_task(task) for task in scheduler.next_tasks()]
+        payloads[1]["loop_state"]["kept_training"] = [-1]
+        with pytest.raises(ValueError, match=r"slice 1 payload: loop_state: kept_training \[-1\]"):
+            scheduler.complete_epoch(payloads)
+        assert scheduler.next_epoch == 0
+        assert scheduler.result.campaign.iterations_run == 0
+        assert scheduler.state.assignments == dict.fromkeys(range(16))
+
     def test_integer_wall_clock_seconds_is_accepted(self, tmp_path):
         ParallelCampaignEngine(self.cfg(tmp_path)).run(max_epochs=1)
         path = tmp_path / "checkpoint.json"
@@ -895,7 +943,7 @@ class TestCheckpointResume:
         engine.run(max_epochs=1)
         path = tmp_path / "checkpoint.json"
         payload = json.loads(path.read_text())
-        assert payload["format"] == 3
+        assert payload["format"] == 4
         assert payload["next_epoch"] == 1
         assert not (tmp_path / "checkpoint.json.tmp").exists()
 
@@ -956,7 +1004,7 @@ class TestTransferAwareRedistribution:
             epochs=1,
         )
         assignments = engine.scheduler._redistribute({0: 0, 1: 10}, result)
-        assert assignments[0]["seed_id"] == 200
+        assert assignments[0]["seed"]["seed_id"] == 200
 
     def test_gain_order_decides_within_a_tier(self):
         from repro.core.engine import EngineResult
@@ -985,7 +1033,7 @@ class TestTransferAwareRedistribution:
             epochs=1,
         )
         assignments = engine.scheduler._redistribute({0: 0, 1: 10}, result)
-        assert assignments[0]["seed_id"] == 100
+        assert assignments[0]["seed"]["seed_id"] == 100
 
 
 class TestFeedbackKnobPlumbing:

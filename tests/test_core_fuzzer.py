@@ -3,11 +3,21 @@
 import pytest
 
 from repro.baselines import SPECDOCTOR_SUPPORTED_WINDOWS, SpecDoctorConfiguration, SpecDoctorFuzzer
-from repro.core import DejaVuzzFuzzer, FuzzerConfiguration
+from repro.core import DejaVuzzFuzzer, FuzzerConfiguration, ShardTask, TransientWindowTriggering
+from repro.core.backends import ShardCampaignRunner
 from repro.core.coverage import TaintCoverageMatrix
+from repro.core.fuzzer import LoopState
 from repro.generation import TrainingMode, TransientWindowType
+from repro.generation.mutation import Mutator
+from repro.generation.seeds import Seed
 from repro.scenarios.attacks import run_attack
-from repro.uarch import TaintTrackingMode, small_boom_config, xiangshan_minimal_config
+from repro.uarch import (
+    TaintTrackingMode,
+    large_boom_config,
+    small_boom_config,
+    xiangshan_minimal_config,
+)
+from repro.utils.rng import DeterministicRng
 
 BOOM = small_boom_config()
 
@@ -144,3 +154,100 @@ class TestCrossCoreCampaigns:
             )
         assert points[TaintTrackingMode.NONE] == 0
         assert points[TaintTrackingMode.DIFFIFT] > 0
+
+
+def packet_facts(packet):
+    return packet.name, packet.instructions, packet.entry_offset, packet.metadata
+
+
+def schedule_facts(phase1):
+    return [packet_facts(packet) for packet in phase1.schedule.packets]
+
+
+def held_window():
+    """The loop state of the first short BOOM campaign that ends holding a
+    window."""
+    for entropy in range(1, 30):
+        fuzzer = DejaVuzzFuzzer(FuzzerConfiguration(core=BOOM, entropy=entropy))
+        fuzzer.run_campaign(2)
+        if fuzzer.loop_state.window_seed is not None:
+            return fuzzer.loop_state
+    raise AssertionError("no campaign held a window")
+
+
+class TestLoopState:
+    @pytest.mark.parametrize(
+        "core", [BOOM, xiangshan_minimal_config(), large_boom_config()],
+        ids=lambda core: core.name,
+    )
+    def test_the_acquiring_seed_rebuilds_the_window(self, core):
+        phase1 = TransientWindowTriggering(core)
+        mutator = Mutator(DeterministicRng(5, "mutation"), seed_id_base=900)
+        triggered = 0
+        for type_index, window_type in enumerate(TransientWindowType):
+            for entropy in (1, 2, 3):
+                seed = Seed.fresh(
+                    seed_id=100 * type_index + entropy, entropy=entropy,
+                    window_type=window_type, core=core.name,
+                )
+                acquired = phase1.run(seed)
+                if not acquired.triggered:
+                    continue
+                triggered += 1
+                rebuilt = phase1.rebuild(seed, acquired.kept_training)
+                assert rebuilt.simulations_used == 0
+                assert packet_facts(rebuilt.spec.packet) == packet_facts(acquired.spec.packet)
+                assert schedule_facts(rebuilt) == schedule_facts(acquired)
+                assert rebuilt.schedule.name == acquired.schedule.name
+                assert (
+                    rebuilt.schedule.protect_secret_before_transient
+                    == acquired.schedule.protect_secret_before_transient
+                )
+                assert rebuilt.training_overhead == acquired.training_overhead
+                # A window mutation draws a new seed id and entropy, which
+                # trigger generation is seeded from: the current seed of a
+                # held window does not rebuild it.
+                mutated = phase1.rebuild(mutator.mutate_window(seed), acquired.kept_training)
+                assert packet_facts(mutated.spec.packet) != packet_facts(acquired.spec.packet)
+        assert triggered > 0
+
+    def test_loop_state_round_trips(self):
+        state = held_window()
+        assert LoopState.from_dict(state.to_dict(), BOOM.name) == state
+
+    def test_a_held_window_runs_no_phase1_before_phase2(self, monkeypatch):
+        state = held_window()
+        simulations = []
+        simulate = TransientWindowTriggering._simulate
+        monkeypatch.setattr(
+            TransientWindowTriggering,
+            "_simulate",
+            lambda self, *args: simulations.append(1) or simulate(self, *args),
+        )
+        runner = ShardCampaignRunner(
+            ShardTask(
+                slice_index=0, epoch=1, iterations=1,
+                configuration=FuzzerConfiguration(core=BOOM, entropy=77, seed_id_base=500),
+                loop_state=state.to_dict(),
+            )
+        )
+        step = runner.advance()
+        assert step.phase == "explore" and simulations == []
+        while runner.advance() is not None:
+            pass
+        # The resumed window was counted when it was acquired, not again.
+        diagnostics = runner.payload["diagnostics"]
+        assert diagnostics["window_batches"] == diagnostics["batch_simulations"] == 0
+        result = runner.result
+        assert result.triggered_windows == {}
+        assert result.training_overhead == {}
+        assert result.effective_training_overhead == {}
+
+    def test_a_window_seed_of_another_core_is_refused(self):
+        # The current seed was transferred, but the window it would resume
+        # was acquired on BOOM.
+        state = held_window()
+        moved = state.seed.transfer("xiangshan-minimal", seed_id=3)
+        fuzzer = DejaVuzzFuzzer(FuzzerConfiguration(core=xiangshan_minimal_config()))
+        with pytest.raises(ValueError, match="transfer it before running"):
+            fuzzer.run_campaign(1, loop_state=LoopState(moved, window_seed=state.window_seed))
