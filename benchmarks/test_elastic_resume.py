@@ -36,9 +36,9 @@ from repro.core import (
 from repro.uarch import small_boom_config
 
 # Four iterations per slice-epoch.  A resumed slice task that holds a window
-# runs no Phase 1, so with one iteration per task the resumed tasks' waits
-# differ by 3x and the longest task, not the wave count, sets the wall clock;
-# over four iterations the tasks even out.
+# runs no Phase 1, so at one iteration per task the resumed tasks run 2 or 6
+# simulations each and one re-acquiring task sets the wall clock at both
+# shard counts; over four iterations the tasks even out.
 TOTAL_ITERATIONS = 64
 CHECKPOINT_SHARDS = 4
 # One slice task per doubled shard: the doubled resume runs each epoch in
@@ -70,8 +70,10 @@ def test_elastic_resume(tmp_path):
     ).run(max_epochs=HALT_AFTER)
     assert not partial.complete
     # Calibrate the injected wait against this host so waits dominate compute
-    # on fast and slow machines alike.
-    latency = max(0.02, round((time.perf_counter() - started) / 4, 3))
+    # on fast and slow machines alike: twice the compute of one slice
+    # iteration of the halted run, whatever the campaign's size.
+    halted_iterations = TOTAL_ITERATIONS * HALT_AFTER // SYNC_EPOCHS
+    latency = max(0.02, round(2 * (time.perf_counter() - started) / halted_iterations, 3))
 
     def resume(shards):
         checkpoint = tmp_path / "resumed.json"  # a fresh copy for every resume

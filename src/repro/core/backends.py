@@ -86,10 +86,9 @@ class ShardTask:
     epoch: int
     iterations: int
     configuration: FuzzerConfiguration
-    # Where the slice's fuzzer loop starts: the wire form of a
-    # repro.core.fuzzer.LoopState (the previous task's, or a redistributed
-    # seed's), or None for a fresh seed.
-    loop_state: Optional[Dict[str, object]] = None
+    # Where the slice's fuzzer loop starts (the previous task's loop state,
+    # or a redistributed seed's), or None for a fresh seed.
+    loop_state: Optional[LoopState] = None
     baseline_points: List[Dict[str, object]] = field(default_factory=list)
     # Injected wait per simulator invocation (seconds): models a slow external
     # (RTL) simulator behind the same protocol.  Zero means full speed.
@@ -154,12 +153,7 @@ class ShardCampaignRunner:
             # away from covered modules.
             self.fuzzer.coverage = TaintCoverageMatrix.from_dicts(task.baseline_points)
             self.baseline = self.fuzzer.coverage.points
-        loop_state = (
-            None
-            if task.loop_state is None
-            else LoopState.from_dict(task.loop_state, task.configuration.core.name)
-        )
-        self._steps = self.fuzzer.campaign_steps(task.iterations, loop_state=loop_state)
+        self._steps = self.fuzzer.campaign_steps(task.iterations, loop_state=task.loop_state)
         self.steps_taken = 0  # simulator boundaries passed; the server reports it
         runner_scope = self.metrics.scope("runner")
         self._window_batch_seconds = runner_scope.histogram("window_batch_seconds")

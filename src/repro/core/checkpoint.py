@@ -40,8 +40,7 @@ class CheckpointState:
 
     result: Optional[EngineResult]  # the campaign so far; None before it starts
     next_epoch: int  # the first epoch that has not merged
-    # slice -> wire form of the LoopState its next task starts from
-    assignments: Dict[int, Optional[Dict[str, object]]]
+    assignments: Dict[int, Optional[LoopState]]  # slice -> where its next task starts
     slice_iterations_done: Dict[int, int]
     transfer_count: int  # transfers so far, which numbers their seed ids
     # Window-type groups each core has triggered so far; feeds the
@@ -60,7 +59,10 @@ def encode_checkpoint(
         "format": CHECKPOINT_FORMAT,
         "fingerprint": fingerprint,
         "next_epoch": state.next_epoch,
-        "assignments": {str(index): value for index, value in state.assignments.items()},
+        "assignments": {
+            str(index): None if loop_state is None else loop_state.to_dict()
+            for index, loop_state in state.assignments.items()
+        },
         "slice_iterations_done": {
             str(index): count for index, count in state.slice_iterations_done.items()
         },
@@ -274,10 +276,9 @@ def decode_checkpoint(
     assignments = dict.fromkeys(range(len(cores)))
     for index, value in get("assignments", _map_of(_optional(_object), slice_key)).items():
         if value is not None:
-            loop_state = _plain(lambda payload: LoopState.from_dict(payload, cores[index]))(
-                value, f"assignments[{index}]"
-            )
-            assignments[index] = loop_state.to_dict()
+            assignments[index] = _plain(
+                lambda payload: LoopState.from_dict(payload, cores[index])
+            )(value, f"assignments[{index}]")
     stored = get("core_coverage", _map_of(_object_of(points=_points, history=_list_of(_int))))
     core_coverage = {}
     for core in fresh.core_coverage:

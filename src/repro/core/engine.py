@@ -585,7 +585,7 @@ class CampaignScheduler:
                     payload["loop_state"],
                     self.slice_core(payload["slice_index"]).name,
                     f"slice {payload['slice_index']} payload",
-                ).to_dict()
+                )
                 for payload in ordered
             }
             epoch_gains = self._merge_epoch(
@@ -907,11 +907,11 @@ class CampaignScheduler:
         result: EngineResult,
         next_budgets: Optional[List[int]] = None,
         next_epoch: int = 0,
-    ) -> Dict[int, Optional[Dict[str, object]]]:
+    ) -> Dict[int, Optional[LoopState]]:
         """Assign top corpus seeds to the slices that gained the least.
 
-        Returns, per slice, the wire form of the loop state (the seed, no
-        window, zero counters) a receiving slice starts from, or ``None``.
+        Returns, per slice, the loop state (the seed, no window, zero
+        counters) a receiving slice starts from, or ``None``.
 
         Donors are considered in global gain order, with a transfer-aware
         bias: donors whose window-type *group* the receiving core has not
@@ -928,7 +928,7 @@ class CampaignScheduler:
         withholding it from slices that could still run it.
         """
         configuration = self.configuration
-        assignments: Dict[int, Optional[Dict[str, object]]] = {
+        assignments: Dict[int, Optional[LoopState]] = {
             index: None for index in range(configuration.slices)
         }
         if not epoch_gains or len(self.state.corpus) == 0:
@@ -955,7 +955,7 @@ class CampaignScheduler:
                 if donor.seed.seed_id in assigned_ids:
                     continue
                 if donor.compatible_with(target_core.name):
-                    assignments[slice_index] = LoopState(donor.seed).to_dict()
+                    assignments[slice_index] = LoopState(donor.seed)
                     assigned_ids.add(donor.seed.seed_id)
                     result.redistributed_seeds += 1
                     break
@@ -967,7 +967,7 @@ class CampaignScheduler:
                     supported=supported,
                 )
                 self.state.transfer_count += 1
-                assignments[slice_index] = LoopState(transferred).to_dict()
+                assignments[slice_index] = LoopState(transferred)
                 assigned_ids.add(donor.seed.seed_id)
                 result.redistributed_seeds += 1
                 result.transferred_seeds += 1

@@ -172,7 +172,7 @@ def shard_task_to_wire(task: ShardTask) -> Dict[str, object]:
         "epoch": task.epoch,
         "iterations": task.iterations,
         "configuration": fuzzer_configuration_to_wire(task.configuration),
-        "loop_state": task.loop_state,
+        "loop_state": None if task.loop_state is None else task.loop_state.to_dict(),
         "baseline_points": task.baseline_points,
         "step_latency": task.step_latency,
         "simulator": task.simulator,
@@ -208,7 +208,7 @@ def shard_task_from_wire(payload: Dict[str, object]) -> ShardTask:
     _typed(data, "baseline_points", list, "shard task")
     data["configuration"] = fuzzer_configuration_from_wire(data["configuration"])
     if data["loop_state"] is not None:
-        loop_state_from_wire(
+        data["loop_state"] = loop_state_from_wire(
             data["loop_state"], data["configuration"].core.name, "shard task wire form"
         )
     return ShardTask(**data)

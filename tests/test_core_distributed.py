@@ -51,16 +51,21 @@ def make_task(**overrides):
     return ShardTask(**defaults)
 
 
-def held_window(**overrides):
-    """The wire form of a loop state that holds a window on BOOM."""
+def held_window_state():
+    """A loop state that holds a window on BOOM."""
     seed = Seed.fresh(
         seed_id=5, entropy=1, window_type=TransientWindowType.LOAD_PAGE_FAULT,
         core=BOOM.name,
     )
-    state = LoopState(
+    return LoopState(
         seed, window_seed=seed, kept_training=(0, 2), window_mutations=1,
         consecutive_low_gain=1,
-    ).to_dict()
+    )
+
+
+def held_window(**overrides):
+    """The wire form of :func:`held_window_state`, with ``overrides``."""
+    state = held_window_state().to_dict()
     state.update(overrides)
     return state
 
@@ -132,7 +137,7 @@ class TestWireForms:
 
     def test_shard_task_round_trip(self):
         task = make_task(
-            loop_state=held_window(),
+            loop_state=held_window_state(),
             baseline_points=[{"module": "dcache", "tainted_count": 2}],
             step_latency=0.25,
         )

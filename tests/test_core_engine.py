@@ -313,10 +313,9 @@ class TestParallelCampaignEngine:
         assignments = engine.scheduler._redistribute({0: 0, 1: 1, 2: 10}, result)
         # Shards 0 and 1 lag; they must receive two *different* donor seeds.
         assert assignments[0] is not None and assignments[1] is not None
-        assert assignments[0]["seed"]["seed_id"] != assignments[1]["seed"]["seed_id"]
+        assert assignments[0].seed.seed_id != assignments[1].seed.seed_id
         # A redistributed seed starts its slice's loop with no window held.
-        assert assignments[0]["window_seed"] is None
-        assert assignments[0]["window_mutations"] == 0
+        assert assignments[0] == LoopState(assignments[0].seed)
         assert result.redistributed_seeds == 2
 
         # A shard with no iterations left next epoch must not receive (and
@@ -1004,7 +1003,7 @@ class TestTransferAwareRedistribution:
             epochs=1,
         )
         assignments = engine.scheduler._redistribute({0: 0, 1: 10}, result)
-        assert assignments[0]["seed"]["seed_id"] == 200
+        assert assignments[0].seed.seed_id == 200
 
     def test_gain_order_decides_within_a_tier(self):
         from repro.core.engine import EngineResult
@@ -1033,7 +1032,7 @@ class TestTransferAwareRedistribution:
             epochs=1,
         )
         assignments = engine.scheduler._redistribute({0: 0, 1: 10}, result)
-        assert assignments[0]["seed"]["seed_id"] == 100
+        assert assignments[0].seed.seed_id == 100
 
 
 class TestFeedbackKnobPlumbing:

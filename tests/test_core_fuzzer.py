@@ -228,7 +228,7 @@ class TestLoopState:
             ShardTask(
                 slice_index=0, epoch=1, iterations=1,
                 configuration=FuzzerConfiguration(core=BOOM, entropy=77, seed_id_base=500),
-                loop_state=state.to_dict(),
+                loop_state=state,
             )
         )
         step = runner.advance()
